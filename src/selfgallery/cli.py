@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 from . import selection
-from .core import gallery_enroll
+from .core import Batch, gallery_enroll
 from .dataio import load_dataset, split_batches, write_dataset
 from .experiment import ExperimentConfig, run_experiment
 from .matching import ThresholdPolicy
@@ -139,8 +139,6 @@ def cmd_scatter(args) -> int:
             enroll.append((user, s))
             enrolled_ids.add(s.id)
     gallery = gallery_enroll(enroll, cap=args.p)
-    from .core import Batch
-
     probes = Batch(
         index=1, samples=tuple(s for s in samples if s.id not in enrolled_ids)
     )

@@ -51,6 +51,26 @@ def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return np.maximum(p2 + c2 - 2.0 * (points @ centroids.T), 0.0)
 
 
+def _assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Nearest-centroid assignment that leaves no cluster empty.
+
+    Each empty cluster, in index order, takes the point farthest from its
+    assigned centroid among clusters holding at least two points. So the
+    repair never empties a cluster, and never re-takes a point it moved,
+    since a moved point is alone in its new cluster.
+    """
+    d2 = _sq_dists(points, centroids)
+    assignment = np.argmin(d2, axis=1)
+    counts = np.bincount(assignment, minlength=centroids.shape[0])
+    cur = d2[np.arange(points.shape[0]), assignment]
+    for c in np.flatnonzero(counts == 0):
+        donor = int(np.argmax(np.where(counts[assignment] >= 2, cur, -np.inf)))
+        counts[assignment[donor]] -= 1
+        counts[c] += 1
+        assignment[donor] = c
+    return assignment
+
+
 def _init_centroids(
     points: np.ndarray, params: KMeansParams, labels: Optional[Sequence[int]]
 ) -> np.ndarray:
@@ -80,7 +100,7 @@ def kmeans(
     currently labeled with the j-th distinct label, so centroid indexing
     aligns with users. Stops when the relative inertia improvement falls
     below rel_tol or after max_iter passes. An empty cluster is reseeded
-    at the point currently farthest from its assigned centroid.
+    as ``_assign`` describes.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] == 0:
@@ -93,13 +113,7 @@ def kmeans(
     history: list[float] = []
     n_iter = 0
     for n_iter in range(1, params.max_iter + 1):
-        d2 = _sq_dists(points, centroids)
-        assignment = np.argmin(d2, axis=1)
-        # deterministic empty-cluster repair: move the globally farthest point
-        for c in range(params.k):
-            if not np.any(assignment == c):
-                cur = d2[np.arange(n), assignment]
-                assignment[int(np.argmax(cur))] = c
+        assignment = _assign(points, centroids)
         centroids = np.stack(
             [points[assignment == c].mean(axis=0) for c in range(params.k)]
         )
@@ -111,12 +125,7 @@ def kmeans(
                 break
 
     # final pass so every point is assigned to its nearest returned centroid
-    d2 = _sq_dists(points, centroids)
-    assignment = np.argmin(d2, axis=1)
-    for c in range(params.k):
-        if not np.any(assignment == c):
-            cur = d2[np.arange(n), assignment]
-            assignment[int(np.argmax(cur))] = c
+    assignment = _assign(points, centroids)
     inertia = float(np.sum((points - centroids[assignment]) ** 2))
     return Clustering(
         assignment=assignment,

@@ -8,19 +8,12 @@ post-selection gallery before the next batch.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import matching, selection
 from .clustering import KMeansParams
-from .core import (
-    SELF_UPDATED,
-    Batch,
-    Gallery,
-    Template,
-    UserGallery,
-    gallery_replace_user_set,
-)
+from .core import SELF_UPDATED, Batch, Gallery, Template, UserGallery
 from .matching import DEFAULT_POLICY, EUCLIDEAN, ThresholdPolicy
 
 
@@ -84,13 +77,7 @@ def run_update_cycle(
     elif cfg.method == selection.KMEANS:
         params = cfg.kmeans_params
         if params is not None and params.k != len(candidates):
-            params = KMeansParams(
-                k=len(candidates),
-                max_iter=params.max_iter,
-                rel_tol=params.rel_tol,
-                init=params.init,
-                seed=params.seed,
-            )
+            params = replace(params, k=len(candidates))
         chosen = selection.select_kmeans(candidates, cfg.p, params)
     else:
         pick = selection.select_mdist if cfg.method == selection.MDIST else selection.select_dend

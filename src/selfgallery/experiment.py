@@ -11,13 +11,13 @@ from __future__ import annotations
 import csv
 import logging
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from . import metrics, selection
 from .clustering import KMeansParams
-from .core import Gallery, gallery_enroll
+from .core import gallery_enroll
 from .dataio import Split, load_dataset, split_batches
 from .engine import EngineConfig, run_sequence
 from .matching import DEFAULT_POLICY, EUCLIDEAN, ThresholdPolicy
@@ -82,10 +82,11 @@ def _row(run, batch, method, eer, imp, classify_ms, select_ms, g_bytes):
 
 def _run_one(
     cfg: ExperimentConfig, run: int, split: Split
-) -> tuple[list[dict], dict[str, Gallery]]:
-    """All rows for one seeded run; also the final gallery per method."""
+) -> tuple[list[dict], dict[str, dict]]:
+    """All rows for one seeded run; also the final gallery's per-subject
+    scores per method."""
     rows: list[dict] = []
-    finals: dict[str, Gallery] = {}
+    finals: dict[str, dict] = {}
 
     g0_capped = gallery_enroll(split.enroll, cap=cfg.p)
     base_eval = evaluate_snapshot(
@@ -98,7 +99,7 @@ def _run_one(
             _row(run, batch, NO_UPDATE, base_eval["eer"], 0.0, 0.0, 0.0,
                  base_eval["gallery_bytes"])
         )
-    finals[NO_UPDATE] = g0_capped
+    finals[NO_UPDATE] = base_eval["per_subject"]
 
     for method in cfg.methods:
         cap = None if method == selection.KEEP_ALL else cfg.p
@@ -113,7 +114,8 @@ def _run_one(
         ev0 = evaluate_snapshot(g0, split.test, cfg.metric, cfg.bytes_per_template)
         rows.append(_row(run, 0, method, ev0["eer"], 0.0, 0.0, 0.0,
                          ev0["gallery_bytes"]))
-        final, reports, snapshots = run_sequence(g0, list(split.adaptation), engine_cfg)
+        _, reports, snapshots = run_sequence(g0, list(split.adaptation), engine_cfg)
+        ev = ev0
         for cycle, (report, snap) in enumerate(zip(reports, snapshots), start=1):
             ev = evaluate_snapshot(snap, split.test, cfg.metric, cfg.bytes_per_template)
             frac, _ = impostor_fraction(snap)
@@ -129,7 +131,7 @@ def _run_one(
                     ev["gallery_bytes"],
                 )
             )
-        finals[method] = final
+        finals[method] = ev["per_subject"]  # the final gallery is the last snapshot
     return rows, finals
 
 
@@ -212,10 +214,9 @@ def run_experiment(cfg: ExperimentConfig):
             rows, finals = _run_one(cfg, run, split)
             all_rows.extend(rows)
             if out_dir is not None and cfg.write_scatter:
-                for method, gal in finals.items():
-                    ev = evaluate_snapshot(gal, split.test, cfg.metric)
+                for method, per_subject in finals.items():
                     with open(out_dir / f"scatter_run{run}_{method}.csv", "w") as fh:
-                        export_score_scatter(ev["per_subject"], fh)
+                        export_score_scatter(per_subject, fh)
     except Exception:
         if out_dir is not None and all_rows:
             _write_rows(out_dir / "metrics.partial.csv", all_rows)

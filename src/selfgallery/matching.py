@@ -188,18 +188,27 @@ def score_sets(test: Batch, gallery: Gallery, metric: str = EUCLIDEAN):
     impostor: one score per (sample, other user) pair.
     per_subject groups both by the gallery owner that was probed.
     """
+    users = gallery.user_ids
     genuine: list[float] = []
     impostor: list[float] = []
     per_subject: dict[int, dict[str, list[float]]] = {
-        u: {"genuine": [], "impostor": []} for u in gallery.user_ids
+        u: {"genuine": [], "impostor": []} for u in users
     }
+    # _flatten is owner-contiguous in user order: one segment per user
+    mat, owners, _ = _flatten(gallery)
+    starts = np.flatnonzero(np.r_[True, owners[1:] != owners[:-1]])
     for s in test.samples:
         if s.true_user not in gallery.users:
             raise ValueError(
                 f"test sample {s.id}: true user {s.true_user} is not enrolled"
             )
-        for u in gallery.user_ids:
-            d, _ = match_score(s, gallery.users[u], metric)
+        if s.dim != gallery.dim:
+            raise ValueError(
+                f"dimension mismatch: sample {s.dim} vs gallery {gallery.dim}"
+            )
+        dists = _distances_to_rows(s.vector, mat, metric)
+        nearest = np.minimum.reduceat(dists, starts).tolist()
+        for u, d in zip(users, nearest):
             if u == s.true_user:
                 genuine.append(d)
                 per_subject[u]["genuine"].append(d)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -101,3 +103,14 @@ def test_params_validation():
         KMeansParams(k=2, rel_tol=0.0)
     with pytest.raises(ValueError):
         KMeansParams(k=2, init="seeded_random")  # missing seed
+
+
+def test_empty_cluster_repair_never_leaves_a_cluster_empty():
+    # the seeded init empties a cluster mid-run; the repair must take a
+    # point from a cluster that can spare one
+    pts = np.array([[2.0], [3.0], [4.0], [0.0], [0.0], [0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cl = kmeans(pts, KMeansParams(k=3, init="seeded_random", seed=0))
+    assert np.all(np.bincount(cl.assignment, minlength=3) > 0)
+    assert np.all(np.isfinite(cl.centroids))

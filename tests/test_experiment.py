@@ -1,7 +1,11 @@
 import csv
+import io
 
 import pytest
 
+from selfgallery.core import gallery_enroll
+from selfgallery.dataio import split_batches
+from selfgallery.engine import EngineConfig, run_sequence
 from selfgallery.experiment import (
     NO_UPDATE,
     ExperimentConfig,
@@ -9,7 +13,8 @@ from selfgallery.experiment import (
     run_experiment,
 )
 from selfgallery.matching import ThresholdPolicy
-from selfgallery.synthgen import SynthParams
+from selfgallery.metrics import evaluate_snapshot, export_score_scatter
+from selfgallery.synthgen import SynthParams, generate
 
 
 SMALL = SynthParams(
@@ -117,3 +122,21 @@ def test_config_validation():
         _cfg(runs=0)
     with pytest.raises(ValueError):
         _cfg(methods=("bogus",))
+
+
+def test_scatter_files_hold_the_final_gallery_scores(tmp_path):
+    cfg = _cfg(methods=("mdist", "kmeans"), out_dir=tmp_path, write_scatter=True)
+    run_experiment(cfg)
+    dataset = generate(SMALL)
+    for run in (1, 2):
+        split = split_batches(dataset, cfg.n_batches, cfg.p, seed=cfg.base_seed + run)
+        finals = {NO_UPDATE: gallery_enroll(split.enroll, cap=cfg.p)}
+        for method in cfg.methods:
+            engine_cfg = EngineConfig(method=method, p=cfg.p, policy=cfg.policy)
+            g0 = gallery_enroll(split.enroll, cap=cfg.p)
+            finals[method], _, _ = run_sequence(g0, list(split.adaptation), engine_cfg)
+        for method, gallery in finals.items():
+            expected = io.StringIO()
+            export_score_scatter(evaluate_snapshot(gallery, split.test)["per_subject"], expected)
+            written = (tmp_path / f"scatter_run{run}_{method}.csv").read_text()
+            assert written == expected.getvalue()

@@ -190,3 +190,48 @@ def test_score_sets_rejects_unenrolled(abc_gallery):
     test = Batch(index=6, samples=(make_sample(30, [0.0], user=99),))
     with pytest.raises(ValueError, match="99"):
         score_sets(test, abc_gallery)
+
+
+def _score_sets_by_user(test, gallery, metric):
+    """score_sets as one match_score call per (sample, user)."""
+    genuine, impostor = [], []
+    per_subject = {u: {"genuine": [], "impostor": []} for u in gallery.user_ids}
+    for s in test.samples:
+        for u in gallery.user_ids:
+            d, _ = match_score(s, gallery.users[u], metric)
+            kind = "genuine" if u == s.true_user else "impostor"
+            (genuine if kind == "genuine" else impostor).append(d)
+            per_subject[u][kind].append(d)
+    return genuine, impostor, per_subject
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "l1"])
+@pytest.mark.parametrize("cap", [3, None])
+def test_score_sets_equals_per_user_match_score(metric, cap):
+    rng = np.random.default_rng(23)
+    dim, users = 5, (4, 1, 7, 2)
+    # uneven per-user counts as in a keep_all gallery; capped users hold cap
+    counts = {u: (cap if cap else int(rng.integers(1, 9))) for u in users}
+    sid = itertools.count()
+    pairs = [
+        (u, make_sample(next(sid), rng.normal(u, 1.0, dim), user=u))
+        for u in users
+        for _ in range(counts[u])
+    ]
+    g = gallery_enroll(pairs, cap=cap)
+    probes = [make_sample(next(sid), rng.normal(u, 1.5, dim), user=u) for u in users * 5]
+    probes.append(make_sample(next(sid), pairs[0][1].vector, user=pairs[0][0]))  # exact hit
+    test = Batch(index=6, samples=tuple(probes))
+    assert score_sets(test, g, metric) == _score_sets_by_user(test, g, metric)
+
+
+def test_score_sets_empty_batch_keeps_every_subject(abc_gallery):
+    genuine, impostor, per_subject = score_sets(Batch(index=6, samples=()), abc_gallery)
+    assert genuine == [] and impostor == []
+    assert per_subject == {u: {"genuine": [], "impostor": []} for u in (1, 2, 3)}
+
+
+def test_score_sets_rejects_dim_mismatch(abc_gallery):
+    test = Batch(index=6, samples=(make_sample(30, [0.0, 1.0], user=1),))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        score_sets(test, abc_gallery)

@@ -1,6 +1,10 @@
+import itertools
+from math import comb
+
 import numpy as np
 import pytest
 
+from selfgallery import selection
 from selfgallery.clustering import KMeansParams
 from selfgallery.selection import (
     MAX_SUM,
@@ -176,3 +180,84 @@ def test_select_kmeans_shared_cluster_never_donates():
     out = select_kmeans({1: a, 2: b}, p=2, params=KMeansParams(k=2))
     assert all(t.sample.id < 10 for t in out[1])
     assert all(t.sample.id >= 10 for t in out[2])
+
+
+def _reference_best(cands, p, maximize):
+    """One subset_objective call per subset, lexicographic, strict improvement."""
+    sqmat = _pairwise_sq(np.stack([t.sample.vector for t in cands]))
+    best_idx, best_obj = None, None
+    for idx in itertools.combinations(range(len(cands)), p):
+        obj = subset_objective(sqmat, idx)
+        if best_obj is None or (obj > best_obj if maximize else obj < best_obj):
+            best_obj, best_idx = obj, idx
+    return [cands[i].sample.id for i in best_idx], best_obj
+
+
+def _assert_matches_reference(cands, p, maximize):
+    chosen = selection._enumerate_best(cands, p, maximize)
+    ids, obj = _reference_best(cands, p, maximize)
+    assert [t.sample.id for t in chosen] == ids
+    sqmat = _pairwise_sq(np.stack([t.sample.vector for t in cands]))
+    pos = {t.sample.id: i for i, t in enumerate(cands)}
+    assert subset_objective(sqmat, [pos[t.sample.id] for t in chosen]) == obj
+
+
+def test_subset_objectives_bitwise_equal_subset_objective():
+    rng = np.random.default_rng(5)
+    for n, p, d in [(8, 3, 5), (9, 6, 16), (7, 2, 1), (10, 5, 64)]:
+        x = rng.normal(size=(n, d))
+        x[n // 2 :] = x[0]  # duplicate vectors
+        sqmat = _pairwise_sq(x)
+        combos = np.array(list(itertools.combinations(range(n), p)))
+        fast = selection.subset_objectives(sqmat, combos)
+        slow = [subset_objective(sqmat, c) for c in combos]
+        assert fast.tolist() == slow
+
+
+@pytest.mark.parametrize("maximize", [False, True])
+def test_enumerate_best_matches_reference_loop_random(maximize):
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        n, p = int(rng.integers(7, 12)), int(rng.integers(2, 7))
+        cands = make_templates(rng.normal(size=(n, int(rng.integers(1, 9)))))
+        _assert_matches_reference(cands, p, maximize)
+
+
+@pytest.mark.parametrize("maximize", [False, True])
+def test_enumerate_best_all_duplicates_takes_lowest_ids(maximize):
+    cands = make_templates([[1.5, -2.0]] * 9)
+    _assert_matches_reference(cands, 4, maximize)
+    assert [t.sample.id for t in selection._enumerate_best(cands, 4, maximize)] == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("maximize", [False, True])
+def test_enumerate_best_every_chunk_boundary(monkeypatch, maximize):
+    # integer values with many exact ties; every chunk size puts a boundary
+    # between some pair of tied subsets
+    cands = make_templates([[0.0], [3.0], [0.0], [1.0], [3.0], [1.0], [0.0], [2.0]])
+    for chunk in range(1, comb(8, 3) + 2):
+        monkeypatch.setattr(selection, "EXACT_CHUNK", chunk)
+        _assert_matches_reference(cands, 3, maximize)
+
+
+def test_enumerate_best_optimum_in_later_chunk():
+    # the optimum is the last of C(16, 6) = 8008 subsets, past the first chunk
+    assert comb(16, 6) > selection.EXACT_CHUNK
+    far = [[100.0 * (i + 1)] for i in range(10)]
+    cands = make_templates(far + [[0.0]] * 6)
+    chosen = selection._enumerate_best(cands, 6, maximize=False)
+    assert [t.sample.id for t in chosen] == list(range(10, 16))  # the last subset
+    _assert_matches_reference(cands, 6, False)
+
+
+def test_enumerate_best_tie_across_chunk_boundary_keeps_earlier():
+    # candidate 0 duplicates the tight cluster 10..15: the zero-sum subset
+    # (0, 10..14) in the first chunk ties (10..15) in the second
+    combos = list(itertools.combinations(range(16), 6))
+    first, last = combos.index((0, 10, 11, 12, 13, 14)), combos.index(tuple(range(10, 16)))
+    assert first // selection.EXACT_CHUNK < last // selection.EXACT_CHUNK
+    far = [[100.0 * (i + 1)] for i in range(1, 10)]
+    cands = make_templates([[0.0]] + far + [[0.0]] * 6)
+    chosen = selection._enumerate_best(cands, 6, maximize=False)
+    assert [t.sample.id for t in chosen] == [0, 10, 11, 12, 13, 14]
+    _assert_matches_reference(cands, 6, False)
