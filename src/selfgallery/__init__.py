@@ -7,15 +7,7 @@ of p templates per user is retained by K-Means, MDIST or DEND selection.
 """
 
 from .dataio import Split, load_dataset, split_batches, write_dataset
-from .core import (
-    Batch,
-    Gallery,
-    Sample,
-    Template,
-    UserGallery,
-    gallery_enroll,
-    gallery_replace_user_set,
-)
+from .core import Batch, Gallery, Sample, Template, UserGallery, gallery_enroll
 from .engine import EngineConfig, UpdateCycleReport, run_sequence, run_update_cycle
 from .experiment import ExperimentConfig, run_experiment
 from .matching import (
@@ -49,7 +41,6 @@ __all__ = [
     "distance",
     "estimate_threshold",
     "gallery_enroll",
-    "gallery_replace_user_set",
     "generate",
     "impostor_fraction",
     "load_dataset",

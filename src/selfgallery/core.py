@@ -3,12 +3,16 @@
 All types are immutable values; galleries evolve by producing new versions.
 Ground-truth identities travel with samples but are only read by metrics
 and the synthetic generator, never by matching or selection.
+
+``gallery_enroll``'s ``cap`` is an enrollment bound only: it checks how
+many samples each user enrolls with. The cap that selection enforces on
+every update cycle is ``EngineConfig.p``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -72,13 +76,10 @@ class UserGallery:
 
     user: int
     templates: tuple[Template, ...]
-    cap: Optional[int] = None  # None = unbounded (traditional self-update)
 
     def __post_init__(self):
         if not self.templates:
             raise ValueError(f"user {self.user} has an empty gallery")
-        if self.cap is not None and self.cap < 1:
-            raise ValueError("cap must be positive")
         dims = {t.sample.dim for t in self.templates}
         if len(dims) != 1:
             raise ValueError(f"user {self.user} mixes dimensions {sorted(dims)}")
@@ -86,9 +87,6 @@ class UserGallery:
     @property
     def dim(self) -> int:
         return self.templates[0].sample.dim
-
-    def matrix(self) -> np.ndarray:
-        return np.stack([t.sample.vector for t in self.templates])
 
 
 @dataclass(frozen=True)
@@ -115,13 +113,6 @@ class Gallery:
     def n_templates(self) -> int:
         return sum(len(ug.templates) for ug in self.users.values())
 
-    def all_templates(self) -> list[tuple[int, Template]]:
-        """(owner, template) pairs in deterministic user-then-insertion order."""
-        out = []
-        for u in self.user_ids:
-            out.extend((u, t) for t in self.users[u].templates)
-        return out
-
 
 @dataclass(frozen=True)
 class Batch:
@@ -143,9 +134,11 @@ def gallery_enroll(
 ) -> Gallery:
     """Build the initial supervised gallery from (user, sample) pairs.
 
-    Every user must contribute at least one sample and all dimensions
-    must agree.
+    Every user must contribute at least one sample, and at most ``cap``
+    samples when ``cap`` is given; all dimensions must agree.
     """
+    if cap is not None and cap < 1:
+        raise ValueError("cap must be positive")
     by_user: dict[int, list[Template]] = {}
     dim = None
     for user, sample in dataset_slice:
@@ -158,34 +151,9 @@ def gallery_enroll(
         by_user.setdefault(user, []).append(Template(sample=sample))
     if not by_user:
         raise ValueError("cannot enroll from an empty slice")
-    users = {
-        u: UserGallery(user=u, templates=tuple(ts), cap=cap)
-        for u, ts in by_user.items()
-    }
+    if cap is not None:
+        over = sorted(u for u, ts in by_user.items() if len(ts) > cap)
+        if over:
+            raise ValueError(f"users {over} enroll more than cap={cap} samples")
+    users = {u: UserGallery(user=u, templates=tuple(ts)) for u, ts in by_user.items()}
     return Gallery(users=users, dim=dim)
-
-
-def gallery_replace_user_set(
-    gallery: Gallery, user: int, selected: Sequence[Template]
-) -> Gallery:
-    """Return a new gallery where ``user`` holds exactly ``selected``.
-
-    ``selected`` must be nonempty, within cap, and drawn from templates
-    the caller accumulated for this user.
-    """
-    if user not in gallery.users:
-        raise KeyError(f"user {user} is not enrolled")
-    if not selected:
-        raise ValueError(f"selection for user {user} is empty")
-    ug = gallery.users[user]
-    if ug.cap is not None and len(selected) > ug.cap:
-        raise ValueError(
-            f"selection of size {len(selected)} exceeds cap {ug.cap} for user {user}"
-        )
-    held = {t.sample.id for t in ug.templates}
-    foreign = [t.sample.id for t in selected if t.sample.id not in held]
-    if foreign:
-        raise ValueError(f"templates {foreign} were never accumulated for user {user}")
-    users = dict(gallery.users)
-    users[user] = UserGallery(user=user, templates=tuple(selected), cap=ug.cap)
-    return Gallery(users=users, dim=gallery.dim)

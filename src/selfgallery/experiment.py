@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from . import metrics, selection
-from .clustering import KMeansParams
 from .core import gallery_enroll
 from .dataio import Split, load_dataset, split_batches
 from .engine import EngineConfig, run_sequence
@@ -88,10 +87,9 @@ def _run_one(
     rows: list[dict] = []
     finals: dict[str, dict] = {}
 
-    g0_capped = gallery_enroll(split.enroll, cap=cfg.p)
-    base_eval = evaluate_snapshot(
-        g0_capped, split.test, cfg.metric, cfg.bytes_per_template
-    )
+    # galleries are immutable: one enrollment serves the baseline and every method
+    g0 = gallery_enroll(split.enroll, cap=cfg.p)
+    base_eval = evaluate_snapshot(g0, split.test, cfg.metric, cfg.bytes_per_template)
 
     # frozen no-update baseline: same gallery, hence constant EER per batch
     for batch in range(len(split.adaptation) + 1):
@@ -102,14 +100,8 @@ def _run_one(
     finals[NO_UPDATE] = base_eval["per_subject"]
 
     for method in cfg.methods:
-        cap = None if method == selection.KEEP_ALL else cfg.p
-        g0 = gallery_enroll(split.enroll, cap=cap)
         engine_cfg = EngineConfig(
-            method=method,
-            p=cfg.p,
-            metric=cfg.metric,
-            policy=cfg.policy,
-            kmeans_params=KMeansParams(k=len(g0.users)),
+            method=method, p=cfg.p, metric=cfg.metric, policy=cfg.policy
         )
         ev0 = evaluate_snapshot(g0, split.test, cfg.metric, cfg.bytes_per_template)
         rows.append(_row(run, 0, method, ev0["eer"], 0.0, 0.0, 0.0,

@@ -58,7 +58,6 @@ class PseudoLabelDecision:
     accepted: bool
     distance: float  # min distance to the globally nearest template
     label: Optional[int] = None  # pseudo-label, set iff accepted
-    nearest_template_id: Optional[int] = None
 
     def __post_init__(self):
         if self.accepted and self.label is None:
@@ -96,18 +95,23 @@ def match_score(s: Sample, ug: UserGallery, metric: str = EUCLIDEAN):
     """
     if s.dim != ug.dim:
         raise ValueError(f"dimension mismatch: sample {s.dim} vs gallery {ug.dim}")
-    dists = _distances_to_rows(s.vector, ug.matrix(), metric)
+    rows = np.stack([t.sample.vector for t in ug.templates])
+    dists = _distances_to_rows(s.vector, rows, metric)
     idx = int(np.argmin(dists))  # argmin returns first occurrence: earliest inserted
     return float(dists[idx]), ug.templates[idx].sample.id
 
 
 def _flatten(gallery: Gallery):
-    """Stack all templates: (matrix, owner array, template sample ids)."""
-    pairs = gallery.all_templates()
-    mat = np.stack([t.sample.vector for _, t in pairs])
-    owners = np.array([u for u, _ in pairs], dtype=np.int64)
-    ids = np.array([t.sample.id for _, t in pairs], dtype=np.int64)
-    return mat, owners, ids
+    """Stack all templates in user-then-insertion order.
+
+    Returns (matrix, owner of each row, first row of each user's segment).
+    """
+    users = gallery.user_ids
+    counts = [len(gallery.users[u].templates) for u in users]
+    mat = np.stack([t.sample.vector for u in users for t in gallery.users[u].templates])
+    owners = np.repeat(np.array(users, dtype=np.int64), counts)
+    starts = np.cumsum([0] + counts[:-1])
+    return mat, owners, starts
 
 
 def impostor_pool(gallery: Gallery, metric: str = EUCLIDEAN) -> np.ndarray:
@@ -154,7 +158,7 @@ def classify_batch(
     """
     if t_star < 0:
         raise ValueError("t* must be non-negative")
-    mat, owners, ids = _flatten(gallery)
+    mat, owners, _ = _flatten(gallery)
     decisions = []
     for s in batch.samples:
         if s.dim != gallery.dim:
@@ -171,7 +175,6 @@ def classify_batch(
                     accepted=True,
                     distance=d,
                     label=int(owners[idx]),
-                    nearest_template_id=int(ids[idx]),
                 )
             )
         else:
@@ -194,9 +197,7 @@ def score_sets(test: Batch, gallery: Gallery, metric: str = EUCLIDEAN):
     per_subject: dict[int, dict[str, list[float]]] = {
         u: {"genuine": [], "impostor": []} for u in users
     }
-    # _flatten is owner-contiguous in user order: one segment per user
-    mat, owners, _ = _flatten(gallery)
-    starts = np.flatnonzero(np.r_[True, owners[1:] != owners[:-1]])
+    mat, _, starts = _flatten(gallery)  # one segment per user, in user order
     for s in test.samples:
         if s.true_user not in gallery.users:
             raise ValueError(

@@ -175,12 +175,11 @@ def oracle_subset_select(
 
 
 def select_kmeans(
-    candidates_by_user: dict[int, list[Template]],
-    p: int,
-    params: KMeansParams | None = None,
+    candidates_by_user: dict[int, list[Template]], p: int
 ) -> dict[int, list[Template]]:
-    """Cluster the pooled candidates and keep, per user, the templates
-    closest to the centroid of that user's dominant cluster.
+    """Cluster the pooled candidates into one cluster per user and keep,
+    per user, the templates closest to the centroid of that user's
+    dominant cluster.
 
     A user sharing its dominant cluster with others can still only keep
     its own labeled candidates, so a shared cluster never donates foreign
@@ -199,11 +198,7 @@ def select_kmeans(
             pooled.append(t)
             labels.append(u)
     points = np.stack([t.sample.vector for t in pooled])
-    if params is None:
-        params = KMeansParams(k=len(users))
-    elif params.k != len(users):
-        raise ValueError(f"k={params.k} but {len(users)} users")
-    cl = kmeans(points, params, labels=labels)
+    cl = kmeans(points, KMeansParams(k=len(users)), labels=labels)
 
     result: dict[int, list[Template]] = {}
     labels_arr = np.asarray(labels)

@@ -1,14 +1,9 @@
 import numpy as np
 import pytest
 
-from selfgallery.core import (
-    Sample,
-    Template,
-    gallery_enroll,
-    gallery_replace_user_set,
-)
+from selfgallery.core import Sample, Template, gallery_enroll
 
-from conftest import make_sample, make_templates
+from conftest import make_sample
 
 
 def test_sample_rejects_non_finite():
@@ -42,7 +37,20 @@ def test_enroll_minimal():
     g = gallery_enroll(pairs, cap=6)
     assert set(g.users) == {1, 2, 3}
     assert all(len(g.users[u].templates) == 1 for u in g.users)
-    assert all(g.users[u].cap == 6 for u in g.users)
+
+
+def test_enroll_rejects_non_positive_cap():
+    pairs = [(u, make_sample(u, [float(u)], user=u)) for u in (1, 2)]
+    with pytest.raises(ValueError, match="cap must be positive"):
+        gallery_enroll(pairs, cap=0)
+
+
+def test_enroll_rejects_user_over_cap():
+    pairs = [(1, make_sample(i, [float(i)], user=1)) for i in range(3)]
+    pairs.append((2, make_sample(3, [9.0], user=2)))
+    assert gallery_enroll(pairs, cap=3).n_templates == 4
+    with pytest.raises(ValueError, match=r"users \[1\] enroll more than cap=2"):
+        gallery_enroll(pairs, cap=2)
 
 
 def test_enroll_many_users():
@@ -70,34 +78,3 @@ def test_enroll_rejects_mixed_dims():
 def test_enroll_rejects_empty_slice():
     with pytest.raises(ValueError):
         gallery_enroll([])
-
-
-def test_replace_user_set_subset():
-    a, b, c = make_templates([[0.0], [1.0], [2.0]])
-    g = gallery_enroll([(1, t.sample) for t in (a, b, c)] + [(2, make_sample(9, [5.0], user=2))])
-    g2 = gallery_replace_user_set(g, 1, [g.users[1].templates[0], g.users[1].templates[1]])
-    assert [t.sample.id for t in g2.users[1].templates] == [0, 1]
-    # other users untouched
-    assert g2.users[2] is g.users[2]
-
-
-def test_replace_user_set_identity():
-    g = gallery_enroll(
-        [(1, make_sample(0, [0.0], user=1)), (2, make_sample(1, [1.0], user=2))]
-    )
-    g2 = gallery_replace_user_set(g, 1, list(g.users[1].templates))
-    assert g2.users[1].templates == g.users[1].templates
-
-
-def test_replace_user_set_rejects_empty_and_overflow_and_foreign():
-    g = gallery_enroll(
-        [(1, make_sample(0, [0.0], user=1)), (2, make_sample(1, [1.0], user=2))],
-        cap=1,
-    )
-    with pytest.raises(ValueError):
-        gallery_replace_user_set(g, 1, [])
-    too_many = list(g.users[1].templates) + [Template(sample=make_sample(7, [3.0]))]
-    with pytest.raises(ValueError):
-        gallery_replace_user_set(g, 1, too_many)
-    with pytest.raises(ValueError):
-        gallery_replace_user_set(g, 1, [Template(sample=make_sample(8, [4.0]))])

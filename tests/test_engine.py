@@ -44,6 +44,23 @@ def test_insertion_then_eviction_at_cap_one():
     assert [t.sample.id for t in g.users[1].templates] == [0]
 
 
+@pytest.mark.parametrize("method", ["kmeans", "mdist", "dend", "keep_all"])
+def test_resubmitted_gallery_sample_is_rejected(method):
+    # a second copy of held id 0 would otherwise survive selection next to
+    # the first, leaving user 1 with ids [0, 0] at p=1
+    g0 = gallery_1d({1: [0.0], 2: [10.0]}, cap=1)
+    batch = Batch(index=1, samples=(g0.users[1].templates[0].sample,))
+    with pytest.raises(ValueError, match="sample id 0"):
+        run_update_cycle(g0, batch, _cfg(method, 1), t_star=0.5)
+
+
+def test_batch_repeating_a_sample_id_is_rejected():
+    g0 = gallery_1d({1: [0.0], 2: [10.0]}, cap=1)
+    batch = Batch(index=1, samples=(make_sample(5, [0.1]), make_sample(5, [9.9])))
+    with pytest.raises(ValueError, match="sample id 5"):
+        run_update_cycle(g0, batch, _cfg("mdist", 1), t_star=0.5)
+
+
 def test_classification_uses_pre_cycle_gallery_only():
     # 0.4 would be accepted only if 0.2 were already inserted; both must be
     # judged against the pre-cycle gallery
@@ -101,6 +118,28 @@ def test_capped_methods_respect_cap_every_snapshot():
             for u in snap.users:
                 assert len(snap.users[u].templates) <= 2
             assert snap.user_ids == [1, 2, 3]  # no user ever emptied
+
+
+@pytest.mark.parametrize("method", ["kmeans", "mdist", "dend", "keep_all"])
+def test_every_cycle_reconciles(method):
+    p = 2
+    rng = np.random.default_rng(4)
+    g0f, batches = _mode_dataset(rng)
+    g0 = g0f(p)
+    _, reports, snaps = run_sequence(g0, batches, _cfg(method, p))
+    assert any(r.evictions for r in reports) == (method != "keep_all")
+    for before, after, report, batch in zip([g0, *snaps], snaps, reports, batches):
+        assert report.n_accepted + report.n_rejected == len(batch)
+        assert after.n_templates == (
+            before.n_templates + len(report.insertions) - len(report.evictions)
+        )
+        held = {(t.sample.id, u) for u in before.users for t in before.users[u].templates}
+        for sid, u in report.evictions:
+            assert (sid, u) in held or (sid, u) in report.insertions
+        for u in after.user_ids:
+            assert len(after.users[u].templates) >= 1
+            if method != "keep_all":
+                assert len(after.users[u].templates) <= p
 
 
 def test_report_counts_add_up():

@@ -136,8 +136,9 @@ def test_zero_far_accepts_no_gallery_cross_pair(abc_gallery):
         others = gallery_enroll(
             [
                 (v, tpl.sample)
-                for v, tpl in abc_gallery.all_templates()
+                for v in abc_gallery.user_ids
                 if v != u
+                for tpl in abc_gallery.users[v].templates
             ]
         )
         probes = Batch(

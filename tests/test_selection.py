@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from selfgallery import selection
-from selfgallery.clustering import KMeansParams
 from selfgallery.selection import (
     MAX_SUM,
     MIN_SUM,
@@ -177,7 +176,7 @@ def test_select_kmeans_shared_cluster_never_donates():
     # both users' points land in one cluster; each still keeps only its own
     a = make_templates([[0.0, 0.0], [0.2, 0.0]], start_id=0, user=1)
     b = make_templates([[0.1, 0.0], [0.3, 0.0]], start_id=10, user=2)
-    out = select_kmeans({1: a, 2: b}, p=2, params=KMeansParams(k=2))
+    out = select_kmeans({1: a, 2: b}, p=2)
     assert all(t.sample.id < 10 for t in out[1])
     assert all(t.sample.id >= 10 for t in out[2])
 
