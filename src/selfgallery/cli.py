@@ -8,7 +8,7 @@ from pathlib import Path
 
 from . import selection
 from .core import Batch, gallery_enroll
-from .dataio import load_dataset, split_batches, write_dataset
+from .dataio import load_dataset, write_dataset
 from .experiment import ExperimentConfig, run_experiment
 from .matching import ThresholdPolicy
 from .metrics import evaluate_snapshot, export_score_scatter

@@ -40,20 +40,25 @@ def load_dataset(path, expected_dim: int | None = None) -> list[Sample]:
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != n_cols:
-                raise ValueError(f"{path}:{lineno}: ragged row ({len(row)} columns)")
-            user = int(row[0])
-            sid = int(row[1])
-            if sid in seen_ids:
-                raise ValueError(f"{path}:{lineno}: duplicate sample_id {sid}")
-            seen_ids.add(sid)
-            session = int(row[2]) if row[2] != "" else None
-            values = [float(v) for v in row[3:]]
-            if not all(math.isfinite(v) for v in values):
-                raise ValueError(f"{path}:{lineno}: non-finite feature value")
+            try:
+                if len(row) != n_cols:
+                    raise ValueError(f"ragged row ({len(row)} columns)")
+                user = int(row[0])
+                sid = int(row[1])
+                if sid in seen_ids:
+                    raise ValueError(f"duplicate sample_id {sid}")
+                seen_ids.add(sid)
+                session = int(row[2]) if row[2] != "" else None
+                values = [float(v) for v in row[3:]]
+                if not all(math.isfinite(v) for v in values):
+                    raise ValueError("non-finite feature value")
+                samples.append(
+                    Sample(id=sid, vector=values, true_user=user, session=session)
+                )
+            except ValueError as e:
+                raise ValueError(f"{path}:{lineno}: {e}") from e
             if dim is None:
                 dim = len(values)
-            samples.append(Sample(id=sid, vector=values, true_user=user, session=session))
     if not samples:
         raise ValueError(f"{path}: empty dataset")
     if expected_dim is not None and dim != expected_dim:

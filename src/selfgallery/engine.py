@@ -68,22 +68,17 @@ def run_update_cycle(
     decisions = matching.classify_batch(batch, gallery, t_star, cfg.metric)
     elapsed_classify = time.perf_counter() - t0
 
-    accepted = [d for d in decisions if d.accepted]
-    sample_by_id = {s.id: s for s in batch.samples}
-    insertions = tuple((d.sample_id, d.label) for d in accepted)
-
     # accumulate GT_new: existing templates plus accepted pseudo-labeled samples
     candidates: dict[int, list[Template]] = {
         u: list(gallery.users[u].templates) for u in gallery.user_ids
     }
-    for d in accepted:
-        candidates[d.label].append(
-            Template(
-                sample=sample_by_id[d.sample_id],
-                origin=SELF_UPDATED,
-                inserted_at_batch=batch.index,
+    insertions = []  # (sample_id, pseudo_label) in batch order
+    for s, d in zip(batch.samples, decisions):
+        if d.accepted:
+            candidates[d.label].append(
+                Template(sample=s, origin=SELF_UPDATED, inserted_at_batch=batch.index)
             )
-        )
+            insertions.append((s.id, d.label))
 
     t0 = time.perf_counter()
     if cfg.method == selection.KEEP_ALL:
@@ -109,9 +104,9 @@ def run_update_cycle(
     report = UpdateCycleReport(
         batch_index=batch.index,
         t_star_used=t_star,
-        n_accepted=len(accepted),
-        n_rejected=len(decisions) - len(accepted),
-        insertions=insertions,
+        n_accepted=len(insertions),
+        n_rejected=len(decisions) - len(insertions),
+        insertions=tuple(insertions),
         evictions=tuple(evictions),
         elapsed_classify_s=elapsed_classify,
         elapsed_select_s=elapsed_select,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from . import metrics, selection
+from . import selection
 from .core import gallery_enroll
 from .dataio import Split, load_dataset, split_batches
 from .engine import EngineConfig, run_sequence

@@ -116,17 +116,22 @@ def _flatten(gallery: Gallery):
 
 def impostor_pool(gallery: Gallery, metric: str = EUCLIDEAN) -> np.ndarray:
     """All distances between templates belonging to different users."""
-    # row-by-row with the same arithmetic as classification, so the
-    # zero_far guarantee holds bitwise against classify_batch
-    mat, owners, _ = _flatten(gallery)
+    # _flatten lays each user's rows out as one contiguous segment, so the
+    # cross-user partners of row i that follow it are exactly mat[end:],
+    # end being the end of i's segment. Row by row with the same arithmetic
+    # as classification, so the zero_far guarantee holds bitwise against
+    # classify_batch; one buffer of the exact pair count, in row-major order.
+    mat, _, starts = _flatten(gallery)
     n = mat.shape[0]
-    chunks = []
-    for i in range(n - 1):
-        d = _distances_to_rows(mat[i], mat[i + 1 :], metric)
-        chunks.append(d[owners[i + 1 :] != owners[i]])
-    pool = np.concatenate(chunks) if chunks else np.array([])
+    ends = np.append(starts[1:], n)
+    pool = np.empty(int(np.dot(ends - starts, n - ends)))
     if pool.size == 0:
         raise ValueError("no cross-user template pair: cannot estimate a threshold")
+    pos = 0
+    for lo, end in zip(starts, ends):
+        for i in range(lo, end):
+            pool[pos : pos + n - end] = _distances_to_rows(mat[i], mat[end:], metric)
+            pos += n - end
     return pool
 
 
@@ -142,8 +147,8 @@ def estimate_threshold(
     pool = impostor_pool(gallery, metric)
     if policy.kind == "zero_far":
         return float(np.min(pool))
-    pool = np.sort(pool)
     idx = max(0, math.ceil(policy.q * pool.size) - 1)
+    pool.partition(idx)  # in place: the order statistic is one pool element
     return float(pool[idx])
 
 
@@ -192,13 +197,9 @@ def score_sets(test: Batch, gallery: Gallery, metric: str = EUCLIDEAN):
     per_subject groups both by the gallery owner that was probed.
     """
     users = gallery.user_ids
-    genuine: list[float] = []
-    impostor: list[float] = []
-    per_subject: dict[int, dict[str, list[float]]] = {
-        u: {"genuine": [], "impostor": []} for u in users
-    }
     mat, _, starts = _flatten(gallery)  # one segment per user, in user order
-    for s in test.samples:
+    nearest = np.empty((len(test.samples), len(users)))
+    for row, s in zip(nearest, test.samples):
         if s.true_user not in gallery.users:
             raise ValueError(
                 f"test sample {s.id}: true user {s.true_user} is not enrolled"
@@ -207,13 +208,14 @@ def score_sets(test: Batch, gallery: Gallery, metric: str = EUCLIDEAN):
             raise ValueError(
                 f"dimension mismatch: sample {s.dim} vs gallery {gallery.dim}"
             )
-        dists = _distances_to_rows(s.vector, mat, metric)
-        nearest = np.minimum.reduceat(dists, starts).tolist()
-        for u, d in zip(users, nearest):
-            if u == s.true_user:
-                genuine.append(d)
-                per_subject[u]["genuine"].append(d)
-            else:
-                impostor.append(d)
-                per_subject[u]["impostor"].append(d)
-    return genuine, impostor, per_subject
+        np.minimum.reduceat(_distances_to_rows(s.vector, mat, metric), starts, out=row)
+    truth = np.array([s.true_user for s in test.samples], dtype=np.int64)
+    own = truth[:, None] == np.array(users, dtype=np.int64)
+    per_subject = {
+        u: {
+            "genuine": nearest[own[:, j], j].tolist(),
+            "impostor": nearest[~own[:, j], j].tolist(),
+        }
+        for j, u in enumerate(users)
+    }
+    return nearest[own].tolist(), nearest[~own].tolist(), per_subject

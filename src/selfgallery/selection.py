@@ -10,7 +10,7 @@ Objectives always use squared euclidean, even when matching uses l1.
 
 Exact selection scores subsets in chunks, and each subset's sum is taken
 exactly as ``subset_objective`` takes it, so the two agree bit for bit.
-Ties are decided on those sums of ``_pairwise_sq`` values, which come
+Ties are decided on those sums of ``_sq_dists(v, v)`` values, which come
 from the Gram (BLAS matrix product) expansion. Bit-for-bit reproducible
 resolution of near-ties therefore assumes the same BLAS library and
 thread count; the benchmark pins one thread.
@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .clustering import KMeansParams, dominant_cluster_for_user, kmeans
+from .clustering import KMeansParams, _sq_dists, dominant_cluster_for_user, kmeans
 from .core import Template
 
 KMEANS = "kmeans"
@@ -44,11 +44,6 @@ EXACT_CHUNK = 1024  # subsets per gather: 1024 x p x p doubles, about 0.3 MB at 
 
 def _sorted_by_id(candidates: Iterable[Template]) -> list[Template]:
     return sorted(candidates, key=lambda t: t.sample.id)
-
-
-def _pairwise_sq(vectors: np.ndarray) -> np.ndarray:
-    sq = np.sum(vectors * vectors, axis=1)
-    return np.maximum(sq[:, None] + sq[None, :] - 2.0 * (vectors @ vectors.T), 0.0)
 
 
 def subset_objective(sqmat: np.ndarray, idx: Sequence[int]) -> float:
@@ -78,7 +73,7 @@ def _enumerate_best(
     on strict improvement. That implements the lowest-sample-ids tie rule.
     """
     vecs = np.stack([t.sample.vector for t in candidates])
-    sqmat = _pairwise_sq(vecs)
+    sqmat = _sq_dists(vecs, vecs)
     combos = combinations(range(len(candidates)), p)
     row = np.dtype((np.intp, (p,)))
     best_idx = None
@@ -98,7 +93,7 @@ def _enumerate_best(
 def _greedy_select(candidates: list[Template], p: int, maximize: bool) -> list[Template]:
     """Dispersion-style greedy: seed with the extreme pair, grow one at a time."""
     vecs = np.stack([t.sample.vector for t in candidates])
-    sqmat = _pairwise_sq(vecs)
+    sqmat = _sq_dists(vecs, vecs)
     n = len(candidates)
     if p == 1:
         return [candidates[0]]  # all singletons score 0; lowest id wins
@@ -191,23 +186,18 @@ def select_kmeans(
     if any(not candidates_by_user[u] for u in users):
         empty = [u for u in users if not candidates_by_user[u]]
         raise ValueError(f"users {empty} have no candidates")
-    pooled: list[Template] = []
-    labels: list[int] = []
-    for u in users:
-        for t in _sorted_by_id(candidates_by_user[u]):
-            pooled.append(t)
-            labels.append(u)
-    points = np.stack([t.sample.vector for t in pooled])
+    own = [_sorted_by_id(candidates_by_user[u]) for u in users]
+    labels = np.repeat(users, [len(c) for c in own])
+    points = np.stack([t.sample.vector for c in own for t in c])
     cl = kmeans(points, KMeansParams(k=len(users)), labels=labels)
 
     result: dict[int, list[Template]] = {}
-    labels_arr = np.asarray(labels)
-    for u in users:
-        dom = dominant_cluster_for_user(cl, labels_arr, u)
-        centroid = cl.centroids[dom]
-        own = [t for t, lab in zip(pooled, labels) if lab == u]
-        d2 = [float(np.sum((t.sample.vector - centroid) ** 2)) for t in own]
-        # stable sort on distance keeps the id order (own is id-sorted) on ties
+    hi = 0
+    for u, cands in zip(users, own):
+        lo, hi = hi, hi + len(cands)  # u's candidates are rows lo:hi of points
+        centroid = cl.centroids[dominant_cluster_for_user(cl, labels, u)]
+        d2 = np.sum((points[lo:hi] - centroid) ** 2, axis=1)
+        # stable sort on distance keeps the id order (cands is id-sorted) on ties
         order = np.argsort(d2, kind="stable")
-        result[u] = [own[i] for i in order[: min(p, len(own))]]
+        result[u] = [cands[i] for i in order[:p]]
     return result

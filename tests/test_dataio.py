@@ -55,6 +55,27 @@ def test_load_rejects_nan_with_line(tmp_path):
         load_dataset(path)
 
 
+def test_load_rejects_non_integer_id_with_line(tmp_path):
+    path = tmp_path / "ds.csv"
+    path.write_text("user_id,sample_id,session,f_0\n1,0,,0.5\n1,x,,0.2\n")
+    with pytest.raises(ValueError, match=r"ds\.csv:3: invalid literal for int"):
+        load_dataset(path)
+
+
+def test_load_rejects_non_numeric_feature_with_line(tmp_path):
+    path = tmp_path / "ds.csv"
+    path.write_text("user_id,sample_id,session,f_0\n1,0,,0.5\n2,1,,abc\n")
+    with pytest.raises(ValueError, match=r"ds\.csv:3: could not convert string to float"):
+        load_dataset(path)
+
+
+def test_load_rejects_negative_session_with_line(tmp_path):
+    path = tmp_path / "ds.csv"
+    path.write_text("user_id,sample_id,session,f_0\n1,0,,0.5\n2,1,-3,0.6\n")
+    with pytest.raises(ValueError, match=r"ds\.csv:3: session must be non-negative"):
+        load_dataset(path)
+
+
 def test_load_rejects_ragged_row(tmp_path):
     path = tmp_path / "ds.csv"
     path.write_text("user_id,sample_id,session,f_0,f_1\n1,0,,0.5,1.0\n2,1,,0.5\n")

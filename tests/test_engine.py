@@ -172,3 +172,18 @@ def test_config_validation():
         EngineConfig(method="mdist", p=0)
     with pytest.raises(ValueError):
         EngineConfig(method="mdist", p=2, metric="cosine")
+
+
+@pytest.mark.parametrize("method", ["kmeans", "mdist", "dend", "keep_all"])
+def test_insertions_and_appended_templates_follow_batch_order(method):
+    g0 = gallery_1d({1: [0.0], 2: [10.0]})
+    # accepted and rejected samples interleaved; ids deliberately unsorted
+    values = [(40, 0.2), (7, 5.0), (31, 9.8), (12, 0.1), (50, 20.0), (3, 10.3), (25, -0.4)]
+    batch = Batch(index=2, samples=tuple(make_sample(i, [v]) for i, v in values))
+    g, report = run_update_cycle(g0, batch, _cfg(method, 10), t_star=1.0)
+    assert report.insertions == ((40, 1), (31, 2), (12, 1), (3, 2), (25, 1))
+    assert (report.n_accepted, report.n_rejected) == (5, 2)
+    assert [t.sample.id for t in g.users[1].templates] == [0, 40, 12, 25]
+    assert [t.sample.id for t in g.users[2].templates] == [1, 31, 3]
+    added = g.users[1].templates[1:] + g.users[2].templates[1:]
+    assert all(t.origin == "self_updated" and t.inserted_at_batch == 2 for t in added)

@@ -6,12 +6,7 @@ import pytest
 from selfgallery.core import gallery_enroll
 from selfgallery.dataio import split_batches
 from selfgallery.engine import EngineConfig, run_sequence
-from selfgallery.experiment import (
-    NO_UPDATE,
-    ExperimentConfig,
-    aggregate_rows,
-    run_experiment,
-)
+from selfgallery.experiment import NO_UPDATE, ExperimentConfig, run_experiment
 from selfgallery.matching import ThresholdPolicy
 from selfgallery.metrics import evaluate_snapshot, export_score_scatter
 from selfgallery.synthgen import SynthParams, generate

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import given, strategies as st
 from selfgallery.core import Batch, gallery_enroll
 from selfgallery.matching import (
     ThresholdPolicy,
+    _distances_to_rows,
+    _flatten,
     classify_batch,
     distance,
     estimate_threshold,
@@ -236,3 +239,50 @@ def test_score_sets_rejects_dim_mismatch(abc_gallery):
     test = Batch(index=6, samples=(make_sample(30, [0.0, 1.0], user=1),))
     with pytest.raises(ValueError, match="dimension mismatch"):
         score_sets(test, abc_gallery)
+
+
+def _masked_pool(gallery, metric):
+    """impostor_pool as one owner mask per row over every later row."""
+    mat, owners, _ = _flatten(gallery)
+    chunks = []
+    for i in range(mat.shape[0] - 1):
+        d = _distances_to_rows(mat[i], mat[i + 1 :], metric)
+        chunks.append(d[owners[i + 1 :] != owners[i]])
+    return np.concatenate(chunks)
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "l1"])
+def test_impostor_pool_equals_masked_rows(metric):
+    rng = np.random.default_rng(41)
+    dim = 6
+    shared = rng.normal(size=dim)  # one vector held by several users
+    for _ in range(5):
+        users = rng.permutation([9, 2, 14, 5, 7, 1]).tolist()  # unsorted enrollment
+        sid = itertools.count()
+        pairs = []
+        for u in users:
+            for j in range(int(rng.integers(1, 9))):
+                v = shared if j == 0 and u % 2 else rng.normal(u, 2.0, dim)
+                pairs.append((u, make_sample(next(sid), v, user=u)))
+        order = rng.permutation(len(pairs))  # users' samples interleaved
+        g = gallery_enroll([pairs[i] for i in order])
+        assert np.array_equal(impostor_pool(g, metric), _masked_pool(g, metric))
+    with pytest.raises(ValueError, match="cross-user"):
+        impostor_pool(gallery_1d({1: [0.0, 1.0, 2.0]}), metric)
+
+
+def test_impostor_pool_two_users_one_template_each():
+    g = gallery_1d({3: [2.0], 1: [0.5]})
+    assert impostor_pool(g).tolist() == [1.5]
+
+
+@pytest.mark.parametrize("q", [1e-6, 0.01, 0.2, 0.5, 0.999999])
+def test_far_quantile_is_the_sorted_pool_order_statistic(q):
+    rng = np.random.default_rng(17)
+    for n_other in range(1, 40):
+        # one template of user 1 against n_other templates: pool size n_other
+        g = gallery_1d({1: [0.0], 2: rng.integers(-5, 6, n_other).tolist()})
+        pool = impostor_pool(g)
+        expected = np.sort(pool)[max(0, math.ceil(q * pool.size) - 1)]
+        got = estimate_threshold(g, ThresholdPolicy.far_quantile(q))
+        assert got == float(expected)

@@ -1,5 +1,4 @@
 import io
-from itertools import combinations
 
 import numpy as np
 import pytest

@@ -5,10 +5,15 @@ import numpy as np
 import pytest
 
 from selfgallery import selection
+from selfgallery.clustering import (
+    KMeansParams,
+    _sq_dists,
+    dominant_cluster_for_user,
+    kmeans,
+)
 from selfgallery.selection import (
     MAX_SUM,
     MIN_SUM,
-    _pairwise_sq,
     oracle_subset_select,
     select_dend,
     select_kmeans,
@@ -25,7 +30,7 @@ def _values(ts):
 
 def _objective(ts):
     vecs = np.stack([t.sample.vector for t in ts])
-    return subset_objective(_pairwise_sq(vecs), range(len(ts)))
+    return subset_objective(_sq_dists(vecs, vecs), range(len(ts)))
 
 
 def test_mdist_example():
@@ -108,7 +113,7 @@ def test_greedy_regime_sanity():
     vecs = np.stack([t.sample.vector for t in cands])
     medoid = vecs.mean(axis=0)
     near = np.argsort(((vecs - medoid) ** 2).sum(axis=1))[:p]
-    ref = subset_objective(_pairwise_sq(vecs), near)
+    ref = subset_objective(_sq_dists(vecs, vecs), near)
     assert _objective(chosen) <= 2.0 * ref
 
     chosen_d = select_dend(cands, p)
@@ -183,7 +188,8 @@ def test_select_kmeans_shared_cluster_never_donates():
 
 def _reference_best(cands, p, maximize):
     """One subset_objective call per subset, lexicographic, strict improvement."""
-    sqmat = _pairwise_sq(np.stack([t.sample.vector for t in cands]))
+    vecs = np.stack([t.sample.vector for t in cands])
+    sqmat = _sq_dists(vecs, vecs)
     best_idx, best_obj = None, None
     for idx in itertools.combinations(range(len(cands)), p):
         obj = subset_objective(sqmat, idx)
@@ -196,7 +202,8 @@ def _assert_matches_reference(cands, p, maximize):
     chosen = selection._enumerate_best(cands, p, maximize)
     ids, obj = _reference_best(cands, p, maximize)
     assert [t.sample.id for t in chosen] == ids
-    sqmat = _pairwise_sq(np.stack([t.sample.vector for t in cands]))
+    vecs = np.stack([t.sample.vector for t in cands])
+    sqmat = _sq_dists(vecs, vecs)
     pos = {t.sample.id: i for i, t in enumerate(cands)}
     assert subset_objective(sqmat, [pos[t.sample.id] for t in chosen]) == obj
 
@@ -206,7 +213,7 @@ def test_subset_objectives_bitwise_equal_subset_objective():
     for n, p, d in [(8, 3, 5), (9, 6, 16), (7, 2, 1), (10, 5, 64)]:
         x = rng.normal(size=(n, d))
         x[n // 2 :] = x[0]  # duplicate vectors
-        sqmat = _pairwise_sq(x)
+        sqmat = _sq_dists(x, x)
         combos = np.array(list(itertools.combinations(range(n), p)))
         fast = selection.subset_objectives(sqmat, combos)
         slow = [subset_objective(sqmat, c) for c in combos]
@@ -260,3 +267,61 @@ def test_enumerate_best_tie_across_chunk_boundary_keeps_earlier():
     chosen = selection._enumerate_best(cands, 6, maximize=False)
     assert [t.sample.id for t in chosen] == [0, 10, 11, 12, 13, 14]
     _assert_matches_reference(cands, 6, False)
+
+
+def _scan_select_kmeans(candidates_by_user, p):
+    """select_kmeans as a per-user scan of the pool and a per-candidate loop."""
+    users = sorted(candidates_by_user)
+    pooled, labels = [], []
+    for u in users:
+        for t in sorted(candidates_by_user[u], key=lambda t: t.sample.id):
+            pooled.append(t)
+            labels.append(u)
+    points = np.stack([t.sample.vector for t in pooled])
+    cl = kmeans(points, KMeansParams(k=len(users)), labels=labels)
+    result = {}
+    for u in users:
+        centroid = cl.centroids[dominant_cluster_for_user(cl, np.asarray(labels), u)]
+        own = [t for t, lab in zip(pooled, labels) if lab == u]
+        d2 = [float(np.sum((t.sample.vector - centroid) ** 2)) for t in own]
+        order = np.argsort(d2, kind="stable")
+        result[u] = [own[i] for i in order[: min(p, len(own))]]
+    return result
+
+
+def _ids_by_user(out):
+    return {u: [t.sample.id for t in ts] for u, ts in out.items()}
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 8, 9, 16, 64, 128, 129])
+def test_select_kmeans_equals_per_candidate_scan(d):
+    rng = np.random.default_rng(d)
+    cands = {}
+    for u, n in [(6, 40), (2, 1), (9, 2), (4, 25)]:
+        base = rng.normal(3.0 * u, 1.0, size=(n, d))
+        base[n // 2 :] = base[: n - n // 2]  # duplicate vectors tie on distance
+        ids = rng.permutation(n) + 100 * u  # candidate order is not id order
+        cands[u] = [
+            make_templates([v], start_id=int(i), user=u)[0] for i, v in zip(ids, base)
+        ]
+    for p in (1, 3, 6):
+        want = _ids_by_user(_scan_select_kmeans(cands, p))
+        assert _ids_by_user(select_kmeans(cands, p)) == want
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 8, 9, 16, 64, 128, 129])
+def test_row_sums_equal_per_row_sums(d):
+    rng = np.random.default_rng(d)
+    points, centroid = rng.normal(size=(33, d)), rng.normal(size=d)
+    rows = np.sum((points - centroid) ** 2, axis=1)
+    assert rows.tolist() == [float(np.sum((x - centroid) ** 2)) for x in points]
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (5, 2), (9, 16), (12, 64), (7, 129)])
+def test_sq_dists_of_one_matrix_equals_gram_expansion(n, d):
+    rng = np.random.default_rng(n * d)
+    v = rng.normal(size=(n, d))
+    v[n // 2 :] = v[: n - n // 2]
+    sq = np.sum(v * v, axis=1)
+    want = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (v @ v.T), 0.0)
+    assert np.array_equal(_sq_dists(v, v), want)
