@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from selfgallery.core import Batch, gallery_enroll
 from selfgallery.matching import (
+    _BLOCK,
     ThresholdPolicy,
     _distances_to_rows,
     _flatten,
@@ -286,3 +287,85 @@ def test_far_quantile_is_the_sorted_pool_order_statistic(q):
         expected = np.sort(pool)[max(0, math.ceil(q * pool.size) - 1)]
         got = estimate_threshold(g, ThresholdPolicy.far_quantile(q))
         assert got == float(expected)
+
+
+def _classify_by_row(batch, gallery, t_star):
+    """classify_batch as one exact distance row per probe, first column on ties."""
+    mat, owners, _ = _flatten(gallery)
+    out = []
+    for s in batch.samples:
+        dists = _distances_to_rows(s.vector, mat, "euclidean")
+        i = int(np.argmin(dists))
+        d = float(dists[i])
+        out.append((s.id, d < t_star, d, int(owners[i]) if d < t_star else None))
+    return out
+
+
+def _screen_gallery(rng, dim, counts, offset):
+    """users 1.. with counts[i] templates each, the first of every third user
+    one shared vector and of the next user a near-duplicate of it."""
+    sid = itertools.count()
+    shared = rng.normal(0.0, 1.0, dim) + offset
+    pairs = []
+    for u, c in enumerate(counts, start=1):
+        for j in range(c):
+            v = rng.normal(u % 5, 1.0, dim) + offset
+            if j == 0 and u % 3 == 0:
+                v = shared
+            elif j == 0 and u % 3 == 1:
+                v = shared + rng.normal(0.0, 1e-6, dim)  # nearer than the screen resolves
+            pairs.append((u, make_sample(next(sid), v, user=u)))
+    return gallery_enroll(pairs), shared
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e4])  # a common offset widens the band
+@pytest.mark.parametrize("dim", [1, 2, 64, 128, 129])
+def test_classify_batch_equals_row_by_row(dim, offset):
+    rng = np.random.default_rng(dim)
+    for counts in ([int(c) for c in rng.integers(1, 9, 20)], [1] * 90):
+        g, shared = _screen_gallery(rng, dim, counts, offset)
+        mat, _, _ = _flatten(g)
+        probes = [shared, mat[0], mat[-1]]  # exact hits, one across users
+        probes += list(rng.normal(2.0, 1.5, (2 * _BLOCK + 7, dim)) + offset)
+        probes += [mat[i] + rng.normal(0.0, 1e-9, dim) for i in range(0, len(mat), 7)]
+        batch = Batch(index=1, samples=tuple(make_sample(1000 + i, v) for i, v in enumerate(probes)))
+        for t in (estimate_threshold(g, ThresholdPolicy.far_quantile(0.2)), math.inf):
+            got = [(d.sample_id, d.accepted, d.distance, d.label) for d in classify_batch(batch, g, t)]
+            assert got == _classify_by_row(batch, g, t)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e4])
+def test_classify_tie_across_users_takes_the_lowest_index(offset):
+    v = np.array([3.0, 4.0]) + offset
+    g = gallery_enroll([(7, make_sample(0, v + 1.0, user=7)), (5, make_sample(1, v, user=5)),
+                        (2, make_sample(2, v + 2.0, user=2)), (7, make_sample(3, v, user=7))])
+    (d,) = classify_batch(Batch(index=1, samples=(make_sample(9, v),)), g, math.inf)
+    assert (d.label, d.distance) == (5, 0.0)  # users 5 and 7 hold v; 5's row comes first
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e4])
+@pytest.mark.parametrize("dim", [1, 2, 64, 128, 129])
+def test_estimate_threshold_equals_sorted_pool(dim, offset):
+    rng = np.random.default_rng(100 + dim)
+    for counts in ([int(c) for c in rng.integers(1, 9, 20)], [1] * 90, [2, 70]):
+        g, _ = _screen_gallery(rng, dim, counts, offset)
+        pool = np.sort(impostor_pool(g))
+        assert estimate_threshold(g, ThresholdPolicy.zero_far()) == float(pool[0])
+        for q in (1e-6, 0.01, 0.2, 0.5, 0.999999):
+            k = max(0, math.ceil(q * pool.size) - 1)
+            assert estimate_threshold(g, ThresholdPolicy.far_quantile(q)) == float(pool[k])
+    single, _ = _screen_gallery(rng, dim, [5], offset)
+    for metric in ("euclidean", "l1"):
+        with pytest.raises(ValueError, match="cross-user"):
+            estimate_threshold(single, ThresholdPolicy.zero_far(), metric)
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "l1"])
+def test_classify_empty_batch(abc_gallery, metric):
+    assert classify_batch(Batch(index=1, samples=()), abc_gallery, 0.4, metric) == []
+
+
+def test_classify_rejects_nan_threshold(abc_gallery):
+    batch = Batch(index=1, samples=(make_sample(10, [0.1]),))
+    with pytest.raises(ValueError, match="non-negative"):
+        classify_batch(batch, abc_gallery, float("nan"))
