@@ -14,9 +14,7 @@ from .matching import (
     PseudoLabelDecision,
     ThresholdPolicy,
     classify_batch,
-    distance,
     estimate_threshold,
-    match_score,
     score_sets,
 )
 from .metrics import compute_eer, impostor_fraction, storage_capped, storage_uncapped
@@ -38,13 +36,11 @@ __all__ = [
     "UserGallery",
     "classify_batch",
     "compute_eer",
-    "distance",
     "estimate_threshold",
     "gallery_enroll",
     "generate",
     "impostor_fraction",
     "load_dataset",
-    "match_score",
     "run_experiment",
     "run_sequence",
     "run_update_cycle",

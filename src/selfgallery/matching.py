@@ -24,6 +24,12 @@ the row-by-row kernel. A large feature norm, such as a common offset on
 every coordinate, widens the band and costs time but never changes a
 result, and a screen that overflows keeps every pair. L1 has no Gram
 identity and matches row by row, its t* from ``impostor_pool``.
+
+``estimate_threshold`` screens each cross-user pair once, under zero-FAR
+and FAR-quantile alike. It holds one buffer of 8-byte screens, in
+``impostor_pool``'s pair order, plus a transient copy of it while the
+screened order statistic is found; the band is then read from the buffer
+by position, so the peak is about two pool-sized arrays.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Batch, Gallery, Sample, UserGallery
+from .core import Batch, Gallery
 
 EUCLIDEAN = "euclidean"
 L1 = "l1"
@@ -96,20 +102,6 @@ class PseudoLabelDecision:
             raise ValueError("accepted decision needs a pseudo-label")
 
 
-def distance(a: np.ndarray, b: np.ndarray, metric: str = EUCLIDEAN) -> float:
-    """Distance between two equal-dim vectors under the run's metric."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    d = a - b
-    if metric == EUCLIDEAN:
-        return float(np.sqrt(np.dot(d, d)))
-    if metric == L1:
-        return float(np.sum(np.abs(d)))
-    raise ValueError(f"unknown metric: {metric!r}")
-
-
 def _distances_to_rows(v: np.ndarray, rows: np.ndarray, metric: str) -> np.ndarray:
     diff = rows - v
     if metric == EUCLIDEAN:
@@ -147,20 +139,6 @@ def _exact_pairs(a: np.ndarray, ia: np.ndarray, b: np.ndarray, ib: np.ndarray) -
         part = slice(lo, lo + step)
         out[part] = _distances_to_rows(a[ia[part]], b[ib[part]], EUCLIDEAN)
     return out
-
-
-def match_score(s: Sample, ug: UserGallery, metric: str = EUCLIDEAN):
-    """Minimum distance of a sample to one user's templates.
-
-    Returns (min_distance, sample id of the nearest template); ties go to
-    the earliest-inserted template.
-    """
-    if s.dim != ug.dim:
-        raise ValueError(f"dimension mismatch: sample {s.dim} vs gallery {ug.dim}")
-    rows = np.stack([t.sample.vector for t in ug.templates])
-    dists = _distances_to_rows(s.vector, rows, metric)
-    idx = int(np.argmin(dists))  # argmin returns first occurrence: earliest inserted
-    return float(dists[idx]), ug.templates[idx].sample.id
 
 
 def _flatten(gallery: Gallery):
@@ -206,48 +184,36 @@ def impostor_pool(gallery: Gallery, metric: str = EUCLIDEAN) -> np.ndarray:
     return pool
 
 
-def _cross_screens(mat: np.ndarray, row_end: np.ndarray, yy: np.ndarray):
-    """Screens of every cross-user pair (i, j > i), _BLOCK rows at a time.
-
-    Yields (lo, c0, g, cross): the screen g of rows lo.. against columns
-    c0.., and the mask of the cross-user pairs in it.
-    """
+def _cross_order_statistic(mat: np.ndarray, row_end: np.ndarray, count: int, k: int) -> float:
+    """k-th smallest euclidean cross-user distance, bitwise as in impostor_pool."""
     n = mat.shape[0]
+    yy = _sq_norms(mat)
+    screens = np.empty(count)  # in impostor_pool's row-major pair order
+    pos = 0
     for lo in range(0, n, _BLOCK):
         c0 = row_end[lo]  # segments are contiguous: no later row has a partner before c0
         if c0 == n:  # the last user's rows have no partner after them
-            return
+            break
         rows = slice(lo, lo + _BLOCK)
         g = _screen(mat[rows], yy[rows], mat[c0:], yy[c0:])
-        yield lo, c0, g, np.arange(c0, n) >= row_end[rows, None]
-
-
-def _cross_order_statistic(mat: np.ndarray, row_end: np.ndarray, count: int, k: int) -> float:
-    """k-th smallest euclidean cross-user distance, bitwise as in impostor_pool."""
-    yy = _sq_norms(mat)
-    if k == 0:
-        a = min(g[cross].min() for _, _, g, cross in _cross_screens(mat, row_end, yy))
-    else:
-        screens = np.empty(count)
-        pos = 0
-        for _, _, g, cross in _cross_screens(mat, row_end, yy):
-            vals = g[cross]
-            screens[pos : pos + vals.size] = vals
-            pos += vals.size
-        screens.partition(k)
-        a = screens[k]
-        del screens  # the band is collected by screening again: one pool-sized buffer at most
+        vals = g[np.arange(c0, n) >= row_end[rows, None]]
+        screens[pos : pos + vals.size] = vals
+        pos += vals.size
+    a = np.partition(screens, k)[k]  # on a copy: screens keeps its pair order
     # Every screen is within tau of its exact value, so the exact k-th value
     # lies within tau of a: pairs screened below a - 2 tau are certainly
     # below it, pairs above a + 2 tau certainly above, and the band between
     # holds it at rank k - below.
     band = 2 * _tau(mat.shape[1], 2 * yy.max())
-    below, exact = 0, []
-    for lo, c0, g, cross in _cross_screens(mat, row_end, yy):
-        below += np.count_nonzero(cross & (g < a - band))
-        i, j = np.nonzero(cross & ~(np.abs(g - a) > band))  # NaN keeps a pair
-        exact.append(_exact_pairs(mat, i + lo, mat, j + c0))
-    exact = np.concatenate(exact)
+    low = screens < a - band
+    below = np.count_nonzero(low)
+    at = np.flatnonzero(~(low | (screens > a + band)))  # NaN keeps a pair
+    # row i's partners are the n - row_end[i] rows from row_end[i] on, and
+    # its screens start at first[i]
+    width = n - row_end
+    first = np.cumsum(width) - width
+    i = np.searchsorted(first, at, side="right") - 1
+    exact = _exact_pairs(mat, i, mat, row_end[i] + at - first[i])
     exact.partition(k - below)
     return float(exact[k - below])
 

@@ -9,7 +9,9 @@ keep_all is the unbounded traditional baseline.
 Objectives always use squared euclidean, even when matching uses l1.
 
 Exact selection scores subsets in chunks, and each subset's sum is taken
-exactly as ``subset_objective`` takes it, so the two agree bit for bit.
+exactly as the test reference ``subset_objective`` (``tests/oracles.py``)
+takes it, so the two agree bit for bit; ``tests/oracles.py`` also holds
+the brute-force subset oracle the fast paths are checked against.
 Ties are decided on those sums of ``_sq_dists(v, v)`` values, which come
 from the Gram (BLAS matrix product) expansion. Bit-for-bit reproducible
 resolution of near-ties therefore assumes the same BLAS library and
@@ -32,25 +34,13 @@ MDIST = "mdist"
 DEND = "dend"
 KEEP_ALL = "keep_all"
 METHODS = (KMEANS, MDIST, DEND, KEEP_ALL)
-CAPPED_METHODS = (KMEANS, MDIST, DEND)
-
-MIN_SUM = "min_sum_pairwise_sq"
-MAX_SUM = "max_sum_pairwise_sq"
 
 EXACT_BUDGET = 10**6
-ORACLE_BUDGET = 10**7
 EXACT_CHUNK = 1024  # subsets per gather: 1024 x p x p doubles, about 0.3 MB at p=6
 
 
 def _sorted_by_id(candidates: Iterable[Template]) -> list[Template]:
     return sorted(candidates, key=lambda t: t.sample.id)
-
-
-def subset_objective(sqmat: np.ndarray, idx: Sequence[int]) -> float:
-    """Sum of pairwise squared distances within the subset (unordered pairs)."""
-    idx = list(idx)
-    sub = sqmat[np.ix_(idx, idx)]
-    return float(np.sum(np.triu(sub, k=1)))
 
 
 def subset_objectives(sqmat: np.ndarray, combos: np.ndarray) -> np.ndarray:
@@ -132,41 +122,6 @@ def select_mdist(candidates: Sequence[Template], p: int) -> list[Template]:
 def select_dend(candidates: Sequence[Template], p: int) -> list[Template]:
     """The size-p subset maximizing the sum of pairwise squared distances."""
     return _select_by_objective(candidates, p, maximize=True)
-
-
-def oracle_subset_select(
-    candidates: Sequence[Template], p: int, objective: str
-) -> list[Template]:
-    """Exact optimum by full enumeration; test oracle for the fast paths.
-
-    Deliberately shares no code with select_mdist/select_dend: plain
-    python loops over an explicitly built pair-distance table.
-    """
-    if objective not in (MIN_SUM, MAX_SUM):
-        raise ValueError(f"unknown objective: {objective!r}")
-    if p < 1:
-        raise ValueError("p must be positive")
-    cands = _sorted_by_id(candidates)
-    n = len(cands)
-    if n <= p:
-        return cands
-    if comb(n, p) > ORACLE_BUDGET:
-        raise ValueError("enumeration budget exceeded")
-    maximize = objective == MAX_SUM
-    sq = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        vi = cands[i].sample.vector
-        for j in range(i + 1, n):
-            vj = cands[j].sample.vector
-            d2 = sum((a - b) ** 2 for a, b in zip(vi, vj))
-            sq[i][j] = sq[j][i] = d2
-    best_idx = None
-    best_obj = None
-    for idx in combinations(range(n), p):
-        obj = sum(sq[a][b] for a, b in combinations(idx, 2))
-        if best_obj is None or (obj > best_obj if maximize else obj < best_obj):
-            best_obj, best_idx = obj, idx
-    return [cands[i] for i in best_idx]
 
 
 def select_kmeans(

@@ -15,16 +15,11 @@ from selfgallery.engine import EngineConfig, run_sequence
 from selfgallery.experiment import NO_UPDATE, ExperimentConfig, run_experiment
 from selfgallery.matching import ThresholdPolicy, classify_batch, estimate_threshold
 from selfgallery.metrics import compute_eer, storage_capped
-from selfgallery.selection import (
-    MAX_SUM,
-    MIN_SUM,
-    oracle_subset_select,
-    select_dend,
-    select_mdist,
-)
+from selfgallery.selection import select_dend, select_mdist
 from selfgallery.synthgen import SynthParams, generate
 
 from conftest import make_templates
+from oracles import MAX_SUM, MIN_SUM, oracle_subset_select
 from test_metrics import eer_bruteforce
 
 

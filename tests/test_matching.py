@@ -3,8 +3,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
+from selfgallery import matching
 from selfgallery.core import Batch, gallery_enroll
 from selfgallery.matching import (
     _BLOCK,
@@ -12,51 +12,12 @@ from selfgallery.matching import (
     _distances_to_rows,
     _flatten,
     classify_batch,
-    distance,
     estimate_threshold,
     impostor_pool,
-    match_score,
     score_sets,
 )
 
 from conftest import gallery_1d, make_sample
-
-
-def test_distance_examples():
-    assert distance([0, 0], [3, 4], "euclidean") == pytest.approx(5.0)
-    assert distance([1, 1], [1, 1], "l1") == 0.0
-    assert distance([0, 0], [3, 4], "l1") == pytest.approx(7.0)
-
-
-def test_distance_rejects_dim_mismatch():
-    with pytest.raises(ValueError):
-        distance([0, 0], [1, 2, 3])
-
-
-finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
-vec3 = st.lists(finite, min_size=3, max_size=3)
-
-
-@given(vec3, vec3, vec3, st.sampled_from(["euclidean", "l1"]))
-def test_distance_metric_axioms(a, b, c, metric):
-    dab = distance(a, b, metric)
-    assert dab >= 0.0
-    assert dab == pytest.approx(distance(b, a, metric))
-    assert distance(a, a, metric) == 0.0
-    assert dab <= distance(a, c, metric) + distance(c, b, metric) + 1e-6
-
-
-def test_match_score_examples():
-    g = gallery_1d({1: [1.0, 3.0]})
-    d, tid = match_score(make_sample(99, [0.0]), g.users[1])
-    assert d == pytest.approx(1.0)
-    assert tid == 0  # template (1.0)
-    d, tid = match_score(make_sample(99, [3.0]), g.users[1])
-    assert (d, tid) == (0.0, 1)
-    # tie: equidistant -> earliest inserted wins
-    d, tid = match_score(make_sample(99, [2.0]), g.users[1])
-    assert d == pytest.approx(1.0)
-    assert tid == 0
 
 
 def test_estimate_threshold_zero_far(abc_gallery):
@@ -198,12 +159,16 @@ def test_score_sets_rejects_unenrolled(abc_gallery):
 
 
 def _score_sets_by_user(test, gallery, metric):
-    """score_sets as one match_score call per (sample, user)."""
+    """score_sets as one minimum over each user's stacked rows per (sample, user)."""
     genuine, impostor = [], []
     per_subject = {u: {"genuine": [], "impostor": []} for u in gallery.user_ids}
+    rows = {
+        u: np.stack([t.sample.vector for t in gallery.users[u].templates])
+        for u in gallery.user_ids
+    }
     for s in test.samples:
         for u in gallery.user_ids:
-            d, _ = match_score(s, gallery.users[u], metric)
+            d = float(_distances_to_rows(s.vector, rows[u], metric).min())
             kind = "genuine" if u == s.true_user else "impostor"
             (genuine if kind == "genuine" else impostor).append(d)
             per_subject[u][kind].append(d)
@@ -347,7 +312,10 @@ def test_classify_tie_across_users_takes_the_lowest_index(offset):
 @pytest.mark.parametrize("dim", [1, 2, 64, 128, 129])
 def test_estimate_threshold_equals_sorted_pool(dim, offset):
     rng = np.random.default_rng(100 + dim)
-    for counts in ([int(c) for c in rng.integers(1, 9, 20)], [1] * 90, [2, 70]):
+    # [50, 30, 20]: user 2's segment straddles a _BLOCK boundary; [66, 1]:
+    # one-template last user, its one partner screened by two blocks
+    randoms = [int(c) for c in rng.integers(1, 9, 20)]
+    for counts in (randoms, [1] * 90, [2, 70], [50, 30, 20], [66, 1]):
         g, _ = _screen_gallery(rng, dim, counts, offset)
         pool = np.sort(impostor_pool(g))
         assert estimate_threshold(g, ThresholdPolicy.zero_far()) == float(pool[0])
@@ -358,6 +326,29 @@ def test_estimate_threshold_equals_sorted_pool(dim, offset):
     for metric in ("euclidean", "l1"):
         with pytest.raises(ValueError, match="cross-user"):
             estimate_threshold(single, ThresholdPolicy.zero_far(), metric)
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [
+        ThresholdPolicy.zero_far(),
+        ThresholdPolicy.far_quantile(0.01),
+        ThresholdPolicy.far_quantile(0.2),
+    ],
+)
+def test_estimate_threshold_screens_each_pair_once(monkeypatch, policy):
+    screen, calls = matching._screen, []
+
+    def counting(*args):
+        calls.append(None)
+        return screen(*args)
+
+    monkeypatch.setattr(matching, "_screen", counting)
+    rng = np.random.default_rng(5)
+    counts = [50, 30, 20, 19]  # 119 rows; only the first 100 have partners after them
+    g, _ = _screen_gallery(rng, 8, counts, 0.0)
+    estimate_threshold(g, policy)
+    assert len(calls) == math.ceil((sum(counts) - counts[-1]) / _BLOCK)
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "l1"])

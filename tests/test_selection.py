@@ -11,17 +11,10 @@ from selfgallery.clustering import (
     dominant_cluster_for_user,
     kmeans,
 )
-from selfgallery.selection import (
-    MAX_SUM,
-    MIN_SUM,
-    oracle_subset_select,
-    select_dend,
-    select_kmeans,
-    select_mdist,
-    subset_objective,
-)
+from selfgallery.selection import select_dend, select_kmeans, select_mdist
 
 from conftest import make_templates
+from oracles import MAX_SUM, MIN_SUM, oracle_subset_select, subset_objective
 
 
 def _values(ts):
