@@ -71,6 +71,24 @@ def _assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return assignment
 
 
+def _means(points: np.ndarray, groups: np.ndarray, k: int) -> np.ndarray:
+    """Mean of the rows of each group 0..k-1; every group must be nonempty.
+
+    Bitwise equal to ``points[groups == c].mean(axis=0)`` for every c and
+    every d, d=1 included. A stable sort by group gathers the rows once, so
+    each group's block holds the same rows, in the same order and memory
+    layout, as that masked copy; numpy then reduces it along the same path
+    and divides by the same count.
+    """
+    rows = points[np.argsort(groups, kind="stable")]
+    counts = np.bincount(groups, minlength=k)
+    out = np.empty((k, points.shape[1]))
+    for c, block in enumerate(np.split(rows, np.cumsum(counts)[:-1])):
+        np.add.reduce(block, axis=0, out=out[c])
+    out /= counts[:, None]
+    return out
+
+
 def _init_centroids(
     points: np.ndarray, params: KMeansParams, labels: Optional[Sequence[int]]
 ) -> np.ndarray:
@@ -83,7 +101,7 @@ def _init_centroids(
             raise ValueError(
                 f"user_means init: {len(uniq)} distinct labels but k={params.k}"
             )
-        return np.stack([points[labels == u].mean(axis=0) for u in uniq])
+        return _means(points, np.searchsorted(uniq, labels), params.k)
     rng = np.random.default_rng(params.seed)
     idx = rng.choice(points.shape[0], size=params.k, replace=False)
     return points[idx].copy()
@@ -108,15 +126,15 @@ def kmeans(
     n = points.shape[0]
     if params.k > n:
         raise ValueError(f"k={params.k} exceeds number of points {n}")
+    if labels is not None and len(labels) != n:
+        raise ValueError(f"{len(labels)} labels for {n} points")
 
     centroids = _init_centroids(points, params, labels)
     history: list[float] = []
     n_iter = 0
     for n_iter in range(1, params.max_iter + 1):
         assignment = _assign(points, centroids)
-        centroids = np.stack(
-            [points[assignment == c].mean(axis=0) for c in range(params.k)]
-        )
+        centroids = _means(points, assignment, params.k)
         inertia = float(np.sum((points - centroids[assignment]) ** 2))
         history.append(inertia)
         if len(history) >= 2:

@@ -7,9 +7,16 @@ globally nearest template is < t*.
 Euclidean searches screen, then score exactly. ``classify_batch`` (the
 nearest template of each probe) and ``estimate_threshold`` (an order
 statistic of the cross-user pool) first screen every pair with the Gram
-expansion g = |x|^2 + |y|^2 - 2 x.y of its squared distance, one matrix
-product per block of at most ``_BLOCK`` rows. For a pair of dimension d,
-g lies within
+expansion g = |x|^2 + |y|^2 - 2 x.y of its squared distance, in blocks of
+at most ``_BLOCK`` rows. A block's products x.y come from BLAS matrix
+products over column tiles of at most ``_TILE`` = 262144 multiply-adds
+(m rows x n columns x d). OpenBLAS runs a GEMM of that size on the calling
+thread: ``interface/gemm.c`` threads only above SMP_THRESHOLD_MIN (65536)
+x GEMM_MULTITHREAD_THRESHOLD (4, its build default). So a search never
+waits on BLAS worker threads, which stall under CPU contention. Under
+another BLAS, or another OpenBLAS build, only the timing can move, never
+a result, because of the bound below. For a pair of dimension d, g lies
+within
 
     tau = 8 (d + 4) (u (|x|^2 + max |y|^2) + eta)
 
@@ -47,6 +54,7 @@ L1 = "l1"
 METRICS = (EUCLIDEAN, L1)
 
 _BLOCK = 64  # rows per Gram screen block
+_TILE = 1 << 18  # multiply-adds per screen GEMM: OpenBLAS keeps it on one thread
 _GATHER = 1 << 16  # feature values per exact re-scoring gather
 _U = np.finfo(np.float64).eps / 2
 _ETA = np.finfo(np.float64).smallest_subnormal
@@ -117,9 +125,13 @@ def _sq_norms(m: np.ndarray) -> np.ndarray:
 
 def _screen(x, xx, y, yy) -> np.ndarray:
     """Gram-expanded squared distances of rows x to rows y: a screen, never a score."""
-    # einsum, not a BLAS GEMM: it runs on the calling thread, so a search
-    # never waits on BLAS threads, which stall under CPU contention
-    g = np.einsum("ik,jk->ij", x, y)
+    # one GEMM per column tile of at most _TILE multiply-adds, which OpenBLAS
+    # runs on the calling thread (module docstring); under another BLAS only
+    # the timing can move, since tau covers any summation order
+    g = np.empty((x.shape[0], y.shape[0]))
+    step = max(1, _TILE // x.size)  # columns per tile; x.size = m k
+    for lo in range(0, y.shape[0], step):
+        np.matmul(x, y[lo : lo + step].T, out=g[:, lo : lo + step])
     g *= -2.0
     g += xx[:, None]
     g += yy

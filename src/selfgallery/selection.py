@@ -93,7 +93,7 @@ def _greedy_select(candidates: list[Template], p: int, maximize: bool) -> list[T
     chosen = [int(iu[0][pos]), int(iu[1][pos])]
     remaining = [i for i in range(n) if i not in chosen]
     while len(chosen) < p:
-        costs = [float(np.sum(sqmat[i, chosen])) for i in remaining]
+        costs = sqmat[np.ix_(remaining, chosen)].sum(axis=1)
         j = int(np.argmax(costs) if maximize else np.argmin(costs))
         chosen.append(remaining.pop(j))
     return [candidates[i] for i in sorted(chosen)]

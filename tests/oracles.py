@@ -1,6 +1,6 @@
-"""Reference implementations the fast selection paths are checked against.
+"""Reference implementations the fast selection and clustering paths are checked against.
 
-They deliberately share no code with ``selfgallery.selection``.
+The subset references deliberately share no code with ``selfgallery.selection``.
 """
 
 from itertools import combinations
@@ -9,6 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
+from selfgallery.clustering import USER_MEANS, Clustering, KMeansParams, _assign
 from selfgallery.core import Template
 
 MIN_SUM = "min_sum_pairwise_sq"
@@ -57,3 +58,31 @@ def oracle_subset_select(
         if best_obj is None or (obj > best_obj if maximize else obj < best_obj):
             best_obj, best_idx = obj, idx
     return [cands[i] for i in best_idx]
+
+
+def masked_mean_kmeans(points, params: KMeansParams, labels=None) -> Clustering:
+    """Lloyd K-Means taking each mean from one boolean mask per cluster.
+
+    The reference for ``kmeans``'s initial and updated centroids. It shares
+    the assignment step ``_assign`` with ``kmeans``, nothing else.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    if params.init == USER_MEANS:
+        labels = np.asarray(labels)
+        centroids = np.stack([points[labels == u].mean(axis=0) for u in np.unique(labels)])
+    else:
+        rng = np.random.default_rng(params.seed)
+        centroids = points[rng.choice(points.shape[0], size=params.k, replace=False)].copy()
+    history = []
+    for n_iter in range(1, params.max_iter + 1):
+        assignment = _assign(points, centroids)
+        centroids = np.stack([points[assignment == c].mean(axis=0) for c in range(params.k)])
+        inertia = float(np.sum((points - centroids[assignment]) ** 2))
+        history.append(inertia)
+        if len(history) >= 2:
+            prev = history[-2]
+            if prev == 0.0 or (prev - inertia) / prev < params.rel_tol:
+                break
+    assignment = _assign(points, centroids)
+    inertia = float(np.sum((points - centroids[assignment]) ** 2))
+    return Clustering(assignment, centroids, inertia, n_iter, tuple(history))

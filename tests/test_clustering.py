@@ -10,6 +10,8 @@ from selfgallery.clustering import (
     kmeans,
 )
 
+from oracles import masked_mean_kmeans
+
 
 def test_k_equals_n_distinct_points():
     pts = np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]])
@@ -114,3 +116,43 @@ def test_empty_cluster_repair_never_leaves_a_cluster_empty():
         cl = kmeans(pts, KMeansParams(k=3, init="seeded_random", seed=0))
     assert np.all(np.bincount(cl.assignment, minlength=3) > 0)
     assert np.all(np.isfinite(cl.centroids))
+
+
+@pytest.mark.parametrize("labels", [[0, 0, 1], [0, 0, 1, 1, 2, 2]])
+@pytest.mark.parametrize("init", ["user_means", "seeded_random"])
+def test_kmeans_rejects_labels_not_one_per_point(labels, init):
+    pts = np.arange(10.0).reshape(5, 2)
+    params = KMeansParams(k=2, init=init, seed=0 if init == "seeded_random" else None)
+    with pytest.raises(ValueError, match="labels for 5 points"):
+        kmeans(pts, params, labels=labels)
+
+
+def _assert_same_clustering(pts, params, labels=None):
+    got = kmeans(pts, params, labels=labels)
+    want = masked_mean_kmeans(pts, params, labels=labels)
+    assert np.array_equal(got.assignment, want.assignment)
+    assert np.array_equal(got.centroids, want.centroids)
+    assert got.inertia == want.inertia
+    assert got.n_iter == want.n_iter
+    assert got.inertia_history == want.inertia_history
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 16, 64, 128, 129])
+def test_kmeans_equals_masked_mean_reference(d):
+    rng = np.random.default_rng(d)
+    n, k = 90, 7
+    labels = np.repeat(np.arange(k) * 5 - 9, [13] * 6 + [12])  # negative, gapped user ids
+    inputs = [
+        rng.normal(size=(n, d)) + 3.0 * (labels[:, None] % 4),
+        rng.integers(-2, 3, size=(n, d)).astype(float),  # lattice: ties everywhere
+        rng.normal(size=(n, d)) + 1e4,
+    ]
+    for pts in inputs:
+        _assert_same_clustering(pts, KMeansParams(k=k), labels=rng.permutation(labels))
+        for seed in range(3):
+            _assert_same_clustering(pts, KMeansParams(k=k, init="seeded_random", seed=seed))
+
+
+def test_kmeans_equals_masked_mean_reference_on_empty_cluster_repair():
+    pts = np.array([[2.0], [3.0], [4.0], [0.0], [0.0], [0.0]])
+    _assert_same_clustering(pts, KMeansParams(k=3, init="seeded_random", seed=0))

@@ -8,6 +8,7 @@ from selfgallery import matching
 from selfgallery.core import Batch, gallery_enroll
 from selfgallery.matching import (
     _BLOCK,
+    _TILE,
     ThresholdPolicy,
     _distances_to_rows,
     _flatten,
@@ -326,6 +327,33 @@ def test_estimate_threshold_equals_sorted_pool(dim, offset):
     for metric in ("euclidean", "l1"):
         with pytest.raises(ValueError, match="cross-user"):
             estimate_threshold(single, ThresholdPolicy.zero_far(), metric)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e4])
+@pytest.mark.parametrize(
+    "dim, rows",
+    [
+        (4100, 70),  # d > _TILE / _BLOCK: a full block's tile holds one column
+        (100, 113),  # 40-column tiles over 113 columns; a 49-row last block
+    ],
+)
+def test_screen_tile_edges(dim, rows, offset):
+    step = max(1, _TILE // (_BLOCK * dim))  # columns per tile of a full block
+    assert step == 1 if dim > 4096 else rows % step != 0  # else a partial last tile
+    assert rows % _BLOCK != 0  # the last row block is short
+    rng = np.random.default_rng(dim)
+    g, shared = _screen_gallery(rng, dim, [3, 2, 1, 4] * (rows // 10) + [1] * (rows % 10), offset)
+    mat, _, _ = _flatten(g)
+    assert mat.shape[0] == rows
+    probes = [shared, mat[-1]] + list(rng.normal(2.0, 1.5, (_BLOCK + 7, dim)) + offset)
+    batch = Batch(index=1, samples=tuple(make_sample(1000 + i, v) for i, v in enumerate(probes)))
+    pool = np.sort(impostor_pool(g))
+    assert estimate_threshold(g, ThresholdPolicy.zero_far()) == float(pool[0])
+    for q in (0.01, 0.2):
+        t = estimate_threshold(g, ThresholdPolicy.far_quantile(q))
+        assert t == float(pool[max(0, math.ceil(q * pool.size) - 1)])
+        got = [(d.sample_id, d.accepted, d.distance, d.label) for d in classify_batch(batch, g, t)]
+        assert got == _classify_by_row(batch, g, t)
 
 
 @pytest.mark.parametrize(

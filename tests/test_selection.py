@@ -318,3 +318,36 @@ def test_sq_dists_of_one_matrix_equals_gram_expansion(n, d):
     sq = np.sum(v * v, axis=1)
     want = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (v @ v.T), 0.0)
     assert np.array_equal(_sq_dists(v, v), want)
+
+
+def _greedy_by_list(cands, p, maximize):
+    """_greedy_select with one Python-list cost per remaining candidate."""
+    vecs = np.stack([t.sample.vector for t in cands])
+    sqmat = _sq_dists(vecs, vecs)
+    iu = np.triu_indices(len(cands), k=1)
+    pos = int(np.argmax(sqmat[iu]) if maximize else np.argmin(sqmat[iu]))
+    chosen = [int(iu[0][pos]), int(iu[1][pos])]
+    remaining = [i for i in range(len(cands)) if i not in chosen]
+    while len(chosen) < p:
+        costs = [float(np.sum(sqmat[i, chosen])) for i in remaining]
+        j = int(np.argmax(costs) if maximize else np.argmin(costs))
+        chosen.append(remaining.pop(j))
+    return sorted(cands[i].sample.id for i in chosen)
+
+
+@pytest.mark.parametrize("maximize", [False, True])
+def test_greedy_select_equals_per_candidate_list(maximize):
+    rng = np.random.default_rng(31)
+    for trial in range(60):
+        n, d = int(rng.integers(4, 36)), int(rng.integers(1, 9))
+        p = int(rng.integers(2, min(n, 20)))  # up to 18 chosen: past the 8-term sum unrolling
+        if trial % 3 == 0:
+            vecs = rng.normal(size=(n, d))
+        elif trial % 3 == 1:
+            vecs = rng.integers(-1, 2, size=(n, d)).astype(float)  # lattice: tied costs
+        else:
+            vecs = rng.normal(size=(n, d)) + 1e4
+            vecs[n // 2 :] = vecs[: n - n // 2]  # duplicates
+        cands = make_templates(vecs)
+        got = [t.sample.id for t in selection._greedy_select(cands, p, maximize)]
+        assert got == _greedy_by_list(cands, p, maximize), f"trial {trial}"
