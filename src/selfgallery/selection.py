@@ -8,19 +8,48 @@ keep_all is the unbounded traditional baseline.
 
 Objectives always use squared euclidean, even when matching uses l1.
 
-Exact selection scores subsets in chunks, and each subset's sum is taken
-exactly as the test reference ``subset_objective`` (``tests/oracles.py``)
-takes it, so the two agree bit for bit; ``tests/oracles.py`` also holds
-the brute-force subset oracle the fast paths are checked against.
-Ties are decided on those sums of ``_sq_dists(v, v)`` values, which come
-from the Gram (BLAS matrix product) expansion. Bit-for-bit reproducible
+Exact selection screens every size-p subset of the id-sorted candidates
+and decides only on exact sums. Subsets come in lexicographic order, in
+blocks built in numpy one level at a time: each prefix carries its pairwise
+sum and its row sums over the squared distance matrix, so a child's screen
+is its parent's sum plus one entry of those row sums. A screen is thus the
+sum of the subset's m = p(p-1)/2 pair entries in some order, and so is its
+exact value, taken by ``subset_objectives`` bit for bit as the test
+reference ``subset_objective`` (``tests/oracles.py``) takes it; that file
+also holds the brute-force subset oracle the fast paths are checked
+against.
+
+Why screening is safe: the entries are >= 0 (``_sq_dists`` clips at 0),
+so any order of summing them lies within gamma * T of the true sum T, with
+gamma = (m-1)u / (1 - (m-1)u) and u = 2**-53. A screen s and an exact value
+e of one subset therefore satisfy s <= rho * e and e <= rho * s, rho =
+(1 + gamma) / (1 - gamma). For MDIST, the first subset reaching a block's
+least exact value e* has s <= rho * e* <= rho**2 * (least screen), and, if
+it can beat the incumbent at all, s <= rho * incumbent. So a block keeps
+every subset with s <= min(least screen, incumbent) * (1 + delta), and
+DEND mirrors it: s >= max(greatest screen, incumbent) * (1 - delta). With
+delta = 8 m u, the rounded bound clears rho**2 ~ 1 + 4(m-1)u with room
+to spare (sums of subnormals are exact, so this holds there too). DEND's
+bound is clamped to the largest float, so an overflowed screen keeps its
+subset, and the tests are written as not-greater / not-less, so a NaN
+screen (from a squared norm that overflowed) keeps every subset of its
+block.
+
+The kept subsets get exact values, and one rule decides, as it would over
+every subset: the first optimum within a block, replaced by a later block
+only on strict improvement. Without NaN this is the first optimum in
+lexicographic order, whatever the blocks; that is the lowest-sample-ids
+tie rule. With a NaN distance the choice depends on the block boundaries,
+which follow the prefix tree.
+
+Ties are decided on sums of ``_sq_dists(v, v)`` values, which come from
+the Gram (BLAS matrix product) expansion. Bit-for-bit reproducible
 resolution of near-ties therefore assumes the same BLAS library and
 thread count; the benchmark pins one thread.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, islice
 from math import comb
 from typing import Iterable, Sequence
 
@@ -36,7 +65,9 @@ KEEP_ALL = "keep_all"
 METHODS = (KMEANS, MDIST, DEND, KEEP_ALL)
 
 EXACT_BUDGET = 10**6
-EXACT_CHUNK = 1024  # subsets per gather: 1024 x p x p doubles, about 0.3 MB at p=6
+EXACT_CHUNK = 1024  # subsets per block; their prefixes' row sums are at most 1024 x n doubles
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 def _sorted_by_id(candidates: Iterable[Template]) -> list[Template]:
@@ -53,30 +84,103 @@ def subset_objectives(sqmat: np.ndarray, combos: np.ndarray) -> np.ndarray:
     return block.reshape(len(combos), -1).sum(axis=1)
 
 
+def _children(sqmat: np.ndarray, p: int, k: int, last, part, rows):
+    """Every child (prefix + a) of k-element prefixes, in lexicographic order.
+
+    ``last`` holds each prefix's last element, ``part`` its pairwise sum and
+    ``rows`` its row sums over ``sqmat``. Returns each child's parent row,
+    its element ``a`` and its pairwise sum; ``a`` leaves room for the
+    p - k - 1 elements still to come.
+    """
+    w = len(sqmat) - p + k + 1
+    flat = (last[:, None] < np.arange(w)).ravel().nonzero()[0]
+    parent, a = np.divmod(flat, w)
+    return parent, a, np.add(part[:, None], rows[:, :w]).take(flat)
+
+
+def _blocks(sqmat: np.ndarray, p: int):
+    """Screened size-p subsets of range(n) in lexicographic order, in blocks.
+
+    A block is the whole subtrees of consecutive prefixes, at most
+    EXACT_CHUNK subsets, or the at most n children of one (p-1)-prefix.
+    Yields ``(screen, subsets)``, where ``subsets(i)`` returns the index
+    rows of the block's subsets ``i``.
+    """
+    n = len(sqmat)
+
+    def whole(cols, part, rows):
+        k0, last, trail = cols.shape[1], cols[:, -1], []
+        for k in range(k0, p):
+            if trail:
+                rows = rows.take(parent, axis=0) + sqmat.take(last, axis=0)
+            parent, last, part = _children(sqmat, p, k, last, part, rows)
+            trail.append((parent, last))
+
+        def subsets(i):
+            out = np.empty((len(i), p), dtype=np.intp)
+            for k, (parent, a) in zip(range(p - 1, k0 - 1, -1), reversed(trail)):
+                out[:, k], i = a[i], parent[i]
+            out[:, :k0] = cols[i]
+            return out
+
+        return part, subsets
+
+    def descend(cols, part, rows):
+        k = cols.shape[1]
+        sizes = [comb(n - 1 - last, p - k) for last in cols[:, -1].tolist()]
+        i = 0
+        while i < len(sizes):
+            j, total = i, 0
+            while j < len(sizes) and total + sizes[j] <= EXACT_CHUNK:
+                total, j = total + sizes[j], j + 1
+            if j == i and k < p - 1:  # one subtree over the chunk: split it a level down
+                j = i + 1
+                parent, a, sub = _children(sqmat, p, k, cols[i:j, -1], part[i:j], rows[i:j])
+                yield from descend(
+                    np.concatenate((cols[i:j].take(parent, axis=0), a[:, None]), axis=1),
+                    sub,
+                    rows[i:j].take(parent, axis=0) + sqmat.take(a, axis=0),
+                )
+            else:
+                j = max(j, i + 1)  # the children of a (p-1)-prefix make one block
+                yield whole(cols[i:j], part[i:j], rows[i:j])
+            i = j
+
+    heads = n - p + 1  # the one-element prefixes that leave room for p - 1 more
+    yield from descend(np.arange(heads)[:, None], np.zeros(heads), sqmat[:heads])
+
+
 def _enumerate_best(
     candidates: list[Template], p: int, maximize: bool
 ) -> list[Template]:
     """Exact optimum over all size-p subsets of id-sorted candidates.
 
-    Combinations come in lexicographic order, EXACT_CHUNK at a time; the
-    first optimum of a chunk is taken, and a later chunk replaces it only
-    on strict improvement. That implements the lowest-sample-ids tie rule.
+    Each block keeps the subsets whose screen lies in the band around the
+    block's best screen and the incumbent (module docstring), scores them
+    exactly, takes the first optimum, and replaces the incumbent only on
+    strict improvement. That implements the lowest-sample-ids tie rule.
     """
     vecs = np.stack([t.sample.vector for t in candidates])
     sqmat = _sq_dists(vecs, vecs)
-    combos = combinations(range(len(candidates)), p)
-    row = np.dtype((np.intp, (p,)))
-    best_idx = None
-    best_obj = None
-    while True:
-        chunk = np.fromiter(islice(combos, EXACT_CHUNK), dtype=row)
-        if not len(chunk):
-            break
-        objs = subset_objectives(sqmat, chunk)
+    delta = 8 * (p * (p - 1) // 2) * _UNIT_ROUNDOFF
+    best_idx, best_obj = None, (-np.inf if maximize else np.inf)
+    for screen, subsets in _blocks(sqmat, p):
+        # python min/max keep a NaN screen bound, so NaN keeps every subset;
+        # they may drop a NaN incumbent, but nothing can beat one
+        if maximize:
+            bound = min(float(max(screen.max(), best_obj)), _FLOAT_MAX)
+            keep = np.flatnonzero(~(screen < bound * (1 - delta)))
+        else:
+            bound = float(min(screen.min(), best_obj))
+            keep = np.flatnonzero(~(screen > bound * (1 + delta)))
+        if not len(keep):
+            continue
+        combos = subsets(keep)
+        objs = subset_objectives(sqmat, combos)
         i = int(np.argmax(objs) if maximize else np.argmin(objs))
         obj = objs[i]
-        if best_obj is None or (obj > best_obj if maximize else obj < best_obj):
-            best_obj, best_idx = obj, chunk[i]
+        if best_idx is None or (obj > best_obj if maximize else obj < best_obj):
+            best_obj, best_idx = obj, combos[i]
     return [candidates[i] for i in best_idx]
 
 
@@ -85,8 +189,6 @@ def _greedy_select(candidates: list[Template], p: int, maximize: bool) -> list[T
     vecs = np.stack([t.sample.vector for t in candidates])
     sqmat = _sq_dists(vecs, vecs)
     n = len(candidates)
-    if p == 1:
-        return [candidates[0]]  # all singletons score 0; lowest id wins
     iu = np.triu_indices(n, k=1)
     flat = sqmat[iu]
     pos = int(np.argmax(flat) if maximize else np.argmin(flat))
@@ -109,6 +211,8 @@ def _select_by_objective(
         raise ValueError("no candidates to select from")
     if len(cands) <= p:
         return cands
+    if p == 1:
+        return cands[:1]  # every singleton scores 0: the lowest id wins, before any matrix
     if comb(len(cands), p) <= EXACT_BUDGET:
         return _enumerate_best(cands, p, maximize)
     return _greedy_select(cands, p, maximize)

@@ -1,8 +1,11 @@
 import itertools
+import tracemalloc
 from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selfgallery import selection
 from selfgallery.clustering import (
@@ -191,6 +194,25 @@ def _reference_best(cands, p, maximize):
     return [cands[i].sample.id for i in best_idx], best_obj
 
 
+def _chunked_reference_ids(cands, p, maximize, chunk=1024):
+    """Every subset scored by subset_objectives, in itertools chunks of ``chunk``
+    in lexicographic order: the first optimum of a chunk, replaced by a later
+    chunk only on strict improvement."""
+    vecs = np.stack([t.sample.vector for t in cands])
+    sqmat = _sq_dists(vecs, vecs)
+    combos = itertools.combinations(range(len(cands)), p)
+    best_idx, best_obj = None, None
+    while True:
+        rows = np.fromiter(itertools.islice(combos, chunk), dtype=np.dtype((np.intp, (p,))))
+        if not len(rows):
+            break
+        objs = selection.subset_objectives(sqmat, rows)
+        i = int(np.argmax(objs) if maximize else np.argmin(objs))
+        if best_obj is None or (objs[i] > best_obj if maximize else objs[i] < best_obj):
+            best_obj, best_idx = objs[i], rows[i]
+    return [cands[i].sample.id for i in best_idx]
+
+
 def _assert_matches_reference(cands, p, maximize):
     chosen = selection._enumerate_best(cands, p, maximize)
     ids, obj = _reference_best(cands, p, maximize)
@@ -351,3 +373,135 @@ def test_greedy_select_equals_per_candidate_list(maximize):
         cands = make_templates(vecs)
         got = [t.sample.id for t in selection._greedy_select(cands, p, maximize)]
         assert got == _greedy_by_list(cands, p, maximize), f"trial {trial}"
+
+
+def _ids(ts):
+    return [t.sample.id for t in ts]
+
+
+@pytest.mark.parametrize("select", [select_mdist, select_dend])
+def test_p1_answers_lowest_id_without_a_matrix(select):
+    # 50,000 candidates: one squared distance matrix would be 20 GB
+    rng = np.random.default_rng(0)
+    cands = make_templates(rng.normal(size=(50_000, 2)))[::-1]  # not in id order
+    tracemalloc.start()
+    try:
+        chosen = select(cands, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _ids(chosen) == [0]
+    assert peak < 4 * 2**20
+
+
+def _tie_heavy_vectors(draw, n, d, kind):
+    ints = draw(st.lists(st.integers(0, 2), min_size=n * d, max_size=n * d))
+    x = np.array(ints, dtype=float).reshape(n, d)
+    if kind == "duplicates":
+        keep = draw(st.integers(1, n))
+        x = x[np.arange(n) % keep]
+    elif kind == "offset_binary":
+        x = 1e4 + x / 1024  # exact under the Gram expansion, as under the oracle
+    elif kind == "offset_decimal":
+        x = 1e4 + x * 1e-3
+    elif kind == "decimal":
+        x = x * 0.1
+    return x
+
+
+@st.composite
+def _tie_heavy(draw, kinds):
+    n = draw(st.integers(2, 16))
+    p = draw(st.integers(2, 7))
+    d = draw(st.integers(1, 4))
+    x = _tie_heavy_vectors(draw, n, d, draw(st.sampled_from(kinds)))
+    chunk = draw(st.sampled_from([5, 64, selection.EXACT_CHUNK]))  # several blocks at any n
+    return make_templates(x), p, chunk
+
+
+def _with_chunk(chunk, fn, *args):
+    saved, selection.EXACT_CHUNK = selection.EXACT_CHUNK, chunk
+    try:
+        return _ids(fn(*args))
+    finally:
+        selection.EXACT_CHUNK = saved
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_tie_heavy(["lattice", "duplicates", "offset_binary"]))
+def test_select_equals_oracle_on_exact_inputs(case):
+    # small integers and 2**-10 steps keep every squared distance exact under
+    # both the Gram expansion and the oracle's coordinate differences
+    cands, p, chunk = case
+    assert _with_chunk(chunk, select_mdist, cands, p) == _ids(oracle_subset_select(cands, p, MIN_SUM))
+    assert _with_chunk(chunk, select_dend, cands, p) == _ids(oracle_subset_select(cands, p, MAX_SUM))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_tie_heavy(["lattice", "duplicates", "offset_decimal", "decimal"]))
+def test_select_equals_chunked_reference_on_tie_heavy_inputs(case):
+    # 1e-3 steps on 1e4 round in the Gram expansion, so the oracle's exact
+    # differences can break ties differently; the screen must still choose
+    # what scoring every subset of the same matrix chooses
+    cands, p, chunk = case
+    for select, maximize in ((select_mdist, False), (select_dend, True)):
+        want = _ids(cands) if len(cands) <= p else _chunked_reference_ids(cands, p, maximize)
+        assert _with_chunk(chunk, select, cands, p) == want
+
+
+@pytest.mark.parametrize(
+    "tenths, maximize", [([3, 1, 1, 3, 0, 3, 1], False), ([3, 3, 2, 0, 1, 2], True)]
+)
+def test_enumerate_best_band_keeps_optimum_whose_screen_rounds_worse(tenths, maximize):
+    # the first optimum's screen, summed in another order, rounds worse than
+    # a later subset's; the band must keep it, as scoring every subset would
+    cands = make_templates(0.1 * np.array(tenths, dtype=float)[:, None])
+    assert _ids(selection._enumerate_best(cands, 5, maximize)) == _chunked_reference_ids(
+        cands, 5, maximize
+    )
+
+
+def _count_scored(monkeypatch):
+    """Record how many subsets each subset_objectives call scores."""
+    scored, score = [], selection.subset_objectives
+
+    def counting(sqmat, combos):
+        scored.append(len(combos))
+        return score(sqmat, combos)
+
+    monkeypatch.setattr(selection, "subset_objectives", counting)
+    return scored
+
+
+@pytest.mark.parametrize("maximize", [False, True])
+def test_enumerate_best_scores_only_the_band_exactly(monkeypatch, maximize):
+    scored = _count_scored(monkeypatch)
+    rng = np.random.default_rng(3)
+    for n, d in [(16, 1), (16, 8), (20, 64)]:
+        cands = make_templates(rng.normal(size=(n, d)))
+        want = _chunked_reference_ids(cands, 6, maximize)
+        scored.clear()
+        assert _ids(selection._enumerate_best(cands, 6, maximize)) == want
+        assert sum(scored) <= comb(n, 6) // 100
+
+
+@pytest.mark.parametrize("maximize", [False, True])
+def test_enumerate_best_scores_every_tied_subset(monkeypatch, maximize):
+    scored = _count_scored(monkeypatch)
+    cands = make_templates([[1.5, -2.0]] * 14)  # every subset sums to 0
+    assert _ids(selection._enumerate_best(cands, 6, maximize)) == list(range(6))
+    assert sum(scored) == comb(14, 6)
+
+
+def test_enumerate_best_at_the_budget_holds_no_subset_table():
+    n, p = 32, 6
+    assert comb(n, p) <= selection.EXACT_BUDGET < comb(n + 1, p)
+    cands = make_templates(np.random.default_rng(8).normal(size=(n, 4)))
+    tracemalloc.start()
+    try:
+        chosen = selection._enumerate_best(cands, p, maximize=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20  # the C(32, 6) x 6 index table alone is 43.5 MB
+    assert _ids(chosen) == _chunked_reference_ids(cands, p, maximize=False)
