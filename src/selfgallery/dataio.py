@@ -26,11 +26,10 @@ class Split:
     test: Batch  # batch n_batches-1
 
 
-def load_dataset(path, expected_dim: int | None = None) -> list[Sample]:
+def load_dataset(path) -> list[Sample]:
     """Parse a feature CSV into samples; errors carry the offending line."""
     samples: list[Sample] = []
     seen_ids: set[int] = set()
-    dim = None
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -57,12 +56,8 @@ def load_dataset(path, expected_dim: int | None = None) -> list[Sample]:
                 )
             except ValueError as e:
                 raise ValueError(f"{path}:{lineno}: {e}") from e
-            if dim is None:
-                dim = len(values)
     if not samples:
         raise ValueError(f"{path}: empty dataset")
-    if expected_dim is not None and dim != expected_dim:
-        raise ValueError(f"{path}: dim {dim}, expected {expected_dim}")
     if len({s.true_user for s in samples}) < 2:
         raise ValueError(f"{path}: need at least 2 distinct users")
     return samples
@@ -70,6 +65,8 @@ def load_dataset(path, expected_dim: int | None = None) -> list[Sample]:
 
 def write_dataset(samples: list[Sample], path) -> None:
     """Emit samples in the loadable CSV format (round-trips exactly)."""
+    if not samples:
+        raise ValueError("no samples to write")
     dim = samples[0].dim
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

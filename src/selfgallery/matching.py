@@ -4,15 +4,20 @@ Scores are raw distances (smaller is better). Acceptance is strict:
 a probe is taken for gallery insertion only when its distance to the
 globally nearest template is < t*.
 
-Euclidean searches screen, then score exactly. ``classify_batch`` (the
-nearest template of each probe) and ``estimate_threshold`` (an order
-statistic of the cross-user pool) first screen every pair with the Gram
-expansion g = |x|^2 + |y|^2 - 2 x.y of its squared distance, in blocks of
-at most ``_BLOCK`` rows. A block's products x.y come from BLAS matrix
-products over column tiles of at most ``_TILE`` = 262144 multiply-adds
-(m rows x n columns x d). OpenBLAS runs a GEMM of that size on the calling
-thread: ``interface/gemm.c`` threads only above SMP_THRESHOLD_MIN (65536)
-x GEMM_MULTITHREAD_THRESHOLD (4, its build default). So a search never
+One nearest-template search serves classification and evaluation: the
+rows of the gallery fall into segments, and each probe's nearest row in
+every segment is found. ``classify_batch`` searches one segment, the
+whole gallery; ``score_sets`` one segment per user.
+
+Euclidean searches screen, then score exactly. The nearest-template
+search and ``estimate_threshold`` (an order statistic of the cross-user
+pool) first screen every pair with the Gram expansion
+g = |x|^2 + |y|^2 - 2 x.y of its squared distance, in blocks of at most
+``_BLOCK`` rows. A block's products x.y come from BLAS matrix products
+over column tiles of at most ``_TILE`` = 262144 multiply-adds (m rows x
+n columns x d). OpenBLAS runs a GEMM of that size on the calling thread:
+``interface/gemm.c`` threads only above SMP_THRESHOLD_MIN (65536) x
+GEMM_MULTITHREAD_THRESHOLD (4, its build default). So a search never
 waits on BLAS worker threads, which stall under CPU contention. Under
 another BLAS, or another OpenBLAS build, only the timing can move, never
 a result, because of the bound below. For a pair of dimension d, g lies
@@ -23,14 +28,16 @@ within
 of the exact kernel's squared distance (``_distances_to_rows`` before its
 square root), u = eps/2 being the unit round-off and eta the smallest
 subnormal. tau covers the rounding of the expansion, in any summation
-order, plus that of the exact kernel, about twice over. Only the pairs
-whose screen lies within 2 tau of the screened winner are scored again,
-by ``_distances_to_rows``, and only those exact values decide. Distances,
-labels, the lowest-index tie rule and t* are therefore bitwise those of
-the row-by-row kernel. A large feature norm, such as a common offset on
-every coordinate, widens the band and costs time but never changes a
-result, and a screen that overflows keeps every pair. L1 has no Gram
-identity and matches row by row, its t* from ``impostor_pool``.
+order, plus that of the exact kernel, about twice over. So a segment's
+exact nearest row screens within 2 tau of the segment's least screen:
+only the pairs in that band are scored again, by ``_distances_to_rows``,
+and only those exact values decide. Distances, labels, the lowest-index
+tie rule, score sets and t* are therefore bitwise those of the row-by-row
+kernel. A large feature norm, such as a common offset on every
+coordinate, widens the band and costs time but never changes a result,
+and a screen that overflows keeps every pair. L1 has no Gram identity:
+it still scores every row, one probe at a time, and takes its t* from
+``impostor_pool``.
 
 ``estimate_threshold`` screens each cross-user pair once, under zero-FAR
 and FAR-quantile alike. It holds one buffer of 8-byte screens, in
@@ -248,35 +255,28 @@ def estimate_threshold(
     return float(pool[k])
 
 
-def _nearest_euclidean(x: np.ndarray, mat: np.ndarray):
-    """Nearest row of mat for each row of x (first on ties), and its distance."""
+def _nearest_blocks(x: np.ndarray, mat: np.ndarray, starts, metric: str):
+    """Walk x in _BLOCK-row blocks; for each, yield (rows of x, exact distances).
+
+    mat's rows fall into segments that begin at ``starts``. A block holds
+    the exact distance to every row that can be nearest within its
+    segment, ties included, and inf for every other row.
+    """
     yy = _sq_norms(mat)
-    ymax = yy.max()
-    nearest = np.empty(x.shape[0], dtype=np.intp)
-    dists = np.empty(x.shape[0])
+    seg = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, len(mat))))  # row -> segment
     for lo in range(0, x.shape[0], _BLOCK):
-        rows = x[lo : lo + _BLOCK]
-        xx = _sq_norms(rows)
-        g = _screen(rows, xx, mat, yy)
-        limit = g.min(axis=1) + 2 * _tau(x.shape[1], xx + ymax)
-        i, j = np.nonzero(~(g > limit[:, None]))  # NaN keeps a pair
-        exact = np.full(g.shape, np.inf)  # the screened-out columns cannot win
-        exact[i, j] = _exact_pairs(rows, i, mat, j)
-        best = exact.argmin(axis=1)
-        nearest[lo : lo + _BLOCK] = best
-        dists[lo : lo + _BLOCK] = exact[np.arange(best.size), best]
-    return nearest, dists
-
-
-def _nearest_by_row(x: np.ndarray, mat: np.ndarray, metric: str):
-    """_nearest_euclidean for any metric, one exact distance row per probe."""
-    nearest = np.empty(x.shape[0], dtype=np.intp)
-    dists = np.empty(x.shape[0])
-    for r, v in enumerate(x):
-        row = _distances_to_rows(v, mat, metric)
-        nearest[r] = np.argmin(row)
-        dists[r] = row[nearest[r]]
-    return nearest, dists
+        rows = slice(lo, lo + _BLOCK)
+        if metric != EUCLIDEAN:  # no Gram identity: every row, one probe at a time
+            yield rows, np.stack([_distances_to_rows(v, mat, metric) for v in x[rows]])
+            continue
+        xx = _sq_norms(x[rows])
+        g = _screen(x[rows], xx, mat, yy)
+        limit = np.minimum.reduceat(g, starts, axis=1)  # NaN keeps its segment
+        limit += 2 * _tau(x.shape[1], xx + yy.max())[:, None]
+        i, j = np.nonzero(~(g > limit[:, seg]))  # NaN keeps a pair
+        g.fill(np.inf)  # the screened-out columns cannot win their segment
+        g[i, j] = _exact_pairs(x[rows], i, mat, j)
+        yield rows, g
 
 
 def classify_batch(
@@ -299,20 +299,20 @@ def classify_batch(
         return []
     mat, owners, _ = _flatten(gallery)
     x = np.stack([s.vector for s in batch.samples])
-    if metric == EUCLIDEAN:
-        nearest, dists = _nearest_euclidean(x, mat)
-    else:
-        nearest, dists = _nearest_by_row(x, mat, metric)
+    labels, dists = [], []
+    for _, block in _nearest_blocks(x, mat, [0], metric):
+        best = block.argmin(axis=1)  # the first row on ties
+        labels += owners[best].tolist()
+        dists += block[np.arange(best.size), best].tolist()
     decisions = []
-    for s, idx, d in zip(batch.samples, nearest, dists):
-        d = float(d)
+    for s, label, d in zip(batch.samples, labels, dists):
         if d < t_star:
             decisions.append(
                 PseudoLabelDecision(
                     sample_id=s.id,
                     accepted=True,
                     distance=d,
-                    label=int(owners[idx]),
+                    label=label,
                 )
             )
         else:
@@ -329,10 +329,7 @@ def score_sets(test: Batch, gallery: Gallery, metric: str = EUCLIDEAN):
     impostor: one score per (sample, other user) pair.
     per_subject groups both by the gallery owner that was probed.
     """
-    users = gallery.user_ids
-    mat, _, starts = _flatten(gallery)  # one segment per user, in user order
-    nearest = np.empty((len(test.samples), len(users)))
-    for row, s in zip(nearest, test.samples):
+    for s in test.samples:
         if s.true_user not in gallery.users:
             raise ValueError(
                 f"test sample {s.id}: true user {s.true_user} is not enrolled"
@@ -341,7 +338,12 @@ def score_sets(test: Batch, gallery: Gallery, metric: str = EUCLIDEAN):
             raise ValueError(
                 f"dimension mismatch: sample {s.dim} vs gallery {gallery.dim}"
             )
-        np.minimum.reduceat(_distances_to_rows(s.vector, mat, metric), starts, out=row)
+    users = gallery.user_ids
+    mat, _, starts = _flatten(gallery)  # one segment per user, in user order
+    x = np.array([s.vector for s in test.samples]).reshape(-1, gallery.dim)
+    nearest = np.empty((x.shape[0], len(users)))
+    for rows, block in _nearest_blocks(x, mat, starts, metric):
+        np.minimum.reduceat(block, starts, axis=1, out=nearest[rows])
     truth = np.array([s.true_user for s in test.samples], dtype=np.int64)
     own = truth[:, None] == np.array(users, dtype=np.int64)
     per_subject = {

@@ -35,13 +35,20 @@ def test_round_trip(tmp_path):
         assert np.array_equal(a.vector, b.vector)
 
 
+def test_write_rejects_no_samples(tmp_path):
+    path = tmp_path / "ds.csv"
+    with pytest.raises(ValueError, match="no samples to write"):
+        write_dataset([], path)
+    assert not path.exists()
+
+
 def test_load_simple(tmp_path):
     path = tmp_path / "ds.csv"
     path.write_text(
         "user_id,sample_id,session,f_0,f_1\n"
         "1,0,,0.5,1.5\n1,1,,0.6,1.6\n2,2,,5.0,5.1\n2,3,,5.2,5.3\n"
     )
-    ds = load_dataset(path, expected_dim=2)
+    ds = load_dataset(path)
     assert len(ds) == 4
     assert ds[0].session is None
 

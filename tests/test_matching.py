@@ -8,6 +8,7 @@ from selfgallery import matching
 from selfgallery.core import Batch, gallery_enroll
 from selfgallery.matching import (
     _BLOCK,
+    METRICS,
     _TILE,
     ThresholdPolicy,
     _distances_to_rows,
@@ -160,16 +161,21 @@ def test_score_sets_rejects_unenrolled(abc_gallery):
 
 
 def _score_sets_by_user(test, gallery, metric):
-    """score_sets as one minimum over each user's stacked rows per (sample, user)."""
+    """score_sets as, per user, the least of each of its templates' exact
+    distances to every test sample (x - t is exactly -(t - x))."""
     genuine, impostor = [], []
     per_subject = {u: {"genuine": [], "impostor": []} for u in gallery.user_ids}
-    rows = {
-        u: np.stack([t.sample.vector for t in gallery.users[u].templates])
+    x = np.stack([s.vector for s in test.samples])
+    nearest = {
+        u: np.min(
+            [_distances_to_rows(t.sample.vector, x, metric) for t in gallery.users[u].templates],
+            axis=0,
+        )
         for u in gallery.user_ids
     }
-    for s in test.samples:
+    for i, s in enumerate(test.samples):
         for u in gallery.user_ids:
-            d = float(_distances_to_rows(s.vector, rows[u], metric).min())
+            d = float(nearest[u][i])
             kind = "genuine" if u == s.true_user else "impostor"
             (genuine if kind == "genuine" else impostor).append(d)
             per_subject[u][kind].append(d)
@@ -194,6 +200,34 @@ def test_score_sets_equals_per_user_match_score(metric, cap):
     probes.append(make_sample(next(sid), pairs[0][1].vector, user=pairs[0][0]))  # exact hit
     test = Batch(index=6, samples=tuple(probes))
     assert score_sets(test, g, metric) == _score_sets_by_user(test, g, metric)
+    # the screened search: one segment per user, each with its own band
+    for dim in (1, 2, 64, 128, 129):
+        for offset in (0.0, 1e4):  # a common offset widens the band
+            randoms = [int(c) for c in rng.integers(1, 9, 20)]
+            for counts in (randoms, [1] * 90, [2, 70]):
+                counts = [c if cap is None else min(c, cap) for c in counts]
+                g, _ = _screen_gallery(rng, dim, counts, offset)
+                test = _evaluation_probes(rng, g, offset, sid)
+                assert score_sets(test, g, metric) == _score_sets_by_user(test, g, metric)
+
+
+def _evaluation_probes(rng, gallery, offset, sid):
+    """A test batch over more than two blocks: exact hits, random probes, and
+    1e-9 perturbations of rows and of midpoints of two rows of one user, a
+    near tie inside a segment that the screen cannot resolve."""
+    mat, owners, _ = _flatten(gallery)
+    users, dim = gallery.user_ids, gallery.dim
+    probes = [(mat[0], owners[0]), (mat[-1], owners[-1])]
+    far = rng.normal(2.0, 1.5, (2 * _BLOCK + 7, dim)) + offset
+    probes += [(v, users[i % len(users)]) for i, v in enumerate(far)]
+    probes += [(mat[i] + rng.normal(0.0, 1e-9, dim), owners[i]) for i in range(0, len(mat), 7)]
+    probes += [
+        ((mat[i] + mat[i + 1]) / 2 + rng.normal(0.0, 1e-9, dim), owners[i])
+        for i in range(len(mat) - 1)
+        if owners[i] == owners[i + 1]
+    ]
+    samples = tuple(make_sample(next(sid), v, user=int(u)) for v, u in probes)
+    return Batch(index=6, samples=samples)
 
 
 def test_score_sets_empty_batch_keeps_every_subject(abc_gallery):
@@ -255,12 +289,12 @@ def test_far_quantile_is_the_sorted_pool_order_statistic(q):
         assert got == float(expected)
 
 
-def _classify_by_row(batch, gallery, t_star):
+def _classify_by_row(batch, gallery, t_star, metric):
     """classify_batch as one exact distance row per probe, first column on ties."""
     mat, owners, _ = _flatten(gallery)
     out = []
     for s in batch.samples:
-        dists = _distances_to_rows(s.vector, mat, "euclidean")
+        dists = _distances_to_rows(s.vector, mat, metric)
         i = int(np.argmin(dists))
         d = float(dists[i])
         out.append((s.id, d < t_star, d, int(owners[i]) if d < t_star else None))
@@ -295,9 +329,12 @@ def test_classify_batch_equals_row_by_row(dim, offset):
         probes += list(rng.normal(2.0, 1.5, (2 * _BLOCK + 7, dim)) + offset)
         probes += [mat[i] + rng.normal(0.0, 1e-9, dim) for i in range(0, len(mat), 7)]
         batch = Batch(index=1, samples=tuple(make_sample(1000 + i, v) for i, v in enumerate(probes)))
-        for t in (estimate_threshold(g, ThresholdPolicy.far_quantile(0.2)), math.inf):
-            got = [(d.sample_id, d.accepted, d.distance, d.label) for d in classify_batch(batch, g, t)]
-            assert got == _classify_by_row(batch, g, t)
+        for metric in METRICS:
+            q20 = estimate_threshold(g, ThresholdPolicy.far_quantile(0.2), metric)
+            for t in (q20, math.inf):
+                decisions = classify_batch(batch, g, t, metric)
+                got = [(d.sample_id, d.accepted, d.distance, d.label) for d in decisions]
+                assert got == _classify_by_row(batch, g, t, metric)
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e4])
@@ -305,8 +342,9 @@ def test_classify_tie_across_users_takes_the_lowest_index(offset):
     v = np.array([3.0, 4.0]) + offset
     g = gallery_enroll([(7, make_sample(0, v + 1.0, user=7)), (5, make_sample(1, v, user=5)),
                         (2, make_sample(2, v + 2.0, user=2)), (7, make_sample(3, v, user=7))])
-    (d,) = classify_batch(Batch(index=1, samples=(make_sample(9, v),)), g, math.inf)
-    assert (d.label, d.distance) == (5, 0.0)  # users 5 and 7 hold v; 5's row comes first
+    for metric in METRICS:
+        (d,) = classify_batch(Batch(index=1, samples=(make_sample(9, v),)), g, math.inf, metric)
+        assert (d.label, d.distance) == (5, 0.0)  # users 5 and 7 hold v; 5's row comes first
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e4])
@@ -353,7 +391,7 @@ def test_screen_tile_edges(dim, rows, offset):
         t = estimate_threshold(g, ThresholdPolicy.far_quantile(q))
         assert t == float(pool[max(0, math.ceil(q * pool.size) - 1)])
         got = [(d.sample_id, d.accepted, d.distance, d.label) for d in classify_batch(batch, g, t)]
-        assert got == _classify_by_row(batch, g, t)
+        assert got == _classify_by_row(batch, g, t, "euclidean")
 
 
 @pytest.mark.parametrize(
