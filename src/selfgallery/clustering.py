@@ -1,4 +1,4 @@
-"""Lloyd K-Means and the user-to-cluster association used by selection.
+"""Lloyd K-Means, the clustering behind K-Means template selection.
 
 Squared euclidean is always the clustering metric, independently of the
 matching metric; the selection objectives are written with squares.
@@ -74,17 +74,20 @@ def _assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 def _means(points: np.ndarray, groups: np.ndarray, k: int) -> np.ndarray:
     """Mean of the rows of each group 0..k-1; every group must be nonempty.
 
-    Bitwise equal to ``points[groups == c].mean(axis=0)`` for every c and
-    every d, d=1 included. A stable sort by group gathers the rows once, so
-    each group's block holds the same rows, in the same order and memory
-    layout, as that masked copy; numpy then reduces it along the same path
-    and divides by the same count.
+    One pass: a stable sort by group gathers the rows once, and group c's
+    block is the contiguous slice between the c-th and (c+1)-th entries of
+    one cumulative count. That slice holds the same rows, in the same order
+    and memory layout, as the masked copy ``points[groups == c]``; numpy
+    reduces it along the same path and divides by the same count. So the
+    result is bitwise equal to ``points[groups == c].mean(axis=0)`` for
+    every c and every d, d=1 included.
     """
     rows = points[np.argsort(groups, kind="stable")]
     counts = np.bincount(groups, minlength=k)
+    ends = np.cumsum(counts).tolist()
     out = np.empty((k, points.shape[1]))
-    for c, block in enumerate(np.split(rows, np.cumsum(counts)[:-1])):
-        np.add.reduce(block, axis=0, out=out[c])
+    for c, (lo, hi) in enumerate(zip([0] + ends[:-1], ends)):
+        np.add.reduce(rows[lo:hi], axis=0, out=out[c])
     out /= counts[:, None]
     return out
 
@@ -153,19 +156,3 @@ def kmeans(
         inertia_history=tuple(history),
     )
 
-
-def dominant_cluster_for_user(
-    clustering: Clustering, labels: Sequence[int], user: int
-) -> int:
-    """Cluster holding the most points (pseudo-)labeled with ``user``.
-
-    Ties break to the lowest cluster index.
-    """
-    labels = np.asarray(labels)
-    mask = labels == user
-    if not np.any(mask):
-        raise ValueError(f"user {user} has no labeled points")
-    counts = np.bincount(
-        clustering.assignment[mask], minlength=clustering.centroids.shape[0]
-    )
-    return int(np.argmax(counts))  # argmax returns the first (lowest) index on ties

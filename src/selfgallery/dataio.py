@@ -68,6 +68,9 @@ def write_dataset(samples: list[Sample], path) -> None:
     if not samples:
         raise ValueError("no samples to write")
     dim = samples[0].dim
+    mixed = next((s for s in samples if s.dim != dim), None)
+    if mixed is not None:  # a ragged file would not load back
+        raise ValueError(f"sample {mixed.id} has dim {mixed.dim}, expected {dim}")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
@@ -98,6 +101,8 @@ def split_batches(
     """
     if n_batches < 3:
         raise ValueError("need at least 3 batches (enroll, adaptation, test)")
+    if p < 1:
+        raise ValueError("p must be positive")
     need = n_batches * p
     by_user: dict[int, list[Sample]] = {}
     for s in dataset:

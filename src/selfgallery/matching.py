@@ -62,7 +62,7 @@ METRICS = (EUCLIDEAN, L1)
 
 _BLOCK = 64  # rows per Gram screen block
 _TILE = 1 << 18  # multiply-adds per screen GEMM: OpenBLAS keeps it on one thread
-_GATHER = 1 << 16  # feature values per exact re-scoring gather
+_GATHER = 1 << 14  # feature values per exact re-scoring gather: at most 128 KiB per copy
 _U = np.finfo(np.float64).eps / 2
 _ETA = np.finfo(np.float64).smallest_subnormal
 
@@ -167,7 +167,7 @@ def _flatten(gallery: Gallery):
     """
     users = gallery.user_ids
     counts = [len(gallery.users[u].templates) for u in users]
-    mat = np.stack([t.sample.vector for u in users for t in gallery.users[u].templates])
+    mat = np.array([t.sample.vector for u in users for t in gallery.users[u].templates])
     owners = np.repeat(np.array(users, dtype=np.int64), counts)
     starts = np.cumsum([0] + counts[:-1])
     return mat, owners, starts
@@ -267,7 +267,7 @@ def _nearest_blocks(x: np.ndarray, mat: np.ndarray, starts, metric: str):
     for lo in range(0, x.shape[0], _BLOCK):
         rows = slice(lo, lo + _BLOCK)
         if metric != EUCLIDEAN:  # no Gram identity: every row, one probe at a time
-            yield rows, np.stack([_distances_to_rows(v, mat, metric) for v in x[rows]])
+            yield rows, np.array([_distances_to_rows(v, mat, metric) for v in x[rows]])
             continue
         xx = _sq_norms(x[rows])
         g = _screen(x[rows], xx, mat, yy)
@@ -298,7 +298,7 @@ def classify_batch(
     if not batch.samples:
         return []
     mat, owners, _ = _flatten(gallery)
-    x = np.stack([s.vector for s in batch.samples])
+    x = np.array([s.vector for s in batch.samples])
     labels, dists = [], []
     for _, block in _nearest_blocks(x, mat, [0], metric):
         best = block.argmin(axis=1)  # the first row on ties

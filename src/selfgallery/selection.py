@@ -55,7 +55,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .clustering import KMeansParams, _sq_dists, dominant_cluster_for_user, kmeans
+from .clustering import KMeansParams, _sq_dists, kmeans
 from .core import Template
 
 KMEANS = "kmeans"
@@ -160,7 +160,7 @@ def _enumerate_best(
     exactly, takes the first optimum, and replaces the incumbent only on
     strict improvement. That implements the lowest-sample-ids tie rule.
     """
-    vecs = np.stack([t.sample.vector for t in candidates])
+    vecs = np.array([t.sample.vector for t in candidates])
     sqmat = _sq_dists(vecs, vecs)
     delta = 8 * (p * (p - 1) // 2) * _UNIT_ROUNDOFF
     best_idx, best_obj = None, (-np.inf if maximize else np.inf)
@@ -186,7 +186,7 @@ def _enumerate_best(
 
 def _greedy_select(candidates: list[Template], p: int, maximize: bool) -> list[Template]:
     """Dispersion-style greedy: seed with the extreme pair, grow one at a time."""
-    vecs = np.stack([t.sample.vector for t in candidates])
+    vecs = np.array([t.sample.vector for t in candidates])
     sqmat = _sq_dists(vecs, vecs)
     n = len(candidates)
     iu = np.triu_indices(n, k=1)
@@ -238,6 +238,14 @@ def select_kmeans(
     A user sharing its dominant cluster with others can still only keep
     its own labeled candidates, so a shared cluster never donates foreign
     samples.
+
+    One pass over the pool after clustering: every user's dominant cluster
+    comes from one (user, cluster) count table, where argmax takes the
+    lowest cluster index on tied counts; every candidate's squared distance
+    to its user's centroid comes from one row-wise sum, each row reduced as
+    a per-user slice would be; and one stable sort by (user, distance)
+    keeps id order on equal distances. The result is bitwise that of the
+    per-user loop over ``dominant_cluster_for_user`` in ``tests/oracles.py``.
     """
     if p < 1:
         raise ValueError("p must be positive")
@@ -246,17 +254,19 @@ def select_kmeans(
         empty = [u for u in users if not candidates_by_user[u]]
         raise ValueError(f"users {empty} have no candidates")
     own = [_sorted_by_id(candidates_by_user[u]) for u in users]
-    labels = np.repeat(users, [len(c) for c in own])
-    points = np.stack([t.sample.vector for c in own for t in c])
-    cl = kmeans(points, KMeansParams(k=len(users)), labels=labels)
+    pool = [t for cands in own for t in cands]  # by user, each user's block by sample id
+    k = len(users)
+    user_index = np.repeat(np.arange(k), [len(c) for c in own])
+    points = np.array([t.sample.vector for t in pool])
+    cl = kmeans(points, KMeansParams(k=k), labels=user_index)
+
+    dom = np.bincount(user_index * k + cl.assignment, minlength=k * k).reshape(k, k).argmax(axis=1)
+    d2 = np.sum((points - cl.centroids[dom[user_index]]) ** 2, axis=1)
+    order = np.lexsort((d2, user_index)).tolist()  # stable: equal distances keep id order
 
     result: dict[int, list[Template]] = {}
     hi = 0
     for u, cands in zip(users, own):
-        lo, hi = hi, hi + len(cands)  # u's candidates are rows lo:hi of points
-        centroid = cl.centroids[dominant_cluster_for_user(cl, labels, u)]
-        d2 = np.sum((points[lo:hi] - centroid) ** 2, axis=1)
-        # stable sort on distance keeps the id order (cands is id-sorted) on ties
-        order = np.argsort(d2, kind="stable")
-        result[u] = [cands[i] for i in order[:p]]
+        lo, hi = hi, hi + len(cands)  # order[lo:hi] holds u's rows of points, nearest first
+        result[u] = [pool[i] for i in order[lo : min(hi, lo + p)]]
     return result

@@ -86,3 +86,21 @@ def masked_mean_kmeans(points, params: KMeansParams, labels=None) -> Clustering:
     assignment = _assign(points, centroids)
     inertia = float(np.sum((points - centroids[assignment]) ** 2))
     return Clustering(assignment, centroids, inertia, n_iter, tuple(history))
+
+
+def dominant_cluster_for_user(
+    clustering: Clustering, labels: Sequence[int], user: int
+) -> int:
+    """Cluster holding the most points (pseudo-)labeled with ``user``.
+
+    Ties break to the lowest cluster index. The reference for the
+    dominant clusters ``select_kmeans`` takes from one count table.
+    """
+    labels = np.asarray(labels)
+    mask = labels == user
+    if not np.any(mask):
+        raise ValueError(f"user {user} has no labeled points")
+    counts = np.bincount(
+        clustering.assignment[mask], minlength=clustering.centroids.shape[0]
+    )
+    return int(np.argmax(counts))  # argmax returns the first (lowest) index on ties

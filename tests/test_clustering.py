@@ -3,14 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
-from selfgallery.clustering import (
-    Clustering,
-    KMeansParams,
-    dominant_cluster_for_user,
-    kmeans,
-)
+from selfgallery.clustering import Clustering, KMeansParams, kmeans
 
-from oracles import masked_mean_kmeans
+from oracles import dominant_cluster_for_user, masked_mean_kmeans
 
 
 def test_k_equals_n_distinct_points():

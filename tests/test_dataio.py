@@ -42,6 +42,14 @@ def test_write_rejects_no_samples(tmp_path):
     assert not path.exists()
 
 
+def test_write_rejects_mixed_dimensions(tmp_path):
+    path = tmp_path / "ds.csv"
+    samples = [make_sample(0, [1.0, 2.0], user=1), make_sample(1, [3.0], user=2)]
+    with pytest.raises(ValueError, match="sample 1 has dim 1, expected 2"):
+        write_dataset(samples, path)
+    assert not path.exists()
+
+
 def test_load_simple(tmp_path):
     path = tmp_path / "ds.csv"
     path.write_text(
@@ -167,3 +175,9 @@ def test_split_chronological_uses_session_order():
 def test_split_needs_three_batches():
     with pytest.raises(ValueError):
         split_batches(_grid_dataset(2, 10), 2, 2, seed=0)
+
+
+@pytest.mark.parametrize("p", [0, -1])
+def test_split_rejects_p_below_one(p):
+    with pytest.raises(ValueError, match="p must be positive"):
+        split_batches(_grid_dataset(3, 10), 3, p, seed=0)

@@ -8,16 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selfgallery import selection
-from selfgallery.clustering import (
-    KMeansParams,
-    _sq_dists,
-    dominant_cluster_for_user,
-    kmeans,
-)
+from selfgallery.clustering import Clustering, KMeansParams, _sq_dists, kmeans
 from selfgallery.selection import select_dend, select_kmeans, select_mdist
 
 from conftest import make_templates
-from oracles import MAX_SUM, MIN_SUM, oracle_subset_select, subset_objective
+from oracles import (
+    MAX_SUM,
+    MIN_SUM,
+    dominant_cluster_for_user,
+    oracle_subset_select,
+    subset_objective,
+)
 
 
 def _values(ts):
@@ -322,6 +323,87 @@ def test_select_kmeans_equals_per_candidate_scan(d):
     for p in (1, 3, 6):
         want = _ids_by_user(_scan_select_kmeans(cands, p))
         assert _ids_by_user(select_kmeans(cands, p)) == want
+
+
+def _per_user_select_kmeans(candidates_by_user, p):
+    """select_kmeans as one loop over users: a dominant-cluster scan of every
+    label, a row sum over the user's slice and a stable argsort per user."""
+    users = sorted(candidates_by_user)
+    own = [sorted(candidates_by_user[u], key=lambda t: t.sample.id) for u in users]
+    labels = np.repeat(users, [len(c) for c in own])
+    points = np.stack([t.sample.vector for c in own for t in c])
+    cl = selection.kmeans(points, KMeansParams(k=len(users)), labels=labels)
+    result, hi = {}, 0
+    for u, cands in zip(users, own):
+        lo, hi = hi, hi + len(cands)
+        centroid = cl.centroids[dominant_cluster_for_user(cl, labels, u)]
+        d2 = np.sum((points[lo:hi] - centroid) ** 2, axis=1)
+        order = np.argsort(d2, kind="stable")
+        result[u] = [cands[i] for i in order[:p]]
+    return result
+
+
+def _lattice_candidates(rng, d):
+    """2-6 users in random key order, 1-9 candidates each under ids out of
+    order, on a small integer lattice with duplicated rows (equal distances)."""
+    cands = {}
+    for u in rng.choice(np.arange(1, 50), size=int(rng.integers(2, 7)), replace=False).tolist():
+        n = int(rng.integers(1, 10))
+        vecs = rng.integers(-2, 3, size=(n, d)).astype(float)
+        vecs[n // 2 :] = vecs[: n - n // 2]
+        ids = rng.choice(1000, size=n, replace=False) + 1000 * u
+        cands[u] = [make_templates([v], start_id=int(i), user=u)[0] for i, v in zip(ids, vecs)]
+    return cands
+
+
+def _kmeans_situations(cands, cl, p):
+    """Which of the tie and layout situations a clustering of ``cands`` hits."""
+    users = sorted(cands)
+    own = [sorted(cands[u], key=lambda t: t.sample.id) for u in users]
+    labels = np.repeat(users, [len(c) for c in own])
+    seen, doms = set(), []
+    for u, c in zip(users, own):
+        counts = np.bincount(cl.assignment[labels == u], minlength=len(cl.centroids))
+        dom = dominant_cluster_for_user(cl, labels, u)
+        d2 = [float(np.sum((t.sample.vector - cl.centroids[dom]) ** 2)) for t in c]
+        doms.append(dom)
+        hits = {
+            "below p": len(c) < p,
+            "tied counts": np.sum(counts == counts.max()) > 1,
+            "equal distances": len(set(d2)) < len(d2),
+            "unsorted ids": cands[u] != c,
+        }
+        seen.update(name for name, hit in hits.items() if hit)
+    if len(set(doms)) < len(doms):
+        seen.add("shared cluster")
+    return seen
+
+
+@pytest.mark.parametrize("d", [1, 2, 128])
+def test_select_kmeans_equals_per_user_loop(d, monkeypatch):
+    rng = np.random.default_rng(100 + d)
+    cases = [_lattice_candidates(rng, d) for _ in range(40)]
+    for cands in cases:
+        for p in (1, 3, 6):
+            want = _ids_by_user(_per_user_select_kmeans(cands, p))
+            assert _ids_by_user(select_kmeans(cands, p)) == want
+    # clusterings drawn to force tied dominant counts and shared clusters:
+    # k users over at most k - 1 clusters, centroids on the lattice
+    seen = set()
+    for cands in cases:
+        k, n = len(cands), sum(len(c) for c in cands.values())
+        cl = Clustering(
+            assignment=rng.integers(0, k - 1, size=n),
+            centroids=rng.integers(-1, 2, size=(k, d)).astype(float),
+            inertia=0.0,
+            n_iter=1,
+        )
+        monkeypatch.setattr(selection, "kmeans", lambda points, params, labels=None: cl)
+        for p in (1, 3, 6):
+            want = _ids_by_user(_per_user_select_kmeans(cands, p))
+            assert _ids_by_user(select_kmeans(cands, p)) == want
+        seen |= _kmeans_situations(cands, cl, 3)
+    assert seen == {"below p", "tied counts", "equal distances", "unsorted ids", "shared cluster"}
 
 
 @pytest.mark.parametrize("d", [1, 2, 7, 8, 9, 16, 64, 128, 129])
