@@ -14,6 +14,7 @@ from .matching import (
     PseudoLabelDecision,
     ThresholdPolicy,
     classify_batch,
+    distance_columns,
     estimate_threshold,
     score_sets,
 )
@@ -36,6 +37,7 @@ __all__ = [
     "UserGallery",
     "classify_batch",
     "compute_eer",
+    "distance_columns",
     "estimate_threshold",
     "gallery_enroll",
     "generate",

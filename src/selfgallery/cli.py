@@ -10,7 +10,7 @@ from . import selection
 from .core import Batch, gallery_enroll
 from .dataio import load_dataset, write_dataset
 from .experiment import ExperimentConfig, run_experiment
-from .matching import ThresholdPolicy
+from .matching import ThresholdPolicy, distance_columns
 from .metrics import evaluate_snapshot, export_score_scatter
 from .synthgen import SynthParams, generate
 
@@ -36,6 +36,8 @@ def parse_synth(spec: str) -> SynthParams:
         if key not in _SYNTH_KEYS:
             raise ValueError(f"unknown synth key {key!r}")
         name, conv = _SYNTH_KEYS[key]
+        if name in kwargs:
+            raise ValueError(f"synth key {key!r} is given more than once")
         kwargs[name] = conv(value)
     return SynthParams(**kwargs)
 
@@ -142,7 +144,8 @@ def cmd_scatter(args) -> int:
     probes = Batch(
         index=1, samples=tuple(s for s in samples if s.id not in enrolled_ids)
     )
-    ev = evaluate_snapshot(gallery, probes, _metric(args.metric))
+    columns = distance_columns(probes, [s for _, s in enroll], _metric(args.metric))
+    ev = evaluate_snapshot(gallery, probes, columns)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     with open(args.out, "w") as fh:
         n = export_score_scatter(ev["per_subject"], fh)

@@ -19,7 +19,7 @@ from . import selection
 from .core import gallery_enroll
 from .dataio import Split, load_dataset, split_batches
 from .engine import EngineConfig, run_sequence
-from .matching import DEFAULT_POLICY, EUCLIDEAN, ThresholdPolicy
+from .matching import DEFAULT_POLICY, EUCLIDEAN, ThresholdPolicy, distance_columns
 from .metrics import evaluate_snapshot, export_score_scatter, fmt9, impostor_fraction
 from .synthgen import SynthParams, generate
 
@@ -64,6 +64,10 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in selection.METHODS:
                 raise ValueError(f"unknown method: {m!r}")
+            if self.methods.count(m) > 1:
+                raise ValueError(f"method {m!r} is given more than once")
+        if self.bytes_per_template is not None and self.bytes_per_template < 1:
+            raise ValueError("bytes_per_template must be positive")
 
 
 def _row(run, batch, method, eer, imp, classify_ms, select_ms, g_bytes):
@@ -89,7 +93,10 @@ def _run_one(
 
     # galleries are immutable: one enrollment serves the baseline and every method
     g0 = gallery_enroll(split.enroll, cap=cfg.p)
-    base_eval = evaluate_snapshot(g0, split.test, cfg.metric, cfg.bytes_per_template)
+    # every snapshot holds only enroll and adaptation samples: one table scores them all
+    samples = [s for _, s in split.enroll] + [s for b in split.adaptation for s in b.samples]
+    columns = distance_columns(split.test, samples, cfg.metric)
+    base_eval = evaluate_snapshot(g0, split.test, columns, cfg.bytes_per_template)
 
     # frozen no-update baseline: same gallery, hence constant EER per batch
     for batch in range(len(split.adaptation) + 1):
@@ -103,13 +110,13 @@ def _run_one(
         engine_cfg = EngineConfig(
             method=method, p=cfg.p, metric=cfg.metric, policy=cfg.policy
         )
-        ev0 = evaluate_snapshot(g0, split.test, cfg.metric, cfg.bytes_per_template)
+        ev0 = evaluate_snapshot(g0, split.test, columns, cfg.bytes_per_template)
         rows.append(_row(run, 0, method, ev0["eer"], 0.0, 0.0, 0.0,
                          ev0["gallery_bytes"]))
         _, reports, snapshots = run_sequence(g0, list(split.adaptation), engine_cfg)
         ev = ev0
         for cycle, (report, snap) in enumerate(zip(reports, snapshots), start=1):
-            ev = evaluate_snapshot(snap, split.test, cfg.metric, cfg.bytes_per_template)
+            ev = evaluate_snapshot(snap, split.test, columns, cfg.bytes_per_template)
             frac, _ = impostor_fraction(snap)
             rows.append(
                 _row(

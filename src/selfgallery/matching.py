@@ -4,14 +4,15 @@ Scores are raw distances (smaller is better). Acceptance is strict:
 a probe is taken for gallery insertion only when its distance to the
 globally nearest template is < t*.
 
-One nearest-template search serves classification and evaluation: the
-rows of the gallery fall into segments, and each probe's nearest row in
-every segment is found. ``classify_batch`` searches one segment, the
-whole gallery; ``score_sets`` one segment per user.
+Evaluation searches nothing: ``distance_columns`` computes every exact
+distance from a set of samples to a test batch once, row by row, and
+``score_sets`` takes each user's least over its templates' columns. A run
+scores all its snapshots against one test batch from one such table.
 
-Euclidean searches screen, then score exactly. The nearest-template
-search and ``estimate_threshold`` (an order statistic of the cross-user
-pool) first screen every pair with the Gram expansion
+Euclidean classification and thresholds screen, then score exactly.
+``classify_batch`` (each probe's nearest template in the whole gallery)
+and ``estimate_threshold`` (an order statistic of the cross-user pool)
+first screen every pair with the Gram expansion
 g = |x|^2 + |y|^2 - 2 x.y of its squared distance, in blocks of at most
 ``_BLOCK`` rows. A block's products x.y come from BLAS matrix products
 over column tiles of at most ``_TILE`` = 262144 multiply-adds (m rows x
@@ -28,14 +29,14 @@ within
 of the exact kernel's squared distance (``_distances_to_rows`` before its
 square root), u = eps/2 being the unit round-off and eta the smallest
 subnormal. tau covers the rounding of the expansion, in any summation
-order, plus that of the exact kernel, about twice over. So a segment's
-exact nearest row screens within 2 tau of the segment's least screen:
-only the pairs in that band are scored again, by ``_distances_to_rows``,
-and only those exact values decide. Distances, labels, the lowest-index
-tie rule, score sets and t* are therefore bitwise those of the row-by-row
-kernel. A large feature norm, such as a common offset on every
-coordinate, widens the band and costs time but never changes a result,
-and a screen that overflows keeps every pair. L1 has no Gram identity:
+order, plus that of the exact kernel, about twice over. So a probe's
+exact nearest row screens within 2 tau of its least screen: only the
+pairs in that band are scored again, by ``_distances_to_rows``, and only
+those exact values decide. Distances, labels, the lowest-index tie rule
+and t* are therefore bitwise those of the row-by-row kernel. A large
+feature norm, such as a common offset on every coordinate, widens the
+band and costs time but never changes a result, and a screen that
+overflows keeps every pair. L1 has no Gram identity:
 it still scores every row, one probe at a time, and takes its t* from
 ``impostor_pool``.
 
@@ -161,27 +162,21 @@ def _exact_pairs(a: np.ndarray, ia: np.ndarray, b: np.ndarray, ib: np.ndarray) -
 
 
 def _flatten(gallery: Gallery):
-    """Stack all templates in user-then-insertion order.
-
-    Returns (matrix, owner of each row, first row of each user's segment).
-    """
+    """Stack all templates in user-then-insertion order: (matrix, owner of each row)."""
     users = gallery.user_ids
     counts = [len(gallery.users[u].templates) for u in users]
     mat = np.array([t.sample.vector for u in users for t in gallery.users[u].templates])
-    owners = np.repeat(np.array(users, dtype=np.int64), counts)
-    starts = np.cumsum([0] + counts[:-1])
-    return mat, owners, starts
+    return mat, np.repeat(np.array(users, dtype=np.int64), counts)
 
 
 def _cross_layout(gallery: Gallery):
     """_flatten's matrix, each row's segment end, and the cross-user pair count."""
-    mat, _, starts = _flatten(gallery)
-    n = mat.shape[0]
-    ends = np.append(starts[1:], n)
-    count = int(np.dot(ends - starts, n - ends))
+    mat, owners = _flatten(gallery)
+    row_end = np.searchsorted(owners, owners, side="right")  # owners ascend
+    count = int(np.sum(mat.shape[0] - row_end))
     if count == 0:
         raise ValueError("no cross-user template pair: cannot estimate a threshold")
-    return mat, np.repeat(ends, ends - starts), count
+    return mat, row_end, count
 
 
 def impostor_pool(gallery: Gallery, metric: str = EUCLIDEAN) -> np.ndarray:
@@ -255,30 +250,6 @@ def estimate_threshold(
     return float(pool[k])
 
 
-def _nearest_blocks(x: np.ndarray, mat: np.ndarray, starts, metric: str):
-    """Walk x in _BLOCK-row blocks; for each, yield (rows of x, exact distances).
-
-    mat's rows fall into segments that begin at ``starts``. A block holds
-    the exact distance to every row that can be nearest within its
-    segment, ties included, and inf for every other row.
-    """
-    yy = _sq_norms(mat)
-    seg = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, len(mat))))  # row -> segment
-    for lo in range(0, x.shape[0], _BLOCK):
-        rows = slice(lo, lo + _BLOCK)
-        if metric != EUCLIDEAN:  # no Gram identity: every row, one probe at a time
-            yield rows, np.array([_distances_to_rows(v, mat, metric) for v in x[rows]])
-            continue
-        xx = _sq_norms(x[rows])
-        g = _screen(x[rows], xx, mat, yy)
-        limit = np.minimum.reduceat(g, starts, axis=1)  # NaN keeps its segment
-        limit += 2 * _tau(x.shape[1], xx + yy.max())[:, None]
-        i, j = np.nonzero(~(g > limit[:, seg]))  # NaN keeps a pair
-        g.fill(np.inf)  # the screened-out columns cannot win their segment
-        g[i, j] = _exact_pairs(x[rows], i, mat, j)
-        yield rows, g
-
-
 def classify_batch(
     batch: Batch, gallery: Gallery, t_star: float, metric: str = EUCLIDEAN
 ) -> list[PseudoLabelDecision]:
@@ -297,10 +268,21 @@ def classify_batch(
             )
     if not batch.samples:
         return []
-    mat, owners, _ = _flatten(gallery)
+    mat, owners = _flatten(gallery)
     x = np.array([s.vector for s in batch.samples])
+    yy = _sq_norms(mat)
     labels, dists = [], []
-    for _, block in _nearest_blocks(x, mat, [0], metric):
+    for lo in range(0, x.shape[0], _BLOCK):
+        xb = x[lo : lo + _BLOCK]
+        if metric != EUCLIDEAN:  # no Gram identity: every row, one probe at a time
+            block = np.array([_distances_to_rows(v, mat, metric) for v in xb])
+        else:
+            xx = _sq_norms(xb)
+            block = _screen(xb, xx, mat, yy)
+            limit = block.min(axis=1) + 2 * _tau(x.shape[1], xx + yy.max())  # NaN keeps its probe
+            i, j = np.nonzero(~(block > limit[:, None]))  # NaN keeps a pair
+            block.fill(np.inf)  # rows outside the band cannot be nearest
+            block[i, j] = _exact_pairs(xb, i, mat, j)
         best = block.argmin(axis=1)  # the first row on ties
         labels += owners[best].tolist()
         dists += block[np.arange(best.size), best].tolist()
@@ -322,28 +304,39 @@ def classify_batch(
     return decisions
 
 
-def score_sets(test: Batch, gallery: Gallery, metric: str = EUCLIDEAN):
+def distance_columns(test: Batch, samples, metric: str = EUCLIDEAN) -> dict[int, np.ndarray]:
+    """Exact distances of every test sample to each of the list ``samples``, by
+    sample id: ``score_sets`` reads any gallery of these samples from them."""
+    if not samples:
+        return {}
+    dim = samples[0].dim
+    for s in test.samples:
+        if s.dim != dim:
+            raise ValueError(f"dimension mismatch: sample {s.dim} vs gallery {dim}")
+    x = np.array([s.vector for s in test.samples]).reshape(-1, dim)
+    return {s.id: _distances_to_rows(s.vector, x, metric) for s in samples}
+
+
+def score_sets(test: Batch, gallery: Gallery, columns: dict[int, np.ndarray]):
     """Genuine and impostor score sets of a test batch against the gallery.
 
     genuine: each sample's min distance to its own user's gallery.
     impostor: one score per (sample, other user) pair.
     per_subject groups both by the gallery owner that was probed.
+    ``columns`` are the test batch's ``distance_columns`` over the gallery's samples.
     """
     for s in test.samples:
         if s.true_user not in gallery.users:
             raise ValueError(
                 f"test sample {s.id}: true user {s.true_user} is not enrolled"
             )
-        if s.dim != gallery.dim:
-            raise ValueError(
-                f"dimension mismatch: sample {s.dim} vs gallery {gallery.dim}"
-            )
     users = gallery.user_ids
-    mat, _, starts = _flatten(gallery)  # one segment per user, in user order
-    x = np.array([s.vector for s in test.samples]).reshape(-1, gallery.dim)
-    nearest = np.empty((x.shape[0], len(users)))
-    for rows, block in _nearest_blocks(x, mat, starts, metric):
-        np.minimum.reduceat(block, starts, axis=1, out=nearest[rows])
+    ids = [t.sample.id for u in users for t in gallery.users[u].templates]
+    for sid in ids:
+        if sid not in columns:
+            raise ValueError(f"template sample {sid} has no distance column")
+    starts = np.cumsum([0] + [len(gallery.users[u].templates) for u in users[:-1]])
+    nearest = np.minimum.reduceat(np.array([columns[sid] for sid in ids]), starts, axis=0).T
     truth = np.array([s.true_user for s in test.samples], dtype=np.int64)
     own = truth[:, None] == np.array(users, dtype=np.int64)
     per_subject = {

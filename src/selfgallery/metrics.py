@@ -14,7 +14,7 @@ from typing import Optional, Sequence, TextIO
 import numpy as np
 
 from .core import Batch, Gallery
-from .matching import EUCLIDEAN, score_sets
+from .matching import score_sets
 
 DEFAULT_BYTES_PER_COORD = 4  # one 32-bit value per coordinate unless overridden
 
@@ -30,12 +30,15 @@ def compute_eer(genuine: Sequence[float], impostor: Sequence[float]) -> float:
     Sweeps thresholds over the union of scores (plus +inf), with
     FAR(t) = fraction of impostor scores < t and FRR(t) = fraction of
     genuine scores >= t, and linearly interpolates between the two ROC
-    points where FAR - FRR first changes sign.
+    points where FAR - FRR first changes sign. A score may be +inf (an
+    overflowed distance); a NaN score is rejected.
     """
     gen = np.sort(np.asarray(genuine, dtype=np.float64))
     imp = np.sort(np.asarray(impostor, dtype=np.float64))
     if gen.size == 0 or imp.size == 0:
         raise ValueError("both score sets must be nonempty")
+    if np.isnan(gen[-1]) or np.isnan(imp[-1]):  # np.sort puts NaN last
+        raise ValueError("scores must not be NaN")
     thresholds = np.unique(np.concatenate([gen, imp]))
     far = np.searchsorted(imp, thresholds, side="left") / imp.size
     frr = 1.0 - np.searchsorted(gen, thresholds, side="left") / gen.size
@@ -91,17 +94,19 @@ def gallery_bytes(gallery: Gallery, bytes_per_template: Optional[int] = None) ->
     s = bytes_per_template
     if s is None:
         s = DEFAULT_BYTES_PER_COORD * gallery.dim
+    elif s < 1:
+        raise ValueError("bytes_per_template must be positive")
     return gallery.n_templates * s
 
 
 def evaluate_snapshot(
     gallery: Gallery,
     test: Batch,
-    metric: str = EUCLIDEAN,
+    columns: dict[int, np.ndarray],
     bytes_per_template: Optional[int] = None,
 ):
-    """EER and storage of one gallery snapshot against the fixed test batch."""
-    genuine, impostor, per_subject = score_sets(test, gallery, metric)
+    """EER and storage of one gallery snapshot, scored from the test batch's columns."""
+    genuine, impostor, per_subject = score_sets(test, gallery, columns)
     eer = compute_eer(genuine, impostor)
     return {
         "eer": eer,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from selfgallery.core import SELF_UPDATED, Sample, Template, gallery_enroll
+from selfgallery.matching import EUCLIDEAN, distance_columns
 
 
 def make_sample(sid, values, user=1, session=None):
@@ -34,6 +35,12 @@ def gallery_1d(user_values, cap=None):
             pairs.append((user, make_sample(sid, [v], user=user)))
             sid += 1
     return gallery_enroll(pairs, cap=cap)
+
+
+def gallery_columns(test, gallery, metric=EUCLIDEAN):
+    """distance_columns of a test batch over the gallery's own samples."""
+    samples = [t.sample for u in gallery.user_ids for t in gallery.users[u].templates]
+    return distance_columns(test, samples, metric)
 
 
 @pytest.fixture

@@ -3,6 +3,9 @@ import csv
 import pytest
 
 from selfgallery.cli import main, parse_synth, parse_threshold
+from selfgallery.dataio import load_dataset
+from selfgallery.matching import _distances_to_rows
+from selfgallery.metrics import fmt9
 
 
 def test_parse_synth():
@@ -11,6 +14,8 @@ def test_parse_synth():
     assert p.separation == 7.0 and p.tail_eps == 0.2 and p.sigma == 1.5
     with pytest.raises(ValueError):
         parse_synth("k=4,bogus=1")
+    with pytest.raises(ValueError, match="'k' is given more than once"):
+        parse_synth("k=3,k=5,dim=2")
 
 
 def test_parse_threshold():
@@ -65,17 +70,36 @@ def test_run_with_synth_source(tmp_path):
     assert (out / "metrics.csv").exists()
 
 
-def test_scatter_subcommand(tmp_path):
+@pytest.mark.parametrize("metric", ["l2", "l1"])
+def test_scatter_subcommand(tmp_path, metric):
     ds = tmp_path / "ds.csv"
     main(["gen", "--synth", "k=3,dim=2,sep=10,eps=0.0,n=6,seed=1", "--out", str(ds)])
     out = tmp_path / "scatter.csv"
-    rc = main(["scatter", "--dataset", str(ds), "--p", "2", "--out", str(out)])
+    rc = main(["scatter", "--dataset", str(ds), "--p", "2", "--metric", metric, "--out", str(out)])
     assert rc == 0
     with open(out) as fh:
         rows = list(csv.DictReader(fh))
     # 3 users x 4 probes each: 1 genuine + 2 impostor scores per probe
     assert len(rows) == 12 * 3
     assert {r["kind"] for r in rows} == {"genuine", "impostor"}
+    # reference: every probe against each enrolled template on its own
+    samples = load_dataset(ds)
+    by_user = {}
+    for s in sorted(samples, key=lambda s: (s.session or 0, s.id)):
+        by_user.setdefault(s.true_user, []).append(s)
+    templates = {u: ss[:2] for u, ss in by_user.items()}
+    enrolled = {t.id for ts in templates.values() for t in ts}
+    kernel = {"l2": "euclidean", "l1": "l1"}[metric]
+    expected = []
+    for u in sorted(templates):
+        for kind in ("genuine", "impostor"):
+            for s in samples:
+                if s.id in enrolled or (s.true_user == u) != (kind == "genuine"):
+                    continue
+                x = s.vector[None]
+                d = min(_distances_to_rows(t.vector, x, kernel)[0] for t in templates[u])
+                expected.append({"subject": str(u), "score": fmt9(d), "kind": kind})
+    assert rows == expected
 
 
 def test_machine_parsable_error(tmp_path, capsys):

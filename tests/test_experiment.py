@@ -11,6 +11,8 @@ from selfgallery.matching import ThresholdPolicy
 from selfgallery.metrics import evaluate_snapshot, export_score_scatter
 from selfgallery.synthgen import SynthParams, generate
 
+from conftest import gallery_columns
+
 
 SMALL = SynthParams(
     k_users=4, dim=3, sigma=1.0, separation=10.0, tail_eps=0.1, samples_per_user=20, seed=11
@@ -117,21 +119,30 @@ def test_config_validation():
         _cfg(runs=0)
     with pytest.raises(ValueError):
         _cfg(methods=("bogus",))
+    with pytest.raises(ValueError, match="'mdist' is given more than once"):
+        _cfg(methods=("mdist", "kmeans", "mdist"))
+    for s in (0, -4):
+        with pytest.raises(ValueError, match="bytes_per_template"):
+            _cfg(bytes_per_template=s)
 
 
-def test_scatter_files_hold_the_final_gallery_scores(tmp_path):
-    cfg = _cfg(methods=("mdist", "kmeans"), out_dir=tmp_path, write_scatter=True)
+@pytest.mark.parametrize("metric", ["euclidean", "l1"])
+def test_scatter_files_hold_the_final_gallery_scores(tmp_path, metric):
+    cfg = _cfg(methods=("mdist", "kmeans"), metric=metric, out_dir=tmp_path, write_scatter=True)
     run_experiment(cfg)
     dataset = generate(SMALL)
     for run in (1, 2):
         split = split_batches(dataset, cfg.n_batches, cfg.p, seed=cfg.base_seed + run)
         finals = {NO_UPDATE: gallery_enroll(split.enroll, cap=cfg.p)}
         for method in cfg.methods:
-            engine_cfg = EngineConfig(method=method, p=cfg.p, policy=cfg.policy)
+            engine_cfg = EngineConfig(method=method, p=cfg.p, metric=metric, policy=cfg.policy)
             g0 = gallery_enroll(split.enroll, cap=cfg.p)
             finals[method], _, _ = run_sequence(g0, list(split.adaptation), engine_cfg)
         for method, gallery in finals.items():
             expected = io.StringIO()
-            export_score_scatter(evaluate_snapshot(gallery, split.test)["per_subject"], expected)
+            # scored from the final gallery's own samples, not the run's table
+            columns = gallery_columns(split.test, gallery, metric)
+            ev = evaluate_snapshot(gallery, split.test, columns)
+            export_score_scatter(ev["per_subject"], expected)
             written = (tmp_path / f"scatter_run{run}_{method}.csv").read_text()
             assert written == expected.getvalue()

@@ -19,7 +19,7 @@ from selfgallery.matching import (
     score_sets,
 )
 
-from conftest import gallery_1d, make_sample
+from conftest import gallery_1d, gallery_columns, make_sample
 
 
 def test_estimate_threshold_zero_far(abc_gallery):
@@ -136,7 +136,7 @@ def test_score_sets_counts():
         index=6,
         samples=(make_sample(20, [0.0], user=1), make_sample(21, [10.0], user=2)),
     )
-    genuine, impostor, per_subject = score_sets(test, g)
+    genuine, impostor, per_subject = score_sets(test, g, gallery_columns(test, g))
     assert genuine == [0.0, 0.0]
     assert len(impostor) == 2 and all(v > 0 for v in impostor)
     assert len(per_subject[1]["genuine"]) == 1
@@ -144,20 +144,21 @@ def test_score_sets_counts():
 
 
 def test_score_sets_empty_batch(abc_gallery):
-    genuine, impostor, _ = score_sets(Batch(index=6, samples=()), abc_gallery)
+    empty = Batch(index=6, samples=())
+    genuine, impostor, _ = score_sets(empty, abc_gallery, gallery_columns(empty, abc_gallery))
     assert genuine == [] and impostor == []
 
 
 def test_score_sets_three_users_one_sample(abc_gallery):
     test = Batch(index=6, samples=(make_sample(30, [0.05], user=1),))
-    genuine, impostor, _ = score_sets(test, abc_gallery)
+    genuine, impostor, _ = score_sets(test, abc_gallery, gallery_columns(test, abc_gallery))
     assert len(genuine) == 1 and len(impostor) == 2
 
 
 def test_score_sets_rejects_unenrolled(abc_gallery):
     test = Batch(index=6, samples=(make_sample(30, [0.0], user=99),))
     with pytest.raises(ValueError, match="99"):
-        score_sets(test, abc_gallery)
+        score_sets(test, abc_gallery, gallery_columns(test, abc_gallery))
 
 
 def _score_sets_by_user(test, gallery, metric):
@@ -199,23 +200,25 @@ def test_score_sets_equals_per_user_match_score(metric, cap):
     probes = [make_sample(next(sid), rng.normal(u, 1.5, dim), user=u) for u in users * 5]
     probes.append(make_sample(next(sid), pairs[0][1].vector, user=pairs[0][0]))  # exact hit
     test = Batch(index=6, samples=tuple(probes))
-    assert score_sets(test, g, metric) == _score_sets_by_user(test, g, metric)
-    # the screened search: one segment per user, each with its own band
+    columns = gallery_columns(test, g, metric)
+    assert score_sets(test, g, columns) == _score_sets_by_user(test, g, metric)
+    # wider galleries and probes over several blocks, with near ties within a user
     for dim in (1, 2, 64, 128, 129):
-        for offset in (0.0, 1e4):  # a common offset widens the band
+        for offset in (0.0, 1e4):  # a common offset on every coordinate
             randoms = [int(c) for c in rng.integers(1, 9, 20)]
             for counts in (randoms, [1] * 90, [2, 70]):
                 counts = [c if cap is None else min(c, cap) for c in counts]
                 g, _ = _screen_gallery(rng, dim, counts, offset)
                 test = _evaluation_probes(rng, g, offset, sid)
-                assert score_sets(test, g, metric) == _score_sets_by_user(test, g, metric)
+                columns = gallery_columns(test, g, metric)
+                assert score_sets(test, g, columns) == _score_sets_by_user(test, g, metric)
 
 
 def _evaluation_probes(rng, gallery, offset, sid):
     """A test batch over more than two blocks: exact hits, random probes, and
     1e-9 perturbations of rows and of midpoints of two rows of one user, a
-    near tie inside a segment that the screen cannot resolve."""
-    mat, owners, _ = _flatten(gallery)
+    near tie between two templates of one user."""
+    mat, owners = _flatten(gallery)
     users, dim = gallery.user_ids, gallery.dim
     probes = [(mat[0], owners[0]), (mat[-1], owners[-1])]
     far = rng.normal(2.0, 1.5, (2 * _BLOCK + 7, dim)) + offset
@@ -231,7 +234,9 @@ def _evaluation_probes(rng, gallery, offset, sid):
 
 
 def test_score_sets_empty_batch_keeps_every_subject(abc_gallery):
-    genuine, impostor, per_subject = score_sets(Batch(index=6, samples=()), abc_gallery)
+    empty = Batch(index=6, samples=())
+    columns = gallery_columns(empty, abc_gallery)
+    genuine, impostor, per_subject = score_sets(empty, abc_gallery, columns)
     assert genuine == [] and impostor == []
     assert per_subject == {u: {"genuine": [], "impostor": []} for u in (1, 2, 3)}
 
@@ -239,12 +244,40 @@ def test_score_sets_empty_batch_keeps_every_subject(abc_gallery):
 def test_score_sets_rejects_dim_mismatch(abc_gallery):
     test = Batch(index=6, samples=(make_sample(30, [0.0, 1.0], user=1),))
     with pytest.raises(ValueError, match="dimension mismatch"):
-        score_sets(test, abc_gallery)
+        score_sets(test, abc_gallery, gallery_columns(test, abc_gallery))
+
+
+def test_distance_columns_are_exact_rows_by_sample_id():
+    rng = np.random.default_rng(5)
+    samples = [make_sample(40 + i, rng.normal(size=3)) for i in range(4)]
+    test = Batch(index=6, samples=tuple(make_sample(i, rng.normal(size=3)) for i in range(7)))
+    x = np.array([s.vector for s in test.samples])
+    for metric in METRICS:
+        columns = matching.distance_columns(test, samples, metric)
+        assert list(columns) == [40, 41, 42, 43]
+        for s in samples:
+            assert columns[s.id].tolist() == _distances_to_rows(s.vector, x, metric).tolist()
+    empty = matching.distance_columns(Batch(index=6, samples=()), samples)
+    assert all(c.shape == (0,) for c in empty.values()) and len(empty) == 4
+    assert matching.distance_columns(test, []) == {}
+
+
+def test_score_sets_reads_only_its_templates_columns(abc_gallery):
+    test = Batch(index=6, samples=(make_sample(30, [0.3], user=1), make_sample(31, [1.2], user=3)))
+    columns = gallery_columns(test, abc_gallery)
+    # columns of samples outside the gallery change nothing
+    extra = matching.distance_columns(test, [make_sample(50, [0.3]), make_sample(51, [9.0])])
+    assert score_sets(test, abc_gallery, {**extra, **columns}) == score_sets(
+        test, abc_gallery, columns
+    )
+    del columns[1]  # user 2's only template
+    with pytest.raises(ValueError, match="template sample 1 has no distance column"):
+        score_sets(test, abc_gallery, columns)
 
 
 def _masked_pool(gallery, metric):
     """impostor_pool as one owner mask per row over every later row."""
-    mat, owners, _ = _flatten(gallery)
+    mat, owners = _flatten(gallery)
     chunks = []
     for i in range(mat.shape[0] - 1):
         d = _distances_to_rows(mat[i], mat[i + 1 :], metric)
@@ -291,7 +324,7 @@ def test_far_quantile_is_the_sorted_pool_order_statistic(q):
 
 def _classify_by_row(batch, gallery, t_star, metric):
     """classify_batch as one exact distance row per probe, first column on ties."""
-    mat, owners, _ = _flatten(gallery)
+    mat, owners = _flatten(gallery)
     out = []
     for s in batch.samples:
         dists = _distances_to_rows(s.vector, mat, metric)
@@ -324,7 +357,7 @@ def test_classify_batch_equals_row_by_row(dim, offset):
     rng = np.random.default_rng(dim)
     for counts in ([int(c) for c in rng.integers(1, 9, 20)], [1] * 90):
         g, shared = _screen_gallery(rng, dim, counts, offset)
-        mat, _, _ = _flatten(g)
+        mat, _ = _flatten(g)
         probes = [shared, mat[0], mat[-1]]  # exact hits, one across users
         probes += list(rng.normal(2.0, 1.5, (2 * _BLOCK + 7, dim)) + offset)
         probes += [mat[i] + rng.normal(0.0, 1e-9, dim) for i in range(0, len(mat), 7)]
@@ -381,7 +414,7 @@ def test_screen_tile_edges(dim, rows, offset):
     assert rows % _BLOCK != 0  # the last row block is short
     rng = np.random.default_rng(dim)
     g, shared = _screen_gallery(rng, dim, [3, 2, 1, 4] * (rows // 10) + [1] * (rows % 10), offset)
-    mat, _, _ = _flatten(g)
+    mat, _ = _flatten(g)
     assert mat.shape[0] == rows
     probes = [shared, mat[-1]] + list(rng.normal(2.0, 1.5, (_BLOCK + 7, dim)) + offset)
     batch = Batch(index=1, samples=tuple(make_sample(1000 + i, v) for i, v in enumerate(probes)))

@@ -14,7 +14,7 @@ from selfgallery.metrics import (
     storage_uncapped,
 )
 
-from conftest import accepted_template, gallery_1d, make_sample
+from conftest import accepted_template, gallery_1d, gallery_columns, make_sample
 
 
 def eer_bruteforce(genuine, impostor):
@@ -61,6 +61,16 @@ def test_eer_rejects_empty():
         compute_eer([], [0.5])
     with pytest.raises(ValueError):
         compute_eer([0.5], [])
+
+
+def test_eer_rejects_nan_and_keeps_inf():
+    nan, inf = float("nan"), float("inf")
+    for genuine, impostor in (([0.1, nan], [0.2]), ([0.1], [nan, 0.2]), ([nan], [nan])):
+        with pytest.raises(ValueError, match="NaN"):
+            compute_eer(genuine, impostor)
+    # an overflowed distance is a valid score
+    assert compute_eer([0.1, 0.15], [0.2, inf]) == 0.0
+    assert compute_eer([0.1, inf], [0.2]) == compute_eer([0.1, 5.0], [0.2])
 
 
 def test_eer_matches_bruteforce_random():
@@ -141,7 +151,7 @@ def test_evaluate_snapshot_self_test_zero_eer():
         index=6,
         samples=(make_sample(10, [0.0], user=1), make_sample(11, [10.0], user=2)),
     )
-    ev = evaluate_snapshot(g, test)
+    ev = evaluate_snapshot(g, test, gallery_columns(test, g))
     assert ev["eer"] == 0.0
     assert ev["gallery_bytes"] == 2 * 4 * 1  # 2 templates, 4 bytes per coord
 
@@ -156,7 +166,7 @@ def test_evaluate_snapshot_matches_naive_reference():
             for i, v in enumerate(rng.normal(1, 1.5, 20))
         ),
     )
-    ev = evaluate_snapshot(g, test)
+    ev = evaluate_snapshot(g, test, gallery_columns(test, g))
     # naive reference: explicit loops over templates and users
     genuine, impostor = [], []
     for s in test.samples:
@@ -173,12 +183,15 @@ def test_evaluate_snapshot_single_user_test_errors():
     g = gallery_1d({1: [0.0]})
     test = Batch(index=6, samples=(make_sample(10, [0.0], user=1),))
     with pytest.raises(ValueError):
-        evaluate_snapshot(g, test)
+        evaluate_snapshot(g, test, gallery_columns(test, g))
 
 
 def test_gallery_bytes_override():
     g = gallery_1d({1: [0.0], 2: [1.0]})
     assert gallery_bytes(g, bytes_per_template=128) == 256
+    for s in (0, -4):
+        with pytest.raises(ValueError, match="bytes_per_template"):
+            gallery_bytes(g, bytes_per_template=s)
 
 
 def test_export_score_scatter_rows():
