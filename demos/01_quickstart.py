@@ -55,14 +55,11 @@ for r in reports:
 # 4. How far did each user's template set move from its enrollment centroid?
 # ---------------------------------------------------------------------------
 print("\nuser  enrolled-centroid -> final-centroid shift")
-for user in sorted(final_gallery.users):
-    before = np.mean([t.sample.vector for t in gallery0.users[user].templates], axis=0)
-    after = np.mean(
-        [t.sample.vector for t in final_gallery.users[user].templates], axis=0
-    )
-    kept = sum(
-        t.sample.id in {x.sample.id for x in gallery0.users[user].templates}
-        for t in final_gallery.users[user].templates
-    )
+vectors0, owner0, ids0 = gallery0.vectors, gallery0.owner, gallery0.sample_id
+vectors, owner, ids = final_gallery.vectors, final_gallery.owner, final_gallery.sample_id
+for user in final_gallery.user_ids:
+    before = vectors0[owner0 == user].mean(axis=0)
+    after = vectors[owner == user].mean(axis=0)
+    kept = np.isin(ids[owner == user], ids0[owner0 == user]).sum()
     print(f"{user:>4}  shift={np.linalg.norm(after - before):.3f}  "
-          f"({kept}/{len(final_gallery.users[user].templates)} original templates kept)")
+          f"({kept}/{np.count_nonzero(owner == user)} original templates kept)")

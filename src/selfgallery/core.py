@@ -47,6 +47,9 @@ class Sample:
 
     def __post_init__(self):
         object.__setattr__(self, "vector", as_feature_vector(self.vector))
+        for name in ("id", "true_user"):  # Gallery rows hold both as int64
+            if not -(2**63) <= getattr(self, name) < 2**63:
+                raise ValueError(f"{name} {getattr(self, name)} does not fit in int64")
         if self.session is not None and self.session < 0:
             raise ValueError("session must be non-negative")
 
@@ -113,6 +116,30 @@ class Gallery:
     def n_templates(self) -> int:
         return sum(len(ug.templates) for ug in self.users.values())
 
+    # One row per template: users by ascending id, each user's templates in
+    # insertion order, so ``owner`` ascends and a user's rows are contiguous.
+    # Every read builds new arrays; nothing is cached.
+    def _samples(self) -> list[Sample]:
+        return [t.sample for u in self.user_ids for t in self.users[u].templates]
+
+    @property
+    def vectors(self) -> np.ndarray:
+        return np.array([s.vector for s in self._samples()], dtype=np.float64)
+
+    @property
+    def owner(self) -> np.ndarray:
+        users = self.user_ids
+        counts = [len(self.users[u].templates) for u in users]
+        return np.repeat(np.array(users, dtype=np.int64), counts)
+
+    @property
+    def sample_id(self) -> np.ndarray:
+        return np.array([s.id for s in self._samples()], dtype=np.int64)
+
+    @property
+    def true_user(self) -> np.ndarray:
+        return np.array([s.true_user for s in self._samples()], dtype=np.int64)
+
 
 @dataclass(frozen=True)
 class Batch:
@@ -135,13 +162,18 @@ def gallery_enroll(
     """Build the initial supervised gallery from (user, sample) pairs.
 
     Every user must contribute at least one sample, and at most ``cap``
-    samples when ``cap`` is given; all dimensions must agree.
+    samples when ``cap`` is given; all dimensions must agree, and no sample
+    id may appear twice.
     """
     if cap is not None and cap < 1:
         raise ValueError("cap must be positive")
     by_user: dict[int, list[Template]] = {}
+    seen: set[int] = set()
     dim = None
     for user, sample in dataset_slice:
+        if sample.id in seen:
+            raise ValueError(f"sample id {sample.id} is enrolled more than once")
+        seen.add(sample.id)
         if dim is None:
             dim = sample.dim
         elif sample.dim != dim:

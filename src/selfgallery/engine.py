@@ -81,24 +81,15 @@ def run_update_cycle(
             insertions.append((s.id, d.label))
 
     t0 = time.perf_counter()
-    if cfg.method == selection.KEEP_ALL:
-        chosen = candidates
-    elif cfg.method == selection.KMEANS:
-        chosen = selection.select_kmeans(candidates, cfg.p)
-    else:
-        pick = selection.select_mdist if cfg.method == selection.MDIST else selection.select_dend
-        chosen = {u: pick(cands, cfg.p) for u, cands in candidates.items()}
+    chosen = selection.select(cfg.method, candidates, cfg.p)
     elapsed_select = time.perf_counter() - t0
 
     evictions = []
-    users = dict(gallery.users)
-    for u in gallery.user_ids:
+    users = {}
+    for u, cands in candidates.items():
         keep_ids = {t.sample.id for t in chosen[u]}
-        kept = [t for t in candidates[u] if t.sample.id in keep_ids]
-        for t in candidates[u]:
-            if t.sample.id not in keep_ids:
-                evictions.append((t.sample.id, u))
-        users[u] = UserGallery(user=u, templates=tuple(kept))
+        users[u] = UserGallery(user=u, templates=tuple(t for t in cands if t.sample.id in keep_ids))
+        evictions += [(t.sample.id, u) for t in cands if t.sample.id not in keep_ids]
     new_gallery = Gallery(users=users, dim=gallery.dim)
 
     report = UpdateCycleReport(

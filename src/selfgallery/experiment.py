@@ -9,7 +9,6 @@ the same independent test batch. Results are averaged over runs.
 from __future__ import annotations
 
 import csv
-import logging
 import statistics
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,8 +21,6 @@ from .engine import EngineConfig, run_sequence
 from .matching import DEFAULT_POLICY, EUCLIDEAN, ThresholdPolicy, distance_columns
 from .metrics import evaluate_snapshot, export_score_scatter, fmt9, impostor_fraction
 from .synthgen import SynthParams, generate
-
-log = logging.getLogger(__name__)
 
 NO_UPDATE = "no_update"
 
@@ -38,6 +35,9 @@ ROW_FIELDS = [
     "gallery_bytes",
 ]
 AGG_VALUE_FIELDS = ROW_FIELDS[3:]
+AGG_FIELDS = ["method", "batch", "n_runs"] + [
+    f + stat for f in AGG_VALUE_FIELDS for stat in ("_mean", "_sd")
+]
 
 
 @dataclass(frozen=True)
@@ -70,17 +70,9 @@ class ExperimentConfig:
             raise ValueError("bytes_per_template must be positive")
 
 
-def _row(run, batch, method, eer, imp, classify_ms, select_ms, g_bytes):
-    return {
-        "run": run,
-        "batch": batch,
-        "method": method,
-        "eer": eer,
-        "impostor_fraction": imp,
-        "classify_ms": classify_ms,
-        "select_ms": select_ms,
-        "gallery_bytes": g_bytes,
-    }
+def _row(*values) -> dict:
+    """One metrics row from values in ROW_FIELDS order."""
+    return dict(zip(ROW_FIELDS, values))
 
 
 def _run_one(
@@ -151,37 +143,13 @@ def aggregate_rows(rows: list[dict]) -> list[dict]:
     return out
 
 
-def _write_rows(path: Path, rows: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(ROW_FIELDS)
-        for r in rows:
-            writer.writerow(
-                [
-                    r["run"],
-                    r["batch"],
-                    r["method"],
-                    fmt9(r["eer"]),
-                    fmt9(r["impostor_fraction"]),
-                    fmt9(r["classify_ms"]),
-                    fmt9(r["select_ms"]),
-                    r["gallery_bytes"],
-                ]
-            )
-
-
-def _write_aggregate(path: Path, aggs: list[dict]) -> None:
-    fields = ["method", "batch", "n_runs"]
-    for f in AGG_VALUE_FIELDS:
-        fields += [f + "_mean", f + "_sd"]
+def _write_csv(path: Path, fields: list[str], rows: list[dict]) -> None:
+    """Write ``fields`` of every row: floats through fmt9, the rest as they are."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(fields)
-        for a in aggs:
-            row = [a["method"], a["batch"], a["n_runs"]]
-            for f in AGG_VALUE_FIELDS:
-                row += [fmt9(a[f + "_mean"]), fmt9(a[f + "_sd"])]
-            writer.writerow(row)
+        for r in rows:
+            writer.writerow([fmt9(r[f]) if isinstance(r[f], float) else r[f] for f in fields])
 
 
 def run_experiment(cfg: ExperimentConfig):
@@ -218,12 +186,12 @@ def run_experiment(cfg: ExperimentConfig):
                         export_score_scatter(per_subject, fh)
     except Exception:
         if out_dir is not None and all_rows:
-            _write_rows(out_dir / "metrics.partial.csv", all_rows)
+            _write_csv(out_dir / "metrics.partial.csv", ROW_FIELDS, all_rows)
             (out_dir / "FAILED").write_text("run aborted; partial results flushed\n")
         raise
 
     aggs = aggregate_rows(all_rows)
     if out_dir is not None:
-        _write_rows(out_dir / "metrics.csv", all_rows)
-        _write_aggregate(out_dir / "aggregate.csv", aggs)
+        _write_csv(out_dir / "metrics.csv", ROW_FIELDS, all_rows)
+        _write_csv(out_dir / "aggregate.csv", AGG_FIELDS, aggs)
     return all_rows, aggs

@@ -161,17 +161,9 @@ def _exact_pairs(a: np.ndarray, ia: np.ndarray, b: np.ndarray, ib: np.ndarray) -
     return out
 
 
-def _flatten(gallery: Gallery):
-    """Stack all templates in user-then-insertion order: (matrix, owner of each row)."""
-    users = gallery.user_ids
-    counts = [len(gallery.users[u].templates) for u in users]
-    mat = np.array([t.sample.vector for u in users for t in gallery.users[u].templates])
-    return mat, np.repeat(np.array(users, dtype=np.int64), counts)
-
-
 def _cross_layout(gallery: Gallery):
-    """_flatten's matrix, each row's segment end, and the cross-user pair count."""
-    mat, owners = _flatten(gallery)
+    """The gallery's vectors, each row's segment end, and the cross-user pair count."""
+    mat, owners = gallery.vectors, gallery.owner
     row_end = np.searchsorted(owners, owners, side="right")  # owners ascend
     count = int(np.sum(mat.shape[0] - row_end))
     if count == 0:
@@ -186,7 +178,7 @@ def impostor_pool(gallery: Gallery, metric: str = EUCLIDEAN) -> np.ndarray:
     classification: L1 thresholds are taken from it, and it is the
     reference the euclidean screen of estimate_threshold must reproduce.
     """
-    # _flatten lays each user's rows out as one contiguous segment, so the
+    # the gallery lays each user's rows out as one contiguous segment, so the
     # cross-user partners of row i that follow it are exactly mat[end:],
     # end being the end of i's segment; one buffer, in row-major order.
     mat, row_end, count = _cross_layout(gallery)
@@ -268,7 +260,7 @@ def classify_batch(
             )
     if not batch.samples:
         return []
-    mat, owners = _flatten(gallery)
+    mat, owners = gallery.vectors, gallery.owner
     x = np.array([s.vector for s in batch.samples])
     yy = _sq_norms(mat)
     labels, dists = [], []
@@ -286,22 +278,12 @@ def classify_batch(
         best = block.argmin(axis=1)  # the first row on ties
         labels += owners[best].tolist()
         dists += block[np.arange(best.size), best].tolist()
-    decisions = []
-    for s, label, d in zip(batch.samples, labels, dists):
-        if d < t_star:
-            decisions.append(
-                PseudoLabelDecision(
-                    sample_id=s.id,
-                    accepted=True,
-                    distance=d,
-                    label=label,
-                )
-            )
-        else:
-            decisions.append(
-                PseudoLabelDecision(sample_id=s.id, accepted=False, distance=d)
-            )
-    return decisions
+    return [
+        PseudoLabelDecision(
+            sample_id=s.id, accepted=d < t_star, distance=d, label=label if d < t_star else None
+        )
+        for s, label, d in zip(batch.samples, labels, dists)
+    ]
 
 
 def distance_columns(test: Batch, samples, metric: str = EUCLIDEAN) -> dict[int, np.ndarray]:
@@ -325,17 +307,18 @@ def score_sets(test: Batch, gallery: Gallery, columns: dict[int, np.ndarray]):
     per_subject groups both by the gallery owner that was probed.
     ``columns`` are the test batch's ``distance_columns`` over the gallery's samples.
     """
+    users = gallery.user_ids
+    enrolled = set(users)
     for s in test.samples:
-        if s.true_user not in gallery.users:
+        if s.true_user not in enrolled:
             raise ValueError(
                 f"test sample {s.id}: true user {s.true_user} is not enrolled"
             )
-    users = gallery.user_ids
-    ids = [t.sample.id for u in users for t in gallery.users[u].templates]
+    ids = gallery.sample_id.tolist()
     for sid in ids:
         if sid not in columns:
             raise ValueError(f"template sample {sid} has no distance column")
-    starts = np.cumsum([0] + [len(gallery.users[u].templates) for u in users[:-1]])
+    starts = np.searchsorted(gallery.owner, users)  # owner ascends: each user's first row
     nearest = np.minimum.reduceat(np.array([columns[sid] for sid in ids]), starts, axis=0).T
     truth = np.array([s.true_user for s in test.samples], dtype=np.int64)
     own = truth[:, None] == np.array(users, dtype=np.int64)

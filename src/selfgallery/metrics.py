@@ -58,16 +58,12 @@ def impostor_fraction(gallery: Gallery) -> tuple[float, dict[int, float]]:
 
     Ground truth is read here and nowhere else in the update path.
     """
-    per_user: dict[int, float] = {}
-    wrong_total = 0
-    n_total = 0
-    for u in gallery.user_ids:
-        ts = gallery.users[u].templates
-        wrong = sum(1 for t in ts if t.sample.true_user != u)
-        per_user[u] = wrong / len(ts)
-        wrong_total += wrong
-        n_total += len(ts)
-    return wrong_total / n_total, per_user
+    users, owner = gallery.user_ids, gallery.owner
+    wrong = (gallery.true_user != owner).tolist()
+    starts = np.searchsorted(owner, users).tolist() + [len(wrong)]  # owner ascends
+    # Python int / int, so every fraction is bitwise the per-template count's
+    per_user = {u: sum(wrong[a:b]) / (b - a) for u, a, b in zip(users, starts, starts[1:])}
+    return sum(wrong) / len(wrong), per_user
 
 
 def storage_capped(p: int, k: int, s: int) -> int:

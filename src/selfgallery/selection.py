@@ -270,3 +270,20 @@ def select_kmeans(
         lo, hi = hi, hi + len(cands)  # order[lo:hi] holds u's rows of points, nearest first
         result[u] = [pool[i] for i in order[lo : min(hi, lo + p)]]
     return result
+
+
+def select(
+    method: str, candidates_by_user: dict[int, list[Template]], p: int
+) -> dict[int, list[Template]]:
+    """Every user's kept templates under ``method``: keep_all keeps every
+    candidate, kmeans clusters all users' candidates together, and MDIST
+    and DEND select each user's on its own."""
+    if method == KEEP_ALL:
+        return candidates_by_user
+    if method == KMEANS:
+        return select_kmeans(candidates_by_user, p)
+    if method not in (MDIST, DEND):
+        raise ValueError(f"unknown selection method: {method!r}")
+    # read per call, so a wrapper set on the module attribute sees every call
+    pick = select_mdist if method == MDIST else select_dend
+    return {u: pick(cands, p) for u, cands in candidates_by_user.items()}

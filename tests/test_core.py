@@ -18,6 +18,13 @@ def test_sample_rejects_empty_vector():
         Sample(id=0, vector=np.array([]), true_user=1)
 
 
+def test_sample_rejects_ids_outside_int64():
+    for sid, user in ((2**63, 1), (0, -(2**63) - 1)):
+        with pytest.raises(ValueError, match="does not fit in int64"):
+            make_sample(sid, [0.0], user=user)
+    assert make_sample(2**63 - 1, [0.0], user=-(2**63)).id == 2**63 - 1
+
+
 def test_sample_vector_is_frozen():
     s = make_sample(0, [1.0, 2.0])
     with pytest.raises(ValueError):
@@ -78,3 +85,41 @@ def test_enroll_rejects_mixed_dims():
 def test_enroll_rejects_empty_slice():
     with pytest.raises(ValueError):
         gallery_enroll([])
+
+
+def test_enroll_rejects_a_repeated_sample_id():
+    s, other = make_sample(0, [0.0], user=1), make_sample(5, [9.0], user=2)
+    # the same sample twice for one user would let a cycle keep more than p
+    with pytest.raises(ValueError, match="sample id 0 is enrolled more than once"):
+        gallery_enroll([(1, s), (1, s), (2, other)], cap=2)
+    # one sample for two users would put a zero into the cross-user pool
+    with pytest.raises(ValueError, match="sample id 0 is enrolled more than once"):
+        gallery_enroll([(1, s), (2, s)])
+
+
+def test_row_accessors_follow_user_then_insertion_order():
+    # users enrolled out of id order, sample ids out of order within a user
+    pairs = [
+        (7, make_sample(40, [7.0, 0.0], user=7)),
+        (2, make_sample(31, [2.0, 1.0], user=2)),
+        (7, make_sample(12, [7.0, 1.0], user=3)),
+        (2, make_sample(8, [2.0, 2.0], user=2)),
+        (5, make_sample(3, [5.0, 0.0], user=2)),
+        (2, make_sample(20, [2.0, 3.0], user=2)),
+    ]
+    g = gallery_enroll(pairs)
+    assert g.owner.tolist() == [2, 2, 2, 5, 7, 7]  # ascending, so each user is contiguous
+    assert g.sample_id.tolist() == [31, 8, 20, 3, 40, 12]
+    assert g.true_user.tolist() == [2, 2, 2, 2, 7, 3]
+    assert g.vectors.tolist() == [[2.0, 1.0], [2.0, 2.0], [2.0, 3.0], [5.0, 0.0], [7.0, 0.0], [7.0, 1.0]]
+    assert g.vectors.dtype == np.float64 and g.vectors.shape == (6, 2)
+    for rows in (g.owner, g.sample_id, g.true_user):
+        assert rows.dtype == np.int64
+    for name in ("vectors", "owner", "sample_id", "true_user"):
+        assert getattr(g, name) is not getattr(g, name)  # built per read, never cached
+    # the stack matching used to build for itself
+    users = g.user_ids
+    counts = [len(g.users[u].templates) for u in users]
+    mat = np.array([t.sample.vector for u in users for t in g.users[u].templates])
+    owners = np.repeat(np.array(users, dtype=np.int64), counts)
+    assert np.array_equal(g.vectors, mat) and np.array_equal(g.owner, owners)

@@ -12,7 +12,6 @@ from selfgallery.matching import (
     _TILE,
     ThresholdPolicy,
     _distances_to_rows,
-    _flatten,
     classify_batch,
     estimate_threshold,
     impostor_pool,
@@ -218,7 +217,7 @@ def _evaluation_probes(rng, gallery, offset, sid):
     """A test batch over more than two blocks: exact hits, random probes, and
     1e-9 perturbations of rows and of midpoints of two rows of one user, a
     near tie between two templates of one user."""
-    mat, owners = _flatten(gallery)
+    mat, owners = gallery.vectors, gallery.owner
     users, dim = gallery.user_ids, gallery.dim
     probes = [(mat[0], owners[0]), (mat[-1], owners[-1])]
     far = rng.normal(2.0, 1.5, (2 * _BLOCK + 7, dim)) + offset
@@ -277,7 +276,7 @@ def test_score_sets_reads_only_its_templates_columns(abc_gallery):
 
 def _masked_pool(gallery, metric):
     """impostor_pool as one owner mask per row over every later row."""
-    mat, owners = _flatten(gallery)
+    mat, owners = gallery.vectors, gallery.owner
     chunks = []
     for i in range(mat.shape[0] - 1):
         d = _distances_to_rows(mat[i], mat[i + 1 :], metric)
@@ -324,7 +323,7 @@ def test_far_quantile_is_the_sorted_pool_order_statistic(q):
 
 def _classify_by_row(batch, gallery, t_star, metric):
     """classify_batch as one exact distance row per probe, first column on ties."""
-    mat, owners = _flatten(gallery)
+    mat, owners = gallery.vectors, gallery.owner
     out = []
     for s in batch.samples:
         dists = _distances_to_rows(s.vector, mat, metric)
@@ -357,7 +356,7 @@ def test_classify_batch_equals_row_by_row(dim, offset):
     rng = np.random.default_rng(dim)
     for counts in ([int(c) for c in rng.integers(1, 9, 20)], [1] * 90):
         g, shared = _screen_gallery(rng, dim, counts, offset)
-        mat, _ = _flatten(g)
+        mat = g.vectors
         probes = [shared, mat[0], mat[-1]]  # exact hits, one across users
         probes += list(rng.normal(2.0, 1.5, (2 * _BLOCK + 7, dim)) + offset)
         probes += [mat[i] + rng.normal(0.0, 1e-9, dim) for i in range(0, len(mat), 7)]
@@ -414,7 +413,7 @@ def test_screen_tile_edges(dim, rows, offset):
     assert rows % _BLOCK != 0  # the last row block is short
     rng = np.random.default_rng(dim)
     g, shared = _screen_gallery(rng, dim, [3, 2, 1, 4] * (rows // 10) + [1] * (rows % 10), offset)
-    mat, _ = _flatten(g)
+    mat = g.vectors
     assert mat.shape[0] == rows
     probes = [shared, mat[-1]] + list(rng.normal(2.0, 1.5, (_BLOCK + 7, dim)) + offset)
     batch = Batch(index=1, samples=tuple(make_sample(1000 + i, v) for i, v in enumerate(probes)))

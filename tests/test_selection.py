@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from selfgallery import selection
 from selfgallery.clustering import Clustering, KMeansParams, _sq_dists, kmeans
-from selfgallery.selection import select_dend, select_kmeans, select_mdist
+from selfgallery.selection import select, select_dend, select_kmeans, select_mdist
 
 from conftest import make_templates
 from oracles import (
@@ -587,3 +587,46 @@ def test_enumerate_best_at_the_budget_holds_no_subset_table():
         tracemalloc.stop()
     assert peak < 4 * 2**20  # the C(32, 6) x 6 index table alone is 43.5 MB
     assert _ids(chosen) == _chunked_reference_ids(cands, p, maximize=False)
+
+
+def _select_as_engine_branched(method, candidates, p):
+    """The per-method branch run_update_cycle held before ``select``."""
+    if method == selection.KEEP_ALL:
+        return candidates
+    if method == selection.KMEANS:
+        return selection.select_kmeans(candidates, p)
+    pick = selection.select_mdist if method == selection.MDIST else selection.select_dend
+    return {u: pick(cands, p) for u, cands in candidates.items()}
+
+
+@pytest.mark.parametrize("method", selection.METHODS)
+def test_select_equals_the_engine_branch(method):
+    rng = np.random.default_rng(11)
+    cands = {
+        u: make_templates((rng.normal(size=(n, 3)) + 4 * u).tolist(), start_id=10 * u, user=u)
+        for u, n in ((3, 9), (1, 2), (2, 7))
+    }
+    out = select(method, cands, 4)
+    want = _select_as_engine_branched(method, cands, 4)
+    assert list(out) == list(want)
+    for u in cands:
+        assert [t.sample.id for t in out[u]] == [t.sample.id for t in want[u]]
+
+
+def test_select_calls_the_module_attribute(monkeypatch):
+    calls = []
+
+    def traced(candidates, p):
+        calls.append(len(candidates))
+        return select_mdist(candidates, p)
+
+    monkeypatch.setattr(selection, "select_mdist", traced)
+    cands = {1: make_templates([[0.0], [1.0], [3.0]], user=1), 2: make_templates([[9.0]], 10, 2)}
+    out = select(selection.MDIST, cands, 2)
+    assert calls == [3, 1]
+    assert [t.sample.id for t in out[1]] == [0, 1]
+
+
+def test_select_rejects_unknown_method():
+    with pytest.raises(ValueError, match="unknown selection method"):
+        select("median", {1: make_templates([[0.0]])}, 1)
