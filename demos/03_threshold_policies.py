@@ -45,7 +45,7 @@ print(f"{'policy':<12} {'t*':>8} {'accepted':>9} {'mislabeled':>11}")
 for name, policy in policies:
     t_star = estimate_threshold(gallery, policy)
     decisions = classify_batch(batch, gallery, t_star)
-    accepted = [d for d in decisions if d.accepted]
+    accepted = decisions[decisions.accepted]
     wrong = sum(truth[d.sample_id] != d.label for d in accepted)
     print(f"{name:<12} {t_star:>8.4f} {len(accepted):>9} {wrong:>11}")
 

@@ -11,7 +11,6 @@ from .core import Batch, Gallery, Sample, Template, UserGallery, gallery_enroll
 from .engine import EngineConfig, UpdateCycleReport, run_sequence, run_update_cycle
 from .experiment import ExperimentConfig, run_experiment
 from .matching import (
-    PseudoLabelDecision,
     ThresholdPolicy,
     classify_batch,
     distance_columns,
@@ -27,7 +26,6 @@ __all__ = [
     "EngineConfig",
     "ExperimentConfig",
     "Gallery",
-    "PseudoLabelDecision",
     "Sample",
     "Split",
     "SynthParams",

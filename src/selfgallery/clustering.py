@@ -13,23 +13,19 @@ import numpy as np
 
 USER_MEANS = "user_means"
 SEEDED_RANDOM = "seeded_random"
+MAX_ITER = 100  # Lloyd passes at most
+REL_TOL = 1e-6  # stop once a pass improves inertia by less than this fraction
 
 
 @dataclass(frozen=True)
 class KMeansParams:
     k: int
-    max_iter: int = 100
-    rel_tol: float = 1e-6
     init: str = USER_MEANS
     seed: Optional[int] = None
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be positive")
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
         if self.init not in (USER_MEANS, SEEDED_RANDOM):
             raise ValueError(f"unknown init: {self.init!r}")
         if self.init == SEEDED_RANDOM and self.seed is None:
@@ -120,7 +116,7 @@ def kmeans(
     With init=user_means, centroid j is seeded from the mean of points
     currently labeled with the j-th distinct label, so centroid indexing
     aligns with users. Stops when the relative inertia improvement falls
-    below rel_tol or after max_iter passes. An empty cluster is reseeded
+    below REL_TOL or after MAX_ITER passes. An empty cluster is reseeded
     as ``_assign`` describes.
     """
     points = np.asarray(points, dtype=np.float64)
@@ -135,14 +131,14 @@ def kmeans(
     centroids = _init_centroids(points, params, labels)
     history: list[float] = []
     n_iter = 0
-    for n_iter in range(1, params.max_iter + 1):
+    for n_iter in range(1, MAX_ITER + 1):
         assignment = _assign(points, centroids)
         centroids = _means(points, assignment, params.k)
         inertia = float(np.sum((points - centroids[assignment]) ** 2))
         history.append(inertia)
         if len(history) >= 2:
             prev = history[-2]
-            if prev == 0.0 or (prev - inertia) / prev < params.rel_tol:
+            if prev == 0.0 or (prev - inertia) / prev < REL_TOL:
                 break
 
     # final pass so every point is assigned to its nearest returned centroid

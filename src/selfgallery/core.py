@@ -171,6 +171,8 @@ def gallery_enroll(
     seen: set[int] = set()
     dim = None
     for user, sample in dataset_slice:
+        if not -(2**63) <= user < 2**63:  # Gallery.owner holds keys as int64
+            raise ValueError(f"user key {user} does not fit in int64")
         if sample.id in seen:
             raise ValueError(f"sample id {sample.id} is enrolled more than once")
         seen.add(sample.id)

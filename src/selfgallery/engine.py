@@ -10,6 +10,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import matching, selection
 from .core import SELF_UPDATED, Batch, Gallery, Template, UserGallery
 from .matching import DEFAULT_POLICY, EUCLIDEAN, ThresholdPolicy
@@ -61,8 +63,11 @@ def run_update_cycle(
     """One pass of the classification-selection loop over a single batch.
 
     Sample ids must be new: a batch that repeats an id, or reuses one the
-    gallery already holds, raises ValueError before anything is classified.
+    gallery already holds, raises ValueError before anything is classified,
+    as does a batch index below 1 (index 0 is the enrollment's).
     """
+    if batch.index < 1:
+        raise ValueError(f"batch index {batch.index} < 1: index 0 is the enrollment's")
     _check_new_ids(gallery, batch)
     t0 = time.perf_counter()
     decisions = matching.classify_batch(batch, gallery, t_star, cfg.metric)
@@ -73,12 +78,13 @@ def run_update_cycle(
         u: list(gallery.users[u].templates) for u in gallery.user_ids
     }
     insertions = []  # (sample_id, pseudo_label) in batch order
-    for s, d in zip(batch.samples, decisions):
-        if d.accepted:
-            candidates[d.label].append(
-                Template(sample=s, origin=SELF_UPDATED, inserted_at_batch=batch.index)
-            )
-            insertions.append((s.id, d.label))
+    accepted = np.flatnonzero(decisions.accepted)
+    for i, label in zip(accepted.tolist(), decisions.label[accepted].tolist()):
+        s = batch.samples[i]
+        candidates[label].append(
+            Template(sample=s, origin=SELF_UPDATED, inserted_at_batch=batch.index)
+        )
+        insertions.append((s.id, label))
 
     t0 = time.perf_counter()
     chosen = selection.select(cfg.method, candidates, cfg.p)

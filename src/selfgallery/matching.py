@@ -104,20 +104,6 @@ class ThresholdPolicy:
 DEFAULT_POLICY = ThresholdPolicy.far_quantile(0.01)
 
 
-@dataclass(frozen=True)
-class PseudoLabelDecision:
-    """Outcome of classifying one unlabelled sample against the gallery."""
-
-    sample_id: int
-    accepted: bool
-    distance: float  # min distance to the globally nearest template
-    label: Optional[int] = None  # pseudo-label, set iff accepted
-
-    def __post_init__(self):
-        if self.accepted and self.label is None:
-            raise ValueError("accepted decision needs a pseudo-label")
-
-
 def _distances_to_rows(v: np.ndarray, rows: np.ndarray, metric: str) -> np.ndarray:
     diff = rows - v
     if metric == EUCLIDEAN:
@@ -244,12 +230,15 @@ def estimate_threshold(
 
 def classify_batch(
     batch: Batch, gallery: Gallery, t_star: float, metric: str = EUCLIDEAN
-) -> list[PseudoLabelDecision]:
+) -> np.recarray:
     """Pseudo-label every sample of a batch against the current gallery.
 
     Each sample is matched to the globally nearest template; it is
     accepted with that template's owner as pseudo-label iff the distance
-    is strictly below t*. Decisions come back in input order.
+    is strictly below t*. Returns one record per sample, in input order:
+    ``sample_id`` (int64), ``accepted`` (bool), ``distance`` (float64,
+    to the nearest template) and ``label`` (int64, that template's owner,
+    a pseudo-label only where ``accepted``). An empty batch gives 0 rows.
     """
     if not t_star >= 0:  # also refuses NaN, which would reject every probe
         raise ValueError("t* must be non-negative")
@@ -258,13 +247,12 @@ def classify_batch(
             raise ValueError(
                 f"sample {s.id} has dim {s.dim}, gallery dim {gallery.dim}"
             )
-    if not batch.samples:
-        return []
     mat, owners = gallery.vectors, gallery.owner
     x = np.array([s.vector for s in batch.samples])
     yy = _sq_norms(mat)
-    labels, dists = [], []
-    for lo in range(0, x.shape[0], _BLOCK):
+    labels = np.empty(len(batch), dtype=np.int64)
+    dists = np.empty(len(batch))
+    for lo in range(0, len(batch), _BLOCK):
         xb = x[lo : lo + _BLOCK]
         if metric != EUCLIDEAN:  # no Gram identity: every row, one probe at a time
             block = np.array([_distances_to_rows(v, mat, metric) for v in xb])
@@ -276,14 +264,12 @@ def classify_batch(
             block.fill(np.inf)  # rows outside the band cannot be nearest
             block[i, j] = _exact_pairs(xb, i, mat, j)
         best = block.argmin(axis=1)  # the first row on ties
-        labels += owners[best].tolist()
-        dists += block[np.arange(best.size), best].tolist()
-    return [
-        PseudoLabelDecision(
-            sample_id=s.id, accepted=d < t_star, distance=d, label=label if d < t_star else None
-        )
-        for s, label, d in zip(batch.samples, labels, dists)
-    ]
+        labels[lo : lo + _BLOCK] = owners[best]
+        dists[lo : lo + _BLOCK] = block[np.arange(best.size), best]
+    ids = np.fromiter((s.id for s in batch.samples), dtype=np.int64, count=len(batch))
+    return np.rec.fromarrays(
+        [ids, dists < t_star, dists, labels], names="sample_id,accepted,distance,label"
+    )
 
 
 def distance_columns(test: Batch, samples, metric: str = EUCLIDEAN) -> dict[int, np.ndarray]:

@@ -9,7 +9,14 @@ from typing import Sequence
 
 import numpy as np
 
-from selfgallery.clustering import USER_MEANS, Clustering, KMeansParams, _assign
+from selfgallery.clustering import (
+    MAX_ITER,
+    REL_TOL,
+    USER_MEANS,
+    Clustering,
+    KMeansParams,
+    _assign,
+)
 from selfgallery.core import Template
 
 MIN_SUM = "min_sum_pairwise_sq"
@@ -74,14 +81,14 @@ def masked_mean_kmeans(points, params: KMeansParams, labels=None) -> Clustering:
         rng = np.random.default_rng(params.seed)
         centroids = points[rng.choice(points.shape[0], size=params.k, replace=False)].copy()
     history = []
-    for n_iter in range(1, params.max_iter + 1):
+    for n_iter in range(1, MAX_ITER + 1):
         assignment = _assign(points, centroids)
         centroids = np.stack([points[assignment == c].mean(axis=0) for c in range(params.k)])
         inertia = float(np.sum((points - centroids[assignment]) ** 2))
         history.append(inertia)
         if len(history) >= 2:
             prev = history[-2]
-            if prev == 0.0 or (prev - inertia) / prev < params.rel_tol:
+            if prev == 0.0 or (prev - inertia) / prev < REL_TOL:
                 break
     assignment = _assign(points, centroids)
     inertia = float(np.sum((points - centroids[assignment]) ** 2))

@@ -97,6 +97,15 @@ def test_enroll_rejects_a_repeated_sample_id():
         gallery_enroll([(1, s), (2, s)])
 
 
+def test_enroll_rejects_a_user_key_outside_int64():
+    s0, s1 = make_sample(0, [0.0], user=1), make_sample(1, [9.0], user=2)
+    for key in (2**63, -(2**63) - 1):
+        with pytest.raises(ValueError, match=f"user key {key} does not fit in int64"):
+            gallery_enroll([(key, s0), (1, s1)])
+    g = gallery_enroll([(2**63 - 1, s0), (-(2**63), s1)])
+    assert g.owner.tolist() == [-(2**63), 2**63 - 1]
+
+
 def test_row_accessors_follow_user_then_insertion_order():
     # users enrolled out of id order, sample ids out of order within a user
     pairs = [

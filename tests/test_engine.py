@@ -61,6 +61,15 @@ def test_batch_repeating_a_sample_id_is_rejected():
         run_update_cycle(g0, batch, _cfg("mdist", 1), t_star=0.5)
 
 
+@pytest.mark.parametrize("t_star", [0.5, 0.05])  # the probe is accepted, then rejected
+def test_batch_index_zero_is_rejected(t_star):
+    # index 0 is the enrollment's; with no probe accepted it used to pass
+    g0 = gallery_1d({1: [0.0], 2: [10.0]}, cap=2)
+    batch = Batch(index=0, samples=(make_sample(5, [0.1]),))
+    with pytest.raises(ValueError, match="batch index 0 < 1"):
+        run_update_cycle(g0, batch, _cfg("mdist", 2), t_star=t_star)
+
+
 def test_classification_uses_pre_cycle_gallery_only():
     # 0.4 would be accepted only if 0.2 were already inserted; both must be
     # judged against the pre-cycle gallery

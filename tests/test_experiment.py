@@ -5,6 +5,7 @@ import pytest
 
 from selfgallery.core import gallery_enroll
 from selfgallery.dataio import split_batches
+from selfgallery import experiment
 from selfgallery.engine import EngineConfig, run_sequence
 from selfgallery.experiment import NO_UPDATE, ExperimentConfig, run_experiment
 from selfgallery.matching import ThresholdPolicy
@@ -146,3 +147,35 @@ def test_scatter_files_hold_the_final_gallery_scores(tmp_path, metric):
             export_score_scatter(ev["per_subject"], expected)
             written = (tmp_path / f"scatter_run{run}_{method}.csv").read_text()
             assert written == expected.getvalue()
+
+
+def _untimed_rows(path):
+    """A metrics CSV's rows without the wall-clock ``*_ms`` columns."""
+    with open(path) as fh:
+        return [{k: v for k, v in r.items() if not k.endswith("_ms")} for r in csv.DictReader(fh)]
+
+
+@pytest.mark.parametrize("failing_run", [1, 2])
+def test_a_failed_run_flushes_the_finished_runs(tmp_path, monkeypatch, failing_run):
+    real, calls = experiment.run_sequence, []
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) == failing_run:  # one method per run: call n is run n's
+            raise RuntimeError("run failed")
+        return real(*args)
+
+    monkeypatch.setattr(experiment, "run_sequence", failing)
+    with pytest.raises(RuntimeError, match="run failed"):
+        run_experiment(_cfg(out_dir=tmp_path / "out"))
+    assert not (tmp_path / "out" / "metrics.csv").exists()
+    if failing_run == 1:  # nothing finished: nothing to flush
+        assert not (tmp_path / "out" / "metrics.partial.csv").exists()
+        assert not (tmp_path / "out" / "FAILED").exists()
+        return
+    assert (tmp_path / "out" / "FAILED").exists()
+    monkeypatch.setattr(experiment, "run_sequence", real)
+    run_experiment(_cfg(runs=1, out_dir=tmp_path / "run1"))
+    partial = _untimed_rows(tmp_path / "out" / "metrics.partial.csv")
+    assert partial == _untimed_rows(tmp_path / "run1" / "metrics.csv")
+    assert {r["run"] for r in partial} == {"1"}

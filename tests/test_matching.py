@@ -322,14 +322,15 @@ def test_far_quantile_is_the_sorted_pool_order_statistic(q):
 
 
 def _classify_by_row(batch, gallery, t_star, metric):
-    """classify_batch as one exact distance row per probe, first column on ties."""
+    """classify_batch as one exact distance row per probe, first column on ties;
+    the label is the nearest owner whether or not the probe is accepted."""
     mat, owners = gallery.vectors, gallery.owner
     out = []
     for s in batch.samples:
         dists = _distances_to_rows(s.vector, mat, metric)
         i = int(np.argmin(dists))
         d = float(dists[i])
-        out.append((s.id, d < t_star, d, int(owners[i]) if d < t_star else None))
+        out.append((s.id, d < t_star, d, int(owners[i])))
     return out
 
 
@@ -451,7 +452,10 @@ def test_estimate_threshold_screens_each_pair_once(monkeypatch, policy):
 
 @pytest.mark.parametrize("metric", ["euclidean", "l1"])
 def test_classify_empty_batch(abc_gallery, metric):
-    assert classify_batch(Batch(index=1, samples=()), abc_gallery, 0.4, metric) == []
+    out = classify_batch(Batch(index=1, samples=()), abc_gallery, 0.4, metric)
+    assert isinstance(out, np.recarray) and out.shape == (0,)
+    assert out.dtype.names == ("sample_id", "accepted", "distance", "label")
+    assert [out.dtype[f] for f in out.dtype.names] == [np.int64, np.bool_, np.float64, np.int64]
 
 
 def test_classify_rejects_nan_threshold(abc_gallery):
