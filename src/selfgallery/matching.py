@@ -278,9 +278,9 @@ def distance_columns(test: Batch, samples, metric: str = EUCLIDEAN) -> dict[int,
     if not samples:
         return {}
     dim = samples[0].dim
-    for s in test.samples:
+    for s in (*samples, *test.samples):
         if s.dim != dim:
-            raise ValueError(f"dimension mismatch: sample {s.dim} vs gallery {dim}")
+            raise ValueError(f"dimension mismatch: sample {s.id} has dim {s.dim}, expected {dim}")
     x = np.array([s.vector for s in test.samples]).reshape(-1, dim)
     return {s.id: _distances_to_rows(s.vector, x, metric) for s in samples}
 

@@ -10,14 +10,20 @@ Objectives always use squared euclidean, even when matching uses l1.
 
 Exact selection screens every size-p subset of the id-sorted candidates
 and decides only on exact sums. Subsets come in lexicographic order, in
-blocks built in numpy one level at a time: each prefix carries its pairwise
-sum and its row sums over the squared distance matrix, so a child's screen
-is its parent's sum plus one entry of those row sums. A screen is thus the
-sum of the subset's m = p(p-1)/2 pair entries in some order, and so is its
-exact value, taken by ``subset_objectives`` bit for bit as the test
-reference ``subset_objective`` (``tests/oracles.py``) takes it; that file
-also holds the brute-force subset oracle the fast paths are checked
-against.
+blocks of at most EXACT_CHUNK. When all C = C(n, p) subsets fit in one
+block and their C x m pair entries, m = p(p-1)/2, number at most
+16 x EXACT_CHUNK (p <= 6 at every such n), the block comes from a table
+cached per (n, p): the subsets' index rows and their pairs' flat indices
+into the squared distance matrix, m x C, so the screen is m gathers
+summed. Other inputs, such as n = 200 and p = 199, whose pair index would
+take 31 MB, build their blocks in numpy one prefix-tree level at a time:
+each prefix carries its pairwise sum and its row sums over the matrix, so
+a child's screen is its parent's sum plus one entry of those row sums.
+Either way a screen is the sum of the subset's m pair entries in some
+order, and so is its exact value, taken by ``subset_objectives`` bit for
+bit as the test reference ``subset_objective`` (``tests/oracles.py``)
+takes it; that file also holds the brute-force subset oracle the fast
+paths are checked against.
 
 Why screening is safe: the entries are >= 0 (``_sq_dists`` clips at 0),
 so any order of summing them lies within gamma * T of the true sum T, with
@@ -50,6 +56,8 @@ thread count; the benchmark pins one thread.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
 
@@ -98,15 +106,34 @@ def _children(sqmat: np.ndarray, p: int, k: int, last, part, rows):
     return parent, a, np.add(part[:, None], rows[:, :w]).take(flat)
 
 
+@lru_cache(maxsize=128)  # 123 (n, p) pass _blocks' size bound, 3.3 MB in all
+def _subset_table(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The size-p subsets of range(n) in lexicographic order, as read-only
+    (C, p) index rows, and each subset's m = p(p-1)/2 upper-triangle pairs
+    as read-only (m, C) flat indices into an n x n matrix."""
+    rows = np.array(list(combinations(range(n), p)), dtype=np.intp)
+    i, j = np.triu_indices(p, k=1)
+    pairs = rows.T[i] * n + rows.T[j]
+    rows.flags.writeable = pairs.flags.writeable = False
+    return rows, pairs
+
+
 def _blocks(sqmat: np.ndarray, p: int):
     """Screened size-p subsets of range(n) in lexicographic order, in blocks.
 
-    A block is the whole subtrees of consecutive prefixes, at most
+    C(n, p) <= EXACT_CHUNK subsets make one block, screened from the cached
+    ``_subset_table`` when its pair indices number at most 16 x EXACT_CHUNK.
+    Otherwise a block is the whole subtrees of consecutive prefixes, at most
     EXACT_CHUNK subsets, or the at most n children of one (p-1)-prefix.
     Yields ``(screen, subsets)``, where ``subsets(i)`` returns the index
     rows of the block's subsets ``i``.
     """
     n = len(sqmat)
+    count = comb(n, p)
+    if count <= EXACT_CHUNK and count * (p * (p - 1) // 2) <= 16 * EXACT_CHUNK:
+        rows, pairs = _subset_table(n, p)
+        yield sqmat.take(pairs).sum(axis=0), lambda i: rows[i]
+        return
 
     def whole(cols, part, rows):
         k0, last, trail = cols.shape[1], cols[:, -1], []

@@ -261,6 +261,18 @@ def test_distance_columns_are_exact_rows_by_sample_id():
     assert matching.distance_columns(test, []) == {}
 
 
+def test_distance_columns_rejects_a_sample_of_another_dim_before_any_distance(monkeypatch):
+    computed = []
+    monkeypatch.setattr(
+        matching, "_distances_to_rows", lambda *args: computed.append(args) or np.zeros(1)
+    )
+    test = Batch(index=6, samples=(make_sample(0, [0.0, 1.0]),))
+    samples = [make_sample(40, [1.0, 1.0]), make_sample(41, [2.0, 0.0]), make_sample(42, [3.0])]
+    with pytest.raises(ValueError, match="dimension mismatch: sample 42 has dim 1, expected 2"):
+        matching.distance_columns(test, samples)
+    assert computed == []
+
+
 def test_score_sets_reads_only_its_templates_columns(abc_gallery):
     test = Batch(index=6, samples=(make_sample(30, [0.3], user=1), make_sample(31, [1.2], user=3)))
     columns = gallery_columns(test, abc_gallery)

@@ -589,6 +589,95 @@ def test_enumerate_best_at_the_budget_holds_no_subset_table():
     assert _ids(chosen) == _chunked_reference_ids(cands, p, maximize=False)
 
 
+def test_enumerate_best_at_a_large_p_keeps_the_tree():
+    # C(200, 199) = 200 subsets make one block, but their 199 x 198 / 2 pairs
+    # each would make a 31.5 MB pair index
+    n, p = 200, 199
+    cands = make_templates(np.random.default_rng(9).normal(size=(n, 2)))
+    tracemalloc.start()
+    try:
+        chosen = selection._enumerate_best(cands, p, maximize=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert _ids(chosen) == _chunked_reference_ids(cands, p, maximize=False, chunk=4)
+
+
+@pytest.mark.parametrize("n, p", [(7, 6), (12, 6), (20, 3), (45, 2), (9, 1), (5, 5)])
+def test_subset_table_rows_and_pairs(n, p):
+    rows, pairs = selection._subset_table(n, p)
+    assert rows.tolist() == [list(c) for c in itertools.combinations(range(n), p)]
+    assert not rows.flags.writeable and not pairs.flags.writeable
+    assert pairs.shape == (p * (p - 1) // 2, len(rows))
+    for row, flat in zip(rows.tolist(), pairs.T.tolist()):
+        assert [divmod(f, n) for f in flat] == list(itertools.combinations(row, 2))
+
+
+def _count_children(monkeypatch):
+    calls, children = [], selection._children
+
+    def counting(*args):
+        calls.append(1)
+        return children(*args)
+
+    monkeypatch.setattr(selection, "_children", counting)
+    return calls
+
+
+@pytest.mark.parametrize("maximize", [False, True])
+def test_enumerate_best_one_block_reads_the_subset_table(monkeypatch, maximize):
+    calls = _count_children(monkeypatch)
+    rng = np.random.default_rng(21)
+    for n in range(7, 13):  # C(12, 6) = 924 <= EXACT_CHUNK
+        cands = make_templates(rng.normal(size=(n, 4)))
+        assert _ids(selection._enumerate_best(cands, 6, maximize)) == _chunked_reference_ids(
+            cands, 6, maximize
+        )
+    assert calls == []
+
+
+@pytest.mark.parametrize("maximize", [False, True])
+def test_enumerate_best_over_one_chunk_walks_the_tree(monkeypatch, maximize):
+    calls = _count_children(monkeypatch)
+    cands = make_templates(np.random.default_rng(22).normal(size=(13, 4)))
+    assert comb(13, 6) > selection.EXACT_CHUNK
+    assert _ids(selection._enumerate_best(cands, 6, maximize)) == _chunked_reference_ids(
+        cands, 6, maximize
+    )
+    assert calls
+
+
+def _overflowing_templates(n):
+    # three positive vectors near 1e155: their squared norms and their dot
+    # products overflow, so the Gram expansion gives inf between one of them
+    # and a small vector, and inf - inf = NaN between two of them; the other
+    # pairs stay finite
+    rng = np.random.default_rng(23)
+    x = rng.normal(size=(n, 2))
+    x[[4, 7, n - 1]] = 1e155 * (1 + np.abs(x[[4, 7, n - 1]]))
+    return make_templates(x)
+
+
+@pytest.mark.parametrize("select", [select_mdist, select_dend])
+def test_nan_screen_in_one_block_keeps_every_subset(select):
+    cands = _overflowing_templates(10)
+    assert comb(10, 6) <= selection.EXACT_CHUNK
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _chunked_reference_ids(cands, 6, select is select_dend, chunk=selection.EXACT_CHUNK)
+        assert _ids(select(cands, 6)) == want
+    assert want == [0, 1, 2, 3, 4, 7]  # the first subset whose objective is NaN
+
+
+@pytest.mark.parametrize("select", [select_mdist, select_dend])
+def test_nan_screen_over_several_blocks_returns_p_candidates(select):
+    cands = _overflowing_templates(16)
+    assert comb(16, 6) > selection.EXACT_CHUNK
+    with np.errstate(over="ignore", invalid="ignore"):
+        ids = _ids(select(cands, 6))
+    assert len(set(ids)) == 6 and set(ids) <= set(range(16))
+
+
 def _select_as_engine_branched(method, candidates, p):
     """The per-method branch run_update_cycle held before ``select``."""
     if method == selection.KEEP_ALL:
