@@ -2,6 +2,16 @@
 
 Squared euclidean is always the clustering metric, independently of the
 matching metric; the selection objectives are written with squares.
+
+Each Lloyd pass does only the work whose result can differ from the pass
+before. ``_means`` reduces again only the clusters whose members changed,
+and the loop stops assigning at a fixed point: once a pass assigns the
+grouping its centroids were reduced from, the centroids, the inertia and
+every later assignment repeat bit for bit. That is exact because
+``_assign`` gives the same result for identical inputs within one process,
+which ``tests/oracles.py::masked_mean_kmeans`` already assumes by sharing
+it. The repeated inertia still meets the unchanged break rule, so a NaN or
+inf history runs to MAX_ITER, as the reference does.
 """
 
 from __future__ import annotations
@@ -41,13 +51,33 @@ class Clustering:
     inertia_history: tuple[float, ...] = ()
 
 
-def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    p2 = np.sum(points * points, axis=1)[:, None]
-    c2 = np.sum(centroids * centroids, axis=1)[None, :]
-    return np.maximum(p2 + c2 - 2.0 * (points @ centroids.T), 0.0)
+def _sq_dists(
+    points: np.ndarray, centroids: np.ndarray, p2: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Squared distances, n x k, with ``p2`` the points' squared norms
+    (taken here unless given). Built in place in the operation order of
+    ``np.maximum(p2 + c2 - 2.0 * (points @ centroids.T), 0.0)``, so bitwise
+    equal to it."""
+    if p2 is None:
+        p2 = np.sum(points * points, axis=1)
+    d2 = np.add(p2[:, None], np.sum(centroids * centroids, axis=1))
+    g = points @ centroids.T
+    g *= 2.0
+    d2 -= g
+    return np.maximum(d2, 0.0, out=d2)
 
 
-def _assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+def _sq_residuals(points: np.ndarray, centroids: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``(points - centroids[index]) ** 2``, built in place on the one
+    gathered copy."""
+    r = centroids[index]
+    np.subtract(points, r, out=r)
+    return np.square(r, out=r)
+
+
+def _assign(
+    points: np.ndarray, centroids: np.ndarray, p2: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Nearest-centroid assignment that leaves no cluster empty.
 
     Each empty cluster, in index order, takes the point farthest from its
@@ -55,7 +85,7 @@ def _assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     repair never empties a cluster, and never re-takes a point it moved,
     since a moved point is alone in its new cluster.
     """
-    d2 = _sq_dists(points, centroids)
+    d2 = _sq_dists(points, centroids, p2)
     assignment = np.argmin(d2, axis=1)
     counts = np.bincount(assignment, minlength=centroids.shape[0])
     cur = d2[np.arange(points.shape[0]), assignment]
@@ -67,30 +97,52 @@ def _assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return assignment
 
 
-def _means(points: np.ndarray, groups: np.ndarray, k: int) -> np.ndarray:
+def _means(
+    points: np.ndarray,
+    groups: np.ndarray,
+    k: int,
+    prev_groups: Optional[np.ndarray] = None,
+    prev_means: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """Mean of the rows of each group 0..k-1; every group must be nonempty.
 
-    One pass: a stable sort by group gathers the rows once, and group c's
-    block is the contiguous slice between the c-th and (c+1)-th entries of
-    one cumulative count. That slice holds the same rows, in the same order
-    and memory layout, as the masked copy ``points[groups == c]``; numpy
-    reduces it along the same path and divides by the same count. So the
-    result is bitwise equal to ``points[groups == c].mean(axis=0)`` for
-    every c and every d, d=1 included.
+    Given the grouping ``prev_groups`` that ``prev_means`` were reduced
+    from, only the groups some point entered or left are reduced again. An
+    unchanged group gathers the same rows in the same order, so its mean is
+    bitwise the old one. Without a previous grouping every group is reduced.
+
+    One pass: a stable sort by group gathers the reduced groups' rows once,
+    and each group's block is a contiguous slice between two entries of one
+    cumulative count. That slice holds the same rows, in the same order and
+    memory layout, as the masked copy ``points[groups == c]``; numpy reduces
+    it along the same path and divides by the same count. So the result is
+    bitwise equal to ``points[groups == c].mean(axis=0)`` for every c and
+    every d, d=1 included.
     """
-    rows = points[np.argsort(groups, kind="stable")]
-    counts = np.bincount(groups, minlength=k)
+    if prev_groups is None:
+        redo = np.ones(k, dtype=bool)
+        out = np.empty((k, points.shape[1]))
+    else:
+        moved = groups != prev_groups
+        redo = np.zeros(k, dtype=bool)
+        redo[groups[moved]] = True
+        redo[prev_groups[moved]] = True
+        out = prev_means.copy()
+    todo = np.flatnonzero(redo)
+    counts = np.bincount(groups, minlength=k)[todo]
+    idx = np.flatnonzero(redo[groups])
+    rows = points[idx[np.argsort(groups[idx], kind="stable")]]
     ends = np.cumsum(counts).tolist()
-    out = np.empty((k, points.shape[1]))
-    for c, (lo, hi) in enumerate(zip([0] + ends[:-1], ends)):
+    for c, lo, hi in zip(todo.tolist(), [0] + ends[:-1], ends):
         np.add.reduce(rows[lo:hi], axis=0, out=out[c])
-    out /= counts[:, None]
+    out[todo] /= counts[:, None]
     return out
 
 
 def _init_centroids(
     points: np.ndarray, params: KMeansParams, labels: Optional[Sequence[int]]
-) -> np.ndarray:
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Initial centroids and the grouping they were reduced from, if any."""
     if params.init == USER_MEANS:
         if labels is None:
             raise ValueError("user_means init needs point labels")
@@ -100,10 +152,11 @@ def _init_centroids(
             raise ValueError(
                 f"user_means init: {len(uniq)} distinct labels but k={params.k}"
             )
-        return _means(points, np.searchsorted(uniq, labels), params.k)
+        groups = np.searchsorted(uniq, labels)
+        return _means(points, groups, params.k), groups
     rng = np.random.default_rng(params.seed)
     idx = rng.choice(points.shape[0], size=params.k, replace=False)
-    return points[idx].copy()
+    return points[idx], None
 
 
 def kmeans(
@@ -118,6 +171,13 @@ def kmeans(
     aligns with users. Stops when the relative inertia improvement falls
     below REL_TOL or after MAX_ITER passes. An empty cluster is reseeded
     as ``_assign`` describes.
+
+    Once a pass assigns the grouping the current centroids were reduced
+    from (a fixed point), no later pass calls ``_assign`` or ``_means``:
+    each would repeat that pass bit for bit, so a later pass only records
+    the same inertia, and that pass's assignment serves as the final one.
+    The result is bitwise that of running every pass and a final
+    ``_assign``.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] == 0:
@@ -128,22 +188,29 @@ def kmeans(
     if labels is not None and len(labels) != n:
         raise ValueError(f"{len(labels)} labels for {n} points")
 
-    centroids = _init_centroids(points, params, labels)
+    p2 = np.sum(points * points, axis=1)
+    centroids, groups = _init_centroids(points, params, labels)
     history: list[float] = []
+    settled = False
     n_iter = 0
     for n_iter in range(1, MAX_ITER + 1):
-        assignment = _assign(points, centroids)
-        centroids = _means(points, assignment, params.k)
-        inertia = float(np.sum((points - centroids[assignment]) ** 2))
+        if not settled:
+            assignment = _assign(points, centroids, p2)
+            settled = groups is not None and np.array_equal(assignment, groups)
+            if not (settled and history):  # else this pass repeats the last one
+                centroids = _means(points, assignment, params.k, groups, centroids)
+                inertia = float(_sq_residuals(points, centroids, assignment).sum())
+            groups = assignment
         history.append(inertia)
         if len(history) >= 2:
             prev = history[-2]
             if prev == 0.0 or (prev - inertia) / prev < REL_TOL:
                 break
 
-    # final pass so every point is assigned to its nearest returned centroid
-    assignment = _assign(points, centroids)
-    inertia = float(np.sum((points - centroids[assignment]) ** 2))
+    if not settled:
+        # final pass so every point is assigned to its nearest returned centroid
+        assignment = _assign(points, centroids, p2)
+        inertia = float(_sq_residuals(points, centroids, assignment).sum())
     return Clustering(
         assignment=assignment,
         centroids=centroids,

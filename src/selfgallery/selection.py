@@ -63,7 +63,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .clustering import KMeansParams, _sq_dists, kmeans
+from .clustering import KMeansParams, _sq_dists, _sq_residuals, kmeans
 from .core import Template
 
 KMEANS = "kmeans"
@@ -288,7 +288,7 @@ def select_kmeans(
     cl = kmeans(points, KMeansParams(k=k), labels=user_index)
 
     dom = np.bincount(user_index * k + cl.assignment, minlength=k * k).reshape(k, k).argmax(axis=1)
-    d2 = np.sum((points - cl.centroids[dom[user_index]]) ** 2, axis=1)
+    d2 = _sq_residuals(points, cl.centroids, dom[user_index]).sum(axis=1)
     order = np.lexsort((d2, user_index)).tolist()  # stable: equal distances keep id order
 
     result: dict[int, list[Template]] = {}
