@@ -9,42 +9,87 @@ distance from a set of samples to a test batch once, row by row, and
 ``score_sets`` takes each user's least over its templates' columns. A run
 scores all its snapshots against one test batch from one such table.
 
-Euclidean classification and thresholds screen, then score exactly.
+Euclidean classification and thresholds screen, then score exactly, as in
+the exact re-ranking of approximate nearest-neighbour search (Jegou, Douze
+& Schmid, "Product quantization for nearest neighbor search", TPAMI 2011).
 ``classify_batch`` (each probe's nearest template in the whole gallery)
 and ``estimate_threshold`` (an order statistic of the cross-user pool)
 first screen every pair with the Gram expansion
-g = |x|^2 + |y|^2 - 2 x.y of its squared distance, in blocks of at most
-``_BLOCK`` rows. A block's products x.y come from BLAS matrix products
-over column tiles of at most ``_TILE`` = 262144 multiply-adds (m rows x
-n columns x d). OpenBLAS runs a GEMM of that size on the calling thread:
+g = |x|^2 + |y|^2 - 2 x.y of its squared distance, and only the exact
+kernel ``_distances_to_rows`` decides.
+
+Operands. A call subtracts the gallery mean c from the gallery rows and
+the probes in float64 and rounds the results to the screen dtype: float32,
+or float64 where the bound below does not hold in float32. Distances do
+not change under translation, but the bound grows with squared norms, so
+centring keeps the band narrow under a large common offset.
+
+Tiles. Blocks of at most ``_BLOCK`` rows are screened by one stacked
+``np.matmul`` each, against a (tiles, d, step) copy of the centred gallery
+built once per call. Every 2-D slice of that product is a block's rows (for
+d > _TILE / _BLOCK, a group of them) against one tile of columns, at most
+``_TILE`` = 262144 multiply-adds (m rows x step columns x d); only d > _TILE
+exceeds it, at one row against one column. numpy issues one GEMM per
+slice, and OpenBLAS runs a GEMM of that size on the calling thread:
 ``interface/gemm.c`` threads only above SMP_THRESHOLD_MIN (65536) x
-GEMM_MULTITHREAD_THRESHOLD (4, its build default). So a search never
-waits on BLAS worker threads, which stall under CPU contention. Under
-another BLAS, or another OpenBLAS build, only the timing can move, never
-a result, because of the bound below. For a pair of dimension d, g lies
-within
+GEMM_MULTITHREAD_THRESHOLD (4, its build default). So a search never waits
+on BLAS worker threads, which stall under CPU contention. Under another
+BLAS, or another OpenBLAS build, only the timing can move, never a result.
 
-    tau = 8 (d + 4) (u (|x|^2 + max |y|^2) + eta)
+Bound. Let u be the screen dtype's unit round-off (eps/2), eta its
+smallest subnormal, d the dimension, and N = |x|^2 + max |y|^2 the sum of
+the probe's and the largest gallery row's centred squared norms, as
+computed in that dtype. If (d + 4) u <= 2^-10 and N <= max/16 (the dtype's
+largest finite value), then g lies within
 
-of the exact kernel's squared distance (``_distances_to_rows`` before its
-square root), u = eps/2 being the unit round-off and eta the smallest
-subnormal. tau covers the rounding of the expansion, in any summation
-order, plus that of the exact kernel, about twice over. So a probe's
-exact nearest row screens within 2 tau of its least screen: only the
-pairs in that band are scored again, by ``_distances_to_rows``, and only
-those exact values decide. Distances, labels, the lowest-index tie rule
-and t* are therefore bitwise those of the row-by-row kernel. A large
-feature norm, such as a common offset on every coordinate, widens the
-band and costs time but never changes a result, and a screen that
-overflows keeps every pair. L1 has no Gram identity:
-it still scores every row, one probe at a time, and takes its t* from
-``impostor_pool``.
+    tau = 8 (d + 4) (u N + eta)
+
+of the exact kernel's squared distance (before its square root). By
+Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 2002,
+section 3.1, a dot product of length n evaluated in any order errs by at
+most gamma_n |x|.|y| (gamma_n = n u / (1 - n u)) plus n eta for underflow.
+To first order in u, and with D = |x - y|^2 exactly:
+- rounding x - c to float64 and then to the screen dtype moves each
+  coordinate by at most (1 + 2^-28) u |x_i - c_i| + eta/2, and D by at
+  most 6 u N + 2 d eta^2/u, where eta/u <= 2^-125;
+- the expansion errs by gamma_d in x.y and in each squared norm and by u in
+  each of its two additions: (2 d + 4) u N + 4 d eta, whatever the
+  summation order of BLAS or einsum;
+- the exact kernel errs, in float64, by (2 d + 4) u_64 N + d eta_64.
+That is about (2 d + 10) u N + 4 d eta in float32, and (4 d + 14) u N
++ 5 d eta in float64: tau covers the u N terms twice over and the eta
+terms at least 1.6 times. The margin absorbs the second-order terms,
+which (d + 4) u <= 2^-10 keeps below 0.2%, and tau's own float64
+rounding. N <= max/16 keeps every value finite: |x.y| <= N/2, so no
+partial sum, product, screen or limit exceeds max/7.
+
+A call screens in float32 when the bound holds there for all its pairs,
+and otherwise in float64 through the same ``_screen``, with float64's u
+and eta. Where it fails in float64 too (a squared norm near 1e307, or
+coordinates near 1e154 and above), tau is infinite and every pair is
+scored exactly, inf distances included: a screen that overflows keeps
+every pair.
+
+Bands. A probe's exact nearest row screens within 2 tau of its least
+screen. ``classify_batch`` takes each probe's least screen; only a probe
+whose runner-up screen also lies within 2 tau can have another nearest
+row, and only that probe's band is scored again, in row order, so the
+first row wins ties; each probe's distance is then scored exactly from its
+nearest row. The 2 tau margin also keeps rows that tie only after
+the square root. Each limit (least screen + 2 tau, or the screened order
+statistic -/+ 2 tau) is summed once in float64, rounded to the screen
+dtype and moved one step outward, so no comparison narrows the band; NaN
+compares false, so it keeps its pair. Distances, labels, the lowest-index
+tie rule and t* are therefore bitwise those of the row-by-row kernel. L1
+has no Gram identity: it still scores every row, one probe at a time, and
+takes its t* from ``impostor_pool``.
 
 ``estimate_threshold`` screens each cross-user pair once, under zero-FAR
-and FAR-quantile alike. It holds one buffer of 8-byte screens, in
-``impostor_pool``'s pair order, plus a transient copy of it while the
-screened order statistic is found; the band is then read from the buffer
-by position, so the peak is about two pool-sized arrays.
+and FAR-quantile alike. It holds one buffer of screens in the screen dtype
+(4 bytes each in float32), in ``impostor_pool``'s pair order, plus a
+transient copy of it while a FAR quantile's screened order statistic is
+found (zero-FAR takes the minimum in place); the band is then read from
+the buffer by position, so the peak is about two pool-sized arrays.
 """
 
 from __future__ import annotations
@@ -64,8 +109,13 @@ METRICS = (EUCLIDEAN, L1)
 _BLOCK = 64  # rows per Gram screen block
 _TILE = 1 << 18  # multiply-adds per screen GEMM: OpenBLAS keeps it on one thread
 _GATHER = 1 << 14  # feature values per exact re-scoring gather: at most 128 KiB per copy
-_U = np.finfo(np.float64).eps / 2
-_ETA = np.finfo(np.float64).smallest_subnormal
+_DIM_LIMIT = 2.0**-10  # largest (d + 4) u for which tau is claimed (module docstring)
+# per screen dtype, in the order tried: unit round-off u, smallest subnormal
+# eta, and the largest squared-norm sum screened (beyond it tau is infinite)
+_ROUNDING = {
+    t: (float(i.eps) / 2, float(i.smallest_subnormal), float(i.max) / 16)
+    for t, i in ((t, np.finfo(t)) for t in (np.float32, np.float64))
+}
 
 
 @dataclass(frozen=True)
@@ -117,24 +167,72 @@ def _sq_norms(m: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", m, m)
 
 
-def _screen(x, xx, y, yy) -> np.ndarray:
-    """Gram-expanded squared distances of rows x to rows y: a screen, never a score."""
-    # one GEMM per column tile of at most _TILE multiply-adds, which OpenBLAS
-    # runs on the calling thread (module docstring); under another BLAS only
-    # the timing can move, since tau covers any summation order
-    g = np.empty((x.shape[0], y.shape[0]))
-    step = max(1, _TILE // x.size)  # columns per tile; x.size = m k
-    for lo in range(0, y.shape[0], step):
-        np.matmul(x, y[lo : lo + step].T, out=g[:, lo : lo + step])
+def _outward(value, toward: float, dtype):
+    """A screen limit: ``value``, one float64 sum, rounded to ``dtype`` and
+    moved one step toward ``toward``, beyond the exact sum either way."""
+    return np.nextafter(value.astype(dtype), dtype.type(toward))
+
+
+def _stack(mat: np.ndarray, centre: np.ndarray, dtype, m: int):
+    """Gallery rows less ``centre``, rounded to ``dtype``, as column tiles for
+    screen blocks of at most m rows: a zero-padded (tiles, d, step) array with
+    m step d <= _TILE where d <= _TILE / m, and the columns' squared norms."""
+    n, d = mat.shape
+    tiles = -(-n // max(1, _TILE // (m * d)))
+    step = -(-n // tiles)  # balanced: only the last tile is partial
+    stack = np.empty((tiles, d, step), dtype)
+    cols = stack.transpose(0, 2, 1)  # cols[t, s] is gallery row t step + s
+    full, rest = divmod(n, step)
+    head = mat[: full * step].reshape(full, step, d)
+    np.subtract(head, centre, out=cols[:full], casting="same_kind")
+    if rest:
+        np.subtract(mat[full * step :], centre, out=cols[full, :rest], casting="same_kind")
+        cols[full, rest:] = 0
+    return stack, np.einsum("tds,tds->ts", stack, stack).reshape(-1)
+
+
+def _operands(mat: np.ndarray, x: np.ndarray, m: int):
+    """The screen's operands: the gallery ``mat`` stacked (``_stack``) and
+    the rows of ``x``, both less the gallery's mean and rounded to the
+    screen dtype, their squared norms in it, and tau for each row of x
+    against every gallery row.
+
+    The dtype is float32 unless tau is not claimed in it (module docstring),
+    then float64; where float64 is not claimed either, tau is infinite."""
+    n, d = mat.shape
+    centre = mat.sum(axis=0) / n  # the gallery mean
+    for dtype, (u, eta, top) in _ROUNDING.items():
+        stack, yy = _stack(mat, centre, dtype, m)
+        xc = np.empty(x.shape, dtype)
+        np.subtract(x, centre, out=xc, casting="same_kind")
+        xx = yy[:n] if x is mat else _sq_norms(xc)
+        if (d + 4) * u <= _DIM_LIMIT and xx.max() + yy.max() <= top:  # NaN fails too
+            scale = 8.0 * (d + 4)
+            tau = np.multiply(xx, scale * u, dtype=np.float64) + scale * (u * float(yy.max()) + eta)
+            return stack, yy, xc, xx, tau
+    return stack, yy, xc, xx, np.full(xx.shape, np.inf)  # a screen could overflow: keep every pair
+
+
+def _screen(x, xx, stack, yy) -> np.ndarray:
+    """Gram-expanded squared distances of rows x to the columns of ``stack``:
+    a screen, never a score. One stacked GEMM over every column tile."""
+    tiles, d, step = stack.shape
+    m = x.shape[0]
+    # row groups of at most _TILE / (d step) rows: more than one only if d > _TILE / _BLOCK
+    parts = -(-m // max(1, _TILE // (d * step)))
+    rows = -(-m // parts)
+    if parts * rows != m:
+        x = np.concatenate([x, np.zeros((parts * rows - m, d), x.dtype)])
+    g = np.empty((parts * rows, tiles * step), x.dtype)
+    # slice (p, t) of the product is row group p against tile t, written in
+    # place into g's rows and columns: at most _TILE multiply-adds each
+    out = g.reshape(parts, rows, tiles, step).transpose(0, 2, 1, 3)
+    np.matmul(x.reshape(parts, 1, rows, d), stack, out=out)
+    g = g[:m]
     g *= -2.0
     g += xx[:, None]
     g += yy
     return g
-
-
-def _tau(d: int, norms):
-    """Bound on |screen - exact squared distance| for pairs whose squared norms sum to ``norms``."""
-    return 8.0 * (d + 4) * (_U * norms + _ETA)
 
 
 def _exact_pairs(a: np.ndarray, ia: np.ndarray, b: np.ndarray, ib: np.ndarray) -> np.ndarray:
@@ -176,33 +274,49 @@ def impostor_pool(gallery: Gallery, metric: str = EUCLIDEAN) -> np.ndarray:
     return pool
 
 
-def _cross_order_statistic(mat: np.ndarray, row_end: np.ndarray, count: int, k: int) -> float:
-    """k-th smallest euclidean cross-user distance, bitwise as in impostor_pool."""
+def _cross_screens(mat: np.ndarray, row_end: np.ndarray, count: int):
+    """Every cross-user pair's screen, in impostor_pool's row-major pair
+    order, and the largest tau of any pair."""
     n = mat.shape[0]
-    yy = _sq_norms(mat)
-    screens = np.empty(count)  # in impostor_pool's row-major pair order
-    pos = 0
+    stack, yy, y, _, tau = _operands(mat, mat, min(n, _BLOCK))
+    step = stack.shape[2]
+    screens = np.empty(count, y.dtype)
+    pos, ends = 0, row_end.tolist()
     for lo in range(0, n, _BLOCK):
-        c0 = row_end[lo]  # segments are contiguous: no later row has a partner before c0
+        c0 = ends[lo]  # segments are contiguous: no later row has a partner before c0
         if c0 == n:  # the last user's rows have no partner after them
             break
-        rows = slice(lo, lo + _BLOCK)
-        g = _screen(mat[rows], yy[rows], mat[c0:], yy[c0:])
-        vals = g[np.arange(c0, n) >= row_end[rows, None]]
-        screens[pos : pos + vals.size] = vals
-        pos += vals.size
-    a = np.partition(screens, k)[k]  # on a copy: screens keeps its pair order
+        hi = min(lo + _BLOCK, n)
+        t0 = c0 // step  # the first tile holding a partner
+        g = _screen(y[lo:hi], yy[lo:hi], stack[t0:], yy[t0 * step :])
+        r, off = lo, t0 * step
+        while r < hi:  # one copy per user's rows in the block: partners end..n
+            end = ends[r]
+            r_next = end if end < hi else hi
+            size = (r_next - r) * (n - end)
+            out = screens[pos : pos + size].reshape(r_next - r, n - end)
+            out[...] = g[r - lo : r_next - lo, end - off : n - off]
+            pos += size
+            r = r_next
+    return screens, tau.max()
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a screen may overflow: its tau is then infinite
+def _cross_order_statistic(mat: np.ndarray, row_end: np.ndarray, count: int, k: int) -> float:
+    """k-th smallest euclidean cross-user distance, bitwise as in impostor_pool."""
+    screens, tau = _cross_screens(mat, row_end, count)  # the operands are freed by now
+    a = screens.min() if k == 0 else np.partition(screens, k)[k]  # a copy keeps the pair order
     # Every screen is within tau of its exact value, so the exact k-th value
     # lies within tau of a: pairs screened below a - 2 tau are certainly
     # below it, pairs above a + 2 tau certainly above, and the band between
     # holds it at rank k - below.
-    band = 2 * _tau(mat.shape[1], 2 * yy.max())
-    low = screens < a - band
+    low = screens < _outward(a - 2 * tau, -np.inf, screens.dtype)
     below = np.count_nonzero(low)
-    at = np.flatnonzero(~(low | (screens > a + band)))  # NaN keeps a pair
+    high = screens > _outward(a + 2 * tau, np.inf, screens.dtype)
+    at = np.flatnonzero(~(low | high))  # NaN keeps a pair
     # row i's partners are the n - row_end[i] rows from row_end[i] on, and
     # its screens start at first[i]
-    width = n - row_end
+    width = mat.shape[0] - row_end
     first = np.cumsum(width) - width
     i = np.searchsorted(first, at, side="right") - 1
     exact = _exact_pairs(mat, i, mat, row_end[i] + at - first[i])
@@ -228,6 +342,41 @@ def estimate_threshold(
     return float(pool[k])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a screen may overflow: its tau is then infinite
+def _nearest(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """Index of each row of x's euclidean-nearest row of mat, the first on ties."""
+    n = mat.shape[0]
+    stack, yy, xc, xx, tau = _operands(mat, x, min(x.shape[0], _BLOCK))
+    band = 2 * tau
+    near = np.empty(x.shape[0], dtype=np.intp)
+    for lo in range(0, x.shape[0], _BLOCK):
+        rows = slice(lo, lo + _BLOCK)
+        g = _screen(xc[rows], xx[rows], stack, yy)[:, :n]
+        best = g.argmin(axis=1)  # NaN first, when there is one
+        r = np.arange(best.size)
+        least = g[r, best]
+        limit = _outward(least + band[rows], np.inf, xc.dtype)
+        g[r, best] = np.inf
+        runner_up = g.min(axis=1)
+        g[r, best] = least
+        near[rows] = best
+        # only a probe whose runner-up screens inside the band can have
+        # another nearest row: score its band exactly, in row order
+        for i in np.flatnonzero(~(runner_up > limit)):  # NaN keeps its probe
+            cand = np.flatnonzero(~(g[i] > limit[i]))  # NaN keeps a pair
+            near[lo + i] = cand[_distances_to_rows(x[lo + i], mat[cand], EUCLIDEAN).argmin()]
+    return near
+
+
+def _probe_rows(batch: Batch, dim: int) -> np.ndarray:
+    """The batch's vectors as one (len(batch), dim) array."""
+    try:
+        return np.array([s.vector for s in batch.samples]).reshape(len(batch), dim)
+    except ValueError:  # ragged or of another width: name the first offending sample
+        s = next(s for s in batch.samples if s.dim != dim)
+        raise ValueError(f"sample {s.id} has dim {s.dim}, gallery dim {dim}") from None
+
+
 def classify_batch(
     batch: Batch, gallery: Gallery, t_star: float, metric: str = EUCLIDEAN
 ) -> np.recarray:
@@ -242,33 +391,21 @@ def classify_batch(
     """
     if not t_star >= 0:  # also refuses NaN, which would reject every probe
         raise ValueError("t* must be non-negative")
-    for s in batch.samples:
-        if s.dim != gallery.dim:
-            raise ValueError(
-                f"sample {s.id} has dim {s.dim}, gallery dim {gallery.dim}"
-            )
+    x = _probe_rows(batch, gallery.dim)
     mat, owners = gallery.vectors, gallery.owner
-    x = np.array([s.vector for s in batch.samples])
-    yy = _sq_norms(mat)
-    labels = np.empty(len(batch), dtype=np.int64)
-    dists = np.empty(len(batch))
-    for lo in range(0, len(batch), _BLOCK):
-        xb = x[lo : lo + _BLOCK]
-        if metric != EUCLIDEAN:  # no Gram identity: every row, one probe at a time
-            block = np.array([_distances_to_rows(v, mat, metric) for v in xb])
-        else:
-            xx = _sq_norms(xb)
-            block = _screen(xb, xx, mat, yy)
-            limit = block.min(axis=1) + 2 * _tau(x.shape[1], xx + yy.max())  # NaN keeps its probe
-            i, j = np.nonzero(~(block > limit[:, None]))  # NaN keeps a pair
-            block.fill(np.inf)  # rows outside the band cannot be nearest
-            block[i, j] = _exact_pairs(xb, i, mat, j)
-        best = block.argmin(axis=1)  # the first row on ties
-        labels[lo : lo + _BLOCK] = owners[best]
-        dists[lo : lo + _BLOCK] = block[np.arange(best.size), best]
+    if metric == EUCLIDEAN:
+        near = _nearest(x, mat) if len(x) else np.empty(0, dtype=np.intp)
+        dists = _exact_pairs(x, np.arange(near.size), mat, near)
+    else:  # no Gram identity: every row, one probe at a time
+        near = np.empty(len(x), dtype=np.intp)
+        dists = np.empty(len(x))
+        for i, v in enumerate(x):
+            row = _distances_to_rows(v, mat, metric)
+            near[i] = row.argmin()  # the first row on ties
+            dists[i] = row[near[i]]
     ids = np.fromiter((s.id for s in batch.samples), dtype=np.int64, count=len(batch))
     return np.rec.fromarrays(
-        [ids, dists < t_star, dists, labels], names="sample_id,accepted,distance,label"
+        [ids, dists < t_star, dists, owners[near]], names="sample_id,accepted,distance,label"
     )
 
 

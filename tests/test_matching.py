@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selfgallery import matching
 from selfgallery.core import Batch, gallery_enroll
@@ -460,6 +462,129 @@ def test_estimate_threshold_screens_each_pair_once(monkeypatch, policy):
     g, _ = _screen_gallery(rng, 8, counts, 0.0)
     estimate_threshold(g, policy)
     assert len(calls) == math.ceil((sum(counts) - counts[-1]) / _BLOCK)
+
+
+def _assert_screened_paths_equal_references(g, probes):
+    """classify_batch and estimate_threshold against the row-by-row references."""
+    batch = Batch(index=1, samples=tuple(make_sample(1000 + i, v) for i, v in enumerate(probes)))
+    pool = np.sort(impostor_pool(g))
+    assert estimate_threshold(g, ThresholdPolicy.zero_far()) == float(pool[0])
+    for q in (0.01, 0.2):
+        t = estimate_threshold(g, ThresholdPolicy.far_quantile(q))
+        assert t == float(pool[max(0, math.ceil(q * pool.size) - 1)])
+        for t_star in (t, math.inf):
+            decisions = classify_batch(batch, g, t_star)
+            got = [(d.sample_id, d.accepted, d.distance, d.label) for d in decisions]
+            assert got == _classify_by_row(batch, g, t_star, "euclidean")
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    dim=st.sampled_from([1, 2, 3, 8]),
+    offset=st.sampled_from([0.0, 1e4, 1e8]),
+    scale=st.sampled_from([1.0, 1e-3, 1e-40]),  # 1e-40: float32 subnormal coordinates
+    counts=st.lists(st.integers(1, 4), min_size=2, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_screen_at_float32_rounding_edges(dim, offset, scale, counts, seed):
+    # few lattice anchors, every row an anchor moved a few float32 ulps per
+    # coordinate: exact duplicates and near-ties across users, common offsets
+    # that swamp the anchors, and distances that underflow float32
+    rng = np.random.default_rng(seed)
+    anchors = offset + scale * rng.integers(-2, 3, (3, dim))
+
+    def near_anchors(n):
+        a = anchors[rng.integers(0, len(anchors), n)]
+        return a + rng.integers(-3, 4, a.shape) * np.spacing(a.astype(np.float32)).astype(float)
+
+    sid = itertools.count()
+    g = gallery_enroll(
+        [(u, make_sample(next(sid), v, user=u))
+         for u, c in enumerate(counts, start=1) for v in near_anchors(c)]
+    )
+    _assert_screened_paths_equal_references(g, list(near_anchors(_BLOCK + 9)) + list(g.vectors))
+
+
+@pytest.mark.parametrize("c", [1e155, 3e157, 1e160])
+def test_screen_overflowing_float64_keeps_every_pair(c):
+    # squares past 1.8e308 overflow float64: many exact distances are inf,
+    # and a probe whose every distance is inf takes the first row
+    rows = [(1, [c, c]), (1, [c, -c]), (2, [-c, c]), (3, [-c, -c]), (3, [c / 2, c]),
+            (4, [c, c]), (4, [c, 0.999 * c]), (5, [-c, 0.999 * c])]
+    g = gallery_enroll([(u, make_sample(i, v, user=u)) for i, (u, v) in enumerate(rows)])
+    origin = Batch(index=1, samples=(make_sample(0, [0.0, 0.0]),))
+    (_, _, nearest, _), = _classify_by_row(origin, g, math.inf, "euclidean")
+    assert math.isinf(nearest)  # every template's distance from the origin is inf
+    probes = [[c, c], [-c, -c], [0.0, 0.0], [c, 0.9995 * c], [-c, 0.0], [0.0, c], [c / 3, -c]]
+    _assert_screened_paths_equal_references(g, probes)
+
+
+@pytest.mark.parametrize("side", ["both", "below"])
+@pytest.mark.parametrize(
+    "edge",
+    [
+        float(np.finfo(np.float32).max),  # a float32 squared norm overflows past it
+        float(np.finfo(np.float32).max) / 16,
+        float(np.finfo(np.float64).max) / 16,
+    ],
+)
+def test_screen_rows_at_an_overflow_edge(edge, side):
+    # d = 2 rows at (+-f a, +-f a) have centred squared norm a^2 edge (each
+    # template's negation is enrolled too: the gallery mean is 0). "both":
+    # templates and probes on both sides of the edge, a probe at 0.9997 f
+    # nearest a template at 1.0005 f; "below": every norm below the edge,
+    # and a probe at 0.67 f whose cross term -2 x.y with a template at
+    # 0.999 f overflows while its own template's does not
+    f = math.sqrt(edge / 2)
+    hi, lo = (1.0005, 0.9995) if side == "both" else (0.9995, 0.9990)
+    rows = [(1, [hi, hi]), (2, [hi, -hi]), (3, [lo, lo]), (3, [-lo, lo]), (4, [0.67, 0.67])]
+    rows += [(u + 4, [-a, -b]) for u, (a, b) in rows]
+    g = gallery_enroll([(u, make_sample(i, f * np.array(v), user=u))
+                        for i, (u, v) in enumerate(rows)])
+    probes = [f * np.array(v) for v in ([0.9997, 0.9997], [hi, hi], [-hi, lo], [lo, -lo],
+                                        [0.0, 0.0], [0.67, 0.67], [0.6, 0.7])]
+    if side == "both":
+        probes += [f * np.array([1.0002, 1.0002]), f * np.array([3.0, 3.0])]
+    _assert_screened_paths_equal_references(g, probes)
+
+
+@pytest.mark.parametrize("dim", [1, 16, 64, 128, 4100])
+def test_screen_gemms_stay_on_the_calling_thread(monkeypatch, dim):
+    # OpenBLAS runs a GEMM of at most _TILE multiply-adds on the calling
+    # thread: every 2-D product the screen issues stays within it, and each
+    # _screen call issues one stacked np.matmul, with no loop over tiles
+    screen, matmul = matching._screen, np.matmul
+    screens, products = [], []
+
+    def counting(*args):
+        screens.append(None)
+        return screen(*args)
+
+    def recording(a, b, *args, **kwargs):
+        products.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(matching, "_screen", counting)
+    monkeypatch.setattr(np, "matmul", recording)
+    rng = np.random.default_rng(dim)
+    g, shared = _screen_gallery(rng, dim, [3, 2, 1, 4] * 15, 0.0)  # 150 rows
+    probes = [shared] + list(rng.normal(2.0, 1.5, (2 * _BLOCK + 7, dim)))
+    batch = Batch(index=1, samples=tuple(make_sample(1000 + i, v) for i, v in enumerate(probes)))
+    classify_batch(batch, g, 1.0)
+    estimate_threshold(g, ThresholdPolicy.far_quantile(0.2))
+    assert len(products) == len(screens) == 3 + 3  # blocks of the batch and of the gallery
+    assert max(products) <= _TILE
+
+
+def test_classify_names_the_first_sample_of_another_dim(abc_gallery):
+    samples = (make_sample(10, [0.1]), make_sample(11, [0.1, 0.2]),
+               make_sample(12, [1.0, 2.0, 3.0]))
+    with pytest.raises(ValueError, match="sample 11 has dim 2, gallery dim 1"):  # ragged
+        classify_batch(Batch(index=1, samples=samples), abc_gallery, 0.4)
+    samples = (make_sample(13, [0.0, 1.0]), make_sample(14, [2.0, 3.0]))
+    for metric in METRICS:
+        with pytest.raises(ValueError, match="sample 13 has dim 2, gallery dim 1"):
+            classify_batch(Batch(index=1, samples=samples), abc_gallery, 0.4, metric)
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "l1"])
