@@ -576,6 +576,29 @@ def test_screen_gemms_stay_on_the_calling_thread(monkeypatch, dim):
     assert max(products) <= _TILE
 
 
+@pytest.mark.parametrize("offset", [0.0, 1e4])
+def test_classify_rescores_only_probes_whose_runner_up_is_in_the_band(monkeypatch, offset):
+    # templates 10 apart: a probe near one of them scores only its nearest
+    # pair exactly; a probe halfway between two ties, so its band is scored
+    kernel, scored = matching._distances_to_rows, []
+
+    def counting(v, rows, metric):
+        scored.append(len(rows))
+        return kernel(v, rows, metric)
+
+    g = gallery_enroll([(u, make_sample(u, [10.0 * u + offset, offset], user=u))
+                        for u in range(1, 31)])
+    near = [[10.0 * u + 0.3 + offset, offset - 0.2] for u in range(1, 31)] * 3
+    batch = Batch(index=1, samples=tuple(make_sample(100 + i, v) for i, v in enumerate(near)))
+    monkeypatch.setattr(matching, "_distances_to_rows", counting)
+    classify_batch(batch, g, math.inf)
+    assert sum(scored) == len(near)
+    scored.clear()
+    tie = Batch(index=1, samples=batch.samples + (make_sample(999, [155.0 + offset, offset]),))
+    (*_, last) = classify_batch(tie, g, math.inf)
+    assert sum(scored) == len(near) + 1 + 2 and (last.label, last.distance) == (15, 5.0)
+
+
 def test_classify_names_the_first_sample_of_another_dim(abc_gallery):
     samples = (make_sample(10, [0.1]), make_sample(11, [0.1, 0.2]),
                make_sample(12, [1.0, 2.0, 3.0]))
