@@ -18,7 +18,8 @@ from . import selection
 from .core import gallery_enroll
 from .dataio import Split, load_dataset, split_batches
 from .engine import EngineConfig, run_sequence
-from .matching import DEFAULT_POLICY, EUCLIDEAN, ThresholdPolicy, distance_columns
+from .matching import DEFAULT_POLICY, EUCLIDEAN, ThresholdPolicy
+from .matching import distance_columns, per_subject_scores
 from .metrics import evaluate_snapshot, export_score_scatter, fmt9, impostor_fraction
 from .synthgen import SynthParams, generate
 
@@ -76,15 +77,15 @@ def _row(*values) -> dict:
 
 
 def _run_one(
-    cfg: ExperimentConfig, run: int, split: Split
+    cfg: ExperimentConfig, run: int, split: Split, scatter: bool
 ) -> tuple[list[dict], dict[str, dict]]:
-    """All rows for one seeded run; also the final gallery's per-subject
-    scores per method."""
+    """All rows for one seeded run; also, if ``scatter``, the final gallery's
+    per-subject scores per method."""
     rows: list[dict] = []
-    finals: dict[str, dict] = {}
 
     # galleries are immutable: one enrollment serves the baseline and every method
     g0 = gallery_enroll(split.enroll, cap=cfg.p)
+    finals = {NO_UPDATE: g0}
     # every snapshot holds only enroll and adaptation samples: one table scores them all
     samples = [s for _, s in split.enroll] + [s for b in split.adaptation for s in b.samples]
     columns = distance_columns(split.test, samples, cfg.metric)
@@ -96,7 +97,6 @@ def _run_one(
             _row(run, batch, NO_UPDATE, base_eval["eer"], 0.0, 0.0, 0.0,
                  base_eval["gallery_bytes"])
         )
-    finals[NO_UPDATE] = base_eval["per_subject"]
 
     for method in cfg.methods:
         engine_cfg = EngineConfig(
@@ -105,8 +105,7 @@ def _run_one(
         ev0 = evaluate_snapshot(g0, split.test, columns, cfg.bytes_per_template)
         rows.append(_row(run, 0, method, ev0["eer"], 0.0, 0.0, 0.0,
                          ev0["gallery_bytes"]))
-        _, reports, snapshots = run_sequence(g0, list(split.adaptation), engine_cfg)
-        ev = ev0
+        finals[method], reports, snapshots = run_sequence(g0, list(split.adaptation), engine_cfg)
         for cycle, (report, snap) in enumerate(zip(reports, snapshots), start=1):
             ev = evaluate_snapshot(snap, split.test, columns, cfg.bytes_per_template)
             frac, _ = impostor_fraction(snap)
@@ -122,8 +121,8 @@ def _run_one(
                     ev["gallery_bytes"],
                 )
             )
-        finals[method] = ev["per_subject"]  # the final gallery is the last snapshot
-    return rows, finals
+    return rows, ({m: per_subject_scores(split.test, g, columns) for m, g in finals.items()}
+                  if scatter else {})
 
 
 def aggregate_rows(rows: list[dict]) -> list[dict]:
@@ -167,6 +166,7 @@ def run_experiment(cfg: ExperimentConfig):
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
 
+    scatter = out_dir is not None and cfg.write_scatter
     all_rows: list[dict] = []
     try:
         for run in range(1, cfg.runs + 1):
@@ -178,12 +178,11 @@ def run_experiment(cfg: ExperimentConfig):
                 strict=cfg.strict,
                 chronological=cfg.chronological,
             )
-            rows, finals = _run_one(cfg, run, split)
+            rows, finals = _run_one(cfg, run, split, scatter)
             all_rows.extend(rows)
-            if out_dir is not None and cfg.write_scatter:
-                for method, per_subject in finals.items():
-                    with open(out_dir / f"scatter_run{run}_{method}.csv", "w") as fh:
-                        export_score_scatter(per_subject, fh)
+            for method, per_subject in finals.items():
+                with open(out_dir / f"scatter_run{run}_{method}.csv", "w") as fh:
+                    export_score_scatter(per_subject, fh)
     except Exception:
         if out_dir is not None and all_rows:
             _write_csv(out_dir / "metrics.partial.csv", ROW_FIELDS, all_rows)

@@ -4,10 +4,10 @@ Scores are raw distances (smaller is better). Acceptance is strict:
 a probe is taken for gallery insertion only when its distance to the
 globally nearest template is < t*.
 
-Evaluation searches nothing: ``distance_columns`` computes every exact
-distance from a set of samples to a test batch once, row by row, and
-``score_sets`` takes each user's least over its templates' columns. A run
-scores all its snapshots against one test batch from one such table.
+Evaluation searches nothing: ``distance_columns`` tables every exact distance
+from a set of samples to a test batch, a block of samples per reduction, and
+``score_sets`` takes each user's least over its templates' rows as arrays. A
+run scores all its snapshots against one test batch from one such table.
 
 Euclidean classification and thresholds screen, then score exactly, as in
 the exact re-ranking of approximate nearest-neighbour search (Jegou, Douze
@@ -154,13 +154,17 @@ class ThresholdPolicy:
 DEFAULT_POLICY = ThresholdPolicy.far_quantile(0.01)
 
 
-def _distances_to_rows(v: np.ndarray, rows: np.ndarray, metric: str) -> np.ndarray:
-    diff = rows - v
+def _norms(diff: np.ndarray, metric: str) -> np.ndarray:
+    """The metric's norm of each row of a 2-D array: every exact distance's reduction."""
     if metric == EUCLIDEAN:
         return np.sqrt(np.einsum("ij,ij->i", diff, diff))
     if metric == L1:
         return np.sum(np.abs(diff), axis=1)
     raise ValueError(f"unknown metric: {metric!r}")
+
+
+def _distances_to_rows(v: np.ndarray, rows: np.ndarray, metric: str) -> np.ndarray:
+    return _norms(rows - v, metric)
 
 
 def _sq_norms(m: np.ndarray) -> np.ndarray:
@@ -410,46 +414,65 @@ def classify_batch(
 
 
 def distance_columns(test: Batch, samples, metric: str = EUCLIDEAN) -> dict[int, np.ndarray]:
-    """Exact distances of every test sample to each of the list ``samples``, by
-    sample id: ``score_sets`` reads any gallery of these samples from them."""
+    """Exact distances of every test sample to each of the list ``samples``, by sample
+    id: rows of one table. A block's (test - sample) rows hold at most ``_GATHER`` values
+    (or one sample's) and reduce by ``_norms``: bitwise ``_distances_to_rows``."""
     if not samples:
         return {}
-    dim = samples[0].dim
-    for s in (*samples, *test.samples):
-        if s.dim != dim:
-            raise ValueError(f"dimension mismatch: sample {s.id} has dim {s.dim}, expected {dim}")
-    x = np.array([s.vector for s in test.samples]).reshape(-1, dim)
-    return {s.id: _distances_to_rows(s.vector, x, metric) for s in samples}
+    dim, t = samples[0].dim, len(test)
+    step = max(1, _GATHER // max(1, t * dim))
+    table = np.empty((len(samples), t))
+    try:
+        x = np.array([s.vector for s in test.samples]).reshape(t, dim)
+        for lo in range(0, len(samples), step):
+            part = samples[lo : lo + step]
+            y = np.array([s.vector for s in part]).reshape(len(part), 1, dim)
+            table[lo : lo + step] = _norms((x - y).reshape(-1, dim), metric).reshape(len(part), t)
+    except ValueError:  # ragged or of another width: name the first offending sample
+        s = next((s for s in (*samples, *test.samples) if s.dim != dim), None)
+        if s is None:
+            raise  # not a width: an unknown metric
+        msg = f"dimension mismatch: sample {s.id} has dim {s.dim}, expected {dim}"
+        raise ValueError(msg) from None
+    return dict(zip((s.id for s in samples), table))
+
+
+def _nearest_by_user(test: Batch, gallery: Gallery, columns: dict[int, np.ndarray]):
+    """The gallery's users, each test sample's least distance to each of them
+    (test x users), and whether that user is the sample's own."""
+    users = gallery.user_ids
+    truth = np.fromiter((s.true_user for s in test.samples), dtype=np.int64, count=len(test))
+    own = truth[:, None] == np.array(users, dtype=np.int64)
+    known = own.any(axis=1)
+    if not known.all():
+        s = test.samples[int(np.argmin(known))]
+        raise ValueError(f"test sample {s.id}: true user {s.true_user} is not enrolled")
+    try:
+        rows = [columns[sid] for sid in gallery.sample_id.tolist()]
+    except KeyError as missing:
+        raise ValueError(f"template sample {missing.args[0]} has no distance column") from None
+    starts = np.searchsorted(gallery.owner, users)  # owner ascends: each user's first row
+    nearest = np.minimum.reduceat(np.array(rows), starts, axis=0).T
+    return users, nearest, own
 
 
 def score_sets(test: Batch, gallery: Gallery, columns: dict[int, np.ndarray]):
-    """Genuine and impostor score sets of a test batch against the gallery.
+    """Genuine and impostor score sets of a test batch against the gallery,
+    as float64 arrays, sample by sample and, within a sample, user by user.
 
     genuine: each sample's min distance to its own user's gallery.
     impostor: one score per (sample, other user) pair.
-    per_subject groups both by the gallery owner that was probed.
     ``columns`` are the test batch's ``distance_columns`` over the gallery's samples.
     """
-    users = gallery.user_ids
-    enrolled = set(users)
-    for s in test.samples:
-        if s.true_user not in enrolled:
-            raise ValueError(
-                f"test sample {s.id}: true user {s.true_user} is not enrolled"
-            )
-    ids = gallery.sample_id.tolist()
-    for sid in ids:
-        if sid not in columns:
-            raise ValueError(f"template sample {sid} has no distance column")
-    starts = np.searchsorted(gallery.owner, users)  # owner ascends: each user's first row
-    nearest = np.minimum.reduceat(np.array([columns[sid] for sid in ids]), starts, axis=0).T
-    truth = np.array([s.true_user for s in test.samples], dtype=np.int64)
-    own = truth[:, None] == np.array(users, dtype=np.int64)
-    per_subject = {
-        u: {
-            "genuine": nearest[own[:, j], j].tolist(),
-            "impostor": nearest[~own[:, j], j].tolist(),
-        }
+    _, nearest, own = _nearest_by_user(test, gallery, columns)
+    return nearest[own], nearest[~own]
+
+
+def per_subject_scores(test: Batch, gallery: Gallery, columns: dict[int, np.ndarray]) -> dict:
+    """``score_sets``' scores grouped by the gallery user probed, as lists:
+    ``{user: {"genuine": [...], "impostor": [...]}}``, every user included."""
+    users, nearest, own = _nearest_by_user(test, gallery, columns)
+    return {
+        u: {"genuine": nearest[own[:, j], j].tolist(), "impostor": nearest[~own[:, j], j].tolist()}
         for j, u in enumerate(users)
     }
-    return nearest[own].tolist(), nearest[~own].tolist(), per_subject

@@ -59,11 +59,11 @@ def impostor_fraction(gallery: Gallery) -> tuple[float, dict[int, float]]:
     Ground truth is read here and nowhere else in the update path.
     """
     users, owner = gallery.user_ids, gallery.owner
-    wrong = (gallery.true_user != owner).tolist()
-    starts = np.searchsorted(owner, users).tolist() + [len(wrong)]  # owner ascends
-    # Python int / int, so every fraction is bitwise the per-template count's
-    per_user = {u: sum(wrong[a:b]) / (b - a) for u, a, b in zip(users, starts, starts[1:])}
-    return sum(wrong) / len(wrong), per_user
+    wrong = (gallery.true_user != owner).astype(np.int64)
+    starts = np.searchsorted(owner, users)  # owner ascends
+    # exact integers below 2^53 divided once, so each fraction is bitwise int / int
+    per_user = np.add.reduceat(wrong, starts) / np.diff(starts, append=wrong.size)
+    return int(wrong.sum()) / wrong.size, dict(zip(users, per_user.tolist()))
 
 
 def storage_capped(p: int, k: int, s: int) -> int:
@@ -102,12 +102,10 @@ def evaluate_snapshot(
     bytes_per_template: Optional[int] = None,
 ):
     """EER and storage of one gallery snapshot, scored from the test batch's columns."""
-    genuine, impostor, per_subject = score_sets(test, gallery, columns)
-    eer = compute_eer(genuine, impostor)
+    genuine, impostor = score_sets(test, gallery, columns)
     return {
-        "eer": eer,
+        "eer": compute_eer(genuine, impostor),
         "gallery_bytes": gallery_bytes(gallery, bytes_per_template),
-        "per_subject": per_subject,
     }
 
 

@@ -1,11 +1,13 @@
 import csv
+import io
 
 import pytest
 
 from selfgallery.cli import main, parse_synth, parse_threshold
+from selfgallery.core import Batch, gallery_enroll
 from selfgallery.dataio import load_dataset
-from selfgallery.matching import _distances_to_rows
-from selfgallery.metrics import fmt9
+from selfgallery.matching import _distances_to_rows, distance_columns, per_subject_scores
+from selfgallery.metrics import export_score_scatter, fmt9
 
 
 def test_parse_synth():
@@ -100,6 +102,14 @@ def test_scatter_subcommand(tmp_path, metric):
                 d = min(_distances_to_rows(t.vector, x, kernel)[0] for t in templates[u])
                 expected.append({"subject": str(u), "score": fmt9(d), "kind": kind})
     assert rows == expected
+    # and the file is per_subject_scores' export, byte for byte
+    enroll = [(u, t) for u in sorted(templates) for t in templates[u]]
+    probes = Batch(index=1, samples=tuple(s for s in samples if s.id not in enrolled))
+    columns = distance_columns(probes, [t for _, t in enroll], kernel)
+    per_subject = per_subject_scores(probes, gallery_enroll(enroll, cap=2), columns)
+    buf = io.StringIO()
+    export_score_scatter(per_subject, buf)
+    assert out.read_text() == buf.getvalue()
 
 
 def test_machine_parsable_error(tmp_path, capsys):

@@ -8,8 +8,8 @@ from selfgallery.dataio import split_batches
 from selfgallery import experiment
 from selfgallery.engine import EngineConfig, run_sequence
 from selfgallery.experiment import NO_UPDATE, ExperimentConfig, run_experiment
-from selfgallery.matching import ThresholdPolicy
-from selfgallery.metrics import evaluate_snapshot, export_score_scatter
+from selfgallery.matching import ThresholdPolicy, per_subject_scores
+from selfgallery.metrics import export_score_scatter
 from selfgallery.synthgen import SynthParams, generate
 
 from conftest import gallery_columns
@@ -143,10 +143,28 @@ def test_scatter_files_hold_the_final_gallery_scores(tmp_path, metric):
             expected = io.StringIO()
             # scored from the final gallery's own samples, not the run's table
             columns = gallery_columns(split.test, gallery, metric)
-            ev = evaluate_snapshot(gallery, split.test, columns)
-            export_score_scatter(ev["per_subject"], expected)
+            export_score_scatter(per_subject_scores(split.test, gallery, columns), expected)
             written = (tmp_path / f"scatter_run{run}_{method}.csv").read_text()
             assert written == expected.getvalue()
+
+
+@pytest.mark.parametrize("out_dir, write_scatter", [(None, True), ("out", False), ("out", True)])
+def test_per_subject_scores_are_built_only_for_scatter_files(
+    tmp_path, monkeypatch, out_dir, write_scatter
+):
+    calls = []
+    real = experiment.per_subject_scores
+    monkeypatch.setattr(
+        experiment, "per_subject_scores", lambda *a: calls.append(a[1]) or real(*a)
+    )
+    out = tmp_path / out_dir if out_dir else None
+    cfg = _cfg(methods=("mdist", "kmeans"), out_dir=out, write_scatter=write_scatter)
+    run_experiment(cfg)
+    written = sorted(p.name for p in out.glob("scatter_*")) if out else []
+    if out is None or not write_scatter:
+        assert calls == [] and written == []
+    else:  # one per run and method, no_update included
+        assert len(calls) == len(written) == cfg.runs * (1 + len(cfg.methods))
 
 
 def _untimed_rows(path):

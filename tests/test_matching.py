@@ -10,6 +10,7 @@ from selfgallery import matching
 from selfgallery.core import Batch, gallery_enroll
 from selfgallery.matching import (
     _BLOCK,
+    _GATHER,
     METRICS,
     _TILE,
     ThresholdPolicy,
@@ -17,6 +18,7 @@ from selfgallery.matching import (
     classify_batch,
     estimate_threshold,
     impostor_pool,
+    per_subject_scores,
     score_sets,
 )
 
@@ -131,13 +133,21 @@ def test_classify_invariant_under_user_permutation():
         assert out == base
 
 
+def _scores(test, gallery, columns):
+    """score_sets' arrays as lists, after checking that both are float64, and
+    per_subject_scores, from the same arguments."""
+    genuine, impostor = score_sets(test, gallery, columns)
+    assert genuine.dtype == impostor.dtype == np.float64
+    return genuine.tolist(), impostor.tolist(), per_subject_scores(test, gallery, columns)
+
+
 def test_score_sets_counts():
     g = gallery_1d({1: [0.0], 2: [10.0]})
     test = Batch(
         index=6,
         samples=(make_sample(20, [0.0], user=1), make_sample(21, [10.0], user=2)),
     )
-    genuine, impostor, per_subject = score_sets(test, g, gallery_columns(test, g))
+    genuine, impostor, per_subject = _scores(test, g, gallery_columns(test, g))
     assert genuine == [0.0, 0.0]
     assert len(impostor) == 2 and all(v > 0 for v in impostor)
     assert len(per_subject[1]["genuine"]) == 1
@@ -146,20 +156,23 @@ def test_score_sets_counts():
 
 def test_score_sets_empty_batch(abc_gallery):
     empty = Batch(index=6, samples=())
-    genuine, impostor, _ = score_sets(empty, abc_gallery, gallery_columns(empty, abc_gallery))
+    genuine, impostor, _ = _scores(empty, abc_gallery, gallery_columns(empty, abc_gallery))
     assert genuine == [] and impostor == []
 
 
 def test_score_sets_three_users_one_sample(abc_gallery):
     test = Batch(index=6, samples=(make_sample(30, [0.05], user=1),))
-    genuine, impostor, _ = score_sets(test, abc_gallery, gallery_columns(test, abc_gallery))
+    genuine, impostor, _ = _scores(test, abc_gallery, gallery_columns(test, abc_gallery))
     assert len(genuine) == 1 and len(impostor) == 2
 
 
 def test_score_sets_rejects_unenrolled(abc_gallery):
-    test = Batch(index=6, samples=(make_sample(30, [0.0], user=99),))
-    with pytest.raises(ValueError, match="99"):
+    test = Batch(index=6, samples=(make_sample(29, [0.0], user=1), make_sample(30, [0.0], user=99),
+                                   make_sample(31, [0.0], user=98)))
+    with pytest.raises(ValueError, match="test sample 30: true user 99 is not enrolled"):
         score_sets(test, abc_gallery, gallery_columns(test, abc_gallery))
+    with pytest.raises(ValueError, match="test sample 30: true user 99 is not enrolled"):
+        per_subject_scores(test, abc_gallery, gallery_columns(test, abc_gallery))
 
 
 def _score_sets_by_user(test, gallery, metric):
@@ -202,7 +215,7 @@ def test_score_sets_equals_per_user_match_score(metric, cap):
     probes.append(make_sample(next(sid), pairs[0][1].vector, user=pairs[0][0]))  # exact hit
     test = Batch(index=6, samples=tuple(probes))
     columns = gallery_columns(test, g, metric)
-    assert score_sets(test, g, columns) == _score_sets_by_user(test, g, metric)
+    assert _scores(test, g, columns) == _score_sets_by_user(test, g, metric)
     # wider galleries and probes over several blocks, with near ties within a user
     for dim in (1, 2, 64, 128, 129):
         for offset in (0.0, 1e4):  # a common offset on every coordinate
@@ -212,7 +225,7 @@ def test_score_sets_equals_per_user_match_score(metric, cap):
                 g, _ = _screen_gallery(rng, dim, counts, offset)
                 test = _evaluation_probes(rng, g, offset, sid)
                 columns = gallery_columns(test, g, metric)
-                assert score_sets(test, g, columns) == _score_sets_by_user(test, g, metric)
+                assert _scores(test, g, columns) == _score_sets_by_user(test, g, metric)
 
 
 def _evaluation_probes(rng, gallery, offset, sid):
@@ -237,7 +250,7 @@ def _evaluation_probes(rng, gallery, offset, sid):
 def test_score_sets_empty_batch_keeps_every_subject(abc_gallery):
     empty = Batch(index=6, samples=())
     columns = gallery_columns(empty, abc_gallery)
-    genuine, impostor, per_subject = score_sets(empty, abc_gallery, columns)
+    genuine, impostor, per_subject = _scores(empty, abc_gallery, columns)
     assert genuine == [] and impostor == []
     assert per_subject == {u: {"genuine": [], "impostor": []} for u in (1, 2, 3)}
 
@@ -263,6 +276,62 @@ def test_distance_columns_are_exact_rows_by_sample_id():
     assert matching.distance_columns(test, []) == {}
 
 
+@pytest.mark.parametrize(
+    "n, t, dim",
+    [
+        (11, 100, 40),  # t d = 4000: blocks of 4, 4 and 3 samples
+        (3, 300, 64),  # t d > _GATHER: one sample per block
+        (10, 1, 5),  # one test sample
+        (6, 0, 3),  # an empty test batch
+    ],
+)
+def test_distance_columns_blocks_are_bitwise_the_row_kernel(monkeypatch, n, t, dim):
+    rng = np.random.default_rng(n * t + dim)
+    samples = [make_sample(100 + i, rng.normal(3.0, 2.0, dim)) for i in range(n)]
+    if n > 1:  # a duplicate and an exact hit on a test sample
+        samples[1] = make_sample(101, samples[0].vector)
+    probes = [make_sample(i, rng.normal(3.0, 2.0, dim)) for i in range(t)]
+    test = Batch(index=6, samples=tuple(probes))
+    if t:
+        samples[-1] = make_sample(100 + n - 1, test.samples[0].vector)
+    x = np.array([s.vector for s in test.samples]).reshape(t, dim)
+    reduce, sizes = matching._norms, []
+    monkeypatch.setattr(
+        matching, "_norms", lambda diff, m: sizes.append(diff.size) or reduce(diff, m)
+    )
+    for metric in METRICS:
+        sizes.clear()
+        columns = matching.distance_columns(test, samples, metric)
+        blocked = list(sizes)
+        assert list(columns) == [s.id for s in samples]
+        for s in samples:
+            assert columns[s.id].shape == (t,)
+            assert columns[s.id].tolist() == _distances_to_rows(s.vector, x, metric).tolist()
+        assert len({id(c.base) for c in columns.values()}) == 1  # views of one table
+        # every block's (test - sample) temporary holds at most _GATHER values,
+        # or one sample's t d where that alone is more
+        assert sum(blocked) == n * t * dim
+        assert all(size <= max(_GATHER, t * dim) for size in blocked)
+        per_block = max(1, _GATHER // max(1, t * dim))
+        assert len(blocked) == -(-n // per_block)
+
+
+def test_distance_columns_names_the_first_sample_of_another_dim_in_any_block():
+    rng = np.random.default_rng(3)
+    test = Batch(index=6, samples=tuple(make_sample(i, rng.normal(size=40)) for i in range(100)))
+    samples = [make_sample(100 + i, rng.normal(size=40)) for i in range(11)]
+    for bad in (1, 5, 10):  # first, middle and last block of 4 samples
+        ragged = samples[:bad] + [make_sample(100 + bad, rng.normal(size=39))] + samples[bad + 1 :]
+        message = f"dimension mismatch: sample {100 + bad} has dim 39, expected 40"
+        with pytest.raises(ValueError, match=message):
+            matching.distance_columns(test, ragged)
+    wide = Batch(index=6, samples=test.samples[:3] + (make_sample(7, rng.normal(size=41)),))
+    with pytest.raises(ValueError, match="dimension mismatch: sample 7 has dim 41, expected 40"):
+        matching.distance_columns(wide, samples)
+    with pytest.raises(ValueError, match="unknown metric"):
+        matching.distance_columns(test, samples, "cosine")
+
+
 def test_distance_columns_rejects_a_sample_of_another_dim_before_any_distance(monkeypatch):
     computed = []
     monkeypatch.setattr(
@@ -280,12 +349,14 @@ def test_score_sets_reads_only_its_templates_columns(abc_gallery):
     columns = gallery_columns(test, abc_gallery)
     # columns of samples outside the gallery change nothing
     extra = matching.distance_columns(test, [make_sample(50, [0.3]), make_sample(51, [9.0])])
-    assert score_sets(test, abc_gallery, {**extra, **columns}) == score_sets(
+    assert _scores(test, abc_gallery, {**extra, **columns}) == _scores(
         test, abc_gallery, columns
     )
     del columns[1]  # user 2's only template
     with pytest.raises(ValueError, match="template sample 1 has no distance column"):
         score_sets(test, abc_gallery, columns)
+    with pytest.raises(ValueError, match="template sample 1 has no distance column"):
+        per_subject_scores(test, abc_gallery, columns)
 
 
 def _masked_pool(gallery, metric):
@@ -503,6 +574,36 @@ def test_screen_at_float32_rounding_edges(dim, offset, scale, counts, seed):
          for u, c in enumerate(counts, start=1) for v in near_anchors(c)]
     )
     _assert_screened_paths_equal_references(g, list(near_anchors(_BLOCK + 9)) + list(g.vectors))
+
+
+def test_tau_covers_rounding_that_adds_up_coherently():
+    # Coordinates of 2^-75 and 2^-74 times few-bit values: the rows are exact
+    # in float32, the gallery mean is 0 and every product and square is a
+    # float32 subnormal, a multiple of eta = 2^-149 plus a fraction. However
+    # BLAS or einsum orders a sum, each term then rounds to the eta grid by
+    # that fraction, in the same direction on every coordinate. Row a (user 1)
+    # is exactly nearest the probe, by 0.57 eta in squared distance, but on
+    # 61 of its 64 coordinates its cross term rounds down and its square up
+    # by almost eta/2, and row b's the other way: a's screen exceeds b's by
+    # 189 eta, more than 2 tau / 6 (tau = 8 (64 + 4) eta). So a tau 6 times
+    # too small drops a from the band, and b's label and distance win; a tau
+    # 5 times too small still keeps a.
+    eta = 2.0**-149
+    kinds = [(1.34765625, 3.63671875)] * 3 + [(2.1796875, 2.59765625)] * 61
+    x = np.full(64, 4.8125 * 2.0**-75)
+    a, b = (np.array(k) * 2.0**-74 for k in zip(*kinds))
+    d_a, d_b = np.sum((x - a) ** 2), np.sum((x - b) ** 2)  # exact: few-bit squares
+    assert d_a / eta == 12.986053466796875 and d_b / eta == 13.553955078125
+    rows = [(1, a), (2, b), (3, -a), (4, -b)]
+    g = gallery_enroll([(u, make_sample(i, v, user=u)) for i, (u, v) in enumerate(rows)])
+    probe = Batch(index=1, samples=(make_sample(9, x),))
+    (decision,) = classify_batch(probe, g, 1.0)
+    assert (decision.label, decision.distance) == (1, math.sqrt(d_a))
+    # t*: the pair (x, a) is the least cross-user pair, and (x, b) screens below it
+    rows = [(1, x), (2, a), (2, b), (3, -x), (3, -a), (3, -b)]
+    g = gallery_enroll([(u, make_sample(i, v, user=u)) for i, (u, v) in enumerate(rows)])
+    assert estimate_threshold(g, ThresholdPolicy.zero_far()) == math.sqrt(d_a)
+    _assert_screened_paths_equal_references(g, [x, a, b, (a + b) / 2])
 
 
 @pytest.mark.parametrize("c", [1e155, 3e157, 1e160])

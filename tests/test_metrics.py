@@ -132,6 +132,24 @@ def test_impostor_fraction_all_swapped():
     assert frac == 1.0
 
 
+def test_impostor_fraction_is_bitwise_the_integer_quotients():
+    rng = np.random.default_rng(8)
+    sid = 0
+    for _ in range(30):
+        pairs = []
+        for user in range(1, int(rng.integers(2, 7))):
+            for _ in range(int(rng.integers(1, 12))):  # counts 1..11: 1/3, 2/7, 5/11, ...
+                truth = user if rng.random() < 0.6 else int(rng.integers(1, 9))
+                pairs.append((user, make_sample(sid, [float(sid)], user=truth)))
+                sid += 1
+        g = gallery_enroll(pairs)
+        frac, per_user = impostor_fraction(g)
+        wrong = {u: [t.sample.true_user != u for t in g.users[u].templates] for u in g.user_ids}
+        assert frac == sum(map(sum, wrong.values())) / len(pairs)
+        assert per_user == {u: sum(w) / len(w) for u, w in wrong.items()}
+        assert all(type(v) is float for v in (frac, *per_user.values()))
+
+
 def test_storage_formulas():
     assert storage_capped(6, 59, 128) == 45312
     # beta=1 reduces the uncapped bound to i * m_bar * k * S
@@ -152,6 +170,7 @@ def test_evaluate_snapshot_self_test_zero_eer():
         samples=(make_sample(10, [0.0], user=1), make_sample(11, [10.0], user=2)),
     )
     ev = evaluate_snapshot(g, test, gallery_columns(test, g))
+    assert set(ev) == {"eer", "gallery_bytes"}  # per-subject lists are built for scatters only
     assert ev["eer"] == 0.0
     assert ev["gallery_bytes"] == 2 * 4 * 1  # 2 templates, 4 bytes per coord
 
