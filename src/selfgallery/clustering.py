@@ -3,15 +3,34 @@
 Squared euclidean is always the clustering metric, independently of the
 matching metric; the selection objectives are written with squares.
 
+Each pass assigns every point to its nearest centroid by exact squared
+distance: matching's ``_sq_norms`` of the coordinate differences
+(``matching._sq_distances``), the first centroid on ties, as
+``tests/oracles.py::exact_assign`` computes it over every pair. It gets
+there the way classification does (``matching``'s module docstring):
+a call centres its points on the mean of its initial centroids and rounds
+them to the screen dtype once, and a screen is the Gram expansion of a
+centred point and a centred centroid, within tau of the exact value, tau
+being matching's bound (``_tau``) with the largest centroid's squared norm.
+A point takes its least screen; only a point with another screen within
+2 tau of it (the limit moved outward, ``_outward``) can have another
+nearest centroid, and only that point's row is scored exactly. The dtype
+is float32 where matching's bound is claimed, else float64; where neither
+is, tau is infinite and every pair is scored exactly. Each pass claims the
+bound again for its centroids; from a pass where it fails, every pair is
+scored exactly.
+
 Each Lloyd pass does only the work whose result can differ from the pass
-before. ``_means`` reduces again only the clusters whose members changed,
-and the loop stops assigning at a fixed point: once a pass assigns the
-grouping its centroids were reduced from, the centroids, the inertia and
-every later assignment repeat bit for bit. That is exact because
-``_assign`` gives the same result for identical inputs within one process,
-which ``tests/oracles.py::masked_mean_kmeans`` already assumes by sharing
-it. The repeated inertia still meets the unchanged break rule, so a NaN or
-inf history runs to MAX_ITER, as the reference does.
+before. The first pass screens every centroid, and a later one only those
+that moved, that is, the clusters ``_means`` reduced again because their
+members changed; the screens of settled clusters are reused (Hamerly,
+"Making k-means even faster", SDM 2010, skips settled work the same way,
+with bounds). The loop stops assigning at a fixed point: once a pass
+assigns the grouping its centroids were reduced from, the centroids, the
+inertia and every later assignment repeat bit for bit, since an exact
+assignment depends on the points and centroids alone. The repeated inertia
+still meets the unchanged break rule, so a NaN or inf history runs to
+MAX_ITER, as the reference does.
 """
 
 from __future__ import annotations
@@ -20,6 +39,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+
+from .matching import _ROUNDING, _outward, _sq_distances, _sq_norms, _tau
 
 USER_MEANS = "user_means"
 SEEDED_RANDOM = "seeded_random"
@@ -51,22 +72,6 @@ class Clustering:
     inertia_history: tuple[float, ...] = ()
 
 
-def _sq_dists(
-    points: np.ndarray, centroids: np.ndarray, p2: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Squared distances, n x k, with ``p2`` the points' squared norms
-    (taken here unless given). Built in place in the operation order of
-    ``np.maximum(p2 + c2 - 2.0 * (points @ centroids.T), 0.0)``, so bitwise
-    equal to it."""
-    if p2 is None:
-        p2 = np.sum(points * points, axis=1)
-    d2 = np.add(p2[:, None], np.sum(centroids * centroids, axis=1))
-    g = points @ centroids.T
-    g *= 2.0
-    d2 -= g
-    return np.maximum(d2, 0.0, out=d2)
-
-
 def _sq_residuals(points: np.ndarray, centroids: np.ndarray, index: np.ndarray) -> np.ndarray:
     """``(points - centroids[index]) ** 2``, built in place on the one
     gathered copy."""
@@ -75,25 +80,84 @@ def _sq_residuals(points: np.ndarray, centroids: np.ndarray, index: np.ndarray) 
     return np.square(r, out=r)
 
 
-def _assign(
-    points: np.ndarray, centroids: np.ndarray, p2: Optional[np.ndarray] = None
-) -> np.ndarray:
+class _Screen:
+    """One call's points and their screens against the centroids (module
+    docstring). The points are centred and rounded to the screen dtype once;
+    each ``nearest`` call screens again only the centroids that moved."""
+
+    @np.errstate(over="ignore", invalid="ignore")  # an overflow fails the bound: every pair exact
+    def __init__(self, points: np.ndarray, centroids: np.ndarray):
+        self.points, self.index = points, np.arange(points.shape[0])
+        self.centre = centroids.sum(axis=0) / centroids.shape[0]
+        for self.dtype in _ROUNDING:  # float32, else float64
+            self.xc = self._centred(points)
+            self.xx = _sq_norms(self.xc)
+            self._rescreen(centroids)
+            if self.tau is not None:
+                return
+        self.dtype = None  # not claimed in float64 either: every pair exact
+
+    def _centred(self, rows: np.ndarray) -> np.ndarray:
+        out = np.empty(rows.shape, self.dtype)
+        np.subtract(rows, self.centre, out=out, casting="same_kind")
+        return out
+
+    def _rescreen(self, centroids: np.ndarray, cols: Optional[np.ndarray] = None) -> None:
+        """Screen the centroids ``cols`` (every one if None) again."""
+        yc = self._centred(centroids if cols is None else centroids[cols])
+        yy = _sq_norms(yc)
+        g = self.xc @ yc.T
+        g *= -2.0
+        g += self.xx[:, None]
+        g += yy
+        if cols is None:
+            self.g, self.yy = g, yy
+        else:
+            self.g[:, cols], self.yy[cols] = g, yy
+        self.seen = centroids
+        self.tau = _tau(self.xx, self.yy.max(), yc.shape[1], self.dtype)
+
+    def nearest(self, centroids: np.ndarray) -> np.ndarray:
+        """Each point's nearest centroid by exact squared distance, the first on ties."""
+        if self.dtype is not None and centroids is not self.seen:
+            moved = np.flatnonzero((centroids != self.seen).any(axis=1))
+            if moved.size:
+                self._rescreen(centroids, moved)
+                if self.tau is None:
+                    self.dtype = None
+        if self.dtype is None:
+            return _sq_distances(self.points, centroids).argmin(axis=1)
+        g = self.g
+        best = g.argmin(axis=1)
+        limit = _outward(g[self.index, best] + 2 * self.tau, np.inf, g.dtype)
+        within = g <= limit[:, None]  # no NaN: the bound keeps every screen finite
+        # every point's least screen is within; only a point with another one
+        # can have another nearest centroid: score its row exactly
+        if np.count_nonzero(within) > best.size:
+            rows = np.flatnonzero(np.count_nonzero(within, axis=1) > 1)
+            best[rows] = _sq_distances(self.points[rows], centroids).argmin(axis=1)
+        return best
+
+
+def _assign(screen: _Screen, centroids: np.ndarray) -> np.ndarray:
     """Nearest-centroid assignment that leaves no cluster empty.
 
     Each empty cluster, in index order, takes the point farthest from its
-    assigned centroid among clusters holding at least two points. So the
-    repair never empties a cluster, and never re-takes a point it moved,
-    since a moved point is alone in its new cluster.
+    assigned centroid, by exact squared distance, among clusters holding at
+    least two points. So the repair never empties a cluster, and never
+    re-takes a point it moved, since a moved point is alone in its new
+    cluster.
     """
-    d2 = _sq_dists(points, centroids, p2)
-    assignment = np.argmin(d2, axis=1)
+    assignment = screen.nearest(centroids)
     counts = np.bincount(assignment, minlength=centroids.shape[0])
-    cur = d2[np.arange(points.shape[0]), assignment]
-    for c in np.flatnonzero(counts == 0):
-        donor = int(np.argmax(np.where(counts[assignment] >= 2, cur, -np.inf)))
-        counts[assignment[donor]] -= 1
-        counts[c] += 1
-        assignment[donor] = c
+    empty = np.flatnonzero(counts == 0)
+    if empty.size:
+        cur = _sq_norms(screen.points - centroids[assignment])
+        for c in empty:
+            donor = int(np.argmax(np.where(counts[assignment] >= 2, cur, -np.inf)))
+            counts[assignment[donor]] -= 1
+            counts[c] += 1
+            assignment[donor] = c
     return assignment
 
 
@@ -188,14 +252,14 @@ def kmeans(
     if labels is not None and len(labels) != n:
         raise ValueError(f"{len(labels)} labels for {n} points")
 
-    p2 = np.sum(points * points, axis=1)
     centroids, groups = _init_centroids(points, params, labels)
+    screen = _Screen(points, centroids)
     history: list[float] = []
     settled = False
     n_iter = 0
     for n_iter in range(1, MAX_ITER + 1):
         if not settled:
-            assignment = _assign(points, centroids, p2)
+            assignment = _assign(screen, centroids)
             settled = groups is not None and np.array_equal(assignment, groups)
             if not (settled and history):  # else this pass repeats the last one
                 centroids = _means(points, assignment, params.k, groups, centroids)
@@ -209,7 +273,7 @@ def kmeans(
 
     if not settled:
         # final pass so every point is assigned to its nearest returned centroid
-        assignment = _assign(points, centroids, p2)
+        assignment = _assign(screen, centroids)
         inertia = float(_sq_residuals(points, centroids, assignment).sum())
     return Clustering(
         assignment=assignment,

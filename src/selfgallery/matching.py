@@ -171,6 +171,33 @@ def _sq_norms(m: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", m, m)
 
 
+def _sq_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Exact squared distances, len(x) x len(y): entry [i, j] is ``_sq_norms``
+    of ``y[j] - x[i]``, so its square root is bitwise
+    ``_distances_to_rows(x[i], y[j : j + 1])``. Each block of rows of x
+    subtracts at most ``_GATHER`` values (or one row's len(y) x d)."""
+    n, (m, d) = x.shape[0], y.shape
+    step = max(1, _GATHER // max(1, m * d))
+    if step >= n:  # one block
+        return _sq_norms((y[None, :, :] - x[:, None, :]).reshape(-1, d)).reshape(n, m)
+    out = np.empty((n, m))
+    for lo in range(0, n, step):
+        diff = y[None, :, :] - x[lo : lo + step, None, :]
+        out[lo : lo + step] = _sq_norms(diff.reshape(-1, d)).reshape(-1, m)
+    return out
+
+
+def _tau(xx: np.ndarray, yy_max, d: int, dtype) -> Optional[np.ndarray]:
+    """tau in ``dtype`` (module docstring) of rows of squared norms xx against
+    rows whose largest squared norm is ``yy_max``, all as computed in that
+    dtype; None where the bound is not claimed."""
+    u, eta, top = _ROUNDING[dtype]
+    if not ((d + 4) * u <= _DIM_LIMIT and xx.max() + yy_max <= top):  # NaN fails too
+        return None
+    scale = 8.0 * (d + 4)
+    return np.multiply(xx, scale * u, dtype=np.float64) + scale * (u * float(yy_max) + eta)
+
+
 def _outward(value, toward: float, dtype):
     """A screen limit: ``value``, one float64 sum, rounded to ``dtype`` and
     moved one step toward ``toward``, beyond the exact sum either way."""
@@ -205,14 +232,13 @@ def _operands(mat: np.ndarray, x: np.ndarray, m: int):
     then float64; where float64 is not claimed either, tau is infinite."""
     n, d = mat.shape
     centre = mat.sum(axis=0) / n  # the gallery mean
-    for dtype, (u, eta, top) in _ROUNDING.items():
+    for dtype in _ROUNDING:
         stack, yy = _stack(mat, centre, dtype, m)
         xc = np.empty(x.shape, dtype)
         np.subtract(x, centre, out=xc, casting="same_kind")
         xx = yy[:n] if x is mat else _sq_norms(xc)
-        if (d + 4) * u <= _DIM_LIMIT and xx.max() + yy.max() <= top:  # NaN fails too
-            scale = 8.0 * (d + 4)
-            tau = np.multiply(xx, scale * u, dtype=np.float64) + scale * (u * float(yy.max()) + eta)
+        tau = _tau(xx, yy.max(), d, dtype)
+        if tau is not None:
             return stack, yy, xc, xx, tau
     return stack, yy, xc, xx, np.full(xx.shape, np.inf)  # a screen could overflow: keep every pair
 

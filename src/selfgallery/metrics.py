@@ -39,7 +39,9 @@ def compute_eer(genuine: Sequence[float], impostor: Sequence[float]) -> float:
         raise ValueError("both score sets must be nonempty")
     if np.isnan(gen[-1]) or np.isnan(imp[-1]):  # np.sort puts NaN last
         raise ValueError("scores must not be NaN")
-    thresholds = np.unique(np.concatenate([gen, imp]))
+    both = np.concatenate([gen, imp])
+    both.sort(kind="stable")  # one merge of the two sorted runs
+    thresholds = both[np.concatenate(([True], both[1:] != both[:-1]))]  # np.unique's values
     far = np.searchsorted(imp, thresholds, side="left") / imp.size
     frr = 1.0 - np.searchsorted(gen, thresholds, side="left") / gen.size
     far = np.append(far, 1.0)  # t beyond every score

@@ -8,25 +8,33 @@ keep_all is the unbounded traditional baseline.
 
 Objectives always use squared euclidean, even when matching uses l1.
 
-Exact selection screens every size-p subset of the id-sorted candidates
-and decides only on exact sums. Subsets come in lexicographic order, in
-blocks of at most EXACT_CHUNK. When all C = C(n, p) subsets fit in one
-block and their C x m pair entries, m = p(p-1)/2, number at most
-16 x EXACT_CHUNK (p <= 6 at every such n), the block comes from a table
-cached per (n, p): the subsets' index rows and their pairs' flat indices
-into the squared distance matrix, m x C, so the screen is m gathers
-summed. Other inputs, such as n = 200 and p = 199, whose pair index would
-take 31 MB, build their blocks in numpy one prefix-tree level at a time:
-each prefix carries its pairwise sum and its row sums over the matrix, so
-a child's screen is its parent's sum plus one entry of those row sums.
-Either way a screen is the sum of the subset's m pair entries in some
-order, and so is its exact value, taken by ``subset_objectives`` bit for
-bit as the test reference ``subset_objective`` (``tests/oracles.py``)
-takes it; that file also holds the brute-force subset oracle the fast
-paths are checked against.
+Every MDIST/DEND path (the one-block table, the prefix-tree walk and
+greedy) reads one exact squared-distance matrix of the id-sorted
+candidates: entry [i, j] is matching's ``_sq_norms`` of the difference of
+rows j and i (``matching._sq_distances``), so its square root is bitwise
+the ``_distances_to_rows`` distance, and it is built in row blocks of at
+most ``_GATHER`` subtracted values. No BLAS call enters it, so no choice
+depends on the BLAS library or thread count.
 
-Why screening is safe: the entries are >= 0 (``_sq_dists`` clips at 0),
-so any order of summing them lies within gamma * T of the true sum T, with
+Exact selection screens every size-p subset and decides only on exact
+sums. Subsets come in lexicographic order, in blocks of at most
+EXACT_CHUNK. When all C = C(n, p) subsets fit in one block and their
+C x m pair entries, m = p(p-1)/2, number at most 16 x EXACT_CHUNK (p <= 6
+at every such n), the block comes from a table cached per (n, p): the
+subsets' index rows and their pairs' flat indices into the matrix, m x C,
+so the screen is m gathers summed. Other inputs, such as n = 200 and
+p = 199, whose pair index would take 31 MB, build their blocks in numpy
+one prefix-tree level at a time: each prefix carries its pairwise sum and
+its row sums over the matrix, so a child's screen is its parent's sum plus
+one entry of those row sums. Either way a screen is the sum of the
+subset's m pair entries in some order, and so is its exact value, taken
+by ``subset_objectives`` (a cached upper-triangle mask applied with
+``np.where``) bit for bit as the test reference ``subset_objective``
+(``tests/oracles.py``) takes it with ``np.triu``; that file also holds
+the brute-force subset oracle the fast paths are checked against.
+
+Why screening is safe: the entries are sums of squares, so >= 0, and any
+order of summing them lies within gamma * T of the true sum T, with
 gamma = (m-1)u / (1 - (m-1)u) and u = 2**-53. A screen s and an exact value
 e of one subset therefore satisfy s <= rho * e and e <= rho * s, rho =
 (1 + gamma) / (1 - gamma). For MDIST, the first subset reaching a block's
@@ -35,23 +43,15 @@ it can beat the incumbent at all, s <= rho * incumbent. So a block keeps
 every subset with s <= min(least screen, incumbent) * (1 + delta), and
 DEND mirrors it: s >= max(greatest screen, incumbent) * (1 - delta). With
 delta = 8 m u, the rounded bound clears rho**2 ~ 1 + 4(m-1)u with room
-to spare (sums of subnormals are exact, so this holds there too). DEND's
-bound is clamped to the largest float, so an overflowed screen keeps its
-subset, and the tests are written as not-greater / not-less, so a NaN
-screen (from a squared norm that overflowed) keeps every subset of its
-block.
+to spare (sums of subnormals are exact, so this holds there too). An
+entry of finite vectors may overflow to inf but is never NaN; DEND's bound
+is clamped to the largest float, so an inf screen keeps its subset.
 
-The kept subsets get exact values, and one rule decides, as it would over
-every subset: the first optimum within a block, replaced by a later block
-only on strict improvement. Without NaN this is the first optimum in
-lexicographic order, whatever the blocks; that is the lowest-sample-ids
-tie rule. With a NaN distance the choice depends on the block boundaries,
-which follow the prefix tree.
-
-Ties are decided on sums of ``_sq_dists(v, v)`` values, which come from
-the Gram (BLAS matrix product) expansion. Bit-for-bit reproducible
-resolution of near-ties therefore assumes the same BLAS library and
-thread count; the benchmark pins one thread.
+The kept subsets get exact values (a one-block band of one subset needs
+none: no other subset can be the first optimum), and one rule decides, as
+it would over every subset: the first optimum within a block, replaced by
+a later block only on strict improvement. That is the first optimum in
+lexicographic order, whatever the blocks: the lowest-sample-ids tie rule.
 """
 
 from __future__ import annotations
@@ -63,8 +63,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .clustering import KMeansParams, _sq_dists, _sq_residuals, kmeans
+from .clustering import KMeansParams, _sq_residuals, kmeans
 from .core import Template
+from .matching import _sq_distances
 
 KMEANS = "kmeans"
 MDIST = "mdist"
@@ -82,14 +83,27 @@ def _sorted_by_id(candidates: Iterable[Template]) -> list[Template]:
     return sorted(candidates, key=lambda t: t.sample.id)
 
 
+def _pair_matrix(candidates: list[Template]) -> np.ndarray:
+    """The candidates' exact squared distance matrix (module docstring)."""
+    vecs = np.array([t.sample.vector for t in candidates])
+    return _sq_distances(vecs, vecs)
+
+
+@lru_cache(maxsize=None)  # one p x p mask per p
+def _upper(p: int) -> np.ndarray:
+    mask = np.triu(np.ones((p, p), dtype=bool), k=1)
+    mask.flags.writeable = False
+    return mask
+
+
 def subset_objectives(sqmat: np.ndarray, combos: np.ndarray) -> np.ndarray:
     """``subset_objective`` of every row of an (m, p) index array.
 
     Each row is reduced over the same p x p upper triangle in the same
     order as ``subset_objective``, so the results agree bit for bit.
     """
-    block = np.triu(sqmat[combos[:, :, None], combos[:, None, :]], k=1)
-    return block.reshape(len(combos), -1).sum(axis=1)
+    block = sqmat[combos[:, :, None], combos[:, None, :]]
+    return np.where(_upper(combos.shape[1]), block, 0.0).reshape(len(combos), -1).sum(axis=1)
 
 
 def _children(sqmat: np.ndarray, p: int, k: int, last, part, rows):
@@ -119,21 +133,13 @@ def _subset_table(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _blocks(sqmat: np.ndarray, p: int):
-    """Screened size-p subsets of range(n) in lexicographic order, in blocks.
-
-    C(n, p) <= EXACT_CHUNK subsets make one block, screened from the cached
-    ``_subset_table`` when its pair indices number at most 16 x EXACT_CHUNK.
-    Otherwise a block is the whole subtrees of consecutive prefixes, at most
-    EXACT_CHUNK subsets, or the at most n children of one (p-1)-prefix.
-    Yields ``(screen, subsets)``, where ``subsets(i)`` returns the index
-    rows of the block's subsets ``i``.
+    """Screened size-p subsets of range(n) in lexicographic order, in blocks
+    taken from the prefix tree: the whole subtrees of consecutive prefixes,
+    at most EXACT_CHUNK subsets, or the at most n children of one
+    (p-1)-prefix. Yields ``(screen, subsets)``, where ``subsets(i)`` returns
+    the index rows of the block's subsets ``i``.
     """
     n = len(sqmat)
-    count = comb(n, p)
-    if count <= EXACT_CHUNK and count * (p * (p - 1) // 2) <= 16 * EXACT_CHUNK:
-        rows, pairs = _subset_table(n, p)
-        yield sqmat.take(pairs).sum(axis=0), lambda i: rows[i]
-        return
 
     def whole(cols, part, rows):
         k0, last, trail = cols.shape[1], cols[:, -1], []
@@ -177,6 +183,15 @@ def _blocks(sqmat: np.ndarray, p: int):
     yield from descend(np.arange(heads)[:, None], np.zeros(heads), sqmat[:heads])
 
 
+def _band(screen: np.ndarray, incumbent: float, maximize: bool, delta: float) -> np.ndarray:
+    """Positions of the screens in the band around the block's best screen
+    and the incumbent (module docstring)."""
+    if maximize:
+        bound = min(max(float(screen.max()), incumbent), _FLOAT_MAX)
+        return (screen >= bound * (1 - delta)).nonzero()[0]
+    return (screen <= min(float(screen.min()), incumbent) * (1 + delta)).nonzero()[0]
+
+
 def _enumerate_best(
     candidates: list[Template], p: int, maximize: bool
 ) -> list[Template]:
@@ -187,19 +202,21 @@ def _enumerate_best(
     exactly, takes the first optimum, and replaces the incumbent only on
     strict improvement. That implements the lowest-sample-ids tie rule.
     """
-    vecs = np.array([t.sample.vector for t in candidates])
-    sqmat = _sq_dists(vecs, vecs)
-    delta = 8 * (p * (p - 1) // 2) * _UNIT_ROUNDOFF
+    sqmat = _pair_matrix(candidates)
+    n, m = len(sqmat), p * (p - 1) // 2
+    delta = 8 * m * _UNIT_ROUNDOFF
+    count = comb(n, p)
+    if count <= EXACT_CHUNK and count * m <= 16 * EXACT_CHUNK:  # one block, from the table
+        rows, pairs = _subset_table(n, p)
+        screen = sqmat.take(pairs).sum(axis=0)
+        combos = rows[_band(screen, -np.inf if maximize else np.inf, maximize, delta)]
+        if len(combos) > 1:  # a lone subset in the band is the optimum: nothing to compare
+            objs = subset_objectives(sqmat, combos)
+            combos = combos[[objs.argmax() if maximize else objs.argmin()]]
+        return [candidates[i] for i in combos[0].tolist()]
     best_idx, best_obj = None, (-np.inf if maximize else np.inf)
     for screen, subsets in _blocks(sqmat, p):
-        # python min/max keep a NaN screen bound, so NaN keeps every subset;
-        # they may drop a NaN incumbent, but nothing can beat one
-        if maximize:
-            bound = min(float(max(screen.max(), best_obj)), _FLOAT_MAX)
-            keep = np.flatnonzero(~(screen < bound * (1 - delta)))
-        else:
-            bound = float(min(screen.min(), best_obj))
-            keep = np.flatnonzero(~(screen > bound * (1 + delta)))
+        keep = _band(screen, best_obj, maximize, delta)
         if not len(keep):
             continue
         combos = subsets(keep)
@@ -208,13 +225,12 @@ def _enumerate_best(
         obj = objs[i]
         if best_idx is None or (obj > best_obj if maximize else obj < best_obj):
             best_obj, best_idx = obj, combos[i]
-    return [candidates[i] for i in best_idx]
+    return [candidates[i] for i in best_idx.tolist()]
 
 
 def _greedy_select(candidates: list[Template], p: int, maximize: bool) -> list[Template]:
     """Dispersion-style greedy: seed with the extreme pair, grow one at a time."""
-    vecs = np.array([t.sample.vector for t in candidates])
-    sqmat = _sq_dists(vecs, vecs)
+    sqmat = _pair_matrix(candidates)
     n = len(candidates)
     iu = np.triu_indices(n, k=1)
     flat = sqmat[iu]

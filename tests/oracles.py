@@ -1,6 +1,7 @@
 """Reference implementations the fast selection and clustering paths are checked against.
 
-The subset references deliberately share no code with ``selfgallery.selection``.
+The subset references deliberately share no code with ``selfgallery.selection``,
+and the K-Means reference none with ``selfgallery.clustering``'s screen.
 """
 
 from itertools import combinations
@@ -9,14 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from selfgallery.clustering import (
-    MAX_ITER,
-    REL_TOL,
-    USER_MEANS,
-    Clustering,
-    KMeansParams,
-    _assign,
-)
+from selfgallery.clustering import MAX_ITER, REL_TOL, USER_MEANS, Clustering, KMeansParams
 from selfgallery.core import Template
 
 MIN_SUM = "min_sum_pairwise_sq"
@@ -67,11 +61,32 @@ def oracle_subset_select(
     return [cands[i] for i in best_idx]
 
 
-def masked_mean_kmeans(points, params: KMeansParams, labels=None) -> Clustering:
-    """Lloyd K-Means taking each mean from one boolean mask per cluster.
+def exact_assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Each point's nearest centroid by exact squared distance, the first on
+    ties, then the empty-cluster repair ``kmeans`` documents.
 
-    The reference for ``kmeans``'s initial and updated centroids. It shares
-    the assignment step ``_assign`` with ``kmeans``, nothing else.
+    The squared distance of a point to a centroid is the einsum of their
+    coordinate differences, the row kernel of ``_distances_to_rows``; every
+    (point, centroid) pair is computed.
+    """
+    d2 = np.stack([np.einsum("ij,ij->i", points - c, points - c) for c in centroids], axis=1)
+    assignment = np.argmin(d2, axis=1)
+    counts = np.bincount(assignment, minlength=len(centroids))
+    cur = d2[np.arange(len(points)), assignment]
+    for c in np.flatnonzero(counts == 0):
+        donor = int(np.argmax(np.where(counts[assignment] >= 2, cur, -np.inf)))
+        counts[assignment[donor]] -= 1
+        counts[c] += 1
+        assignment[donor] = c
+    return assignment
+
+
+def masked_mean_kmeans(points, params: KMeansParams, labels=None) -> Clustering:
+    """Lloyd K-Means: every pass assigns with ``exact_assign`` and takes each
+    mean from one boolean mask per cluster, and a final pass assigns again.
+
+    The reference for ``kmeans``'s assignments, centroids, inertia, history
+    and pass count.
     """
     points = np.asarray(points, dtype=np.float64)
     if params.init == USER_MEANS:
@@ -82,7 +97,7 @@ def masked_mean_kmeans(points, params: KMeansParams, labels=None) -> Clustering:
         centroids = points[rng.choice(points.shape[0], size=params.k, replace=False)].copy()
     history = []
     for n_iter in range(1, MAX_ITER + 1):
-        assignment = _assign(points, centroids)
+        assignment = exact_assign(points, centroids)
         centroids = np.stack([points[assignment == c].mean(axis=0) for c in range(params.k)])
         inertia = float(np.sum((points - centroids[assignment]) ** 2))
         history.append(inertia)
@@ -90,7 +105,7 @@ def masked_mean_kmeans(points, params: KMeansParams, labels=None) -> Clustering:
             prev = history[-2]
             if prev == 0.0 or (prev - inertia) / prev < REL_TOL:
                 break
-    assignment = _assign(points, centroids)
+    assignment = exact_assign(points, centroids)
     inertia = float(np.sum((points - centroids[assignment]) ** 2))
     return Clustering(assignment, centroids, inertia, n_iter, tuple(history))
 

@@ -12,12 +12,12 @@ from selfgallery.clustering import (
     KMeansParams,
     _assign,
     _means,
-    _sq_dists,
+    _Screen,
     _sq_residuals,
     kmeans,
 )
 
-from oracles import dominant_cluster_for_user, masked_mean_kmeans
+from oracles import dominant_cluster_for_user, exact_assign, masked_mean_kmeans
 
 
 def test_k_equals_n_distinct_points():
@@ -34,7 +34,7 @@ def test_two_blobs_user_means_fixed_point():
     expected = np.array([[0.05, 0.0], [9.95, 10.0]])
     assert np.allclose(np.sort(cl.centroids, axis=0), np.sort(expected, axis=0))
     # fixed point: one more Lloyd step from the returned centroids changes nothing
-    assignment = _assign(pts, cl.centroids)
+    assignment = exact_assign(pts, cl.centroids)
     assert np.array_equal(cl.assignment, assignment)
     assert np.allclose(cl.centroids, _means(pts, assignment, 2))
 
@@ -179,12 +179,12 @@ def test_kmeans_overflowed_inertia_runs_to_max_iter_as_the_reference():
     assert not np.isfinite(got.inertia_history[-1])
 
 
-def _count_assign_calls(monkeypatch):
+def _count_assignment_passes(monkeypatch):
     calls = []
 
-    def counting(points, centroids, p2=None):
+    def counting(screen, centroids):
         calls.append(1)
-        return _assign(points, centroids, p2)
+        return _assign(screen, centroids)
 
     monkeypatch.setattr(clustering, "_assign", counting)
     return calls
@@ -200,7 +200,7 @@ def test_kmeans_fixed_point_from_the_start(monkeypatch):
     assert got.n_iter == 2
     assert got.inertia_history[0] == got.inertia_history[1]
     assert np.array_equal(got.assignment, labels)
-    calls = _count_assign_calls(monkeypatch)
+    calls = _count_assignment_passes(monkeypatch)
     kmeans(pts, KMeansParams(k=3), labels=labels)
     assert len(calls) == 1
 
@@ -209,13 +209,13 @@ def test_kmeans_ending_at_a_fixed_point_makes_n_iter_assignment_passes(monkeypat
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(120, 4))
     params = KMeansParams(k=6, init="seeded_random", seed=1)
-    calls = _count_assign_calls(monkeypatch)
+    calls = _count_assignment_passes(monkeypatch)
     cl = kmeans(pts, params)
     assert cl.n_iter >= 3
     assert len(calls) == cl.n_iter  # no repeat pass, no final pass
     # it did end at a fixed point: one more pass changes nothing
     assert cl.inertia_history[-1] == cl.inertia_history[-2] == cl.inertia
-    assert np.array_equal(_assign(pts, cl.centroids), cl.assignment)
+    assert np.array_equal(exact_assign(pts, cl.centroids), cl.assignment)
     assert np.array_equal(_means(pts, cl.assignment, 6), cl.centroids)
 
 
@@ -250,23 +250,6 @@ def test_means_of_changed_groups_equal_full_reduction(k, extra, d, moved, seed):
     assert np.array_equal(prev_means, _means(pts, prev, k))  # the old means are not written
 
 
-@pytest.mark.parametrize("offset", [0.0, 1e4])
-@pytest.mark.parametrize("d", [1, 3, 128])
-def test_sq_dists_is_the_clipped_gram_expansion(offset, d):
-    rng = np.random.default_rng(d)
-    x = rng.normal(size=(50, d)) + offset
-    c = rng.normal(size=(7, d)) + offset
-    p2 = np.sum(x * x, axis=1)[:, None]
-    c2 = np.sum(c * c, axis=1)[None, :]
-    want = np.maximum(p2 + c2 - 2.0 * (x @ c.T), 0.0)
-    assert np.array_equal(_sq_dists(x, c), want)
-    assert np.array_equal(_sq_dists(x, c, np.sum(x * x, axis=1)), want)
-    # MDIST/DEND's matrix of one set against itself
-    x2 = np.sum(x * x, axis=1)
-    own = np.maximum(x2[:, None] + x2[None, :] - 2.0 * (x @ x.T), 0.0)
-    assert np.array_equal(_sq_dists(x, x), own)
-
-
 def test_sq_residuals_is_the_squared_difference_to_the_gathered_centroids():
     rng = np.random.default_rng(4)
     pts = rng.normal(size=(30, 5)) + 1e4
@@ -279,3 +262,107 @@ def test_sq_residuals_is_the_squared_difference_to_the_gathered_centroids():
     assert np.array_equal(got.sum(axis=1), np.sum(want, axis=1))
     assert float(got.sum()) == float(np.sum(want))
     assert np.array_equal(centroids, kept)
+
+
+def _labels(rng, n, k):
+    """n labels over k distinct gapped user ids, each used at least once."""
+    return 7 * _grouping(rng, n, k) - 3
+
+
+@st.composite
+def _kmeans_case(draw):
+    kind = draw(st.sampled_from(["blobs", "offset_lattice", "duplicates", "two_values", "scale"]))
+    d = draw(st.sampled_from([1, 2, 3, 8]))
+    k = draw(st.integers(1, 6))
+    n = k + draw(st.integers(0, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "offset_lattice":  # near-ties: the steps round differently on 1e4
+        pts = 1e4 + 1e-3 * rng.integers(0, 3, size=(n, d))
+    elif kind == "duplicates":
+        pts = rng.normal(size=(1 + n // 3, d))[rng.integers(0, 1 + n // 3, n)]
+    elif kind == "two_values":  # more clusters than distinct points: the repair runs
+        pts = rng.integers(0, 2, size=(n, d)).astype(float)
+    elif kind == "scale":  # subnormal in float32, float64 screen, overflow
+        pts = rng.normal(size=(n, d)) * draw(st.sampled_from([1e-40, 1e20, 1e155, 1e200]))
+    else:
+        pts = rng.normal(size=(n, d)) + 3.0 * rng.integers(0, k, size=(n, 1))
+    if draw(st.booleans()):
+        return pts, KMeansParams(k=k), _labels(rng, n, k)
+    return pts, KMeansParams(k=k, init="seeded_random", seed=int(rng.integers(100))), None
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_kmeans_case())
+def test_kmeans_equals_exact_reference(case):
+    pts, params, labels = case
+    with np.errstate(over="ignore", invalid="ignore"):
+        _assert_same_clustering(pts, params, labels=labels)
+
+
+@pytest.mark.parametrize(
+    "scale, dtype", [(1.0, np.float32), (1e-40, np.float32), (1e20, np.float64), (1e155, None), (1e200, None)]
+)
+def test_screen_dtype_follows_the_bound(scale, dtype):
+    # the scales the reference test draws reach every screen: float32 (its
+    # subnormals included), float64, and none, where every pair is exact
+    rng = np.random.default_rng(6)
+    pts = rng.normal(size=(30, 3)) * scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _Screen(pts, pts[:4]).dtype == dtype
+        _assert_same_clustering(pts, KMeansParams(k=4), labels=_labels(rng, 30, 4))
+
+
+def _record_screens(monkeypatch):
+    """Record every pass's centroids and each re-screen's columns."""
+    passes, cols = [], []
+    nearest, rescreen = _Screen.nearest, _Screen._rescreen
+
+    def recording_nearest(self, centroids):
+        passes.append(centroids.copy())
+        return nearest(self, centroids)
+
+    def recording_rescreen(self, centroids, which=None):
+        cols.append(None if which is None else which.tolist())
+        return rescreen(self, centroids, which)
+
+    monkeypatch.setattr(_Screen, "nearest", recording_nearest)
+    monkeypatch.setattr(_Screen, "_rescreen", recording_rescreen)
+    return passes, cols
+
+
+@pytest.mark.parametrize("init", ["user_means", "seeded_random"])
+def test_kmeans_rescreens_only_the_centroids_that_moved(monkeypatch, init):
+    rng = np.random.default_rng(8)
+    n, k = 300, 12
+    pts = rng.normal(size=(n, 16)) + 4.0 * rng.integers(0, k, size=(n, 1))
+    params = KMeansParams(k=k, init=init, seed=2)
+    labels = _labels(rng, n, k) if init == "user_means" else None
+    passes, cols = _record_screens(monkeypatch)
+    got = _assert_same_clustering(pts, params, labels=labels)
+    assert len(passes) >= 3 and got.n_iter >= 3
+    assert cols[0] is None  # the first pass screens every centroid
+    moved = [np.flatnonzero((b != a).any(axis=1)).tolist() for a, b in zip(passes, passes[1:])]
+    assert cols[1:] == [m for m in moved if m]
+    assert sum(map(len, cols[1:])) < k * (len(passes) - 1)  # some centroids settled early
+
+
+def test_kmeans_scores_exactly_only_points_near_a_tie(monkeypatch):
+    scored, table = [], clustering._sq_distances
+
+    def counting(x, y):
+        scored.append(len(x))
+        return table(x, y)
+
+    monkeypatch.setattr(clustering, "_sq_distances", counting)
+    rng = np.random.default_rng(4)
+    n, k = 400, 10
+    pts = rng.normal(size=(n, 32)) + 1e4
+    _assert_same_clustering(pts, KMeansParams(k=k), labels=_labels(rng, n, k))
+    assert sum(scored) <= n // 20
+    # the user means are -2/3 and 2/3, so both points at 0 tie exactly: only
+    # their rows are scored, and the first centroid takes them
+    scored.clear()
+    pts = np.array([[-1.0], [-1.0], [1.0], [1.0], [0.0], [0.0]])
+    got = _assert_same_clustering(pts, KMeansParams(k=2), labels=[0, 0, 1, 1, 0, 1])
+    assert scored[0] == 2
+    assert got.assignment.tolist() == [0, 0, 1, 1, 0, 0]

@@ -723,3 +723,25 @@ def test_classify_rejects_nan_threshold(abc_gallery):
     batch = Batch(index=1, samples=(make_sample(10, [0.1]),))
     with pytest.raises(ValueError, match="non-negative"):
         classify_batch(batch, abc_gallery, float("nan"))
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e4])
+@pytest.mark.parametrize("d", [1, 3, 128])
+def test_sq_distances_is_bitwise_the_row_kernel(offset, d, monkeypatch):
+    # the exact squared distances MDIST/DEND and K-Means decide on: entry
+    # [i, j] is the einsum of y[j] - x[i], whose root is _distances_to_rows'
+    rng = np.random.default_rng(d)
+    x = rng.normal(size=(50, d)) + offset
+    c = rng.normal(size=(7, d)) + offset
+    table = matching._sq_distances(x, c)
+    assert table.shape == (50, 7)
+    for i, v in enumerate(x):
+        assert table[i].tolist() == np.einsum("ij,ij->i", c - v, c - v).tolist()
+        assert np.sqrt(table[i]).tolist() == _distances_to_rows(v, c, "euclidean").tolist()
+    # in blocks of one row, and of the whole of x, the values stay the same
+    for gather in (1, 50 * 7 * d):
+        monkeypatch.setattr(matching, "_GATHER", gather)
+        assert np.array_equal(matching._sq_distances(x, c), table)
+    # one set against itself, as MDIST/DEND take it: symmetric, zero diagonal
+    own = matching._sq_distances(x, x)
+    assert np.array_equal(own, own.T) and not own.diagonal().any()

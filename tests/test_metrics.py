@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selfgallery.core import Batch, gallery_enroll
 from selfgallery.metrics import (
@@ -93,6 +95,36 @@ def test_eer_matches_bruteforce_with_score_ties():
         assert compute_eer(genuine, impostor) == pytest.approx(
             eer_bruteforce(genuine, impostor), abs=1e-9
         )
+
+
+def _eer_over_unique_thresholds(genuine, impostor):
+    """compute_eer with its thresholds taken by np.unique of both score sets."""
+    gen, imp = np.sort(np.asarray(genuine, dtype=float)), np.sort(np.asarray(impostor, dtype=float))
+    thresholds = np.unique(np.concatenate([gen, imp]))
+    far = np.append(np.searchsorted(imp, thresholds, side="left") / imp.size, 1.0)
+    frr = np.append(1.0 - np.searchsorted(gen, thresholds, side="left") / gen.size, 0.0)
+    diff = far - frr
+    if diff[0] >= 0.0:
+        return float((far[0] + frr[0]) / 2.0)
+    i = int(np.argmax(diff >= 0.0))
+    alpha = diff[i - 1] / (diff[i - 1] - diff[i])
+    return float(far[i - 1] + alpha * (far[i] - far[i - 1]))
+
+
+_scores = st.lists(
+    st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0, float("inf")]), st.floats(0.0, 4.0)),
+    min_size=1,
+    max_size=30,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_scores, _scores)
+def test_eer_thresholds_merged_equal_unique_thresholds(genuine, impostor):
+    # ties within and across the sets, inf and one-score sets: the merged
+    # thresholds give bitwise the EER of np.unique's
+    got = compute_eer(genuine, impostor)
+    assert np.array_equal(got, _eer_over_unique_thresholds(genuine, impostor), equal_nan=True)
 
 
 def test_eer_monotone_sanity():

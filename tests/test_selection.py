@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfgallery import selection
-from selfgallery.clustering import Clustering, KMeansParams, _sq_dists, kmeans
+from selfgallery import matching, selection
+from selfgallery.clustering import Clustering, KMeansParams, kmeans
+from selfgallery.matching import _distances_to_rows
 from selfgallery.selection import select, select_dend, select_kmeans, select_mdist
 
 from conftest import make_templates
@@ -25,9 +26,16 @@ def _values(ts):
     return [t.sample.vector.tolist() for t in ts]
 
 
+def _exact_sqmat(vecs):
+    """Every pair's squared distance, row by row: row i is the einsum of the
+    rows' coordinate differences to row i."""
+    vecs = np.asarray(vecs)
+    return np.stack([np.einsum("ij,ij->i", vecs - v, vecs - v) for v in vecs])
+
+
 def _objective(ts):
     vecs = np.stack([t.sample.vector for t in ts])
-    return subset_objective(_sq_dists(vecs, vecs), range(len(ts)))
+    return subset_objective(_exact_sqmat(vecs), range(len(ts)))
 
 
 def test_mdist_example():
@@ -110,7 +118,7 @@ def test_greedy_regime_sanity():
     vecs = np.stack([t.sample.vector for t in cands])
     medoid = vecs.mean(axis=0)
     near = np.argsort(((vecs - medoid) ** 2).sum(axis=1))[:p]
-    ref = subset_objective(_sq_dists(vecs, vecs), near)
+    ref = subset_objective(_exact_sqmat(vecs), near)
     assert _objective(chosen) <= 2.0 * ref
 
     chosen_d = select_dend(cands, p)
@@ -186,7 +194,7 @@ def test_select_kmeans_shared_cluster_never_donates():
 def _reference_best(cands, p, maximize):
     """One subset_objective call per subset, lexicographic, strict improvement."""
     vecs = np.stack([t.sample.vector for t in cands])
-    sqmat = _sq_dists(vecs, vecs)
+    sqmat = _exact_sqmat(vecs)
     best_idx, best_obj = None, None
     for idx in itertools.combinations(range(len(cands)), p):
         obj = subset_objective(sqmat, idx)
@@ -200,7 +208,7 @@ def _chunked_reference_ids(cands, p, maximize, chunk=1024):
     in lexicographic order: the first optimum of a chunk, replaced by a later
     chunk only on strict improvement."""
     vecs = np.stack([t.sample.vector for t in cands])
-    sqmat = _sq_dists(vecs, vecs)
+    sqmat = _exact_sqmat(vecs)
     combos = itertools.combinations(range(len(cands)), p)
     best_idx, best_obj = None, None
     while True:
@@ -219,7 +227,7 @@ def _assert_matches_reference(cands, p, maximize):
     ids, obj = _reference_best(cands, p, maximize)
     assert [t.sample.id for t in chosen] == ids
     vecs = np.stack([t.sample.vector for t in cands])
-    sqmat = _sq_dists(vecs, vecs)
+    sqmat = _exact_sqmat(vecs)
     pos = {t.sample.id: i for i, t in enumerate(cands)}
     assert subset_objective(sqmat, [pos[t.sample.id] for t in chosen]) == obj
 
@@ -229,7 +237,7 @@ def test_subset_objectives_bitwise_equal_subset_objective():
     for n, p, d in [(8, 3, 5), (9, 6, 16), (7, 2, 1), (10, 5, 64)]:
         x = rng.normal(size=(n, d))
         x[n // 2 :] = x[0]  # duplicate vectors
-        sqmat = _sq_dists(x, x)
+        sqmat = _exact_sqmat(x)
         combos = np.array(list(itertools.combinations(range(n), p)))
         fast = selection.subset_objectives(sqmat, combos)
         slow = [subset_objective(sqmat, c) for c in combos]
@@ -415,19 +423,24 @@ def test_row_sums_equal_per_row_sums(d):
 
 
 @pytest.mark.parametrize("n, d", [(1, 1), (5, 2), (9, 16), (12, 64), (7, 129)])
-def test_sq_dists_of_one_matrix_equals_gram_expansion(n, d):
+def test_pair_matrix_is_bitwise_the_row_kernel(n, d, monkeypatch):
     rng = np.random.default_rng(n * d)
-    v = rng.normal(size=(n, d))
+    v = rng.normal(size=(n, d)) + 1e4
     v[n // 2 :] = v[: n - n // 2]
-    sq = np.sum(v * v, axis=1)
-    want = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (v @ v.T), 0.0)
-    assert np.array_equal(_sq_dists(v, v), want)
+    cands = make_templates(v)
+    want = _exact_sqmat(v)
+    assert np.array_equal(selection._pair_matrix(cands), want)
+    assert np.array_equal(want, want.T) and not want.diagonal().any()
+    for i in range(n):  # the square roots are the matching kernel's distances
+        assert np.sqrt(want[i]).tolist() == _distances_to_rows(v[i], v, "euclidean").tolist()
+    monkeypatch.setattr(matching, "_GATHER", d)  # one row per block
+    assert np.array_equal(selection._pair_matrix(cands), want)
 
 
 def _greedy_by_list(cands, p, maximize):
     """_greedy_select with one Python-list cost per remaining candidate."""
     vecs = np.stack([t.sample.vector for t in cands])
-    sqmat = _sq_dists(vecs, vecs)
+    sqmat = _exact_sqmat(vecs)
     iu = np.triu_indices(len(cands), k=1)
     pos = int(np.argmax(sqmat[iu]) if maximize else np.argmin(sqmat[iu]))
     chosen = [int(iu[0][pos]), int(iu[1][pos])]
@@ -483,7 +496,7 @@ def _tie_heavy_vectors(draw, n, d, kind):
         keep = draw(st.integers(1, n))
         x = x[np.arange(n) % keep]
     elif kind == "offset_binary":
-        x = 1e4 + x / 1024  # exact under the Gram expansion, as under the oracle
+        x = 1e4 + x / 1024  # exact differences and squares, as under the oracle
     elif kind == "offset_decimal":
         x = 1e4 + x * 1e-3
     elif kind == "decimal":
@@ -512,8 +525,8 @@ def _with_chunk(chunk, fn, *args):
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(_tie_heavy(["lattice", "duplicates", "offset_binary"]))
 def test_select_equals_oracle_on_exact_inputs(case):
-    # small integers and 2**-10 steps keep every squared distance exact under
-    # both the Gram expansion and the oracle's coordinate differences
+    # small integers and 2**-10 steps keep every squared distance and sum
+    # exact, in the exact matrix as in the oracle's coordinate differences
     cands, p, chunk = case
     assert _with_chunk(chunk, select_mdist, cands, p) == _ids(oracle_subset_select(cands, p, MIN_SUM))
     assert _with_chunk(chunk, select_dend, cands, p) == _ids(oracle_subset_select(cands, p, MAX_SUM))
@@ -522,13 +535,54 @@ def test_select_equals_oracle_on_exact_inputs(case):
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(_tie_heavy(["lattice", "duplicates", "offset_decimal", "decimal"]))
 def test_select_equals_chunked_reference_on_tie_heavy_inputs(case):
-    # 1e-3 steps on 1e4 round in the Gram expansion, so the oracle's exact
-    # differences can break ties differently; the screen must still choose
-    # what scoring every subset of the same matrix chooses
+    # 1e-3 steps on 1e4 round, so the oracle's sequential sums can break
+    # last-ulp ties differently; the screen must still choose what scoring
+    # every subset of the same matrix chooses
     cands, p, chunk = case
     for select, maximize in ((select_mdist, False), (select_dend, True)):
         want = _ids(cands) if len(cands) <= p else _chunked_reference_ids(cands, p, maximize)
         assert _with_chunk(chunk, select, cands, p) == want
+
+
+# (case, method) pairs of the lattice cases below where the oracle's sequential
+# sums break a last-ulp tie otherwise than the exact matrix's (the Gram matrix
+# disagreed with the oracle on 114 of the 800)
+_LATTICE_ULP_TIES = {
+    (15, "dend"), (24, "dend"), (26, "mdist"), (28, "dend"), (37, "dend"), (41, "dend"),
+    (43, "dend"), (56, "dend"), (66, "dend"), (67, "dend"), (68, "mdist"), (69, "dend"),
+    (93, "dend"), (96, "mdist"), (99, "dend"), (125, "dend"), (141, "dend"), (163, "dend"),
+    (170, "dend"), (183, "dend"), (191, "mdist"), (194, "dend"), (212, "mdist"),
+    (216, "dend"), (225, "dend"), (234, "dend"), (254, "dend"), (257, "dend"),
+    (260, "dend"), (274, "dend"), (274, "mdist"), (282, "dend"), (369, "dend"),
+    (379, "mdist"), (386, "dend"),
+}  # fmt: skip
+
+
+def test_select_equals_oracle_on_offset_lattices():
+    # 400 lattices 1e4 + 1e-3 * {0, 1, 2}: every choice is the oracle's, but
+    # for the listed last-ulp ties, where both choices' oracle objectives
+    # agree to within one ulp
+    disagree = set()
+    for case in range(400):
+        rng = np.random.default_rng(case)
+        n, p, d = int(rng.integers(7, 17)), int(rng.integers(2, 7)), int(rng.integers(1, 5))
+        cands = make_templates(1e4 + 1e-3 * rng.integers(0, 3, size=(n, d)))
+        for select, objective, name in ((select_mdist, MIN_SUM, "mdist"), (select_dend, MAX_SUM, "dend")):
+            got, want = select(cands, p), oracle_subset_select(cands, p, objective)
+            if got != want:
+                disagree.add((case, name))
+                a, b = _oracle_objective(got), _oracle_objective(want)
+                assert abs(a - b) <= np.spacing(max(a, b)), (case, name)
+    assert disagree == _LATTICE_ULP_TIES
+
+
+def _oracle_objective(ts):
+    """The oracle's objective: sequential sums of coordinate differences squared."""
+    vecs = [t.sample.vector.tolist() for t in ts]
+    return sum(
+        sum((a - b) ** 2 for a, b in zip(vecs[i], vecs[j]))
+        for i, j in itertools.combinations(range(len(vecs)), 2)
+    )
 
 
 @pytest.mark.parametrize(
@@ -649,32 +703,41 @@ def test_enumerate_best_over_one_chunk_walks_the_tree(monkeypatch, maximize):
 
 
 def _overflowing_templates(n):
-    # three positive vectors near 1e155: their squared norms and their dot
-    # products overflow, so the Gram expansion gives inf between one of them
-    # and a small vector, and inf - inf = NaN between two of them; the other
-    # pairs stay finite
+    # three positive vectors near 1e155: their differences to a small vector
+    # square to inf, so every subset holding one of them and a small vector
+    # has an inf objective; the other pairs stay finite
     rng = np.random.default_rng(23)
     x = rng.normal(size=(n, 2))
     x[[4, 7, n - 1]] = 1e155 * (1 + np.abs(x[[4, 7, n - 1]]))
     return make_templates(x)
 
 
-@pytest.mark.parametrize("select", [select_mdist, select_dend])
-def test_nan_screen_in_one_block_keeps_every_subset(select):
+@pytest.mark.parametrize(
+    "select, want",
+    [(select_mdist, [0, 1, 2, 3, 5, 8]), (select_dend, [0, 1, 2, 3, 4, 5])],
+    ids=["select_mdist", "select_dend"],
+)
+def test_overflowed_screen_in_one_block_keeps_every_subset(select, want):
     cands = _overflowing_templates(10)
     assert comb(10, 6) <= selection.EXACT_CHUNK
     with np.errstate(over="ignore", invalid="ignore"):
-        want = _chunked_reference_ids(cands, 6, select is select_dend, chunk=selection.EXACT_CHUNK)
+        sqmat = selection._pair_matrix(cands)
+        assert np.isinf(sqmat).any() and not np.isnan(sqmat).any()
+        assert want == _chunked_reference_ids(cands, 6, select is select_dend, chunk=selection.EXACT_CHUNK)
         assert _ids(select(cands, 6)) == want
-    assert want == [0, 1, 2, 3, 4, 7]  # the first subset whose objective is NaN
+    # MDIST keeps the small vectors; DEND the first subset whose objective is inf
+    assert np.isfinite(_objective([cands[i] for i in want])) == (select is select_mdist)
 
 
 @pytest.mark.parametrize("select", [select_mdist, select_dend])
-def test_nan_screen_over_several_blocks_returns_p_candidates(select):
+def test_overflowed_screen_over_several_blocks_keeps_the_first_optimum(select):
     cands = _overflowing_templates(16)
     assert comb(16, 6) > selection.EXACT_CHUNK
     with np.errstate(over="ignore", invalid="ignore"):
         ids = _ids(select(cands, 6))
+        # without NaN the first optimum in lexicographic order wins, whatever the blocks
+        for chunk in (5, 64, selection.EXACT_CHUNK):
+            assert ids == _chunked_reference_ids(cands, 6, select is select_dend, chunk=chunk)
     assert len(set(ids)) == 6 and set(ids) <= set(range(16))
 
 
