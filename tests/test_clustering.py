@@ -16,6 +16,7 @@ from selfgallery.clustering import (
     _sq_residuals,
     kmeans,
 )
+from selfgallery.matching import _sq_distances, _sq_norms
 
 from oracles import dominant_cluster_for_user, exact_assign, masked_mean_kmeans
 
@@ -248,6 +249,27 @@ def test_means_of_changed_groups_equal_full_reduction(k, extra, d, moved, seed):
     masked = np.stack([pts[groups == c].mean(axis=0) for c in range(k)])
     assert np.array_equal(got.view(np.uint64), masked.view(np.uint64))
     assert np.array_equal(prev_means, _means(pts, prev, k))  # the old means are not written
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e4])
+@pytest.mark.parametrize("d", [1, 3, 128])
+def test_sq_dists_is_the_clipped_gram_expansion(offset, d):
+    # the K-Means screen's squared distances are the Gram expansion of the
+    # rows centred on the centroids' mean and rounded to float32; clipped at
+    # 0 they lie within matching's tau of the exact squared distances
+    rng = np.random.default_rng(d)
+    x = rng.normal(size=(50, d)) + offset
+    c = rng.normal(size=(7, d)) + offset
+    for y in (c, x):  # against centroids, and one set against itself
+        screen = _Screen(x, y)
+        assert screen.dtype == np.float32
+        centre = y.sum(axis=0) / y.shape[0]
+        xc, yc = (x - centre).astype(np.float32), (y - centre).astype(np.float32)
+        want = -2.0 * (xc @ yc.T) + _sq_norms(xc)[:, None] + _sq_norms(yc)
+        assert want.dtype == np.float32 and np.array_equal(screen.g, want)
+        exact = _sq_distances(x, y)
+        assert np.all(np.abs(np.maximum(screen.g, 0.0) - exact) <= screen.tau[:, None])
+        assert np.array_equal(screen.nearest(y), exact.argmin(axis=1))
 
 
 def test_sq_residuals_is_the_squared_difference_to_the_gathered_centroids():
