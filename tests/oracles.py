@@ -2,6 +2,8 @@
 
 The subset references deliberately share no code with ``selfgallery.selection``,
 and the K-Means reference none with ``selfgallery.clustering``'s screen.
+``reference_sequence`` is the whole self-update loop as a plain loop over these
+references and the row kernel ``_distances_to_rows``.
 """
 
 from itertools import combinations
@@ -12,6 +14,7 @@ import numpy as np
 
 from selfgallery.clustering import MAX_ITER, REL_TOL, USER_MEANS, Clustering, KMeansParams
 from selfgallery.core import Template
+from selfgallery.matching import _distances_to_rows
 
 MIN_SUM = "min_sum_pairwise_sq"
 MAX_SUM = "max_sum_pairwise_sq"
@@ -126,3 +129,89 @@ def dominant_cluster_for_user(
         clustering.assignment[mask], minlength=clustering.centroids.shape[0]
     )
     return int(np.argmax(counts))  # argmax returns the first (lowest) index on ties
+
+
+def _stacked(gallery):
+    """A {user: [(sample id, vector), ...]} gallery's rows, users ascending,
+    each user's rows in insertion order: the vectors and each row's owner."""
+    users = sorted(gallery)
+    mat = np.array([v for u in users for _, v in gallery[u]])
+    return mat, np.array([u for u in users for _ in gallery[u]])
+
+
+def reference_threshold(gallery, metric, policy) -> float:
+    """t*: the policy's order statistic of the sorted pool of every
+    cross-user pair's distance, each row scored against every row."""
+    mat, owner = _stacked(gallery)
+    pool = np.concatenate(
+        [_distances_to_rows(v, mat, metric)[i + 1 :][owner[i + 1 :] != owner[i]]
+         for i, v in enumerate(mat)]
+    )
+    return float(np.sort(pool)[policy.rank(pool.size)])
+
+
+def _reference_kept(method, candidates, p):
+    """The sample ids ``method`` keeps of each user's (sample id, vector) candidates."""
+    if method == "keep_all":
+        return {sid for rows in candidates.values() for sid, _ in rows}
+    users = sorted(candidates)
+    own = [sorted(candidates[u], key=lambda r: r[0]) for u in users]
+    kept = set()
+    if method == "kmeans":
+        labels = np.repeat(np.arange(len(users)), [len(rows) for rows in own])
+        points = np.array([v for rows in own for _, v in rows])
+        cl = masked_mean_kmeans(points, KMeansParams(k=len(users)), labels)
+        for j, rows in enumerate(own):
+            centroid = cl.centroids[dominant_cluster_for_user(cl, labels, j)]
+            d2 = np.sum((np.array([v for _, v in rows]) - centroid) ** 2, axis=1)
+            kept.update(rows[i][0] for i in np.argsort(d2, kind="stable")[:p].tolist())
+        return kept
+    maximize = method == "dend"
+    for rows in own:
+        vecs = np.array([v for _, v in rows])
+        sqmat = np.stack([np.einsum("ij,ij->i", vecs - v, vecs - v) for v in vecs])
+        best, best_obj = None, None
+        for idx in combinations(range(len(rows)), min(p, len(rows))):
+            obj = subset_objective(sqmat, idx)
+            if best is None or (obj > best_obj if maximize else obj < best_obj):
+                best, best_obj = idx, obj
+        kept.update(rows[i][0] for i in best)
+    return kept
+
+
+def reference_sequence(gallery, batches, method, p, metric, policy):
+    """The classification-selection loop, one plain step at a time.
+
+    ``gallery`` maps each user to its (sample id, vector) rows in insertion
+    order, and each batch is a list of (sample id, vector). Each probe is
+    scored against every pre-cycle row and takes the first nearest row on
+    ties; it is accepted iff its distance is < t*. Each user's candidates
+    are its rows, then its accepted probes in batch order; MDIST/DEND try
+    every subset of the id-sorted candidates through ``subset_objective``
+    on an exact squared matrix, and K-Means keeps the p candidates nearest
+    the dominant centroid of ``masked_mean_kmeans``, id order on ties. t* is
+    estimated again after every cycle.
+
+    Returns, per cycle, the t* used, the insertions (sample id, label), the
+    evictions (sample id, user) and the gallery after it, in the input form.
+    """
+    cycles = []
+    t_star = reference_threshold(gallery, metric, policy)
+    for batch in batches:
+        mat, owner = _stacked(gallery)
+        candidates = {u: list(rows) for u, rows in gallery.items()}
+        insertions = []
+        for sid, v in batch:
+            dists = _distances_to_rows(v, mat, metric)
+            i = int(np.argmin(dists))  # the first row on ties
+            if dists[i] < t_star:
+                label = int(owner[i])
+                candidates[label].append((sid, v))
+                insertions.append((sid, label))
+        kept = _reference_kept(method, candidates, p)
+        users = sorted(candidates)
+        evictions = [(sid, u) for u in users for sid, _ in candidates[u] if sid not in kept]
+        gallery = {u: [r for r in candidates[u] if r[0] in kept] for u in users}
+        cycles.append((t_star, insertions, evictions, gallery))
+        t_star = reference_threshold(gallery, metric, policy)
+    return cycles

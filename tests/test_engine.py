@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selfgallery.core import Batch, gallery_enroll
 from selfgallery.engine import EngineConfig, run_sequence, run_update_cycle
-from selfgallery.matching import ThresholdPolicy
+from selfgallery.matching import ThresholdPolicy, _distances_to_rows
 
 from conftest import gallery_1d, make_sample
+from oracles import reference_sequence, reference_threshold
 
 
 def _cfg(method, p, policy=None):
@@ -196,3 +199,60 @@ def test_insertions_and_appended_templates_follow_batch_order(method):
     assert [t.sample.id for t in g.users[2].templates] == [1, 31, 3]
     added = g.users[1].templates[1:] + g.users[2].templates[1:]
     assert all(t.origin == "self_updated" and t.inserted_at_batch == 2 for t in added)
+
+
+@st.composite
+def _reference_case(draw):
+    """An enrolled gallery on a small lattice, so distances tie across users
+    and at t*, with vectors duplicated across users, and up to three batches,
+    empty ones included. The first batch holds, for a pair at t*, each row
+    mirrored through the other: both lie exactly t* from that row."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d, k = draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    offset, step = draw(st.sampled_from([(0.0, 1.0), (1e4, 1.0), (0.0, 0.1)]))
+    metric = draw(st.sampled_from(["euclidean", "l1"]))
+    policy = draw(st.sampled_from([ThresholdPolicy.zero_far(), ThresholdPolicy.far_quantile(0.3)]))
+    cfg = EngineConfig(draw(st.sampled_from(["kmeans", "mdist", "dend", "keep_all"])),
+                       draw(st.integers(1, 3)), metric, policy)
+
+    def lattice(n):
+        return list(offset + step * rng.integers(-3, 4, (n, d)))
+
+    gallery = {u: lattice(int(rng.integers(1, 4))) for u in range(1, k + 1)}
+    if draw(st.booleans()):  # one vector held by two users
+        gallery[2].append(gallery[1][0])
+    sids = iter(rng.permutation(1000).tolist())
+    gallery = {u: [(next(sids), v) for v in rows] for u, rows in gallery.items()}
+    batches = [lattice(draw(st.integers(0, 6))) for _ in range(draw(st.integers(1, 3)))]
+    mat = np.array([v for u in sorted(gallery) for _, v in gallery[u]])
+    t_star = reference_threshold(gallery, metric, policy)
+    i, j = next((i, j) for i, v in enumerate(mat)
+                for j in np.flatnonzero(_distances_to_rows(v, mat, metric) == t_star).tolist())
+    batches[0] += [2 * mat[i] - mat[j], 2 * mat[j] - mat[i]]
+    return gallery, [[(next(sids), v) for v in b] for b in batches], cfg
+
+
+@settings(derandomize=True, deadline=None, max_examples=250)
+@given(_reference_case())
+def test_run_sequence_equals_the_reference_loop(case):
+    gallery, batches, cfg = case
+    g0 = gallery_enroll([(u, make_sample(sid, v, user=u))
+                         for u in gallery for sid, v in gallery[u]])
+    _, reports, snapshots = run_sequence(
+        g0,
+        [Batch(index=b + 1, samples=tuple(make_sample(sid, v) for sid, v in batch))
+         for b, batch in enumerate(batches)],
+        cfg,
+    )
+    want = reference_sequence(gallery, batches, cfg.method, cfg.p, cfg.metric, cfg.policy)
+    assert len(reports) == len(snapshots) == len(want)
+    for report, snap, batch, (t_star, insertions, evictions, kept) in zip(
+        reports, snapshots, batches, want
+    ):
+        assert report.t_star_used == t_star
+        assert list(report.insertions) == insertions
+        assert list(report.evictions) == evictions
+        assert (report.n_accepted, report.n_rejected) == (len(insertions), len(batch) - len(insertions))
+        assert {u: [t.sample.id for t in snap.users[u].templates] for u in snap.user_ids} == {
+            u: [sid for sid, _ in rows] for u, rows in kept.items()
+        }
