@@ -4,21 +4,12 @@ Squared euclidean is always the clustering metric, independently of the
 matching metric; the selection objectives are written with squares.
 
 Each pass assigns every point to its nearest centroid by exact squared
-distance: matching's ``_sq_norms`` of the coordinate differences
-(``matching._sq_distances``), the first centroid on ties, as
-``tests/oracles.py::exact_assign`` computes it over every pair. It gets
-there the way classification does (``matching``'s module docstring):
-a call centres its points on the mean of its initial centroids and rounds
-them to the screen dtype once, and a screen is the Gram expansion of a
-centred point and a centred centroid, within tau of the exact value, tau
-being matching's bound (``_tau``) with the largest centroid's squared norm.
-A point takes its least screen; only a point with another screen within
-2 tau of it (the limit moved outward, ``_outward``) can have another
-nearest centroid, and only that point's row is scored exactly. The dtype
-is float32 where matching's bound is claimed, else float64; where neither
-is, tau is infinite and every pair is scored exactly. Each pass claims the
-bound again for its centroids; from a pass where it fails, every pair is
-scored exactly.
+distance, the first centroid on ties, as ``tests/oracles.py::exact_assign``
+computes it over every pair. It gets there through matching's screen
+(``matching._Screen``), with the points as its rows and the centroids as
+its columns. What differs from classification is that a call keeps its
+screens from pass to pass and screens again only the centroids that moved
+(``_Screen.rescreen``).
 
 Each Lloyd pass does only the work whose result can differ from the pass
 before. The first pass screens every centroid, and a later one only those
@@ -40,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .matching import _ROUNDING, _outward, _sq_distances, _sq_norms, _tau
+from .matching import _SQUARED, _Screen, _sq_norms
 
 USER_MEANS = "user_means"
 SEEDED_RANDOM = "seeded_random"
@@ -80,65 +71,7 @@ def _sq_residuals(points: np.ndarray, centroids: np.ndarray, index: np.ndarray) 
     return np.square(r, out=r)
 
 
-class _Screen:
-    """One call's points and their screens against the centroids (module
-    docstring). The points are centred and rounded to the screen dtype once;
-    each ``nearest`` call screens again only the centroids that moved."""
-
-    @np.errstate(over="ignore", invalid="ignore")  # an overflow fails the bound: every pair exact
-    def __init__(self, points: np.ndarray, centroids: np.ndarray):
-        self.points, self.index = points, np.arange(points.shape[0])
-        self.centre = centroids.sum(axis=0) / centroids.shape[0]
-        for self.dtype in _ROUNDING:  # float32, else float64
-            self.xc = self._centred(points)
-            self.xx = _sq_norms(self.xc)
-            self._rescreen(centroids)
-            if self.tau is not None:
-                return
-        self.dtype = None  # not claimed in float64 either: every pair exact
-
-    def _centred(self, rows: np.ndarray) -> np.ndarray:
-        out = np.empty(rows.shape, self.dtype)
-        np.subtract(rows, self.centre, out=out, casting="same_kind")
-        return out
-
-    def _rescreen(self, centroids: np.ndarray, cols: Optional[np.ndarray] = None) -> None:
-        """Screen the centroids ``cols`` (every one if None) again."""
-        yc = self._centred(centroids if cols is None else centroids[cols])
-        yy = _sq_norms(yc)
-        g = self.xc @ yc.T
-        g *= -2.0
-        g += self.xx[:, None]
-        g += yy
-        if cols is None:
-            self.g, self.yy = g, yy
-        else:
-            self.g[:, cols], self.yy[cols] = g, yy
-        self.seen = centroids
-        self.tau = _tau(self.xx, self.yy.max(), yc.shape[1], self.dtype)
-
-    def nearest(self, centroids: np.ndarray) -> np.ndarray:
-        """Each point's nearest centroid by exact squared distance, the first on ties."""
-        if self.dtype is not None and centroids is not self.seen:
-            moved = np.flatnonzero((centroids != self.seen).any(axis=1))
-            if moved.size:
-                self._rescreen(centroids, moved)
-                if self.tau is None:
-                    self.dtype = None
-        if self.dtype is None:
-            return _sq_distances(self.points, centroids).argmin(axis=1)
-        g = self.g
-        best = g.argmin(axis=1)
-        limit = _outward(g[self.index, best] + 2 * self.tau, np.inf, g.dtype)
-        within = g <= limit[:, None]  # no NaN: the bound keeps every screen finite
-        # every point's least screen is within; only a point with another one
-        # can have another nearest centroid: score its row exactly
-        if np.count_nonzero(within) > best.size:
-            rows = np.flatnonzero(np.count_nonzero(within, axis=1) > 1)
-            best[rows] = _sq_distances(self.points[rows], centroids).argmin(axis=1)
-        return best
-
-
+@np.errstate(over="ignore", invalid="ignore")  # a screen may overflow: its tau is then infinite
 def _assign(screen: _Screen, centroids: np.ndarray) -> np.ndarray:
     """Nearest-centroid assignment that leaves no cluster empty.
 
@@ -148,11 +81,11 @@ def _assign(screen: _Screen, centroids: np.ndarray) -> np.ndarray:
     re-takes a point it moved, since a moved point is alone in its new
     cluster.
     """
-    assignment = screen.nearest(centroids)
+    assignment = screen.nearest(screen.rescreen(centroids))
     counts = np.bincount(assignment, minlength=centroids.shape[0])
     empty = np.flatnonzero(counts == 0)
     if empty.size:
-        cur = _sq_norms(screen.points - centroids[assignment])
+        cur = _sq_norms(screen.x - centroids[assignment])
         for c in empty:
             donor = int(np.argmax(np.where(counts[assignment] >= 2, cur, -np.inf)))
             counts[assignment[donor]] -= 1
@@ -253,7 +186,7 @@ def kmeans(
         raise ValueError(f"{len(labels)} labels for {n} points")
 
     centroids, groups = _init_centroids(points, params, labels)
-    screen = _Screen(points, centroids)
+    screen = _Screen(points, centroids, _SQUARED, 1)
     history: list[float] = []
     settled = False
     n_iter = 0

@@ -29,8 +29,7 @@ class EngineConfig:
             raise ValueError(f"unknown selection method: {self.method!r}")
         if self.p < 1:
             raise ValueError("p must be positive")
-        if self.metric not in matching.METRICS:
-            raise ValueError(f"unknown metric: {self.metric!r}")
+        matching._known(self.metric)
 
 
 @dataclass(frozen=True)

@@ -12,29 +12,33 @@ run scores all its snapshots against one test batch from one such table.
 Euclidean classification and thresholds screen, then score exactly, as in
 the exact re-ranking of approximate nearest-neighbour search (Jegou, Douze
 & Schmid, "Product quantization for nearest neighbor search", TPAMI 2011).
-``classify_batch`` (each probe's nearest template in the whole gallery)
-and ``estimate_threshold`` (an order statistic of the cross-user pool)
-first screen every pair with the Gram expansion
-g = |x|^2 + |y|^2 - 2 x.y of its squared distance, and only the exact
-kernel ``_distances_to_rows`` decides.
+``classify_batch`` (each probe's nearest template in the whole gallery),
+``estimate_threshold`` (an order statistic of the cross-user pool) and
+K-Means' assignment (``clustering``) first screen every pair with the Gram
+expansion g = |x|^2 + |y|^2 - 2 x.y of its squared distance (``_Screen``),
+and only the exact kernel ``_exact`` decides. Every exact distance in the
+package comes from ``_exact``, bitwise the row kernel ``_distances_to_rows``.
 
-Operands. A call subtracts the gallery mean c from the gallery rows and
-the probes in float64 and rounds the results to the screen dtype: float32,
-or float64 where the bound below does not hold in float32. Distances do
-not change under translation, but the bound grows with squared norms, so
-centring keeps the band narrow under a large common offset.
+Operands. A screen's columns are the gallery (K-Means: the centroids) and
+its rows the probes (the gallery itself, or K-Means' points). A call
+subtracts the columns' mean c from both in float64 and rounds the results
+to the screen dtype: float32, or float64 where the bound below does not
+hold in float32. Distances do not change under translation, but the bound
+grows with squared norms, so centring keeps the band narrow under a large
+common offset.
 
-Tiles. Blocks of at most ``_BLOCK`` rows are screened by one stacked
-``np.matmul`` each, against a (tiles, d, step) copy of the centred gallery
-built once per call. Every 2-D slice of that product is a block's rows (for
-d > _TILE / _BLOCK, a group of them) against one tile of columns, at most
-``_TILE`` = 262144 multiply-adds (m rows x step columns x d); only d > _TILE
-exceeds it, at one row against one column. numpy issues one GEMM per
-slice, and OpenBLAS runs a GEMM of that size on the calling thread:
-``interface/gemm.c`` threads only above SMP_THRESHOLD_MIN (65536) x
-GEMM_MULTITHREAD_THRESHOLD (4, its build default). So a search never waits
-on BLAS worker threads, which stall under CPU contention. Under another
-BLAS, or another OpenBLAS build, only the timing can move, never a result.
+Tiles. Each ``_screen`` call is one stacked ``np.matmul`` of its rows
+against a (tiles, d, step) copy of the centred columns built once per
+call. Classification and t* screen blocks of at most ``_BLOCK`` rows per
+call, K-Means every point at once. Every 2-D slice of that product is a
+group of rows against one tile of columns, at most ``_TILE`` = 262144
+multiply-adds (rows x step columns x d); only d > _TILE exceeds it, at one
+row against one column. numpy issues one GEMM per slice, and OpenBLAS runs
+a GEMM of that size on the calling thread: ``interface/gemm.c`` threads
+only above SMP_THRESHOLD_MIN (65536) x GEMM_MULTITHREAD_THRESHOLD (4, its
+build default). So a search never waits on BLAS worker threads, which
+stall under CPU contention. Under another BLAS, or another OpenBLAS build,
+only the timing can move, never a result.
 
 Bound. Let u be the screen dtype's unit round-off (eps/2), eta its
 smallest subnormal, d the dimension, and N = |x|^2 + max |y|^2 the sum of
@@ -67,22 +71,24 @@ A call screens in float32 when the bound holds there for all its pairs,
 and otherwise in float64 through the same ``_screen``, with float64's u
 and eta. Where it fails in float64 too (a squared norm near 1e307, or
 coordinates near 1e154 and above), tau is infinite and every pair is
-scored exactly, inf distances included: a screen that overflows keeps
-every pair.
+scored exactly, inf distances included: classification and K-Means then
+read no screen, and t*'s band holds every pair.
 
-Bands. A probe's exact nearest row screens within 2 tau of its least
-screen. ``classify_batch`` takes each probe's least screen; only a probe
-whose runner-up screen also lies within 2 tau can have another nearest
-row, and only that probe's band is scored again, in row order, so the
-first row wins ties; each probe's distance is then scored exactly from its
-nearest row. The 2 tau margin also keeps rows that tie only after
-the square root. Each limit (least screen + 2 tau, or the screened order
+Bands. A row's exact nearest column screens within 2 tau of its least
+screen. Each row takes its least screen; only a row whose runner-up
+screen also lies within 2 tau can have another nearest column, and only
+that row's band is scored again, in column order, so the first column wins
+ties. Classification compares square-rooted distances, so the 2 tau margin
+also keeps columns that tie only after the square root, and scores each
+probe's distance exactly from its nearest row; K-Means compares squared
+distances. Each limit (least screen + 2 tau, or the screened order
 statistic -/+ 2 tau) is summed once in float64, rounded to the screen
-dtype and moved one step outward, so no comparison narrows the band; NaN
-compares false, so it keeps its pair. Distances, labels, the lowest-index
-tie rule and t* are therefore bitwise those of the row-by-row kernel. L1
-has no Gram identity: it still scores every row, one probe at a time, and
-takes its t* from ``impostor_pool``.
+dtype and moved one step outward, so no comparison narrows the band; under
+a claimed bound every screen is finite, and t*'s band keeps a NaN screen.
+Distances, labels, the lowest-index tie rule, t* and K-Means' assignments
+are therefore bitwise those of the row-by-row kernel. L1 has no Gram
+identity: it still scores every row, one probe at a time, and takes its t*
+from ``impostor_pool``.
 
 ``estimate_threshold`` screens each cross-user pair once, under zero-FAR
 and FAR-quantile alike. It holds one buffer of screens in the screen dtype
@@ -105,10 +111,11 @@ from .core import Batch, Gallery
 EUCLIDEAN = "euclidean"
 L1 = "l1"
 METRICS = (EUCLIDEAN, L1)
+_SQUARED = "squared"  # the exact kernel's euclidean before its square root (K-Means, selection)
 
 _BLOCK = 64  # rows per Gram screen block
 _TILE = 1 << 18  # multiply-adds per screen GEMM: OpenBLAS keeps it on one thread
-_GATHER = 1 << 14  # feature values per exact re-scoring gather: at most 128 KiB per copy
+_GATHER = 1 << 14  # feature values per block of the exact kernel: at most 128 KiB per copy
 _DIM_LIMIT = 2.0**-10  # largest (d + 4) u for which tau is claimed (module docstring)
 # per screen dtype, in the order tried: unit round-off u, smallest subnormal
 # eta, and the largest squared-norm sum screened (beyond it tau is infinite)
@@ -154,13 +161,18 @@ class ThresholdPolicy:
 DEFAULT_POLICY = ThresholdPolicy.far_quantile(0.01)
 
 
+def _known(metric: str) -> None:
+    """Refuse a metric other than ``METRICS``."""
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric: {metric!r}")
+
+
 def _norms(diff: np.ndarray, metric: str) -> np.ndarray:
     """The metric's norm of each row of a 2-D array: every exact distance's reduction."""
-    if metric == EUCLIDEAN:
-        return np.sqrt(np.einsum("ij,ij->i", diff, diff))
     if metric == L1:
         return np.sum(np.abs(diff), axis=1)
-    raise ValueError(f"unknown metric: {metric!r}")
+    sq = _sq_norms(diff)
+    return sq if metric == _SQUARED else np.sqrt(sq)
 
 
 def _distances_to_rows(v: np.ndarray, rows: np.ndarray, metric: str) -> np.ndarray:
@@ -171,29 +183,31 @@ def _sq_norms(m: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", m, m)
 
 
-def _sq_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Exact squared distances, len(x) x len(y): entry [i, j] is ``_sq_norms``
-    of ``y[j] - x[i]``, so its square root is bitwise
-    ``_distances_to_rows(x[i], y[j : j + 1])``. Each block of rows of x
-    subtracts at most ``_GATHER`` values (or one row's len(y) x d)."""
-    n, (m, d) = x.shape[0], y.shape
+def _exact(x: np.ndarray, y: np.ndarray, metric: str = EUCLIDEAN, ix=None, iy=None) -> np.ndarray:
+    """The exact kernel: ``_norms`` of y[j] - x[i] for every row i of x and j
+    of y, len(x) x len(y), or, given index arrays ix and iy, of each pair
+    (x[ix[t]], y[iy[t]]). Each block of rows subtracts at most ``_GATHER``
+    values (or one row's len(y) x d), so an entry is bitwise
+    ``_distances_to_rows(x[i], y[j : j + 1], metric)``."""
+    d = x.shape[1]
+    n, m = (len(x), len(y)) if ix is None else (len(ix), 1)
     step = max(1, _GATHER // max(1, m * d))
-    if step >= n:  # one block
-        return _sq_norms((y[None, :, :] - x[:, None, :]).reshape(-1, d)).reshape(n, m)
     out = np.empty((n, m))
     for lo in range(0, n, step):
-        diff = y[None, :, :] - x[lo : lo + step, None, :]
-        out[lo : lo + step] = _sq_norms(diff.reshape(-1, d)).reshape(-1, m)
-    return out
+        part = slice(lo, lo + step)
+        diff = y[None, :, :] - x[part, None, :] if ix is None else y[iy[part]] - x[ix[part]]
+        out[part] = _norms(diff.reshape(-1, d), metric).reshape(len(diff), m)
+    return out if ix is None else out[:, 0]
 
 
-def _tau(xx: np.ndarray, yy_max, d: int, dtype) -> Optional[np.ndarray]:
+def _tau(xx: np.ndarray, yy_max, d: int, dtype) -> np.ndarray:
     """tau in ``dtype`` (module docstring) of rows of squared norms xx against
     rows whose largest squared norm is ``yy_max``, all as computed in that
-    dtype; None where the bound is not claimed."""
+    dtype; infinite where the bound is not claimed (a screen could overflow:
+    every pair is then scored exactly)."""
     u, eta, top = _ROUNDING[dtype]
     if not ((d + 4) * u <= _DIM_LIMIT and xx.max() + yy_max <= top):  # NaN fails too
-        return None
+        return np.full(xx.shape, np.inf)
     scale = 8.0 * (d + 4)
     return np.multiply(xx, scale * u, dtype=np.float64) + scale * (u * float(yy_max) + eta)
 
@@ -205,14 +219,14 @@ def _outward(value, toward: float, dtype):
 
 
 def _stack(mat: np.ndarray, centre: np.ndarray, dtype, m: int):
-    """Gallery rows less ``centre``, rounded to ``dtype``, as column tiles for
-    screen blocks of at most m rows: a zero-padded (tiles, d, step) array with
+    """Rows of ``mat`` less ``centre``, rounded to ``dtype``, as column tiles
+    for slices of at most m rows: a zero-padded (tiles, d, step) array with
     m step d <= _TILE where d <= _TILE / m, and the columns' squared norms."""
     n, d = mat.shape
     tiles = -(-n // max(1, _TILE // (m * d)))
     step = -(-n // tiles)  # balanced: only the last tile is partial
     stack = np.empty((tiles, d, step), dtype)
-    cols = stack.transpose(0, 2, 1)  # cols[t, s] is gallery row t step + s
+    cols = stack.transpose(0, 2, 1)  # cols[t, s] is row t step + s of mat
     full, rest = divmod(n, step)
     head = mat[: full * step].reshape(full, step, d)
     np.subtract(head, centre, out=cols[:full], casting="same_kind")
@@ -222,57 +236,94 @@ def _stack(mat: np.ndarray, centre: np.ndarray, dtype, m: int):
     return stack, np.einsum("tds,tds->ts", stack, stack).reshape(-1)
 
 
-def _operands(mat: np.ndarray, x: np.ndarray, m: int):
-    """The screen's operands: the gallery ``mat`` stacked (``_stack``) and
-    the rows of ``x``, both less the gallery's mean and rounded to the
-    screen dtype, their squared norms in it, and tau for each row of x
-    against every gallery row.
-
-    The dtype is float32 unless tau is not claimed in it (module docstring),
-    then float64; where float64 is not claimed either, tau is infinite."""
-    n, d = mat.shape
-    centre = mat.sum(axis=0) / n  # the gallery mean
-    for dtype in _ROUNDING:
-        stack, yy = _stack(mat, centre, dtype, m)
-        xc = np.empty(x.shape, dtype)
-        np.subtract(x, centre, out=xc, casting="same_kind")
-        xx = yy[:n] if x is mat else _sq_norms(xc)
-        tau = _tau(xx, yy.max(), d, dtype)
-        if tau is not None:
-            return stack, yy, xc, xx, tau
-    return stack, yy, xc, xx, np.full(xx.shape, np.inf)  # a screen could overflow: keep every pair
+def _groups(m: int, stack: np.ndarray):
+    """Row groups of a screen of m rows against ``stack``: (groups, rows), at
+    most _TILE / (d step) rows each, balanced, so groups x rows < m + groups."""
+    _, d, step = stack.shape
+    parts = -(-m // max(1, _TILE // (d * step)))
+    return parts, -(-m // parts)
 
 
 def _screen(x, xx, stack, yy) -> np.ndarray:
-    """Gram-expanded squared distances of rows x to the columns of ``stack``:
-    a screen, never a score. One stacked GEMM over every column tile."""
+    """Gram-expanded squared distances of the len(xx) rows x to the columns
+    of ``stack``: a screen, never a score. One stacked GEMM over every row
+    group and column tile; x holds the rows of whole groups (``_groups``),
+    those beyond len(xx) screened and dropped."""
     tiles, d, step = stack.shape
-    m = x.shape[0]
-    # row groups of at most _TILE / (d step) rows: more than one only if d > _TILE / _BLOCK
-    parts = -(-m // max(1, _TILE // (d * step)))
-    rows = -(-m // parts)
-    if parts * rows != m:
-        x = np.concatenate([x, np.zeros((parts * rows - m, d), x.dtype)])
-    g = np.empty((parts * rows, tiles * step), x.dtype)
+    parts, rows = _groups(len(xx), stack)
+    g = np.empty((parts * rows, tiles * step), stack.dtype)
     # slice (p, t) of the product is row group p against tile t, written in
     # place into g's rows and columns: at most _TILE multiply-adds each
     out = g.reshape(parts, rows, tiles, step).transpose(0, 2, 1, 3)
-    np.matmul(x.reshape(parts, 1, rows, d), stack, out=out)
-    g = g[:m]
+    np.matmul(x[: parts * rows].reshape(parts, 1, rows, d), stack, out=out)
+    g = g[: len(xx)]
     g *= -2.0
     g += xx[:, None]
     g += yy
     return g
 
 
-def _exact_pairs(a: np.ndarray, ia: np.ndarray, b: np.ndarray, ib: np.ndarray) -> np.ndarray:
-    """Euclidean distances of the pairs (a[ia[t]], b[ib[t]]), exactly as _distances_to_rows."""
-    out = np.empty(ia.size)
-    step = max(1, _GATHER // a.shape[1])  # bounds the gathered copies
-    for lo in range(0, ia.size, step):
-        part = slice(lo, lo + step)
-        out[part] = _distances_to_rows(a[ia[part]], b[ib[part]], EUCLIDEAN)
-    return out
+class _Screen:
+    """The screen of rows x against columns y (module docstring): both less
+    the mean of y and rounded to the screen dtype, y stacked in column tiles
+    for slices of ``group`` rows, and tau for each row against every column;
+    tau is infinite where the bound is not claimed. ``nearest`` decides on
+    exact distances under ``metric``: euclidean for classification,
+    ``_SQUARED`` for K-Means."""
+
+    @np.errstate(over="ignore", invalid="ignore")  # an overflow fails the bound: tau is infinite
+    def __init__(self, x: np.ndarray, y: np.ndarray, metric: str, group: int):
+        self.x, self.y, self.metric, self.g = x, y, metric, None
+        self.centre = y.sum(axis=0) / len(y)
+        n, d = x.shape
+        for self.dtype in _ROUNDING:  # float32, else float64 (else tau is infinite)
+            self.stack, self.yy = _stack(y, self.centre, self.dtype, group)
+            # zero rows after x's complete the last row group of any screen
+            self.xc = np.zeros((n + _groups(n, self.stack)[0] - 1, d), self.dtype)
+            np.subtract(x, self.centre, out=self.xc[:n], casting="same_kind")
+            self.xx = self.yy[:n] if x is y else _sq_norms(self.xc[:n])
+            self.tau = _tau(self.xx, self.yy.max(), d, self.dtype)
+            if self.tau[0] < np.inf:
+                return
+
+    def screen(self, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
+        """Screens of the rows lo:hi against every column."""
+        return _screen(self.xc[lo:], self.xx[lo:hi], self.stack, self.yy)[:, : len(self.y)]
+
+    def rescreen(self, y: np.ndarray) -> np.ndarray:
+        """Every row's screens against new columns y (K-Means' centroids):
+        the first call screens every column, a later one only the columns
+        that differ from the last ones, and keeps the others' screens."""
+        if self.g is None:
+            self.g = self.screen()
+        else:
+            moved = np.flatnonzero((y != self.y).any(axis=1))
+            if moved.size:
+                stack, yy = _stack(y[moved], self.centre, self.dtype, 1)
+                self.g[:, moved] = _screen(self.xc, self.xx, stack, yy)[:, : moved.size]
+                self.yy[moved] = yy[: moved.size]
+                self.tau = _tau(self.xx, self.yy.max(), y.shape[1], self.dtype)
+        self.y = y
+        return self.g
+
+    def nearest(self, g: np.ndarray, lo: int = 0) -> np.ndarray:
+        """Each row's nearest column by exact distance, the first on ties, from
+        the screens g of rows lo.. (module docstring, Bands)."""
+        x = self.x[lo : lo + len(g)]
+        if not self.tau[0] < np.inf:  # not claimed: every pair is scored
+            return _exact(x, self.y, self.metric).argmin(axis=1)
+        best = g.argmin(axis=1)
+        r = np.arange(best.size)
+        limit = _outward(g[r, best] + 2 * self.tau[lo : lo + best.size], np.inf, g.dtype)
+        within = g <= limit[:, None]  # a claimed bound keeps every screen finite
+        within[r, best] = False
+        # only a row with another screen within its limit can have another
+        # nearest column: score its band exactly, in column order
+        if within.any():
+            for i in np.flatnonzero(within.any(axis=1)):
+                cand = np.flatnonzero(g[i] <= limit[i])
+                best[i] = cand[_exact(x[i : i + 1], self.y[cand], self.metric).argmin()]
+        return best
 
 
 def _cross_layout(gallery: Gallery):
@@ -292,25 +343,23 @@ def impostor_pool(gallery: Gallery, metric: str = EUCLIDEAN) -> np.ndarray:
     classification: L1 thresholds are taken from it, and it is the
     reference the euclidean screen of estimate_threshold must reproduce.
     """
+    _known(metric)
     # the gallery lays each user's rows out as one contiguous segment, so the
-    # cross-user partners of row i that follow it are exactly mat[end:],
-    # end being the end of i's segment; one buffer, in row-major order.
-    mat, row_end, count = _cross_layout(gallery)
-    pool = np.empty(count)
-    pos = 0
-    for v, end in zip(mat, row_end):
-        pool[pos : pos + mat.shape[0] - end] = _distances_to_rows(v, mat[end:], metric)
-        pos += mat.shape[0] - end
-    return pool
+    # cross-user partners of a segment's rows are exactly mat[end:], end being
+    # the segment's end; each segment's table, row-major, in row order
+    mat, row_end, _ = _cross_layout(gallery)
+    ends = np.unique(row_end).tolist()
+    tables = [_exact(mat[lo:end], mat[end:], metric) for lo, end in zip([0] + ends, ends[:-1])]
+    return np.concatenate([t.ravel() for t in tables])
 
 
 def _cross_screens(mat: np.ndarray, row_end: np.ndarray, count: int):
     """Every cross-user pair's screen, in impostor_pool's row-major pair
     order, and the largest tau of any pair."""
     n = mat.shape[0]
-    stack, yy, y, _, tau = _operands(mat, mat, min(n, _BLOCK))
-    step = stack.shape[2]
-    screens = np.empty(count, y.dtype)
+    screen = _Screen(mat, mat, EUCLIDEAN, min(n, _BLOCK))
+    step = screen.stack.shape[2]
+    screens = np.empty(count, screen.dtype)
     pos, ends = 0, row_end.tolist()
     for lo in range(0, n, _BLOCK):
         c0 = ends[lo]  # segments are contiguous: no later row has a partner before c0
@@ -318,7 +367,7 @@ def _cross_screens(mat: np.ndarray, row_end: np.ndarray, count: int):
             break
         hi = min(lo + _BLOCK, n)
         t0 = c0 // step  # the first tile holding a partner
-        g = _screen(y[lo:hi], yy[lo:hi], stack[t0:], yy[t0 * step :])
+        g = _screen(screen.xc[lo:], screen.xx[lo:hi], screen.stack[t0:], screen.yy[t0 * step :])
         r, off = lo, t0 * step
         while r < hi:  # one copy per user's rows in the block: partners end..n
             end = ends[r]
@@ -328,7 +377,7 @@ def _cross_screens(mat: np.ndarray, row_end: np.ndarray, count: int):
             out[...] = g[r - lo : r_next - lo, end - off : n - off]
             pos += size
             r = r_next
-    return screens, tau.max()
+    return screens, screen.tau.max()
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a screen may overflow: its tau is then infinite
@@ -349,7 +398,7 @@ def _cross_order_statistic(mat: np.ndarray, row_end: np.ndarray, count: int, k: 
     width = mat.shape[0] - row_end
     first = np.cumsum(width) - width
     i = np.searchsorted(first, at, side="right") - 1
-    exact = _exact_pairs(mat, i, mat, row_end[i] + at - first[i])
+    exact = _exact(mat, mat, EUCLIDEAN, i, row_end[i] + at - first[i])
     exact.partition(k - below)
     return float(exact[k - below])
 
@@ -363,6 +412,7 @@ def estimate_threshold(
     (d < t*) admits none of the pooled impostor pairs.
     far_quantile(q): lower empirical q-quantile of the pool.
     """
+    _known(metric)
     if metric == EUCLIDEAN:
         mat, row_end, count = _cross_layout(gallery)
         return _cross_order_statistic(mat, row_end, count, policy.rank(count))
@@ -370,32 +420,6 @@ def estimate_threshold(
     k = policy.rank(pool.size)
     pool.partition(k)  # in place: the order statistic is one pool element
     return float(pool[k])
-
-
-@np.errstate(over="ignore", invalid="ignore")  # a screen may overflow: its tau is then infinite
-def _nearest(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """Index of each row of x's euclidean-nearest row of mat, the first on ties."""
-    n = mat.shape[0]
-    stack, yy, xc, xx, tau = _operands(mat, x, min(x.shape[0], _BLOCK))
-    band = 2 * tau
-    near = np.empty(x.shape[0], dtype=np.intp)
-    for lo in range(0, x.shape[0], _BLOCK):
-        rows = slice(lo, lo + _BLOCK)
-        g = _screen(xc[rows], xx[rows], stack, yy)[:, :n]
-        best = g.argmin(axis=1)  # NaN first, when there is one
-        r = np.arange(best.size)
-        least = g[r, best]
-        limit = _outward(least + band[rows], np.inf, xc.dtype)
-        g[r, best] = np.inf
-        runner_up = g.min(axis=1)
-        g[r, best] = least
-        near[rows] = best
-        # only a probe whose runner-up screens inside the band can have
-        # another nearest row: score its band exactly, in row order
-        for i in np.flatnonzero(~(runner_up > limit)):  # NaN keeps its probe
-            cand = np.flatnonzero(~(g[i] > limit[i]))  # NaN keeps a pair
-            near[lo + i] = cand[_distances_to_rows(x[lo + i], mat[cand], EUCLIDEAN).argmin()]
-    return near
 
 
 def _probe_rows(batch: Batch, dim: int) -> np.ndarray:
@@ -419,20 +443,18 @@ def classify_batch(
     to the nearest template) and ``label`` (int64, that template's owner,
     a pseudo-label only where ``accepted``). An empty batch gives 0 rows.
     """
+    _known(metric)
     if not t_star >= 0:  # also refuses NaN, which would reject every probe
         raise ValueError("t* must be non-negative")
     x = _probe_rows(batch, gallery.dim)
     mat, owners = gallery.vectors, gallery.owner
-    if metric == EUCLIDEAN:
-        near = _nearest(x, mat) if len(x) else np.empty(0, dtype=np.intp)
-        dists = _exact_pairs(x, np.arange(near.size), mat, near)
+    if metric == EUCLIDEAN and len(x):
+        screen, blocks = _Screen(x, mat, EUCLIDEAN, min(len(x), _BLOCK)), range(0, len(x), _BLOCK)
+        with np.errstate(over="ignore", invalid="ignore"):  # a screen may overflow: tau is infinite
+            near = np.concatenate([screen.nearest(screen.screen(lo, lo + _BLOCK), lo) for lo in blocks])
     else:  # no Gram identity: every row, one probe at a time
-        near = np.empty(len(x), dtype=np.intp)
-        dists = np.empty(len(x))
-        for i, v in enumerate(x):
-            row = _distances_to_rows(v, mat, metric)
-            near[i] = row.argmin()  # the first row on ties
-            dists[i] = row[near[i]]
+        near = np.array([_exact(v[None], mat, metric).argmin() for v in x], dtype=np.intp)
+    dists = _exact(x, mat, metric, np.arange(len(x)), near)
     ids = np.fromiter((s.id for s in batch.samples), dtype=np.int64, count=len(batch))
     return np.rec.fromarrays(
         [ids, dists < t_star, dists, owners[near]], names="sample_id,accepted,distance,label"
@@ -441,26 +463,18 @@ def classify_batch(
 
 def distance_columns(test: Batch, samples, metric: str = EUCLIDEAN) -> dict[int, np.ndarray]:
     """Exact distances of every test sample to each of the list ``samples``, by sample
-    id: rows of one table. A block's (test - sample) rows hold at most ``_GATHER`` values
-    (or one sample's) and reduce by ``_norms``: bitwise ``_distances_to_rows``."""
+    id: rows of one ``_exact`` table, bitwise ``_distances_to_rows``."""
+    _known(metric)
     if not samples:
         return {}
-    dim, t = samples[0].dim, len(test)
-    step = max(1, _GATHER // max(1, t * dim))
-    table = np.empty((len(samples), t))
+    dim = samples[0].dim
     try:
-        x = np.array([s.vector for s in test.samples]).reshape(t, dim)
-        for lo in range(0, len(samples), step):
-            part = samples[lo : lo + step]
-            y = np.array([s.vector for s in part]).reshape(len(part), 1, dim)
-            table[lo : lo + step] = _norms((x - y).reshape(-1, dim), metric).reshape(len(part), t)
+        x = np.array([s.vector for s in test.samples]).reshape(len(test), dim)
+        y = np.array([s.vector for s in samples]).reshape(len(samples), dim)
     except ValueError:  # ragged or of another width: name the first offending sample
-        s = next((s for s in (*samples, *test.samples) if s.dim != dim), None)
-        if s is None:
-            raise  # not a width: an unknown metric
-        msg = f"dimension mismatch: sample {s.id} has dim {s.dim}, expected {dim}"
-        raise ValueError(msg) from None
-    return dict(zip((s.id for s in samples), table))
+        s = next(s for s in (*samples, *test.samples) if s.dim != dim)
+        raise ValueError(f"dimension mismatch: sample {s.id} has dim {s.dim}, expected {dim}") from None
+    return dict(zip((s.id for s in samples), _exact(y, x, metric)))
 
 
 def _nearest_by_user(test: Batch, gallery: Gallery, columns: dict[int, np.ndarray]):

@@ -10,10 +10,11 @@ Objectives always use squared euclidean, even when matching uses l1.
 
 Every MDIST/DEND path (the one-block table, the prefix-tree walk and
 greedy) reads one exact squared-distance matrix of the id-sorted
-candidates: entry [i, j] is matching's ``_sq_norms`` of the difference of
-rows j and i (``matching._sq_distances``), so its square root is bitwise
-the ``_distances_to_rows`` distance, and it is built in row blocks of at
-most ``_GATHER`` subtracted values. No BLAS call enters it, so no choice
+candidates from matching's exact kernel (``matching._exact``, squared):
+entry [i, j] is the squared norm of the difference of rows j and i, so its
+square root is bitwise the ``_distances_to_rows`` distance, and it is built
+in row blocks of at most ``_GATHER`` subtracted values. No BLAS call enters
+it, so no choice
 depends on the BLAS library or thread count.
 
 Exact selection screens every size-p subset and decides only on exact
@@ -65,7 +66,7 @@ import numpy as np
 
 from .clustering import KMeansParams, _sq_residuals, kmeans
 from .core import Template
-from .matching import _sq_distances
+from .matching import _SQUARED, _exact
 
 KMEANS = "kmeans"
 MDIST = "mdist"
@@ -86,7 +87,7 @@ def _sorted_by_id(candidates: Iterable[Template]) -> list[Template]:
 def _pair_matrix(candidates: list[Template]) -> np.ndarray:
     """The candidates' exact squared distance matrix (module docstring)."""
     vecs = np.array([t.sample.vector for t in candidates])
-    return _sq_distances(vecs, vecs)
+    return _exact(vecs, vecs, _SQUARED)
 
 
 @lru_cache(maxsize=None)  # one p x p mask per p

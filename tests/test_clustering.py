@@ -12,11 +12,11 @@ from selfgallery.clustering import (
     KMeansParams,
     _assign,
     _means,
-    _Screen,
     _sq_residuals,
     kmeans,
 )
-from selfgallery.matching import _sq_distances, _sq_norms
+from selfgallery import matching
+from selfgallery.matching import _SQUARED, _exact, _Screen, _sq_norms
 
 from oracles import dominant_cluster_for_user, exact_assign, masked_mean_kmeans
 
@@ -261,15 +261,21 @@ def test_sq_dists_is_the_clipped_gram_expansion(offset, d):
     x = rng.normal(size=(50, d)) + offset
     c = rng.normal(size=(7, d)) + offset
     for y in (c, x):  # against centroids, and one set against itself
-        screen = _Screen(x, y)
+        screen = _Screen(x, y, _SQUARED, 1)  # as kmeans builds it
         assert screen.dtype == np.float32
         centre = y.sum(axis=0) / y.shape[0]
         xc, yc = (x - centre).astype(np.float32), (y - centre).astype(np.float32)
-        want = -2.0 * (xc @ yc.T) + _sq_norms(xc)[:, None] + _sq_norms(yc)
-        assert want.dtype == np.float32 and np.array_equal(screen.g, want)
-        exact = _sq_distances(x, y)
-        assert np.all(np.abs(np.maximum(screen.g, 0.0) - exact) <= screen.tau[:, None])
-        assert np.array_equal(screen.nearest(y), exact.argmin(axis=1))
+        # the screen stacks the columns as (d, columns) tiles laid out row by
+        # row and sums their squared norms down each tile's columns; a set
+        # against itself takes its rows' norms from there too
+        yt = np.ascontiguousarray(yc.T)
+        yy = np.einsum("ds,ds->s", yt, yt)
+        want = -2.0 * (xc @ yt) + (yy if y is x else _sq_norms(xc))[:, None] + yy
+        g = screen.rescreen(y)
+        assert want.dtype == np.float32 and np.array_equal(g, want)
+        exact = _exact(x, y, _SQUARED)
+        assert np.all(np.abs(np.maximum(g, 0.0) - exact) <= screen.tau[:, None])
+        assert np.array_equal(screen.nearest(g), exact.argmin(axis=1))
 
 
 def test_sq_residuals_is_the_squared_difference_to_the_gathered_centroids():
@@ -330,26 +336,29 @@ def test_screen_dtype_follows_the_bound(scale, dtype):
     rng = np.random.default_rng(6)
     pts = rng.normal(size=(30, 3)) * scale
     with np.errstate(over="ignore", invalid="ignore"):
-        assert _Screen(pts, pts[:4]).dtype == dtype
+        screen = _Screen(pts, pts[:4], _SQUARED, 1)  # as kmeans builds it
+        # None: not claimed in float64 either, so tau is infinite, every pair exact
+        claimed = (dtype or np.float64, dtype is not None)
+        assert (screen.dtype, bool(np.isfinite(screen.tau).all())) == claimed
         _assert_same_clustering(pts, KMeansParams(k=4), labels=_labels(rng, 30, 4))
 
 
 def _record_screens(monkeypatch):
-    """Record every pass's centroids and each re-screen's columns."""
-    passes, cols = [], []
-    nearest, rescreen = _Screen.nearest, _Screen._rescreen
+    """Record every pass's centroids and the columns each screen call stacks."""
+    passes, stacks = [], []
+    rescreen, screen = _Screen.rescreen, matching._screen
 
-    def recording_nearest(self, centroids):
+    def recording_rescreen(self, centroids):
         passes.append(centroids.copy())
-        return nearest(self, centroids)
+        return rescreen(self, centroids)
 
-    def recording_rescreen(self, centroids, which=None):
-        cols.append(None if which is None else which.tolist())
-        return rescreen(self, centroids, which)
+    def recording_screen(x, xx, stack, yy):
+        stacks.append(np.concatenate(stack.transpose(0, 2, 1)))  # one row per column
+        return screen(x, xx, stack, yy)
 
-    monkeypatch.setattr(_Screen, "nearest", recording_nearest)
-    monkeypatch.setattr(_Screen, "_rescreen", recording_rescreen)
-    return passes, cols
+    monkeypatch.setattr(_Screen, "rescreen", recording_rescreen)
+    monkeypatch.setattr(matching, "_screen", recording_screen)
+    return passes, stacks
 
 
 @pytest.mark.parametrize("init", ["user_means", "seeded_random"])
@@ -359,32 +368,38 @@ def test_kmeans_rescreens_only_the_centroids_that_moved(monkeypatch, init):
     pts = rng.normal(size=(n, 16)) + 4.0 * rng.integers(0, k, size=(n, 1))
     params = KMeansParams(k=k, init=init, seed=2)
     labels = _labels(rng, n, k) if init == "user_means" else None
-    passes, cols = _record_screens(monkeypatch)
+    passes, stacks = _record_screens(monkeypatch)
     got = _assert_same_clustering(pts, params, labels=labels)
     assert len(passes) >= 3 and got.n_iter >= 3
-    assert cols[0] is None  # the first pass screens every centroid
-    moved = [np.flatnonzero((b != a).any(axis=1)).tolist() for a, b in zip(passes, passes[1:])]
-    assert cols[1:] == [m for m in moved if m]
+    # the first pass screens every centroid, a later one the moved ones: each
+    # stack holds exactly their rows less the first centroids' mean, in float32
+    centre = passes[0].sum(axis=0) / k
+    moved = [np.flatnonzero((b != a).any(axis=1)) for a, b in zip(passes, passes[1:])]
+    cols = [passes[0]] + [b[m] for b, m in zip(passes[1:], moved) if m.size]
+    assert len(stacks) == len(cols)
+    for stack, want in zip(stacks, cols):
+        assert np.array_equal(stack, (want - centre).astype(np.float32))
     assert sum(map(len, cols[1:])) < k * (len(passes) - 1)  # some centroids settled early
 
 
 def test_kmeans_scores_exactly_only_points_near_a_tie(monkeypatch):
-    scored, table = [], clustering._sq_distances
+    scored, table = [], matching._exact
 
-    def counting(x, y):
-        scored.append(len(x))
-        return table(x, y)
+    def counting(x, y, metric=matching.EUCLIDEAN, *pairs):
+        if metric == _SQUARED:
+            scored.append(x.tolist())
+        return table(x, y, metric, *pairs)
 
-    monkeypatch.setattr(clustering, "_sq_distances", counting)
+    monkeypatch.setattr(matching, "_exact", counting)
     rng = np.random.default_rng(4)
     n, k = 400, 10
     pts = rng.normal(size=(n, 32)) + 1e4
     _assert_same_clustering(pts, KMeansParams(k=k), labels=_labels(rng, n, k))
-    assert sum(scored) <= n // 20
+    assert sum(map(len, scored)) <= n // 20  # points scored exactly
     # the user means are -2/3 and 2/3, so both points at 0 tie exactly: only
     # their rows are scored, and the first centroid takes them
     scored.clear()
     pts = np.array([[-1.0], [-1.0], [1.0], [1.0], [0.0], [0.0]])
     got = _assert_same_clustering(pts, KMeansParams(k=2), labels=[0, 0, 1, 1, 0, 1])
-    assert scored[0] == 2
+    assert scored == [[[0.0]], [[0.0]]]
     assert got.assignment.tolist() == [0, 0, 1, 1, 0, 0]

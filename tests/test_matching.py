@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selfgallery import matching
+from selfgallery.clustering import KMeansParams, kmeans
 from selfgallery.core import Batch, gallery_enroll
 from selfgallery.matching import (
     _BLOCK,
@@ -344,6 +345,21 @@ def test_distance_columns_rejects_a_sample_of_another_dim_before_any_distance(mo
     assert computed == []
 
 
+@pytest.mark.parametrize("call", [
+    lambda g: classify_batch(Batch(index=1, samples=()), g, 1.0, "cosine"),  # no probe
+    lambda g: matching.distance_columns(Batch(index=1, samples=()), [], "cosine"),  # no sample
+    lambda g: estimate_threshold(gallery_1d({1: [0.0, 1.0]}), metric="cosine"),  # no pair
+    lambda g: impostor_pool(gallery_1d({1: [0.0, 1.0]}), "cosine"),
+    lambda g: estimate_threshold(g, metric="cosine"),
+    lambda g: impostor_pool(g, "cosine"),
+])
+def test_an_unknown_metric_is_refused_before_any_work(abc_gallery, monkeypatch, call):
+    # as EngineConfig refuses it: even where there is nothing to compute
+    monkeypatch.setattr(matching, "_exact", lambda *args: pytest.fail("computed a distance"))
+    with pytest.raises(ValueError, match="unknown metric: 'cosine'"):
+        call(abc_gallery)
+
+
 def test_score_sets_reads_only_its_templates_columns(abc_gallery):
     test = Batch(index=6, samples=(make_sample(30, [0.3], user=1), make_sample(31, [1.2], user=3)))
     columns = gallery_columns(test, abc_gallery)
@@ -649,8 +665,8 @@ def test_screen_rows_at_an_overflow_edge(edge, side):
     _assert_screened_paths_equal_references(g, probes)
 
 
-@pytest.mark.parametrize("dim", [1, 16, 64, 128, 4100])
-def test_screen_gemms_stay_on_the_calling_thread(monkeypatch, dim):
+@pytest.mark.parametrize("case", [1, 16, 64, 128, 4100, "kmeans"])  # dims, or K-Means
+def test_screen_gemms_stay_on_the_calling_thread(monkeypatch, case):
     # OpenBLAS runs a GEMM of at most _TILE multiply-adds on the calling
     # thread: every 2-D product the screen issues stays within it, and each
     # _screen call issues one stacked np.matmul, with no loop over tiles
@@ -667,6 +683,15 @@ def test_screen_gemms_stay_on_the_calling_thread(monkeypatch, dim):
 
     monkeypatch.setattr(matching, "_screen", counting)
     monkeypatch.setattr(np, "matmul", recording)
+    if case == "kmeans":  # online_wide's shape: 1000 points, 100 centroids, d = 128
+        rng = np.random.default_rng(2)
+        pts = rng.normal(size=(1000, 128)) + 3.0 * rng.normal(size=(100, 128))[rng.integers(0, 100, 1000)]
+        cl = kmeans(pts, KMeansParams(k=100, init="seeded_random", seed=1))
+        # every centroid screened once, then only moved ones, pass by pass
+        assert cl.n_iter >= 3 and len(screens) >= 3
+        assert len(products) == len(screens) and max(products) <= _TILE
+        return
+    dim = case
     rng = np.random.default_rng(dim)
     g, shared = _screen_gallery(rng, dim, [3, 2, 1, 4] * 15, 0.0)  # 150 rows
     probes = [shared] + list(rng.normal(2.0, 1.5, (2 * _BLOCK + 7, dim)))
@@ -681,17 +706,17 @@ def test_screen_gemms_stay_on_the_calling_thread(monkeypatch, dim):
 def test_classify_rescores_only_probes_whose_runner_up_is_in_the_band(monkeypatch, offset):
     # templates 10 apart: a probe near one of them scores only its nearest
     # pair exactly; a probe halfway between two ties, so its band is scored
-    kernel, scored = matching._distances_to_rows, []
+    kernel, scored = matching._norms, []
 
-    def counting(v, rows, metric):
-        scored.append(len(rows))
-        return kernel(v, rows, metric)
+    def counting(diff, metric):
+        scored.append(len(diff))
+        return kernel(diff, metric)
 
     g = gallery_enroll([(u, make_sample(u, [10.0 * u + offset, offset], user=u))
                         for u in range(1, 31)])
     near = [[10.0 * u + 0.3 + offset, offset - 0.2] for u in range(1, 31)] * 3
     batch = Batch(index=1, samples=tuple(make_sample(100 + i, v) for i, v in enumerate(near)))
-    monkeypatch.setattr(matching, "_distances_to_rows", counting)
+    monkeypatch.setattr(matching, "_norms", counting)
     classify_batch(batch, g, math.inf)
     assert sum(scored) == len(near)
     scored.clear()
@@ -728,20 +753,26 @@ def test_classify_rejects_nan_threshold(abc_gallery):
 @pytest.mark.parametrize("offset", [0.0, 1e4])
 @pytest.mark.parametrize("d", [1, 3, 128])
 def test_sq_distances_is_bitwise_the_row_kernel(offset, d, monkeypatch):
-    # the exact squared distances MDIST/DEND and K-Means decide on: entry
-    # [i, j] is the einsum of y[j] - x[i], whose root is _distances_to_rows'
+    # the exact kernel every distance is taken from: entry [i, j] is the
+    # einsum of y[j] - x[i] (squared euclidean: what MDIST/DEND and K-Means
+    # decide on), its root, or its l1 norm, each bitwise _distances_to_rows'
     rng = np.random.default_rng(d)
     x = rng.normal(size=(50, d)) + offset
     c = rng.normal(size=(7, d)) + offset
-    table = matching._sq_distances(x, c)
+    table = matching._exact(x, c, matching._SQUARED)
     assert table.shape == (50, 7)
     for i, v in enumerate(x):
         assert table[i].tolist() == np.einsum("ij,ij->i", c - v, c - v).tolist()
         assert np.sqrt(table[i]).tolist() == _distances_to_rows(v, c, "euclidean").tolist()
-    # in blocks of one row, and of the whole of x, the values stay the same
-    for gather in (1, 50 * 7 * d):
-        monkeypatch.setattr(matching, "_GATHER", gather)
-        assert np.array_equal(matching._sq_distances(x, c), table)
+    ix, iy = rng.integers(0, 50, 40), rng.integers(0, 7, 40)
+    for metric in (matching._SQUARED, *METRICS):
+        rows = np.stack([_distances_to_rows(v, c, metric) for v in x])
+        # in blocks of one row, of the whole of x, and of _GATHER values, the
+        # values stay the same; so do the pairs (x[ix[t]], c[iy[t]])
+        for gather in (1, 50 * 7 * d, _GATHER):
+            monkeypatch.setattr(matching, "_GATHER", gather)
+            assert np.array_equal(matching._exact(x, c, metric), rows)
+            assert np.array_equal(matching._exact(x, c, metric, ix, iy), rows[ix, iy])
     # one set against itself, as MDIST/DEND take it: symmetric, zero diagonal
-    own = matching._sq_distances(x, x)
+    own = matching._exact(x, x, matching._SQUARED)
     assert np.array_equal(own, own.T) and not own.diagonal().any()
