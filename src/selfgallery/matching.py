@@ -221,7 +221,8 @@ def _outward(value, toward: float, dtype):
 def _stack(mat: np.ndarray, centre: np.ndarray, dtype, m: int):
     """Rows of ``mat`` less ``centre``, rounded to ``dtype``, as column tiles
     for slices of at most m rows: a zero-padded (tiles, d, step) array with
-    m step d <= _TILE where d <= _TILE / m, and the columns' squared norms."""
+    m step d <= _TILE where d <= _TILE / m, and the columns' squared norms,
+    infinite for the padding, so that no padded column screens in a band."""
     n, d = mat.shape
     tiles = -(-n // max(1, _TILE // (m * d)))
     step = -(-n // tiles)  # balanced: only the last tile is partial
@@ -233,7 +234,9 @@ def _stack(mat: np.ndarray, centre: np.ndarray, dtype, m: int):
     if rest:
         np.subtract(mat[full * step :], centre, out=cols[full, :rest], casting="same_kind")
         cols[full, rest:] = 0
-    return stack, np.einsum("tds,tds->ts", stack, stack).reshape(-1)
+    yy = np.einsum("tds,tds->ts", stack, stack).reshape(-1)
+    yy[n:] = np.inf
+    return stack, yy
 
 
 def _groups(m: int, stack: np.ndarray):
@@ -282,13 +285,14 @@ class _Screen:
             self.xc = np.zeros((n + _groups(n, self.stack)[0] - 1, d), self.dtype)
             np.subtract(x, self.centre, out=self.xc[:n], casting="same_kind")
             self.xx = self.yy[:n] if x is y else _sq_norms(self.xc[:n])
-            self.tau = _tau(self.xx, self.yy.max(), d, self.dtype)
+            self.tau = _tau(self.xx, self.yy[: len(y)].max(), d, self.dtype)
             if self.tau[0] < np.inf:
                 return
 
     def screen(self, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
-        """Screens of the rows lo:hi against every column."""
-        return _screen(self.xc[lo:], self.xx[lo:hi], self.stack, self.yy)[:, : len(self.y)]
+        """Screens of the rows lo:hi against every column (and inf against
+        the stack's padding)."""
+        return _screen(self.xc[lo:], self.xx[lo:hi], self.stack, self.yy)
 
     def rescreen(self, y: np.ndarray) -> np.ndarray:
         """Every row's screens against new columns y (K-Means' centroids):
@@ -302,7 +306,7 @@ class _Screen:
                 stack, yy = _stack(y[moved], self.centre, self.dtype, 1)
                 self.g[:, moved] = _screen(self.xc, self.xx, stack, yy)[:, : moved.size]
                 self.yy[moved] = yy[: moved.size]
-                self.tau = _tau(self.xx, self.yy.max(), y.shape[1], self.dtype)
+                self.tau = _tau(self.xx, self.yy[: len(y)].max(), y.shape[1], self.dtype)
         self.y = y
         return self.g
 
@@ -316,10 +320,10 @@ class _Screen:
         r = np.arange(best.size)
         limit = _outward(g[r, best] + 2 * self.tau[lo : lo + best.size], np.inf, g.dtype)
         within = g <= limit[:, None]  # a claimed bound keeps every screen finite
-        within[r, best] = False
-        # only a row with another screen within its limit can have another
-        # nearest column: score its band exactly, in column order
-        if within.any():
+        # each row's least screen is within; only a row with another one can
+        # have another nearest column: score its band exactly, in column order
+        if np.count_nonzero(within) > best.size:
+            within[r, best] = False
             for i in np.flatnonzero(within.any(axis=1)):
                 cand = np.flatnonzero(g[i] <= limit[i])
                 best[i] = cand[_exact(x[i : i + 1], self.y[cand], self.metric).argmin()]
@@ -349,8 +353,8 @@ def impostor_pool(gallery: Gallery, metric: str = EUCLIDEAN) -> np.ndarray:
     # the segment's end; each segment's table, row-major, in row order
     mat, row_end, _ = _cross_layout(gallery)
     ends = np.unique(row_end).tolist()
-    tables = [_exact(mat[lo:end], mat[end:], metric) for lo, end in zip([0] + ends, ends[:-1])]
-    return np.concatenate([t.ravel() for t in tables])
+    segments = zip([0] + ends, ends[:-1])
+    return np.concatenate([_exact(mat[lo:end], mat[end:], metric).ravel() for lo, end in segments])
 
 
 def _cross_screens(mat: np.ndarray, row_end: np.ndarray, count: int):
@@ -412,11 +416,10 @@ def estimate_threshold(
     (d < t*) admits none of the pooled impostor pairs.
     far_quantile(q): lower empirical q-quantile of the pool.
     """
-    _known(metric)
     if metric == EUCLIDEAN:
         mat, row_end, count = _cross_layout(gallery)
         return _cross_order_statistic(mat, row_end, count, policy.rank(count))
-    pool = impostor_pool(gallery, metric)
+    pool = impostor_pool(gallery, metric)  # refuses an unknown metric before any work
     k = policy.rank(pool.size)
     pool.partition(k)  # in place: the order statistic is one pool element
     return float(pool[k])
