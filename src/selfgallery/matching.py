@@ -192,6 +192,10 @@ def _exact(x: np.ndarray, y: np.ndarray, metric: str = EUCLIDEAN, ix=None, iy=No
     d = x.shape[1]
     n, m = (len(x), len(y)) if ix is None else (len(ix), 1)
     step = max(1, _GATHER // max(1, m * d))
+    if n <= step:  # one block: its norms are the result, with no buffer to copy them into
+        diff = y[None, :, :] - x[:, None, :] if ix is None else y[iy] - x[ix]
+        out = _norms(diff.reshape(-1, d), metric)
+        return out.reshape(n, m) if ix is None else out
     out = np.empty((n, m))
     for lo in range(0, n, step):
         part = slice(lo, lo + step)

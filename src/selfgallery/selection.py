@@ -18,21 +18,25 @@ it, so no choice
 depends on the BLAS library or thread count.
 
 Exact selection screens every size-p subset and decides only on exact
-sums. Subsets come in lexicographic order, in blocks of at most
-EXACT_CHUNK. When all C = C(n, p) subsets fit in one block and their
-C x m pair entries, m = p(p-1)/2, number at most 16 x EXACT_CHUNK (p <= 6
-at every such n), the block comes from a table cached per (n, p): the
-subsets' index rows and their pairs' flat indices into the matrix, m x C,
-so the screen is m gathers summed. Other inputs, such as n = 200 and
-p = 199, whose pair index would take 31 MB, build their blocks in numpy
-one prefix-tree level at a time: each prefix carries its pairwise sum and
-its row sums over the matrix, so a child's screen is its parent's sum plus
-one entry of those row sums. Either way a screen is the sum of the
-subset's m pair entries in some order, and so is its exact value, taken
-by ``subset_objectives`` (a cached upper-triangle mask applied with
-``np.where``) bit for bit as the test reference ``subset_objective``
-(``tests/oracles.py``) takes it with ``np.triu``; that file also holds
-the brute-force subset oracle the fast paths are checked against.
+sums. Subsets come in lexicographic order, in one block or in blocks of at
+most EXACT_CHUNK. When the C = C(n, p) subsets number at most
+5 x EXACT_CHUNK and their C x m pair entries, m = p(p-1)/2, at most
+80 x EXACT_CHUNK (at p = 6: n <= 15, C(15, 6) = 5,005 subsets and 75,075
+entries), they make one block, read from a table cached per (n, p): the
+subsets' index rows, one byte per index (n <= 101 at every such (n, p)),
+and their pairs' flat indices into the matrix, m x C, so the screen is m
+gathers summed. Such a table takes at most 632,610 bytes (n = 55,
+p = 54), and the cache holds at most 12 of them, 7.2 MiB in all. Other
+inputs, such as n >= 16 at p = 6, or n = 200 and p = 199, whose pair index
+would take 31 MB, build their blocks in numpy one prefix-tree level at a
+time: each prefix carries its pairwise sum and its row sums over the
+matrix, so a child's screen is its parent's sum plus one entry of those
+row sums. Either way a screen is the sum of the subset's m pair entries in
+some order, and so is its exact value, taken by ``subset_objectives`` (a
+cached upper-triangle mask applied with ``np.where``) bit for bit as the
+test reference ``subset_objective`` (``tests/oracles.py``) takes it with
+``np.triu``; that file also holds the brute-force subset oracle the fast
+paths are checked against.
 
 Why screening is safe: the entries are sums of squares, so >= 0, and any
 order of summing them lies within gamma * T of the true sum T, with
@@ -58,7 +62,6 @@ lexicographic order, whatever the blocks: the lowest-sample-ids tie rule.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
 
@@ -75,7 +78,7 @@ KEEP_ALL = "keep_all"
 METHODS = (KMEANS, MDIST, DEND, KEEP_ALL)
 
 EXACT_BUDGET = 10**6
-EXACT_CHUNK = 1024  # subsets per block; their prefixes' row sums are at most 1024 x n doubles
+EXACT_CHUNK = 1024  # subsets per tree block; their prefixes' row sums are at most 1024 x n doubles
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 _FLOAT_MAX = float(np.finfo(float).max)
 
@@ -121,14 +124,22 @@ def _children(sqmat: np.ndarray, p: int, k: int, last, part, rows):
     return parent, a, np.add(part[:, None], rows[:, :w]).take(flat)
 
 
-@lru_cache(maxsize=128)  # 123 (n, p) pass _blocks' size bound, 3.3 MB in all
+@lru_cache(maxsize=12)  # every (n, 6) the table serves; at most 12 x 632,610 bytes = 7.2 MiB
 def _subset_table(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     """The size-p subsets of range(n) in lexicographic order, as read-only
-    (C, p) index rows, and each subset's m = p(p-1)/2 upper-triangle pairs
-    as read-only (m, C) flat indices into an n x n matrix."""
-    rows = np.array(list(combinations(range(n), p)), dtype=np.intp)
+    (C, p) index rows of the smallest unsigned dtype holding n - 1, and
+    each subset's m = p(p-1)/2 upper-triangle pairs as read-only (m, C)
+    flat indices into an n x n matrix (intp: an index of another dtype is
+    cast on every gather)."""
+    rows = np.arange(n - p + 1, dtype=np.min_scalar_type(n - 1))[:, None]
+    for k in range(1, p):  # append every element that leaves room for p - k - 1 more
+        parent, a = (rows[:, -1:] < np.arange(n - p + k + 1)).nonzero()
+        rows = np.concatenate((rows[parent], a[:, None].astype(rows.dtype)), axis=1)
+    cols = rows.T.astype(np.intp)
     i, j = np.triu_indices(p, k=1)
-    pairs = rows.T[i] * n + rows.T[j]
+    pairs = cols[i]
+    pairs *= n
+    pairs += cols[j]
     rows.flags.writeable = pairs.flags.writeable = False
     return rows, pairs
 
@@ -207,9 +218,9 @@ def _enumerate_best(
     n, m = len(sqmat), p * (p - 1) // 2
     delta = 8 * m * _UNIT_ROUNDOFF
     count = comb(n, p)
-    if count <= EXACT_CHUNK and count * m <= 16 * EXACT_CHUNK:  # one block, from the table
+    if count <= 5 * EXACT_CHUNK and count * m <= 80 * EXACT_CHUNK:  # one block, from the table
         rows, pairs = _subset_table(n, p)
-        screen = sqmat.take(pairs).sum(axis=0)
+        screen = sqmat.ravel()[pairs].sum(axis=0)  # take() would copy the read-only index
         combos = rows[_band(screen, -np.inf if maximize else np.inf, maximize, delta)]
         if len(combos) > 1:  # a lone subset in the band is the optimum: nothing to compare
             objs = subset_objectives(sqmat, combos)

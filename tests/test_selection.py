@@ -658,14 +658,75 @@ def test_enumerate_best_at_a_large_p_keeps_the_tree():
     assert _ids(chosen) == _chunked_reference_ids(cands, p, maximize=False, chunk=4)
 
 
-@pytest.mark.parametrize("n, p", [(7, 6), (12, 6), (20, 3), (45, 2), (9, 1), (5, 5)])
+@pytest.mark.parametrize(
+    "n, p", [(7, 6), (12, 6), (15, 6), (20, 3), (45, 2), (9, 1), (5, 5), (55, 54)]
+)
 def test_subset_table_rows_and_pairs(n, p):
     rows, pairs = selection._subset_table(n, p)
     assert rows.tolist() == [list(c) for c in itertools.combinations(range(n), p)]
+    assert rows.dtype == np.uint8 and pairs.dtype == np.intp  # one byte per index at n <= 256
     assert not rows.flags.writeable and not pairs.flags.writeable
     assert pairs.shape == (p * (p - 1) // 2, len(rows))
     for row, flat in zip(rows.tolist(), pairs.T.tolist()):
         assert [divmod(f, n) for f in flat] == list(itertools.combinations(row, 2))
+
+
+def _reads_the_table(n, p):
+    """The one-block rule of ``_enumerate_best``: is (n, p)'s subset table used?"""
+    count, chunk = comb(n, p), selection.EXACT_CHUNK
+    return count <= 5 * chunk and count * (p * (p - 1) // 2) <= 80 * chunk
+
+
+def _admitted():
+    """Every (n, p), 2 <= p < n, whose subset table ``_enumerate_best`` reads."""
+    out, p = [], 2
+    while _reads_the_table(p + 1, p):  # C(p + 1, p) = p + 1 subsets: the least count at p
+        n = p + 1
+        while _reads_the_table(n, p):
+            out.append((n, p))
+            n += 1
+        p += 1
+    return out
+
+
+def test_subset_table_cache_worst_case():
+    admitted = _admitted()
+    assert [n for n, p in admitted if p == 6] == list(range(7, 16))
+    assert max(n for n, _ in admitted) == 101  # so one byte holds every index
+    sizes = {}
+    for n, p in admitted:
+        rows, pairs = selection._subset_table.__wrapped__(n, p)  # uncached: every entry once
+        sizes[n, p] = rows.nbytes + pairs.nbytes
+    largest = max(sizes, key=sizes.get)
+    assert (largest, sizes[largest]) == ((55, 54), 632_610)  # as the module states
+    maxsize = selection._subset_table.cache_info().maxsize
+    assert maxsize * sizes[largest] <= 8 * 2**20
+    # every (n, 6) the workloads reach (n <= 15 on the table) stays cached
+    selection._subset_table.cache_clear()
+    for _ in range(2):
+        for n in range(7, 16):
+            selection._subset_table(n, 6)
+    info = selection._subset_table.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (9, 9, 9) and maxsize >= 9
+
+
+@pytest.mark.parametrize("n, p", [(15, 6), (55, 54)])
+def test_enumerate_best_at_the_largest_table_holds_little(n, p):
+    assert _reads_the_table(n, p) and not _reads_the_table(n + 1, p)
+    cands = make_templates(np.random.default_rng(10).normal(size=(n, 4)))
+    selection._subset_table.cache_clear()
+    peaks = []
+    for _ in range(2):  # the table's build, then a call on the cached table
+        tracemalloc.start()
+        try:
+            chosen = selection._enumerate_best(cands, p, maximize=False)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert _ids(chosen) == _chunked_reference_ids(cands, p, maximize=False)
+    # the table is 0.6 MB and its screen gathers as many doubles; the
+    # gather must not copy the read-only index
+    assert peaks[0] < 2 * 2**20 and peaks[1] < 2**20
 
 
 def _count_children(monkeypatch):
@@ -683,10 +744,12 @@ def _count_children(monkeypatch):
 def test_enumerate_best_one_block_reads_the_subset_table(monkeypatch, maximize):
     calls = _count_children(monkeypatch)
     rng = np.random.default_rng(21)
-    for n in range(7, 13):  # C(12, 6) = 924 <= EXACT_CHUNK
+    # every admitted (n, 6), C(15, 6) = 5,005 > EXACT_CHUNK included, and (14, 7)
+    for n, p in [(n, 6) for n in range(7, 16)] + [(14, 7)]:
+        assert _reads_the_table(n, p)
         cands = make_templates(rng.normal(size=(n, 4)))
-        assert _ids(selection._enumerate_best(cands, 6, maximize)) == _chunked_reference_ids(
-            cands, 6, maximize
+        assert _ids(selection._enumerate_best(cands, p, maximize)) == _chunked_reference_ids(
+            cands, p, maximize
         )
     assert calls == []
 
@@ -694,12 +757,44 @@ def test_enumerate_best_one_block_reads_the_subset_table(monkeypatch, maximize):
 @pytest.mark.parametrize("maximize", [False, True])
 def test_enumerate_best_over_one_chunk_walks_the_tree(monkeypatch, maximize):
     calls = _count_children(monkeypatch)
-    cands = make_templates(np.random.default_rng(22).normal(size=(13, 4)))
-    assert comb(13, 6) > selection.EXACT_CHUNK
+    cands = make_templates(np.random.default_rng(22).normal(size=(16, 4)))
+    assert comb(16, 6) > 5 * selection.EXACT_CHUNK and not _reads_the_table(16, 6)
     assert _ids(selection._enumerate_best(cands, 6, maximize)) == _chunked_reference_ids(
         cands, 6, maximize
     )
     assert calls
+
+
+def _table_and_tree_ids(calls, cands, p, maximize):
+    """``_enumerate_best``'s ids read from the subset table, then by the tree
+    walk in blocks of 64 (a shrunk EXACT_CHUNK), checking the path of each
+    by the ``_children`` calls recorded in ``calls``."""
+    calls.clear()
+    table = _ids(selection._enumerate_best(cands, p, maximize))
+    assert calls == []
+    tree = _with_chunk(64, selection._enumerate_best, cands, p, maximize)
+    assert calls
+    return table, tree
+
+
+@pytest.mark.parametrize("maximize", [False, True])
+@pytest.mark.parametrize("kind", ["normal", "lattice", "offset_lattice", "overflowing"])
+def test_subset_table_equals_the_tree_at_the_admitted_sizes(monkeypatch, kind, maximize):
+    calls = _count_children(monkeypatch)
+    rng = np.random.default_rng(24)
+    for n, p in [(13, 6), (14, 6), (15, 6), (14, 7)]:
+        d = int(rng.integers(1, 4))
+        if kind == "normal":
+            cands = make_templates(rng.normal(size=(n, d)))
+        elif kind == "lattice":  # many exact ties
+            cands = make_templates(rng.integers(0, 3, size=(n, d)).astype(float))
+        elif kind == "offset_lattice":  # ties up to the last ulp
+            cands = make_templates(1e4 + 1e-3 * rng.integers(0, 3, size=(n, d)))
+        else:
+            cands = _overflowing_templates(n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            table, tree = _table_and_tree_ids(calls, cands, p, maximize)
+            assert table == tree == _chunked_reference_ids(cands, p, maximize)
 
 
 def _overflowing_templates(n):
