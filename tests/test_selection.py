@@ -707,7 +707,7 @@ def test_subset_table_cache_worst_case():
         for n in range(7, 16):
             selection._subset_table(n, 6)
     info = selection._subset_table.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (9, 9, 9) and maxsize >= 9
+    assert (info.misses, info.hits, info.currsize) == (9, 9, 9)
 
 
 @pytest.mark.parametrize("n, p", [(15, 6), (55, 54)])
@@ -744,8 +744,9 @@ def _count_children(monkeypatch):
 def test_enumerate_best_one_block_reads_the_subset_table(monkeypatch, maximize):
     calls = _count_children(monkeypatch)
     rng = np.random.default_rng(21)
-    # every admitted (n, 6), C(15, 6) = 5,005 > EXACT_CHUNK included, and (14, 7)
-    for n, p in [(n, 6) for n in range(7, 16)] + [(14, 7)]:
+    # every admitted (n, 6), C(15, 6) = 5,005 > EXACT_CHUNK included, (14, 7),
+    # and (101, 2), the last n whose C(n, 2) <= 5 x EXACT_CHUNK
+    for n, p in [(n, 6) for n in range(7, 16)] + [(14, 7), (101, 2)]:
         assert _reads_the_table(n, p)
         cands = make_templates(rng.normal(size=(n, 4)))
         assert _ids(selection._enumerate_best(cands, p, maximize)) == _chunked_reference_ids(
@@ -757,24 +758,17 @@ def test_enumerate_best_one_block_reads_the_subset_table(monkeypatch, maximize):
 @pytest.mark.parametrize("maximize", [False, True])
 def test_enumerate_best_over_one_chunk_walks_the_tree(monkeypatch, maximize):
     calls = _count_children(monkeypatch)
-    cands = make_templates(np.random.default_rng(22).normal(size=(16, 4)))
-    assert comb(16, 6) > 5 * selection.EXACT_CHUNK and not _reads_the_table(16, 6)
-    assert _ids(selection._enumerate_best(cands, 6, maximize)) == _chunked_reference_ids(
-        cands, 6, maximize
-    )
-    assert calls
-
-
-def _table_and_tree_ids(calls, cands, p, maximize):
-    """``_enumerate_best``'s ids read from the subset table, then by the tree
-    walk in blocks of 64 (a shrunk EXACT_CHUNK), checking the path of each
-    by the ``_children`` calls recorded in ``calls``."""
-    calls.clear()
-    table = _ids(selection._enumerate_best(cands, p, maximize))
-    assert calls == []
-    tree = _with_chunk(64, selection._enumerate_best, cands, p, maximize)
-    assert calls
-    return table, tree
+    rng = np.random.default_rng(22)
+    # the first n past each bound: C(16, 6) x 15 pair entries, and C(102, 2)
+    # subsets, whose 5,151 pair entries alone would pass
+    for n, p in [(16, 6), (102, 2)]:
+        assert not _reads_the_table(n, p) and _reads_the_table(n - 1, p)
+        cands = make_templates(rng.normal(size=(n, 4)))
+        calls.clear()
+        assert _ids(selection._enumerate_best(cands, p, maximize)) == _chunked_reference_ids(
+            cands, p, maximize
+        )
+        assert calls
 
 
 @pytest.mark.parametrize("maximize", [False, True])
@@ -793,7 +787,12 @@ def test_subset_table_equals_the_tree_at_the_admitted_sizes(monkeypatch, kind, m
         else:
             cands = _overflowing_templates(n)
         with np.errstate(over="ignore", invalid="ignore"):
-            table, tree = _table_and_tree_ids(calls, cands, p, maximize)
+            calls.clear()
+            table = _ids(selection._enumerate_best(cands, p, maximize))
+            assert calls == []
+            # the tree walk, in blocks of at most 64 subsets
+            tree = _with_chunk(64, selection._enumerate_best, cands, p, maximize)
+            assert calls
             assert table == tree == _chunked_reference_ids(cands, p, maximize)
 
 
