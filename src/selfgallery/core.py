@@ -7,29 +7,24 @@ and the synthetic generator, never by matching or selection.
 ``gallery_enroll``'s ``cap`` is an enrollment bound only: it checks how
 many samples each user enrolls with. The cap that selection enforces on
 every update cycle is ``EngineConfig.p``.
+
+Where inputs are checked. ``Sample`` checks one vector when it is built:
+1-D, non-empty and finite, copied once and frozen. ``stack_vectors`` is the
+one place samples become rows: every (n, dim) stack in the package comes
+from it, and it names the first sample of another dimension. The gallery
+types check their own invariants (non-empty, one dimension), and
+``gallery_enroll`` names a mismatched sample before it builds a template.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 ENROLLED = "enrolled"
 SELF_UPDATED = "self_updated"
-
-
-def as_feature_vector(values) -> np.ndarray:
-    """Validate and freeze a 1-D finite float vector."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1 or v.size < 1:
-        raise ValueError("feature vector must be 1-D with at least one coordinate")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("feature vector contains non-finite coordinates")
-    v = v.copy()
-    v.flags.writeable = False
-    return v
 
 
 @dataclass(frozen=True)
@@ -46,7 +41,13 @@ class Sample:
     session: Optional[int] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "vector", as_feature_vector(self.vector))
+        v = np.array(self.vector, dtype=np.float64)  # the one copy, frozen below
+        if v.ndim != 1 or v.size < 1:
+            raise ValueError("feature vector must be 1-D with at least one coordinate")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("feature vector contains non-finite coordinates")
+        v.flags.writeable = False
+        object.__setattr__(self, "vector", v)
         for name in ("id", "true_user"):  # Gallery rows hold both as int64
             if not -(2**63) <= getattr(self, name) < 2**63:
                 raise ValueError(f"{name} {getattr(self, name)} does not fit in int64")
@@ -56,6 +57,22 @@ class Sample:
     @property
     def dim(self) -> int:
         return self.vector.shape[0]
+
+
+def stack_vectors(samples: Sequence[Sample], dim: Optional[int] = None) -> np.ndarray:
+    """The samples' vectors as one (len(samples), dim) float64 array, in
+    order; ``dim`` defaults to the first sample's (0 for no sample).
+
+    One ``np.array`` and a reshape; only when that fails is the first sample
+    of another dimension searched for and named.
+    """
+    if dim is None:
+        dim = samples[0].dim if samples else 0
+    try:
+        return np.array([s.vector for s in samples], dtype=np.float64).reshape(len(samples), dim)
+    except ValueError:  # ragged or of another width
+        s = next(s for s in samples if s.dim != dim)
+        raise ValueError(f"dimension mismatch: sample {s.id} has dim {s.dim}, expected {dim}") from None
 
 
 @dataclass(frozen=True)
@@ -124,7 +141,7 @@ class Gallery:
 
     @property
     def vectors(self) -> np.ndarray:
-        return np.array([s.vector for s in self._samples()], dtype=np.float64)
+        return stack_vectors(self._samples(), self.dim)
 
     @property
     def owner(self) -> np.ndarray:

@@ -3,18 +3,26 @@
 Dataset format: header ``user_id,sample_id,session,f_0,...,f_{d-1}``,
 one sample per row, constant dimension, unique sample ids; session may
 be empty.
+
+Where inputs are checked, each once. ``load_dataset`` checks the file: its
+header, each row's column count (so one dimension), integer ids and
+sessions, unique sample ids, at least one sample and two users. Each
+feature vector is checked (finite, nan and inf alike) where ``Sample`` is
+built, and the loader reports that error, as every row's, as
+``path:line: ...``. ``write_dataset`` stacks its rows through
+``core.stack_vectors``, so a set of mixed dimensions fails, naming its
+first such sample, before the file is opened.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Batch, Sample
+from .core import Batch, Sample, stack_vectors
 
 log = logging.getLogger(__name__)
 
@@ -49,8 +57,6 @@ def load_dataset(path) -> list[Sample]:
                 seen_ids.add(sid)
                 session = int(row[2]) if row[2] != "" else None
                 values = [float(v) for v in row[3:]]
-                if not all(math.isfinite(v) for v in values):
-                    raise ValueError("non-finite feature value")
                 samples.append(
                     Sample(id=sid, vector=values, true_user=user, session=session)
                 )
@@ -67,20 +73,15 @@ def write_dataset(samples: list[Sample], path) -> None:
     """Emit samples in the loadable CSV format (round-trips exactly)."""
     if not samples:
         raise ValueError("no samples to write")
-    dim = samples[0].dim
-    mixed = next((s for s in samples if s.dim != dim), None)
-    if mixed is not None:  # a ragged file would not load back
-        raise ValueError(f"sample {mixed.id} has dim {mixed.dim}, expected {dim}")
+    rows = stack_vectors(samples)  # a ragged file would not load back
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
-            ["user_id", "sample_id", "session"] + [f"f_{i}" for i in range(dim)]
+            ["user_id", "sample_id", "session"] + [f"f_{i}" for i in range(rows.shape[1])]
         )
-        for s in samples:
+        for s, row in zip(samples, rows.tolist()):
             session = "" if s.session is None else s.session
-            writer.writerow(
-                [s.true_user, s.id, session] + [repr(float(v)) for v in s.vector]
-            )
+            writer.writerow([s.true_user, s.id, session] + [repr(v) for v in row])
 
 
 def split_batches(

@@ -106,7 +106,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Batch, Gallery
+from .core import Batch, Gallery, stack_vectors
 
 EUCLIDEAN = "euclidean"
 L1 = "l1"
@@ -429,15 +429,6 @@ def estimate_threshold(
     return float(pool[k])
 
 
-def _probe_rows(batch: Batch, dim: int) -> np.ndarray:
-    """The batch's vectors as one (len(batch), dim) array."""
-    try:
-        return np.array([s.vector for s in batch.samples]).reshape(len(batch), dim)
-    except ValueError:  # ragged or of another width: name the first offending sample
-        s = next(s for s in batch.samples if s.dim != dim)
-        raise ValueError(f"sample {s.id} has dim {s.dim}, gallery dim {dim}") from None
-
-
 def classify_batch(
     batch: Batch, gallery: Gallery, t_star: float, metric: str = EUCLIDEAN
 ) -> np.recarray:
@@ -453,7 +444,7 @@ def classify_batch(
     _known(metric)
     if not t_star >= 0:  # also refuses NaN, which would reject every probe
         raise ValueError("t* must be non-negative")
-    x = _probe_rows(batch, gallery.dim)
+    x = stack_vectors(batch.samples, gallery.dim)
     mat, owners = gallery.vectors, gallery.owner
     if metric == EUCLIDEAN and len(x):
         screen, blocks = _Screen(x, mat, EUCLIDEAN, min(len(x), _BLOCK)), range(0, len(x), _BLOCK)
@@ -474,13 +465,8 @@ def distance_columns(test: Batch, samples, metric: str = EUCLIDEAN) -> dict[int,
     _known(metric)
     if not samples:
         return {}
-    dim = samples[0].dim
-    try:
-        x = np.array([s.vector for s in test.samples]).reshape(len(test), dim)
-        y = np.array([s.vector for s in samples]).reshape(len(samples), dim)
-    except ValueError:  # ragged or of another width: name the first offending sample
-        s = next(s for s in (*samples, *test.samples) if s.dim != dim)
-        raise ValueError(f"dimension mismatch: sample {s.id} has dim {s.dim}, expected {dim}") from None
+    y = stack_vectors(samples)  # the samples first: a mismatch names one of them first
+    x = stack_vectors(test.samples, y.shape[1])
     return dict(zip((s.id for s in samples), _exact(y, x, metric)))
 
 

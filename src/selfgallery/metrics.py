@@ -47,9 +47,8 @@ def compute_eer(genuine: Sequence[float], impostor: Sequence[float]) -> float:
     far = np.append(far, 1.0)  # t beyond every score
     frr = np.append(frr, 0.0)
     diff = far - frr
-    if diff[0] >= 0.0:
-        return float((far[0] + frr[0]) / 2.0)
-    i = int(np.argmax(diff >= 0.0))  # first non-negative; diff[-1] = 1 > 0
+    # no score lies below the least one: diff[0] = 0 - 1, so i >= 1; diff[-1] = 1
+    i = int(np.argmax(diff >= 0.0))  # the first non-negative
     d1, d2 = diff[i - 1], diff[i]
     alpha = d1 / (d1 - d2)
     return float(far[i - 1] + alpha * (far[i] - far[i - 1]))

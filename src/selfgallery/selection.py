@@ -68,7 +68,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .clustering import KMeansParams, _sq_residuals, kmeans
-from .core import Template
+from .core import Template, stack_vectors
 from .matching import _SQUARED, _exact
 
 KMEANS = "kmeans"
@@ -89,7 +89,7 @@ def _sorted_by_id(candidates: Iterable[Template]) -> list[Template]:
 
 def _pair_matrix(candidates: list[Template]) -> np.ndarray:
     """The candidates' exact squared distance matrix (module docstring)."""
-    vecs = np.array([t.sample.vector for t in candidates])
+    vecs = stack_vectors([t.sample for t in candidates])
     return _exact(vecs, vecs, _SQUARED)
 
 
@@ -309,10 +309,9 @@ def select_kmeans(
         empty = [u for u in users if not candidates_by_user[u]]
         raise ValueError(f"users {empty} have no candidates")
     own = [_sorted_by_id(candidates_by_user[u]) for u in users]
-    pool = [t for cands in own for t in cands]  # by user, each user's block by sample id
     k = len(users)
     user_index = np.repeat(np.arange(k), [len(c) for c in own])
-    points = np.array([t.sample.vector for t in pool])
+    points = stack_vectors([t.sample for cands in own for t in cands])  # by user, then sample id
     cl = kmeans(points, KMeansParams(k=k), labels=user_index)
 
     dom = np.bincount(user_index * k + cl.assignment, minlength=k * k).reshape(k, k).argmax(axis=1)
@@ -323,7 +322,7 @@ def select_kmeans(
     hi = 0
     for u, cands in zip(users, own):
         lo, hi = hi, hi + len(cands)  # order[lo:hi] holds u's rows of points, nearest first
-        result[u] = [pool[i] for i in order[lo : min(hi, lo + p)]]
+        result[u] = [cands[i - lo] for i in order[lo : min(hi, lo + p)]]
     return result
 
 

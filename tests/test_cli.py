@@ -119,3 +119,27 @@ def test_machine_parsable_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "rows, args, message",
+    [
+        ("", ["gen", "--synth", "k=4,dim"], "bad synth parameter 'dim' (expected key=value)"),
+        (  # user 1 enrolls both of its samples, so none is left to probe with
+            "1,0,,0.5\n1,1,,0.6\n2,2,,5.0\n2,3,,5.1\n2,4,,5.2\n",
+            ["scatter", "--dataset", "{ds}", "--p", "2"],
+            "user 1 has no probe samples left beyond p=2",
+        ),
+        (
+            "1,0,,0.5\n1,1,,0.6\n2,2,,5.0\n2,3,,nan\n",
+            ["run", "--dataset", "{ds}", "--p", "1", "--batches", "3", "--runs", "1"],
+            "{ds}:5: feature vector contains non-finite coordinates",
+        ),
+    ],
+)
+def test_boundary_checks_exit_1_with_one_error_line(tmp_path, capsys, rows, args, message):
+    ds = tmp_path / "ds.csv"
+    ds.write_text("user_id,sample_id,session,f_0\n" + rows)
+    argv = [a.format(ds=ds) for a in args] + ["--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message.format(ds=ds)}\n"

@@ -113,6 +113,29 @@ def test_params_validation():
         KMeansParams(k=2, init="seeded_random")  # missing seed
 
 
+_PTS = np.arange(10.0).reshape(5, 2)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: KMeansParams(k=2, init="bogus"), "unknown init: 'bogus'"),
+        (lambda: kmeans(_PTS, KMeansParams(k=2)), "user_means init needs point labels"),
+        (lambda: kmeans(_PTS, KMeansParams(k=2), labels=[7] * 5),
+         "user_means init: 1 distinct labels but k=2"),
+        (lambda: kmeans(_PTS, KMeansParams(k=2), labels=[0, 1, 2, 0, 1]),
+         "user_means init: 3 distinct labels but k=2"),
+        (lambda: kmeans(np.empty((0, 2)), KMeansParams(k=1), labels=[]),
+         "points must be a nonempty n x d array"),
+        (lambda: kmeans(np.arange(5.0), KMeansParams(k=1), labels=[0] * 5),
+         "points must be a nonempty n x d array"),
+    ],
+)
+def test_boundary_checks_raise_their_messages(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_empty_cluster_repair_never_leaves_a_cluster_empty():
     # the seeded init empties a cluster mid-run; the repair must take a
     # point from a cluster that can spare one

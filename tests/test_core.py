@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from selfgallery.core import Sample, Template, gallery_enroll
+from selfgallery.core import (
+    Batch,
+    Gallery,
+    Sample,
+    Template,
+    UserGallery,
+    gallery_enroll,
+    stack_vectors,
+)
 
 from conftest import make_sample
 
@@ -11,6 +19,20 @@ def test_sample_rejects_non_finite():
         make_sample(0, [1.0, float("nan")])
     with pytest.raises(ValueError):
         make_sample(0, [float("inf")])
+
+
+def test_sample_copies_its_vector_once_and_freezes_it():
+    source = np.array([1.0, 2.0])
+    s = Sample(id=0, vector=source, true_user=1)
+    assert s.vector is not source and not np.shares_memory(s.vector, source)
+    source[0] = 9.0  # the caller's array stays the caller's
+    assert s.vector.tolist() == [1.0, 2.0] and s.vector.dtype == np.float64
+    assert not s.vector.flags.writeable
+    for values in ([1, 2], np.array([1.0, 2.0], dtype=np.float32), (1.5, 2.5)):
+        v = Sample(id=1, vector=values, true_user=1).vector
+        assert v.dtype == np.float64 and v.tolist() == [float(x) for x in values]
+    with pytest.raises(ValueError, match="must be 1-D"):
+        Sample(id=2, vector=[[1.0, 2.0]], true_user=1)
 
 
 def test_sample_rejects_empty_vector():
@@ -132,3 +154,55 @@ def test_row_accessors_follow_user_then_insertion_order():
     mat = np.array([t.sample.vector for u in users for t in g.users[u].templates])
     owners = np.repeat(np.array(users, dtype=np.int64), counts)
     assert np.array_equal(g.vectors, mat) and np.array_equal(g.owner, owners)
+
+
+def _one_user_1d():
+    return {1: UserGallery(user=1, templates=(Template(sample=make_sample(0, [0.0])),))}
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Template(sample=make_sample(0, [0.0]), origin="bogus"),
+         "unknown template origin: 'bogus'"),
+        (lambda: UserGallery(user=4, templates=()), "user 4 has an empty gallery"),
+        (lambda: UserGallery(user=4, templates=(
+            Template(sample=make_sample(0, [0.0])), Template(sample=make_sample(1, [0.0, 1.0])))),
+         r"user 4 mixes dimensions \[1, 2\]"),
+        (lambda: Gallery(users={}, dim=1), "gallery has no users"),
+        (lambda: Gallery(users=_one_user_1d(), dim=2), "user 1 has dim 1, gallery dim 2"),
+        (lambda: Batch(index=-1, samples=()), "batch index must be non-negative"),
+    ],
+)
+def test_boundary_checks_raise_their_messages(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_stack_vectors_stacks_in_order_as_one_array():
+    samples = [make_sample(i, [float(i), 2.0 * i, -1.0]) for i in range(5)]
+    rows = stack_vectors(samples)
+    assert rows.dtype == np.float64 and rows.shape == (5, 3) and rows.flags.writeable
+    assert rows.tolist() == [s.vector.tolist() for s in samples]
+    assert not any(np.shares_memory(rows, s.vector) for s in samples)  # a copy
+    assert np.array_equal(stack_vectors(tuple(samples), 3), rows)
+    assert stack_vectors((), 4).shape == (0, 4) and stack_vectors([]).shape == (0, 0)
+    assert stack_vectors([], 4).dtype == np.float64
+
+
+@pytest.mark.parametrize(
+    "dims, dim, first",
+    [
+        ((2, 2, 3, 1), None, 2),  # ragged: the first sample sets the dimension
+        ((2, 2, 1, 3), None, 2),
+        ((2, 3, 3, 3), None, 1),
+        ((3, 3, 3, 3), 2, 0),  # all alike, but not the dimension asked for
+        ((2, 2, 2, 4), 2, 3),
+    ],
+)
+def test_stack_vectors_names_the_first_sample_of_another_dim(dims, dim, first):
+    samples = [make_sample(10 + i, [1.0] * d) for i, d in enumerate(dims)]
+    want = dims[0] if dim is None else dim
+    message = f"dimension mismatch: sample {10 + first} has dim {dims[first]}, expected {want}$"
+    with pytest.raises(ValueError, match=message):
+        stack_vectors(samples, dim)

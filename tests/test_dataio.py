@@ -45,7 +45,7 @@ def test_write_rejects_no_samples(tmp_path):
 def test_write_rejects_mixed_dimensions(tmp_path):
     path = tmp_path / "ds.csv"
     samples = [make_sample(0, [1.0, 2.0], user=1), make_sample(1, [3.0], user=2)]
-    with pytest.raises(ValueError, match="sample 1 has dim 1, expected 2"):
+    with pytest.raises(ValueError, match="dimension mismatch: sample 1 has dim 1, expected 2"):
         write_dataset(samples, path)
     assert not path.exists()
 
@@ -63,11 +63,12 @@ def test_load_simple(tmp_path):
 
 def test_load_rejects_nan_with_line(tmp_path):
     path = tmp_path / "ds.csv"
-    path.write_text(
-        "user_id,sample_id,session,f_0\n1,0,,0.5\n2,1,,nan\n"
-    )
-    with pytest.raises(ValueError, match=":3"):
-        load_dataset(path)
+    for cell in ("nan", "inf", "-inf", "1e400"):  # 1e400 parses to inf
+        path.write_text(
+            f"user_id,sample_id,session,f_0,f_1\n1,0,,0.5,1.0\n2,1,,2.0,{cell}\n"
+        )
+        with pytest.raises(ValueError, match=r"ds\.csv:3: feature vector contains non-finite"):
+            load_dataset(path)
 
 
 def test_load_rejects_non_integer_id_with_line(tmp_path):
@@ -181,3 +182,39 @@ def test_split_needs_three_batches():
 def test_split_rejects_p_below_one(p):
     with pytest.raises(ValueError, match="p must be positive"):
         split_batches(_grid_dataset(3, 10), 3, p, seed=0)
+
+
+HEADER = "user_id,sample_id,session,f_0\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("user,sample_id,session,f_0\n1,0,,0.5\n", r"ds\.csv: bad header \['user'"),
+        ("", r"ds\.csv: bad header None"),
+        # the blank line 3 is skipped (not a ragged row), and still counted
+        (HEADER + "1,0,,0.5\n\n2,1,,nan\n", r"ds\.csv:4: feature vector contains non-finite"),
+        (HEADER, r"ds\.csv: empty dataset"),
+        (HEADER + "\n\n", r"ds\.csv: empty dataset"),
+        (HEADER + "1,0,,0.5\n1,1,,0.6\n", r"ds\.csv: need at least 2 distinct users"),
+    ],
+)
+def test_load_boundary_checks_raise_their_messages(tmp_path, text, message):
+    path = tmp_path / "ds.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize(
+    "split, message",
+    [
+        (lambda ds: split_batches(ds, 3, 3, seed=0, chronological=True),
+         "user 1: chronological mode needs session labels"),
+        (lambda ds: split_batches(ds[:9] + ds[12:13], 3, 3, seed=0, strict=False),
+         "fewer than 2 users survive the split"),
+    ],
+)
+def test_split_boundary_checks_raise_their_messages(split, message):
+    with pytest.raises(ValueError, match=message):
+        split(_grid_dataset(2, 9))  # no sessions

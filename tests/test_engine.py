@@ -64,6 +64,14 @@ def test_batch_repeating_a_sample_id_is_rejected():
         run_update_cycle(g0, batch, _cfg("mdist", 1), t_star=0.5)
 
 
+@pytest.mark.parametrize("indices", [[2, 1], [1, 3, 2]])
+def test_boundary_checks_raise_their_messages(indices):
+    g0 = gallery_1d({1: [0.0], 2: [10.0]}, cap=2)
+    batches = [Batch(index=i, samples=()) for i in indices]
+    with pytest.raises(ValueError, match="batches must be ordered by index"):
+        run_sequence(g0, batches, _cfg("mdist", 2))
+
+
 @pytest.mark.parametrize("t_star", [0.5, 0.05])  # the probe is accepted, then rejected
 def test_batch_index_zero_is_rejected(t_star):
     # index 0 is the enrollment's; with no probe accepted it used to pass

@@ -61,6 +61,20 @@ def test_policy_validation():
         ThresholdPolicy(kind="bogus")
 
 
+@pytest.mark.parametrize(
+    "kind, q, message",
+    [
+        ("zero_far", 0.1, "zero_far takes no quantile"),
+        ("far_quantile", None, r"far_quantile needs q strictly in \(0, 1\)"),
+        ("far_quantile", 1.0, r"far_quantile needs q strictly in \(0, 1\)"),
+        ("bogus", None, "unknown threshold policy: 'bogus'"),
+    ],
+)
+def test_boundary_checks_raise_their_messages(kind, q, message):
+    with pytest.raises(ValueError, match=message):
+        ThresholdPolicy(kind=kind, q=q)
+
+
 def test_classify_batch_examples(abc_gallery):
     batch = Batch(
         index=1,
@@ -329,6 +343,9 @@ def test_distance_columns_names_the_first_sample_of_another_dim_in_any_block():
     wide = Batch(index=6, samples=test.samples[:3] + (make_sample(7, rng.normal(size=41)),))
     with pytest.raises(ValueError, match="dimension mismatch: sample 7 has dim 41, expected 40"):
         matching.distance_columns(wide, samples)
+    # both mismatched: the samples are stacked first, so one of them is named
+    with pytest.raises(ValueError, match="dimension mismatch: sample 110 has dim 39, expected 40"):
+        matching.distance_columns(wide, ragged)
     with pytest.raises(ValueError, match="unknown metric"):
         matching.distance_columns(test, samples, "cosine")
 
@@ -728,11 +745,11 @@ def test_classify_rescores_only_probes_whose_runner_up_is_in_the_band(monkeypatc
 def test_classify_names_the_first_sample_of_another_dim(abc_gallery):
     samples = (make_sample(10, [0.1]), make_sample(11, [0.1, 0.2]),
                make_sample(12, [1.0, 2.0, 3.0]))
-    with pytest.raises(ValueError, match="sample 11 has dim 2, gallery dim 1"):  # ragged
+    with pytest.raises(ValueError, match="dimension mismatch: sample 11 has dim 2, expected 1"):  # ragged
         classify_batch(Batch(index=1, samples=samples), abc_gallery, 0.4)
     samples = (make_sample(13, [0.0, 1.0]), make_sample(14, [2.0, 3.0]))
     for metric in METRICS:
-        with pytest.raises(ValueError, match="sample 13 has dim 2, gallery dim 1"):
+        with pytest.raises(ValueError, match="dimension mismatch: sample 13 has dim 2, expected 1"):
             classify_batch(Batch(index=1, samples=samples), abc_gallery, 0.4, metric)
 
 

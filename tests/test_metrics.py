@@ -195,6 +195,14 @@ def test_storage_formulas():
         storage_uncapped(1.0, -1, 2.0, 4, 10)
 
 
+@pytest.mark.parametrize(
+    "args", [(1.0, 3, 0.0, 4, 10), (1.0, 3, -2.0, 4, 10), (1.0, 3, 2.0, 0, 10), (1.0, 3, 2.0, 4, 0)]
+)
+def test_boundary_checks_raise_their_messages(args):  # m_bar <= 0, k < 1, S < 1
+    with pytest.raises(ValueError, match="m_bar, k and S must be positive"):
+        storage_uncapped(*args)
+
+
 def test_evaluate_snapshot_self_test_zero_eer():
     g = gallery_1d({1: [0.0], 2: [10.0]})
     test = Batch(

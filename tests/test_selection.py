@@ -182,6 +182,33 @@ def test_select_kmeans_rejects_empty_user():
         select_kmeans({1: a, 2: []}, p=2)
 
 
+def _mixed(n, bad, start_id=0, user=1):
+    """n templates of dim 2 but the one at ``bad`` (dim 1), listed in reverse id order."""
+    values = [[float(i)] if i == bad else [float(i), 0.0] for i in range(n)]
+    return make_templates(values, start_id, user)[::-1]
+
+
+MISMATCH = "dimension mismatch: sample {} has dim 1, expected 2$"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: select_mdist([], 2), "no candidates to select from"),
+        (lambda: select_dend([], 2), "no candidates to select from"),
+        (lambda: select_kmeans({1: make_templates([[0.0]])}, 0), "p must be positive"),
+        # the stack names the first sample of another dim, in id order
+        (lambda: select_mdist(_mixed(4, 2), 2), MISMATCH.format(2)),  # exact
+        (lambda: select_dend(_mixed(33, 30), 6), MISMATCH.format(30)),  # greedy
+        (lambda: select_kmeans({1: _mixed(3, None), 2: _mixed(4, 1, start_id=10, user=2)}, 1),
+         MISMATCH.format(11)),
+    ],
+)
+def test_boundary_checks_raise_their_messages(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_select_kmeans_shared_cluster_never_donates():
     # both users' points land in one cluster; each still keeps only its own
     a = make_templates([[0.0, 0.0], [0.2, 0.0]], start_id=0, user=1)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from selfgallery import synthgen
 from selfgallery.synthgen import SynthParams, generate, user_means
 
 
@@ -73,3 +74,18 @@ def test_param_validation():
         SynthParams(k_users=2, dim=2, tail_eps=1.0)
     with pytest.raises(ValueError):
         SynthParams(k_users=2, dim=2, sigma=0.0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: SynthParams(k_users=2, dim=2, samples_per_user=0), "samples_per_user must be positive"),
+        # dim < k_users: means are rejection sampled, and no attempt is allowed
+        (lambda: user_means(SynthParams(k_users=3, dim=2, separation=5.0)),
+         "could not place 3 means at separation 5.0 in dim 2; lower the separation"),
+    ],
+)
+def test_boundary_checks_raise_their_messages(monkeypatch, call, message):
+    monkeypatch.setattr(synthgen, "_PLACEMENT_ATTEMPTS", 0)
+    with pytest.raises(ValueError, match=message):
+        call()
