@@ -59,8 +59,11 @@ class Clustering:
     assignment: np.ndarray  # point index -> cluster index
     centroids: np.ndarray  # k x d
     inertia: float
-    n_iter: int
-    inertia_history: tuple[float, ...] = ()
+    inertia_history: tuple[float, ...]  # one inertia per Lloyd pass
+
+    @property
+    def n_iter(self) -> int:
+        return len(self.inertia_history)
 
 
 def _sq_residuals(points: np.ndarray, centroids: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -189,8 +192,7 @@ def kmeans(
     screen = _Screen(points, centroids, _SQUARED, 1)
     history: list[float] = []
     settled = False
-    n_iter = 0
-    for n_iter in range(1, MAX_ITER + 1):
+    for _ in range(MAX_ITER):
         if not settled:
             assignment = _assign(screen, centroids)
             settled = groups is not None and np.array_equal(assignment, groups)
@@ -212,7 +214,6 @@ def kmeans(
         assignment=assignment,
         centroids=centroids,
         inertia=inertia,
-        n_iter=n_iter,
         inertia_history=tuple(history),
     )
 

@@ -1,8 +1,12 @@
 """Domain types shared by all modules: samples, templates, galleries, batches.
 
 All types are immutable values; galleries evolve by producing new versions.
-Ground-truth identities travel with samples but are only read by metrics
-and the synthetic generator, never by matching or selection.
+Each stores a fact once: a template's origin follows from its batch, a
+gallery's dimension from its templates, and a user's id is its key.
+Ground-truth identities travel with samples. The dataset's split reads them
+to enroll, and evaluation reads them: the test batch's for score sets, the
+gallery's for the impostor fraction. The update path (classification,
+selection, the engine) never does.
 
 ``gallery_enroll``'s ``cap`` is an enrollment bound only: it checks how
 many samples each user enrolls with. The cap that selection enforces on
@@ -11,8 +15,8 @@ every update cycle is ``EngineConfig.p``.
 Where inputs are checked. ``Sample`` checks one vector when it is built:
 1-D, non-empty and finite, copied once and frozen. ``stack_vectors`` is the
 one place samples become rows: every (n, dim) stack in the package comes
-from it, and it names the first sample of another dimension. The gallery
-types check their own invariants (non-empty, one dimension), and
+from it, and it names the first sample of another dimension. ``Gallery``
+checks its invariants in one pass (users, none empty, one dimension), and
 ``gallery_enroll`` names a mismatched sample before it builds a template.
 """
 
@@ -31,8 +35,8 @@ SELF_UPDATED = "self_updated"
 class Sample:
     """A feature vector with a unique id and its ground-truth identity.
 
-    ``true_user`` is ground truth for metrics and data generation only;
-    the self-update path never reads it.
+    ``true_user`` is ground truth: only enrollment's split and evaluation
+    read it, never the self-update path.
     """
 
     id: int
@@ -71,59 +75,61 @@ def stack_vectors(samples: Sequence[Sample], dim: Optional[int] = None) -> np.nd
     try:
         return np.array([s.vector for s in samples], dtype=np.float64).reshape(len(samples), dim)
     except ValueError:  # ragged or of another width
-        s = next(s for s in samples if s.dim != dim)
-        raise ValueError(f"dimension mismatch: sample {s.id} has dim {s.dim}, expected {dim}") from None
+        raise _dim_mismatch(next(s for s in samples if s.dim != dim), dim) from None
+
+
+def _dim_mismatch(sample: Sample, dim: int) -> ValueError:
+    return ValueError(f"dimension mismatch: sample {sample.id} has dim {sample.dim}, expected {dim}")
 
 
 @dataclass(frozen=True)
 class Template:
-    """A gallery entry: a stored sample plus provenance."""
+    """A gallery entry: a stored sample and the batch that inserted it, 0 for
+    enrollment."""
 
     sample: Sample
-    origin: str = ENROLLED
     inserted_at_batch: int = 0
 
     def __post_init__(self):
-        if self.origin not in (ENROLLED, SELF_UPDATED):
-            raise ValueError(f"unknown template origin: {self.origin!r}")
-        if (self.inserted_at_batch == 0) != (self.origin == ENROLLED):
-            raise ValueError("inserted_at_batch must be 0 iff origin is enrolled")
+        if self.inserted_at_batch < 0:
+            raise ValueError("inserted_at_batch must be non-negative")
+
+    @property
+    def origin(self) -> str:
+        return ENROLLED if self.inserted_at_batch == 0 else SELF_UPDATED
 
 
 @dataclass(frozen=True)
 class UserGallery:
     """Ordered templates of one user; order is insertion order."""
 
-    user: int
     templates: tuple[Template, ...]
-
-    def __post_init__(self):
-        if not self.templates:
-            raise ValueError(f"user {self.user} has an empty gallery")
-        dims = {t.sample.dim for t in self.templates}
-        if len(dims) != 1:
-            raise ValueError(f"user {self.user} mixes dimensions {sorted(dims)}")
-
-    @property
-    def dim(self) -> int:
-        return self.templates[0].sample.dim
 
 
 @dataclass(frozen=True)
 class Gallery:
-    """All users' template sets. Users never disappear once enrolled."""
+    """All users' template sets, by user id. Users never disappear once
+    enrolled."""
 
     users: Mapping[int, UserGallery]
-    dim: int
 
     def __post_init__(self):
         if not self.users:
             raise ValueError("gallery has no users")
-        for ug in self.users.values():
-            if ug.dim != self.dim:
-                raise ValueError(
-                    f"user {ug.user} has dim {ug.dim}, gallery dim {self.dim}"
-                )
+        dim = None
+        for u in self.user_ids:
+            templates = self.users[u].templates
+            if not templates:
+                raise ValueError(f"user {u} has an empty gallery")
+            dim = templates[0].sample.dim if dim is None else dim
+            for t in templates:
+                if t.sample.dim != dim:
+                    raise _dim_mismatch(t.sample, dim)
+
+    @property
+    def dim(self) -> int:
+        """The one dimension of every template."""
+        return self.users[min(self.users)].templates[0].sample.dim
 
     @property
     def user_ids(self) -> list[int]:
@@ -196,9 +202,7 @@ def gallery_enroll(
         if dim is None:
             dim = sample.dim
         elif sample.dim != dim:
-            raise ValueError(
-                f"dimension mismatch: sample {sample.id} has dim {sample.dim}, expected {dim}"
-            )
+            raise _dim_mismatch(sample, dim)
         by_user.setdefault(user, []).append(Template(sample=sample))
     if not by_user:
         raise ValueError("cannot enroll from an empty slice")
@@ -206,5 +210,4 @@ def gallery_enroll(
         over = sorted(u for u, ts in by_user.items() if len(ts) > cap)
         if over:
             raise ValueError(f"users {over} enroll more than cap={cap} samples")
-    users = {u: UserGallery(user=u, templates=tuple(ts)) for u, ts in by_user.items()}
-    return Gallery(users=users, dim=dim)
+    return Gallery(users={u: UserGallery(templates=tuple(ts)) for u, ts in by_user.items()})

@@ -9,9 +9,10 @@ header, each row's column count (so one dimension), integer ids and
 sessions, unique sample ids, at least one sample and two users. Each
 feature vector is checked (finite, nan and inf alike) where ``Sample`` is
 built, and the loader reports that error, as every row's, as
-``path:line: ...``. ``write_dataset`` stacks its rows through
-``core.stack_vectors``, so a set of mixed dimensions fails, naming its
-first such sample, before the file is opened.
+``path:line: ...``. ``write_dataset`` refuses a repeated sample id, and
+stacks its rows through ``core.stack_vectors``, so a set of mixed
+dimensions fails, naming its first such sample; both before the file is
+opened.
 """
 
 from __future__ import annotations
@@ -73,6 +74,11 @@ def write_dataset(samples: list[Sample], path) -> None:
     """Emit samples in the loadable CSV format (round-trips exactly)."""
     if not samples:
         raise ValueError("no samples to write")
+    seen: set[int] = set()
+    for s in samples:  # the loader refuses a repeated id
+        if s.id in seen:
+            raise ValueError(f"duplicate sample_id {s.id}")
+        seen.add(s.id)
     rows = stack_vectors(samples)  # a ragged file would not load back
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

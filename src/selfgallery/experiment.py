@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from . import selection
+from . import matching, selection
 from .core import gallery_enroll
 from .dataio import Split, load_dataset, split_batches
 from .engine import EngineConfig, run_sequence
@@ -58,6 +58,9 @@ class ExperimentConfig:
     write_scatter: bool = True
 
     def __post_init__(self):
+        if self.p < 1:
+            raise ValueError("p must be positive")
+        matching._known(self.metric)
         if self.n_batches < 3:
             raise ValueError("n_batches must be >= 3")
         if self.runs < 1:

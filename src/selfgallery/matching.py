@@ -125,36 +125,33 @@ _ROUNDING = {
 }
 
 
+_Q_RANGE = "far_quantile needs q strictly in (0, 1)"
+
+
 @dataclass(frozen=True)
 class ThresholdPolicy:
-    """How t* is derived from the gallery's cross-user distance pool."""
+    """How t* is derived from the gallery's cross-user distance pool: zero-FAR
+    without a quantile ``q``, else the pool's FAR ``q``-quantile."""
 
-    kind: str  # "zero_far" | "far_quantile"
     q: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind == "zero_far":
-            if self.q is not None:
-                raise ValueError("zero_far takes no quantile")
-        elif self.kind == "far_quantile":
-            if self.q is None or not (0.0 < self.q < 1.0):
-                raise ValueError("far_quantile needs q strictly in (0, 1)")
-        else:
-            raise ValueError(f"unknown threshold policy: {self.kind!r}")
+        if self.q is not None and not 0.0 < self.q < 1.0:
+            raise ValueError(_Q_RANGE)
 
     def rank(self, pool_size: int) -> int:
         """0-based rank of t* in the sorted cross-user pool."""
-        if self.kind == "zero_far":
-            return 0
-        return max(0, math.ceil(self.q * pool_size) - 1)
+        return 0 if self.q is None else max(0, math.ceil(self.q * pool_size) - 1)
 
     @staticmethod
     def zero_far() -> "ThresholdPolicy":
-        return ThresholdPolicy(kind="zero_far")
+        return ThresholdPolicy()
 
     @staticmethod
     def far_quantile(q: float) -> "ThresholdPolicy":
-        return ThresholdPolicy(kind="far_quantile", q=q)
+        if q is None:
+            raise ValueError(_Q_RANGE)
+        return ThresholdPolicy(q=q)
 
 
 # Default: a relatively stringent 1% FAR on the gallery-derived impostor pool.

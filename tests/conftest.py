@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from selfgallery.core import SELF_UPDATED, Sample, Template, gallery_enroll
+from selfgallery.core import Sample, Template, gallery_enroll
 from selfgallery.matching import EUCLIDEAN, distance_columns
 
 
@@ -19,11 +19,7 @@ def make_templates(values, start_id=0, user=1):
 
 
 def accepted_template(sid, values, user, batch=1):
-    return Template(
-        sample=make_sample(sid, values, user=user),
-        origin=SELF_UPDATED,
-        inserted_at_batch=batch,
-    )
+    return Template(sample=make_sample(sid, values, user=user), inserted_at_batch=batch)
 
 
 def gallery_1d(user_values, cap=None):

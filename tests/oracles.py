@@ -99,7 +99,7 @@ def masked_mean_kmeans(points, params: KMeansParams, labels=None) -> Clustering:
         rng = np.random.default_rng(params.seed)
         centroids = points[rng.choice(points.shape[0], size=params.k, replace=False)].copy()
     history = []
-    for n_iter in range(1, MAX_ITER + 1):
+    for _ in range(MAX_ITER):
         assignment = exact_assign(points, centroids)
         centroids = np.stack([points[assignment == c].mean(axis=0) for c in range(params.k)])
         inertia = float(np.sum((points - centroids[assignment]) ** 2))
@@ -110,7 +110,7 @@ def masked_mean_kmeans(points, params: KMeansParams, labels=None) -> Clustering:
                 break
     assignment = exact_assign(points, centroids)
     inertia = float(np.sum((points - centroids[assignment]) ** 2))
-    return Clustering(assignment, centroids, inertia, n_iter, tuple(history))
+    return Clustering(assignment, centroids, inertia, tuple(history))
 
 
 def dominant_cluster_for_user(

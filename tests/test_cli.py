@@ -6,7 +6,7 @@ import pytest
 from selfgallery.cli import main, parse_synth, parse_threshold
 from selfgallery.core import Batch, gallery_enroll
 from selfgallery.dataio import load_dataset
-from selfgallery.matching import _distances_to_rows, distance_columns, per_subject_scores
+from selfgallery.matching import ThresholdPolicy, _distances_to_rows, distance_columns, per_subject_scores
 from selfgallery.metrics import export_score_scatter, fmt9
 
 
@@ -21,9 +21,8 @@ def test_parse_synth():
 
 
 def test_parse_threshold():
-    assert parse_threshold("zero-far").kind == "zero_far"
-    pol = parse_threshold("far:0.05")
-    assert pol.kind == "far_quantile" and pol.q == 0.05
+    assert parse_threshold("zero-far") == ThresholdPolicy.zero_far()
+    assert parse_threshold("far:0.05") == ThresholdPolicy.far_quantile(0.05)
     with pytest.raises(ValueError):
         parse_threshold("nope")
 
@@ -143,3 +142,10 @@ def test_boundary_checks_exit_1_with_one_error_line(tmp_path, capsys, rows, args
     argv = [a.format(ds=ds) for a in args] + ["--out", str(tmp_path / "out")]
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {message.format(ds=ds)}\n"
+
+
+def test_run_with_p_below_one_fails_before_making_its_out_dir(tmp_path, capsys):
+    out = tmp_path / "p0"
+    assert main(["run", "--synth", "k=4,dim=3,n=20,seed=11", "--p", "0", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: p must be positive\n"
+    assert not out.exists()

@@ -83,7 +83,7 @@ def _clustering(assignment, k):
         assignment=assignment,
         centroids=np.zeros((k, 1)),
         inertia=0.0,
-        n_iter=1,
+        inertia_history=(0.0,),
     )
 
 

@@ -55,10 +55,8 @@ def test_sample_vector_is_frozen():
 
 def test_template_origin_batch_consistency():
     s = make_sample(0, [1.0])
-    with pytest.raises(ValueError):
-        Template(sample=s, origin="enrolled", inserted_at_batch=2)
-    with pytest.raises(ValueError):
-        Template(sample=s, origin="self_updated", inserted_at_batch=0)
+    assert Template(sample=s).origin == Template(sample=s, inserted_at_batch=0).origin == "enrolled"
+    assert Template(sample=s, inserted_at_batch=2).origin == "self_updated"
 
 
 def test_enroll_minimal():
@@ -156,21 +154,24 @@ def test_row_accessors_follow_user_then_insertion_order():
     assert np.array_equal(g.vectors, mat) and np.array_equal(g.owner, owners)
 
 
-def _one_user_1d():
-    return {1: UserGallery(user=1, templates=(Template(sample=make_sample(0, [0.0])),))}
+def _user(*dims, start_id=0):
+    """A user's templates of the given dimensions, with sequential ids."""
+    return UserGallery(templates=tuple(
+        Template(sample=make_sample(start_id + i, [0.0] * d)) for i, d in enumerate(dims)))
 
 
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: Template(sample=make_sample(0, [0.0]), origin="bogus"),
-         "unknown template origin: 'bogus'"),
-        (lambda: UserGallery(user=4, templates=()), "user 4 has an empty gallery"),
-        (lambda: UserGallery(user=4, templates=(
-            Template(sample=make_sample(0, [0.0])), Template(sample=make_sample(1, [0.0, 1.0])))),
-         r"user 4 mixes dimensions \[1, 2\]"),
-        (lambda: Gallery(users={}, dim=1), "gallery has no users"),
-        (lambda: Gallery(users=_one_user_1d(), dim=2), "user 1 has dim 1, gallery dim 2"),
+        (lambda: Template(sample=make_sample(0, [0.0]), inserted_at_batch=-3),
+         "inserted_at_batch must be non-negative"),
+        (lambda: Gallery(users={1: _user(1), 4: _user()}), "user 4 has an empty gallery"),
+        (lambda: Gallery(users={4: _user(1, 2)}),
+         r"dimension mismatch: sample 1 has dim 2, expected 1$"),
+        (lambda: Gallery(users={}), "gallery has no users"),
+        # users are checked in key order, whatever the mapping's order
+        (lambda: Gallery(users={2: _user(2, start_id=5), 1: _user(1, 1)}),
+         r"dimension mismatch: sample 5 has dim 2, expected 1$"),
         (lambda: Batch(index=-1, samples=()), "batch index must be non-negative"),
     ],
 )

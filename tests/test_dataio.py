@@ -50,6 +50,14 @@ def test_write_rejects_mixed_dimensions(tmp_path):
     assert not path.exists()
 
 
+def test_write_rejects_a_repeated_sample_id(tmp_path):
+    path = tmp_path / "ds.csv"
+    samples = [make_sample(i, [float(i)], user=1 + i % 2) for i in (0, 4, 5, 4, 0)]
+    with pytest.raises(ValueError, match="duplicate sample_id 4$"):
+        write_dataset(samples, path)
+    assert not path.exists()
+
+
 def test_load_simple(tmp_path):
     path = tmp_path / "ds.csv"
     path.write_text(

@@ -127,6 +127,15 @@ def test_config_validation():
             _cfg(bytes_per_template=s)
 
 
+def test_config_rejects_p_and_metric_before_run_experiment_writes(tmp_path):
+    for p in (0, -2):
+        with pytest.raises(ValueError, match="p must be positive"):
+            _cfg(p=p, out_dir=tmp_path / "out")
+    with pytest.raises(ValueError, match="unknown metric: 'cosine'"):
+        _cfg(metric="cosine", out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("metric", ["euclidean", "l1"])
 def test_scatter_files_hold_the_final_gallery_scores(tmp_path, metric):
     cfg = _cfg(methods=("mdist", "kmeans"), metric=metric, out_dir=tmp_path, write_scatter=True)

@@ -57,22 +57,18 @@ def test_policy_validation():
         ThresholdPolicy.far_quantile(0.0)
     with pytest.raises(ValueError):
         ThresholdPolicy.far_quantile(1.0)
-    with pytest.raises(ValueError):
-        ThresholdPolicy(kind="bogus")
 
 
 @pytest.mark.parametrize(
-    "kind, q, message",
+    "factory, q, message",
     [
-        ("zero_far", 0.1, "zero_far takes no quantile"),
         ("far_quantile", None, r"far_quantile needs q strictly in \(0, 1\)"),
         ("far_quantile", 1.0, r"far_quantile needs q strictly in \(0, 1\)"),
-        ("bogus", None, "unknown threshold policy: 'bogus'"),
     ],
 )
-def test_boundary_checks_raise_their_messages(kind, q, message):
+def test_boundary_checks_raise_their_messages(factory, q, message):
     with pytest.raises(ValueError, match=message):
-        ThresholdPolicy(kind=kind, q=q)
+        getattr(ThresholdPolicy, factory)(q)
 
 
 def test_classify_batch_examples(abc_gallery):

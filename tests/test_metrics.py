@@ -149,8 +149,8 @@ def test_impostor_fraction_counting():
 
     bad = accepted_template(9, [0.2], user=2)
     users = dict(g.users)
-    users[1] = UserGallery(user=1, templates=g.users[1].templates + (bad,))
-    g2 = Gallery(users=users, dim=1)
+    users[1] = UserGallery(templates=g.users[1].templates + (bad,))
+    g2 = Gallery(users=users)
     frac, per_user = impostor_fraction(g2)
     assert frac == pytest.approx(1 / 4)
     assert per_user[1] == pytest.approx(1 / 3)

@@ -431,7 +431,7 @@ def test_select_kmeans_equals_per_user_loop(d, monkeypatch):
             assignment=rng.integers(0, k - 1, size=n),
             centroids=rng.integers(-1, 2, size=(k, d)).astype(float),
             inertia=0.0,
-            n_iter=1,
+            inertia_history=(0.0,),
         )
         monkeypatch.setattr(selection, "kmeans", lambda points, params, labels=None: cl)
         for p in (1, 3, 6):
