@@ -10,14 +10,9 @@ from .dataio import Split, load_dataset, split_batches, write_dataset
 from .core import Batch, Gallery, Sample, Template, UserGallery, gallery_enroll
 from .engine import EngineConfig, UpdateCycleReport, run_sequence, run_update_cycle
 from .experiment import ExperimentConfig, run_experiment
-from .matching import (
-    ThresholdPolicy,
-    classify_batch,
-    distance_columns,
-    estimate_threshold,
-    score_sets,
-)
-from .metrics import compute_eer, impostor_fraction, storage_capped, storage_uncapped
+from .matching import ThresholdPolicy, classify_batch, estimate_threshold
+from .metrics import compute_eer, distance_columns, impostor_fraction, score_sets
+from .metrics import storage_capped, storage_uncapped
 from .selection import select_dend, select_kmeans, select_mdist
 from .synthgen import SynthParams, generate
 

@@ -10,8 +10,8 @@ from . import selection
 from .core import Batch, gallery_enroll
 from .dataio import load_dataset, write_dataset
 from .experiment import ExperimentConfig, run_experiment
-from .matching import ThresholdPolicy, distance_columns, per_subject_scores
-from .metrics import export_score_scatter
+from .matching import ThresholdPolicy
+from .metrics import distance_columns, export_score_scatter
 from .synthgen import SynthParams, generate
 
 _SYNTH_KEYS = {
@@ -145,10 +145,9 @@ def cmd_scatter(args) -> int:
         index=1, samples=tuple(s for s in samples if s.id not in enrolled_ids)
     )
     columns = distance_columns(probes, [s for _, s in enroll], _metric(args.metric))
-    per_subject = per_subject_scores(probes, gallery, columns)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     with open(args.out, "w") as fh:
-        n = export_score_scatter(per_subject, fh)
+        n = export_score_scatter(probes, gallery, columns, fh)
     print(f"wrote {n} score rows to {args.out}")
     return 0
 

@@ -4,9 +4,9 @@ All types are immutable values; galleries evolve by producing new versions.
 Each stores a fact once: a template's origin follows from its batch, a
 gallery's dimension from its templates, and a user's id is its key.
 Ground-truth identities travel with samples. The dataset's split reads them
-to enroll, and evaluation reads them: the test batch's for score sets, the
-gallery's for the impostor fraction. The update path (classification,
-selection, the engine) never does.
+to enroll, and evaluation (``metrics``) is where the test batch's truth is
+read, for score sets and scatter files, and the gallery's, for the impostor
+fraction. The update path (matching, selection, the engine) never does.
 
 ``gallery_enroll``'s ``cap`` is an enrollment bound only: it checks how
 many samples each user enrolls with. The cap that selection enforces on
@@ -23,6 +23,7 @@ checks its invariants in one pass (users, none empty, one dimension), and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -114,6 +115,8 @@ class Gallery:
     users: Mapping[int, UserGallery]
 
     def __post_init__(self):
+        # a read-only copy: neither the gallery nor its caller's dict can change it
+        object.__setattr__(self, "users", MappingProxyType(dict(self.users)))
         if not self.users:
             raise ValueError("gallery has no users")
         dim = None

@@ -9,10 +9,10 @@ header, each row's column count (so one dimension), integer ids and
 sessions, unique sample ids, at least one sample and two users. Each
 feature vector is checked (finite, nan and inf alike) where ``Sample`` is
 built, and the loader reports that error, as every row's, as
-``path:line: ...``. ``write_dataset`` refuses a repeated sample id, and
-stacks its rows through ``core.stack_vectors``, so a set of mixed
-dimensions fails, naming its first such sample; both before the file is
-opened.
+``path:line: ...``. ``write_dataset`` refuses a set of fewer than two
+users and a repeated sample id, and stacks its rows through
+``core.stack_vectors``, so a set of mixed dimensions fails, naming its first
+such sample; all before the file is opened.
 """
 
 from __future__ import annotations
@@ -74,6 +74,8 @@ def write_dataset(samples: list[Sample], path) -> None:
     """Emit samples in the loadable CSV format (round-trips exactly)."""
     if not samples:
         raise ValueError("no samples to write")
+    if len({s.true_user for s in samples}) < 2:  # the loader refuses one user
+        raise ValueError("need at least 2 distinct users")
     seen: set[int] = set()
     for s in samples:  # the loader refuses a repeated id
         if s.id in seen:

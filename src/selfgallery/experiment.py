@@ -19,8 +19,8 @@ from .core import gallery_enroll
 from .dataio import Split, load_dataset, split_batches
 from .engine import EngineConfig, run_sequence
 from .matching import DEFAULT_POLICY, EUCLIDEAN, ThresholdPolicy
-from .matching import distance_columns, per_subject_scores
-from .metrics import evaluate_snapshot, export_score_scatter, fmt9, impostor_fraction
+from .metrics import distance_columns, evaluate_snapshot, export_score_scatter, fmt9
+from .metrics import impostor_fraction
 from .synthgen import SynthParams, generate
 
 NO_UPDATE = "no_update"
@@ -79,11 +79,9 @@ def _row(*values) -> dict:
     return dict(zip(ROW_FIELDS, values))
 
 
-def _run_one(
-    cfg: ExperimentConfig, run: int, split: Split, scatter: bool
-) -> tuple[list[dict], dict[str, dict]]:
-    """All rows for one seeded run; also, if ``scatter``, the final gallery's
-    per-subject scores per method."""
+def _run_one(cfg: ExperimentConfig, run: int, split: Split):
+    """All rows for one seeded run, each method's final gallery (the enrolled
+    one for the baseline) and the run's distance columns, which score them."""
     rows: list[dict] = []
 
     # galleries are immutable: one enrollment serves the baseline and every method
@@ -124,8 +122,7 @@ def _run_one(
                     ev["gallery_bytes"],
                 )
             )
-    return rows, ({m: per_subject_scores(split.test, g, columns) for m, g in finals.items()}
-                  if scatter else {})
+    return rows, finals, columns
 
 
 def aggregate_rows(rows: list[dict]) -> list[dict]:
@@ -181,11 +178,13 @@ def run_experiment(cfg: ExperimentConfig):
                 strict=cfg.strict,
                 chronological=cfg.chronological,
             )
-            rows, finals = _run_one(cfg, run, split, scatter)
+            rows, finals, columns = _run_one(cfg, run, split)
             all_rows.extend(rows)
-            for method, per_subject in finals.items():
-                with open(out_dir / f"scatter_run{run}_{method}.csv", "w") as fh:
-                    export_score_scatter(per_subject, fh)
+            if scatter:
+                for method, gallery in finals.items():
+                    with open(out_dir / f"scatter_run{run}_{method}.csv", "w") as fh:
+                        export_score_scatter(split.test, gallery, columns, fh)
+            del finals, columns  # freed before the next run builds its own table
     except Exception:
         if out_dir is not None and all_rows:
             _write_csv(out_dir / "metrics.partial.csv", ROW_FIELDS, all_rows)

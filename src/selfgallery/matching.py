@@ -1,13 +1,9 @@
-"""Distances, match scoring, pseudo-labelling and updating-threshold estimation.
+"""Distances, pseudo-labelling and updating-threshold estimation: the
+update path's matching, which reads no ground truth.
 
 Scores are raw distances (smaller is better). Acceptance is strict:
 a probe is taken for gallery insertion only when its distance to the
 globally nearest template is < t*.
-
-Evaluation searches nothing: ``distance_columns`` tables every exact distance
-from a set of samples to a test batch, a block of samples per reduction, and
-``score_sets`` takes each user's least over its templates' rows as arrays. A
-run scores all its snapshots against one test batch from one such table.
 
 Euclidean classification and thresholds screen, then score exactly, as in
 the exact re-ranking of approximate nearest-neighbour search (Jegou, Douze
@@ -454,55 +450,3 @@ def classify_batch(
     return np.rec.fromarrays(
         [ids, dists < t_star, dists, owners[near]], names="sample_id,accepted,distance,label"
     )
-
-
-def distance_columns(test: Batch, samples, metric: str = EUCLIDEAN) -> dict[int, np.ndarray]:
-    """Exact distances of every test sample to each of the list ``samples``, by sample
-    id: rows of one ``_exact`` table, bitwise ``_distances_to_rows``."""
-    _known(metric)
-    if not samples:
-        return {}
-    y = stack_vectors(samples)  # the samples first: a mismatch names one of them first
-    x = stack_vectors(test.samples, y.shape[1])
-    return dict(zip((s.id for s in samples), _exact(y, x, metric)))
-
-
-def _nearest_by_user(test: Batch, gallery: Gallery, columns: dict[int, np.ndarray]):
-    """The gallery's users, each test sample's least distance to each of them
-    (test x users), and whether that user is the sample's own."""
-    users = gallery.user_ids
-    truth = np.fromiter((s.true_user for s in test.samples), dtype=np.int64, count=len(test))
-    own = truth[:, None] == np.array(users, dtype=np.int64)
-    known = own.any(axis=1)
-    if not known.all():
-        s = test.samples[int(np.argmin(known))]
-        raise ValueError(f"test sample {s.id}: true user {s.true_user} is not enrolled")
-    try:
-        rows = [columns[sid] for sid in gallery.sample_id.tolist()]
-    except KeyError as missing:
-        raise ValueError(f"template sample {missing.args[0]} has no distance column") from None
-    starts = np.searchsorted(gallery.owner, users)  # owner ascends: each user's first row
-    nearest = np.minimum.reduceat(np.array(rows), starts, axis=0).T
-    return users, nearest, own
-
-
-def score_sets(test: Batch, gallery: Gallery, columns: dict[int, np.ndarray]):
-    """Genuine and impostor score sets of a test batch against the gallery,
-    as float64 arrays, sample by sample and, within a sample, user by user.
-
-    genuine: each sample's min distance to its own user's gallery.
-    impostor: one score per (sample, other user) pair.
-    ``columns`` are the test batch's ``distance_columns`` over the gallery's samples.
-    """
-    _, nearest, own = _nearest_by_user(test, gallery, columns)
-    return nearest[own], nearest[~own]
-
-
-def per_subject_scores(test: Batch, gallery: Gallery, columns: dict[int, np.ndarray]) -> dict:
-    """``score_sets``' scores grouped by the gallery user probed, as lists:
-    ``{user: {"genuine": [...], "impostor": [...]}}``, every user included."""
-    users, nearest, own = _nearest_by_user(test, gallery, columns)
-    return {
-        u: {"genuine": nearest[own[:, j], j].tolist(), "impostor": nearest[~own[:, j], j].tolist()}
-        for j, u in enumerate(users)
-    }

@@ -1,9 +1,16 @@
-"""Verification metrics: EER, impostor fraction, storage accounting,
-and the score-scatter export.
+"""Verification metrics: the test batch's score sets, EER, impostor
+fraction, storage accounting, and the score-scatter export.
 
 Score convention everywhere: raw distances, accept if score < t, so FAR
 rises and FRR falls as the threshold increases. FRR counts scores >= t
 to pair with the strict acceptance rule in matching.
+
+Evaluation reads the ground truth that the update path never reads, and it
+searches nothing: ``distance_columns`` tables every exact distance from a set
+of samples to a test batch, a block of samples per reduction (matching's
+exact kernel), and ``score_sets`` takes each user's least over its
+templates' rows as arrays. A run scores all its snapshots, and writes its
+scatter files, against one test batch from one such table.
 """
 
 from __future__ import annotations
@@ -13,8 +20,8 @@ from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
-from .core import Batch, Gallery
-from .matching import score_sets
+from .core import Batch, Gallery, stack_vectors
+from .matching import EUCLIDEAN, _exact, _known
 
 DEFAULT_BYTES_PER_COORD = 4  # one 32-bit value per coordinate unless overridden
 
@@ -57,7 +64,7 @@ def compute_eer(genuine: Sequence[float], impostor: Sequence[float]) -> float:
 def impostor_fraction(gallery: Gallery) -> tuple[float, dict[int, float]]:
     """Share of gallery templates whose true identity differs from the owner.
 
-    Ground truth is read here and nowhere else in the update path.
+    It reads the gallery's ground truth, which the update path never reads.
     """
     users, owner = gallery.user_ids, gallery.owner
     wrong = (gallery.true_user != owner).astype(np.int64)
@@ -96,6 +103,48 @@ def gallery_bytes(gallery: Gallery, bytes_per_template: Optional[int] = None) ->
     return gallery.n_templates * s
 
 
+def distance_columns(test: Batch, samples, metric: str = EUCLIDEAN) -> dict[int, np.ndarray]:
+    """Exact distances of every test sample to each of the list ``samples``, by sample
+    id: rows of one ``_exact`` table, bitwise ``_distances_to_rows``."""
+    _known(metric)
+    if not samples:
+        return {}
+    y = stack_vectors(samples)  # the samples first: a mismatch names one of them first
+    x = stack_vectors(test.samples, y.shape[1])
+    return dict(zip((s.id for s in samples), _exact(y, x, metric)))
+
+
+def _nearest_by_user(test: Batch, gallery: Gallery, columns: dict[int, np.ndarray]):
+    """The gallery's users, each test sample's least distance to each of them
+    (test x users), and whether that user is the sample's own."""
+    users = gallery.user_ids
+    truth = np.fromiter((s.true_user for s in test.samples), dtype=np.int64, count=len(test))
+    own = truth[:, None] == np.array(users, dtype=np.int64)
+    known = own.any(axis=1)
+    if not known.all():
+        s = test.samples[int(np.argmin(known))]
+        raise ValueError(f"test sample {s.id}: true user {s.true_user} is not enrolled")
+    try:
+        rows = [columns[sid] for sid in gallery.sample_id.tolist()]
+    except KeyError as missing:
+        raise ValueError(f"template sample {missing.args[0]} has no distance column") from None
+    starts = np.searchsorted(gallery.owner, users)  # owner ascends: each user's first row
+    nearest = np.minimum.reduceat(np.array(rows), starts, axis=0).T
+    return users, nearest, own
+
+
+def score_sets(test: Batch, gallery: Gallery, columns: dict[int, np.ndarray]):
+    """Genuine and impostor score sets of a test batch against the gallery,
+    as float64 arrays, sample by sample and, within a sample, user by user.
+
+    genuine: each sample's min distance to its own user's gallery.
+    impostor: one score per (sample, other user) pair.
+    ``columns`` are the test batch's ``distance_columns`` over the gallery's samples.
+    """
+    _, nearest, own = _nearest_by_user(test, gallery, columns)
+    return nearest[own], nearest[~own]
+
+
 def evaluate_snapshot(
     gallery: Gallery,
     test: Batch,
@@ -110,17 +159,19 @@ def evaluate_snapshot(
     }
 
 
-def export_score_scatter(per_subject: dict, out: TextIO) -> int:
-    """Write one row per (subject, score, kind) for external plotting.
+def export_score_scatter(
+    test: Batch, gallery: Gallery, columns: dict[int, np.ndarray], out: TextIO
+) -> int:
+    """Write one row per (subject, score, kind) for external plotting: the
+    gallery's users in ascending order, each with its genuine and then its
+    impostor scores, both in test order. ``columns`` are as for ``score_sets``.
 
     Returns the number of data rows written.
     """
+    users, nearest, own = _nearest_by_user(test, gallery, columns)
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["subject", "score", "kind"])
-    n = 0
-    for subject in sorted(per_subject):
-        for kind in ("genuine", "impostor"):
-            for score in per_subject[subject][kind]:
-                writer.writerow([subject, fmt9(score), kind])
-                n += 1
-    return n
+    for j, subject in enumerate(users):
+        for kind, rows in (("genuine", own[:, j]), ("impostor", ~own[:, j])):
+            writer.writerows([subject, fmt9(score), kind] for score in nearest[rows, j].tolist())
+    return nearest.size

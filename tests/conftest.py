@@ -1,8 +1,12 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
 from selfgallery.core import Sample, Template, gallery_enroll
-from selfgallery.matching import EUCLIDEAN, distance_columns
+from selfgallery.matching import EUCLIDEAN, _distances_to_rows
+from selfgallery.metrics import distance_columns, fmt9
 
 
 def make_sample(sid, values, user=1, session=None):
@@ -37,6 +41,35 @@ def gallery_columns(test, gallery, metric=EUCLIDEAN):
     """distance_columns of a test batch over the gallery's own samples."""
     samples = [t.sample for u in gallery.user_ids for t in gallery.users[u].templates]
     return distance_columns(test, samples, metric)
+
+
+def read_scatter(text):
+    """A scatter file's data rows as dicts, after checking its header line."""
+    assert text.startswith("subject,score,kind\n")
+    return list(csv.DictReader(io.StringIO(text)))
+
+
+def scatter_reference(probes, templates, metric=EUCLIDEAN):
+    """A scatter file's rows, built plainly from ``templates`` ({user: [sample,
+    ...]}): users in ascending order, each with its genuine and then its
+    impostor probes in probe order, each scored by its least
+    ``_distances_to_rows`` to one of the user's samples."""
+    x = np.array([s.vector for s in probes])
+    rows = []
+    for u in sorted(templates):
+        nearest = np.min([_distances_to_rows(t.vector, x, metric) for t in templates[u]], axis=0)
+        for kind in ("genuine", "impostor"):
+            rows += [
+                {"subject": str(u), "score": fmt9(d), "kind": kind}
+                for s, d in zip(probes, nearest.tolist())
+                if (s.true_user == u) == (kind == "genuine")
+            ]
+    return rows
+
+
+def gallery_templates(gallery):
+    """{user: [sample, ...]} of the gallery's templates, for ``scatter_reference``."""
+    return {u: [t.sample for t in gallery.users[u].templates] for u in gallery.user_ids}
 
 
 @pytest.fixture

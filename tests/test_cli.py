@@ -1,13 +1,12 @@
 import csv
-import io
 
 import pytest
 
 from selfgallery.cli import main, parse_synth, parse_threshold
-from selfgallery.core import Batch, gallery_enroll
 from selfgallery.dataio import load_dataset
-from selfgallery.matching import ThresholdPolicy, _distances_to_rows, distance_columns, per_subject_scores
-from selfgallery.metrics import export_score_scatter, fmt9
+from selfgallery.matching import ThresholdPolicy
+
+from conftest import read_scatter, scatter_reference
 
 
 def test_parse_synth():
@@ -78,8 +77,7 @@ def test_scatter_subcommand(tmp_path, metric):
     out = tmp_path / "scatter.csv"
     rc = main(["scatter", "--dataset", str(ds), "--p", "2", "--metric", metric, "--out", str(out)])
     assert rc == 0
-    with open(out) as fh:
-        rows = list(csv.DictReader(fh))
+    rows = read_scatter(out.read_text())
     # 3 users x 4 probes each: 1 genuine + 2 impostor scores per probe
     assert len(rows) == 12 * 3
     assert {r["kind"] for r in rows} == {"genuine", "impostor"}
@@ -90,25 +88,9 @@ def test_scatter_subcommand(tmp_path, metric):
         by_user.setdefault(s.true_user, []).append(s)
     templates = {u: ss[:2] for u, ss in by_user.items()}
     enrolled = {t.id for ts in templates.values() for t in ts}
+    probes = [s for s in samples if s.id not in enrolled]
     kernel = {"l2": "euclidean", "l1": "l1"}[metric]
-    expected = []
-    for u in sorted(templates):
-        for kind in ("genuine", "impostor"):
-            for s in samples:
-                if s.id in enrolled or (s.true_user == u) != (kind == "genuine"):
-                    continue
-                x = s.vector[None]
-                d = min(_distances_to_rows(t.vector, x, kernel)[0] for t in templates[u])
-                expected.append({"subject": str(u), "score": fmt9(d), "kind": kind})
-    assert rows == expected
-    # and the file is per_subject_scores' export, byte for byte
-    enroll = [(u, t) for u in sorted(templates) for t in templates[u]]
-    probes = Batch(index=1, samples=tuple(s for s in samples if s.id not in enrolled))
-    columns = distance_columns(probes, [t for _, t in enroll], kernel)
-    per_subject = per_subject_scores(probes, gallery_enroll(enroll, cap=2), columns)
-    buf = io.StringIO()
-    export_score_scatter(per_subject, buf)
-    assert out.read_text() == buf.getvalue()
+    assert rows == scatter_reference(probes, templates, kernel)
 
 
 def test_machine_parsable_error(tmp_path, capsys):

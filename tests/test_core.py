@@ -154,6 +154,24 @@ def test_row_accessors_follow_user_then_insertion_order():
     assert np.array_equal(g.vectors, mat) and np.array_equal(g.owner, owners)
 
 
+def test_gallery_users_are_read_only():
+    a, b = _user(1), _user(1, start_id=1)
+    users = {1: a, 2: b}
+    g = Gallery(users=users)
+    with pytest.raises(TypeError):
+        g.users[3] = _user(1, start_id=2)
+    with pytest.raises(TypeError):
+        del g.users[1]
+    users[3] = UserGallery(templates=())  # the caller's dict, edited after the build
+    del users[1]
+    assert g.user_ids == [1, 2] and g.n_templates == 2
+    assert g == Gallery(users={2: b, 1: a}) and g != Gallery(users={1: a})
+    enrolled = gallery_enroll([(1, make_sample(0, [0.0])), (2, make_sample(1, [1.0], user=2))])
+    with pytest.raises(TypeError):
+        enrolled.users[3] = UserGallery(templates=())
+    assert enrolled.user_ids == [1, 2]
+
+
 def _user(*dims, start_id=0):
     """A user's templates of the given dimensions, with sequential ids."""
     return UserGallery(templates=tuple(

@@ -42,6 +42,14 @@ def test_write_rejects_no_samples(tmp_path):
     assert not path.exists()
 
 
+def test_write_rejects_fewer_than_two_users(tmp_path):
+    path = tmp_path / "ds.csv"
+    samples = [make_sample(0, [1.0], user=1), make_sample(1, [2.0], user=1)]
+    with pytest.raises(ValueError, match="need at least 2 distinct users"):
+        write_dataset(samples, path)  # load_dataset would refuse the file
+    assert not path.exists()
+
+
 def test_write_rejects_mixed_dimensions(tmp_path):
     path = tmp_path / "ds.csv"
     samples = [make_sample(0, [1.0, 2.0], user=1), make_sample(1, [3.0], user=2)]

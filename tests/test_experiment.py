@@ -1,5 +1,4 @@
 import csv
-import io
 
 import pytest
 
@@ -8,11 +7,10 @@ from selfgallery.dataio import split_batches
 from selfgallery import experiment
 from selfgallery.engine import EngineConfig, run_sequence
 from selfgallery.experiment import NO_UPDATE, ExperimentConfig, run_experiment
-from selfgallery.matching import ThresholdPolicy, per_subject_scores
-from selfgallery.metrics import export_score_scatter
+from selfgallery.matching import ThresholdPolicy
 from selfgallery.synthgen import SynthParams, generate
 
-from conftest import gallery_columns
+from conftest import gallery_templates, read_scatter, scatter_reference
 
 
 SMALL = SynthParams(
@@ -149,22 +147,18 @@ def test_scatter_files_hold_the_final_gallery_scores(tmp_path, metric):
             g0 = gallery_enroll(split.enroll, cap=cfg.p)
             finals[method], _, _ = run_sequence(g0, list(split.adaptation), engine_cfg)
         for method, gallery in finals.items():
-            expected = io.StringIO()
-            # scored from the final gallery's own samples, not the run's table
-            columns = gallery_columns(split.test, gallery, metric)
-            export_score_scatter(per_subject_scores(split.test, gallery, columns), expected)
+            # scored template by template from the final gallery, not from the run's table
+            expected = scatter_reference(split.test.samples, gallery_templates(gallery), metric)
             written = (tmp_path / f"scatter_run{run}_{method}.csv").read_text()
-            assert written == expected.getvalue()
+            assert read_scatter(written) == expected
 
 
 @pytest.mark.parametrize("out_dir, write_scatter", [(None, True), ("out", False), ("out", True)])
-def test_per_subject_scores_are_built_only_for_scatter_files(
-    tmp_path, monkeypatch, out_dir, write_scatter
-):
+def test_scatter_files_are_exported_only_when_asked(tmp_path, monkeypatch, out_dir, write_scatter):
     calls = []
-    real = experiment.per_subject_scores
+    real = experiment.export_score_scatter
     monkeypatch.setattr(
-        experiment, "per_subject_scores", lambda *a: calls.append(a[1]) or real(*a)
+        experiment, "export_score_scatter", lambda *a: calls.append(a[1]) or real(*a)
     )
     out = tmp_path / out_dir if out_dir else None
     cfg = _cfg(methods=("mdist", "kmeans"), out_dir=out, write_scatter=write_scatter)

@@ -1,3 +1,4 @@
+import io
 import itertools
 import math
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfgallery import matching
+from selfgallery import matching, metrics
 from selfgallery.clustering import KMeansParams, kmeans
 from selfgallery.core import Batch, gallery_enroll
 from selfgallery.matching import (
@@ -19,11 +20,17 @@ from selfgallery.matching import (
     classify_batch,
     estimate_threshold,
     impostor_pool,
-    per_subject_scores,
-    score_sets,
 )
+from selfgallery.metrics import distance_columns, export_score_scatter, score_sets
 
-from conftest import gallery_1d, gallery_columns, make_sample
+from conftest import (
+    gallery_1d,
+    gallery_columns,
+    gallery_templates,
+    make_sample,
+    read_scatter,
+    scatter_reference,
+)
 
 
 def test_estimate_threshold_zero_far(abc_gallery):
@@ -146,10 +153,14 @@ def test_classify_invariant_under_user_permutation():
 
 def _scores(test, gallery, columns):
     """score_sets' arrays as lists, after checking that both are float64, and
-    per_subject_scores, from the same arguments."""
+    the rows of the scatter file exported from the same arguments."""
     genuine, impostor = score_sets(test, gallery, columns)
     assert genuine.dtype == impostor.dtype == np.float64
-    return genuine.tolist(), impostor.tolist(), per_subject_scores(test, gallery, columns)
+    out = io.StringIO()
+    n = export_score_scatter(test, gallery, columns, out)
+    rows = read_scatter(out.getvalue())
+    assert n == len(rows)
+    return genuine.tolist(), impostor.tolist(), rows
 
 
 def test_score_sets_counts():
@@ -158,11 +169,12 @@ def test_score_sets_counts():
         index=6,
         samples=(make_sample(20, [0.0], user=1), make_sample(21, [10.0], user=2)),
     )
-    genuine, impostor, per_subject = _scores(test, g, gallery_columns(test, g))
+    genuine, impostor, scatter = _scores(test, g, gallery_columns(test, g))
     assert genuine == [0.0, 0.0]
     assert len(impostor) == 2 and all(v > 0 for v in impostor)
-    assert len(per_subject[1]["genuine"]) == 1
-    assert len(per_subject[1]["impostor"]) == 1
+    assert [(r["subject"], r["kind"]) for r in scatter] == [
+        ("1", "genuine"), ("1", "impostor"), ("2", "genuine"), ("2", "impostor")
+    ]
 
 
 def test_score_sets_empty_batch(abc_gallery):
@@ -183,14 +195,14 @@ def test_score_sets_rejects_unenrolled(abc_gallery):
     with pytest.raises(ValueError, match="test sample 30: true user 99 is not enrolled"):
         score_sets(test, abc_gallery, gallery_columns(test, abc_gallery))
     with pytest.raises(ValueError, match="test sample 30: true user 99 is not enrolled"):
-        per_subject_scores(test, abc_gallery, gallery_columns(test, abc_gallery))
+        export_score_scatter(test, abc_gallery, gallery_columns(test, abc_gallery), io.StringIO())
 
 
 def _score_sets_by_user(test, gallery, metric):
     """score_sets as, per user, the least of each of its templates' exact
-    distances to every test sample (x - t is exactly -(t - x))."""
+    distances to every test sample (x - t is exactly -(t - x)), and the
+    scatter file's rows built the same way."""
     genuine, impostor = [], []
-    per_subject = {u: {"genuine": [], "impostor": []} for u in gallery.user_ids}
     x = np.stack([s.vector for s in test.samples])
     nearest = {
         u: np.min(
@@ -202,10 +214,8 @@ def _score_sets_by_user(test, gallery, metric):
     for i, s in enumerate(test.samples):
         for u in gallery.user_ids:
             d = float(nearest[u][i])
-            kind = "genuine" if u == s.true_user else "impostor"
-            (genuine if kind == "genuine" else impostor).append(d)
-            per_subject[u][kind].append(d)
-    return genuine, impostor, per_subject
+            (genuine if u == s.true_user else impostor).append(d)
+    return genuine, impostor, scatter_reference(test.samples, gallery_templates(gallery), metric)
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "l1"])
@@ -258,14 +268,6 @@ def _evaluation_probes(rng, gallery, offset, sid):
     return Batch(index=6, samples=samples)
 
 
-def test_score_sets_empty_batch_keeps_every_subject(abc_gallery):
-    empty = Batch(index=6, samples=())
-    columns = gallery_columns(empty, abc_gallery)
-    genuine, impostor, per_subject = _scores(empty, abc_gallery, columns)
-    assert genuine == [] and impostor == []
-    assert per_subject == {u: {"genuine": [], "impostor": []} for u in (1, 2, 3)}
-
-
 def test_score_sets_rejects_dim_mismatch(abc_gallery):
     test = Batch(index=6, samples=(make_sample(30, [0.0, 1.0], user=1),))
     with pytest.raises(ValueError, match="dimension mismatch"):
@@ -278,13 +280,13 @@ def test_distance_columns_are_exact_rows_by_sample_id():
     test = Batch(index=6, samples=tuple(make_sample(i, rng.normal(size=3)) for i in range(7)))
     x = np.array([s.vector for s in test.samples])
     for metric in METRICS:
-        columns = matching.distance_columns(test, samples, metric)
+        columns = distance_columns(test, samples, metric)
         assert list(columns) == [40, 41, 42, 43]
         for s in samples:
             assert columns[s.id].tolist() == _distances_to_rows(s.vector, x, metric).tolist()
-    empty = matching.distance_columns(Batch(index=6, samples=()), samples)
+    empty = distance_columns(Batch(index=6, samples=()), samples)
     assert all(c.shape == (0,) for c in empty.values()) and len(empty) == 4
-    assert matching.distance_columns(test, []) == {}
+    assert distance_columns(test, []) == {}
 
 
 @pytest.mark.parametrize(
@@ -312,7 +314,7 @@ def test_distance_columns_blocks_are_bitwise_the_row_kernel(monkeypatch, n, t, d
     )
     for metric in METRICS:
         sizes.clear()
-        columns = matching.distance_columns(test, samples, metric)
+        columns = distance_columns(test, samples, metric)
         blocked = list(sizes)
         assert list(columns) == [s.id for s in samples]
         for s in samples:
@@ -335,32 +337,30 @@ def test_distance_columns_names_the_first_sample_of_another_dim_in_any_block():
         ragged = samples[:bad] + [make_sample(100 + bad, rng.normal(size=39))] + samples[bad + 1 :]
         message = f"dimension mismatch: sample {100 + bad} has dim 39, expected 40"
         with pytest.raises(ValueError, match=message):
-            matching.distance_columns(test, ragged)
+            distance_columns(test, ragged)
     wide = Batch(index=6, samples=test.samples[:3] + (make_sample(7, rng.normal(size=41)),))
     with pytest.raises(ValueError, match="dimension mismatch: sample 7 has dim 41, expected 40"):
-        matching.distance_columns(wide, samples)
+        distance_columns(wide, samples)
     # both mismatched: the samples are stacked first, so one of them is named
     with pytest.raises(ValueError, match="dimension mismatch: sample 110 has dim 39, expected 40"):
-        matching.distance_columns(wide, ragged)
+        distance_columns(wide, ragged)
     with pytest.raises(ValueError, match="unknown metric"):
-        matching.distance_columns(test, samples, "cosine")
+        distance_columns(test, samples, "cosine")
 
 
 def test_distance_columns_rejects_a_sample_of_another_dim_before_any_distance(monkeypatch):
-    computed = []
-    monkeypatch.setattr(
-        matching, "_distances_to_rows", lambda *args: computed.append(args) or np.zeros(1)
-    )
+    computed = []  # every exact distance reduces through _norms
+    monkeypatch.setattr(matching, "_norms", lambda *args: computed.append(args) or np.zeros(1))
     test = Batch(index=6, samples=(make_sample(0, [0.0, 1.0]),))
     samples = [make_sample(40, [1.0, 1.0]), make_sample(41, [2.0, 0.0]), make_sample(42, [3.0])]
     with pytest.raises(ValueError, match="dimension mismatch: sample 42 has dim 1, expected 2"):
-        matching.distance_columns(test, samples)
+        distance_columns(test, samples)
     assert computed == []
 
 
 @pytest.mark.parametrize("call", [
     lambda g: classify_batch(Batch(index=1, samples=()), g, 1.0, "cosine"),  # no probe
-    lambda g: matching.distance_columns(Batch(index=1, samples=()), [], "cosine"),  # no sample
+    lambda g: distance_columns(Batch(index=1, samples=()), [], "cosine"),  # no sample
     lambda g: estimate_threshold(gallery_1d({1: [0.0, 1.0]}), metric="cosine"),  # no pair
     lambda g: impostor_pool(gallery_1d({1: [0.0, 1.0]}), "cosine"),
     lambda g: estimate_threshold(g, metric="cosine"),
@@ -368,7 +368,8 @@ def test_distance_columns_rejects_a_sample_of_another_dim_before_any_distance(mo
 ])
 def test_an_unknown_metric_is_refused_before_any_work(abc_gallery, monkeypatch, call):
     # as EngineConfig refuses it: even where there is nothing to compute
-    monkeypatch.setattr(matching, "_exact", lambda *args: pytest.fail("computed a distance"))
+    for module in (matching, metrics):
+        monkeypatch.setattr(module, "_exact", lambda *args: pytest.fail("computed a distance"))
     with pytest.raises(ValueError, match="unknown metric: 'cosine'"):
         call(abc_gallery)
 
@@ -377,7 +378,7 @@ def test_score_sets_reads_only_its_templates_columns(abc_gallery):
     test = Batch(index=6, samples=(make_sample(30, [0.3], user=1), make_sample(31, [1.2], user=3)))
     columns = gallery_columns(test, abc_gallery)
     # columns of samples outside the gallery change nothing
-    extra = matching.distance_columns(test, [make_sample(50, [0.3]), make_sample(51, [9.0])])
+    extra = distance_columns(test, [make_sample(50, [0.3]), make_sample(51, [9.0])])
     assert _scores(test, abc_gallery, {**extra, **columns}) == _scores(
         test, abc_gallery, columns
     )
@@ -385,7 +386,7 @@ def test_score_sets_reads_only_its_templates_columns(abc_gallery):
     with pytest.raises(ValueError, match="template sample 1 has no distance column"):
         score_sets(test, abc_gallery, columns)
     with pytest.raises(ValueError, match="template sample 1 has no distance column"):
-        per_subject_scores(test, abc_gallery, columns)
+        export_score_scatter(test, abc_gallery, columns, io.StringIO())
 
 
 def _masked_pool(gallery, metric):

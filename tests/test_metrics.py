@@ -210,7 +210,7 @@ def test_evaluate_snapshot_self_test_zero_eer():
         samples=(make_sample(10, [0.0], user=1), make_sample(11, [10.0], user=2)),
     )
     ev = evaluate_snapshot(g, test, gallery_columns(test, g))
-    assert set(ev) == {"eer", "gallery_bytes"}  # per-subject lists are built for scatters only
+    assert set(ev) == {"eer", "gallery_bytes"}  # no score lists: scatter files are exported apart
     assert ev["eer"] == 0.0
     assert ev["gallery_bytes"] == 2 * 4 * 1  # 2 templates, 4 bytes per coord
 
@@ -254,21 +254,24 @@ def test_gallery_bytes_override():
 
 
 def test_export_score_scatter_rows():
-    per_subject = {
-        1: {"genuine": [0.1], "impostor": [0.9]},
-        2: {"genuine": [0.2], "impostor": [0.8]},
-    }
+    g = gallery_1d({2: [10.0], 1: [0.0, 4.0]})
+    test = Batch(index=6, samples=(
+        make_sample(20, [9.0], user=2), make_sample(21, [1.0], user=1), make_sample(22, [2.5], user=1)
+    ))
     buf = io.StringIO()
-    n = export_score_scatter(per_subject, buf)
-    lines = buf.getvalue().splitlines()
-    assert n == 4
-    assert lines[0] == "subject,score,kind"
-    assert len(lines) == 5
-    assert lines[1] == "1,0.1,genuine"
+    n = export_score_scatter(test, g, gallery_columns(test, g), buf)
+    # users ascending, each with its genuine and then its impostor scores, in test order
+    assert buf.getvalue() == (
+        "subject,score,kind\n"
+        "1,1,genuine\n1,1.5,genuine\n1,5,impostor\n"
+        "2,1,genuine\n2,9,impostor\n2,7.5,impostor\n"
+    )
+    assert n == 6
 
 
-def test_export_score_scatter_empty():
+def test_export_score_scatter_empty(abc_gallery):
+    empty = Batch(index=6, samples=())
     buf = io.StringIO()
-    n = export_score_scatter({}, buf)
+    n = export_score_scatter(empty, abc_gallery, gallery_columns(empty, abc_gallery), buf)
     assert n == 0
     assert buf.getvalue() == "subject,score,kind\n"

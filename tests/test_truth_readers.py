@@ -2,10 +2,10 @@
 
 In the paper a probe's identity is unknown during operation: the engine
 pseudo-labels it by matching, and selection and clustering see only the
-candidates it built. So no ``.true_user`` read appears in ``engine``,
-``selection`` or ``clustering``. ``matching`` holds both sides: its one
-read sits in the evaluation helper ``_nearest_by_user``, which gives the
-score sets each test sample's own user.
+candidates it built. So no ``.true_user`` read appears in ``matching``,
+``engine``, ``selection`` or ``clustering``. Evaluation (``metrics``) reads
+it in ``_nearest_by_user``, which gives the score sets and scatter files
+each test sample's own user, and in ``impostor_fraction``.
 """
 
 import ast
@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "selfgallery"
-UPDATE_PATH = ["engine.py", "selection.py", "clustering.py"]
+UPDATE_PATH = ["matching.py", "engine.py", "selection.py", "clustering.py"]
 
 
 def truth_reads(source: str) -> list[tuple[str, int]]:
@@ -33,9 +33,9 @@ def test_the_update_path_reads_no_ground_truth(name):
     assert truth_reads((SRC / name).read_text()) == []
 
 
-def test_matching_reads_ground_truth_only_in_its_evaluation_helper():
-    reads = truth_reads((SRC / "matching.py").read_text())
-    assert reads and {where for where, _ in reads} == {"_nearest_by_user"}
+def test_metrics_reads_ground_truth_only_where_it_scores():
+    reads = truth_reads((SRC / "metrics.py").read_text())
+    assert {where for where, _ in reads} == {"_nearest_by_user", "impostor_fraction"}
 
 
 def test_checker_names_the_definition_around_each_read():
