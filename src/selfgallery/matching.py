@@ -83,8 +83,9 @@ dtype and moved one step outward, so no comparison narrows the band; under
 a claimed bound every screen is finite, and t*'s band keeps a NaN screen.
 Distances, labels, the lowest-index tie rule, t* and K-Means' assignments
 are therefore bitwise those of the row-by-row kernel. L1 has no Gram
-identity: it still scores every row, one probe at a time, and takes its t*
-from ``impostor_pool``.
+identity: classification scores every pair exactly, in one table of at
+most ``_BLOCK`` probes against the gallery at a time, and t* comes from
+``impostor_pool``.
 
 ``estimate_threshold`` screens each cross-user pair once, under zero-FAR
 and FAR-quantile alike. It holds one buffer of screens in the screen dtype
@@ -439,12 +440,13 @@ def classify_batch(
         raise ValueError("t* must be non-negative")
     x = stack_vectors(batch.samples, gallery.dim)
     mat, owners = gallery.vectors, gallery.owner
+    blocks = range(0, max(len(x), 1), _BLOCK)  # an empty batch makes one empty block
     if metric == EUCLIDEAN and len(x):
-        screen, blocks = _Screen(x, mat, EUCLIDEAN, min(len(x), _BLOCK)), range(0, len(x), _BLOCK)
+        screen = _Screen(x, mat, EUCLIDEAN, min(len(x), _BLOCK))
         with np.errstate(over="ignore", invalid="ignore"):  # a screen may overflow: tau is infinite
             near = np.concatenate([screen.nearest(screen.screen(lo, lo + _BLOCK), lo) for lo in blocks])
-    else:  # no Gram identity: every row, one probe at a time
-        near = np.array([_exact(v[None], mat, metric).argmin() for v in x], dtype=np.intp)
+    else:  # no Gram identity (or no probe): one exact table per block of probes
+        near = np.concatenate([_exact(x[lo : lo + _BLOCK], mat, metric).argmin(axis=1) for lo in blocks])
     dists = _exact(x, mat, metric, np.arange(len(x)), near)
     ids = np.fromiter((s.id for s in batch.samples), dtype=np.int64, count=len(batch))
     return np.rec.fromarrays(

@@ -8,35 +8,35 @@ keep_all is the unbounded traditional baseline.
 
 Objectives always use squared euclidean, even when matching uses l1.
 
-Every MDIST/DEND path (the one-block table, the prefix-tree walk and
+Every MDIST/DEND path (the exact search, from either block source, and
 greedy) reads one exact squared-distance matrix of the id-sorted
 candidates from matching's exact kernel (``matching._exact``, squared):
 entry [i, j] is the squared norm of the difference of rows j and i, so its
 square root is bitwise the ``_distances_to_rows`` distance, and it is built
 in row blocks of at most ``_GATHER`` subtracted values. No BLAS call enters
-it, so no choice
-depends on the BLAS library or thread count.
+it, so no choice depends on the BLAS library or thread count.
 
-Exact selection screens every size-p subset and decides only on exact
-sums. Subsets come in lexicographic order, in one block or in blocks of at
-most EXACT_CHUNK. When the C = C(n, p) subsets number at most
+Exact selection is one search: it screens every size-p subset, block by
+block in lexicographic order, and decides only on exact sums. The blocks
+come from one of two sources. When the C = C(n, p) subsets number at most
 5 x EXACT_CHUNK and their C x m pair entries, m = p(p-1)/2, at most
 80 x EXACT_CHUNK (at p = 6: n <= 15, C(15, 6) = 5,005 subsets and 75,075
-entries), they make one block, read from a table cached per (n, p): the
-subsets' index rows, one byte per index (n <= 101 at every such (n, p)),
-and their pairs' flat indices into the matrix, m x C, so the screen is m
-gathers summed. Such a table takes at most 632,610 bytes (n = 55,
-p = 54), and the cache holds at most 12 of them, 7.2 MiB in all. Other
-inputs, such as n >= 16 at p = 6, or n = 200 and p = 199, whose pair index
-would take 31 MB, build their blocks in numpy one prefix-tree level at a
-time: each prefix carries its pairwise sum and its row sums over the
-matrix, so a child's screen is its parent's sum plus one entry of those
-row sums. Either way a screen is the sum of the subset's m pair entries in
-some order, and so is its exact value, taken by ``subset_objectives`` (a
-cached upper-triangle mask applied with ``np.where``) bit for bit as the
-test reference ``subset_objective`` (``tests/oracles.py``) takes it with
-``np.triu``; that file also holds the brute-force subset oracle the fast
-paths are checked against.
+entries), the only block is a table cached per (n, p): the subsets' index
+rows, one byte per index (n <= 101 at every such (n, p)), and their pairs'
+flat indices into the matrix, m x C, so the screen is m gathers summed.
+Such a table takes at most 632,610 bytes (n = 55, p = 54), and the cache
+holds at most 12 of them, 7.2 MiB in all. Other inputs, such as n >= 16
+at p = 6, or n = 200 and p = 199, whose pair index would take 31 MB, walk
+the prefix tree in numpy one level at a time, in blocks of at most
+EXACT_CHUNK subsets (or the children of one (p-1)-prefix): each prefix
+carries its pairwise sum and its row sums over the matrix, so a child's
+screen is its parent's sum plus one entry of those row sums. Either way a
+screen is the sum of the subset's m pair entries in some order, and so is
+its exact value, taken by ``subset_objectives`` (a cached upper-triangle
+mask applied with ``np.where``) bit for bit as the test reference
+``subset_objective`` (``tests/oracles.py``) takes it with ``np.triu``;
+that file also holds the brute-force subset oracle the fast paths are
+checked against.
 
 Why screening is safe: the entries are sums of squares, so >= 0, and any
 order of summing them lies within gamma * T of the true sum T, with
@@ -52,11 +52,14 @@ to spare (sums of subnormals are exact, so this holds there too). An
 entry of finite vectors may overflow to inf but is never NaN; DEND's bound
 is clamped to the largest float, so an inf screen keeps its subset.
 
-The kept subsets get exact values (a one-block band of one subset needs
-none: no other subset can be the first optimum), and one rule decides, as
-it would over every subset: the first optimum within a block, replaced by
-a later block only on strict improvement. That is the first optimum in
-lexicographic order, whatever the blocks: the lowest-sample-ids tie rule.
+The kept subsets get exact values, and one rule decides, as it would over
+every subset: the first optimum within a block, replaced by a later block
+only on strict improvement. That is the first optimum in lexicographic
+order, whatever the blocks: the lowest-sample-ids tie rule. A first band
+of one subset holds its block's first optimum, as no other subset can be
+it, so its exact value is taken only when a later block's band needs the
+incumbent: the table's only block never scores a lone subset, and the
+walk scores it at its second block.
 """
 
 from __future__ import annotations
@@ -146,12 +149,17 @@ def _subset_table(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _blocks(sqmat: np.ndarray, p: int):
     """Screened size-p subsets of range(n) in lexicographic order, in blocks
-    taken from the prefix tree: the whole subtrees of consecutive prefixes,
-    at most EXACT_CHUNK subsets, or the at most n children of one
-    (p-1)-prefix. Yields ``(screen, subsets)``, where ``subsets(i)`` returns
-    the index rows of the block's subsets ``i``.
+    (module docstring): the cached subset table as the only block where it
+    serves (n, p), else blocks taken from the prefix tree: the whole
+    subtrees of consecutive prefixes, at most EXACT_CHUNK subsets, or the at
+    most n children of one (p-1)-prefix. Yields ``(screen, subsets)``, where
+    ``subsets(i)`` returns the index rows of the block's subsets ``i``.
     """
-    n = len(sqmat)
+    n, count = len(sqmat), comb(len(sqmat), p)
+    if count <= 5 * EXACT_CHUNK and count * p * (p - 1) // 2 <= 80 * EXACT_CHUNK:
+        rows, pairs = _subset_table(n, p)
+        yield sqmat.ravel()[pairs].sum(axis=0), rows.__getitem__  # take() would copy the read-only index
+        return
 
     def whole(cols, part, rows):
         k0, last, trail = cols.shape[1], cols[:, -1], []
@@ -209,35 +217,29 @@ def _enumerate_best(
 ) -> list[Template]:
     """Exact optimum over all size-p subsets of id-sorted candidates.
 
-    Each block keeps the subsets whose screen lies in the band around the
-    block's best screen and the incumbent (module docstring), scores them
-    exactly, takes the first optimum, and replaces the incumbent only on
-    strict improvement. That implements the lowest-sample-ids tie rule.
+    Each block of ``_blocks`` keeps the subsets whose screen lies in the
+    band around the block's best screen and the incumbent (module
+    docstring), scores them exactly, takes the first optimum, and replaces
+    the incumbent only on strict improvement. That implements the
+    lowest-sample-ids tie rule. A first band of one subset is the optimum so
+    far, and is scored only when a later block needs its value.
     """
     sqmat = _pair_matrix(candidates)
-    n, m = len(sqmat), p * (p - 1) // 2
-    delta = 8 * m * _UNIT_ROUNDOFF
-    count = comb(n, p)
-    if count <= 5 * EXACT_CHUNK and count * m <= 80 * EXACT_CHUNK:  # one block, from the table
-        rows, pairs = _subset_table(n, p)
-        screen = sqmat.ravel()[pairs].sum(axis=0)  # take() would copy the read-only index
-        combos = rows[_band(screen, -np.inf if maximize else np.inf, maximize, delta)]
-        if len(combos) > 1:  # a lone subset in the band is the optimum: nothing to compare
-            objs = subset_objectives(sqmat, combos)
-            combos = combos[[objs.argmax() if maximize else objs.argmin()]]
-        return [candidates[i] for i in combos[0].tolist()]
-    best_idx, best_obj = None, (-np.inf if maximize else np.inf)
+    delta = 8 * (p * (p - 1) // 2) * _UNIT_ROUNDOFF
+    best, best_obj = None, (-np.inf if maximize else np.inf)
     for screen, subsets in _blocks(sqmat, p):
+        if best_obj is None:  # the lone first optimum's exact value, needed from here on
+            best_obj = subset_objectives(sqmat, best[None])[0]
         keep = _band(screen, best_obj, maximize, delta)
-        if not len(keep):
-            continue
-        combos = subsets(keep)
-        objs = subset_objectives(sqmat, combos)
-        i = int(np.argmax(objs) if maximize else np.argmin(objs))
-        obj = objs[i]
-        if best_idx is None or (obj > best_obj if maximize else obj < best_obj):
-            best_obj, best_idx = obj, combos[i]
-    return [candidates[i] for i in best_idx.tolist()]
+        if best is None and len(keep) == 1:  # nothing to compare it with yet
+            best, best_obj = subsets(keep)[0], None
+        elif len(keep):
+            combos = subsets(keep)
+            objs = subset_objectives(sqmat, combos)
+            i = int(np.argmax(objs) if maximize else np.argmin(objs))
+            if best is None or (objs[i] > best_obj if maximize else objs[i] < best_obj):
+                best, best_obj = combos[i], objs[i]
+    return [candidates[i] for i in best.tolist()]
 
 
 def _greedy_select(candidates: list[Template], p: int, maximize: bool) -> list[Template]:

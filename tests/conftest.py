@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -70,6 +71,23 @@ def scatter_reference(probes, templates, metric=EUCLIDEAN):
 def gallery_templates(gallery):
     """{user: [sample, ...]} of the gallery's templates, for ``scatter_reference``."""
     return {u: [t.sample for t in gallery.users[u].templates] for u in gallery.user_ids}
+
+
+def screen_gallery(rng, dim, counts, offset):
+    """users 1.. with counts[i] templates each, the first of every third user
+    one shared vector and of the next user a near-duplicate of it."""
+    sid = itertools.count()
+    shared = rng.normal(0.0, 1.0, dim) + offset
+    pairs = []
+    for u, c in enumerate(counts, start=1):
+        for j in range(c):
+            v = rng.normal(u % 5, 1.0, dim) + offset
+            if j == 0 and u % 3 == 0:
+                v = shared
+            elif j == 0 and u % 3 == 1:
+                v = shared + rng.normal(0.0, 1e-6, dim)  # nearer than the screen resolves
+            pairs.append((u, make_sample(next(sid), v, user=u)))
+    return gallery_enroll(pairs), shared
 
 
 @pytest.fixture

@@ -1,4 +1,3 @@
-import io
 import itertools
 import math
 
@@ -21,16 +20,9 @@ from selfgallery.matching import (
     estimate_threshold,
     impostor_pool,
 )
-from selfgallery.metrics import distance_columns, export_score_scatter, score_sets
+from selfgallery.metrics import distance_columns
 
-from conftest import (
-    gallery_1d,
-    gallery_columns,
-    gallery_templates,
-    make_sample,
-    read_scatter,
-    scatter_reference,
-)
+from conftest import gallery_1d, make_sample, screen_gallery
 
 
 def test_estimate_threshold_zero_far(abc_gallery):
@@ -151,213 +143,6 @@ def test_classify_invariant_under_user_permutation():
         assert out == base
 
 
-def _scores(test, gallery, columns):
-    """score_sets' arrays as lists, after checking that both are float64, and
-    the rows of the scatter file exported from the same arguments."""
-    genuine, impostor = score_sets(test, gallery, columns)
-    assert genuine.dtype == impostor.dtype == np.float64
-    out = io.StringIO()
-    n = export_score_scatter(test, gallery, columns, out)
-    rows = read_scatter(out.getvalue())
-    assert n == len(rows)
-    return genuine.tolist(), impostor.tolist(), rows
-
-
-def test_score_sets_counts():
-    g = gallery_1d({1: [0.0], 2: [10.0]})
-    test = Batch(
-        index=6,
-        samples=(make_sample(20, [0.0], user=1), make_sample(21, [10.0], user=2)),
-    )
-    genuine, impostor, scatter = _scores(test, g, gallery_columns(test, g))
-    assert genuine == [0.0, 0.0]
-    assert len(impostor) == 2 and all(v > 0 for v in impostor)
-    assert [(r["subject"], r["kind"]) for r in scatter] == [
-        ("1", "genuine"), ("1", "impostor"), ("2", "genuine"), ("2", "impostor")
-    ]
-
-
-def test_score_sets_empty_batch(abc_gallery):
-    empty = Batch(index=6, samples=())
-    genuine, impostor, _ = _scores(empty, abc_gallery, gallery_columns(empty, abc_gallery))
-    assert genuine == [] and impostor == []
-
-
-def test_score_sets_three_users_one_sample(abc_gallery):
-    test = Batch(index=6, samples=(make_sample(30, [0.05], user=1),))
-    genuine, impostor, _ = _scores(test, abc_gallery, gallery_columns(test, abc_gallery))
-    assert len(genuine) == 1 and len(impostor) == 2
-
-
-def test_score_sets_rejects_unenrolled(abc_gallery):
-    test = Batch(index=6, samples=(make_sample(29, [0.0], user=1), make_sample(30, [0.0], user=99),
-                                   make_sample(31, [0.0], user=98)))
-    with pytest.raises(ValueError, match="test sample 30: true user 99 is not enrolled"):
-        score_sets(test, abc_gallery, gallery_columns(test, abc_gallery))
-    with pytest.raises(ValueError, match="test sample 30: true user 99 is not enrolled"):
-        export_score_scatter(test, abc_gallery, gallery_columns(test, abc_gallery), io.StringIO())
-
-
-def _score_sets_by_user(test, gallery, metric):
-    """score_sets as, per user, the least of each of its templates' exact
-    distances to every test sample (x - t is exactly -(t - x)), and the
-    scatter file's rows built the same way."""
-    genuine, impostor = [], []
-    x = np.stack([s.vector for s in test.samples])
-    nearest = {
-        u: np.min(
-            [_distances_to_rows(t.sample.vector, x, metric) for t in gallery.users[u].templates],
-            axis=0,
-        )
-        for u in gallery.user_ids
-    }
-    for i, s in enumerate(test.samples):
-        for u in gallery.user_ids:
-            d = float(nearest[u][i])
-            (genuine if u == s.true_user else impostor).append(d)
-    return genuine, impostor, scatter_reference(test.samples, gallery_templates(gallery), metric)
-
-
-@pytest.mark.parametrize("metric", ["euclidean", "l1"])
-@pytest.mark.parametrize("cap", [3, None])
-def test_score_sets_equals_per_user_match_score(metric, cap):
-    rng = np.random.default_rng(23)
-    dim, users = 5, (4, 1, 7, 2)
-    # uneven per-user counts as in a keep_all gallery; capped users hold cap
-    counts = {u: (cap if cap else int(rng.integers(1, 9))) for u in users}
-    sid = itertools.count()
-    pairs = [
-        (u, make_sample(next(sid), rng.normal(u, 1.0, dim), user=u))
-        for u in users
-        for _ in range(counts[u])
-    ]
-    g = gallery_enroll(pairs, cap=cap)
-    probes = [make_sample(next(sid), rng.normal(u, 1.5, dim), user=u) for u in users * 5]
-    probes.append(make_sample(next(sid), pairs[0][1].vector, user=pairs[0][0]))  # exact hit
-    test = Batch(index=6, samples=tuple(probes))
-    columns = gallery_columns(test, g, metric)
-    assert _scores(test, g, columns) == _score_sets_by_user(test, g, metric)
-    # wider galleries and probes over several blocks, with near ties within a user
-    for dim in (1, 2, 64, 128, 129):
-        for offset in (0.0, 1e4):  # a common offset on every coordinate
-            randoms = [int(c) for c in rng.integers(1, 9, 20)]
-            for counts in (randoms, [1] * 90, [2, 70]):
-                counts = [c if cap is None else min(c, cap) for c in counts]
-                g, _ = _screen_gallery(rng, dim, counts, offset)
-                test = _evaluation_probes(rng, g, offset, sid)
-                columns = gallery_columns(test, g, metric)
-                assert _scores(test, g, columns) == _score_sets_by_user(test, g, metric)
-
-
-def _evaluation_probes(rng, gallery, offset, sid):
-    """A test batch over more than two blocks: exact hits, random probes, and
-    1e-9 perturbations of rows and of midpoints of two rows of one user, a
-    near tie between two templates of one user."""
-    mat, owners = gallery.vectors, gallery.owner
-    users, dim = gallery.user_ids, gallery.dim
-    probes = [(mat[0], owners[0]), (mat[-1], owners[-1])]
-    far = rng.normal(2.0, 1.5, (2 * _BLOCK + 7, dim)) + offset
-    probes += [(v, users[i % len(users)]) for i, v in enumerate(far)]
-    probes += [(mat[i] + rng.normal(0.0, 1e-9, dim), owners[i]) for i in range(0, len(mat), 7)]
-    probes += [
-        ((mat[i] + mat[i + 1]) / 2 + rng.normal(0.0, 1e-9, dim), owners[i])
-        for i in range(len(mat) - 1)
-        if owners[i] == owners[i + 1]
-    ]
-    samples = tuple(make_sample(next(sid), v, user=int(u)) for v, u in probes)
-    return Batch(index=6, samples=samples)
-
-
-def test_score_sets_rejects_dim_mismatch(abc_gallery):
-    test = Batch(index=6, samples=(make_sample(30, [0.0, 1.0], user=1),))
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        score_sets(test, abc_gallery, gallery_columns(test, abc_gallery))
-
-
-def test_distance_columns_are_exact_rows_by_sample_id():
-    rng = np.random.default_rng(5)
-    samples = [make_sample(40 + i, rng.normal(size=3)) for i in range(4)]
-    test = Batch(index=6, samples=tuple(make_sample(i, rng.normal(size=3)) for i in range(7)))
-    x = np.array([s.vector for s in test.samples])
-    for metric in METRICS:
-        columns = distance_columns(test, samples, metric)
-        assert list(columns) == [40, 41, 42, 43]
-        for s in samples:
-            assert columns[s.id].tolist() == _distances_to_rows(s.vector, x, metric).tolist()
-    empty = distance_columns(Batch(index=6, samples=()), samples)
-    assert all(c.shape == (0,) for c in empty.values()) and len(empty) == 4
-    assert distance_columns(test, []) == {}
-
-
-@pytest.mark.parametrize(
-    "n, t, dim",
-    [
-        (11, 100, 40),  # t d = 4000: blocks of 4, 4 and 3 samples
-        (3, 300, 64),  # t d > _GATHER: one sample per block
-        (10, 1, 5),  # one test sample
-        (6, 0, 3),  # an empty test batch
-    ],
-)
-def test_distance_columns_blocks_are_bitwise_the_row_kernel(monkeypatch, n, t, dim):
-    rng = np.random.default_rng(n * t + dim)
-    samples = [make_sample(100 + i, rng.normal(3.0, 2.0, dim)) for i in range(n)]
-    if n > 1:  # a duplicate and an exact hit on a test sample
-        samples[1] = make_sample(101, samples[0].vector)
-    probes = [make_sample(i, rng.normal(3.0, 2.0, dim)) for i in range(t)]
-    test = Batch(index=6, samples=tuple(probes))
-    if t:
-        samples[-1] = make_sample(100 + n - 1, test.samples[0].vector)
-    x = np.array([s.vector for s in test.samples]).reshape(t, dim)
-    reduce, sizes = matching._norms, []
-    monkeypatch.setattr(
-        matching, "_norms", lambda diff, m: sizes.append(diff.size) or reduce(diff, m)
-    )
-    for metric in METRICS:
-        sizes.clear()
-        columns = distance_columns(test, samples, metric)
-        blocked = list(sizes)
-        assert list(columns) == [s.id for s in samples]
-        for s in samples:
-            assert columns[s.id].shape == (t,)
-            assert columns[s.id].tolist() == _distances_to_rows(s.vector, x, metric).tolist()
-        assert len({id(c.base) for c in columns.values()}) == 1  # views of one table
-        # every block's (test - sample) temporary holds at most _GATHER values,
-        # or one sample's t d where that alone is more
-        assert sum(blocked) == n * t * dim
-        assert all(size <= max(_GATHER, t * dim) for size in blocked)
-        per_block = max(1, _GATHER // max(1, t * dim))
-        assert len(blocked) == -(-n // per_block)
-
-
-def test_distance_columns_names_the_first_sample_of_another_dim_in_any_block():
-    rng = np.random.default_rng(3)
-    test = Batch(index=6, samples=tuple(make_sample(i, rng.normal(size=40)) for i in range(100)))
-    samples = [make_sample(100 + i, rng.normal(size=40)) for i in range(11)]
-    for bad in (1, 5, 10):  # first, middle and last block of 4 samples
-        ragged = samples[:bad] + [make_sample(100 + bad, rng.normal(size=39))] + samples[bad + 1 :]
-        message = f"dimension mismatch: sample {100 + bad} has dim 39, expected 40"
-        with pytest.raises(ValueError, match=message):
-            distance_columns(test, ragged)
-    wide = Batch(index=6, samples=test.samples[:3] + (make_sample(7, rng.normal(size=41)),))
-    with pytest.raises(ValueError, match="dimension mismatch: sample 7 has dim 41, expected 40"):
-        distance_columns(wide, samples)
-    # both mismatched: the samples are stacked first, so one of them is named
-    with pytest.raises(ValueError, match="dimension mismatch: sample 110 has dim 39, expected 40"):
-        distance_columns(wide, ragged)
-    with pytest.raises(ValueError, match="unknown metric"):
-        distance_columns(test, samples, "cosine")
-
-
-def test_distance_columns_rejects_a_sample_of_another_dim_before_any_distance(monkeypatch):
-    computed = []  # every exact distance reduces through _norms
-    monkeypatch.setattr(matching, "_norms", lambda *args: computed.append(args) or np.zeros(1))
-    test = Batch(index=6, samples=(make_sample(0, [0.0, 1.0]),))
-    samples = [make_sample(40, [1.0, 1.0]), make_sample(41, [2.0, 0.0]), make_sample(42, [3.0])]
-    with pytest.raises(ValueError, match="dimension mismatch: sample 42 has dim 1, expected 2"):
-        distance_columns(test, samples)
-    assert computed == []
-
-
 @pytest.mark.parametrize("call", [
     lambda g: classify_batch(Batch(index=1, samples=()), g, 1.0, "cosine"),  # no probe
     lambda g: distance_columns(Batch(index=1, samples=()), [], "cosine"),  # no sample
@@ -372,21 +157,6 @@ def test_an_unknown_metric_is_refused_before_any_work(abc_gallery, monkeypatch, 
         monkeypatch.setattr(module, "_exact", lambda *args: pytest.fail("computed a distance"))
     with pytest.raises(ValueError, match="unknown metric: 'cosine'"):
         call(abc_gallery)
-
-
-def test_score_sets_reads_only_its_templates_columns(abc_gallery):
-    test = Batch(index=6, samples=(make_sample(30, [0.3], user=1), make_sample(31, [1.2], user=3)))
-    columns = gallery_columns(test, abc_gallery)
-    # columns of samples outside the gallery change nothing
-    extra = distance_columns(test, [make_sample(50, [0.3]), make_sample(51, [9.0])])
-    assert _scores(test, abc_gallery, {**extra, **columns}) == _scores(
-        test, abc_gallery, columns
-    )
-    del columns[1]  # user 2's only template
-    with pytest.raises(ValueError, match="template sample 1 has no distance column"):
-        score_sets(test, abc_gallery, columns)
-    with pytest.raises(ValueError, match="template sample 1 has no distance column"):
-        export_score_scatter(test, abc_gallery, columns, io.StringIO())
 
 
 def _masked_pool(gallery, metric):
@@ -449,29 +219,12 @@ def _classify_by_row(batch, gallery, t_star, metric):
     return out
 
 
-def _screen_gallery(rng, dim, counts, offset):
-    """users 1.. with counts[i] templates each, the first of every third user
-    one shared vector and of the next user a near-duplicate of it."""
-    sid = itertools.count()
-    shared = rng.normal(0.0, 1.0, dim) + offset
-    pairs = []
-    for u, c in enumerate(counts, start=1):
-        for j in range(c):
-            v = rng.normal(u % 5, 1.0, dim) + offset
-            if j == 0 and u % 3 == 0:
-                v = shared
-            elif j == 0 and u % 3 == 1:
-                v = shared + rng.normal(0.0, 1e-6, dim)  # nearer than the screen resolves
-            pairs.append((u, make_sample(next(sid), v, user=u)))
-    return gallery_enroll(pairs), shared
-
-
 @pytest.mark.parametrize("offset", [0.0, 1e4])  # a common offset widens the band
 @pytest.mark.parametrize("dim", [1, 2, 64, 128, 129])
 def test_classify_batch_equals_row_by_row(dim, offset):
     rng = np.random.default_rng(dim)
     for counts in ([int(c) for c in rng.integers(1, 9, 20)], [1] * 90):
-        g, shared = _screen_gallery(rng, dim, counts, offset)
+        g, shared = screen_gallery(rng, dim, counts, offset)
         mat = g.vectors
         probes = [shared, mat[0], mat[-1]]  # exact hits, one across users
         probes += list(rng.normal(2.0, 1.5, (2 * _BLOCK + 7, dim)) + offset)
@@ -483,6 +236,26 @@ def test_classify_batch_equals_row_by_row(dim, offset):
                 decisions = classify_batch(batch, g, t, metric)
                 got = [(d.sample_id, d.accepted, d.distance, d.label) for d in decisions]
                 assert got == _classify_by_row(batch, g, t, metric)
+
+
+@pytest.mark.parametrize("probes", [1, _BLOCK, 2 * _BLOCK + 7])
+def test_l1_classify_scores_one_exact_table_per_block(monkeypatch, probes):
+    rng = np.random.default_rng(probes)
+    g, _ = screen_gallery(rng, 5, [3, 1, 4, 2], 0.0)
+    batch = Batch(index=1, samples=tuple(make_sample(100 + i, rng.normal(2.0, 1.5, 5)) for i in range(probes)))
+    exact, rows = matching._exact, []
+
+    def tables(x, y, metric, ix=None, iy=None):
+        if ix is None:
+            rows.append(len(x))
+        return exact(x, y, metric, ix, iy)
+
+    monkeypatch.setattr(matching, "_exact", tables)
+    got = [(d.sample_id, d.accepted, d.distance, d.label) for d in classify_batch(batch, g, 1.0, "l1")]
+    # tables of at most _BLOCK probes against the whole gallery, then each
+    # probe's nearest distance
+    assert rows == [min(_BLOCK, probes - lo) for lo in range(0, probes, _BLOCK)]
+    assert got == _classify_by_row(batch, g, 1.0, "l1")
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e4])
@@ -503,13 +276,13 @@ def test_estimate_threshold_equals_sorted_pool(dim, offset):
     # one-template last user, its one partner screened by two blocks
     randoms = [int(c) for c in rng.integers(1, 9, 20)]
     for counts in (randoms, [1] * 90, [2, 70], [50, 30, 20], [66, 1]):
-        g, _ = _screen_gallery(rng, dim, counts, offset)
+        g, _ = screen_gallery(rng, dim, counts, offset)
         pool = np.sort(impostor_pool(g))
         assert estimate_threshold(g, ThresholdPolicy.zero_far()) == float(pool[0])
         for q in (1e-6, 0.01, 0.2, 0.5, 0.999999):
             k = max(0, math.ceil(q * pool.size) - 1)
             assert estimate_threshold(g, ThresholdPolicy.far_quantile(q)) == float(pool[k])
-    single, _ = _screen_gallery(rng, dim, [5], offset)
+    single, _ = screen_gallery(rng, dim, [5], offset)
     for metric in ("euclidean", "l1"):
         with pytest.raises(ValueError, match="cross-user"):
             estimate_threshold(single, ThresholdPolicy.zero_far(), metric)
@@ -528,7 +301,7 @@ def test_screen_tile_edges(dim, rows, offset):
     assert step == 1 if dim > 4096 else rows % step != 0  # else a partial last tile
     assert rows % _BLOCK != 0  # the last row block is short
     rng = np.random.default_rng(dim)
-    g, shared = _screen_gallery(rng, dim, [3, 2, 1, 4] * (rows // 10) + [1] * (rows % 10), offset)
+    g, shared = screen_gallery(rng, dim, [3, 2, 1, 4] * (rows // 10) + [1] * (rows % 10), offset)
     mat = g.vectors
     assert mat.shape[0] == rows
     probes = [shared, mat[-1]] + list(rng.normal(2.0, 1.5, (_BLOCK + 7, dim)) + offset)
@@ -560,7 +333,7 @@ def test_estimate_threshold_screens_each_pair_once(monkeypatch, policy):
     monkeypatch.setattr(matching, "_screen", counting)
     rng = np.random.default_rng(5)
     counts = [50, 30, 20, 19]  # 119 rows; only the first 100 have partners after them
-    g, _ = _screen_gallery(rng, 8, counts, 0.0)
+    g, _ = screen_gallery(rng, 8, counts, 0.0)
     estimate_threshold(g, policy)
     assert len(calls) == math.ceil((sum(counts) - counts[-1]) / _BLOCK)
 
@@ -707,7 +480,7 @@ def test_screen_gemms_stay_on_the_calling_thread(monkeypatch, case):
         return
     dim = case
     rng = np.random.default_rng(dim)
-    g, shared = _screen_gallery(rng, dim, [3, 2, 1, 4] * 15, 0.0)  # 150 rows
+    g, shared = screen_gallery(rng, dim, [3, 2, 1, 4] * 15, 0.0)  # 150 rows
     probes = [shared] + list(rng.normal(2.0, 1.5, (2 * _BLOCK + 7, dim)))
     batch = Batch(index=1, samples=tuple(make_sample(1000 + i, v) for i, v in enumerate(probes)))
     classify_batch(batch, g, 1.0)

@@ -1,22 +1,36 @@
 import io
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from selfgallery import matching
 from selfgallery.core import Batch, gallery_enroll
+from selfgallery.matching import _BLOCK, _GATHER, METRICS, _distances_to_rows
 from selfgallery.metrics import (
     compute_eer,
+    distance_columns,
     evaluate_snapshot,
     export_score_scatter,
     gallery_bytes,
     impostor_fraction,
+    score_sets,
     storage_capped,
     storage_uncapped,
 )
 
-from conftest import accepted_template, gallery_1d, gallery_columns, make_sample
+from conftest import (
+    accepted_template,
+    gallery_1d,
+    gallery_columns,
+    gallery_templates,
+    make_sample,
+    read_scatter,
+    scatter_reference,
+    screen_gallery,
+)
 
 
 def eer_bruteforce(genuine, impostor):
@@ -275,3 +289,225 @@ def test_export_score_scatter_empty(abc_gallery):
     n = export_score_scatter(empty, abc_gallery, gallery_columns(empty, abc_gallery), buf)
     assert n == 0
     assert buf.getvalue() == "subject,score,kind\n"
+
+
+def _scores(test, gallery, columns):
+    """score_sets' arrays as lists, after checking that both are float64, and
+    the rows of the scatter file exported from the same arguments."""
+    genuine, impostor = score_sets(test, gallery, columns)
+    assert genuine.dtype == impostor.dtype == np.float64
+    out = io.StringIO()
+    n = export_score_scatter(test, gallery, columns, out)
+    rows = read_scatter(out.getvalue())
+    assert n == len(rows)
+    return genuine.tolist(), impostor.tolist(), rows
+
+
+def test_score_sets_counts():
+    g = gallery_1d({1: [0.0], 2: [10.0]})
+    test = Batch(
+        index=6,
+        samples=(make_sample(20, [0.0], user=1), make_sample(21, [10.0], user=2)),
+    )
+    genuine, impostor, scatter = _scores(test, g, gallery_columns(test, g))
+    assert genuine == [0.0, 0.0]
+    assert len(impostor) == 2 and all(v > 0 for v in impostor)
+    assert [(r["subject"], r["kind"]) for r in scatter] == [
+        ("1", "genuine"), ("1", "impostor"), ("2", "genuine"), ("2", "impostor")
+    ]
+
+
+def test_score_sets_empty_batch(abc_gallery):
+    empty = Batch(index=6, samples=())
+    genuine, impostor, _ = _scores(empty, abc_gallery, gallery_columns(empty, abc_gallery))
+    assert genuine == [] and impostor == []
+
+
+def test_score_sets_three_users_one_sample(abc_gallery):
+    test = Batch(index=6, samples=(make_sample(30, [0.05], user=1),))
+    genuine, impostor, _ = _scores(test, abc_gallery, gallery_columns(test, abc_gallery))
+    assert len(genuine) == 1 and len(impostor) == 2
+
+
+def test_score_sets_rejects_unenrolled(abc_gallery):
+    test = Batch(index=6, samples=(make_sample(29, [0.0], user=1), make_sample(30, [0.0], user=99),
+                                   make_sample(31, [0.0], user=98)))
+    with pytest.raises(ValueError, match="test sample 30: true user 99 is not enrolled"):
+        score_sets(test, abc_gallery, gallery_columns(test, abc_gallery))
+    with pytest.raises(ValueError, match="test sample 30: true user 99 is not enrolled"):
+        export_score_scatter(test, abc_gallery, gallery_columns(test, abc_gallery), io.StringIO())
+
+
+def _score_sets_by_user(test, gallery, metric):
+    """score_sets as, per user, the least of each of its templates' exact
+    distances to every test sample (x - t is exactly -(t - x)), and the
+    scatter file's rows built the same way."""
+    genuine, impostor = [], []
+    x = np.stack([s.vector for s in test.samples])
+    nearest = {
+        u: np.min(
+            [_distances_to_rows(t.sample.vector, x, metric) for t in gallery.users[u].templates],
+            axis=0,
+        )
+        for u in gallery.user_ids
+    }
+    for i, s in enumerate(test.samples):
+        for u in gallery.user_ids:
+            d = float(nearest[u][i])
+            (genuine if u == s.true_user else impostor).append(d)
+    return genuine, impostor, scatter_reference(test.samples, gallery_templates(gallery), metric)
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "l1"])
+@pytest.mark.parametrize("cap", [3, None])
+def test_score_sets_equals_per_user_match_score(metric, cap):
+    rng = np.random.default_rng(23)
+    dim, users = 5, (4, 1, 7, 2)
+    # uneven per-user counts as in a keep_all gallery; capped users hold cap
+    counts = {u: (cap if cap else int(rng.integers(1, 9))) for u in users}
+    sid = itertools.count()
+    pairs = [
+        (u, make_sample(next(sid), rng.normal(u, 1.0, dim), user=u))
+        for u in users
+        for _ in range(counts[u])
+    ]
+    g = gallery_enroll(pairs, cap=cap)
+    probes = [make_sample(next(sid), rng.normal(u, 1.5, dim), user=u) for u in users * 5]
+    probes.append(make_sample(next(sid), pairs[0][1].vector, user=pairs[0][0]))  # exact hit
+    test = Batch(index=6, samples=tuple(probes))
+    columns = gallery_columns(test, g, metric)
+    assert _scores(test, g, columns) == _score_sets_by_user(test, g, metric)
+    # wider galleries and probes over several blocks, with near ties within a user
+    for dim in (1, 2, 64, 128, 129):
+        for offset in (0.0, 1e4):  # a common offset on every coordinate
+            randoms = [int(c) for c in rng.integers(1, 9, 20)]
+            for counts in (randoms, [1] * 90, [2, 70]):
+                counts = [c if cap is None else min(c, cap) for c in counts]
+                g, _ = screen_gallery(rng, dim, counts, offset)
+                test = _evaluation_probes(rng, g, offset, sid)
+                columns = gallery_columns(test, g, metric)
+                assert _scores(test, g, columns) == _score_sets_by_user(test, g, metric)
+
+
+def _evaluation_probes(rng, gallery, offset, sid):
+    """A test batch over more than two blocks: exact hits, random probes, and
+    1e-9 perturbations of rows and of midpoints of two rows of one user, a
+    near tie between two templates of one user."""
+    mat, owners = gallery.vectors, gallery.owner
+    users, dim = gallery.user_ids, gallery.dim
+    probes = [(mat[0], owners[0]), (mat[-1], owners[-1])]
+    far = rng.normal(2.0, 1.5, (2 * _BLOCK + 7, dim)) + offset
+    probes += [(v, users[i % len(users)]) for i, v in enumerate(far)]
+    probes += [(mat[i] + rng.normal(0.0, 1e-9, dim), owners[i]) for i in range(0, len(mat), 7)]
+    probes += [
+        ((mat[i] + mat[i + 1]) / 2 + rng.normal(0.0, 1e-9, dim), owners[i])
+        for i in range(len(mat) - 1)
+        if owners[i] == owners[i + 1]
+    ]
+    samples = tuple(make_sample(next(sid), v, user=int(u)) for v, u in probes)
+    return Batch(index=6, samples=samples)
+
+
+def test_score_sets_rejects_dim_mismatch(abc_gallery):
+    test = Batch(index=6, samples=(make_sample(30, [0.0, 1.0], user=1),))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        score_sets(test, abc_gallery, gallery_columns(test, abc_gallery))
+
+
+def test_distance_columns_are_exact_rows_by_sample_id():
+    rng = np.random.default_rng(5)
+    samples = [make_sample(40 + i, rng.normal(size=3)) for i in range(4)]
+    test = Batch(index=6, samples=tuple(make_sample(i, rng.normal(size=3)) for i in range(7)))
+    x = np.array([s.vector for s in test.samples])
+    for metric in METRICS:
+        columns = distance_columns(test, samples, metric)
+        assert list(columns) == [40, 41, 42, 43]
+        for s in samples:
+            assert columns[s.id].tolist() == _distances_to_rows(s.vector, x, metric).tolist()
+    empty = distance_columns(Batch(index=6, samples=()), samples)
+    assert all(c.shape == (0,) for c in empty.values()) and len(empty) == 4
+    assert distance_columns(test, []) == {}
+
+
+@pytest.mark.parametrize(
+    "n, t, dim",
+    [
+        (11, 100, 40),  # t d = 4000: blocks of 4, 4 and 3 samples
+        (3, 300, 64),  # t d > _GATHER: one sample per block
+        (10, 1, 5),  # one test sample
+        (6, 0, 3),  # an empty test batch
+    ],
+)
+def test_distance_columns_blocks_are_bitwise_the_row_kernel(monkeypatch, n, t, dim):
+    rng = np.random.default_rng(n * t + dim)
+    samples = [make_sample(100 + i, rng.normal(3.0, 2.0, dim)) for i in range(n)]
+    if n > 1:  # a duplicate and an exact hit on a test sample
+        samples[1] = make_sample(101, samples[0].vector)
+    probes = [make_sample(i, rng.normal(3.0, 2.0, dim)) for i in range(t)]
+    test = Batch(index=6, samples=tuple(probes))
+    if t:
+        samples[-1] = make_sample(100 + n - 1, test.samples[0].vector)
+    x = np.array([s.vector for s in test.samples]).reshape(t, dim)
+    reduce, sizes = matching._norms, []
+    monkeypatch.setattr(
+        matching, "_norms", lambda diff, m: sizes.append(diff.size) or reduce(diff, m)
+    )
+    for metric in METRICS:
+        sizes.clear()
+        columns = distance_columns(test, samples, metric)
+        blocked = list(sizes)
+        assert list(columns) == [s.id for s in samples]
+        for s in samples:
+            assert columns[s.id].shape == (t,)
+            assert columns[s.id].tolist() == _distances_to_rows(s.vector, x, metric).tolist()
+        assert len({id(c.base) for c in columns.values()}) == 1  # views of one table
+        # every block's (test - sample) temporary holds at most _GATHER values,
+        # or one sample's t d where that alone is more
+        assert sum(blocked) == n * t * dim
+        assert all(size <= max(_GATHER, t * dim) for size in blocked)
+        per_block = max(1, _GATHER // max(1, t * dim))
+        assert len(blocked) == -(-n // per_block)
+
+
+def test_distance_columns_names_the_first_sample_of_another_dim_in_any_block():
+    rng = np.random.default_rng(3)
+    test = Batch(index=6, samples=tuple(make_sample(i, rng.normal(size=40)) for i in range(100)))
+    samples = [make_sample(100 + i, rng.normal(size=40)) for i in range(11)]
+    for bad in (1, 5, 10):  # first, middle and last block of 4 samples
+        ragged = samples[:bad] + [make_sample(100 + bad, rng.normal(size=39))] + samples[bad + 1 :]
+        message = f"dimension mismatch: sample {100 + bad} has dim 39, expected 40"
+        with pytest.raises(ValueError, match=message):
+            distance_columns(test, ragged)
+    wide = Batch(index=6, samples=test.samples[:3] + (make_sample(7, rng.normal(size=41)),))
+    with pytest.raises(ValueError, match="dimension mismatch: sample 7 has dim 41, expected 40"):
+        distance_columns(wide, samples)
+    # both mismatched: the samples are stacked first, so one of them is named
+    with pytest.raises(ValueError, match="dimension mismatch: sample 110 has dim 39, expected 40"):
+        distance_columns(wide, ragged)
+    with pytest.raises(ValueError, match="unknown metric"):
+        distance_columns(test, samples, "cosine")
+
+
+def test_distance_columns_rejects_a_sample_of_another_dim_before_any_distance(monkeypatch):
+    computed = []  # every exact distance reduces through _norms
+    monkeypatch.setattr(matching, "_norms", lambda *args: computed.append(args) or np.zeros(1))
+    test = Batch(index=6, samples=(make_sample(0, [0.0, 1.0]),))
+    samples = [make_sample(40, [1.0, 1.0]), make_sample(41, [2.0, 0.0]), make_sample(42, [3.0])]
+    with pytest.raises(ValueError, match="dimension mismatch: sample 42 has dim 1, expected 2"):
+        distance_columns(test, samples)
+    assert computed == []
+
+
+def test_score_sets_reads_only_its_templates_columns(abc_gallery):
+    test = Batch(index=6, samples=(make_sample(30, [0.3], user=1), make_sample(31, [1.2], user=3)))
+    columns = gallery_columns(test, abc_gallery)
+    # columns of samples outside the gallery change nothing
+    extra = distance_columns(test, [make_sample(50, [0.3]), make_sample(51, [9.0])])
+    assert _scores(test, abc_gallery, {**extra, **columns}) == _scores(
+        test, abc_gallery, columns
+    )
+    del columns[1]  # user 2's only template
+    with pytest.raises(ValueError, match="template sample 1 has no distance column"):
+        score_sets(test, abc_gallery, columns)
+    with pytest.raises(ValueError, match="template sample 1 has no distance column"):
+        export_score_scatter(test, abc_gallery, columns, io.StringIO())

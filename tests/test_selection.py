@@ -656,6 +656,51 @@ def test_enumerate_best_scores_every_tied_subset(monkeypatch, maximize):
     assert sum(scored) == comb(14, 6)
 
 
+def _first_band(cands, p, maximize):
+    """The index rows of the first block's band, before any incumbent."""
+    screen, subsets = next(selection._blocks(selection._pair_matrix(cands), p))
+    delta = 8 * (p * (p - 1) // 2) * selection._UNIT_ROUNDOFF
+    return subsets(selection._band(screen, -np.inf if maximize else np.inf, maximize, delta)).tolist()
+
+
+def _oracle_ids(cands, p, maximize):
+    return _ids(oracle_subset_select(cands, p, MAX_SUM if maximize else MIN_SUM))
+
+
+@pytest.mark.parametrize("select", [select_mdist, select_dend])
+def test_table_band_of_one_subset_is_not_scored(monkeypatch, select):
+    maximize = select is select_dend
+    scored = _count_scored(monkeypatch)
+    rng = np.random.default_rng(25)
+    for n in (7, 10, 15):
+        cands = make_templates(rng.normal(size=(n, 3)))
+        assert _reads_the_table(n, 6) and len(_first_band(cands, 6, maximize)) == 1
+        assert _ids(select(cands, 6)) == _oracle_ids(cands, 6, maximize)
+    assert scored == []
+
+
+@pytest.mark.parametrize(
+    "values, maximize",
+    [
+        # the first block (prefix 0, 1) keeps only (0, ..., 5); the cluster
+        # 9..15 ties (9, 10, 11, 12, 13, 15) with (9, 10, 11, 13, 14, 15)
+        ([0, 40, 90, 150, 220, 300, 390, 490, 600, 1000, 1000, 1000, 1001, 1000, 1001, 1000], False),
+        # the first block keeps only (0, 1, 11, ..., 14); samples 2 and 3 share
+        # one point, so (2, 10, ..., 14) ties (3, 10, ..., 14)
+        ([0, 1, -1031, -1031, 2, 3, 4, 5, 6, 7, 1003, 1011, -1040, 1023, -1050, 8], True),
+    ],
+)
+def test_walk_scores_a_lone_first_band_once_a_later_block_beats_it(monkeypatch, values, maximize):
+    cands = make_templates([[float(v)] for v in values])
+    assert not _reads_the_table(16, 6)
+    first = _first_band(cands, 6, maximize)
+    scored = _count_scored(monkeypatch)
+    chosen = _ids(selection._enumerate_best(cands, 6, maximize))
+    assert len(first) == 1 and chosen != first[0]
+    assert chosen == _oracle_ids(cands, 6, maximize)  # integer sums: exact, ties included
+    assert scored[0] == 1  # the lone incumbent, scored when the second block needs its value
+
+
 def test_enumerate_best_at_the_budget_holds_no_subset_table():
     n, p = 32, 6
     assert comb(n, p) <= selection.EXACT_BUDGET < comb(n + 1, p)
@@ -699,13 +744,13 @@ def test_subset_table_rows_and_pairs(n, p):
 
 
 def _reads_the_table(n, p):
-    """The one-block rule of ``_enumerate_best``: is (n, p)'s subset table used?"""
+    """The table rule of ``_blocks``: is (n, p)'s subset table the only block?"""
     count, chunk = comb(n, p), selection.EXACT_CHUNK
     return count <= 5 * chunk and count * (p * (p - 1) // 2) <= 80 * chunk
 
 
 def _admitted():
-    """Every (n, p), 2 <= p < n, whose subset table ``_enumerate_best`` reads."""
+    """Every (n, p), 2 <= p < n, whose subset table ``_blocks`` reads."""
     out, p = [], 2
     while _reads_the_table(p + 1, p):  # C(p + 1, p) = p + 1 subsets: the least count at p
         n = p + 1
