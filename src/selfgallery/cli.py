@@ -133,17 +133,14 @@ def cmd_scatter(args) -> int:
     for s in sorted(samples, key=lambda s: (s.session or 0, s.id)):
         by_user.setdefault(s.true_user, []).append(s)
     enroll = []
-    enrolled_ids = set()
     for user in sorted(by_user):
         if len(by_user[user]) <= args.p:
             raise ValueError(f"user {user} has no probe samples left beyond p={args.p}")
         for s in by_user[user][: args.p]:
             enroll.append((user, s))
-            enrolled_ids.add(s.id)
     gallery = gallery_enroll(enroll, cap=args.p)
-    probes = Batch(
-        index=1, samples=tuple(s for s in samples if s.id not in enrolled_ids)
-    )
+    held = set(gallery.sample_id.tolist())
+    probes = Batch(index=1, samples=tuple(s for s in samples if s.id not in held))
     columns = distance_columns(probes, [s for _, s in enroll], _metric(args.metric))
     args.out.parent.mkdir(parents=True, exist_ok=True)
     with open(args.out, "w") as fh:

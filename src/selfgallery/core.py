@@ -16,8 +16,11 @@ Where inputs are checked. ``Sample`` checks one vector when it is built:
 1-D, non-empty and finite, copied once and frozen. ``stack_vectors`` is the
 one place samples become rows: every (n, dim) stack in the package comes
 from it, and it names the first sample of another dimension. ``Gallery``
-checks its invariants in one pass (users, none empty, one dimension), and
-``gallery_enroll`` names a mismatched sample before it builds a template.
+is the one place a gallery's invariants are checked, all five in one pass
+in ascending key order: at least one user, none empty, every key in int64,
+one dimension, and each sample id held once. Its ``UserGallery`` templates
+are a tuple, so nothing changes them after that pass. ``gallery_enroll``
+only groups the (user, sample) pairs and checks ``cap``.
 """
 
 from __future__ import annotations
@@ -106,6 +109,9 @@ class UserGallery:
 
     templates: tuple[Template, ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "templates", tuple(self.templates))  # a list could still grow
+
 
 @dataclass(frozen=True)
 class Gallery:
@@ -120,14 +126,21 @@ class Gallery:
         if not self.users:
             raise ValueError("gallery has no users")
         dim = None
+        held: set[int] = set()
         for u in self.user_ids:
+            if not -(2**63) <= u < 2**63:  # owner holds keys as int64
+                raise ValueError(f"user key {u} does not fit in int64")
             templates = self.users[u].templates
             if not templates:
                 raise ValueError(f"user {u} has an empty gallery")
             dim = templates[0].sample.dim if dim is None else dim
             for t in templates:
-                if t.sample.dim != dim:
-                    raise _dim_mismatch(t.sample, dim)
+                s = t.sample
+                if s.vector.shape[0] != dim:  # s.dim without the property call
+                    raise _dim_mismatch(s, dim)
+                if s.id in held:  # a cycle could keep more than p, or t* read 0
+                    raise ValueError(f"sample id {s.id} is held more than once")
+                held.add(s.id)
 
     @property
     def dim(self) -> int:
@@ -187,30 +200,16 @@ def gallery_enroll(
 ) -> Gallery:
     """Build the initial supervised gallery from (user, sample) pairs.
 
-    Every user must contribute at least one sample, and at most ``cap``
-    samples when ``cap`` is given; all dimensions must agree, and no sample
-    id may appear twice.
+    Each user enrolls at most ``cap`` samples when ``cap`` is given; every
+    other check is ``Gallery``'s.
     """
     if cap is not None and cap < 1:
         raise ValueError("cap must be positive")
     by_user: dict[int, list[Template]] = {}
-    seen: set[int] = set()
-    dim = None
     for user, sample in dataset_slice:
-        if not -(2**63) <= user < 2**63:  # Gallery.owner holds keys as int64
-            raise ValueError(f"user key {user} does not fit in int64")
-        if sample.id in seen:
-            raise ValueError(f"sample id {sample.id} is enrolled more than once")
-        seen.add(sample.id)
-        if dim is None:
-            dim = sample.dim
-        elif sample.dim != dim:
-            raise _dim_mismatch(sample, dim)
         by_user.setdefault(user, []).append(Template(sample=sample))
-    if not by_user:
-        raise ValueError("cannot enroll from an empty slice")
     if cap is not None:
         over = sorted(u for u, ts in by_user.items() if len(ts) > cap)
         if over:
             raise ValueError(f"users {over} enroll more than cap={cap} samples")
-    return Gallery(users={u: UserGallery(templates=tuple(ts)) for u, ts in by_user.items()})
+    return Gallery(users={u: UserGallery(templates=ts) for u, ts in by_user.items()})

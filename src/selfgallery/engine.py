@@ -36,12 +36,15 @@ class EngineConfig:
 class UpdateCycleReport:
     batch_index: int
     t_star_used: float
-    n_accepted: int
     n_rejected: int
     insertions: tuple[tuple[int, int], ...]  # (sample_id, pseudo_label)
     evictions: tuple[tuple[int, int], ...]  # (sample_id, user)
     elapsed_classify_s: float
     elapsed_select_s: float
+
+    @property
+    def n_accepted(self) -> int:
+        return len(self.insertions)
 
 
 def run_update_cycle(
@@ -93,7 +96,6 @@ def run_update_cycle(
     report = UpdateCycleReport(
         batch_index=batch.index,
         t_star_used=t_star,
-        n_accepted=len(insertions),
         n_rejected=len(decisions) - len(insertions),
         insertions=tuple(insertions),
         evictions=tuple(evictions),

@@ -110,10 +110,10 @@ def test_enroll_rejects_empty_slice():
 def test_enroll_rejects_a_repeated_sample_id():
     s, other = make_sample(0, [0.0], user=1), make_sample(5, [9.0], user=2)
     # the same sample twice for one user would let a cycle keep more than p
-    with pytest.raises(ValueError, match="sample id 0 is enrolled more than once"):
+    with pytest.raises(ValueError, match="sample id 0 is held more than once"):
         gallery_enroll([(1, s), (1, s), (2, other)], cap=2)
     # one sample for two users would put a zero into the cross-user pool
-    with pytest.raises(ValueError, match="sample id 0 is enrolled more than once"):
+    with pytest.raises(ValueError, match="sample id 0 is held more than once"):
         gallery_enroll([(1, s), (2, s)])
 
 
@@ -190,12 +190,30 @@ def _user(*dims, start_id=0):
         # users are checked in key order, whatever the mapping's order
         (lambda: Gallery(users={2: _user(2, start_id=5), 1: _user(1, 1)}),
          r"dimension mismatch: sample 5 has dim 2, expected 1$"),
+        # one id twice in one user would let a cycle keep more than p
+        (lambda: Gallery(users={3: UserGallery(templates=_user(1).templates * 2)}),
+         "sample id 0 is held more than once"),
+        # one id in two users would put a zero into the cross-user pool
+        (lambda: Gallery(users={1: _user(1), 2: _user(1)}), "sample id 0 is held more than once"),
+        # owner holds keys as int64
+        (lambda: Gallery(users={1: _user(1), 2**63: _user(1, start_id=1)}),
+         f"user key {2**63} does not fit in int64"),
+        (lambda: Gallery(users={1: _user(1), -(2**63) - 1: _user(1, start_id=1)}),
+         f"user key {-(2**63) - 1} does not fit in int64"),
         (lambda: Batch(index=-1, samples=()), "batch index must be non-negative"),
     ],
 )
 def test_boundary_checks_raise_their_messages(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+def test_templates_given_as_a_list_cannot_change_the_gallery():
+    templates = list(_user(1, 1).templates)
+    g = Gallery(users={1: UserGallery(templates=templates)})
+    templates.append(Template(sample=make_sample(9, [0.0, 0.0])))  # after the checks ran
+    assert g.users[1].templates == tuple(templates[:2])
+    assert g.n_templates == 2 and g.vectors.shape == (2, 1)
 
 
 def test_stack_vectors_stacks_in_order_as_one_array():

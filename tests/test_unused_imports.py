@@ -1,4 +1,4 @@
-"""No module in src/, tests/ or demos/ imports a name it never uses.
+"""No module in src/, tests/, demos/ or tools/ imports a name it never uses.
 
 A name counts as used when it appears as an identifier (``name`` or the
 base of ``name.attr``) anywhere in the module, or when the module lists it
@@ -13,7 +13,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(
     path.relative_to(ROOT).as_posix()
-    for folder in ("src", "tests", "demos")
+    for folder in ("src", "tests", "demos", "tools")
     for path in (ROOT / folder).rglob("*.py")
 )
 
@@ -41,6 +41,7 @@ def unused_imports(source: str) -> list[str]:
 
 def test_files_are_found():
     assert "src/selfgallery/selection.py" in FILES and "demos/01_quickstart.py" in FILES
+    assert "tools/code_lines.py" in FILES
 
 
 @pytest.mark.parametrize("path", FILES)
