@@ -1,12 +1,20 @@
-"""Domain types shared by all modules: samples, templates, galleries, batches.
+"""Domain types shared by all modules: samples, galleries, batches.
 
 All types are immutable values; galleries evolve by producing new versions.
 Each stores a fact once: a template's origin follows from its batch, a
-gallery's dimension from its templates, and a user's id is its key.
+gallery's dimension from its samples, and a user's id is its rows' owner.
 Ground-truth identities travel with samples. The dataset's split reads them
 to enroll, and evaluation (``metrics``) is where the test batch's truth is
 read, for score sets and scatter files, and the gallery's, for the impostor
 fraction. The update path (matching, selection, the engine) never does.
+
+A ``Gallery`` is rows over its samples: the held ``Sample`` objects by
+reference, and int64 ``owner`` and ``inserted_at`` columns. Only this module
+knows that layout; every other module reads the row accessors (``samples``,
+``owner``, ``inserted_at``, ``vectors``, ``sample_id``, ``true_user``,
+``user_ids``). ``Gallery.users`` is a per-user view of the same rows,
+built once per gallery for readers that walk users and templates;
+``Template`` and ``UserGallery`` are its element types.
 
 ``gallery_enroll``'s ``cap`` is an enrollment bound only: it checks how
 many samples each user enrolls with. The cap that selection enforces on
@@ -16,16 +24,18 @@ Where inputs are checked. ``Sample`` checks one vector when it is built:
 1-D, non-empty and finite, copied once and frozen. ``stack_vectors`` is the
 one place samples become rows: every (n, dim) stack in the package comes
 from it, and it names the first sample of another dimension. ``Gallery``
-is the one place a gallery's invariants are checked, all five in one pass
-in ascending key order: at least one user, none empty, every key in int64,
-one dimension, and each sample id held once. Its ``UserGallery`` templates
-are a tuple, so nothing changes them after that pass. ``gallery_enroll``
-only groups the (user, sample) pairs and checks ``cap``.
+is the one place a gallery's invariants are checked, all in one pass over
+its rows: at least one row, one entry per row in each column, every key in
+int64, batches non-negative, rows grouped by ascending owner in insertion
+order, one dimension (naming the first row of another), and each sample id
+held once. ``gallery_enroll`` only groups the (user, sample) pairs and
+checks ``cap``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -75,7 +85,7 @@ def stack_vectors(samples: Sequence[Sample], dim: Optional[int] = None) -> np.nd
     of another dimension searched for and named.
     """
     if dim is None:
-        dim = samples[0].dim if samples else 0
+        dim = samples[0].dim if len(samples) else 0
     try:
         return np.array([s.vector for s in samples], dtype=np.float64).reshape(len(samples), dim)
     except ValueError:  # ragged or of another width
@@ -88,8 +98,8 @@ def _dim_mismatch(sample: Sample, dim: int) -> ValueError:
 
 @dataclass(frozen=True)
 class Template:
-    """A gallery entry: a stored sample and the batch that inserted it, 0 for
-    enrollment."""
+    """One entry of ``Gallery.users``: a held sample and the batch that
+    inserted it, 0 for enrollment."""
 
     sample: Sample
     inserted_at_batch: int = 0
@@ -105,79 +115,95 @@ class Template:
 
 @dataclass(frozen=True)
 class UserGallery:
-    """Ordered templates of one user; order is insertion order."""
+    """One user's entries of ``Gallery.users``, in insertion order."""
 
     templates: tuple[Template, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "templates", tuple(self.templates))  # a list could still grow
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Gallery:
-    """All users' template sets, by user id. Users never disappear once
-    enrolled."""
+    """Every user's templates as rows: row i holds ``samples[i]`` for user
+    ``owner[i]`` since batch ``inserted_at[i]`` (0 for enrollment).
 
-    users: Mapping[int, UserGallery]
+    Rows are grouped by ascending owner, in insertion order within an
+    owner, so each user's rows are contiguous; a user is enrolled by its
+    rows and never loses its last one. All three columns are read-only
+    copies (``samples`` holds the caller's ``Sample`` objects by reference,
+    no stacked vectors), so nothing changes a gallery after its checks ran.
+    """
+
+    samples: np.ndarray
+    owner: np.ndarray
+    inserted_at: np.ndarray
 
     def __post_init__(self):
-        # a read-only copy: neither the gallery nor its caller's dict can change it
-        object.__setattr__(self, "users", MappingProxyType(dict(self.users)))
-        if not self.users:
+        rows = np.array(self.samples, dtype=object)  # a copy of the references
+        owner, inserted_at = _int64(self.owner, "user key"), _int64(self.inserted_at, "inserted_at")
+        for name, column in (("samples", rows), ("owner", owner), ("inserted_at", inserted_at)):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        if not len(rows):
             raise ValueError("gallery has no users")
-        dim = None
-        held: set[int] = set()
-        for u in self.user_ids:
-            if not -(2**63) <= u < 2**63:  # owner holds keys as int64
-                raise ValueError(f"user key {u} does not fit in int64")
-            templates = self.users[u].templates
-            if not templates:
-                raise ValueError(f"user {u} has an empty gallery")
-            dim = templates[0].sample.dim if dim is None else dim
-            for t in templates:
-                s = t.sample
-                if s.vector.shape[0] != dim:  # s.dim without the property call
-                    raise _dim_mismatch(s, dim)
-                if s.id in held:  # a cycle could keep more than p, or t* read 0
-                    raise ValueError(f"sample id {s.id} is held more than once")
-                held.add(s.id)
+        if not len(owner) == len(inserted_at) == len(rows):
+            raise ValueError("samples, owner and inserted_at must hold one entry per row")
+        if inserted_at.min() < 0:
+            raise ValueError("inserted_at must be non-negative")
+        later = inserted_at[1:] < inserted_at[:-1]  # compared, not subtracted: no overflow
+        if np.any((owner[1:] < owner[:-1]) | ((owner[1:] == owner[:-1]) & later)):
+            raise ValueError("rows must be grouped by ascending owner, in insertion order")
+        dims = np.fromiter((s.vector.shape[0] for s in rows), dtype=np.intp, count=len(rows))
+        if np.any(dims != dims[0]):  # the first row of another dimension
+            raise _dim_mismatch(rows[np.argmax(dims != dims[0])], dims[0])
+        ids = self.sample_id
+        by_id = np.argsort(ids, kind="stable")
+        again = by_id[1:][ids[by_id[1:]] == ids[by_id[:-1]]]  # every later row of a held id
+        if len(again):  # a cycle could keep more than p, or t* read 0
+            raise ValueError(f"sample id {ids[again.min()]} is held more than once")
 
     @property
     def dim(self) -> int:
         """The one dimension of every template."""
-        return self.users[min(self.users)].templates[0].sample.dim
+        return self.samples[0].dim
 
     @property
     def user_ids(self) -> list[int]:
-        return sorted(self.users)
+        return np.unique(self.owner).tolist()
 
     @property
     def n_templates(self) -> int:
-        return sum(len(ug.templates) for ug in self.users.values())
+        return len(self.samples)
 
-    # One row per template: users by ascending id, each user's templates in
-    # insertion order, so ``owner`` ascends and a user's rows are contiguous.
-    # Every read builds new arrays; nothing is cached.
-    def _samples(self) -> list[Sample]:
-        return [t.sample for u in self.user_ids for t in self.users[u].templates]
-
+    # Columns derived from the samples: built per read, never cached.
     @property
     def vectors(self) -> np.ndarray:
-        return stack_vectors(self._samples(), self.dim)
-
-    @property
-    def owner(self) -> np.ndarray:
-        users = self.user_ids
-        counts = [len(self.users[u].templates) for u in users]
-        return np.repeat(np.array(users, dtype=np.int64), counts)
+        return stack_vectors(self.samples, self.dim)
 
     @property
     def sample_id(self) -> np.ndarray:
-        return np.array([s.id for s in self._samples()], dtype=np.int64)
+        return np.fromiter((s.id for s in self.samples), dtype=np.int64, count=len(self.samples))
 
     @property
     def true_user(self) -> np.ndarray:
-        return np.array([s.true_user for s in self._samples()], dtype=np.int64)
+        return np.fromiter((s.true_user for s in self.samples), dtype=np.int64, count=len(self.samples))
+
+    @cached_property
+    def users(self) -> Mapping[int, UserGallery]:
+        """A read-only view of the rows by user, built at the first read and
+        kept: ``Template`` and ``UserGallery`` exist only for it."""
+        users, starts = np.unique(self.owner, return_index=True)
+        parts = zip(np.split(self.samples, starts[1:]), np.split(self.inserted_at, starts[1:]))
+        return MappingProxyType({
+            u: UserGallery(tuple(map(Template, ss, bs.tolist()))) for u, (ss, bs) in zip(users.tolist(), parts)
+        })
+
+
+def _int64(values, name: str) -> np.ndarray:
+    """A copy of ``values`` as int64, naming the first that does not fit."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        bad = next(v for v in values if not -(2**63) <= v < 2**63)
+        raise ValueError(f"{name} {bad} does not fit in int64") from None
 
 
 @dataclass(frozen=True)
@@ -205,11 +231,14 @@ def gallery_enroll(
     """
     if cap is not None and cap < 1:
         raise ValueError("cap must be positive")
-    by_user: dict[int, list[Template]] = {}
+    by_user: dict[int, list[Sample]] = {}
     for user, sample in dataset_slice:
-        by_user.setdefault(user, []).append(Template(sample=sample))
+        by_user.setdefault(user, []).append(sample)
     if cap is not None:
-        over = sorted(u for u, ts in by_user.items() if len(ts) > cap)
+        over = sorted(u for u, ss in by_user.items() if len(ss) > cap)
         if over:
             raise ValueError(f"users {over} enroll more than cap={cap} samples")
-    return Gallery(users={u: UserGallery(templates=ts) for u, ts in by_user.items()})
+    rows = [(u, s) for u in sorted(by_user) for s in by_user[u]]
+    return Gallery(
+        samples=[s for _, s in rows], owner=[u for u, _ in rows], inserted_at=[0] * len(rows)
+    )

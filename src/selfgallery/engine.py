@@ -3,6 +3,14 @@
 Every classification in a cycle uses the pre-cycle gallery; selection
 runs once after all insertions; t* is re-estimated from the
 post-selection gallery before the next batch.
+
+A cycle works on rows, never on per-user containers: the candidates are
+the gallery's columns concatenated with the accepted probes' (each user's
+rows, then its accepted probes in batch order), one lexsort by (owner,
+sample id) hands selection each user's candidates in id order, and the
+kept positions become one keep mask. A stable sort by owner of the
+candidates gives the next gallery's rows and the evictions in insertion
+order within each user.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matching, selection
-from .core import Batch, Gallery, Template, UserGallery
+from .core import Batch, Gallery
 from .matching import DEFAULT_POLICY, EUCLIDEAN, ThresholdPolicy
 
 
@@ -58,10 +66,12 @@ def run_update_cycle(
     """
     if batch.index < 1:
         raise ValueError(f"batch index {batch.index} < 1: index 0 is the enrollment's")
-    ids = np.fromiter((s.id for s in batch.samples), dtype=np.int64, count=len(batch))
+    probes = np.array(batch.samples, dtype=object)
+    ids = np.fromiter((s.id for s in probes), dtype=np.int64, count=len(probes))
+    held = gallery.sample_id
     fresh = np.zeros(len(ids), dtype=bool)
     fresh[np.unique(ids, return_index=True)[1]] = True  # each id's first probe
-    fresh &= ~np.isin(ids, gallery.sample_id)
+    fresh &= ~np.isin(ids, held)
     if not fresh.all():
         raise ValueError(
             f"batch {batch.index}: sample id {ids[fresh.argmin()]} is already held or repeated"
@@ -70,35 +80,31 @@ def run_update_cycle(
     decisions = matching.classify_batch(batch, gallery, t_star, cfg.metric)
     elapsed_classify = time.perf_counter() - t0
 
-    # accumulate GT_new: existing templates plus accepted pseudo-labeled samples
-    candidates: dict[int, list[Template]] = {
-        u: list(gallery.users[u].templates) for u in gallery.user_ids
-    }
-    insertions = []  # (sample_id, pseudo_label) in batch order
+    # GT_new: the gallery's rows, then the accepted probes in batch order
     accepted = np.flatnonzero(decisions.accepted)
-    for i, label in zip(accepted.tolist(), decisions.label[accepted].tolist()):
-        s = batch.samples[i]
-        candidates[label].append(Template(sample=s, inserted_at_batch=batch.index))
-        insertions.append((s.id, label))
+    labels = decisions.label[accepted]
+    samples = np.concatenate((gallery.samples, probes[accepted]))
+    owner = np.concatenate((gallery.owner, labels))
+    sample_id = np.concatenate((held, ids[accepted]))
+    inserted_at = np.concatenate((gallery.inserted_at, np.full(len(accepted), batch.index)))
+    by_id = np.lexsort((sample_id, owner))  # each user's candidates in id order
 
     t0 = time.perf_counter()
-    chosen = selection.select(cfg.method, candidates, cfg.p)
+    chosen = selection.select(cfg.method, samples[by_id], owner[by_id], cfg.p)
     elapsed_select = time.perf_counter() - t0
 
-    evictions = []
-    users = {}
-    for u, cands in candidates.items():
-        keep_ids = {t.sample.id for t in chosen[u]}
-        users[u] = UserGallery(templates=tuple(t for t in cands if t.sample.id in keep_ids))
-        evictions += [(t.sample.id, u) for t in cands if t.sample.id not in keep_ids]
-    new_gallery = Gallery(users=users)
+    keep = np.zeros(len(samples), dtype=bool)
+    keep[by_id[chosen]] = True
+    rows = np.argsort(owner, kind="stable")  # users ascending, each in insertion order
+    kept, evicted = rows[keep[rows]], rows[~keep[rows]]
+    new_gallery = Gallery(samples=samples[kept], owner=owner[kept], inserted_at=inserted_at[kept])
 
     report = UpdateCycleReport(
         batch_index=batch.index,
         t_star_used=t_star,
-        n_rejected=len(decisions) - len(insertions),
-        insertions=tuple(insertions),
-        evictions=tuple(evictions),
+        n_rejected=len(decisions) - len(accepted),
+        insertions=tuple(zip(ids[accepted].tolist(), labels.tolist())),
+        evictions=tuple(zip(sample_id[evicted].tolist(), owner[evicted].tolist())),
         elapsed_classify_s=elapsed_classify,
         elapsed_select_s=elapsed_select,
     )

@@ -104,10 +104,11 @@ def gallery_bytes(gallery: Gallery, bytes_per_template: Optional[int] = None) ->
 
 
 def distance_columns(test: Batch, samples, metric: str = EUCLIDEAN) -> dict[int, np.ndarray]:
-    """Exact distances of every test sample to each of the list ``samples``, by sample
-    id: rows of one ``_exact`` table, bitwise ``_distances_to_rows``."""
+    """Exact distances of every test sample to each of the sequence ``samples`` (a
+    list, or a gallery's ``samples``), by sample id: rows of one ``_exact`` table,
+    bitwise ``_distances_to_rows``."""
     _known(metric)
-    if not samples:
+    if not len(samples):
         return {}
     y = stack_vectors(samples)  # the samples first: a mismatch names one of them first
     x = stack_vectors(test.samples, y.shape[1])

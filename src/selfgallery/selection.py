@@ -6,6 +6,12 @@ euclidean distances (tight, mode-centered sets); DEND keeps the largest
 p candidates closest to the centroid of each user's dominant cluster.
 keep_all is the unbounded traditional baseline.
 
+Every method takes ``Sample`` objects, each user's in id order (the
+engine orders a cycle's rows once), and returns the positions it keeps,
+so no method sorts, copies or rebuilds its candidates: ``select_mdist``
+and ``select_dend`` take one user's candidates, ``select_kmeans`` every
+user's by user id, and ``select`` a whole cycle's rows grouped by owner.
+
 Objectives always use squared euclidean, even when matching uses l1.
 
 Every MDIST/DEND path (the exact search, from either block source, and
@@ -66,12 +72,12 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .clustering import KMeansParams, _sq_residuals, kmeans
-from .core import Template, stack_vectors
+from .core import Sample, stack_vectors
 from .matching import _SQUARED, _exact
 
 KMEANS = "kmeans"
@@ -86,13 +92,9 @@ _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 _FLOAT_MAX = float(np.finfo(float).max)
 
 
-def _sorted_by_id(candidates: Iterable[Template]) -> list[Template]:
-    return sorted(candidates, key=lambda t: t.sample.id)
-
-
-def _pair_matrix(candidates: list[Template]) -> np.ndarray:
+def _pair_matrix(candidates: Sequence[Sample]) -> np.ndarray:
     """The candidates' exact squared distance matrix (module docstring)."""
-    vecs = stack_vectors([t.sample for t in candidates])
+    vecs = stack_vectors(candidates)
     return _exact(vecs, vecs, _SQUARED)
 
 
@@ -212,10 +214,9 @@ def _band(screen: np.ndarray, incumbent: float, maximize: bool, delta: float) ->
     return (screen <= min(float(screen.min()), incumbent) * (1 + delta)).nonzero()[0]
 
 
-def _enumerate_best(
-    candidates: list[Template], p: int, maximize: bool
-) -> list[Template]:
-    """Exact optimum over all size-p subsets of id-sorted candidates.
+def _enumerate_best(candidates: Sequence[Sample], p: int, maximize: bool) -> list[int]:
+    """Positions of the exact optimum over all size-p subsets of id-sorted
+    candidates.
 
     Each block of ``_blocks`` keeps the subsets whose screen lies in the
     band around the block's best screen and the incumbent (module
@@ -239,11 +240,12 @@ def _enumerate_best(
             i = int(np.argmax(objs) if maximize else np.argmin(objs))
             if best is None or (objs[i] > best_obj if maximize else objs[i] < best_obj):
                 best, best_obj = combos[i], objs[i]
-    return [candidates[i] for i in best.tolist()]
+    return best.tolist()
 
 
-def _greedy_select(candidates: list[Template], p: int, maximize: bool) -> list[Template]:
-    """Dispersion-style greedy: seed with the extreme pair, grow one at a time."""
+def _greedy_select(candidates: Sequence[Sample], p: int, maximize: bool) -> list[int]:
+    """Dispersion-style greedy: seed with the extreme pair, grow one at a
+    time; returns the chosen positions in ascending order."""
     sqmat = _pair_matrix(candidates)
     n = len(candidates)
     iu = np.triu_indices(n, k=1)
@@ -255,46 +257,46 @@ def _greedy_select(candidates: list[Template], p: int, maximize: bool) -> list[T
         costs = sqmat[np.ix_(remaining, chosen)].sum(axis=1)
         j = int(np.argmax(costs) if maximize else np.argmin(costs))
         chosen.append(remaining.pop(j))
-    return [candidates[i] for i in sorted(chosen)]
+    return sorted(chosen)
 
 
-def _select_by_objective(
-    candidates: Sequence[Template], p: int, maximize: bool
-) -> list[Template]:
+def _select_by_objective(candidates: Sequence[Sample], p: int, maximize: bool) -> list[int]:
     if p < 1:
         raise ValueError("p must be positive")
-    cands = _sorted_by_id(candidates)
-    if not cands:
+    n = len(candidates)  # the one read before a path is taken
+    if not n:
         raise ValueError("no candidates to select from")
-    if len(cands) <= p:
-        return cands
+    if n <= p:
+        return list(range(n))
     if p == 1:
-        return cands[:1]  # every singleton scores 0: the lowest id wins, before any matrix
-    if comb(len(cands), p) <= EXACT_BUDGET:
-        return _enumerate_best(cands, p, maximize)
-    return _greedy_select(cands, p, maximize)
+        return [0]  # every singleton scores 0: the lowest id wins, before any matrix
+    if comb(n, p) <= EXACT_BUDGET:
+        return _enumerate_best(candidates, p, maximize)
+    return _greedy_select(candidates, p, maximize)
 
 
-def select_mdist(candidates: Sequence[Template], p: int) -> list[Template]:
-    """The size-p subset minimizing the sum of pairwise squared distances."""
+def select_mdist(candidates: Sequence[Sample], p: int) -> list[int]:
+    """Positions, ascending, of the size-p subset of one user's id-sorted
+    candidates minimizing the sum of pairwise squared distances."""
     return _select_by_objective(candidates, p, maximize=False)
 
 
-def select_dend(candidates: Sequence[Template], p: int) -> list[Template]:
-    """The size-p subset maximizing the sum of pairwise squared distances."""
+def select_dend(candidates: Sequence[Sample], p: int) -> list[int]:
+    """Positions, ascending, of the size-p subset of one user's id-sorted
+    candidates maximizing the sum of pairwise squared distances."""
     return _select_by_objective(candidates, p, maximize=True)
 
 
-def select_kmeans(
-    candidates_by_user: dict[int, list[Template]], p: int
-) -> dict[int, list[Template]]:
+def select_kmeans(candidates_by_user: dict[int, Sequence[Sample]], p: int) -> np.ndarray:
     """Cluster the pooled candidates into one cluster per user and keep,
-    per user, the templates closest to the centroid of that user's
+    per user, the candidates closest to the centroid of that user's
     dominant cluster.
 
-    A user sharing its dominant cluster with others can still only keep
-    its own labeled candidates, so a shared cluster never donates foreign
-    samples.
+    Each user's candidates come in id order. The pool is every user's
+    candidates, users ascending; the result is the kept positions in it,
+    each user's nearest first. A user sharing its dominant cluster with
+    others can still only keep its own labeled candidates, so a shared
+    cluster never donates foreign samples.
 
     One pass over the pool after clustering: every user's dominant cluster
     comes from one (user, cluster) count table, where argmax takes the
@@ -307,39 +309,34 @@ def select_kmeans(
     if p < 1:
         raise ValueError("p must be positive")
     users = sorted(candidates_by_user)
-    if any(not candidates_by_user[u] for u in users):
-        empty = [u for u in users if not candidates_by_user[u]]
-        raise ValueError(f"users {empty} have no candidates")
-    own = [_sorted_by_id(candidates_by_user[u]) for u in users]
+    sizes = [len(candidates_by_user[u]) for u in users]
+    if 0 in sizes:
+        raise ValueError(f"users {[u for u, n in zip(users, sizes) if not n]} have no candidates")
     k = len(users)
-    user_index = np.repeat(np.arange(k), [len(c) for c in own])
-    points = stack_vectors([t.sample for cands in own for t in cands])  # by user, then sample id
+    user_index = np.repeat(np.arange(k), sizes)
+    points = stack_vectors([s for u in users for s in candidates_by_user[u]])
     cl = kmeans(points, KMeansParams(k=k), labels=user_index)
 
     dom = np.bincount(user_index * k + cl.assignment, minlength=k * k).reshape(k, k).argmax(axis=1)
     d2 = _sq_residuals(points, cl.centroids, dom[user_index]).sum(axis=1)
-    order = np.lexsort((d2, user_index)).tolist()  # stable: equal distances keep id order
-
-    result: dict[int, list[Template]] = {}
-    hi = 0
-    for u, cands in zip(users, own):
-        lo, hi = hi, hi + len(cands)  # order[lo:hi] holds u's rows of points, nearest first
-        result[u] = [cands[i - lo] for i in order[lo : min(hi, lo + p)]]
-    return result
+    order = np.lexsort((d2, user_index))  # stable: equal distances keep id order
+    rank = np.arange(len(order)) - np.repeat(np.cumsum(sizes) - sizes, sizes)  # within its user
+    return order[rank < p]
 
 
-def select(
-    method: str, candidates_by_user: dict[int, list[Template]], p: int
-) -> dict[int, list[Template]]:
-    """Every user's kept templates under ``method``: keep_all keeps every
-    candidate, kmeans clusters all users' candidates together, and MDIST
-    and DEND select each user's on its own."""
+def select(method: str, samples: Sequence[Sample], owner: np.ndarray, p: int) -> np.ndarray:
+    """Positions of the candidates ``method`` keeps of ``samples``, every
+    user's candidates grouped by ascending ``owner`` and in id order within
+    a user: keep_all keeps every candidate, kmeans clusters all users'
+    candidates together, and MDIST and DEND select each user's on its own."""
     if method == KEEP_ALL:
-        return candidates_by_user
-    if method == KMEANS:
-        return select_kmeans(candidates_by_user, p)
-    if method not in (MDIST, DEND):
+        return np.arange(len(samples))
+    if method not in METHODS:
         raise ValueError(f"unknown selection method: {method!r}")
+    users, starts = np.unique(owner, return_index=True)
+    parts = np.split(np.asarray(samples, dtype=object), starts[1:])  # each user's candidates
+    if method == KMEANS:
+        return select_kmeans(dict(zip(users.tolist(), parts)), p)
     # read per call, so a wrapper set on the module attribute sees every call
     pick = select_mdist if method == MDIST else select_dend
-    return {u: pick(cands, p) for u, cands in candidates_by_user.items()}
+    return np.array([lo + i for lo, c in zip(starts.tolist(), parts) for i in pick(c, p)], dtype=np.intp)

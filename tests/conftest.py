@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from selfgallery.core import Sample, Template, gallery_enroll
+from selfgallery.core import Sample, gallery_enroll
 from selfgallery.matching import EUCLIDEAN, _distances_to_rows
 from selfgallery.metrics import distance_columns, fmt9
 
@@ -15,16 +15,9 @@ def make_sample(sid, values, user=1, session=None):
                   true_user=user, session=session)
 
 
-def make_templates(values, start_id=0, user=1):
-    """1-D or n-D values -> enrolled templates with sequential ids."""
-    return [
-        Template(sample=make_sample(start_id + i, v, user=user))
-        for i, v in enumerate(values)
-    ]
-
-
-def accepted_template(sid, values, user, batch=1):
-    return Template(sample=make_sample(sid, values, user=user), inserted_at_batch=batch)
+def make_samples(values, start_id=0, user=1):
+    """1-D or n-D values -> samples with sequential ids, so in id order."""
+    return [make_sample(start_id + i, v, user=user) for i, v in enumerate(values)]
 
 
 def gallery_1d(user_values, cap=None):
@@ -40,8 +33,7 @@ def gallery_1d(user_values, cap=None):
 
 def gallery_columns(test, gallery, metric=EUCLIDEAN):
     """distance_columns of a test batch over the gallery's own samples."""
-    samples = [t.sample for u in gallery.user_ids for t in gallery.users[u].templates]
-    return distance_columns(test, samples, metric)
+    return distance_columns(test, gallery.samples, metric)
 
 
 def read_scatter(text):
@@ -69,8 +61,8 @@ def scatter_reference(probes, templates, metric=EUCLIDEAN):
 
 
 def gallery_templates(gallery):
-    """{user: [sample, ...]} of the gallery's templates, for ``scatter_reference``."""
-    return {u: [t.sample for t in gallery.users[u].templates] for u in gallery.user_ids}
+    """{user: [sample, ...]} of the gallery's rows, for ``scatter_reference``."""
+    return {u: list(gallery.samples[gallery.owner == u]) for u in gallery.user_ids}
 
 
 def screen_gallery(rng, dim, counts, offset):

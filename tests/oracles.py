@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from selfgallery.clustering import MAX_ITER, REL_TOL, USER_MEANS, Clustering, KMeansParams
-from selfgallery.core import Template
+from selfgallery.core import Sample
 from selfgallery.matching import _distances_to_rows
 
 MIN_SUM = "min_sum_pairwise_sq"
@@ -30,8 +30,8 @@ def subset_objective(sqmat: np.ndarray, idx: Sequence[int]) -> float:
 
 
 def oracle_subset_select(
-    candidates: Sequence[Template], p: int, objective: str
-) -> list[Template]:
+    candidates: Sequence[Sample], p: int, objective: str
+) -> list[Sample]:
     """Exact optimum by full enumeration; test oracle for the fast paths.
 
     Deliberately shares no code with select_mdist/select_dend: plain
@@ -41,7 +41,7 @@ def oracle_subset_select(
         raise ValueError(f"unknown objective: {objective!r}")
     if p < 1:
         raise ValueError("p must be positive")
-    cands = sorted(candidates, key=lambda t: t.sample.id)
+    cands = sorted(candidates, key=lambda s: s.id)
     n = len(cands)
     if n <= p:
         return cands
@@ -50,9 +50,9 @@ def oracle_subset_select(
     maximize = objective == MAX_SUM
     sq = [[0.0] * n for _ in range(n)]
     for i in range(n):
-        vi = cands[i].sample.vector
+        vi = cands[i].vector
         for j in range(i + 1, n):
-            vj = cands[j].sample.vector
+            vj = cands[j].vector
             d2 = sum((a - b) ** 2 for a, b in zip(vi, vj))
             sq[i][j] = sq[j][i] = d2
     best_idx = None

@@ -18,7 +18,7 @@ from selfgallery.metrics import compute_eer, storage_capped
 from selfgallery.selection import select_dend, select_mdist
 from selfgallery.synthgen import SynthParams, generate
 
-from conftest import make_templates
+from conftest import make_samples
 from oracles import MAX_SUM, MIN_SUM, oracle_subset_select
 from test_metrics import eer_bruteforce
 
@@ -89,10 +89,10 @@ def test_criterion_2_oracle_equivalence():
         if trial % 5 == 0 and n >= 3:  # exercise the tie rule with duplicates
             pts[1] = pts[0]
             pts[2] = pts[0]
-        cands = make_templates(pts.tolist())
+        cands = make_samples(pts.tolist())  # sequential ids: already in id order
         for fast, obj in ((select_mdist, MIN_SUM), (select_dend, MAX_SUM)):
-            a = [t.sample.id for t in fast(cands, p)]
-            b = [t.sample.id for t in oracle_subset_select(cands, p, obj)]
+            a = [cands[i].id for i in fast(cands, p)]
+            b = [s.id for s in oracle_subset_select(cands, p, obj)]
             if a != b:
                 ok = False
     _report(2, "oracle equivalence", ok)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from selfgallery import core
 from selfgallery.core import (
     Batch,
     Gallery,
@@ -144,8 +145,14 @@ def test_row_accessors_follow_user_then_insertion_order():
     assert g.vectors.dtype == np.float64 and g.vectors.shape == (6, 2)
     for rows in (g.owner, g.sample_id, g.true_user):
         assert rows.dtype == np.int64
-    for name in ("vectors", "owner", "sample_id", "true_user"):
+    for name in ("vectors", "sample_id", "true_user"):
         assert getattr(g, name) is not getattr(g, name)  # built per read, never cached
+    assert g.inserted_at.tolist() == [0] * 6 and g.samples.dtype == object
+    for name in ("samples", "owner", "inserted_at"):  # stored columns
+        column = getattr(g, name)
+        assert column is getattr(g, name) and not column.flags.writeable
+        with pytest.raises(ValueError):
+            column[0] = column[1]
     # the stack matching used to build for itself
     users = g.user_ids
     counts = [len(g.users[u].templates) for u in users]
@@ -155,27 +162,54 @@ def test_row_accessors_follow_user_then_insertion_order():
 
 
 def test_gallery_users_are_read_only():
-    a, b = _user(1), _user(1, start_id=1)
-    users = {1: a, 2: b}
-    g = Gallery(users=users)
+    samples, owner = [make_sample(0, [0.0]), make_sample(1, [0.0], user=2)], [1, 2]
+    g = Gallery(samples=samples, owner=owner, inserted_at=[0, 0])
     with pytest.raises(TypeError):
-        g.users[3] = _user(1, start_id=2)
+        g.users[3] = UserGallery(templates=())
     with pytest.raises(TypeError):
         del g.users[1]
-    users[3] = UserGallery(templates=())  # the caller's dict, edited after the build
-    del users[1]
+    samples.append(make_sample(2, [0.0]))  # the caller's lists, edited after the build
+    owner[0] = 5
+    del samples[0]
     assert g.user_ids == [1, 2] and g.n_templates == 2
-    assert g == Gallery(users={2: b, 1: a}) and g != Gallery(users={1: a})
+    assert [t.sample.id for u in g.user_ids for t in g.users[u].templates] == [0, 1]
     enrolled = gallery_enroll([(1, make_sample(0, [0.0])), (2, make_sample(1, [1.0], user=2))])
     with pytest.raises(TypeError):
         enrolled.users[3] = UserGallery(templates=())
     assert enrolled.user_ids == [1, 2]
 
 
-def _user(*dims, start_id=0):
-    """A user's templates of the given dimensions, with sequential ids."""
-    return UserGallery(templates=tuple(
-        Template(sample=make_sample(start_id + i, [0.0] * d)) for i, d in enumerate(dims)))
+def test_gallery_users_view_is_built_at_most_once(monkeypatch):
+    # readers walk it once per user (the benchmark's owned_ids does), so a
+    # view rebuilt per read would build every template once per user
+    built = []
+
+    def counting(templates):
+        built.append(len(templates))
+        return UserGallery(templates=templates)
+
+    monkeypatch.setattr(core, "UserGallery", counting)
+    pairs = [(u, make_sample(10 * u + i, [float(u)], user=u)) for u in (3, 1, 2) for i in range(u)]
+    g = gallery_enroll(pairs)
+    assert built == []  # nothing is built until the view is read
+    for _ in range(3):
+        ids = {u: [t.sample.id for t in g.users[u].templates] for u in g.user_ids}
+    assert ids == {1: [10], 2: [20, 21], 3: [30, 31, 32]}
+    assert built == [1, 2, 3] and g.users is g.users
+
+
+def test_gallery_holds_the_callers_samples_and_no_vector_stack():
+    pairs = [(u, make_sample(u, [float(u), 1.0], user=u)) for u in (2, 1, 3)]
+    g = gallery_enroll(pairs)
+    assert [id(s) for s in g.samples] == [id(pairs[i][1]) for i in (1, 0, 2)]
+    assert g.users[1].templates[0].sample is pairs[1][1]
+    for value in vars(g).values():  # the stored fields, and the view once read
+        assert not (isinstance(value, np.ndarray) and value.dtype.kind == "f")
+
+
+def _rows(*dims, start_id=0):
+    """Samples of the given dimensions with sequential ids."""
+    return [make_sample(start_id + i, [0.0] * d) for i, d in enumerate(dims)]
 
 
 @pytest.mark.parametrize(
@@ -183,22 +217,30 @@ def _user(*dims, start_id=0):
     [
         (lambda: Template(sample=make_sample(0, [0.0]), inserted_at_batch=-3),
          "inserted_at_batch must be non-negative"),
-        (lambda: Gallery(users={1: _user(1), 4: _user()}), "user 4 has an empty gallery"),
-        (lambda: Gallery(users={4: _user(1, 2)}),
+        (lambda: Gallery(samples=_rows(1, 1), owner=[1, 1], inserted_at=[0, -3]),
+         "inserted_at must be non-negative"),
+        (lambda: Gallery(samples=_rows(1, 2), owner=[4, 4], inserted_at=[0, 0]),
          r"dimension mismatch: sample 1 has dim 2, expected 1$"),
-        (lambda: Gallery(users={}), "gallery has no users"),
-        # users are checked in key order, whatever the mapping's order
-        (lambda: Gallery(users={2: _user(2, start_id=5), 1: _user(1, 1)}),
+        (lambda: Gallery(samples=[], owner=[], inserted_at=[]), "gallery has no users"),
+        (lambda: Gallery(samples=_rows(1, 1), owner=[1], inserted_at=[0, 0]),
+         "samples, owner and inserted_at must hold one entry per row"),
+        # rows are checked in key order, whatever the enrollment's order
+        (lambda: gallery_enroll([(2, _rows(2, start_id=5)[0]), (1, _rows(1, start_id=1)[0])]),
          r"dimension mismatch: sample 5 has dim 2, expected 1$"),
+        (lambda: Gallery(samples=_rows(1, 1), owner=[2, 1], inserted_at=[0, 0]),
+         "rows must be grouped by ascending owner, in insertion order"),
+        (lambda: Gallery(samples=_rows(1, 1), owner=[1, 1], inserted_at=[2, 1]),
+         "rows must be grouped by ascending owner, in insertion order"),
         # one id twice in one user would let a cycle keep more than p
-        (lambda: Gallery(users={3: UserGallery(templates=_user(1).templates * 2)}),
+        (lambda: Gallery(samples=_rows(1) * 2, owner=[3, 3], inserted_at=[0, 0]),
          "sample id 0 is held more than once"),
         # one id in two users would put a zero into the cross-user pool
-        (lambda: Gallery(users={1: _user(1), 2: _user(1)}), "sample id 0 is held more than once"),
+        (lambda: Gallery(samples=_rows(1) * 2, owner=[1, 2], inserted_at=[0, 0]),
+         "sample id 0 is held more than once"),
         # owner holds keys as int64
-        (lambda: Gallery(users={1: _user(1), 2**63: _user(1, start_id=1)}),
+        (lambda: Gallery(samples=_rows(1, 1), owner=[1, 2**63], inserted_at=[0, 0]),
          f"user key {2**63} does not fit in int64"),
-        (lambda: Gallery(users={1: _user(1), -(2**63) - 1: _user(1, start_id=1)}),
+        (lambda: Gallery(samples=_rows(1, 1), owner=[-(2**63) - 1, 1], inserted_at=[0, 0]),
          f"user key {-(2**63) - 1} does not fit in int64"),
         (lambda: Batch(index=-1, samples=()), "batch index must be non-negative"),
     ],
@@ -209,10 +251,10 @@ def test_boundary_checks_raise_their_messages(build, message):
 
 
 def test_templates_given_as_a_list_cannot_change_the_gallery():
-    templates = list(_user(1, 1).templates)
-    g = Gallery(users={1: UserGallery(templates=templates)})
-    templates.append(Template(sample=make_sample(9, [0.0, 0.0])))  # after the checks ran
-    assert g.users[1].templates == tuple(templates[:2])
+    samples = _rows(1, 1)
+    g = Gallery(samples=samples, owner=[1, 1], inserted_at=[0, 0])
+    samples.append(make_sample(9, [0.0, 0.0]))  # after the checks ran
+    assert [t.sample for t in g.users[1].templates] == samples[:2]
     assert g.n_templates == 2 and g.vectors.shape == (2, 1)
 
 

@@ -209,6 +209,18 @@ def test_insertions_and_appended_templates_follow_batch_order(method):
     assert all(t.origin == "self_updated" and t.inserted_at_batch == 2 for t in added)
 
 
+@pytest.mark.parametrize("method", ["kmeans", "mdist", "dend", "keep_all"])
+def test_cycle_gallery_holds_the_callers_samples_and_no_vector_stack(method):
+    g0 = gallery_1d({1: [0.0, 0.3], 2: [10.0]})
+    probes = tuple(make_sample(i, [v]) for i, v in ((5, 0.1), (6, 9.9), (7, 0.2), (8, 50.0)))
+    g, report = run_update_cycle(g0, Batch(index=1, samples=probes), _cfg(method, 2), t_star=1.0)
+    assert report.n_accepted == 3 and g.sample_id.tolist() != g0.sample_id.tolist()
+    held = {s.id: s for s in (*g0.samples, *probes)}
+    assert all(s is held[s.id] for s in g.samples)  # the same objects, by reference
+    for value in vars(g).values():  # the stored fields, and the view once read
+        assert not (isinstance(value, np.ndarray) and value.dtype.kind == "f")
+
+
 @st.composite
 def _reference_case(draw):
     """An enrolled gallery on a small lattice, so distances tie across users

@@ -22,7 +22,6 @@ from selfgallery.metrics import (
 )
 
 from conftest import (
-    accepted_template,
     gallery_1d,
     gallery_columns,
     gallery_templates,
@@ -159,12 +158,11 @@ def test_impostor_fraction_fresh_gallery(abc_gallery):
 def test_impostor_fraction_counting():
     g = gallery_1d({1: [0.0, 0.1], 2: [5.0]})
     # user 1 additionally holds a template whose true user is 2
-    from selfgallery.core import Gallery, UserGallery
+    from selfgallery.core import Gallery
 
-    bad = accepted_template(9, [0.2], user=2)
-    users = dict(g.users)
-    users[1] = UserGallery(templates=g.users[1].templates + (bad,))
-    g2 = Gallery(users=users)
+    bad = make_sample(9, [0.2], user=2)
+    g2 = Gallery(samples=[*g.samples[:2], bad, g.samples[2]], owner=[1, 1, 1, 2],
+                 inserted_at=[0, 0, 1, 0])
     frac, per_user = impostor_fraction(g2)
     assert frac == pytest.approx(1 / 4)
     assert per_user[1] == pytest.approx(1 / 3)

@@ -12,7 +12,7 @@ from selfgallery.clustering import Clustering, KMeansParams, kmeans
 from selfgallery.matching import _distances_to_rows
 from selfgallery.selection import select, select_dend, select_kmeans, select_mdist
 
-from conftest import make_templates
+from conftest import make_sample, make_samples
 from oracles import (
     MAX_SUM,
     MIN_SUM,
@@ -22,8 +22,31 @@ from oracles import (
 )
 
 
-def _values(ts):
-    return [t.sample.vector.tolist() for t in ts]
+def _values(ss):
+    return [s.vector.tolist() for s in ss]
+
+
+def _ids(ss):
+    return [s.id for s in ss]
+
+
+def _run(fn, cands, *args):
+    """The sample ids at the positions ``fn(cands, *args)`` returns."""
+    return [cands[i].id for i in fn(cands, *args)]
+
+
+def _chosen(fn, cands, *args):
+    """The candidates at the positions ``fn(cands, *args)`` returns."""
+    return [cands[i] for i in fn(cands, *args)]
+
+
+def _select_kmeans(candidates_by_user, p):
+    """select_kmeans' kept pool positions as each user's kept samples, in order."""
+    pool = [(u, s) for u in sorted(candidates_by_user) for s in candidates_by_user[u]]
+    out = {u: [] for u in candidates_by_user}
+    for i in select_kmeans(candidates_by_user, p).tolist():
+        out[pool[i][0]].append(pool[i][1])
+    return out
 
 
 def _exact_sqmat(vecs):
@@ -33,47 +56,45 @@ def _exact_sqmat(vecs):
     return np.stack([np.einsum("ij,ij->i", vecs - v, vecs - v) for v in vecs])
 
 
-def _objective(ts):
-    vecs = np.stack([t.sample.vector for t in ts])
-    return subset_objective(_exact_sqmat(vecs), range(len(ts)))
+def _objective(ss):
+    vecs = np.stack([s.vector for s in ss])
+    return subset_objective(_exact_sqmat(vecs), range(len(ss)))
 
 
 def test_mdist_example():
-    cands = make_templates([[0.0], [0.1], [0.2], [10.0]])
-    chosen = select_mdist(cands, 3)
+    cands = make_samples([[0.0], [0.1], [0.2], [10.0]])
+    chosen = _chosen(select_mdist, cands, 3)
     assert _values(chosen) == [[0.0], [0.1], [0.2]]
     assert _objective(chosen) == pytest.approx(0.06)
 
 
 def test_dend_example():
-    cands = make_templates([[0.0], [0.1], [0.2], [10.0]])
-    chosen = select_dend(cands, 3)
+    cands = make_samples([[0.0], [0.1], [0.2], [10.0]])
+    chosen = _chosen(select_dend, cands, 3)
     assert _values(chosen) == [[0.0], [0.1], [10.0]]
     assert _objective(chosen) == pytest.approx(198.02)
 
 
 def test_identity_when_not_over_cap():
-    cands = make_templates([[0.0], [1.0]])
-    assert select_mdist(cands, 2) == cands
-    assert select_dend(cands, 3) == cands
+    cands = make_samples([[0.0], [1.0]])
+    assert select_mdist(cands, 2) == [0, 1]
+    assert select_dend(cands, 3) == [0, 1]
 
 
 def test_degenerate_identical_candidates_tie_rule():
-    cands = make_templates([[5.0]] * 4, start_id=10)
-    chosen = select_mdist(cands, 2)
-    assert [t.sample.id for t in chosen] == [10, 11]
-    chosen = select_dend(cands, 2)
-    assert [t.sample.id for t in chosen] == [10, 11]
+    cands = make_samples([[5.0]] * 4, start_id=10)
+    assert _run(select_mdist, cands, 2) == [10, 11]
+    assert _run(select_dend, cands, 2) == [10, 11]
 
 
 def test_dend_collinear_extremes():
-    cands = make_templates([[0.0], [1.0], [2.0]])
-    chosen = select_dend(cands, 2)
+    cands = make_samples([[0.0], [1.0], [2.0]])
+    chosen = _chosen(select_dend, cands, 2)
     assert _values(chosen) == [[0.0], [2.0]]
 
 
 def test_rejects_bad_p():
-    cands = make_templates([[0.0]])
+    cands = make_samples([[0.0]])
     with pytest.raises(ValueError):
         select_mdist(cands, 0)
     with pytest.raises(ValueError):
@@ -81,12 +102,12 @@ def test_rejects_bad_p():
 
 
 def test_oracle_examples():
-    cands = make_templates([[0.0], [0.1], [0.2], [10.0]])
+    cands = make_samples([[0.0], [0.1], [0.2], [10.0]])
     assert _values(oracle_subset_select(cands, 3, MIN_SUM)) == [[0.0], [0.1], [0.2]]
     assert oracle_subset_select(cands, 4, MIN_SUM) == cands  # n = p identity
     # p=1 min: all singletons score 0, lowest id wins
     single = oracle_subset_select(cands, 1, MIN_SUM)
-    assert [t.sample.id for t in single] == [0]
+    assert _ids(single) == [0]
 
 
 def test_oracle_equivalence_random():
@@ -95,10 +116,10 @@ def test_oracle_equivalence_random():
         n = int(rng.integers(2, 13))
         p = int(rng.integers(1, min(n, 6) + 1))
         dim = int(rng.integers(1, 5))
-        cands = make_templates(rng.normal(size=(n, dim)).tolist())
+        cands = make_samples(rng.normal(size=(n, dim)).tolist())
         for fast, obj in ((select_mdist, MIN_SUM), (select_dend, MAX_SUM)):
-            a = [t.sample.id for t in fast(cands, p)]
-            b = [t.sample.id for t in oracle_subset_select(cands, p, obj)]
+            a = _run(fast, cands, p)
+            b = _ids(oracle_subset_select(cands, p, obj))
             assert a == b, f"trial {trial}: {fast.__name__} {a} != oracle {b}"
 
 
@@ -109,37 +130,37 @@ def test_greedy_regime_sanity():
     from math import comb
 
     assert comb(n, p) > 10**6
-    cands = make_templates(rng.normal(size=(n, 3)).tolist())
-    chosen = select_mdist(cands, p)
+    cands = make_samples(rng.normal(size=(n, 3)).tolist())
+    chosen = _chosen(select_mdist, cands, p)
     assert len(chosen) == p
-    assert {t.sample.id for t in chosen} <= {t.sample.id for t in cands}
+    assert set(_ids(chosen)) <= set(_ids(cands))
     # greedy tight subset should beat keeping the p closest-to-medoid points
     # by construction; allow 2x slack (tolerance test, not a theorem)
-    vecs = np.stack([t.sample.vector for t in cands])
+    vecs = np.stack([s.vector for s in cands])
     medoid = vecs.mean(axis=0)
     near = np.argsort(((vecs - medoid) ** 2).sum(axis=1))[:p]
     ref = subset_objective(_exact_sqmat(vecs), near)
     assert _objective(chosen) <= 2.0 * ref
 
-    chosen_d = select_dend(cands, p)
+    chosen_d = _chosen(select_dend, cands, p)
     assert len(chosen_d) == p
     assert _objective(chosen_d) >= _objective(chosen)
 
 
 def test_output_always_subset_of_candidates():
     rng = np.random.default_rng(9)
-    cands = make_templates(rng.normal(size=(9, 2)).tolist())
+    cands = make_samples(rng.normal(size=(9, 2)).tolist())
     for p in (1, 3, 9, 12):
         for select in (select_mdist, select_dend):
-            out = select(cands, p)
+            out = _chosen(select, cands, p)
             assert len(out) == min(p, len(cands))
-            assert {t.sample.id for t in out} <= {t.sample.id for t in cands}
+            assert set(_ids(out)) <= set(_ids(cands))
 
 
 def test_select_kmeans_example():
-    a = make_templates([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0]], start_id=0, user=1)
-    b = make_templates([[10.0, 10.0], [9.9, 10.0]], start_id=10, user=2)
-    out = select_kmeans({1: a, 2: b}, p=2)
+    a = make_samples([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0]], start_id=0, user=1)
+    b = make_samples([[10.0, 10.0], [9.9, 10.0]], start_id=10, user=2)
+    out = _select_kmeans({1: a, 2: b}, p=2)
     assert sorted(_values(out[1])) == [[0.0, 0.0], [0.1, 0.0]]
     assert sorted(_values(out[2])) == [[9.9, 10.0], [10.0, 10.0]]
 
@@ -147,45 +168,45 @@ def test_select_kmeans_example():
 def test_select_kmeans_identity_when_tight():
     rng = np.random.default_rng(2)
     cands = {
-        u: make_templates(
+        u: make_samples(
             (rng.normal(scale=0.1, size=(3, 2)) + u * 100).tolist(),
             start_id=u * 10,
             user=u,
         )
         for u in (1, 2, 3)
     }
-    out = select_kmeans(cands, p=3)
+    out = _select_kmeans(cands, p=3)
     for u in cands:
-        assert {t.sample.id for t in out[u]} == {t.sample.id for t in cands[u]}
+        assert set(_ids(out[u])) == set(_ids(cands[u]))
 
 
 def test_select_kmeans_under_capacity_no_padding():
-    a = make_templates([[0.0, 0.0]], start_id=0, user=1)
-    b = make_templates([[10.0, 10.0], [9.9, 10.0]], start_id=10, user=2)
-    out = select_kmeans({1: a, 2: b}, p=4)
+    a = make_samples([[0.0, 0.0]], start_id=0, user=1)
+    b = make_samples([[10.0, 10.0], [9.9, 10.0]], start_id=10, user=2)
+    out = _select_kmeans({1: a, 2: b}, p=4)
     assert len(out[1]) == 1 and len(out[2]) == 2
 
 
 def test_select_kmeans_candidate_order_invariance():
     rng = np.random.default_rng(3)
-    a = make_templates((rng.normal(size=(5, 2))).tolist(), start_id=0, user=1)
-    b = make_templates((rng.normal(size=(5, 2)) + 20).tolist(), start_id=10, user=2)
+    a = make_samples((rng.normal(size=(5, 2))).tolist(), start_id=0, user=1)
+    b = make_samples((rng.normal(size=(5, 2)) + 20).tolist(), start_id=10, user=2)
+    # the pool takes users in ascending key order, whatever the mapping's order
     out1 = select_kmeans({1: a, 2: b}, p=3)
-    out2 = select_kmeans({1: a[::-1], 2: b[::-1]}, p=3)
-    for u in (1, 2):
-        assert [t.sample.id for t in out1[u]] == [t.sample.id for t in out2[u]]
+    out2 = select_kmeans({2: b, 1: a}, p=3)
+    assert out1.tolist() == out2.tolist()
 
 
 def test_select_kmeans_rejects_empty_user():
-    a = make_templates([[0.0]], user=1)
+    a = make_samples([[0.0]], user=1)
     with pytest.raises(ValueError):
         select_kmeans({1: a, 2: []}, p=2)
 
 
 def _mixed(n, bad, start_id=0, user=1):
-    """n templates of dim 2 but the one at ``bad`` (dim 1), listed in reverse id order."""
+    """n samples of dim 2 but the one at ``bad`` (dim 1), in id order."""
     values = [[float(i)] if i == bad else [float(i), 0.0] for i in range(n)]
-    return make_templates(values, start_id, user)[::-1]
+    return make_samples(values, start_id, user)
 
 
 MISMATCH = "dimension mismatch: sample {} has dim 1, expected 2$"
@@ -196,7 +217,7 @@ MISMATCH = "dimension mismatch: sample {} has dim 1, expected 2$"
     [
         (lambda: select_mdist([], 2), "no candidates to select from"),
         (lambda: select_dend([], 2), "no candidates to select from"),
-        (lambda: select_kmeans({1: make_templates([[0.0]])}, 0), "p must be positive"),
+        (lambda: select_kmeans({1: make_samples([[0.0]])}, 0), "p must be positive"),
         # the stack names the first sample of another dim, in id order
         (lambda: select_mdist(_mixed(4, 2), 2), MISMATCH.format(2)),  # exact
         (lambda: select_dend(_mixed(33, 30), 6), MISMATCH.format(30)),  # greedy
@@ -211,30 +232,30 @@ def test_boundary_checks_raise_their_messages(call, message):
 
 def test_select_kmeans_shared_cluster_never_donates():
     # both users' points land in one cluster; each still keeps only its own
-    a = make_templates([[0.0, 0.0], [0.2, 0.0]], start_id=0, user=1)
-    b = make_templates([[0.1, 0.0], [0.3, 0.0]], start_id=10, user=2)
-    out = select_kmeans({1: a, 2: b}, p=2)
-    assert all(t.sample.id < 10 for t in out[1])
-    assert all(t.sample.id >= 10 for t in out[2])
+    a = make_samples([[0.0, 0.0], [0.2, 0.0]], start_id=0, user=1)
+    b = make_samples([[0.1, 0.0], [0.3, 0.0]], start_id=10, user=2)
+    out = _select_kmeans({1: a, 2: b}, p=2)
+    assert all(s.id < 10 for s in out[1])
+    assert all(s.id >= 10 for s in out[2])
 
 
 def _reference_best(cands, p, maximize):
     """One subset_objective call per subset, lexicographic, strict improvement."""
-    vecs = np.stack([t.sample.vector for t in cands])
+    vecs = np.stack([s.vector for s in cands])
     sqmat = _exact_sqmat(vecs)
     best_idx, best_obj = None, None
     for idx in itertools.combinations(range(len(cands)), p):
         obj = subset_objective(sqmat, idx)
         if best_obj is None or (obj > best_obj if maximize else obj < best_obj):
             best_obj, best_idx = obj, idx
-    return [cands[i].sample.id for i in best_idx], best_obj
+    return [cands[i].id for i in best_idx], best_obj
 
 
 def _chunked_reference_ids(cands, p, maximize, chunk=1024):
     """Every subset scored by subset_objectives, in itertools chunks of ``chunk``
     in lexicographic order: the first optimum of a chunk, replaced by a later
     chunk only on strict improvement."""
-    vecs = np.stack([t.sample.vector for t in cands])
+    vecs = np.stack([s.vector for s in cands])
     sqmat = _exact_sqmat(vecs)
     combos = itertools.combinations(range(len(cands)), p)
     best_idx, best_obj = None, None
@@ -246,17 +267,15 @@ def _chunked_reference_ids(cands, p, maximize, chunk=1024):
         i = int(np.argmax(objs) if maximize else np.argmin(objs))
         if best_obj is None or (objs[i] > best_obj if maximize else objs[i] < best_obj):
             best_obj, best_idx = objs[i], rows[i]
-    return [cands[i].sample.id for i in best_idx]
+    return [cands[i].id for i in best_idx]
 
 
 def _assert_matches_reference(cands, p, maximize):
     chosen = selection._enumerate_best(cands, p, maximize)
     ids, obj = _reference_best(cands, p, maximize)
-    assert [t.sample.id for t in chosen] == ids
-    vecs = np.stack([t.sample.vector for t in cands])
-    sqmat = _exact_sqmat(vecs)
-    pos = {t.sample.id: i for i, t in enumerate(cands)}
-    assert subset_objective(sqmat, [pos[t.sample.id] for t in chosen]) == obj
+    assert [cands[i].id for i in chosen] == ids
+    vecs = np.stack([s.vector for s in cands])
+    assert subset_objective(_exact_sqmat(vecs), chosen) == obj
 
 
 def test_subset_objectives_bitwise_equal_subset_objective():
@@ -276,22 +295,22 @@ def test_enumerate_best_matches_reference_loop_random(maximize):
     rng = np.random.default_rng(17)
     for _ in range(20):
         n, p = int(rng.integers(7, 12)), int(rng.integers(2, 7))
-        cands = make_templates(rng.normal(size=(n, int(rng.integers(1, 9)))))
+        cands = make_samples(rng.normal(size=(n, int(rng.integers(1, 9)))))
         _assert_matches_reference(cands, p, maximize)
 
 
 @pytest.mark.parametrize("maximize", [False, True])
 def test_enumerate_best_all_duplicates_takes_lowest_ids(maximize):
-    cands = make_templates([[1.5, -2.0]] * 9)
+    cands = make_samples([[1.5, -2.0]] * 9)
     _assert_matches_reference(cands, 4, maximize)
-    assert [t.sample.id for t in selection._enumerate_best(cands, 4, maximize)] == [0, 1, 2, 3]
+    assert _run(selection._enumerate_best, cands, 4, maximize) == [0, 1, 2, 3]
 
 
 @pytest.mark.parametrize("maximize", [False, True])
 def test_enumerate_best_every_chunk_boundary(monkeypatch, maximize):
     # integer values with many exact ties; every chunk size puts a boundary
     # between some pair of tied subsets
-    cands = make_templates([[0.0], [3.0], [0.0], [1.0], [3.0], [1.0], [0.0], [2.0]])
+    cands = make_samples([[0.0], [3.0], [0.0], [1.0], [3.0], [1.0], [0.0], [2.0]])
     for chunk in range(1, comb(8, 3) + 2):
         monkeypatch.setattr(selection, "EXACT_CHUNK", chunk)
         _assert_matches_reference(cands, 3, maximize)
@@ -301,9 +320,9 @@ def test_enumerate_best_optimum_in_later_chunk():
     # the optimum is the last of C(16, 6) = 8008 subsets, past the first chunk
     assert comb(16, 6) > selection.EXACT_CHUNK
     far = [[100.0 * (i + 1)] for i in range(10)]
-    cands = make_templates(far + [[0.0]] * 6)
-    chosen = selection._enumerate_best(cands, 6, maximize=False)
-    assert [t.sample.id for t in chosen] == list(range(10, 16))  # the last subset
+    cands = make_samples(far + [[0.0]] * 6)
+    chosen = _run(selection._enumerate_best, cands, 6, False)
+    assert chosen == list(range(10, 16))  # the last subset
     _assert_matches_reference(cands, 6, False)
 
 
@@ -314,9 +333,9 @@ def test_enumerate_best_tie_across_chunk_boundary_keeps_earlier():
     first, last = combos.index((0, 10, 11, 12, 13, 14)), combos.index(tuple(range(10, 16)))
     assert first // selection.EXACT_CHUNK < last // selection.EXACT_CHUNK
     far = [[100.0 * (i + 1)] for i in range(1, 10)]
-    cands = make_templates([[0.0]] + far + [[0.0]] * 6)
-    chosen = selection._enumerate_best(cands, 6, maximize=False)
-    assert [t.sample.id for t in chosen] == [0, 10, 11, 12, 13, 14]
+    cands = make_samples([[0.0]] + far + [[0.0]] * 6)
+    chosen = _run(selection._enumerate_best, cands, 6, False)
+    assert chosen == [0, 10, 11, 12, 13, 14]
     _assert_matches_reference(cands, 6, False)
 
 
@@ -325,23 +344,23 @@ def _scan_select_kmeans(candidates_by_user, p):
     users = sorted(candidates_by_user)
     pooled, labels = [], []
     for u in users:
-        for t in sorted(candidates_by_user[u], key=lambda t: t.sample.id):
-            pooled.append(t)
+        for s in sorted(candidates_by_user[u], key=lambda s: s.id):
+            pooled.append(s)
             labels.append(u)
-    points = np.stack([t.sample.vector for t in pooled])
+    points = np.stack([s.vector for s in pooled])
     cl = kmeans(points, KMeansParams(k=len(users)), labels=labels)
     result = {}
     for u in users:
         centroid = cl.centroids[dominant_cluster_for_user(cl, np.asarray(labels), u)]
-        own = [t for t, lab in zip(pooled, labels) if lab == u]
-        d2 = [float(np.sum((t.sample.vector - centroid) ** 2)) for t in own]
+        own = [s for s, lab in zip(pooled, labels) if lab == u]
+        d2 = [float(np.sum((s.vector - centroid) ** 2)) for s in own]
         order = np.argsort(d2, kind="stable")
         result[u] = [own[i] for i in order[: min(p, len(own))]]
     return result
 
 
 def _ids_by_user(out):
-    return {u: [t.sample.id for t in ts] for u, ts in out.items()}
+    return {u: _ids(ss) for u, ss in out.items()}
 
 
 @pytest.mark.parametrize("d", [1, 2, 7, 8, 9, 16, 64, 128, 129])
@@ -351,22 +370,22 @@ def test_select_kmeans_equals_per_candidate_scan(d):
     for u, n in [(6, 40), (2, 1), (9, 2), (4, 25)]:
         base = rng.normal(3.0 * u, 1.0, size=(n, d))
         base[n // 2 :] = base[: n - n // 2]  # duplicate vectors tie on distance
-        ids = rng.permutation(n) + 100 * u  # candidate order is not id order
-        cands[u] = [
-            make_templates([v], start_id=int(i), user=u)[0] for i, v in zip(ids, base)
-        ]
+        ids = rng.permutation(n) + 100 * u  # vectors drawn in another order than ids
+        cands[u] = sorted(
+            (make_sample(int(i), v, user=u) for i, v in zip(ids, base)), key=lambda s: s.id
+        )
     for p in (1, 3, 6):
         want = _ids_by_user(_scan_select_kmeans(cands, p))
-        assert _ids_by_user(select_kmeans(cands, p)) == want
+        assert _ids_by_user(_select_kmeans(cands, p)) == want
 
 
 def _per_user_select_kmeans(candidates_by_user, p):
     """select_kmeans as one loop over users: a dominant-cluster scan of every
     label, a row sum over the user's slice and a stable argsort per user."""
     users = sorted(candidates_by_user)
-    own = [sorted(candidates_by_user[u], key=lambda t: t.sample.id) for u in users]
+    own = [sorted(candidates_by_user[u], key=lambda s: s.id) for u in users]
     labels = np.repeat(users, [len(c) for c in own])
-    points = np.stack([t.sample.vector for c in own for t in c])
+    points = np.stack([s.vector for c in own for s in c])
     cl = selection.kmeans(points, KMeansParams(k=len(users)), labels=labels)
     result, hi = {}, 0
     for u, cands in zip(users, own):
@@ -379,34 +398,36 @@ def _per_user_select_kmeans(candidates_by_user, p):
 
 
 def _lattice_candidates(rng, d):
-    """2-6 users in random key order, 1-9 candidates each under ids out of
-    order, on a small integer lattice with duplicated rows (equal distances)."""
+    """2-6 users in random key order, 1-9 candidates each in id order (ids
+    drawn in another order than the rows), on a small integer lattice with
+    duplicated rows (equal distances)."""
     cands = {}
     for u in rng.choice(np.arange(1, 50), size=int(rng.integers(2, 7)), replace=False).tolist():
         n = int(rng.integers(1, 10))
         vecs = rng.integers(-2, 3, size=(n, d)).astype(float)
         vecs[n // 2 :] = vecs[: n - n // 2]
         ids = rng.choice(1000, size=n, replace=False) + 1000 * u
-        cands[u] = [make_templates([v], start_id=int(i), user=u)[0] for i, v in zip(ids, vecs)]
+        cands[u] = sorted(
+            (make_sample(int(i), v, user=u) for i, v in zip(ids, vecs)), key=lambda s: s.id
+        )
     return cands
 
 
 def _kmeans_situations(cands, cl, p):
     """Which of the tie and layout situations a clustering of ``cands`` hits."""
     users = sorted(cands)
-    own = [sorted(cands[u], key=lambda t: t.sample.id) for u in users]
+    own = [cands[u] for u in users]
     labels = np.repeat(users, [len(c) for c in own])
     seen, doms = set(), []
     for u, c in zip(users, own):
         counts = np.bincount(cl.assignment[labels == u], minlength=len(cl.centroids))
         dom = dominant_cluster_for_user(cl, labels, u)
-        d2 = [float(np.sum((t.sample.vector - cl.centroids[dom]) ** 2)) for t in c]
+        d2 = [float(np.sum((s.vector - cl.centroids[dom]) ** 2)) for s in c]
         doms.append(dom)
         hits = {
             "below p": len(c) < p,
             "tied counts": np.sum(counts == counts.max()) > 1,
             "equal distances": len(set(d2)) < len(d2),
-            "unsorted ids": cands[u] != c,
         }
         seen.update(name for name, hit in hits.items() if hit)
     if len(set(doms)) < len(doms):
@@ -421,7 +442,7 @@ def test_select_kmeans_equals_per_user_loop(d, monkeypatch):
     for cands in cases:
         for p in (1, 3, 6):
             want = _ids_by_user(_per_user_select_kmeans(cands, p))
-            assert _ids_by_user(select_kmeans(cands, p)) == want
+            assert _ids_by_user(_select_kmeans(cands, p)) == want
     # clusterings drawn to force tied dominant counts and shared clusters:
     # k users over at most k - 1 clusters, centroids on the lattice
     seen = set()
@@ -436,9 +457,9 @@ def test_select_kmeans_equals_per_user_loop(d, monkeypatch):
         monkeypatch.setattr(selection, "kmeans", lambda points, params, labels=None: cl)
         for p in (1, 3, 6):
             want = _ids_by_user(_per_user_select_kmeans(cands, p))
-            assert _ids_by_user(select_kmeans(cands, p)) == want
+            assert _ids_by_user(_select_kmeans(cands, p)) == want
         seen |= _kmeans_situations(cands, cl, 3)
-    assert seen == {"below p", "tied counts", "equal distances", "unsorted ids", "shared cluster"}
+    assert seen == {"below p", "tied counts", "equal distances", "shared cluster"}
 
 
 @pytest.mark.parametrize("d", [1, 2, 7, 8, 9, 16, 64, 128, 129])
@@ -454,7 +475,7 @@ def test_pair_matrix_is_bitwise_the_row_kernel(n, d, monkeypatch):
     rng = np.random.default_rng(n * d)
     v = rng.normal(size=(n, d)) + 1e4
     v[n // 2 :] = v[: n - n // 2]
-    cands = make_templates(v)
+    cands = make_samples(v)
     want = _exact_sqmat(v)
     assert np.array_equal(selection._pair_matrix(cands), want)
     assert np.array_equal(want, want.T) and not want.diagonal().any()
@@ -466,7 +487,7 @@ def test_pair_matrix_is_bitwise_the_row_kernel(n, d, monkeypatch):
 
 def _greedy_by_list(cands, p, maximize):
     """_greedy_select with one Python-list cost per remaining candidate."""
-    vecs = np.stack([t.sample.vector for t in cands])
+    vecs = np.stack([s.vector for s in cands])
     sqmat = _exact_sqmat(vecs)
     iu = np.triu_indices(len(cands), k=1)
     pos = int(np.argmax(sqmat[iu]) if maximize else np.argmin(sqmat[iu]))
@@ -476,7 +497,7 @@ def _greedy_by_list(cands, p, maximize):
         costs = [float(np.sum(sqmat[i, chosen])) for i in remaining]
         j = int(np.argmax(costs) if maximize else np.argmin(costs))
         chosen.append(remaining.pop(j))
-    return sorted(cands[i].sample.id for i in chosen)
+    return sorted(cands[i].id for i in chosen)
 
 
 @pytest.mark.parametrize("maximize", [False, True])
@@ -492,27 +513,23 @@ def test_greedy_select_equals_per_candidate_list(maximize):
         else:
             vecs = rng.normal(size=(n, d)) + 1e4
             vecs[n // 2 :] = vecs[: n - n // 2]  # duplicates
-        cands = make_templates(vecs)
-        got = [t.sample.id for t in selection._greedy_select(cands, p, maximize)]
+        cands = make_samples(vecs)
+        got = _run(selection._greedy_select, cands, p, maximize)
         assert got == _greedy_by_list(cands, p, maximize), f"trial {trial}"
-
-
-def _ids(ts):
-    return [t.sample.id for t in ts]
 
 
 @pytest.mark.parametrize("select", [select_mdist, select_dend])
 def test_p1_answers_lowest_id_without_a_matrix(select):
     # 50,000 candidates: one squared distance matrix would be 20 GB
     rng = np.random.default_rng(0)
-    cands = make_templates(rng.normal(size=(50_000, 2)))[::-1]  # not in id order
+    cands = make_samples(rng.normal(size=(50_000, 2)))
     tracemalloc.start()
     try:
         chosen = select(cands, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert _ids(chosen) == [0]
+    assert chosen == [0]  # the first of the id-sorted candidates
     assert peak < 4 * 2**20
 
 
@@ -538,13 +555,13 @@ def _tie_heavy(draw, kinds):
     d = draw(st.integers(1, 4))
     x = _tie_heavy_vectors(draw, n, d, draw(st.sampled_from(kinds)))
     chunk = draw(st.sampled_from([5, 64, selection.EXACT_CHUNK]))  # several blocks at any n
-    return make_templates(x), p, chunk
+    return make_samples(x), p, chunk
 
 
 def _with_chunk(chunk, fn, *args):
     saved, selection.EXACT_CHUNK = selection.EXACT_CHUNK, chunk
     try:
-        return _ids(fn(*args))
+        return _run(fn, *args)
     finally:
         selection.EXACT_CHUNK = saved
 
@@ -593,9 +610,9 @@ def test_select_equals_oracle_on_offset_lattices():
     for case in range(400):
         rng = np.random.default_rng(case)
         n, p, d = int(rng.integers(7, 17)), int(rng.integers(2, 7)), int(rng.integers(1, 5))
-        cands = make_templates(1e4 + 1e-3 * rng.integers(0, 3, size=(n, d)))
+        cands = make_samples(1e4 + 1e-3 * rng.integers(0, 3, size=(n, d)))
         for select, objective, name in ((select_mdist, MIN_SUM, "mdist"), (select_dend, MAX_SUM, "dend")):
-            got, want = select(cands, p), oracle_subset_select(cands, p, objective)
+            got, want = _chosen(select, cands, p), oracle_subset_select(cands, p, objective)
             if got != want:
                 disagree.add((case, name))
                 a, b = _oracle_objective(got), _oracle_objective(want)
@@ -605,7 +622,7 @@ def test_select_equals_oracle_on_offset_lattices():
 
 def _oracle_objective(ts):
     """The oracle's objective: sequential sums of coordinate differences squared."""
-    vecs = [t.sample.vector.tolist() for t in ts]
+    vecs = [s.vector.tolist() for s in ts]
     return sum(
         sum((a - b) ** 2 for a, b in zip(vecs[i], vecs[j]))
         for i, j in itertools.combinations(range(len(vecs)), 2)
@@ -618,8 +635,8 @@ def _oracle_objective(ts):
 def test_enumerate_best_band_keeps_optimum_whose_screen_rounds_worse(tenths, maximize):
     # the first optimum's screen, summed in another order, rounds worse than
     # a later subset's; the band must keep it, as scoring every subset would
-    cands = make_templates(0.1 * np.array(tenths, dtype=float)[:, None])
-    assert _ids(selection._enumerate_best(cands, 5, maximize)) == _chunked_reference_ids(
+    cands = make_samples(0.1 * np.array(tenths, dtype=float)[:, None])
+    assert _run(selection._enumerate_best, cands, 5, maximize) == _chunked_reference_ids(
         cands, 5, maximize
     )
 
@@ -641,18 +658,18 @@ def test_enumerate_best_scores_only_the_band_exactly(monkeypatch, maximize):
     scored = _count_scored(monkeypatch)
     rng = np.random.default_rng(3)
     for n, d in [(16, 1), (16, 8), (20, 64)]:
-        cands = make_templates(rng.normal(size=(n, d)))
+        cands = make_samples(rng.normal(size=(n, d)))
         want = _chunked_reference_ids(cands, 6, maximize)
         scored.clear()
-        assert _ids(selection._enumerate_best(cands, 6, maximize)) == want
+        assert _run(selection._enumerate_best, cands, 6, maximize) == want
         assert sum(scored) <= comb(n, 6) // 100
 
 
 @pytest.mark.parametrize("maximize", [False, True])
 def test_enumerate_best_scores_every_tied_subset(monkeypatch, maximize):
     scored = _count_scored(monkeypatch)
-    cands = make_templates([[1.5, -2.0]] * 14)  # every subset sums to 0
-    assert _ids(selection._enumerate_best(cands, 6, maximize)) == list(range(6))
+    cands = make_samples([[1.5, -2.0]] * 14)  # every subset sums to 0
+    assert _run(selection._enumerate_best, cands, 6, maximize) == list(range(6))
     assert sum(scored) == comb(14, 6)
 
 
@@ -673,9 +690,9 @@ def test_table_band_of_one_subset_is_not_scored(monkeypatch, select):
     scored = _count_scored(monkeypatch)
     rng = np.random.default_rng(25)
     for n in (7, 10, 15):
-        cands = make_templates(rng.normal(size=(n, 3)))
+        cands = make_samples(rng.normal(size=(n, 3)))
         assert _reads_the_table(n, 6) and len(_first_band(cands, 6, maximize)) == 1
-        assert _ids(select(cands, 6)) == _oracle_ids(cands, 6, maximize)
+        assert _run(select, cands, 6) == _oracle_ids(cands, 6, maximize)
     assert scored == []
 
 
@@ -691,11 +708,11 @@ def test_table_band_of_one_subset_is_not_scored(monkeypatch, select):
     ],
 )
 def test_walk_scores_a_lone_first_band_once_a_later_block_beats_it(monkeypatch, values, maximize):
-    cands = make_templates([[float(v)] for v in values])
+    cands = make_samples([[float(v)] for v in values])
     assert not _reads_the_table(16, 6)
     first = _first_band(cands, 6, maximize)
     scored = _count_scored(monkeypatch)
-    chosen = _ids(selection._enumerate_best(cands, 6, maximize))
+    chosen = _run(selection._enumerate_best, cands, 6, maximize)
     assert len(first) == 1 and chosen != first[0]
     assert chosen == _oracle_ids(cands, 6, maximize)  # integer sums: exact, ties included
     assert scored[0] == 1  # the lone incumbent, scored when the second block needs its value
@@ -704,30 +721,30 @@ def test_walk_scores_a_lone_first_band_once_a_later_block_beats_it(monkeypatch, 
 def test_enumerate_best_at_the_budget_holds_no_subset_table():
     n, p = 32, 6
     assert comb(n, p) <= selection.EXACT_BUDGET < comb(n + 1, p)
-    cands = make_templates(np.random.default_rng(8).normal(size=(n, 4)))
+    cands = make_samples(np.random.default_rng(8).normal(size=(n, 4)))
     tracemalloc.start()
     try:
-        chosen = selection._enumerate_best(cands, p, maximize=False)
+        chosen = _run(selection._enumerate_best, cands, p, False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20  # the C(32, 6) x 6 index table alone is 43.5 MB
-    assert _ids(chosen) == _chunked_reference_ids(cands, p, maximize=False)
+    assert chosen == _chunked_reference_ids(cands, p, maximize=False)
 
 
 def test_enumerate_best_at_a_large_p_keeps_the_tree():
     # C(200, 199) = 200 subsets make one block, but their 199 x 198 / 2 pairs
     # each would make a 31.5 MB pair index
     n, p = 200, 199
-    cands = make_templates(np.random.default_rng(9).normal(size=(n, 2)))
+    cands = make_samples(np.random.default_rng(9).normal(size=(n, 2)))
     tracemalloc.start()
     try:
-        chosen = selection._enumerate_best(cands, p, maximize=False)
+        chosen = _run(selection._enumerate_best, cands, p, False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
-    assert _ids(chosen) == _chunked_reference_ids(cands, p, maximize=False, chunk=4)
+    assert chosen == _chunked_reference_ids(cands, p, maximize=False, chunk=4)
 
 
 @pytest.mark.parametrize(
@@ -785,17 +802,17 @@ def test_subset_table_cache_worst_case():
 @pytest.mark.parametrize("n, p", [(15, 6), (55, 54)])
 def test_enumerate_best_at_the_largest_table_holds_little(n, p):
     assert _reads_the_table(n, p) and not _reads_the_table(n + 1, p)
-    cands = make_templates(np.random.default_rng(10).normal(size=(n, 4)))
+    cands = make_samples(np.random.default_rng(10).normal(size=(n, 4)))
     selection._subset_table.cache_clear()
     peaks = []
     for _ in range(2):  # the table's build, then a call on the cached table
         tracemalloc.start()
         try:
-            chosen = selection._enumerate_best(cands, p, maximize=False)
+            chosen = _run(selection._enumerate_best, cands, p, False)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert _ids(chosen) == _chunked_reference_ids(cands, p, maximize=False)
+        assert chosen == _chunked_reference_ids(cands, p, maximize=False)
     # the table is 0.6 MB and its screen gathers as many doubles; the
     # gather must not copy the read-only index
     assert peaks[0] < 2 * 2**20 and peaks[1] < 2**20
@@ -820,8 +837,8 @@ def test_enumerate_best_one_block_reads_the_subset_table(monkeypatch, maximize):
     # and (101, 2), the last n whose C(n, 2) <= 5 x EXACT_CHUNK
     for n, p in [(n, 6) for n in range(7, 16)] + [(14, 7), (101, 2)]:
         assert _reads_the_table(n, p)
-        cands = make_templates(rng.normal(size=(n, 4)))
-        assert _ids(selection._enumerate_best(cands, p, maximize)) == _chunked_reference_ids(
+        cands = make_samples(rng.normal(size=(n, 4)))
+        assert _run(selection._enumerate_best, cands, p, maximize) == _chunked_reference_ids(
             cands, p, maximize
         )
     assert calls == []
@@ -835,9 +852,9 @@ def test_enumerate_best_over_one_chunk_walks_the_tree(monkeypatch, maximize):
     # subsets, whose 5,151 pair entries alone would pass
     for n, p in [(16, 6), (102, 2)]:
         assert not _reads_the_table(n, p) and _reads_the_table(n - 1, p)
-        cands = make_templates(rng.normal(size=(n, 4)))
+        cands = make_samples(rng.normal(size=(n, 4)))
         calls.clear()
-        assert _ids(selection._enumerate_best(cands, p, maximize)) == _chunked_reference_ids(
+        assert _run(selection._enumerate_best, cands, p, maximize) == _chunked_reference_ids(
             cands, p, maximize
         )
         assert calls
@@ -851,16 +868,16 @@ def test_subset_table_equals_the_tree_at_the_admitted_sizes(monkeypatch, kind, m
     for n, p in [(13, 6), (14, 6), (15, 6), (14, 7)]:
         d = int(rng.integers(1, 4))
         if kind == "normal":
-            cands = make_templates(rng.normal(size=(n, d)))
+            cands = make_samples(rng.normal(size=(n, d)))
         elif kind == "lattice":  # many exact ties
-            cands = make_templates(rng.integers(0, 3, size=(n, d)).astype(float))
+            cands = make_samples(rng.integers(0, 3, size=(n, d)).astype(float))
         elif kind == "offset_lattice":  # ties up to the last ulp
-            cands = make_templates(1e4 + 1e-3 * rng.integers(0, 3, size=(n, d)))
+            cands = make_samples(1e4 + 1e-3 * rng.integers(0, 3, size=(n, d)))
         else:
-            cands = _overflowing_templates(n)
+            cands = _overflowing_samples(n)
         with np.errstate(over="ignore", invalid="ignore"):
             calls.clear()
-            table = _ids(selection._enumerate_best(cands, p, maximize))
+            table = _run(selection._enumerate_best, cands, p, maximize)
             assert calls == []
             # the tree walk, in blocks of at most 64 subsets
             tree = _with_chunk(64, selection._enumerate_best, cands, p, maximize)
@@ -868,14 +885,14 @@ def test_subset_table_equals_the_tree_at_the_admitted_sizes(monkeypatch, kind, m
             assert table == tree == _chunked_reference_ids(cands, p, maximize)
 
 
-def _overflowing_templates(n):
+def _overflowing_samples(n):
     # three positive vectors near 1e155: their differences to a small vector
     # square to inf, so every subset holding one of them and a small vector
     # has an inf objective; the other pairs stay finite
     rng = np.random.default_rng(23)
     x = rng.normal(size=(n, 2))
     x[[4, 7, n - 1]] = 1e155 * (1 + np.abs(x[[4, 7, n - 1]]))
-    return make_templates(x)
+    return make_samples(x)
 
 
 @pytest.mark.parametrize(
@@ -884,23 +901,23 @@ def _overflowing_templates(n):
     ids=["select_mdist", "select_dend"],
 )
 def test_overflowed_screen_in_one_block_keeps_every_subset(select, want):
-    cands = _overflowing_templates(10)
+    cands = _overflowing_samples(10)
     assert comb(10, 6) <= selection.EXACT_CHUNK
     with np.errstate(over="ignore", invalid="ignore"):
         sqmat = selection._pair_matrix(cands)
         assert np.isinf(sqmat).any() and not np.isnan(sqmat).any()
         assert want == _chunked_reference_ids(cands, 6, select is select_dend, chunk=selection.EXACT_CHUNK)
-        assert _ids(select(cands, 6)) == want
+        assert _run(select, cands, 6) == want
     # MDIST keeps the small vectors; DEND the first subset whose objective is inf
     assert np.isfinite(_objective([cands[i] for i in want])) == (select is select_mdist)
 
 
 @pytest.mark.parametrize("select", [select_mdist, select_dend])
 def test_overflowed_screen_over_several_blocks_keeps_the_first_optimum(select):
-    cands = _overflowing_templates(16)
+    cands = _overflowing_samples(16)
     assert comb(16, 6) > selection.EXACT_CHUNK
     with np.errstate(over="ignore", invalid="ignore"):
-        ids = _ids(select(cands, 6))
+        ids = _run(select, cands, 6)
         # without NaN the first optimum in lexicographic order wins, whatever the blocks
         for chunk in (5, 64, selection.EXACT_CHUNK):
             assert ids == _chunked_reference_ids(cands, 6, select is select_dend, chunk=chunk)
@@ -908,27 +925,34 @@ def test_overflowed_screen_over_several_blocks_keeps_the_first_optimum(select):
 
 
 def _select_as_engine_branched(method, candidates, p):
-    """The per-method branch run_update_cycle held before ``select``."""
+    """Each user's kept ids under the per-method branch run_update_cycle held
+    before ``select``."""
     if method == selection.KEEP_ALL:
-        return candidates
+        return _ids_by_user(candidates)
     if method == selection.KMEANS:
-        return selection.select_kmeans(candidates, p)
+        return _ids_by_user(_select_kmeans(candidates, p))
     pick = selection.select_mdist if method == selection.MDIST else selection.select_dend
-    return {u: pick(cands, p) for u, cands in candidates.items()}
+    return {u: _run(pick, cands, p) for u, cands in candidates.items()}
+
+
+def _rows(candidates):
+    """Every user's candidates, users ascending, and each row's owner."""
+    users = sorted(candidates)
+    samples = [s for u in users for s in candidates[u]]
+    return samples, np.repeat(np.array(users, dtype=np.int64), [len(candidates[u]) for u in users])
 
 
 @pytest.mark.parametrize("method", selection.METHODS)
 def test_select_equals_the_engine_branch(method):
     rng = np.random.default_rng(11)
     cands = {
-        u: make_templates((rng.normal(size=(n, 3)) + 4 * u).tolist(), start_id=10 * u, user=u)
+        u: make_samples((rng.normal(size=(n, 3)) + 4 * u).tolist(), start_id=10 * u, user=u)
         for u, n in ((3, 9), (1, 2), (2, 7))
     }
-    out = select(method, cands, 4)
+    samples, owner = _rows(cands)
+    out = select(method, samples, owner, 4).tolist()
     want = _select_as_engine_branched(method, cands, 4)
-    assert list(out) == list(want)
-    for u in cands:
-        assert [t.sample.id for t in out[u]] == [t.sample.id for t in want[u]]
+    assert {u: [samples[i].id for i in out if owner[i] == u] for u in cands} == want
 
 
 def test_select_calls_the_module_attribute(monkeypatch):
@@ -939,12 +963,14 @@ def test_select_calls_the_module_attribute(monkeypatch):
         return select_mdist(candidates, p)
 
     monkeypatch.setattr(selection, "select_mdist", traced)
-    cands = {1: make_templates([[0.0], [1.0], [3.0]], user=1), 2: make_templates([[9.0]], 10, 2)}
-    out = select(selection.MDIST, cands, 2)
+    samples, owner = _rows(
+        {1: make_samples([[0.0], [1.0], [3.0]], user=1), 2: make_samples([[9.0]], 10, 2)}
+    )
+    out = select(selection.MDIST, samples, owner, 2)
     assert calls == [3, 1]
-    assert [t.sample.id for t in out[1]] == [0, 1]
+    assert [samples[i].id for i in out.tolist()] == [0, 1, 10]
 
 
 def test_select_rejects_unknown_method():
     with pytest.raises(ValueError, match="unknown selection method"):
-        select("median", {1: make_templates([[0.0]])}, 1)
+        select("median", *_rows({1: make_samples([[0.0]])}), 1)
