@@ -1,8 +1,8 @@
 """Domain types shared by all modules: samples, galleries, batches.
 
 All types are immutable values; galleries evolve by producing new versions.
-Each stores a fact once: a template's origin follows from its batch, a
-gallery's dimension from its samples, and a user's id is its rows' owner.
+Each stores a fact once: a gallery's dimension follows from its samples, a
+row's batch is its ``inserted_at``, and a user's id is its rows' owner.
 Ground-truth identities travel with samples. The dataset's split reads them
 to enroll, and evaluation (``metrics``) is where the test batch's truth is
 read, for score sets and scatter files, and the gallery's, for the impostor
@@ -13,15 +13,18 @@ reference, and int64 ``owner`` and ``inserted_at`` columns. Only this module
 knows that layout; every other module reads the row accessors (``samples``,
 ``owner``, ``inserted_at``, ``vectors``, ``sample_id``, ``true_user``,
 ``user_ids``). ``Gallery.users`` is a per-user view of the same rows,
-built once per gallery for readers that walk users and templates;
-``Template`` and ``UserGallery`` are its element types.
+built once per gallery and kept only for the benchmark's checks, which
+read it; ``Template`` (one held sample) and ``UserGallery`` are its element
+types, and the package does not export them.
 
 ``gallery_enroll``'s ``cap`` is an enrollment bound only: it checks how
 many samples each user enrolls with. The cap that selection enforces on
 every update cycle is ``EngineConfig.p``.
 
 Where inputs are checked. ``Sample`` checks one vector when it is built:
-1-D, non-empty and finite, copied once and frozen. ``stack_vectors`` is the
+1-D, non-empty and finite, copied once and frozen; its id, user and
+session must be integers (Python or numpy), id and user within int64.
+``Batch`` keeps its samples as a tuple. ``stack_vectors`` is the
 one place samples become rows: every (n, dim) stack in the package comes
 from it, and it names the first sample of another dimension. ``Gallery``
 is the one place a gallery's invariants are checked, all in one pass over
@@ -40,10 +43,6 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
-
-ENROLLED = "enrolled"
-SELF_UPDATED = "self_updated"
-
 
 @dataclass(frozen=True)
 class Sample:
@@ -66,9 +65,14 @@ class Sample:
             raise ValueError("feature vector contains non-finite coordinates")
         v.flags.writeable = False
         object.__setattr__(self, "vector", v)
-        for name in ("id", "true_user"):  # Gallery rows hold both as int64
-            if not -(2**63) <= getattr(self, name) < 2**63:
-                raise ValueError(f"{name} {getattr(self, name)} does not fit in int64")
+        # integers only: a float id truncates in a row, a float session is
+        # written to a file that load_dataset refuses
+        for name in ("id", "true_user", "session"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) and (name != "session" or value is not None):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+            if name != "session" and not -(2**63) <= value < 2**63:  # Gallery rows hold both as int64
+                raise ValueError(f"{name} {value} does not fit in int64")
         if self.session is not None and self.session < 0:
             raise ValueError("session must be non-negative")
 
@@ -98,19 +102,9 @@ def _dim_mismatch(sample: Sample, dim: int) -> ValueError:
 
 @dataclass(frozen=True)
 class Template:
-    """One entry of ``Gallery.users``: a held sample and the batch that
-    inserted it, 0 for enrollment."""
+    """One entry of ``Gallery.users``: a held sample."""
 
     sample: Sample
-    inserted_at_batch: int = 0
-
-    def __post_init__(self):
-        if self.inserted_at_batch < 0:
-            raise ValueError("inserted_at_batch must be non-negative")
-
-    @property
-    def origin(self) -> str:
-        return ENROLLED if self.inserted_at_batch == 0 else SELF_UPDATED
 
 
 @dataclass(frozen=True)
@@ -189,12 +183,11 @@ class Gallery:
     @cached_property
     def users(self) -> Mapping[int, UserGallery]:
         """A read-only view of the rows by user, built at the first read and
-        kept: ``Template`` and ``UserGallery`` exist only for it."""
+        kept for the benchmark's checks, its only reader: ``Template`` and
+        ``UserGallery`` exist only for it."""
         users, starts = np.unique(self.owner, return_index=True)
-        parts = zip(np.split(self.samples, starts[1:]), np.split(self.inserted_at, starts[1:]))
-        return MappingProxyType({
-            u: UserGallery(tuple(map(Template, ss, bs.tolist()))) for u, (ss, bs) in zip(users.tolist(), parts)
-        })
+        views = (UserGallery(tuple(map(Template, ss))) for ss in np.split(self.samples, starts[1:]))
+        return MappingProxyType(dict(zip(users.tolist(), views)))
 
 
 def _int64(values, name: str) -> np.ndarray:
@@ -214,6 +207,7 @@ class Batch:
     samples: tuple[Sample, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "samples", tuple(self.samples))  # a list would stay mutable
         if self.index < 0:
             raise ValueError("batch index must be non-negative")
 

@@ -62,10 +62,13 @@ def run_update_cycle(
 
     Sample ids must be new: a batch that repeats an id, or reuses one the
     gallery already holds, raises ValueError before anything is classified,
-    as does a batch index below 1 (index 0 is the enrollment's).
+    as does a batch index below 1 (index 0 is the enrollment's) or below the
+    gallery's newest row's, whose rows would then sort after the new ones.
     """
     if batch.index < 1:
         raise ValueError(f"batch index {batch.index} < 1: index 0 is the enrollment's")
+    if batch.index < (newest := int(gallery.inserted_at.max())):
+        raise ValueError(f"batch {batch.index} is older than the gallery's newest rows, from batch {newest}")
     probes = np.array(batch.samples, dtype=object)
     ids = np.fromiter((s.id for s in probes), dtype=np.int64, count=len(probes))
     held = gallery.sample_id

@@ -6,7 +6,6 @@ from selfgallery.core import (
     Batch,
     Gallery,
     Sample,
-    Template,
     UserGallery,
     gallery_enroll,
     stack_vectors,
@@ -54,17 +53,28 @@ def test_sample_vector_is_frozen():
         s.vector[0] = 9.0
 
 
-def test_template_origin_batch_consistency():
-    s = make_sample(0, [1.0])
-    assert Template(sample=s).origin == Template(sample=s, inserted_at_batch=0).origin == "enrolled"
-    assert Template(sample=s, inserted_at_batch=2).origin == "self_updated"
+def test_sample_accepts_python_and_numpy_integers():
+    for key in (3, np.int64(3), np.int32(3), np.uint8(3)):
+        s = Sample(id=key, vector=[0.0], true_user=key, session=key)
+        assert s.id == s.true_user == s.session == 3
+    assert Sample(id=0, vector=[0.0], true_user=1).session is None
+
+
+def test_batch_holds_its_samples_as_a_tuple():
+    samples = [make_sample(0, [0.0]), make_sample(1, [1.0])]
+    batch = Batch(index=1, samples=samples)
+    samples.append(make_sample(2, [2.0]))  # the caller's list, edited after the build
+    assert type(batch.samples) is tuple and len(batch) == 2
+    with pytest.raises(AttributeError):
+        batch.samples.append(make_sample(3, [3.0]))
+    kept = (make_sample(4, [4.0]),)
+    assert Batch(index=2, samples=kept).samples is kept
 
 
 def test_enroll_minimal():
     pairs = [(u, make_sample(u, [float(u)], user=u)) for u in (1, 2, 3)]
     g = gallery_enroll(pairs, cap=6)
-    assert set(g.users) == {1, 2, 3}
-    assert all(len(g.users[u].templates) == 1 for u in g.users)
+    assert g.user_ids == [1, 2, 3] and g.owner.tolist() == [1, 2, 3]
 
 
 def test_enroll_rejects_non_positive_cap():
@@ -91,7 +101,7 @@ def test_enroll_many_users():
             sid += 1
     g = gallery_enroll(pairs, cap=6)
     assert g.n_templates == 354
-    assert len(g.users) == 59
+    assert g.user_ids == list(range(1, 60))
 
 
 def test_enroll_rejects_mixed_dims():
@@ -153,12 +163,10 @@ def test_row_accessors_follow_user_then_insertion_order():
         assert column is getattr(g, name) and not column.flags.writeable
         with pytest.raises(ValueError):
             column[0] = column[1]
-    # the stack matching used to build for itself
-    users = g.user_ids
-    counts = [len(g.users[u].templates) for u in users]
-    mat = np.array([t.sample.vector for u in users for t in g.users[u].templates])
-    owners = np.repeat(np.array(users, dtype=np.int64), counts)
-    assert np.array_equal(g.vectors, mat) and np.array_equal(g.owner, owners)
+    # the enrollment's pairs, stably sorted by user
+    by_user = sorted(pairs, key=lambda pair: pair[0])
+    assert np.array_equal(g.vectors, [s.vector for _, s in by_user])
+    assert g.owner.tolist() == [u for u, _ in by_user] and list(g.samples) == [s for _, s in by_user]
 
 
 def test_gallery_users_are_read_only():
@@ -215,8 +223,6 @@ def _rows(*dims, start_id=0):
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: Template(sample=make_sample(0, [0.0]), inserted_at_batch=-3),
-         "inserted_at_batch must be non-negative"),
         (lambda: Gallery(samples=_rows(1, 1), owner=[1, 1], inserted_at=[0, -3]),
          "inserted_at must be non-negative"),
         (lambda: Gallery(samples=_rows(1, 2), owner=[4, 4], inserted_at=[0, 0]),
@@ -243,6 +249,16 @@ def _rows(*dims, start_id=0):
         (lambda: Gallery(samples=_rows(1, 1), owner=[-(2**63) - 1, 1], inserted_at=[0, 0]),
          f"user key {-(2**63) - 1} does not fit in int64"),
         (lambda: Batch(index=-1, samples=()), "batch index must be non-negative"),
+        # a float id would be truncated in a gallery's int64 rows, and a float
+        # session written to a dataset file that load_dataset then refuses
+        (lambda: Sample(id=2.7, vector=[0.0], true_user=1), r"id must be an integer, not 2\.7$"),
+        (lambda: Sample(id=1.0, vector=[0.0], true_user=1), r"id must be an integer, not 1\.0$"),
+        (lambda: Sample(id=np.float64(3.0), vector=[0.0], true_user=1),
+         r"id must be an integer, not (np\.float64\()?3\.0\)?$"),
+        (lambda: Sample(id=0, vector=[0.0], true_user=1.5), r"true_user must be an integer, not 1\.5$"),
+        (lambda: Sample(id=0, vector=[0.0], true_user="1"), "true_user must be an integer, not '1'$"),
+        (lambda: Sample(id=0, vector=[0.0], true_user=1, session=1.5),
+         r"session must be an integer, not 1\.5$"),
     ],
 )
 def test_boundary_checks_raise_their_messages(build, message):
@@ -254,7 +270,7 @@ def test_templates_given_as_a_list_cannot_change_the_gallery():
     samples = _rows(1, 1)
     g = Gallery(samples=samples, owner=[1, 1], inserted_at=[0, 0])
     samples.append(make_sample(9, [0.0, 0.0]))  # after the checks ran
-    assert [t.sample for t in g.users[1].templates] == samples[:2]
+    assert list(g.samples) == samples[:2]
     assert g.n_templates == 2 and g.vectors.shape == (2, 1)
 
 

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from selfgallery import matching
 from selfgallery.core import Batch, gallery_enroll
 from selfgallery.engine import EngineConfig, run_sequence, run_update_cycle
 from selfgallery.matching import ThresholdPolicy, _distances_to_rows
 
-from conftest import gallery_1d, make_sample
+from conftest import gallery_1d, gallery_templates, held_ids, make_sample
 from oracles import reference_sequence, reference_threshold
 
 
@@ -31,9 +32,8 @@ def test_single_insertion_under_cap():
     g, report = run_update_cycle(g0, batch, _cfg("mdist", 2), t_star=0.5)
     assert report.insertions == ((5, 1),)
     assert report.evictions == ()
-    assert [t.sample.id for t in g.users[1].templates] == [0, 5]
-    assert g.users[1].templates[1].origin == "self_updated"
-    assert g.users[1].templates[1].inserted_at_batch == 1
+    assert held_ids(g)[1] == [0, 5]
+    assert g.inserted_at[g.owner == 1].tolist() == [0, 1]  # enrolled, then inserted by batch 1
 
 
 def test_insertion_then_eviction_at_cap_one():
@@ -44,7 +44,7 @@ def test_insertion_then_eviction_at_cap_one():
     g, report = run_update_cycle(g0, batch, _cfg("mdist", 1), t_star=0.5)
     assert report.insertions == ((5, 1),)
     assert report.evictions == ((5, 1),)
-    assert [t.sample.id for t in g.users[1].templates] == [0]
+    assert held_ids(g)[1] == [0]
 
 
 @pytest.mark.parametrize("method", ["kmeans", "mdist", "dend", "keep_all"])
@@ -52,7 +52,7 @@ def test_resubmitted_gallery_sample_is_rejected(method):
     # a second copy of held id 0 would otherwise survive selection next to
     # the first, leaving user 1 with ids [0, 0] at p=1
     g0 = gallery_1d({1: [0.0], 2: [10.0]}, cap=1)
-    batch = Batch(index=1, samples=(g0.users[1].templates[0].sample,))
+    batch = Batch(index=1, samples=(gallery_templates(g0)[1][0],))
     with pytest.raises(ValueError, match="sample id 0"):
         run_update_cycle(g0, batch, _cfg(method, 1), t_star=0.5)
 
@@ -62,6 +62,22 @@ def test_batch_repeating_a_sample_id_is_rejected():
     batch = Batch(index=1, samples=(make_sample(5, [0.1]), make_sample(5, [9.9])))
     with pytest.raises(ValueError, match="sample id 5"):
         run_update_cycle(g0, batch, _cfg("mdist", 1), t_star=0.5)
+
+
+@pytest.mark.parametrize("method", ["kmeans", "mdist", "dend", "keep_all"])
+def test_batch_older_than_the_gallery_is_rejected_before_classifying(method, monkeypatch):
+    g0 = gallery_1d({1: [0.0], 2: [10.0]})
+    g3, _ = run_update_cycle(g0, Batch(index=3, samples=(make_sample(5, [0.1]),)), _cfg(method, 2), 0.5)
+    assert g3.inserted_at.tolist() == [0, 3, 0]
+    # batch 3 again is allowed, as run_sequence allows equal indices
+    g, _ = run_update_cycle(g3, Batch(index=3, samples=(make_sample(6, [9.9]),)), _cfg(method, 3), 0.5)
+    assert held_ids(g) == {1: [0, 5], 2: [1, 6]}
+    classified = []
+    monkeypatch.setattr(matching, "classify_batch", lambda *args: classified.append(args))
+    older = Batch(index=2, samples=(make_sample(7, [0.2]),))
+    with pytest.raises(ValueError, match=r"^batch 2 is older than the gallery's newest rows, from batch 3$"):
+        run_update_cycle(g3, older, _cfg(method, 2), 0.5)
+    assert classified == []
 
 
 @pytest.mark.parametrize("indices", [[2, 1], [1, 3, 2]])
@@ -135,8 +151,7 @@ def test_capped_methods_respect_cap_every_snapshot():
     for method in ("mdist", "dend", "kmeans"):
         _, _, snaps = run_sequence(g0f(2), batches, _cfg(method, 2))
         for snap in snaps:
-            for u in snap.users:
-                assert len(snap.users[u].templates) <= 2
+            assert np.unique(snap.owner, return_counts=True)[1].max() <= 2
             assert snap.user_ids == [1, 2, 3]  # no user ever emptied
 
 
@@ -153,13 +168,13 @@ def test_every_cycle_reconciles(method):
         assert after.n_templates == (
             before.n_templates + len(report.insertions) - len(report.evictions)
         )
-        held = {(t.sample.id, u) for u in before.users for t in before.users[u].templates}
+        held = set(zip(before.sample_id.tolist(), before.owner.tolist()))
         for sid, u in report.evictions:
             assert (sid, u) in held or (sid, u) in report.insertions
-        for u in after.user_ids:
-            assert len(after.users[u].templates) >= 1
-            if method != "keep_all":
-                assert len(after.users[u].templates) <= p
+        users, counts = np.unique(after.owner, return_counts=True)
+        assert users.tolist() == before.user_ids  # no user emptied
+        if method != "keep_all":
+            assert counts.max() <= p
 
 
 def test_report_counts_add_up():
@@ -175,7 +190,7 @@ def test_determinism_bit_identical():
         rng = np.random.default_rng(3)
         g0f, batches = _mode_dataset(rng)
         g, reports, _ = run_sequence(g0f(2), batches, _cfg("kmeans", 2))
-        ids = {u: tuple(t.sample.id for t in g.users[u].templates) for u in g.users}
+        ids = held_ids(g)
         meta = [
             (r.batch_index, r.t_star_used, r.insertions, r.evictions)
             for r in reports
@@ -203,10 +218,8 @@ def test_insertions_and_appended_templates_follow_batch_order(method):
     g, report = run_update_cycle(g0, batch, _cfg(method, 10), t_star=1.0)
     assert report.insertions == ((40, 1), (31, 2), (12, 1), (3, 2), (25, 1))
     assert (report.n_accepted, report.n_rejected) == (5, 2)
-    assert [t.sample.id for t in g.users[1].templates] == [0, 40, 12, 25]
-    assert [t.sample.id for t in g.users[2].templates] == [1, 31, 3]
-    added = g.users[1].templates[1:] + g.users[2].templates[1:]
-    assert all(t.origin == "self_updated" and t.inserted_at_batch == 2 for t in added)
+    assert held_ids(g) == {1: [0, 40, 12, 25], 2: [1, 31, 3]}
+    assert g.inserted_at.tolist() == [0, 2, 2, 2, 0, 2, 2]  # each user's enrolled row, then batch 2's
 
 
 @pytest.mark.parametrize("method", ["kmeans", "mdist", "dend", "keep_all"])
@@ -217,7 +230,7 @@ def test_cycle_gallery_holds_the_callers_samples_and_no_vector_stack(method):
     assert report.n_accepted == 3 and g.sample_id.tolist() != g0.sample_id.tolist()
     held = {s.id: s for s in (*g0.samples, *probes)}
     assert all(s is held[s.id] for s in g.samples)  # the same objects, by reference
-    for value in vars(g).values():  # the stored fields, and the view once read
+    for value in vars(g).values():  # the stored fields
         assert not (isinstance(value, np.ndarray) and value.dtype.kind == "f")
 
 
@@ -273,6 +286,4 @@ def test_run_sequence_equals_the_reference_loop(case):
         assert list(report.insertions) == insertions
         assert list(report.evictions) == evictions
         assert (report.n_accepted, report.n_rejected) == (len(insertions), len(batch) - len(insertions))
-        assert {u: [t.sample.id for t in snap.users[u].templates] for u in snap.user_ids} == {
-            u: [sid for sid, _ in rows] for u, rows in kept.items()
-        }
+        assert held_ids(snap) == {u: [sid for sid, _ in rows] for u, rows in kept.items()}

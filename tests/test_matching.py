@@ -22,7 +22,7 @@ from selfgallery.matching import (
 )
 from selfgallery.metrics import distance_columns
 
-from conftest import gallery_1d, make_sample, screen_gallery
+from conftest import gallery_1d, gallery_templates, make_sample, screen_gallery
 
 
 def test_estimate_threshold_zero_far(abc_gallery):
@@ -112,18 +112,10 @@ def test_zero_far_accepts_no_gallery_cross_pair(abc_gallery):
     # re-running acceptance over the gallery's own cross-user pairs
     # accepts none of them
     t = estimate_threshold(abc_gallery, ThresholdPolicy.zero_far())
+    templates = gallery_templates(abc_gallery)
     for u in abc_gallery.user_ids:
-        others = gallery_enroll(
-            [
-                (v, tpl.sample)
-                for v in abc_gallery.user_ids
-                if v != u
-                for tpl in abc_gallery.users[v].templates
-            ]
-        )
-        probes = Batch(
-            index=1, samples=tuple(t_.sample for t_ in abc_gallery.users[u].templates)
-        )
+        others = gallery_enroll([(v, s) for v in templates if v != u for s in templates[v]])
+        probes = Batch(index=1, samples=tuple(templates[u]))
         assert not any(d.accepted for d in classify_batch(probes, others, t))
 
 

@@ -188,7 +188,7 @@ def test_impostor_fraction_is_bitwise_the_integer_quotients():
                 sid += 1
         g = gallery_enroll(pairs)
         frac, per_user = impostor_fraction(g)
-        wrong = {u: [t.sample.true_user != u for t in g.users[u].templates] for u in g.user_ids}
+        wrong = {u: [s.true_user != u for s in ss] for u, ss in gallery_templates(g).items()}
         assert frac == sum(map(sum, wrong.values())) / len(pairs)
         assert per_user == {u: sum(w) / len(w) for u, w in wrong.items()}
         assert all(type(v) is float for v in (frac, *per_user.values()))
@@ -242,10 +242,7 @@ def test_evaluate_snapshot_matches_naive_reference():
     genuine, impostor = [], []
     for s in test.samples:
         for u in (1, 2):
-            d = min(
-                float(np.abs(s.vector - t.sample.vector)[0])
-                for t in g.users[u].templates
-            )
+            d = min(float(np.abs(s.vector - t.vector)[0]) for t in gallery_templates(g)[u])
             (genuine if u == s.true_user else impostor).append(d)
     assert ev["eer"] == pytest.approx(eer_bruteforce(genuine, impostor), abs=1e-9)
 
@@ -344,7 +341,7 @@ def _score_sets_by_user(test, gallery, metric):
     x = np.stack([s.vector for s in test.samples])
     nearest = {
         u: np.min(
-            [_distances_to_rows(t.sample.vector, x, metric) for t in gallery.users[u].templates],
+            [_distances_to_rows(t.vector, x, metric) for t in gallery_templates(gallery)[u]],
             axis=0,
         )
         for u in gallery.user_ids

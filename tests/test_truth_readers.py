@@ -45,7 +45,7 @@ def test_checker_names_the_definition_around_each_read():
         "    return s.true_user\n"
         "class Policy:\n"
         "    def rank(self):\n"
-        "        return [t.sample.true_user for t in self.templates]\n"
+        "        return [t.sample.true_user for t in self.rows]\n"
         "true_user = 3\n"
     )
     assert truth_reads(source) == [("<module>", 1), ("classify", 3), ("Policy", 6)]
