@@ -21,9 +21,16 @@ types, and the package does not export them.
 many samples each user enrolls with. The cap that selection enforces on
 every update cycle is ``EngineConfig.p``.
 
+A dataset's vectors are one read-only (n, dim) float64 matrix
+(``synthgen.generate`` and ``dataio.load_dataset`` build it), and each
+``Sample.vector`` is a view of its row: ``Sample`` keeps a read-only float64
+array whose owning array is read-only as it is, and copies anything else (a
+list, a row of a writeable matrix) once and freezes the copy, so no later
+write to the source reaches it.
+
 Where inputs are checked. ``Sample`` checks one vector when it is built:
-1-D, non-empty and finite, copied once and frozen; its id, user and
-session must be integers (Python or numpy), id and user within int64.
+1-D, non-empty and finite; its id, user and session must be integers
+(Python or numpy, not bool), id and user within int64.
 ``Batch`` keeps its samples as a tuple. ``stack_vectors`` is the
 one place samples become rows: every (n, dim) stack in the package comes
 from it, and it names the first sample of another dimension. ``Gallery``
@@ -58,18 +65,23 @@ class Sample:
     session: Optional[int] = None
 
     def __post_init__(self):
-        v = np.array(self.vector, dtype=np.float64)  # the one copy, frozen below
+        v = base = self.vector
+        while type(base) is np.ndarray and base.base is not None:  # to the array owning the memory
+            base = base.base
+        if type(base) is not np.ndarray or base.flags.writeable or v.dtype != np.float64:
+            v = np.array(v, dtype=np.float64)  # the one copy, frozen below
+            v.flags.writeable = False
         if v.ndim != 1 or v.size < 1:
             raise ValueError("feature vector must be 1-D with at least one coordinate")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError("feature vector contains non-finite coordinates")
-        v.flags.writeable = False
         object.__setattr__(self, "vector", v)
         # integers only: a float id truncates in a row, a float session is
-        # written to a file that load_dataset refuses
+        # written to a file that load_dataset refuses, and so is a bool
         for name in ("id", "true_user", "session"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) and (name != "session" or value is not None):
+            wrong = isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            if wrong and (name != "session" or value is not None):
                 raise ValueError(f"{name} must be an integer, not {value!r}")
             if name != "session" and not -(2**63) <= value < 2**63:  # Gallery rows hold both as int64
                 raise ValueError(f"{name} {value} does not fit in int64")

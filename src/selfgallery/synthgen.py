@@ -7,7 +7,9 @@ cross-user contamination that diverse selection chases and tight
 selection avoids.
 
 Generation is stream-ordered on a seeded PCG64 generator, so a given
-parameter set always yields the identical dataset.
+parameter set always yields the identical dataset. The dataset's vectors are
+one read-only (n, dim) float64 matrix, and each sample's vector is a view of
+its row.
 """
 
 from __future__ import annotations
@@ -54,11 +56,7 @@ def user_means(params: SynthParams) -> np.ndarray:
     k, d = params.k_users, params.dim
     min_dist = params.separation * params.sigma
     if d >= k:
-        means = np.zeros((k, d))
-        scale = min_dist / np.sqrt(2.0)
-        for i in range(k):
-            means[i, i] = scale
-        return means
+        return np.eye(k, d) * (min_dist / np.sqrt(2.0))
     # smallest feasible cube first: tight packing keeps the modes overlapped,
     # which is the regime the dominating-mode model is about
     for factor in (0.75, 1.0, 1.5, 2.5, 4.0, 8.0):
@@ -82,22 +80,25 @@ def user_means(params: SynthParams) -> np.ndarray:
 
 
 def generate(params: SynthParams) -> list[Sample]:
-    """Labeled samples for all users, user-major, ids sequential from 0."""
+    """Labeled samples for all users, user-major, ids sequential from 0.
+
+    Every vector is a row view of one read-only (n, dim) matrix, so the
+    samples share one buffer. Each sample draws from the stream in turn (a
+    uniform, a tail sample's other user, then its standard normal row);
+    spread and centre are applied to the whole matrix after the loop.
+    """
     means = user_means(params)
     rng = np.random.default_rng(np.random.SeedSequence([params.seed, 1]))
-    samples: list[Sample] = []
-    sid = 0
-    for user in range(1, params.k_users + 1):
-        own_mean = means[user - 1]
-        others = [u for u in range(params.k_users) if u != user - 1]
-        for _ in range(params.samples_per_user):
-            if rng.random() < params.tail_eps:
-                center = means[others[rng.integers(len(others))]]
-                spread = 3.0 * params.sigma
-            else:
-                center = own_mean
-                spread = params.sigma
-            vec = center + spread * rng.standard_normal(params.dim)
-            samples.append(Sample(id=sid, vector=vec, true_user=user))
-            sid += 1
-    return samples
+    k, n = params.k_users, params.samples_per_user
+    vectors = np.empty((k * n, params.dim))
+    owner = np.repeat(np.arange(k), n)
+    centre = owner.copy()  # each row's mean: its user's, or a tail row's other user's
+    for row, own in enumerate(owner.tolist()):
+        if rng.random() < params.tail_eps:
+            other = rng.integers(k - 1)  # among the other users, in order
+            centre[row] = other + (other >= own)
+        rng.standard_normal(out=vectors[row])
+    vectors *= np.where(centre != owner, 3.0 * params.sigma, params.sigma)[:, None]
+    vectors += means[centre]
+    vectors.flags.writeable = False
+    return [Sample(id=i, vector=v, true_user=i // n + 1) for i, v in enumerate(vectors)]

@@ -3,7 +3,8 @@
 The subset references deliberately share no code with ``selfgallery.selection``,
 and the K-Means reference none with ``selfgallery.clustering``'s screen.
 ``reference_sequence`` is the whole self-update loop as a plain loop over these
-references and the row kernel ``_distances_to_rows``.
+references and the row kernel ``_distances_to_rows``. ``reference_generate`` is
+the synthetic generator as a plain loop that gives each sample its own vector.
 """
 
 from itertools import combinations
@@ -15,6 +16,7 @@ import numpy as np
 from selfgallery.clustering import MAX_ITER, REL_TOL, USER_MEANS, Clustering, KMeansParams
 from selfgallery.core import Sample
 from selfgallery.matching import _distances_to_rows
+from selfgallery.synthgen import user_means
 
 MIN_SUM = "min_sum_pairwise_sq"
 MAX_SUM = "max_sum_pairwise_sq"
@@ -215,3 +217,21 @@ def reference_sequence(gallery, batches, method, p, metric, policy):
         cycles.append((t_star, insertions, evictions, gallery))
         t_star = reference_threshold(gallery, metric, policy)
     return cycles
+
+
+def reference_generate(params) -> list[Sample]:
+    """``synthgen.generate`` one sample at a time: a uniform, a tail sample's
+    other user, then its own standard normal vector, centred and spread."""
+    means = user_means(params)
+    rng = np.random.default_rng(np.random.SeedSequence([params.seed, 1]))
+    samples = []
+    for user in range(1, params.k_users + 1):
+        others = [u for u in range(params.k_users) if u != user - 1]
+        for _ in range(params.samples_per_user):
+            if rng.random() < params.tail_eps:
+                center, spread = means[others[rng.integers(len(others))]], 3.0 * params.sigma
+            else:
+                center, spread = means[user - 1], params.sigma
+            vec = center + spread * rng.standard_normal(params.dim)
+            samples.append(Sample(id=len(samples), vector=vec, true_user=user))
+    return samples

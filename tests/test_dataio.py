@@ -87,6 +87,35 @@ def test_load_rejects_nan_with_line(tmp_path):
             load_dataset(path)
 
 
+def test_loaded_vectors_are_rows_of_one_read_only_matrix(tmp_path):
+    path = tmp_path / "ds.csv"
+    write_dataset(generate(SynthParams(k_users=3, dim=4, samples_per_user=5, seed=2)), path)
+    ds = load_dataset(path)
+    base = ds[0].vector.base
+    assert isinstance(base, np.ndarray) and base.shape == (15, 4) and not base.flags.writeable
+    assert all(s.vector.base is base and not s.vector.flags.writeable for s in ds)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_load_names_the_first_failing_line_across_parse_and_vector_errors(tmp_path, cell):
+    # a non-finite line 5 before a ragged line 7: the vector check runs after
+    # the parse, and still the earlier line is the one named
+    path = tmp_path / "ds.csv"
+    path.write_text(
+        "user_id,sample_id,session,f_0,f_1\n"
+        f"1,0,,0.5,1.0\n1,1,,0.6,1.1\n2,2,,5.0,5.1\n2,3,,5.2,{cell}\n2,4,,5.3,5.4\n2,5,,5.5\n"
+    )
+    with pytest.raises(ValueError) as info:
+        load_dataset(path)
+    assert str(info.value) == f"{path}:5: feature vector contains non-finite coordinates"
+    path.write_text(
+        "user_id,sample_id,session,f_0,f_1\n"
+        "1,0,,0.5,1.0\n1,1,,0.6,1.1\n2,2,,5.0,5.1\n2,3,,5.2\n2,4,,5.3,5.4\n2,5,,5.5,nan\n"
+    )
+    with pytest.raises(ValueError, match=r"ds\.csv:5: ragged row \(4 columns\)$"):
+        load_dataset(path)
+
+
 def test_load_rejects_non_integer_id_with_line(tmp_path):
     path = tmp_path / "ds.csv"
     path.write_text("user_id,sample_id,session,f_0\n1,0,,0.5\n1,x,,0.2\n")

@@ -4,6 +4,8 @@ import pytest
 from selfgallery import synthgen
 from selfgallery.synthgen import SynthParams, generate, user_means
 
+from oracles import reference_generate
+
 
 def test_determinism_same_seed():
     params = SynthParams(k_users=4, dim=3, tail_eps=0.2, samples_per_user=20, seed=9)
@@ -89,3 +91,35 @@ def test_boundary_checks_raise_their_messages(monkeypatch, call, message):
     monkeypatch.setattr(synthgen, "_PLACEMENT_ATTEMPTS", 0)
     with pytest.raises(ValueError, match=message):
         call()
+
+
+# the three benchmark workloads' parameter sets (online_wide at seed 1), more
+# users than dimensions (rejection-sampled means), no tail, a heavy tail, and
+# one sample per user
+LAYOUT_PARAMS = [
+    SynthParams(k_users=20, dim=16, sigma=1.0, separation=6.0, tail_eps=0.15, samples_per_user=42, seed=7),
+    SynthParams(k_users=20, dim=64, sigma=1.0, separation=8.0, tail_eps=0.1, samples_per_user=42, seed=3),
+    SynthParams(k_users=100, dim=128, sigma=1.0, separation=8.0, tail_eps=0.1, samples_per_user=72, seed=1),
+    SynthParams(k_users=9, dim=3, sigma=0.5, separation=4.0, tail_eps=0.2, samples_per_user=6, seed=4),
+    SynthParams(k_users=5, dim=4, tail_eps=0.0, samples_per_user=7, seed=5),
+    SynthParams(k_users=5, dim=4, sigma=2.0, tail_eps=0.5, samples_per_user=30, seed=6),
+    SynthParams(k_users=6, dim=2, tail_eps=0.3, samples_per_user=1, seed=8),
+]
+
+
+@pytest.mark.parametrize("params", LAYOUT_PARAMS)
+def test_generate_matches_the_per_sample_reference_byte_for_byte(params):
+    got, ref = generate(params), reference_generate(params)
+    assert [(s.id, s.true_user, s.session) for s in got] == [(s.id, s.true_user, s.session) for s in ref]
+    assert [s.vector.tobytes() for s in got] == [s.vector.tobytes() for s in ref]
+
+
+@pytest.mark.parametrize("params", LAYOUT_PARAMS[::3])
+def test_generated_vectors_are_rows_of_one_read_only_matrix(params):
+    samples = generate(params)
+    base = samples[0].vector.base
+    assert isinstance(base, np.ndarray) and base.shape == (len(samples), params.dim)
+    assert not base.flags.writeable and base.flags.c_contiguous
+    for row, s in enumerate(samples):
+        assert s.vector.base is base and not s.vector.flags.writeable
+        assert np.shares_memory(s.vector, base[row])
