@@ -21,16 +21,11 @@ types, and the package does not export them.
 many samples each user enrolls with. The cap that selection enforces on
 every update cycle is ``EngineConfig.p``.
 
-A dataset's vectors are one read-only (n, dim) float64 matrix
-(``synthgen.generate`` and ``dataio.load_dataset`` build it), and each
-``Sample.vector`` is a view of its row: ``Sample`` keeps a read-only float64
-array whose owning array is read-only as it is, and copies anything else (a
-list, a row of a writeable matrix) once and freezes the copy, so no later
-write to the source reaches it.
-
 Where inputs are checked. ``Sample`` checks one vector when it is built:
-1-D, non-empty and finite; its id, user and session must be integers
-(Python or numpy, not bool), id and user within int64.
+1-D, non-empty and finite, copied once and frozen, so no later write to the
+source (a list, a row of a dataset's matrix) reaches it; its id, user and
+session must be integers (Python or numpy, not bool), id and user within
+int64.
 ``Batch`` keeps its samples as a tuple. ``stack_vectors`` is the
 one place samples become rows: every (n, dim) stack in the package comes
 from it, and it names the first sample of another dimension. ``Gallery``
@@ -65,16 +60,12 @@ class Sample:
     session: Optional[int] = None
 
     def __post_init__(self):
-        v = base = self.vector
-        while type(base) is np.ndarray and base.base is not None:  # to the array owning the memory
-            base = base.base
-        if type(base) is not np.ndarray or base.flags.writeable or v.dtype != np.float64:
-            v = np.array(v, dtype=np.float64)  # the one copy, frozen below
-            v.flags.writeable = False
+        v = np.array(self.vector, dtype=np.float64)  # the one copy, frozen below
         if v.ndim != 1 or v.size < 1:
             raise ValueError("feature vector must be 1-D with at least one coordinate")
-        if not np.isfinite(v).all():
+        if not np.all(np.isfinite(v)):
             raise ValueError("feature vector contains non-finite coordinates")
+        v.flags.writeable = False
         object.__setattr__(self, "vector", v)
         # integers only: a float id truncates in a row, a float session is
         # written to a file that load_dataset refuses, and so is a bool

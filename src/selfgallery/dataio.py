@@ -6,15 +6,13 @@ be empty.
 
 Where inputs are checked, each once. ``load_dataset`` checks the file: its
 header, each row's column count (so one dimension), integer ids and
-sessions, unique sample ids, at least one sample and two users. It parses
-the feature columns into one read-only (n, dim) float64 matrix, and each
-sample's vector is a row view of it, so ``Sample`` keeps the row without a
-copy. Each feature vector is checked (finite, nan and inf alike) where
-``Sample`` is built, and the loader reports that error, as every row's, as
-``path:line: ...``, naming the first failing line. ``write_dataset``
-refuses a set of fewer than two users and a repeated sample id, and stacks
-its rows through ``core.stack_vectors``, so a set of mixed dimensions
-fails, naming its first such sample; all before the file is opened.
+sessions, unique sample ids, at least one sample and two users. Each
+feature vector is checked (finite, nan and inf alike) where ``Sample`` is
+built, and the loader reports that error, as every row's, as
+``path:line: ...``. ``write_dataset`` refuses a set of fewer than two
+users and a repeated sample id, and stacks its rows through
+``core.stack_vectors``, so a set of mixed dimensions fails, naming its first
+such sample; all before the file is opened.
 """
 
 from __future__ import annotations
@@ -38,14 +36,8 @@ class Split:
 
 
 def load_dataset(path) -> list[Sample]:
-    """Parse a feature CSV into samples; errors carry the offending line.
-
-    The rows are parsed up to the first line that fails, into one read-only
-    (n, dim) matrix whose rows the samples view; the samples are then built
-    in file order, so a vector error on an earlier line is the one reported.
-    """
-    rows: list[tuple] = []  # (line, id, user, session, feature row)
-    failure = None
+    """Parse a feature CSV into samples; errors carry the offending line."""
+    samples: list[Sample] = []
     seen_ids: set[int] = set()
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -65,22 +57,12 @@ def load_dataset(path) -> list[Sample]:
                     raise ValueError(f"duplicate sample_id {sid}")
                 seen_ids.add(sid)
                 session = int(row[2]) if row[2] != "" else None
-                values = np.array([float(v) for v in row[3:]])  # 8 bytes a value until stacked
-                rows.append((lineno, sid, user, session, values))
+                values = [float(v) for v in row[3:]]
+                samples.append(
+                    Sample(id=sid, vector=values, true_user=user, session=session)
+                )
             except ValueError as e:
-                failure = lineno, e
-                break
-    vectors = np.array([r[-1] for r in rows], dtype=np.float64)  # owns its memory, unlike a reshape
-    vectors.flags.writeable = False
-    samples: list[Sample] = []
-    for (lineno, sid, user, session, _), vector in zip(rows, vectors):
-        try:
-            samples.append(Sample(id=sid, vector=vector, true_user=user, session=session))
-        except ValueError as e:
-            raise ValueError(f"{path}:{lineno}: {e}") from e
-    if failure is not None:
-        lineno, e = failure
-        raise ValueError(f"{path}:{lineno}: {e}") from e
+                raise ValueError(f"{path}:{lineno}: {e}") from e
     if not samples:
         raise ValueError(f"{path}: empty dataset")
     if len({s.true_user for s in samples}) < 2:

@@ -7,9 +7,8 @@ cross-user contamination that diverse selection chases and tight
 selection avoids.
 
 Generation is stream-ordered on a seeded PCG64 generator, so a given
-parameter set always yields the identical dataset. The dataset's vectors are
-one read-only (n, dim) float64 matrix, and each sample's vector is a view of
-its row.
+parameter set always yields the identical dataset. The vectors are drawn
+into one (n, dim) matrix, and each sample copies its row.
 """
 
 from __future__ import annotations
@@ -82,10 +81,10 @@ def user_means(params: SynthParams) -> np.ndarray:
 def generate(params: SynthParams) -> list[Sample]:
     """Labeled samples for all users, user-major, ids sequential from 0.
 
-    Every vector is a row view of one read-only (n, dim) matrix, so the
-    samples share one buffer. Each sample draws from the stream in turn (a
-    uniform, a tail sample's other user, then its standard normal row);
-    spread and centre are applied to the whole matrix after the loop.
+    Each sample draws from the stream in turn (a uniform, a tail sample's
+    other user, then its standard normal row) into one (n, dim) matrix;
+    spread and centre are applied to the whole matrix after the loop, and
+    each ``Sample`` copies its row.
     """
     means = user_means(params)
     rng = np.random.default_rng(np.random.SeedSequence([params.seed, 1]))
@@ -99,6 +98,7 @@ def generate(params: SynthParams) -> list[Sample]:
             centre[row] = other + (other >= own)
         rng.standard_normal(out=vectors[row])
     vectors *= np.where(centre != owner, 3.0 * params.sigma, params.sigma)[:, None]
+    # a dataset-sized gather; freeing it and the matrix raises glibc's mmap
+    # threshold, which online_wide's timing depends on (ROADMAP Standing notes)
     vectors += means[centre]
-    vectors.flags.writeable = False
     return [Sample(id=i, vector=v, true_user=i // n + 1) for i, v in enumerate(vectors)]

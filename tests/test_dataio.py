@@ -87,19 +87,10 @@ def test_load_rejects_nan_with_line(tmp_path):
             load_dataset(path)
 
 
-def test_loaded_vectors_are_rows_of_one_read_only_matrix(tmp_path):
-    path = tmp_path / "ds.csv"
-    write_dataset(generate(SynthParams(k_users=3, dim=4, samples_per_user=5, seed=2)), path)
-    ds = load_dataset(path)
-    base = ds[0].vector.base
-    assert isinstance(base, np.ndarray) and base.shape == (15, 4) and not base.flags.writeable
-    assert all(s.vector.base is base and not s.vector.flags.writeable for s in ds)
-
-
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
 def test_load_names_the_first_failing_line_across_parse_and_vector_errors(tmp_path, cell):
-    # a non-finite line 5 before a ragged line 7: the vector check runs after
-    # the parse, and still the earlier line is the one named
+    # a non-finite line 5 before a ragged line 7, and a ragged line 5 before
+    # a nan line 7: the earlier line is the one named, with its own message
     path = tmp_path / "ds.csv"
     path.write_text(
         "user_id,sample_id,session,f_0,f_1\n"

@@ -112,14 +112,3 @@ def test_generate_matches_the_per_sample_reference_byte_for_byte(params):
     got, ref = generate(params), reference_generate(params)
     assert [(s.id, s.true_user, s.session) for s in got] == [(s.id, s.true_user, s.session) for s in ref]
     assert [s.vector.tobytes() for s in got] == [s.vector.tobytes() for s in ref]
-
-
-@pytest.mark.parametrize("params", LAYOUT_PARAMS[::3])
-def test_generated_vectors_are_rows_of_one_read_only_matrix(params):
-    samples = generate(params)
-    base = samples[0].vector.base
-    assert isinstance(base, np.ndarray) and base.shape == (len(samples), params.dim)
-    assert not base.flags.writeable and base.flags.c_contiguous
-    for row, s in enumerate(samples):
-        assert s.vector.base is base and not s.vector.flags.writeable
-        assert np.shares_memory(s.vector, base[row])
