@@ -9,10 +9,10 @@ read, for score sets and scatter files, and the gallery's, for the impostor
 fraction. The update path (matching, selection, the engine) never does.
 
 A ``Gallery`` is rows over its samples: the held ``Sample`` objects by
-reference, and int64 ``owner`` and ``inserted_at`` columns. Only this module
-knows that layout; every other module reads the row accessors (``samples``,
-``owner``, ``inserted_at``, ``vectors``, ``sample_id``, ``true_user``,
-``user_ids``). ``Gallery.users`` is a per-user view of the same rows,
+reference, and int64 ``owner`` and ``inserted_at`` columns, sorted by
+owner, then sample id: its one row order. Only this module knows that
+layout; every other module reads the row accessors (``samples``, ``owner``,
+``inserted_at``, ``vectors``, ``sample_id``, ``true_user``, ``user_ids``). ``Gallery.users`` is a per-user view of the same rows,
 built once per gallery and kept only for the benchmark's checks, which
 read it; ``Template`` (one held sample) and ``UserGallery`` are its element
 types, and the package does not export them.
@@ -25,16 +25,18 @@ Where inputs are checked. ``Sample`` checks one vector when it is built:
 1-D, non-empty and finite, copied once and frozen, so no later write to the
 source (a list, a row of a dataset's matrix) reaches it; its id, user and
 session must be integers (Python or numpy, not bool), id and user within
-int64.
-``Batch`` keeps its samples as a tuple. ``stack_vectors`` is the
-one place samples become rows: every (n, dim) stack in the package comes
-from it, and it names the first sample of another dimension. ``Gallery``
-is the one place a gallery's invariants are checked, all in one pass over
-its rows: at least one row, one entry per row in each column, every key in
-int64, batches non-negative, rows grouped by ascending owner in insertion
-order, one dimension (naming the first row of another), and each sample id
-held once. ``gallery_enroll`` only groups the (user, sample) pairs and
-checks ``cap``.
+int64. ``check_integer`` is that one integer check, shared by every key,
+batch index and size in the package.
+``Batch`` keeps its samples as a tuple and an integer index. ``stack_vectors``
+is the one place samples become rows: every (n, dim) stack in the package
+comes from it, and it names the first sample of another dimension.
+``Gallery`` is the one place a gallery's invariants are checked, all in one
+pass over its rows: at least one row, one entry per row in each column,
+every key and batch an integer in int64 (an integer array that int64
+holds passes on its dtype alone), batches non-negative, one dimension (naming the first row of
+another), each sample id held once, and then the rows sorted by owner and
+sample id. ``gallery_enroll`` takes the (user, sample) pairs in any order,
+sorts them once by (user, sample id) and checks ``cap``.
 """
 
 from __future__ import annotations
@@ -69,19 +71,24 @@ class Sample:
         object.__setattr__(self, "vector", v)
         # integers only: a float id truncates in a row, a float session is
         # written to a file that load_dataset refuses, and so is a bool
-        for name in ("id", "true_user", "session"):
-            value = getattr(self, name)
-            wrong = isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            if wrong and (name != "session" or value is not None):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
-            if name != "session" and not -(2**63) <= value < 2**63:  # Gallery rows hold both as int64
+        for name in ("id", "true_user"):  # Gallery rows hold both as int64
+            if not -(2**63) <= (value := check_integer(getattr(self, name), name)) < 2**63:
                 raise ValueError(f"{name} {value} does not fit in int64")
-        if self.session is not None and self.session < 0:
+        if self.session is not None and check_integer(self.session, "session") < 0:
             raise ValueError("session must be non-negative")
 
     @property
     def dim(self) -> int:
         return self.vector.shape[0]
+
+
+def check_integer(value, name: str):
+    """``value`` if it is an integer (Python or numpy, not bool), else a
+    ValueError naming ``name`` and the value: the one integer check of the
+    package's keys, indices and sizes."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return value
 
 
 def stack_vectors(samples: Sequence[Sample], dim: Optional[int] = None) -> np.ndarray:
@@ -112,7 +119,7 @@ class Template:
 
 @dataclass(frozen=True)
 class UserGallery:
-    """One user's entries of ``Gallery.users``, in insertion order."""
+    """One user's entries of ``Gallery.users``, in sample-id order."""
 
     templates: tuple[Template, ...]
 
@@ -122,11 +129,12 @@ class Gallery:
     """Every user's templates as rows: row i holds ``samples[i]`` for user
     ``owner[i]`` since batch ``inserted_at[i]`` (0 for enrollment).
 
-    Rows are grouped by ascending owner, in insertion order within an
-    owner, so each user's rows are contiguous; a user is enrolled by its
-    rows and never loses its last one. All three columns are read-only
-    copies (``samples`` holds the caller's ``Sample`` objects by reference,
-    no stacked vectors), so nothing changes a gallery after its checks ran.
+    Rows are sorted by owner, then sample id, the order selection reads, so
+    each user's rows are contiguous; a row's batch does not order it. A user
+    is enrolled by its rows and never loses its last one. All three columns
+    are read-only copies (``samples`` holds the caller's ``Sample`` objects
+    by reference, no stacked vectors), so nothing changes a gallery after
+    its checks ran.
     """
 
     samples: np.ndarray
@@ -145,9 +153,6 @@ class Gallery:
             raise ValueError("samples, owner and inserted_at must hold one entry per row")
         if inserted_at.min() < 0:
             raise ValueError("inserted_at must be non-negative")
-        later = inserted_at[1:] < inserted_at[:-1]  # compared, not subtracted: no overflow
-        if np.any((owner[1:] < owner[:-1]) | ((owner[1:] == owner[:-1]) & later)):
-            raise ValueError("rows must be grouped by ascending owner, in insertion order")
         dims = np.fromiter((s.vector.shape[0] for s in rows), dtype=np.intp, count=len(rows))
         if np.any(dims != dims[0]):  # the first row of another dimension
             raise _dim_mismatch(rows[np.argmax(dims != dims[0])], dims[0])
@@ -156,6 +161,9 @@ class Gallery:
         again = by_id[1:][ids[by_id[1:]] == ids[by_id[:-1]]]  # every later row of a held id
         if len(again):  # a cycle could keep more than p, or t* read 0
             raise ValueError(f"sample id {ids[again.min()]} is held more than once")
+        # compared, not subtracted: no overflow; ids are distinct by now
+        if np.any((owner[1:] < owner[:-1]) | ((owner[1:] == owner[:-1]) & (ids[1:] < ids[:-1]))):
+            raise ValueError("rows must be grouped by ascending owner, in sample-id order")
 
     @property
     def dim(self) -> int:
@@ -194,7 +202,13 @@ class Gallery:
 
 
 def _int64(values, name: str) -> np.ndarray:
-    """A copy of ``values`` as int64, naming the first that does not fit."""
+    """A copy of ``values`` as int64. An integer array that int64 holds passes
+    on its dtype alone; any other values must each be an integer in int64,
+    and the first that is not is named."""
+    integer_array = isinstance(values, np.ndarray) and values.dtype.kind in "iu"
+    if integer_array and np.can_cast(values.dtype, np.int64):  # a uint64 array would wrap
+        return values.astype(np.int64)
+    values = [check_integer(v, name) for v in values]
     try:
         return np.array(values, dtype=np.int64)
     except OverflowError:
@@ -211,7 +225,7 @@ class Batch:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", tuple(self.samples))  # a list would stay mutable
-        if self.index < 0:
+        if check_integer(self.index, "batch index") < 0:
             raise ValueError("batch index must be non-negative")
 
     def __len__(self) -> int:
@@ -221,21 +235,19 @@ class Batch:
 def gallery_enroll(
     dataset_slice: Iterable[tuple[int, Sample]], cap: Optional[int] = None
 ) -> Gallery:
-    """Build the initial supervised gallery from (user, sample) pairs.
+    """Build the initial supervised gallery from (user, sample) pairs, given
+    in any order: one sort by (user, sample id) gives the rows.
 
     Each user enrolls at most ``cap`` samples when ``cap`` is given; every
     other check is ``Gallery``'s.
     """
-    if cap is not None and cap < 1:
+    if cap is not None and check_integer(cap, "cap") < 1:
         raise ValueError("cap must be positive")
-    by_user: dict[int, list[Sample]] = {}
-    for user, sample in dataset_slice:
-        by_user.setdefault(user, []).append(sample)
-    if cap is not None:
-        over = sorted(u for u, ss in by_user.items() if len(ss) > cap)
-        if over:
-            raise ValueError(f"users {over} enroll more than cap={cap} samples")
-    rows = [(u, s) for u in sorted(by_user) for s in by_user[u]]
-    return Gallery(
-        samples=[s for _, s in rows], owner=[u for u, _ in rows], inserted_at=[0] * len(rows)
-    )
+    pairs = list(dataset_slice)
+    owner = _int64([u for u, _ in pairs], "user key")
+    users, counts = np.unique(owner, return_counts=True)
+    if cap is not None and np.any(counts > cap):
+        raise ValueError(f"users {users[counts > cap].tolist()} enroll more than cap={cap} samples")
+    samples = np.array([s for _, s in pairs], dtype=object)
+    rows = np.lexsort((np.fromiter((s.id for s in samples), np.int64, len(samples)), owner))
+    return Gallery(samples=samples[rows], owner=owner[rows], inserted_at=np.zeros(len(rows), np.int64))

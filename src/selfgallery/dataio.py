@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Batch, Sample, stack_vectors
+from .core import Batch, Sample, check_integer, stack_vectors
 
 log = logging.getLogger(__name__)
 
@@ -108,9 +108,9 @@ def split_batches(
     user with fewer than n_batches*p samples is an error; in relaxed
     mode such users are dropped with a log line.
     """
-    if n_batches < 3:
+    if check_integer(n_batches, "n_batches") < 3:
         raise ValueError("need at least 3 batches (enroll, adaptation, test)")
-    if p < 1:
+    if check_integer(p, "p") < 1:
         raise ValueError("p must be positive")
     need = n_batches * p
     by_user: dict[int, list[Sample]] = {}

@@ -5,12 +5,11 @@ runs once after all insertions; t* is re-estimated from the
 post-selection gallery before the next batch.
 
 A cycle works on rows, never on per-user containers: the candidates are
-the gallery's columns concatenated with the accepted probes' (each user's
-rows, then its accepted probes in batch order), one lexsort by (owner,
-sample id) hands selection each user's candidates in id order, and the
-kept positions become one keep mask. A stable sort by owner of the
-candidates gives the next gallery's rows and the evictions in insertion
-order within each user.
+the gallery's columns concatenated with the accepted probes', and one
+lexsort by (owner, sample id) orders them once. That order hands selection
+each user's candidates in id order, and the keep mask over it gives the
+next gallery's rows and the evictions in the same order, which is the
+order a ``Gallery`` holds its rows in.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matching, selection
-from .core import Batch, Gallery
+from .core import Batch, Gallery, check_integer
 from .matching import DEFAULT_POLICY, EUCLIDEAN, ThresholdPolicy
 
 
@@ -35,7 +34,7 @@ class EngineConfig:
     def __post_init__(self):
         if self.method not in selection.METHODS:
             raise ValueError(f"unknown selection method: {self.method!r}")
-        if self.p < 1:
+        if check_integer(self.p, "p") < 1:
             raise ValueError("p must be positive")
         matching._known(self.metric)
 
@@ -45,8 +44,8 @@ class UpdateCycleReport:
     batch_index: int
     t_star_used: float
     n_rejected: int
-    insertions: tuple[tuple[int, int], ...]  # (sample_id, pseudo_label)
-    evictions: tuple[tuple[int, int], ...]  # (sample_id, user)
+    insertions: tuple[tuple[int, int], ...]  # (sample_id, pseudo_label), in batch order
+    evictions: tuple[tuple[int, int], ...]  # (sample_id, user), users ascending, each in id order
     elapsed_classify_s: float
     elapsed_select_s: float
 
@@ -63,7 +62,8 @@ def run_update_cycle(
     Sample ids must be new: a batch that repeats an id, or reuses one the
     gallery already holds, raises ValueError before anything is classified,
     as does a batch index below 1 (index 0 is the enrollment's) or below the
-    gallery's newest row's, whose rows would then sort after the new ones.
+    gallery's newest row's: batches arrive in time order, so no row of a
+    gallery can come from a batch later than the one being absorbed.
     """
     if batch.index < 1:
         raise ValueError(f"batch index {batch.index} < 1: index 0 is the enrollment's")
@@ -89,17 +89,16 @@ def run_update_cycle(
     samples = np.concatenate((gallery.samples, probes[accepted]))
     owner = np.concatenate((gallery.owner, labels))
     sample_id = np.concatenate((held, ids[accepted]))
-    inserted_at = np.concatenate((gallery.inserted_at, np.full(len(accepted), batch.index)))
-    by_id = np.lexsort((sample_id, owner))  # each user's candidates in id order
+    inserted_at = np.concatenate((gallery.inserted_at, np.full(len(accepted), batch.index, np.int64)))
+    by_id = np.lexsort((sample_id, owner))  # selection's order and the next gallery's
 
     t0 = time.perf_counter()
     chosen = selection.select(cfg.method, samples[by_id], owner[by_id], cfg.p)
     elapsed_select = time.perf_counter() - t0
 
-    keep = np.zeros(len(samples), dtype=bool)
-    keep[by_id[chosen]] = True
-    rows = np.argsort(owner, kind="stable")  # users ascending, each in insertion order
-    kept, evicted = rows[keep[rows]], rows[~keep[rows]]
+    keep = np.zeros(len(by_id), dtype=bool)
+    keep[chosen] = True
+    kept, evicted = by_id[keep], by_id[~keep]
     new_gallery = Gallery(samples=samples[kept], owner=owner[kept], inserted_at=inserted_at[kept])
 
     report = UpdateCycleReport(

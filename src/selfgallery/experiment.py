@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from . import matching, selection
-from .core import gallery_enroll
+from .core import check_integer, gallery_enroll
 from .dataio import Split, load_dataset, split_batches
 from .engine import EngineConfig, run_sequence
 from .matching import DEFAULT_POLICY, EUCLIDEAN, ThresholdPolicy
@@ -58,12 +58,12 @@ class ExperimentConfig:
     write_scatter: bool = True
 
     def __post_init__(self):
-        if self.p < 1:
+        if check_integer(self.p, "p") < 1:
             raise ValueError("p must be positive")
         matching._known(self.metric)
-        if self.n_batches < 3:
+        if check_integer(self.n_batches, "n_batches") < 3:
             raise ValueError("n_batches must be >= 3")
-        if self.runs < 1:
+        if check_integer(self.runs, "runs") < 1:
             raise ValueError("runs must be >= 1")
         for m in self.methods:
             if m not in selection.METHODS:

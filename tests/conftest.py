@@ -61,12 +61,12 @@ def scatter_reference(probes, templates, metric=EUCLIDEAN):
 
 
 def gallery_templates(gallery):
-    """{user: [sample, ...]} of the gallery's rows, in insertion order."""
+    """{user: [sample, ...]} of the gallery's rows, in sample-id order."""
     return {u: list(gallery.samples[gallery.owner == u]) for u in gallery.user_ids}
 
 
 def held_ids(gallery):
-    """{user: [sample id, ...]} of the gallery's rows, in insertion order."""
+    """{user: [sample id, ...]} of the gallery's rows, ascending."""
     return {u: [s.id for s in ss] for u, ss in gallery_templates(gallery).items()}
 
 

@@ -135,7 +135,7 @@ def dominant_cluster_for_user(
 
 def _stacked(gallery):
     """A {user: [(sample id, vector), ...]} gallery's rows, users ascending,
-    each user's rows in insertion order: the vectors and each row's owner."""
+    each user's rows in the order given: the vectors and each row's owner."""
     users = sorted(gallery)
     mat = np.array([v for u in users for _, v in gallery[u]])
     return mat, np.array([u for u in users for _ in gallery[u]])
@@ -184,18 +184,20 @@ def _reference_kept(method, candidates, p):
 def reference_sequence(gallery, batches, method, p, metric, policy):
     """The classification-selection loop, one plain step at a time.
 
-    ``gallery`` maps each user to its (sample id, vector) rows in insertion
+    ``gallery`` maps each user to its (sample id, vector) rows, in any
     order, and each batch is a list of (sample id, vector). Each probe is
     scored against every pre-cycle row and takes the first nearest row on
     ties; it is accepted iff its distance is < t*. Each user's candidates
-    are its rows, then its accepted probes in batch order; MDIST/DEND try
-    every subset of the id-sorted candidates through ``subset_objective``
-    on an exact squared matrix, and K-Means keeps the p candidates nearest
-    the dominant centroid of ``masked_mean_kmeans``, id order on ties. t* is
-    estimated again after every cycle.
+    are its rows and its accepted probes, sorted by sample id; MDIST/DEND
+    try every subset of them through ``subset_objective`` on an exact
+    squared matrix, and K-Means keeps the p candidates nearest the dominant
+    centroid of ``masked_mean_kmeans``, id order on ties. t* is estimated
+    again after every cycle.
 
-    Returns, per cycle, the t* used, the insertions (sample id, label), the
-    evictions (sample id, user) and the gallery after it, in the input form.
+    Returns, per cycle, the t* used, the insertions (sample id, label) in
+    batch order, the evictions (sample id, user) and the gallery after it,
+    in the input form; users ascend, and each user's evictions and kept rows
+    are in sample-id order.
     """
     cycles = []
     t_star = reference_threshold(gallery, metric, policy)
@@ -211,9 +213,9 @@ def reference_sequence(gallery, batches, method, p, metric, policy):
                 candidates[label].append((sid, v))
                 insertions.append((sid, label))
         kept = _reference_kept(method, candidates, p)
-        users = sorted(candidates)
-        evictions = [(sid, u) for u in users for sid, _ in candidates[u] if sid not in kept]
-        gallery = {u: [r for r in candidates[u] if r[0] in kept] for u in users}
+        by_id = {u: sorted(candidates[u], key=lambda r: r[0]) for u in sorted(candidates)}
+        evictions = [(sid, u) for u, rows in by_id.items() for sid, _ in rows if sid not in kept]
+        gallery = {u: [r for r in rows if r[0] in kept] for u, rows in by_id.items()}
         cycles.append((t_star, insertions, evictions, gallery))
         t_star = reference_threshold(gallery, metric, policy)
     return cycles

@@ -1,9 +1,11 @@
 import csv
 
+import numpy as np
 import pytest
 
 from selfgallery.cli import main, parse_synth, parse_threshold
-from selfgallery.dataio import load_dataset
+from selfgallery.core import Sample
+from selfgallery.dataio import load_dataset, write_dataset
 from selfgallery.matching import ThresholdPolicy
 
 from conftest import read_scatter, scatter_reference
@@ -131,3 +133,33 @@ def test_run_with_p_below_one_fails_before_making_its_out_dir(tmp_path, capsys):
     assert main(["run", "--synth", "k=4,dim=3,n=20,seed=11", "--p", "0", "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: p must be positive\n"
     assert not out.exists()
+
+
+def test_run_chronological_relaxed_drops_the_short_user(tmp_path, capsys):
+    # users 1-3 hold the 8 samples that 4 batches of p=2 need, user 4 only 4;
+    # sessions run against id order, so a chronological split is not by id
+    rng = np.random.default_rng(7)
+    counts = {1: 8, 2: 8, 3: 8, 4: 4}
+    samples, sid = [], 0
+    for user, n in counts.items():
+        for j in range(n):
+            vector = [1.5 * user, 0.0, 0.0] + rng.normal(0.0, 1.0, 3)  # overlapping users
+            samples.append(Sample(id=sid, vector=vector, true_user=user, session=n - 1 - j))
+            sid += 1
+    ds = tmp_path / "sessions.csv"
+    write_dataset(samples, ds)
+    args = ["run", "--dataset", str(ds), "--p", "2", "--batches", "4", "--runs", "2", "--chronological"]
+    out = tmp_path / "out"
+    assert main(args + ["--relaxed", "--out", str(out)]) == 0
+    with open(out / "metrics.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    # 2 runs x (no_update, kmeans, mdist) x (enrollment + 2 cycles)
+    assert len(rows) == 18
+    assert {r["gallery_bytes"] for r in rows} == {str(3 * 2 * 3 * 4)}  # 3 kept users, p=2, dim 3
+    # a chronological split ignores the seed, so every run's untimed rows agree
+    untimed = [{k: v for k, v in r.items() if k not in ("run", "classify_ms", "select_ms")}
+               for r in rows]
+    assert untimed[:9] == untimed[9:] and {r["run"] for r in rows} == {"1", "2"}
+    capsys.readouterr()
+    assert main(args + ["--out", str(tmp_path / "strict")]) == 1
+    assert capsys.readouterr().err == "error: user 4 has 4 samples, needs 8 (4 batches x p=2)\n"

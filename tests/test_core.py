@@ -161,7 +161,7 @@ def test_enroll_rejects_a_user_key_outside_int64():
     assert g.owner.tolist() == [-(2**63), 2**63 - 1]
 
 
-def test_row_accessors_follow_user_then_insertion_order():
+def test_row_accessors_follow_user_then_sample_id_order():
     # users enrolled out of id order, sample ids out of order within a user
     pairs = [
         (7, make_sample(40, [7.0, 0.0], user=7)),
@@ -173,9 +173,9 @@ def test_row_accessors_follow_user_then_insertion_order():
     ]
     g = gallery_enroll(pairs)
     assert g.owner.tolist() == [2, 2, 2, 5, 7, 7]  # ascending, so each user is contiguous
-    assert g.sample_id.tolist() == [31, 8, 20, 3, 40, 12]
-    assert g.true_user.tolist() == [2, 2, 2, 2, 7, 3]
-    assert g.vectors.tolist() == [[2.0, 1.0], [2.0, 2.0], [2.0, 3.0], [5.0, 0.0], [7.0, 0.0], [7.0, 1.0]]
+    assert g.sample_id.tolist() == [8, 20, 31, 3, 12, 40]  # ascending within each user
+    assert g.true_user.tolist() == [2, 2, 2, 2, 3, 7]
+    assert g.vectors.tolist() == [[2.0, 2.0], [2.0, 3.0], [2.0, 1.0], [5.0, 0.0], [7.0, 1.0], [7.0, 0.0]]
     assert g.vectors.dtype == np.float64 and g.vectors.shape == (6, 2)
     for rows in (g.owner, g.sample_id, g.true_user):
         assert rows.dtype == np.int64
@@ -187,10 +187,13 @@ def test_row_accessors_follow_user_then_insertion_order():
         assert column is getattr(g, name) and not column.flags.writeable
         with pytest.raises(ValueError):
             column[0] = column[1]
-    # the enrollment's pairs, stably sorted by user
-    by_user = sorted(pairs, key=lambda pair: pair[0])
-    assert np.array_equal(g.vectors, [s.vector for _, s in by_user])
-    assert g.owner.tolist() == [u for u, _ in by_user] and list(g.samples) == [s for _, s in by_user]
+    # the enrollment's pairs sorted by user, then sample id, whatever their order
+    by_key = sorted(pairs, key=lambda pair: (pair[0], pair[1].id))
+    assert np.array_equal(g.vectors, [s.vector for _, s in by_key])
+    assert g.owner.tolist() == [u for u, _ in by_key] and list(g.samples) == [s for _, s in by_key]
+    assert list(gallery_enroll(pairs[::-1]).samples) == list(g.samples)
+    # a row's batch does not order the rows: an older row may follow a newer one
+    assert Gallery(samples=_rows(1, 1), owner=[1, 1], inserted_at=[2, 1]).inserted_at.tolist() == [2, 1]
 
 
 def test_gallery_users_are_read_only():
@@ -258,11 +261,14 @@ def _rows(*dims, start_id=0):
         (lambda: gallery_enroll([(2, _rows(2, start_id=5)[0]), (1, _rows(1, start_id=1)[0])]),
          r"dimension mismatch: sample 5 has dim 2, expected 1$"),
         (lambda: Gallery(samples=_rows(1, 1), owner=[2, 1], inserted_at=[0, 0]),
-         "rows must be grouped by ascending owner, in insertion order"),
-        (lambda: Gallery(samples=_rows(1, 1), owner=[1, 1], inserted_at=[2, 1]),
-         "rows must be grouped by ascending owner, in insertion order"),
+         "rows must be grouped by ascending owner, in sample-id order$"),
+        (lambda: Gallery(samples=_rows(1, 1)[::-1], owner=[1, 1], inserted_at=[0, 0]),
+         "rows must be grouped by ascending owner, in sample-id order$"),
         # one id twice in one user would let a cycle keep more than p
         (lambda: Gallery(samples=_rows(1) * 2, owner=[3, 3], inserted_at=[0, 0]),
+         "sample id 0 is held more than once"),
+        # a repeat is named before the rows' order is checked
+        (lambda: Gallery(samples=_rows(1, 1)[::-1] + _rows(1), owner=[3, 3, 3], inserted_at=[0, 0, 0]),
          "sample id 0 is held more than once"),
         # one id in two users would put a zero into the cross-user pool
         (lambda: Gallery(samples=_rows(1) * 2, owner=[1, 2], inserted_at=[0, 0]),
@@ -273,6 +279,26 @@ def _rows(*dims, start_id=0):
         (lambda: Gallery(samples=_rows(1, 1), owner=[-(2**63) - 1, 1], inserted_at=[0, 0]),
          f"user key {-(2**63) - 1} does not fit in int64"),
         (lambda: Batch(index=-1, samples=()), "batch index must be non-negative"),
+        # keys and batches must be integers: a float would be truncated into
+        # a row (1.5 and 1.7 would both be user 1), and a str parsed
+        (lambda: gallery_enroll([(1.5, _rows(1)[0]), (1.7, _rows(1, start_id=1)[0])]),
+         r"user key must be an integer, not 1\.5$"),
+        (lambda: Gallery(samples=_rows(1, 1), owner=["1", True], inserted_at=[0, 0]),
+         "user key must be an integer, not '1'$"),
+        (lambda: Gallery(samples=_rows(1, 1), owner=[1, True], inserted_at=[0, 0]),
+         "user key must be an integer, not True$"),
+        (lambda: Gallery(samples=_rows(1, 1), owner=np.array([1.0, 2.0]), inserted_at=[0, 0]),
+         r"user key must be an integer, not (np\.float64\()?1\.0\)?$"),
+        (lambda: Gallery(samples=_rows(1, 1), owner=[1, 2], inserted_at=[0, 1.5]),
+         r"inserted_at must be an integer, not 1\.5$"),
+        (lambda: Gallery(samples=_rows(1, 1), owner=[1, 2], inserted_at=np.array([False, True])),
+         r"inserted_at must be an integer, not (np\.)?False_?$"),
+        # an unsigned array outside int64 is named, not wrapped to a negative key
+        (lambda: Gallery(samples=_rows(1, 1), owner=np.array([1, 2**63], dtype=np.uint64), inserted_at=[0, 0]),
+         f"user key {2**63} does not fit in int64"),
+        (lambda: Batch(index=2.5, samples=()), r"batch index must be an integer, not 2\.5$"),
+        (lambda: Batch(index=True, samples=()), "batch index must be an integer, not True$"),
+        (lambda: gallery_enroll([(1, _rows(1)[0])], cap=2.5), r"cap must be an integer, not 2\.5$"),
         # a float id would be truncated in a gallery's int64 rows, and a float
         # session written to a dataset file that load_dataset then refuses
         (lambda: Sample(id=2.7, vector=[0.0], true_user=1), r"id must be an integer, not 2\.7$"),

@@ -249,6 +249,10 @@ def test_load_boundary_checks_raise_their_messages(tmp_path, text, message):
          "user 1: chronological mode needs session labels"),
         (lambda ds: split_batches(ds[:9] + ds[12:13], 3, 3, seed=0, strict=False),
          "fewer than 2 users survive the split"),
+        # a float size would slice each user's pool at float bounds
+        (lambda ds: split_batches(ds, 3, 1.5, seed=0), r"^p must be an integer, not 1\.5$"),
+        (lambda ds: split_batches(ds, 3.0, 3, seed=0), r"^n_batches must be an integer, not 3\.0$"),
+        (lambda ds: split_batches(ds, 3, True, seed=0), "^p must be an integer, not True$"),
     ],
 )
 def test_split_boundary_checks_raise_their_messages(split, message):

@@ -209,6 +209,14 @@ def test_config_validation():
         EngineConfig(method="mdist", p=2, metric="cosine")
 
 
+@pytest.mark.parametrize("method", ["kmeans", "mdist"])
+@pytest.mark.parametrize("p", [2.5, True])
+def test_config_refuses_a_non_integer_p(method, p):
+    # at p=2.5 kmeans would keep 3 templates per user, over the p*k*S bound
+    with pytest.raises(ValueError, match=f"^p must be an integer, not {p!r}$"):
+        EngineConfig(method=method, p=p)
+
+
 @pytest.mark.parametrize("method", ["kmeans", "mdist", "dend", "keep_all"])
 def test_insertions_and_appended_templates_follow_batch_order(method):
     g0 = gallery_1d({1: [0.0], 2: [10.0]})
@@ -216,10 +224,13 @@ def test_insertions_and_appended_templates_follow_batch_order(method):
     values = [(40, 0.2), (7, 5.0), (31, 9.8), (12, 0.1), (50, 20.0), (3, 10.3), (25, -0.4)]
     batch = Batch(index=2, samples=tuple(make_sample(i, [v]) for i, v in values))
     g, report = run_update_cycle(g0, batch, _cfg(method, 10), t_star=1.0)
+    # the insertions follow batch order
     assert report.insertions == ((40, 1), (31, 2), (12, 1), (3, 2), (25, 1))
     assert (report.n_accepted, report.n_rejected) == (5, 2)
-    assert held_ids(g) == {1: [0, 40, 12, 25], 2: [1, 31, 3]}
-    assert g.inserted_at.tolist() == [0, 2, 2, 2, 0, 2, 2]  # each user's enrolled row, then batch 2's
+    # the templates they add join each user's rows in sample-id order
+    assert g.owner.tolist() == [1, 1, 1, 1, 2, 2, 2]
+    assert g.sample_id.tolist() == [0, 12, 25, 40, 1, 3, 31]
+    assert g.inserted_at.tolist() == [0, 2, 2, 2, 0, 2, 2]
 
 
 @pytest.mark.parametrize("method", ["kmeans", "mdist", "dend", "keep_all"])

@@ -125,6 +125,13 @@ def test_config_validation():
             _cfg(bytes_per_template=s)
 
 
+@pytest.mark.parametrize("field", ["p", "n_batches", "runs"])
+@pytest.mark.parametrize("value", [3.0, True])
+def test_config_refuses_a_non_integer_size(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, not {value!r}$"):
+        _cfg(**{field: value})
+
+
 def test_config_rejects_p_and_metric_before_run_experiment_writes(tmp_path):
     for p in (0, -2):
         with pytest.raises(ValueError, match="p must be positive"):
