@@ -2,8 +2,10 @@
 
 One run = one seeded split of the dataset into enroll / adaptation / test
 batches, followed by the full update sequence for every requested method
-plus the frozen no-update baseline. Every snapshot is evaluated against
-the same independent test batch. Results are averaged over runs.
+plus the frozen no-update baseline. Once every sequence has run, each
+snapshot is evaluated against the same independent test batch, from one
+distance table over only the samples the run's galleries hold. Results are
+averaged over runs.
 """
 
 from __future__ import annotations
@@ -81,15 +83,23 @@ def _row(*values) -> dict:
 
 def _run_one(cfg: ExperimentConfig, run: int, split: Split):
     """All rows for one seeded run, each method's final gallery (the enrolled
-    one for the baseline) and the run's distance columns, which score them."""
+    one for the baseline) and the run's distance columns, which score them.
+
+    Every method's sequence runs first; then one table over the samples some
+    gallery of the run holds scores the baseline, and each method's enrolled
+    gallery followed by its snapshots, in that order."""
     rows: list[dict] = []
 
     # galleries are immutable: one enrollment serves the baseline and every method
     g0 = gallery_enroll(split.enroll, cap=cfg.p)
-    finals = {NO_UPDATE: g0}
-    # every snapshot holds only enroll and adaptation samples: one table scores them all
-    samples = [s for _, s in split.enroll] + [s for b in split.adaptation for s in b.samples]
-    columns = distance_columns(split.test, samples, cfg.metric)
+    sequences = {}
+    for method in cfg.methods:
+        engine_cfg = EngineConfig(method=method, p=cfg.p, metric=cfg.metric, policy=cfg.policy)
+        sequences[method] = run_sequence(g0, list(split.adaptation), engine_cfg)
+    # one table scores them all, over each sample some gallery holds, once
+    galleries = [g0] + [snap for _, _, snapshots in sequences.values() for snap in snapshots]
+    held = {s.id: s for g in galleries for s in g.samples}
+    columns = distance_columns(split.test, list(held.values()), cfg.metric)
     base_eval = evaluate_snapshot(g0, split.test, columns, cfg.bytes_per_template)
 
     # frozen no-update baseline: same gallery, hence constant EER per batch
@@ -99,14 +109,10 @@ def _run_one(cfg: ExperimentConfig, run: int, split: Split):
                  base_eval["gallery_bytes"])
         )
 
-    for method in cfg.methods:
-        engine_cfg = EngineConfig(
-            method=method, p=cfg.p, metric=cfg.metric, policy=cfg.policy
-        )
+    for method, (_, reports, snapshots) in sequences.items():
         ev0 = evaluate_snapshot(g0, split.test, columns, cfg.bytes_per_template)
         rows.append(_row(run, 0, method, ev0["eer"], 0.0, 0.0, 0.0,
                          ev0["gallery_bytes"]))
-        finals[method], reports, snapshots = run_sequence(g0, list(split.adaptation), engine_cfg)
         for cycle, (report, snap) in enumerate(zip(reports, snapshots), start=1):
             ev = evaluate_snapshot(snap, split.test, columns, cfg.bytes_per_template)
             frac, _ = impostor_fraction(snap)
@@ -122,6 +128,7 @@ def _run_one(cfg: ExperimentConfig, run: int, split: Split):
                     ev["gallery_bytes"],
                 )
             )
+    finals = {NO_UPDATE: g0, **{method: final for method, (final, _, _) in sequences.items()}}
     return rows, finals, columns
 
 
@@ -163,9 +170,6 @@ def run_experiment(cfg: ExperimentConfig):
         dataset = load_dataset(cfg.dataset)
 
     out_dir = Path(cfg.out_dir) if cfg.out_dir is not None else None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-
     scatter = out_dir is not None and cfg.write_scatter
     all_rows: list[dict] = []
     try:
@@ -178,6 +182,8 @@ def run_experiment(cfg: ExperimentConfig):
                 strict=cfg.strict,
                 chronological=cfg.chronological,
             )
+            if out_dir is not None:  # made once a split succeeds: a failed one leaves nothing
+                out_dir.mkdir(parents=True, exist_ok=True)
             rows, finals, columns = _run_one(cfg, run, split)
             all_rows.extend(rows)
             if scatter:

@@ -7,10 +7,12 @@ to pair with the strict acceptance rule in matching.
 
 Evaluation reads the ground truth that the update path never reads, and it
 searches nothing: ``distance_columns`` tables every exact distance from a set
-of samples to a test batch, a block of samples per reduction (matching's
-exact kernel), and ``score_sets`` takes each user's least over its
-templates' rows as arrays. A run scores all its snapshots, and writes its
-scatter files, against one test batch from one such table.
+of samples to a test batch as one id-sorted table, a block of samples per
+reduction (matching's exact kernel), and ``score_sets`` gathers a gallery's
+rows from it with one ``searchsorted`` and takes each user's least over its
+templates' rows. A run scores all its snapshots, and writes its scatter
+files, against one test batch from one such table over the samples its
+galleries hold.
 """
 
 from __future__ import annotations
@@ -103,19 +105,28 @@ def gallery_bytes(gallery: Gallery, bytes_per_template: Optional[int] = None) ->
     return gallery.n_templates * s
 
 
-def distance_columns(test: Batch, samples, metric: str = EUCLIDEAN) -> dict[int, np.ndarray]:
-    """Exact distances of every test sample to each of the sequence ``samples`` (a
-    list, or a gallery's ``samples``), by sample id: rows of one ``_exact`` table,
-    bitwise ``_distances_to_rows``."""
+def distance_columns(
+    test: Batch, samples, metric: str = EUCLIDEAN
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ids of the sequence ``samples`` (a list, or a gallery's ``samples``)
+    in ascending order, and one float64 table of shape
+    (len(ids), len(test)) whose row i holds sample ids[i]'s exact distances to
+    every test sample: one ``_exact`` table, bitwise ``_distances_to_rows``.
+    A repeated id is refused, naming the first sample that repeats one."""
     _known(metric)
+    ids = np.fromiter((s.id for s in samples), dtype=np.int64, count=len(samples))
+    order = np.argsort(ids, kind="stable")
+    again = order[1:][ids[order[1:]] == ids[order[:-1]]]  # every later sample of an id
+    if len(again):
+        raise ValueError(f"sample id {ids[again.min()]} is given more than once")
     if not len(samples):
-        return {}
+        return ids, np.empty((0, len(test)))
     y = stack_vectors(samples)  # the samples first: a mismatch names one of them first
     x = stack_vectors(test.samples, y.shape[1])
-    return dict(zip((s.id for s in samples), _exact(y, x, metric)))
+    return ids[order], _exact(y[order], x, metric)
 
 
-def _nearest_by_user(test: Batch, gallery: Gallery, columns: dict[int, np.ndarray]):
+def _nearest_by_user(test: Batch, gallery: Gallery, columns):
     """The gallery's users, each test sample's least distance to each of them
     (test x users), and whether that user is the sample's own."""
     users = gallery.user_ids
@@ -125,22 +136,26 @@ def _nearest_by_user(test: Batch, gallery: Gallery, columns: dict[int, np.ndarra
     if not known.all():
         s = test.samples[int(np.argmin(known))]
         raise ValueError(f"test sample {s.id}: true user {s.true_user} is not enrolled")
-    try:
-        rows = [columns[sid] for sid in gallery.sample_id.tolist()]
-    except KeyError as missing:
-        raise ValueError(f"template sample {missing.args[0]} has no distance column") from None
+    ids, table = columns
+    held = gallery.sample_id
+    rows = np.searchsorted(ids, held)
+    found = rows < len(ids)
+    found[found] = ids[rows[found]] == held[found]
+    if not found.all():
+        raise ValueError(f"template sample {held[np.argmin(found)]} has no distance column")
     starts = np.searchsorted(gallery.owner, users)  # owner ascends: each user's first row
-    nearest = np.minimum.reduceat(np.array(rows), starts, axis=0).T
+    nearest = np.minimum.reduceat(table[rows], starts, axis=0).T
     return users, nearest, own
 
 
-def score_sets(test: Batch, gallery: Gallery, columns: dict[int, np.ndarray]):
+def score_sets(test: Batch, gallery: Gallery, columns):
     """Genuine and impostor score sets of a test batch against the gallery,
     as float64 arrays, sample by sample and, within a sample, user by user.
 
     genuine: each sample's min distance to its own user's gallery.
     impostor: one score per (sample, other user) pair.
-    ``columns`` are the test batch's ``distance_columns`` over the gallery's samples.
+    ``columns`` are the test batch's ``distance_columns`` over samples that
+    include the gallery's: (ids, table).
     """
     _, nearest, own = _nearest_by_user(test, gallery, columns)
     return nearest[own], nearest[~own]
@@ -149,7 +164,7 @@ def score_sets(test: Batch, gallery: Gallery, columns: dict[int, np.ndarray]):
 def evaluate_snapshot(
     gallery: Gallery,
     test: Batch,
-    columns: dict[int, np.ndarray],
+    columns,
     bytes_per_template: Optional[int] = None,
 ):
     """EER and storage of one gallery snapshot, scored from the test batch's columns."""
@@ -160,9 +175,7 @@ def evaluate_snapshot(
     }
 
 
-def export_score_scatter(
-    test: Batch, gallery: Gallery, columns: dict[int, np.ndarray], out: TextIO
-) -> int:
+def export_score_scatter(test: Batch, gallery: Gallery, columns, out: TextIO) -> int:
     """Write one row per (subject, score, kind) for external plotting: the
     gallery's users in ascending order, each with its genuine and then its
     impostor scores, both in test order. ``columns`` are as for ``score_sets``.

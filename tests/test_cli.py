@@ -163,3 +163,18 @@ def test_run_chronological_relaxed_drops_the_short_user(tmp_path, capsys):
     capsys.readouterr()
     assert main(args + ["--out", str(tmp_path / "strict")]) == 1
     assert capsys.readouterr().err == "error: user 4 has 4 samples, needs 8 (4 batches x p=2)\n"
+
+
+def test_run_whose_split_fails_makes_no_out_dir(tmp_path, capsys):
+    # user 3 holds 2 of the 3 samples that --batches 3 --p 1 need
+    ds = tmp_path / "sessions.csv"
+    ds.write_text(
+        "user_id,sample_id,session,f_0,f_1\n1,0,2,0.5,1.0\n1,1,1,0.6,1.1\n1,2,0,0.4,0.9\n"
+        "2,3,0,5.0,5.1\n2,4,1,5.2,5.0\n2,5,2,4.9,5.3\n3,6,0,9.0,9.1\n3,7,1,9.2,9.0\n"
+    )
+    out = tmp_path / "runs" / "chrono_strict"
+    argv = ["run", "--dataset", str(ds), "--p", "1", "--batches", "3", "--runs", "2",
+            "--chronological", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: user 3 has 2 samples, needs 3 (3 batches x p=1)\n"
+    assert not (tmp_path / "runs").exists()

@@ -8,6 +8,7 @@ from selfgallery import experiment
 from selfgallery.engine import EngineConfig, run_sequence
 from selfgallery.experiment import NO_UPDATE, ExperimentConfig, run_experiment
 from selfgallery.matching import ThresholdPolicy
+from selfgallery.metrics import compute_eer, distance_columns, score_sets
 from selfgallery.synthgen import SynthParams, generate
 
 from conftest import gallery_templates, read_scatter, scatter_reference
@@ -88,6 +89,35 @@ def test_output_files_written_and_deterministic(tmp_path):
     assert (out1 / "scatter_run1_mdist.csv").read_text() == (
         out2 / "scatter_run1_mdist.csv"
     ).read_text()
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "l1"])
+@pytest.mark.parametrize(
+    "policy", [ThresholdPolicy.zero_far(), ThresholdPolicy.far_quantile(0.2)], ids=["zero-far", "far:0.2"]
+)
+def test_every_eer_is_its_gallery_scored_from_its_own_columns(monkeypatch, metric, policy):
+    tables, real = [], experiment.distance_columns
+    monkeypatch.setattr(experiment, "distance_columns", lambda *a: tables.append(real(*a)) or tables[-1])
+    cfg = _cfg(methods=("mdist", "kmeans", "dend", "keep_all"), metric=metric, policy=policy)
+    rows, _ = run_experiment(cfg)
+    assert len(tables) == cfg.runs  # one table per run
+    dataset = generate(SMALL)
+    for run, (ids, _) in enumerate(tables, start=1):
+        split = split_batches(dataset, cfg.n_batches, cfg.p, seed=cfg.base_seed + run)
+        g0 = gallery_enroll(split.enroll, cap=cfg.p)
+        galleries = {(NO_UPDATE, b): g0 for b in range(len(split.adaptation) + 1)}
+        for method in cfg.methods:
+            engine_cfg = EngineConfig(method=method, p=cfg.p, metric=metric, policy=policy)
+            _, _, snapshots = run_sequence(g0, list(split.adaptation), engine_cfg)
+            galleries.update({(method, b): g for b, g in enumerate([g0, *snapshots])})
+        # the run's table holds exactly the samples some gallery of the run holds
+        assert ids.tolist() == sorted({i for g in galleries.values() for i in g.sample_id.tolist()})
+        ran = [r for r in rows if r["run"] == run]
+        assert sorted((r["method"], r["batch"]) for r in ran) == sorted(galleries)
+        for r in ran:  # each gallery scored from its own fresh columns
+            g = galleries[r["method"], r["batch"]]
+            own = distance_columns(split.test, g.samples, metric)
+            assert r["eer"] == compute_eer(*score_sets(split.test, g, own))
 
 
 def test_keep_all_gallery_growth_reflected_in_bytes():
@@ -207,3 +237,23 @@ def test_a_failed_run_flushes_the_finished_runs(tmp_path, monkeypatch, failing_r
     partial = _untimed_rows(tmp_path / "out" / "metrics.partial.csv")
     assert partial == _untimed_rows(tmp_path / "run1" / "metrics.csv")
     assert {r["run"] for r in partial} == {"1"}
+
+
+@pytest.mark.parametrize("failing_run", [1, 2])
+def test_a_failed_split_makes_no_out_dir_but_flushes_the_finished_runs(tmp_path, monkeypatch, failing_run):
+    real = experiment.split_batches
+
+    def failing(dataset, n_batches, p, seed, **kw):
+        if seed == failing_run:  # base_seed 0: run n splits at seed n
+            raise ValueError("split failed")
+        return real(dataset, n_batches, p, seed, **kw)
+
+    monkeypatch.setattr(experiment, "split_batches", failing)
+    out = tmp_path / "a" / "out"
+    with pytest.raises(ValueError, match="split failed"):
+        run_experiment(_cfg(out_dir=out))
+    if failing_run == 1:  # no split succeeded: no directory, not even its parent
+        assert not (tmp_path / "a").exists()
+        return
+    assert sorted(p.name for p in out.iterdir()) == ["FAILED", "metrics.partial.csv"]
+    assert {r["run"] for r in _untimed_rows(out / "metrics.partial.csv")} == {"1"}

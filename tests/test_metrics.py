@@ -411,17 +411,30 @@ def test_score_sets_rejects_dim_mismatch(abc_gallery):
 
 def test_distance_columns_are_exact_rows_by_sample_id():
     rng = np.random.default_rng(5)
-    samples = [make_sample(40 + i, rng.normal(size=3)) for i in range(4)]
+    samples = [make_sample(sid, rng.normal(size=3)) for sid in (42, 40, 43, -1, 41)]
     test = Batch(index=6, samples=tuple(make_sample(i, rng.normal(size=3)) for i in range(7)))
     x = np.array([s.vector for s in test.samples])
+    by_id = {s.id: s for s in samples}
     for metric in METRICS:
-        columns = distance_columns(test, samples, metric)
-        assert list(columns) == [40, 41, 42, 43]
-        for s in samples:
-            assert columns[s.id].tolist() == _distances_to_rows(s.vector, x, metric).tolist()
-    empty = distance_columns(Batch(index=6, samples=()), samples)
-    assert all(c.shape == (0,) for c in empty.values()) and len(empty) == 4
-    assert distance_columns(test, []) == {}
+        ids, table = distance_columns(test, samples, metric)
+        assert ids.dtype == np.int64 and ids.tolist() == [-1, 40, 41, 42, 43]  # ascending
+        assert table.dtype == np.float64 and table.shape == (5, 7)
+        for sid, row in zip(ids.tolist(), table):
+            assert row.tolist() == _distances_to_rows(by_id[sid].vector, x, metric).tolist()
+    ids, table = distance_columns(Batch(index=6, samples=()), samples)
+    assert ids.tolist() == [-1, 40, 41, 42, 43] and table.shape == (5, 0)
+    ids, table = distance_columns(test, [])
+    assert ids.shape == (0,) and table.shape == (0, 7) and table.dtype == np.float64
+
+
+def test_distance_columns_refuses_a_repeated_sample_id():
+    samples = [make_sample(sid, [float(sid)]) for sid in (7, 3, 9, 3, 7, 9)]
+    test = Batch(index=6, samples=(make_sample(0, [0.0]),))
+    # the first sample that repeats an id is the fourth (id 3), though 7 repeats too
+    with pytest.raises(ValueError, match="^sample id 3 is given more than once$"):
+        distance_columns(test, samples)
+    with pytest.raises(ValueError, match="^sample id 5 is given more than once$"):
+        distance_columns(test, [make_sample(5, [0.0]), make_sample(5, [1.0])])
 
 
 @pytest.mark.parametrize(
@@ -449,13 +462,14 @@ def test_distance_columns_blocks_are_bitwise_the_row_kernel(monkeypatch, n, t, d
     )
     for metric in METRICS:
         sizes.clear()
-        columns = distance_columns(test, samples, metric)
+        ids, table = distance_columns(test, samples[::-1], metric)  # rows come back by id
         blocked = list(sizes)
-        assert list(columns) == [s.id for s in samples]
-        for s in samples:
-            assert columns[s.id].shape == (t,)
-            assert columns[s.id].tolist() == _distances_to_rows(s.vector, x, metric).tolist()
-        assert len({id(c.base) for c in columns.values()}) == 1  # views of one table
+        assert ids.tolist() == [s.id for s in samples]
+        # one C-ordered table, filled block by block: no per-row copies
+        assert type(table) is np.ndarray and table.flags.c_contiguous
+        assert table.dtype == np.float64 and table.shape == (n, t)
+        for s, row in zip(samples, table):
+            assert row.tolist() == _distances_to_rows(s.vector, x, metric).tolist()
         # every block's (test - sample) temporary holds at most _GATHER values,
         # or one sample's t d where that alone is more
         assert sum(blocked) == n * t * dim
@@ -495,14 +509,19 @@ def test_distance_columns_rejects_a_sample_of_another_dim_before_any_distance(mo
 
 def test_score_sets_reads_only_its_templates_columns(abc_gallery):
     test = Batch(index=6, samples=(make_sample(30, [0.3], user=1), make_sample(31, [1.2], user=3)))
+    held = list(abc_gallery.samples)  # ids 0, 1 and 2
     columns = gallery_columns(test, abc_gallery)
-    # columns of samples outside the gallery change nothing
-    extra = distance_columns(test, [make_sample(50, [0.3]), make_sample(51, [9.0])])
-    assert _scores(test, abc_gallery, {**extra, **columns}) == _scores(
-        test, abc_gallery, columns
-    )
-    del columns[1]  # user 2's only template
-    with pytest.raises(ValueError, match="template sample 1 has no distance column"):
-        score_sets(test, abc_gallery, columns)
-    with pytest.raises(ValueError, match="template sample 1 has no distance column"):
-        export_score_scatter(test, abc_gallery, columns, io.StringIO())
+    # rows of samples outside the gallery, before, between and after its own, change nothing
+    extra = [make_sample(-5, [0.3]), make_sample(50, [9.0]), make_sample(51, [1.0])]
+    wider = distance_columns(test, extra + held)
+    assert wider[0].tolist() == [-5, 0, 1, 2, 50, 51]
+    assert _scores(test, abc_gallery, wider) == _scores(test, abc_gallery, columns)
+    gap = distance_columns(test, [make_sample(sid, s.vector) for sid, s in zip((0, 3, 4), held)])
+    for missing, table in ((1, distance_columns(test, held[:1] + held[2:])),  # in the middle
+                           (2, distance_columns(test, held[:2])),  # past the last id
+                           (0, distance_columns(test, held[1:])),  # before the first id
+                           (1, gap)):  # ids on both sides of it
+        with pytest.raises(ValueError, match=f"^template sample {missing} has no distance column$"):
+            score_sets(test, abc_gallery, table)
+        with pytest.raises(ValueError, match=f"^template sample {missing} has no distance column$"):
+            export_score_scatter(test, abc_gallery, table, io.StringIO())
