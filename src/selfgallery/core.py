@@ -26,14 +26,20 @@ Where inputs are checked. ``Sample`` checks one vector when it is built:
 source (a list, a row of a dataset's matrix) reaches it; its id, user and
 session must be integers (Python or numpy, not bool), id and user within
 int64. ``check_integer`` is that one integer check, shared by every key,
-batch index and size in the package.
+batch index and size in the package; ``check_int64`` adds the int64 range,
+the one check of every key an int64 column holds (``Sample``'s id and user,
+a gallery's owner and inserted_at). ``first_repeat`` is the one rule that
+each sample id is given once: the gallery, the engine's fresh-id check,
+evaluation's distance table and the dataset writer all name the sample it
+finds.
 ``Batch`` keeps its samples as a tuple and an integer index. ``stack_vectors``
 is the one place samples become rows: every (n, dim) stack in the package
 comes from it, and it names the first sample of another dimension.
 ``Gallery`` is the one place a gallery's invariants are checked, all in one
 pass over its rows: at least one row, one entry per row in each column,
 every key and batch an integer in int64 (an integer array that int64
-holds passes on its dtype alone), batches non-negative, one dimension (naming the first row of
+holds passes on its dtype alone; other values are checked in order, and
+the first that fails either check is named), batches non-negative, one dimension (naming the first row of
 another), each sample id held once, and then the rows sorted by owner and
 sample id. ``gallery_enroll`` takes the (user, sample) pairs in any order,
 sorts them once by (user, sample id) and checks ``cap``.
@@ -72,8 +78,7 @@ class Sample:
         # integers only: a float id truncates in a row, a float session is
         # written to a file that load_dataset refuses, and so is a bool
         for name in ("id", "true_user"):  # Gallery rows hold both as int64
-            if not -(2**63) <= (value := check_integer(getattr(self, name), name)) < 2**63:
-                raise ValueError(f"{name} {value} does not fit in int64")
+            check_int64(getattr(self, name), name)
         if self.session is not None and check_integer(self.session, "session") < 0:
             raise ValueError("session must be non-negative")
 
@@ -89,6 +94,25 @@ def check_integer(value, name: str):
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, not {value!r}")
     return value
+
+
+def check_int64(value, name: str):
+    """``value`` if it is an integer that int64 holds (``check_integer``,
+    then the range), else a ValueError naming ``name`` and the value: the one
+    check of every key an int64 column holds."""
+    if not -(2**63) <= check_integer(value, name) < 2**63:
+        raise ValueError(f"{name} {value} does not fit in int64")
+    return value
+
+
+def first_repeat(ids: np.ndarray) -> Optional[int]:
+    """The first position of ``ids`` whose id also occurs at an earlier
+    position, or None when every id is distinct: one stable argsort puts
+    each id's positions in order, so every position but an id's first
+    follows an equal id."""
+    order = np.argsort(ids, kind="stable")
+    again = order[1:][ids[order[1:]] == ids[order[:-1]]]
+    return int(again.min()) if len(again) else None
 
 
 def stack_vectors(samples: Sequence[Sample], dim: Optional[int] = None) -> np.ndarray:
@@ -157,10 +181,8 @@ class Gallery:
         if np.any(dims != dims[0]):  # the first row of another dimension
             raise _dim_mismatch(rows[np.argmax(dims != dims[0])], dims[0])
         ids = self.sample_id
-        by_id = np.argsort(ids, kind="stable")
-        again = by_id[1:][ids[by_id[1:]] == ids[by_id[:-1]]]  # every later row of a held id
-        if len(again):  # a cycle could keep more than p, or t* read 0
-            raise ValueError(f"sample id {ids[again.min()]} is held more than once")
+        if (again := first_repeat(ids)) is not None:  # a cycle could keep more than p, or t* read 0
+            raise ValueError(f"sample id {ids[again]} is held more than once")
         # compared, not subtracted: no overflow; ids are distinct by now
         if np.any((owner[1:] < owner[:-1]) | ((owner[1:] == owner[:-1]) & (ids[1:] < ids[:-1]))):
             raise ValueError("rows must be grouped by ascending owner, in sample-id order")
@@ -203,17 +225,13 @@ class Gallery:
 
 def _int64(values, name: str) -> np.ndarray:
     """A copy of ``values`` as int64. An integer array that int64 holds passes
-    on its dtype alone; any other values must each be an integer in int64,
-    and the first that is not is named."""
+    on its dtype alone; any other values go through ``check_int64`` one by
+    one, in order, so the first that is not an integer in int64 is named,
+    whichever check it fails."""
     integer_array = isinstance(values, np.ndarray) and values.dtype.kind in "iu"
     if integer_array and np.can_cast(values.dtype, np.int64):  # a uint64 array would wrap
         return values.astype(np.int64)
-    values = [check_integer(v, name) for v in values]
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        bad = next(v for v in values if not -(2**63) <= v < 2**63)
-        raise ValueError(f"{name} {bad} does not fit in int64") from None
+    return np.array([check_int64(v, name) for v in values], dtype=np.int64)
 
 
 @dataclass(frozen=True)

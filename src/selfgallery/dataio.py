@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Batch, Sample, check_integer, stack_vectors
+from .core import Batch, Sample, check_integer, first_repeat, stack_vectors
 
 log = logging.getLogger(__name__)
 
@@ -76,11 +76,9 @@ def write_dataset(samples: list[Sample], path) -> None:
         raise ValueError("no samples to write")
     if len({s.true_user for s in samples}) < 2:  # the loader refuses one user
         raise ValueError("need at least 2 distinct users")
-    seen: set[int] = set()
-    for s in samples:  # the loader refuses a repeated id
-        if s.id in seen:
-            raise ValueError(f"duplicate sample_id {s.id}")
-        seen.add(s.id)
+    ids = np.fromiter((s.id for s in samples), dtype=np.int64, count=len(samples))
+    if (again := first_repeat(ids)) is not None:  # the loader refuses a repeated id
+        raise ValueError(f"duplicate sample_id {ids[again]}")
     rows = stack_vectors(samples)  # a ragged file would not load back
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

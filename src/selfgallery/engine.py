@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matching, selection
-from .core import Batch, Gallery, check_integer
+from .core import Batch, Gallery, check_integer, first_repeat
 from .matching import DEFAULT_POLICY, EUCLIDEAN, ThresholdPolicy
 
 
@@ -72,12 +72,11 @@ def run_update_cycle(
     probes = np.array(batch.samples, dtype=object)
     ids = np.fromiter((s.id for s in probes), dtype=np.int64, count=len(probes))
     held = gallery.sample_id
-    fresh = np.zeros(len(ids), dtype=bool)
-    fresh[np.unique(ids, return_index=True)[1]] = True  # each id's first probe
-    fresh &= ~np.isin(ids, held)
-    if not fresh.all():
+    # held ids are distinct, so the first repeat is the first probe, in batch
+    # order, that reuses a held id or an earlier probe's
+    if (again := first_repeat(np.concatenate((held, ids)))) is not None:
         raise ValueError(
-            f"batch {batch.index}: sample id {ids[fresh.argmin()]} is already held or repeated"
+            f"batch {batch.index}: sample id {ids[again - len(held)]} is already held or repeated"
         )
     t0 = time.perf_counter()
     decisions = matching.classify_batch(batch, gallery, t_star, cfg.metric)

@@ -34,7 +34,8 @@ Such a table takes at most 632,610 bytes (n = 55, p = 54), and the cache
 holds at most 12 of them, 7.2 MiB in all. Other inputs, such as n >= 16
 at p = 6, or n = 200 and p = 199, whose pair index would take 31 MB, walk
 the prefix tree in numpy one level at a time, in blocks of at most
-EXACT_CHUNK subsets (or the children of one (p-1)-prefix): each prefix
+EXACT_CHUNK subsets (or the children of one (p-1)-prefix), from one loop
+over a work list with no recursion, however deep the tree: each prefix
 carries its pairwise sum and its row sums over the matrix, so a child's
 screen is its parent's sum plus one entry of those row sums. Either way a
 screen is the sum of the subset's m pair entries in some order, and so is
@@ -156,6 +157,13 @@ def _blocks(sqmat: np.ndarray, p: int):
     subtrees of consecutive prefixes, at most EXACT_CHUNK subsets, or the at
     most n children of one (p-1)-prefix. Yields ``(screen, subsets)``, where
     ``subsets(i)`` returns the index rows of the block's subsets ``i``.
+
+    The tree is walked from one loop over a work list of levels, with no
+    recursion, so its depth (p - 1 levels, nearly n at p = n - 1) takes no
+    call stack. A level is a run of sibling prefixes, their subtree sizes
+    and the next one to take; a prefix whose subtree exceeds the chunk
+    pushes its level's resume point, then its children, so blocks come out
+    depth first, in lexicographic order.
     """
     n, count = len(sqmat), comb(len(sqmat), p)
     if count <= 5 * EXACT_CHUNK and count * p * (p - 1) // 2 <= 80 * EXACT_CHUNK:
@@ -180,29 +188,26 @@ def _blocks(sqmat: np.ndarray, p: int):
 
         return part, subsets
 
-    def descend(cols, part, rows):
-        k = cols.shape[1]
-        sizes = [comb(n - 1 - last, p - k) for last in cols[:, -1].tolist()]
-        i = 0
-        while i < len(sizes):
-            j, total = i, 0
-            while j < len(sizes) and total + sizes[j] <= EXACT_CHUNK:
-                total, j = total + sizes[j], j + 1
-            if j == i and k < p - 1:  # one subtree over the chunk: split it a level down
-                j = i + 1
-                parent, a, sub = _children(sqmat, p, k, cols[i:j, -1], part[i:j], rows[i:j])
-                yield from descend(
-                    np.concatenate((cols[i:j].take(parent, axis=0), a[:, None]), axis=1),
-                    sub,
-                    rows[i:j].take(parent, axis=0) + sqmat.take(a, axis=0),
-                )
-            else:
-                j = max(j, i + 1)  # the children of a (p-1)-prefix make one block
-                yield whole(cols[i:j], part[i:j], rows[i:j])
-            i = j
+    def level(cols, part, rows):  # a frame: prefixes, their subtree sizes, the next one to take
+        sizes = [comb(n - 1 - last, p - cols.shape[1]) for last in cols[:, -1].tolist()]
+        return cols, part, rows, sizes, 0
 
     heads = n - p + 1  # the one-element prefixes that leave room for p - 1 more
-    yield from descend(np.arange(heads)[:, None], np.zeros(heads), sqmat[:heads])
+    todo = [level(np.arange(heads)[:, None], np.zeros(heads), sqmat[:heads])]
+    while todo:  # depth first: a split prefix's children come before its next sibling
+        cols, part, rows, sizes, i = todo.pop()
+        j, total = i, 0
+        while j < len(sizes) and total + sizes[j] <= EXACT_CHUNK:
+            total, j = total + sizes[j], j + 1
+        j = max(j, i + 1)  # none fit: the subtree at i alone
+        if j < len(sizes):  # the rest of this level, taken up once prefixes i..j-1 are done
+            todo.append((cols, part, rows, sizes, j))
+        if not total and cols.shape[1] < p - 1:  # one subtree over the chunk: split it a level down
+            parent, a, sub = _children(sqmat, p, cols.shape[1], cols[i:j, -1], part[i:j], rows[i:j])
+            children = np.concatenate((cols[i:j].take(parent, axis=0), a[:, None]), axis=1)
+            todo.append(level(children, sub, rows[i:j].take(parent, axis=0) + sqmat.take(a, axis=0)))
+        else:  # whole subtrees, or the children of a (p-1)-prefix
+            yield whole(cols[i:j], part[i:j], rows[i:j])
 
 
 def _band(screen: np.ndarray, incumbent: float, maximize: bool, delta: float) -> np.ndarray:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from selfgallery import core
 from selfgallery.core import (
@@ -278,6 +280,16 @@ def _rows(*dims, start_id=0):
          f"user key {2**63} does not fit in int64"),
         (lambda: Gallery(samples=_rows(1, 1), owner=[-(2**63) - 1, 1], inserted_at=[0, 0]),
          f"user key {-(2**63) - 1} does not fit in int64"),
+        # the first value that is not an integer in int64 is named, whichever
+        # check it fails: a value outside int64 before a later float or str
+        (lambda: gallery_enroll([(2**64, _rows(1)[0]), (1.5, _rows(1, start_id=1)[0])]),
+         f"user key {2**64} does not fit in int64$"),
+        (lambda: Gallery(samples=_rows(1, 1), owner=[-(2**63) - 1, "1"], inserted_at=[0, 0]),
+         f"user key {-(2**63) - 1} does not fit in int64$"),
+        (lambda: Gallery(samples=_rows(1, 1), owner=["1", 2**63], inserted_at=[0, 0]),
+         "user key must be an integer, not '1'$"),
+        (lambda: Gallery(samples=_rows(1, 1), owner=[1, 2], inserted_at=[2**63, 1.5]),
+         f"inserted_at {2**63} does not fit in int64$"),
         (lambda: Batch(index=-1, samples=()), "batch index must be non-negative"),
         # keys and batches must be integers: a float would be truncated into
         # a row (1.5 and 1.7 would both be user 1), and a str parsed
@@ -351,3 +363,29 @@ def test_stack_vectors_names_the_first_sample_of_another_dim(dims, dim, first):
     message = f"dimension mismatch: sample {10 + first} has dim {dims[first]}, expected {want}$"
     with pytest.raises(ValueError, match=message):
         stack_vectors(samples, dim)
+
+
+def _first_repeat_by_set(ids):
+    """The first position whose id a scan over the earlier positions has seen."""
+    seen = set()
+    for i, x in enumerate(ids):
+        if x in seen:
+            return i
+        seen.add(x)
+    return None
+
+
+_INT64_EDGES = [-(2**63), -(2**63) + 1, -1, 0, 1, 2**63 - 2, 2**63 - 1]
+
+
+@given(st.lists(st.sampled_from(_INT64_EDGES) | st.integers(-3, 3) | st.integers(-(2**63), 2**63 - 1), max_size=12))
+def test_first_repeat_is_the_first_position_a_set_scan_has_seen(values):
+    ids = np.array(values, dtype=np.int64)
+    assert core.first_repeat(ids) == _first_repeat_by_set(values)
+
+
+def test_first_repeat_of_no_or_one_id_is_none():
+    assert core.first_repeat(np.array([], dtype=np.int64)) is None
+    for x in (-(2**63), 0, 2**63 - 1):
+        assert core.first_repeat(np.array([x], dtype=np.int64)) is None
+    assert core.first_repeat(np.array([2**63 - 1, -(2**63), 2**63 - 1, -(2**63)])) == 2

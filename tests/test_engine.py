@@ -64,6 +64,25 @@ def test_batch_repeating_a_sample_id_is_rejected():
         run_update_cycle(g0, batch, _cfg("mdist", 1), t_star=0.5)
 
 
+@pytest.mark.parametrize(
+    "probe_ids, named",
+    [
+        ([7, 3, 7, 0], 7),  # 7's second probe comes before the held 0
+        ([7, 0, 7], 0),  # the held 0 comes before 7's second probe
+        ([1, 9, 9], 1),  # a held id at the first probe
+        ([4, 9, 4, 9], 4),
+    ],
+)
+def test_the_first_probe_to_reuse_an_id_is_named_before_classifying(probe_ids, named, monkeypatch):
+    g0 = gallery_1d({1: [0.0], 2: [10.0]}, cap=1)  # holds ids 0 and 1
+    classified = []
+    monkeypatch.setattr(matching, "classify_batch", lambda *args: classified.append(args))
+    batch = Batch(index=4, samples=tuple(make_sample(sid, [0.1]) for sid in probe_ids))
+    with pytest.raises(ValueError, match=f"^batch 4: sample id {named} is already held or repeated$"):
+        run_update_cycle(g0, batch, _cfg("mdist", 1), t_star=0.5)
+    assert classified == []
+
+
 @pytest.mark.parametrize("method", ["kmeans", "mdist", "dend", "keep_all"])
 def test_batch_older_than_the_gallery_is_rejected_before_classifying(method, monkeypatch):
     g0 = gallery_1d({1: [0.0], 2: [10.0]})

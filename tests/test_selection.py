@@ -1,4 +1,5 @@
 import itertools
+import sys
 import tracemalloc
 from math import comb
 
@@ -324,6 +325,30 @@ def test_enumerate_best_optimum_in_later_chunk():
     chosen = _run(selection._enumerate_best, cands, 6, False)
     assert chosen == list(range(10, 16))  # the last subset
     _assert_matches_reference(cands, 6, False)
+
+
+def _stack_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+@pytest.mark.parametrize("select, maximize", [(select_mdist, False), (select_dend, True)])
+def test_prefix_tree_walk_takes_no_call_stack_per_level(monkeypatch, select, maximize):
+    # at p = n - 1 with 5-subset blocks, the first subtree of each of about
+    # n - 5 tree levels exceeds the chunk; a walk that recursed once per
+    # level would need about 300 frames, more than the 200 left it here
+    n = 300
+    monkeypatch.setattr(selection, "EXACT_CHUNK", 5)
+    cands = make_samples(np.random.default_rng(3).normal(size=(n, 2)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 200)
+    try:
+        chosen = _run(select, cands, n - 1)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert chosen == _reference_best(cands, n - 1, maximize)[0]
 
 
 def test_enumerate_best_tie_across_chunk_boundary_keeps_earlier():
