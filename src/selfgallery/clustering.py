@@ -6,10 +6,10 @@ matching metric; the selection objectives are written with squares.
 Each pass assigns every point to its nearest centroid by exact squared
 distance, the first centroid on ties, as ``tests/oracles.py::exact_assign``
 computes it over every pair. It gets there through matching's screen
-(``matching._Screen``), with the points as its rows and the centroids as
-its columns. What differs from classification is that a call keeps its
-screens from pass to pass and screens again only the centroids that moved
-(``_Screen.rescreen``).
+(``matching._Screen``), with the points as its rows and an operand over
+the centroids as its columns. What differs from classification is that a
+call keeps its screens from pass to pass and screens again only the
+centroids that moved (``_Screen.rescreen``).
 
 Each Lloyd pass does only the work whose result can differ from the pass
 before. The first pass screens every centroid, and a later one only those
@@ -31,7 +31,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .matching import _SQUARED, _Screen, _sq_norms
+from .core import check_integer
+from .matching import _SQUARED, _Operand, _Screen, _sq_norms
 
 USER_MEANS = "user_means"
 SEEDED_RANDOM = "seeded_random"
@@ -46,8 +47,10 @@ class KMeansParams:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        if self.k < 1:
+        if check_integer(self.k, "k") < 1:  # a float or bool k would reach numpy
             raise ValueError("k must be positive")
+        if self.seed is not None:
+            check_integer(self.seed, "seed")
         if self.init not in (USER_MEANS, SEEDED_RANDOM):
             raise ValueError(f"unknown init: {self.init!r}")
         if self.init == SEEDED_RANDOM and self.seed is None:
@@ -189,7 +192,7 @@ def kmeans(
         raise ValueError(f"{len(labels)} labels for {n} points")
 
     centroids, groups = _init_centroids(points, params, labels)
-    screen = _Screen(points, centroids, _SQUARED, 1)
+    screen = _Screen(points, _Operand(centroids), _SQUARED, 1)
     history: list[float] = []
     settled = False
     for _ in range(MAX_ITER):

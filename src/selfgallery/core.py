@@ -1,6 +1,8 @@
 """Domain types shared by all modules: samples, galleries, batches.
 
 All types are immutable values; galleries evolve by producing new versions.
+``Sample``, ``Batch`` and ``Gallery`` hold arrays, so each compares and hashes
+by identity.
 Each stores a fact once: a gallery's dimension follows from its samples, a
 row's batch is its ``inserted_at``, and a user's id is its rows' owner.
 Ground-truth identities travel with samples. The dataset's split reads them
@@ -54,9 +56,10 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sample:
-    """A feature vector with a unique id and its ground-truth identity.
+    """A feature vector with a unique id and its ground-truth identity;
+    compared and hashed by identity, as ``Gallery`` and ``Batch`` are.
 
     ``true_user`` is ground truth: only enrollment's split and evaluation
     read it, never the self-update path.
@@ -234,9 +237,10 @@ def _int64(values, name: str) -> np.ndarray:
     return np.array([check_int64(v, name) for v in values], dtype=np.int64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Batch:
-    """One update cycle's worth of unlabelled samples."""
+    """One update cycle's worth of unlabelled samples, compared and hashed
+    by identity."""
 
     index: int
     samples: tuple[Sample, ...]

@@ -18,14 +18,11 @@ such sample; all before the file is opened.
 from __future__ import annotations
 
 import csv
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Batch, Sample, check_integer, first_repeat, stack_vectors
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -33,6 +30,7 @@ class Split:
     enroll: tuple[tuple[int, Sample], ...]  # (user, sample) pairs, batch 0
     adaptation: tuple[Batch, ...]  # batches 1 .. n_batches-2
     test: Batch  # batch n_batches-1
+    dropped: tuple[tuple[int, int], ...] = ()  # relaxed mode: (user, samples held), ascending
 
 
 def load_dataset(path) -> list[Sample]:
@@ -104,7 +102,7 @@ def split_batches(
     without replacement by a seeded shuffle (or in session order when
     chronological). Leftover samples are discarded. In strict mode a
     user with fewer than n_batches*p samples is an error; in relaxed
-    mode such users are dropped with a log line.
+    mode such users are dropped, and ``Split.dropped`` names them.
     """
     if check_integer(n_batches, "n_batches") < 3:
         raise ValueError("need at least 3 batches (enroll, adaptation, test)")
@@ -117,7 +115,7 @@ def split_batches(
 
     rng = np.random.default_rng(seed)
     per_batch: list[list[tuple[int, Sample]]] = [[] for _ in range(n_batches)]
-    kept_users = 0
+    kept_users, dropped = 0, []
     for user in sorted(by_user):
         pool = by_user[user]
         if len(pool) < need:
@@ -126,9 +124,7 @@ def split_batches(
                     f"user {user} has {len(pool)} samples, needs {need} "
                     f"({n_batches} batches x p={p})"
                 )
-            log.warning(
-                "dropping user %d: %d samples < required %d", user, len(pool), need
-            )
+            dropped.append((user, len(pool)))
             continue
         kept_users += 1
         if chronological:
@@ -153,4 +149,4 @@ def split_batches(
     test = Batch(
         index=n_batches - 1, samples=tuple(s for _, s in per_batch[n_batches - 1])
     )
-    return Split(enroll=enroll, adaptation=adaptation, test=test)
+    return Split(enroll=enroll, adaptation=adaptation, test=test, dropped=tuple(dropped))

@@ -11,6 +11,7 @@ averaged over runs.
 from __future__ import annotations
 
 import csv
+import logging
 import statistics
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,6 +25,8 @@ from .matching import DEFAULT_POLICY, EUCLIDEAN, ThresholdPolicy
 from .metrics import distance_columns, evaluate_snapshot, export_score_scatter, fmt9
 from .metrics import impostor_fraction
 from .synthgen import SynthParams, generate
+
+log = logging.getLogger(__name__)
 
 NO_UPDATE = "no_update"
 
@@ -161,6 +164,8 @@ def _write_csv(path: Path, fields: list[str], rows: list[dict]) -> None:
 def run_experiment(cfg: ExperimentConfig):
     """Execute every run, write metrics/aggregate/scatter files, return rows.
 
+    In relaxed mode each user a split drops is logged once per experiment.
+
     Returns (rows, aggregates). Row seeds are derived as base_seed + run
     so any single run can be re-executed in isolation.
     """
@@ -182,6 +187,9 @@ def run_experiment(cfg: ExperimentConfig):
                 strict=cfg.strict,
                 chronological=cfg.chronological,
             )
+            for user, held in split.dropped if run == 1 else ():  # every run drops the same users
+                need = cfg.n_batches * cfg.p
+                log.warning("dropping user %d: %d samples < required %d", user, held, need)
             if out_dir is not None:  # made once a split succeeds: a failed one leaves nothing
                 out_dir.mkdir(parents=True, exist_ok=True)
             rows, finals, columns = _run_one(cfg, run, split)

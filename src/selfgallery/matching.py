@@ -23,6 +23,21 @@ hold in float32. Distances do not change under translation, but the bound
 grows with squared norms, so centring keeps the band narrow under a large
 common offset.
 
+The columns come from one operand (``_Operand``): their float64 rows (one
+``gallery.vectors`` stack) and c, and per (screen dtype, row group) their
+column tiles and squared norms, built at first use, so a float32 bound
+that fails keeps float64 tiles beside the float32 ones.
+``estimate_threshold`` leaves the operand of the gallery it read in one
+module-level slot, replacing any other, and ``classify_batch`` takes it
+from there when it reads the same ``Gallery`` object (``is``: galleries are
+immutable and compare by identity); otherwise it builds its own. Either way
+classification leaves the slot empty. So at most one gallery's rows and
+tiles are held between calls, and only from a t* to the classification
+that follows it, and a cycle (t*, classification, K-Means) stacks and
+centres its gallery once. Every value is built as a fresh operand would
+build it, so the slot never changes a result; a concurrent caller can only
+miss it, and then builds its own.
+
 Tiles. Each ``_screen`` call is one stacked ``np.matmul`` of its rows
 against a (tiles, d, step) copy of the centred columns built once per
 call. Classification and t* screen blocks of at most ``_BLOCK`` rows per
@@ -264,26 +279,47 @@ def _screen(x, xx, stack, yy) -> np.ndarray:
     return g
 
 
-class _Screen:
-    """The screen of rows x against columns y (module docstring): both less
-    the mean of y and rounded to the screen dtype, y stacked in column tiles
-    for slices of ``group`` rows, and tau for each row against every column;
-    tau is infinite where the bound is not claimed. ``nearest`` decides on
-    exact distances under ``metric``: euclidean for classification,
-    ``_SQUARED`` for K-Means."""
+class _Operand:
+    """A screen's columns (module docstring, Operands): their float64 rows
+    and centre, and per (screen dtype, group) their column tiles and squared
+    norms, built at first use."""
 
     @np.errstate(over="ignore", invalid="ignore")  # an overflow fails the bound: tau is infinite
-    def __init__(self, x: np.ndarray, y: np.ndarray, metric: str, group: int):
-        self.x, self.y, self.metric, self.g = x, y, metric, None
-        self.centre = y.sum(axis=0) / len(y)
+    def __init__(self, rows: np.ndarray):
+        self.rows, self.centre, self._tiles = rows, rows.sum(axis=0) / len(rows), {}
+
+    def tiles(self, dtype, group: int):
+        """``_stack`` of the rows less the centre, for slices of ``group`` rows."""
+        if (dtype, group) not in self._tiles:
+            self._tiles[dtype, group] = _stack(self.rows, self.centre, dtype, group)
+        return self._tiles[dtype, group]
+
+
+# estimate_threshold's last (gallery, operand), taken by the classification
+# that reads the same gallery: at most one operand, and classification
+# leaves it empty (module docstring, Operands)
+_slot: list = []
+
+
+class _Screen:
+    """The screen of rows x against the columns of ``operand`` (module
+    docstring): both less the operand's centre and rounded to the screen
+    dtype, its tiles for slices of ``group`` rows, and tau for each row
+    against every column; tau is infinite where the bound is not claimed.
+    ``nearest`` decides on exact distances under ``metric``: euclidean for
+    classification, ``_SQUARED`` for K-Means."""
+
+    @np.errstate(over="ignore", invalid="ignore")  # an overflow fails the bound: tau is infinite
+    def __init__(self, x: np.ndarray, operand: _Operand, metric: str, group: int):
+        self.x, self.y, self.centre, self.metric, self.g = x, operand.rows, operand.centre, metric, None
         n, d = x.shape
         for self.dtype in _ROUNDING:  # float32, else float64 (else tau is infinite)
-            self.stack, self.yy = _stack(y, self.centre, self.dtype, group)
+            self.stack, self.yy = operand.tiles(self.dtype, group)
             # zero rows after x's complete the last row group of any screen
             self.xc = np.zeros((n + _groups(n, self.stack)[0] - 1, d), self.dtype)
             np.subtract(x, self.centre, out=self.xc[:n], casting="same_kind")
-            self.xx = self.yy[:n] if x is y else _sq_norms(self.xc[:n])
-            self.tau = _tau(self.xx, self.yy[: len(y)].max(), d, self.dtype)
+            self.xx = self.yy[:n] if x is self.y else _sq_norms(self.xc[:n])
+            self.tau = _tau(self.xx, self.yy[: len(self.y)].max(), d, self.dtype)
             if self.tau[0] < np.inf:
                 return
 
@@ -338,6 +374,16 @@ def _cross_layout(gallery: Gallery):
     return mat, row_end, count
 
 
+def _pool(mat: np.ndarray, row_end: np.ndarray, metric: str) -> np.ndarray:
+    """impostor_pool of the rows ``mat`` with segment ends ``row_end``."""
+    # the gallery lays each user's rows out as one contiguous segment, so the
+    # cross-user partners of a segment's rows are exactly mat[end:], end being
+    # the segment's end; each segment's table, row-major, in row order
+    ends = np.unique(row_end).tolist()
+    segments = zip([0] + ends, ends[:-1])
+    return np.concatenate([_exact(mat[lo:end], mat[end:], metric).ravel() for lo, end in segments])
+
+
 def impostor_pool(gallery: Gallery, metric: str = EUCLIDEAN) -> np.ndarray:
     """All distances between templates belonging to different users.
 
@@ -346,20 +392,15 @@ def impostor_pool(gallery: Gallery, metric: str = EUCLIDEAN) -> np.ndarray:
     reference the euclidean screen of estimate_threshold must reproduce.
     """
     _known(metric)
-    # the gallery lays each user's rows out as one contiguous segment, so the
-    # cross-user partners of a segment's rows are exactly mat[end:], end being
-    # the segment's end; each segment's table, row-major, in row order
     mat, row_end, _ = _cross_layout(gallery)
-    ends = np.unique(row_end).tolist()
-    segments = zip([0] + ends, ends[:-1])
-    return np.concatenate([_exact(mat[lo:end], mat[end:], metric).ravel() for lo, end in segments])
+    return _pool(mat, row_end, metric)
 
 
-def _cross_screens(mat: np.ndarray, row_end: np.ndarray, count: int):
+def _cross_screens(operand: _Operand, row_end: np.ndarray, count: int):
     """Every cross-user pair's screen, in impostor_pool's row-major pair
     order, and the largest tau of any pair."""
-    n = mat.shape[0]
-    screen = _Screen(mat, mat, EUCLIDEAN, min(n, _BLOCK))
+    n = len(operand.rows)
+    screen = _Screen(operand.rows, operand, EUCLIDEAN, min(n, _BLOCK))
     step = screen.stack.shape[2]
     screens = np.empty(count, screen.dtype)
     pos, ends = 0, row_end.tolist()
@@ -383,9 +424,11 @@ def _cross_screens(mat: np.ndarray, row_end: np.ndarray, count: int):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a screen may overflow: its tau is then infinite
-def _cross_order_statistic(mat: np.ndarray, row_end: np.ndarray, count: int, k: int) -> float:
+def _cross_order_statistic(operand: _Operand, row_end: np.ndarray, count: int, k: int) -> float:
     """k-th smallest euclidean cross-user distance, bitwise as in impostor_pool."""
-    screens, tau = _cross_screens(mat, row_end, count)  # the operands are freed by now
+    # the screen's row copy is freed by now; its column tiles stay with the
+    # operand, for the classification that reads the same gallery
+    screens, tau = _cross_screens(operand, row_end, count)
     a = screens.min() if k == 0 else np.partition(screens, k)[k]  # a copy keeps the pair order
     # Every screen is within tau of its exact value, so the exact k-th value
     # lies within tau of a: pairs screened below a - 2 tau are certainly
@@ -397,6 +440,7 @@ def _cross_order_statistic(mat: np.ndarray, row_end: np.ndarray, count: int, k: 
     at = np.flatnonzero(~(low | high))  # NaN keeps a pair
     # row i's partners are the n - row_end[i] rows from row_end[i] on, and
     # its screens start at first[i]
+    mat = operand.rows
     width = mat.shape[0] - row_end
     first = np.cumsum(width) - width
     i = np.searchsorted(first, at, side="right") - 1
@@ -413,14 +457,21 @@ def estimate_threshold(
     zero_far: t* = min of the cross-user pool, so strict acceptance
     (d < t*) admits none of the pooled impostor pairs.
     far_quantile(q): lower empirical q-quantile of the pool.
+
+    The gallery's operand is left in the slot for the classification that
+    reads the same gallery next.
     """
+    _known(metric)  # before any work
+    mat, row_end, count = _cross_layout(gallery)
+    operand, k = _Operand(mat), policy.rank(count)
     if metric == EUCLIDEAN:
-        mat, row_end, count = _cross_layout(gallery)
-        return _cross_order_statistic(mat, row_end, count, policy.rank(count))
-    pool = impostor_pool(gallery, metric)  # refuses an unknown metric before any work
-    k = policy.rank(pool.size)
-    pool.partition(k)  # in place: the order statistic is one pool element
-    return float(pool[k])
+        t_star = _cross_order_statistic(operand, row_end, count, k)
+    else:
+        pool = _pool(mat, row_end, metric)
+        pool.partition(k)  # in place: the order statistic is one pool element
+        t_star = float(pool[k])
+    _slot[:] = [(gallery, operand)]
+    return t_star
 
 
 def classify_batch(
@@ -435,14 +486,20 @@ def classify_batch(
     to the nearest template) and ``label`` (int64, that template's owner,
     a pseudo-label only where ``accepted``). An empty batch gives 0 rows.
     """
+    try:  # t*'s operand, if t* read this gallery last: the slot is emptied either way
+        held, operand = _slot.pop()  # atomic: a concurrent caller at most misses it
+    except IndexError:
+        held = None
     _known(metric)
     if not t_star >= 0:  # also refuses NaN, which would reject every probe
         raise ValueError("t* must be non-negative")
     x = stack_vectors(batch.samples, gallery.dim)
-    mat, owners = gallery.vectors, gallery.owner
+    if held is not gallery:
+        operand = _Operand(gallery.vectors)
+    mat, owners = operand.rows, gallery.owner
     blocks = range(0, max(len(x), 1), _BLOCK)  # an empty batch makes one empty block
     if metric == EUCLIDEAN and len(x):
-        screen = _Screen(x, mat, EUCLIDEAN, min(len(x), _BLOCK))
+        screen = _Screen(x, operand, EUCLIDEAN, min(len(x), _BLOCK))
         with np.errstate(over="ignore", invalid="ignore"):  # a screen may overflow: tau is infinite
             near = np.concatenate([screen.nearest(screen.screen(lo, lo + _BLOCK), lo) for lo in blocks])
     else:  # no Gram identity (or no probe): one exact table per block of probes

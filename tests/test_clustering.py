@@ -16,7 +16,7 @@ from selfgallery.clustering import (
     kmeans,
 )
 from selfgallery import matching
-from selfgallery.matching import _SQUARED, _exact, _Screen, _sq_norms
+from selfgallery.matching import _SQUARED, _exact, _Operand, _Screen, _sq_norms
 
 from oracles import dominant_cluster_for_user, exact_assign, masked_mean_kmeans
 
@@ -111,6 +111,20 @@ def test_params_validation():
         KMeansParams(k=0)
     with pytest.raises(ValueError):
         KMeansParams(k=2, init="seeded_random")  # missing seed
+
+
+@pytest.mark.parametrize("k", [2.0, True, "2"])
+def test_params_refuse_a_k_that_is_not_an_integer(k):
+    # a float k once passed and failed inside numpy; True passed as k = 1
+    with pytest.raises(ValueError, match=f"k must be an integer, not {k!r}"):
+        KMeansParams(k=k)
+
+
+@pytest.mark.parametrize("seed", [1.5, False])
+def test_params_refuse_a_seed_that_is_not_an_integer(seed):
+    with pytest.raises(ValueError, match=f"seed must be an integer, not {seed!r}"):
+        KMeansParams(k=2, init="seeded_random", seed=seed)
+    assert KMeansParams(k=2, init="seeded_random", seed=np.int64(3)).seed == 3
 
 
 _PTS = np.arange(10.0).reshape(5, 2)
@@ -284,7 +298,7 @@ def test_sq_dists_is_the_clipped_gram_expansion(offset, d):
     x = rng.normal(size=(50, d)) + offset
     c = rng.normal(size=(7, d)) + offset
     for y in (c, x):  # against centroids, and one set against itself
-        screen = _Screen(x, y, _SQUARED, 1)  # as kmeans builds it
+        screen = _Screen(x, _Operand(y), _SQUARED, 1)  # as kmeans builds it
         assert screen.dtype == np.float32
         centre = y.sum(axis=0) / y.shape[0]
         xc, yc = (x - centre).astype(np.float32), (y - centre).astype(np.float32)
@@ -359,7 +373,7 @@ def test_screen_dtype_follows_the_bound(scale, dtype):
     rng = np.random.default_rng(6)
     pts = rng.normal(size=(30, 3)) * scale
     with np.errstate(over="ignore", invalid="ignore"):
-        screen = _Screen(pts, pts[:4], _SQUARED, 1)  # as kmeans builds it
+        screen = _Screen(pts, _Operand(pts[:4]), _SQUARED, 1)  # as kmeans builds it
         # None: not claimed in float64 either, so tau is infinite, every pair exact
         claimed = (dtype or np.float64, dtype is not None)
         assert (screen.dtype, bool(np.isfinite(screen.tau).all())) == claimed

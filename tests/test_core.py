@@ -97,6 +97,29 @@ def test_batch_holds_its_samples_as_a_tuple():
     assert Batch(index=2, samples=kept).samples is kept
 
 
+def test_samples_and_batches_compare_and_hash_by_identity():
+    # equal fields, distinct objects: unequal, with no element-wise comparison of vectors
+    a, b = make_sample(0, [1.0, 2.0]), make_sample(0, [1.0, 2.0])
+    assert a == a and a != b and not (a == b)
+    assert a in [b, a] and b not in [a] and len({a, b, a}) == 2
+    assert {a: 1, b: 2}[a] == 1 and hash(a) != hash(b)
+    x, y = Batch(index=1, samples=(a,)), Batch(index=1, samples=(a,))
+    assert x == x and x != y and len({x, y}) == 2 and {x: 1}[x] == 1
+
+
+def test_splits_compare_by_their_fields_without_raising():
+    from selfgallery.dataio import Split, split_batches
+
+    ds = [make_sample(i, [float(i % 2), float(i)], user=1 + i % 2) for i in range(12)]
+    s1, s2 = split_batches(ds, 3, 2, seed=0), split_batches(ds, 3, 2, seed=0)
+    assert s1 == s1 and s1 != s2  # the same samples, but each split builds its own batches
+    same = Split(enroll=s1.enroll, adaptation=s1.adaptation, test=s1.test)
+    assert same == s1 and hash(same) == hash(s1) and len({s1, s2, same}) == 2
+    copies = [make_sample(s.id, s.vector, user=s.true_user) for s in ds]
+    other = split_batches(copies, 3, 2, seed=0)  # equal fields, other sample objects
+    assert Split(enroll=other.enroll, adaptation=s1.adaptation, test=s1.test) != s1
+
+
 def test_enroll_minimal():
     pairs = [(u, make_sample(u, [float(u)], user=u)) for u in (1, 2, 3)]
     g = gallery_enroll(pairs, cap=6)

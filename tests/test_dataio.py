@@ -197,6 +197,15 @@ def test_split_relaxed_drops_short_user():
     split = split_batches(ds, 3, 4, seed=0, strict=False)
     users = {u for u, _ in split.enroll}
     assert users == {1, 3}
+    assert split.dropped == ((2, 3),)  # (user, samples held); the caller logs it
+    assert split_batches(_grid_dataset(3, 12), 3, 4, seed=0, strict=False).dropped == ()
+
+
+def test_split_logs_nothing(caplog):
+    ds = [s for s in _grid_dataset(3, 12) if not (s.true_user == 2 and s.id >= 15)]
+    with caplog.at_level("DEBUG"):
+        split_batches(ds, 3, 4, seed=0, strict=False)
+    assert caplog.records == []
 
 
 def test_split_chronological_uses_session_order():

@@ -1,9 +1,10 @@
 import csv
+import logging
 
 import pytest
 
 from selfgallery.core import gallery_enroll
-from selfgallery.dataio import split_batches
+from selfgallery.dataio import split_batches, write_dataset
 from selfgallery import experiment
 from selfgallery.engine import EngineConfig, run_sequence
 from selfgallery.experiment import NO_UPDATE, ExperimentConfig, run_experiment
@@ -257,3 +258,15 @@ def test_a_failed_split_makes_no_out_dir_but_flushes_the_finished_runs(tmp_path,
         return
     assert sorted(p.name for p in out.iterdir()) == ["FAILED", "metrics.partial.csv"]
     assert {r["run"] for r in _untimed_rows(out / "metrics.partial.csv")} == {"1"}
+
+
+def test_a_relaxed_experiment_logs_each_dropped_user_once(tmp_path, caplog):
+    # users 2 and 4 hold fewer than the 5 batches x p=3 samples: every run's
+    # split drops both, and the experiment logs each of them once
+    path = tmp_path / "short.csv"
+    write_dataset([s for s in generate(SMALL) if s.true_user in (1, 3) or s.id % 20 < 10], path)
+    with caplog.at_level(logging.WARNING):
+        run_experiment(_cfg(dataset=path, runs=3, strict=False))
+    lines = [r.getMessage() for r in caplog.records]
+    assert lines == ["dropping user 2: 10 samples < required 15",
+                     "dropping user 4: 10 samples < required 15"]

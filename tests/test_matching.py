@@ -1,5 +1,9 @@
 import itertools
 import math
+import sys
+import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +12,7 @@ from hypothesis import strategies as st
 
 from selfgallery import matching, metrics
 from selfgallery.clustering import KMeansParams, kmeans
-from selfgallery.core import Batch, gallery_enroll
+from selfgallery.core import Batch, Gallery, gallery_enroll
 from selfgallery.matching import (
     _BLOCK,
     _GATHER,
@@ -555,3 +559,146 @@ def test_sq_distances_is_bitwise_the_row_kernel(offset, d, monkeypatch):
     # one set against itself, as MDIST/DEND take it: symmetric, zero diagonal
     own = matching._exact(x, x, matching._SQUARED)
     assert np.array_equal(own, own.T) and not own.diagonal().any()
+
+
+# -- t*'s operand, handed to the classification that reads the same gallery --
+
+
+def _handoff_case(case):
+    """(gallery, probes, metric) for one hand-off case."""
+    rng = np.random.default_rng(len(case))
+    if case == "overflow":  # near 1e155: tau is infinite, in float64 too
+        c = 1e155
+        rows = [(1, [c, c]), (1, [c, -c]), (2, [-c, c]), (3, [-c, -c]), (3, [c / 2, c])]
+        g = gallery_enroll([(u, make_sample(i, v, user=u)) for i, (u, v) in enumerate(rows)])
+        return g, [[c, c], [0.0, 0.0], [c / 3, -c]], "euclidean"
+    dim, scale, probes, metric = {
+        "d16": (16, 1.0, 2 * _BLOCK + 7, "euclidean"),
+        "d128": (128, 1.0, 2 * _BLOCK + 7, "euclidean"),
+        "few": (16, 1.0, 5, "euclidean"),  # fewer than _BLOCK probes: tiles of another group
+        "float64": (8, 1e20, _BLOCK + 3, "euclidean"),  # the float32 bound fails
+        "l1": (16, 1.0, _BLOCK + 3, "l1"),
+    }[case]
+    g, shared = screen_gallery(rng, dim, [int(c) for c in rng.integers(1, 9, 20)], 0.0)
+    g = gallery_enroll([(u, make_sample(s.id, s.vector * scale, user=u))
+                        for u, s in zip(g.owner, g.samples)])
+    return g, [shared * scale] + list(rng.normal(2.0, 1.5, (probes - 1, dim)) * scale), metric
+
+
+def _count_operands(monkeypatch):
+    built = []
+
+    class Counting(matching._Operand):
+        def __init__(self, rows):
+            built.append(rows)
+            super().__init__(rows)
+
+    monkeypatch.setattr(matching, "_Operand", Counting)
+    return built
+
+
+@pytest.mark.parametrize("case", ["d16", "d128", "few", "float64", "overflow", "l1"])
+@pytest.mark.parametrize("q", [None, 0.2])
+def test_classification_after_t_star_is_bitwise_that_of_an_empty_slot(monkeypatch, case, q):
+    g, probes, metric = _handoff_case(case)
+    batch = Batch(index=1, samples=tuple(make_sample(10_000 + i, v) for i, v in enumerate(probes)))
+    built = _count_operands(monkeypatch)
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflow case's reference sums
+        t = estimate_threshold(g, ThresholdPolicy(q=q), metric)
+        (held, operand), = matching._slot
+        assert held is g and len(built) == 1
+        if case == "float64":
+            assert {dtype for dtype, _ in operand._tiles} == {np.float32, np.float64}
+        warm = classify_batch(batch, g, t, metric)
+        assert matching._slot == [] and len(built) == 1  # t*'s operand served it
+        if case == "few":  # the shared rows and centre, tiles for 5-row slices
+            assert (np.float32, 5) in operand._tiles
+        cold = classify_batch(batch, g, t, metric)
+    assert len(built) == 2
+    assert warm.dtype == cold.dtype and warm.tobytes() == cold.tobytes()
+    got = [(d.sample_id, d.accepted, d.distance, d.label) for d in warm]
+    assert got == _classify_by_row(batch, g, t, metric)
+
+
+def test_an_equal_gallery_builds_its_own_operand(monkeypatch):
+    g, probes, _ = _handoff_case("d16")
+    twin = Gallery(samples=g.samples, owner=g.owner, inserted_at=g.inserted_at)  # equal content
+    batch = Batch(index=1, samples=tuple(make_sample(10_000 + i, v) for i, v in enumerate(probes)))
+    built = _count_operands(monkeypatch)
+    t = estimate_threshold(g)
+    got = classify_batch(batch, twin, t)
+    assert len(built) == 2 and built[1] is not built[0] and matching._slot == []
+    assert got.tobytes() == classify_batch(batch, g, t).tobytes()
+
+
+def test_the_slot_holds_the_last_t_star_gallery_only():
+    a, _, _ = _handoff_case("d16")
+    b, _, _ = _handoff_case("l1")
+    estimate_threshold(a)
+    estimate_threshold(b, metric="l1")
+    assert [held for held, _ in matching._slot] == [b]
+    with pytest.raises(ValueError, match="cross-user"):  # a failed t* stores nothing
+        estimate_threshold(gallery_1d({1: [0.0, 1.0]}))
+    assert [held for held, _ in matching._slot] == [b]
+    estimate_threshold(a)
+    with pytest.raises(ValueError, match="non-negative"):  # classification empties it even so
+        classify_batch(Batch(index=1, samples=()), a, -1.0)
+    assert matching._slot == []
+
+
+def test_the_slot_holds_at_most_one_galleries_rows_and_tiles():
+    rng = np.random.default_rng(3)
+    galleries = [screen_gallery(rng, 64, [6] * 50, 0.0)[0] for _ in range(5)]  # 300 x 64 each
+    matching._slot.clear()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for g in galleries:
+            estimate_threshold(g)
+            held = tracemalloc.get_traced_memory()[0] - base
+        (_, operand), = matching._slot
+        one = operand.rows.nbytes + sum(s.nbytes + yy.nbytes for s, yy in operand._tiles.values())
+        assert one < 2 * operand.rows.nbytes  # float64 rows, float32 tiles
+        assert held <= one + (16 << 10)  # not five galleries' worth
+        del operand
+        classify_batch(Batch(index=1, samples=(make_sample(10_000, np.zeros(64)),)), galleries[-1], 1.0)
+        assert tracemalloc.get_traced_memory()[0] - base <= 16 << 10
+    finally:
+        tracemalloc.stop()
+
+
+def test_concurrent_hand_offs_never_read_another_galleries_operand():
+    # threads interleave t* and classification of their own galleries: a
+    # caller may miss the slot, but every record is that of an empty slot
+    rng = np.random.default_rng(11)
+    cases = []
+    for i in range(4):
+        g, shared = screen_gallery(rng, 16, [int(c) for c in rng.integers(1, 6, 8)], 0.0)
+        probes = [shared] + list(rng.normal(2.0, 1.5, (_BLOCK + 5, 16)))
+        batch = Batch(index=1, samples=tuple(make_sample(10_000 + j, v) for j, v in enumerate(probes)))
+        t = estimate_threshold(g)
+        matching._slot.clear()
+        cases.append((g, batch, classify_batch(batch, g, t).tobytes()))
+    wrong = []
+
+    def worker(g, batch, want):
+        try:
+            for _ in range(25):
+                t = estimate_threshold(g)
+                time.sleep(0)  # lets another thread's t* replace the slot's operand
+                if classify_batch(batch, g, t).tobytes() != want:
+                    wrong.append(g)
+        except Exception as exc:  # another gallery's rows can also fail to index
+            wrong.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=case) for case in cases * 2]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(th.is_alive() for th in threads) and wrong == []
