@@ -4,20 +4,27 @@ All types are immutable values; galleries evolve by producing new versions.
 ``Sample``, ``Batch`` and ``Gallery`` hold arrays, so each compares and hashes
 by identity.
 Each stores a fact once: a gallery's dimension follows from its samples, a
-row's batch is its ``inserted_at``, and a user's id is its rows' owner.
-Ground-truth identities travel with samples. The dataset's split reads them
+row's batch is its ``inserted_at``, and a user's id is its rows' owner. A
+gallery's ``sample_id`` and ``true_user`` columns repeat its samples' fields
+as a checked index of the held samples, built in the pass that checks them.
+Ground-truth identities travel with samples, and with the galleries that
+hold them as the ``true_user`` column. The dataset's split reads them
 to enroll, and evaluation (``metrics``) is where the test batch's truth is
 read, for score sets and scatter files, and the gallery's, for the impostor
 fraction. The update path (matching, selection, the engine) never does.
 
 A ``Gallery`` is rows over its samples: the held ``Sample`` objects by
-reference, and int64 ``owner`` and ``inserted_at`` columns, sorted by
-owner, then sample id: its one row order. Only this module knows that
-layout; every other module reads the row accessors (``samples``, ``owner``,
-``inserted_at``, ``vectors``, ``sample_id``, ``true_user``, ``user_ids``). ``Gallery.users`` is a per-user view of the same rows,
-built once per gallery and kept only for the benchmark's checks, which
-read it; ``Template`` (one held sample) and ``UserGallery`` are its element
-types, and the package does not export them.
+reference, and int64 ``owner``, ``inserted_at``, ``sample_id`` and
+``true_user`` columns, sorted by owner, then sample id: its one row order.
+Every int64 column of a gallery is stored, read-only; only the float
+``vectors`` are stacked per read, since a stacked copy kept on every gallery
+holds each vector twice (its ``Sample`` stays alive) and raised peak memory
+by about 10%. Only this module knows that layout; every other module reads
+the row accessors (``samples``, ``owner``, ``inserted_at``, ``vectors``,
+``sample_id``, ``true_user``, ``user_ids``). ``Gallery.users`` is a per-user
+view of the same rows, built once per gallery and kept only for the
+benchmark's checks, which read it; ``Template`` (one held sample) and
+``UserGallery`` are its element types, and the package does not export them.
 
 ``gallery_enroll``'s ``cap`` is an enrollment bound only: it checks how
 many samples each user enrolls with. The cap that selection enforces on
@@ -49,7 +56,7 @@ sorts them once by (user, sample id) and checks ``cap``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
@@ -158,20 +165,26 @@ class Gallery:
 
     Rows are sorted by owner, then sample id, the order selection reads, so
     each user's rows are contiguous; a row's batch does not order it. A user
-    is enrolled by its rows and never loses its last one. All three columns
-    are read-only copies (``samples`` holds the caller's ``Sample`` objects
-    by reference, no stacked vectors), so nothing changes a gallery after
-    its checks ran.
+    is enrolled by its rows and never loses its last one. Every column is a
+    read-only copy (``samples`` holds the caller's ``Sample`` objects by
+    reference, no stacked vectors; ``sample_id`` and ``true_user`` are their
+    fields, read once), so nothing changes a gallery after its checks ran.
     """
 
     samples: np.ndarray
     owner: np.ndarray
     inserted_at: np.ndarray
+    sample_id: np.ndarray = field(init=False, repr=False)
+    true_user: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         rows = np.array(self.samples, dtype=object)  # a copy of the references
         owner, inserted_at = _int64(self.owner, "user key"), _int64(self.inserted_at, "inserted_at")
-        for name, column in (("samples", rows), ("owner", owner), ("inserted_at", inserted_at)):
+        # one plain pass per key column: a pass of (id, user) tuples is slower
+        ids = np.fromiter((s.id for s in rows), dtype=np.int64, count=len(rows))
+        truth = np.fromiter((s.true_user for s in rows), dtype=np.int64, count=len(rows))
+        for name, column in (("samples", rows), ("owner", owner), ("inserted_at", inserted_at),
+                             ("sample_id", ids), ("true_user", truth)):
             column.flags.writeable = False
             object.__setattr__(self, name, column)
         if not len(rows):
@@ -183,7 +196,6 @@ class Gallery:
         dims = np.fromiter((s.vector.shape[0] for s in rows), dtype=np.intp, count=len(rows))
         if np.any(dims != dims[0]):  # the first row of another dimension
             raise _dim_mismatch(rows[np.argmax(dims != dims[0])], dims[0])
-        ids = self.sample_id
         if (again := first_repeat(ids)) is not None:  # a cycle could keep more than p, or t* read 0
             raise ValueError(f"sample id {ids[again]} is held more than once")
         # compared, not subtracted: no overflow; ids are distinct by now
@@ -203,18 +215,11 @@ class Gallery:
     def n_templates(self) -> int:
         return len(self.samples)
 
-    # Columns derived from the samples: built per read, never cached.
     @property
     def vectors(self) -> np.ndarray:
+        """The rows' vectors as one (n, dim) stack, built per read: the one
+        column a gallery does not store."""
         return stack_vectors(self.samples, self.dim)
-
-    @property
-    def sample_id(self) -> np.ndarray:
-        return np.fromiter((s.id for s in self.samples), dtype=np.int64, count=len(self.samples))
-
-    @property
-    def true_user(self) -> np.ndarray:
-        return np.fromiter((s.true_user for s in self.samples), dtype=np.int64, count=len(self.samples))
 
     @cached_property
     def users(self) -> Mapping[int, UserGallery]:

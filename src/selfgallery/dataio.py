@@ -108,6 +108,8 @@ def split_batches(
         raise ValueError("need at least 3 batches (enroll, adaptation, test)")
     if check_integer(p, "p") < 1:
         raise ValueError("p must be positive")
+    if check_integer(seed, "seed") < 0:
+        raise ValueError("seed must be non-negative")
     need = n_batches * p
     by_user: dict[int, list[Sample]] = {}
     for s in dataset:

@@ -75,8 +75,11 @@ class ExperimentConfig:
                 raise ValueError(f"unknown method: {m!r}")
             if self.methods.count(m) > 1:
                 raise ValueError(f"method {m!r} is given more than once")
-        if self.bytes_per_template is not None and self.bytes_per_template < 1:
+        s = self.bytes_per_template
+        if s is not None and check_integer(s, "bytes_per_template") < 1:
             raise ValueError("bytes_per_template must be positive")
+        if check_integer(self.base_seed, "base_seed") + 1 < 0:  # run 1 splits at base_seed + 1
+            raise ValueError("base_seed must be at least -1")
 
 
 def _row(*values) -> dict:

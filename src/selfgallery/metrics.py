@@ -22,7 +22,7 @@ from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
-from .core import Batch, Gallery, first_repeat, stack_vectors
+from .core import Batch, Gallery, check_integer, first_repeat, stack_vectors
 from .matching import EUCLIDEAN, _exact, _known
 
 DEFAULT_BYTES_PER_COORD = 4  # one 32-bit value per coordinate unless overridden
@@ -78,7 +78,7 @@ def impostor_fraction(gallery: Gallery) -> tuple[float, dict[int, float]]:
 
 def storage_capped(p: int, k: int, s: int) -> int:
     """Hard storage bound of a capped gallery: p * k * S bytes."""
-    if p < 1 or k < 1 or s < 1:
+    if min(check_integer(p, "p"), check_integer(k, "k"), check_integer(s, "S")) < 1:
         raise ValueError("p, k and S must be positive")
     return p * k * s
 
@@ -89,9 +89,9 @@ def storage_uncapped(beta: float, i: int, m_bar: float, k: int, s: int) -> float
     traditional self-update)."""
     if not (0.0 < beta <= 1.0):
         raise ValueError("beta must be in (0, 1]")
-    if i < 0:
+    if check_integer(i, "iteration count") < 0:
         raise ValueError("iteration count must be non-negative")
-    if m_bar <= 0 or k < 1 or s < 1:
+    if min(check_integer(k, "k"), check_integer(s, "S")) < 1 or m_bar <= 0:
         raise ValueError("m_bar, k and S must be positive")
     return beta * i * m_bar * k * s
 
@@ -100,7 +100,7 @@ def gallery_bytes(gallery: Gallery, bytes_per_template: Optional[int] = None) ->
     s = bytes_per_template
     if s is None:
         s = DEFAULT_BYTES_PER_COORD * gallery.dim
-    elif s < 1:
+    elif check_integer(s, "bytes_per_template") < 1:
         raise ValueError("bytes_per_template must be positive")
     return gallery.n_templates * s
 

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,6 +14,8 @@ from selfgallery.core import (
     gallery_enroll,
     stack_vectors,
 )
+from selfgallery.engine import EngineConfig, run_update_cycle
+from selfgallery.metrics import distance_columns, impostor_fraction, score_sets
 
 from conftest import make_sample
 
@@ -204,10 +208,9 @@ def test_row_accessors_follow_user_then_sample_id_order():
     assert g.vectors.dtype == np.float64 and g.vectors.shape == (6, 2)
     for rows in (g.owner, g.sample_id, g.true_user):
         assert rows.dtype == np.int64
-    for name in ("vectors", "sample_id", "true_user"):
-        assert getattr(g, name) is not getattr(g, name)  # built per read, never cached
+    assert g.vectors is not g.vectors  # built per read, never cached
     assert g.inserted_at.tolist() == [0] * 6 and g.samples.dtype == object
-    for name in ("samples", "owner", "inserted_at"):  # stored columns
+    for name in ("samples", "owner", "inserted_at", "sample_id", "true_user"):  # stored columns
         column = getattr(g, name)
         assert column is getattr(g, name) and not column.flags.writeable
         with pytest.raises(ValueError):
@@ -219,6 +222,45 @@ def test_row_accessors_follow_user_then_sample_id_order():
     assert list(gallery_enroll(pairs[::-1]).samples) == list(g.samples)
     # a row's batch does not order the rows: an older row may follow a newer one
     assert Gallery(samples=_rows(1, 1), owner=[1, 1], inserted_at=[2, 1]).inserted_at.tolist() == [2, 1]
+
+
+def test_a_gallery_reads_each_samples_keys_once_when_built():
+    reads = Counter()
+
+    class Counted(Sample):
+        """A sample that counts reads of its id and true_user, by id."""
+
+        def __getattribute__(self, name):
+            if name in ("id", "true_user"):
+                reads[name, object.__getattribute__(self, "id")] += 1
+            return object.__getattribute__(self, name)
+
+    def once_each(ids):
+        return Counter({(name, i): 1 for name in ("id", "true_user") for i in ids})
+
+    # users 1 and 2 hold three rows each, the second user's truth mixed
+    ids, owner, truth = [0, 1, 2, 3, 4, 5], [1, 1, 1, 2, 2, 2], [1, 1, 1, 2, 1, 2]
+    rows = [Counted(id=i, vector=[10.0 * u, i], true_user=t) for i, u, t in zip(ids, owner, truth)]
+    reads.clear()
+    g = Gallery(samples=rows, owner=owner, inserted_at=[0] * 6)
+    assert reads == once_each(ids)
+    reads.clear()
+    for _ in range(3):
+        assert g.sample_id.tolist() == ids and g.true_user.tolist() == truth
+    assert not reads
+    # one probe per user; MDIST at p = 3 then evicts one row of each user
+    batch = Batch(index=1, samples=(make_sample(10, [0.5, 2.5], user=1), make_sample(11, [20.5, 4.0], user=2)))
+    g1, report = run_update_cycle(g, batch, EngineConfig(method="mdist", p=3), t_star=100.0)
+    assert report.n_accepted == 2 and len(report.evictions) == 2
+    # only the next gallery's build reads its held rows' keys, once each
+    assert reads == once_each(set(g1.sample_id.tolist()) & set(ids))
+    test = Batch(index=2, samples=(make_sample(20, [0.0, 1.0], user=1), make_sample(21, [20.0, 4.0], user=2)))
+    columns = distance_columns(test, list(g.samples) + list(batch.samples))  # every row of g and g1
+    reads.clear()
+    for gallery in (g, g1):
+        impostor_fraction(gallery)
+        score_sets(test, gallery, columns)
+    assert not reads
 
 
 def test_gallery_users_are_read_only():

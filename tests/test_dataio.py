@@ -262,6 +262,10 @@ def test_load_boundary_checks_raise_their_messages(tmp_path, text, message):
         (lambda ds: split_batches(ds, 3, 1.5, seed=0), r"^p must be an integer, not 1\.5$"),
         (lambda ds: split_batches(ds, 3.0, 3, seed=0), r"^n_batches must be an integer, not 3\.0$"),
         (lambda ds: split_batches(ds, 3, True, seed=0), "^p must be an integer, not True$"),
+        # True would split at seed 1; 2.0 and -1 would fail inside numpy
+        (lambda ds: split_batches(ds, 3, 3, seed=True), "^seed must be an integer, not True$"),
+        (lambda ds: split_batches(ds, 3, 3, seed=2.0), r"^seed must be an integer, not 2\.0$"),
+        (lambda ds: split_batches(ds, 3, 3, seed=-1), "^seed must be non-negative$"),
     ],
 )
 def test_split_boundary_checks_raise_their_messages(split, message):

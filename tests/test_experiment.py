@@ -156,11 +156,18 @@ def test_config_validation():
             _cfg(bytes_per_template=s)
 
 
-@pytest.mark.parametrize("field", ["p", "n_batches", "runs"])
+# a float or bool byte count would reach metrics.csv; a float base_seed would fail once the dataset is built
+@pytest.mark.parametrize("field", ["p", "n_batches", "runs", "bytes_per_template", "base_seed"])
 @pytest.mark.parametrize("value", [3.0, True])
 def test_config_refuses_a_non_integer_size(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be an integer, not {value!r}$"):
         _cfg(**{field: value})
+
+
+def test_config_keeps_every_split_seed_non_negative():
+    assert _cfg(base_seed=-1).base_seed == -1  # run 1 splits at seed 0
+    with pytest.raises(ValueError, match="^base_seed must be at least -1$"):
+        _cfg(base_seed=-2)
 
 
 def test_config_rejects_p_and_metric_before_run_experiment_writes(tmp_path):

@@ -215,6 +215,24 @@ def test_boundary_checks_raise_their_messages(args):  # m_bar <= 0, k < 1, S < 1
         storage_uncapped(*args)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: storage_capped(6.0, 59, 128), r"^p must be an integer, not 6\.0$"),
+        (lambda: storage_capped(6, True, 128), "^k must be an integer, not True$"),
+        (lambda: storage_capped(6, 59, 2.5), r"^S must be an integer, not 2\.5$"),
+        (lambda: storage_uncapped(1.0, 3.0, 2.0, 4, 10), r"^iteration count must be an integer, not 3\.0$"),
+        (lambda: storage_uncapped(1.0, 3, 2.0, True, 10), "^k must be an integer, not True$"),
+        (lambda: storage_uncapped(1.0, 3, 2.0, 4, 10.0), r"^S must be an integer, not 10\.0$"),
+        (lambda: gallery_bytes(gallery_1d({1: [0.0]}), 2.5), r"^bytes_per_template must be an integer, not 2\.5$"),
+        (lambda: gallery_bytes(gallery_1d({1: [0.0]}), True), "^bytes_per_template must be an integer, not True$"),
+    ],
+)
+def test_storage_counts_refuse_non_integers(call, message):  # beta and m_bar stay floats
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_evaluate_snapshot_self_test_zero_eer():
     g = gallery_1d({1: [0.0], 2: [10.0]})
     test = Batch(

@@ -93,6 +93,25 @@ def test_boundary_checks_raise_their_messages(monkeypatch, call, message):
         call()
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("k_users", 3.0, r"^k_users must be an integer, not 3\.0$"),
+        ("dim", 2.0, r"^dim must be an integer, not 2\.0$"),  # generate would fail inside numpy
+        ("samples_per_user", True, "^samples_per_user must be an integer, not True$"),  # else one sample per user
+        ("seed", 1.5, r"^seed must be an integer, not 1\.5$"),
+        ("seed", -1, "^seed must be non-negative$"),  # SeedSequence would refuse it
+        ("sigma", float("nan"), "^sigma and separation must be finite and positive$"),
+        ("sigma", float("inf"), "^sigma and separation must be finite and positive$"),
+        ("separation", float("nan"), "^sigma and separation must be finite and positive$"),
+        ("separation", float("inf"), "^sigma and separation must be finite and positive$"),
+    ],
+)
+def test_params_refuse_non_integer_sizes_and_non_finite_scales(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        SynthParams(**{"k_users": 3, "dim": 2, field: value})
+
+
 # the three benchmark workloads' parameter sets (online_wide at seed 1), more
 # users than dimensions (rejection-sampled means), no tail, a heavy tail, and
 # one sample per user
