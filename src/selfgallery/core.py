@@ -15,13 +15,20 @@ fraction. The update path (matching, selection, the engine) never does.
 
 A ``Gallery`` is rows over its samples: the held ``Sample`` objects by
 reference, and int64 ``owner``, ``inserted_at``, ``sample_id`` and
-``true_user`` columns, sorted by owner, then sample id: its one row order.
+``true_user`` columns, sorted by owner, then sample id: its one row order,
+so each user's rows are one run. Its int64 ``starts`` are the user bounds:
+each user's first row, then the row count, so user u's rows (users
+ascending) are ``starts[u]:starts[u + 1]``. ``user_bounds`` is the one
+derivation of those bounds, for a gallery's owner column and for any other
+owner-grouped column (selection's candidates).
 Every int64 column of a gallery is stored, read-only; only the float
 ``vectors`` are stacked per read, since a stacked copy kept on every gallery
 holds each vector twice (its ``Sample`` stays alive) and raised peak memory
-by about 10%. Only this module knows that layout; every other module reads
-the row accessors (``samples``, ``owner``, ``inserted_at``, ``vectors``,
-``sample_id``, ``true_user``, ``user_ids``). ``Gallery.users`` is a per-user
+by about 10%. Only this module decides that layout and where each user's
+rows lie; every other module reads the row accessors (``samples``,
+``owner``, ``inserted_at``, ``vectors``, ``sample_id``, ``true_user``,
+``starts``, ``user_ids``): t*, the impostor fraction and the score sets take
+each user's rows from ``starts``. ``Gallery.users`` is a per-user
 view of the same rows, built once per gallery and kept only for the
 benchmark's checks, which read it; ``Template`` (one held sample) and
 ``UserGallery`` are its element types, and the package does not export them.
@@ -51,7 +58,8 @@ holds passes on its dtype alone; other values are checked in order, and
 the first that fails either check is named), batches non-negative, one dimension (naming the first row of
 another), each sample id held once, and then the rows sorted by owner and
 sample id. ``gallery_enroll`` takes the (user, sample) pairs in any order,
-sorts them once by (user, sample id) and checks ``cap``.
+sorts them once by (user, sample id) and checks ``cap`` against the built
+gallery's bounds.
 """
 
 from __future__ import annotations
@@ -164,11 +172,14 @@ class Gallery:
     ``owner[i]`` since batch ``inserted_at[i]`` (0 for enrollment).
 
     Rows are sorted by owner, then sample id, the order selection reads, so
-    each user's rows are contiguous; a row's batch does not order it. A user
-    is enrolled by its rows and never loses its last one. Every column is a
-    read-only copy (``samples`` holds the caller's ``Sample`` objects by
-    reference, no stacked vectors; ``sample_id`` and ``true_user`` are their
-    fields, read once), so nothing changes a gallery after its checks ran.
+    each user's rows are contiguous: ``starts[u]:starts[u + 1]`` for the
+    u-th user; a row's batch does not order it. A user is enrolled by its
+    rows and never loses its last one. Every column is a read-only copy
+    (``samples`` holds the caller's ``Sample`` objects by reference, no
+    stacked vectors; ``sample_id`` and ``true_user`` are their fields, read
+    once; ``starts`` is built in the same column pass, and the order check
+    that follows makes it the user bounds), so nothing changes a gallery
+    after its checks ran.
     """
 
     samples: np.ndarray
@@ -176,6 +187,7 @@ class Gallery:
     inserted_at: np.ndarray
     sample_id: np.ndarray = field(init=False, repr=False)
     true_user: np.ndarray = field(init=False, repr=False)
+    starts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         rows = np.array(self.samples, dtype=object)  # a copy of the references
@@ -184,7 +196,7 @@ class Gallery:
         ids = np.fromiter((s.id for s in rows), dtype=np.int64, count=len(rows))
         truth = np.fromiter((s.true_user for s in rows), dtype=np.int64, count=len(rows))
         for name, column in (("samples", rows), ("owner", owner), ("inserted_at", inserted_at),
-                             ("sample_id", ids), ("true_user", truth)):
+                             ("sample_id", ids), ("true_user", truth), ("starts", user_bounds(owner))):
             column.flags.writeable = False
             object.__setattr__(self, name, column)
         if not len(rows):
@@ -209,7 +221,7 @@ class Gallery:
 
     @property
     def user_ids(self) -> list[int]:
-        return np.unique(self.owner).tolist()
+        return self.owner[self.starts[:-1]].tolist()
 
     @property
     def n_templates(self) -> int:
@@ -226,9 +238,18 @@ class Gallery:
         """A read-only view of the rows by user, built at the first read and
         kept for the benchmark's checks, its only reader: ``Template`` and
         ``UserGallery`` exist only for it."""
-        users, starts = np.unique(self.owner, return_index=True)
-        views = (UserGallery(tuple(map(Template, ss))) for ss in np.split(self.samples, starts[1:]))
-        return MappingProxyType(dict(zip(users.tolist(), views)))
+        views = (UserGallery(tuple(map(Template, ss))) for ss in np.split(self.samples, self.starts[1:-1]))
+        return MappingProxyType(dict(zip(self.user_ids, views)))
+
+
+def user_bounds(owner: np.ndarray) -> np.ndarray:
+    """Each user's first row, then the row count, of an ``owner`` column
+    whose rows are grouped by user: ``np.unique(owner, return_index=True)``'s
+    indices and ``len(owner)``, users in row order. User u's rows are
+    ``starts[u]:starts[u + 1]``."""
+    edge = np.ones(len(owner) + 1, dtype=bool)
+    edge[1:-1] = owner[1:] != owner[:-1]
+    return np.flatnonzero(edge)
 
 
 def _int64(values, name: str) -> np.ndarray:
@@ -265,16 +286,17 @@ def gallery_enroll(
     """Build the initial supervised gallery from (user, sample) pairs, given
     in any order: one sort by (user, sample id) gives the rows.
 
-    Each user enrolls at most ``cap`` samples when ``cap`` is given; every
-    other check is ``Gallery``'s.
+    Each user enrolls at most ``cap`` samples when ``cap`` is given, counted
+    from the built gallery's ``starts``; every other check, which comes
+    first, is ``Gallery``'s.
     """
     if cap is not None and check_integer(cap, "cap") < 1:
         raise ValueError("cap must be positive")
     pairs = list(dataset_slice)
     owner = _int64([u for u, _ in pairs], "user key")
-    users, counts = np.unique(owner, return_counts=True)
-    if cap is not None and np.any(counts > cap):
-        raise ValueError(f"users {users[counts > cap].tolist()} enroll more than cap={cap} samples")
     samples = np.array([s for _, s in pairs], dtype=object)
     rows = np.lexsort((np.fromiter((s.id for s in samples), np.int64, len(samples)), owner))
-    return Gallery(samples=samples[rows], owner=owner[rows], inserted_at=np.zeros(len(rows), np.int64))
+    g = Gallery(samples=samples[rows], owner=owner[rows], inserted_at=np.zeros(len(rows), np.int64))
+    if cap is not None and np.any(over := np.diff(g.starts) > cap):
+        raise ValueError(f"users {g.owner[g.starts[:-1][over]].tolist()} enroll more than cap={cap} samples")
+    return g

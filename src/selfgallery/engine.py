@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -37,6 +38,8 @@ class EngineConfig:
         if check_integer(self.p, "p") < 1:
             raise ValueError("p must be positive")
         matching._known(self.metric)
+        if not isinstance(self.policy, ThresholdPolicy):  # else it fails only at the first t*
+            raise ValueError(f"policy must be a ThresholdPolicy, not {self.policy!r}")
 
 
 @dataclass(frozen=True)
@@ -113,13 +116,15 @@ def run_update_cycle(
 
 
 def run_sequence(
-    g0: Gallery, batches: list[Batch], cfg: EngineConfig
+    g0: Gallery, batches: Iterable[Batch], cfg: EngineConfig
 ) -> tuple[Gallery, list[UpdateCycleReport], list[Gallery]]:
     """Run the full multi-batch loop, re-estimating t* after every cycle.
 
+    ``batches`` is read once, so an iterator runs as a list of its batches.
     Returns the final gallery, one report per cycle, and the post-cycle
     gallery snapshots.
     """
+    batches = list(batches)  # the order check reads them once, the loop again
     indices = [b.index for b in batches]
     if indices != sorted(indices):
         raise ValueError("batches must be ordered by index")

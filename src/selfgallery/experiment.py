@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from . import matching, selection
+from . import selection
 from .core import check_integer, gallery_enroll
 from .dataio import Split, load_dataset, split_batches
 from .engine import EngineConfig, run_sequence
@@ -63,18 +63,16 @@ class ExperimentConfig:
     write_scatter: bool = True
 
     def __post_init__(self):
-        if check_integer(self.p, "p") < 1:
-            raise ValueError("p must be positive")
-        matching._known(self.metric)
+        # the engine's rules for p, metric, policy and each method; keep_all
+        # stands in so that they hold with no method too
+        for m in (selection.KEEP_ALL, *self.methods):
+            EngineConfig(m, self.p, self.metric, self.policy)
+            if self.methods.count(m) > 1:
+                raise ValueError(f"method {m!r} is given more than once")
         if check_integer(self.n_batches, "n_batches") < 3:
             raise ValueError("n_batches must be >= 3")
         if check_integer(self.runs, "runs") < 1:
             raise ValueError("runs must be >= 1")
-        for m in self.methods:
-            if m not in selection.METHODS:
-                raise ValueError(f"unknown method: {m!r}")
-            if self.methods.count(m) > 1:
-                raise ValueError(f"method {m!r} is given more than once")
         s = self.bytes_per_template
         if s is not None and check_integer(s, "bytes_per_template") < 1:
             raise ValueError("bytes_per_template must be positive")

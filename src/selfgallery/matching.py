@@ -113,6 +113,7 @@ the buffer by position, so the peak is about two pool-sized arrays.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -148,7 +149,7 @@ class ThresholdPolicy:
     q: Optional[float] = None
 
     def __post_init__(self):
-        if self.q is not None and not 0.0 < self.q < 1.0:
+        if self.q is not None and not (isinstance(self.q, numbers.Real) and 0.0 < self.q < 1.0):
             raise ValueError(_Q_RANGE)
 
     def rank(self, pool_size: int) -> int:
@@ -365,23 +366,23 @@ class _Screen:
 
 
 def _cross_layout(gallery: Gallery):
-    """The gallery's vectors, each row's segment end, and the cross-user pair count."""
-    mat, owners = gallery.vectors, gallery.owner
-    row_end = np.searchsorted(owners, owners, side="right")  # owners ascend
+    """The gallery's vectors, each row's partners' first row (its user's
+    end, from ``starts``), and the cross-user pair count."""
+    mat, starts = gallery.vectors, gallery.starts
+    row_end = np.repeat(starts[1:], np.diff(starts))
     count = int(np.sum(mat.shape[0] - row_end))
     if count == 0:
         raise ValueError("no cross-user template pair: cannot estimate a threshold")
     return mat, row_end, count
 
 
-def _pool(mat: np.ndarray, row_end: np.ndarray, metric: str) -> np.ndarray:
-    """impostor_pool of the rows ``mat`` with segment ends ``row_end``."""
-    # the gallery lays each user's rows out as one contiguous segment, so the
-    # cross-user partners of a segment's rows are exactly mat[end:], end being
-    # the segment's end; each segment's table, row-major, in row order
-    ends = np.unique(row_end).tolist()
-    segments = zip([0] + ends, ends[:-1])
-    return np.concatenate([_exact(mat[lo:end], mat[end:], metric).ravel() for lo, end in segments])
+def _pool(mat: np.ndarray, starts: np.ndarray, metric: str) -> np.ndarray:
+    """impostor_pool of the rows ``mat`` with user bounds ``starts``."""
+    # each user's rows are one run, so the cross-user partners of a user's
+    # rows are exactly mat[end:], end being its next user's first row; each
+    # user's table but the last user's (no row follows it), row-major, in row order
+    b = starts.tolist()
+    return np.concatenate([_exact(mat[lo:end], mat[end:], metric).ravel() for lo, end in zip(b, b[1:-1])])
 
 
 def impostor_pool(gallery: Gallery, metric: str = EUCLIDEAN) -> np.ndarray:
@@ -392,8 +393,7 @@ def impostor_pool(gallery: Gallery, metric: str = EUCLIDEAN) -> np.ndarray:
     reference the euclidean screen of estimate_threshold must reproduce.
     """
     _known(metric)
-    mat, row_end, _ = _cross_layout(gallery)
-    return _pool(mat, row_end, metric)
+    return _pool(_cross_layout(gallery)[0], gallery.starts, metric)
 
 
 def _cross_screens(operand: _Operand, row_end: np.ndarray, count: int):
@@ -467,7 +467,7 @@ def estimate_threshold(
     if metric == EUCLIDEAN:
         t_star = _cross_order_statistic(operand, row_end, count, k)
     else:
-        pool = _pool(mat, row_end, metric)
+        pool = _pool(mat, gallery.starts, metric)
         pool.partition(k)  # in place: the order statistic is one pool element
         t_star = float(pool[k])
     _slot[:] = [(gallery, operand)]
@@ -491,8 +491,9 @@ def classify_batch(
     except IndexError:
         held = None
     _known(metric)
-    if not t_star >= 0:  # also refuses NaN, which would reject every probe
-        raise ValueError("t* must be non-negative")
+    # a bool is no distance (the package refuses bool keys too); NaN would reject every probe
+    if isinstance(t_star, bool) or not (isinstance(t_star, numbers.Real) and t_star >= 0):
+        raise ValueError(f"t* must be a non-negative number, not {t_star!r}")
     x = stack_vectors(batch.samples, gallery.dim)
     if held is not gallery:
         operand = _Operand(gallery.vectors)

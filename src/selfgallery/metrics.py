@@ -9,10 +9,11 @@ Evaluation reads the ground truth that the update path never reads, and it
 searches nothing: ``distance_columns`` tables every exact distance from a set
 of samples to a test batch as one id-sorted table, a block of samples per
 reduction (matching's exact kernel), and ``score_sets`` gathers a gallery's
-rows from it with one ``searchsorted`` and takes each user's least over its
-templates' rows. A run scores all its snapshots, and writes its scatter
-files, against one test batch from one such table over the samples its
-galleries hold.
+rows from it with one ``searchsorted`` over sample ids and takes each user's
+least over its templates' rows, which the gallery's ``starts`` bound, as they
+bound each user's share of the impostor fraction. A run scores all its
+snapshots, and writes its scatter files, against one test batch from one
+such table over the samples its galleries hold.
 """
 
 from __future__ import annotations
@@ -68,12 +69,10 @@ def impostor_fraction(gallery: Gallery) -> tuple[float, dict[int, float]]:
 
     It reads the gallery's ground truth, which the update path never reads.
     """
-    users, owner = gallery.user_ids, gallery.owner
-    wrong = (gallery.true_user != owner).astype(np.int64)
-    starts = np.searchsorted(owner, users)  # owner ascends
+    wrong = (gallery.true_user != gallery.owner).astype(np.int64)
     # exact integers below 2^53 divided once, so each fraction is bitwise int / int
-    per_user = np.add.reduceat(wrong, starts) / np.diff(starts, append=wrong.size)
-    return int(wrong.sum()) / wrong.size, dict(zip(users, per_user.tolist()))
+    per_user = np.add.reduceat(wrong, gallery.starts[:-1]) / np.diff(gallery.starts)
+    return int(wrong.sum()) / wrong.size, dict(zip(gallery.user_ids, per_user.tolist()))
 
 
 def storage_capped(p: int, k: int, s: int) -> int:
@@ -91,8 +90,8 @@ def storage_uncapped(beta: float, i: int, m_bar: float, k: int, s: int) -> float
         raise ValueError("beta must be in (0, 1]")
     if check_integer(i, "iteration count") < 0:
         raise ValueError("iteration count must be non-negative")
-    if min(check_integer(k, "k"), check_integer(s, "S")) < 1 or m_bar <= 0:
-        raise ValueError("m_bar, k and S must be positive")
+    if min(check_integer(k, "k"), check_integer(s, "S")) < 1 or not 0 < m_bar < np.inf:  # NaN fails too
+        raise ValueError("m_bar, k and S must be positive, and m_bar finite")
     return beta * i * m_bar * k * s
 
 
@@ -142,8 +141,7 @@ def _nearest_by_user(test: Batch, gallery: Gallery, columns):
     found[found] = ids[rows[found]] == held[found]
     if not found.all():
         raise ValueError(f"template sample {held[np.argmin(found)]} has no distance column")
-    starts = np.searchsorted(gallery.owner, users)  # owner ascends: each user's first row
-    nearest = np.minimum.reduceat(table[rows], starts, axis=0).T
+    nearest = np.minimum.reduceat(table[rows], gallery.starts[:-1], axis=0).T
     return users, nearest, own
 
 

@@ -78,7 +78,7 @@ from typing import Sequence
 import numpy as np
 
 from .clustering import KMeansParams, _sq_residuals, kmeans
-from .core import Sample, stack_vectors
+from .core import Sample, stack_vectors, user_bounds
 from .matching import _SQUARED, _exact
 
 KMEANS = "kmeans"
@@ -338,10 +338,10 @@ def select(method: str, samples: Sequence[Sample], owner: np.ndarray, p: int) ->
         return np.arange(len(samples))
     if method not in METHODS:
         raise ValueError(f"unknown selection method: {method!r}")
-    users, starts = np.unique(owner, return_index=True)
+    starts = user_bounds(owner)[:-1]
     parts = np.split(np.asarray(samples, dtype=object), starts[1:])  # each user's candidates
     if method == KMEANS:
-        return select_kmeans(dict(zip(users.tolist(), parts)), p)
+        return select_kmeans(dict(zip(owner[starts].tolist(), parts)), p)
     # read per call, so a wrapper set on the module attribute sees every call
     pick = select_mdist if method == MDIST else select_dend
     return np.array([lo + i for lo, c in zip(starts.tolist(), parts) for i in pick(c, p)], dtype=np.intp)

@@ -131,6 +131,23 @@ def test_run_sequence_zero_batches(abc_gallery):
     assert g is abc_gallery and reports == [] and snaps == []
 
 
+@pytest.mark.parametrize("method", ["kmeans", "mdist"])
+def test_run_sequence_runs_an_iterator_of_batches_as_their_list(method):
+    # the order check read the whole iterator, so no cycle ran
+    g0f, batches = _mode_dataset(np.random.default_rng(5))
+    runs = [run_sequence(g0f(2), b, _cfg(method, 2)) for b in (batches, iter(batches))]
+    (final, reports, snaps), (final_it, reports_it, snaps_it) = runs
+    assert len(reports_it) == len(snaps_it) == len(batches) == 3
+
+    def facts(report):  # every field but the timings
+        return (report.batch_index, report.t_star_used, report.n_rejected, report.insertions, report.evictions)
+
+    assert [facts(r) for r in reports_it] == [facts(r) for r in reports]
+    for got, want in zip([final_it, *snaps_it], [final, *snaps]):
+        for name in ("sample_id", "owner", "inserted_at", "starts"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
 def _mode_dataset(rng, k=3, per=4, spread=0.3, sep=30.0):
     galleries = {}
     batches = []
@@ -226,6 +243,13 @@ def test_config_validation():
         EngineConfig(method="mdist", p=0)
     with pytest.raises(ValueError):
         EngineConfig(method="mdist", p=2, metric="cosine")
+
+
+@pytest.mark.parametrize("policy", ["zero-far", "far:0.2", 0.01, None])
+def test_config_refuses_a_policy_that_is_no_threshold_policy(policy):
+    # otherwise it fails only at the first t*, with an AttributeError
+    with pytest.raises(ValueError, match=f"^policy must be a ThresholdPolicy, not {policy!r}$"):
+        EngineConfig(method="mdist", p=2, policy=policy)
 
 
 @pytest.mark.parametrize("method", ["kmeans", "mdist"])

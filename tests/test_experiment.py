@@ -164,6 +164,15 @@ def test_config_refuses_a_non_integer_size(field, value):
         _cfg(**{field: value})
 
 
+@pytest.mark.parametrize("policy", ["zero-far", None])
+def test_config_refuses_a_policy_that_is_no_threshold_policy(policy, monkeypatch):
+    # the engine's rule, at construction: before, it failed at the first t*,
+    # after the dataset was generated and split
+    monkeypatch.setattr(experiment, "generate", lambda params: pytest.fail("dataset generated"))
+    with pytest.raises(ValueError, match=f"^policy must be a ThresholdPolicy, not {policy!r}$"):
+        run_experiment(_cfg(policy=policy))
+
+
 def test_config_keeps_every_split_seed_non_negative():
     assert _cfg(base_seed=-1).base_seed == -1  # run 1 splits at seed 0
     with pytest.raises(ValueError, match="^base_seed must be at least -1$"):

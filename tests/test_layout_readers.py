@@ -4,8 +4,9 @@
 ``UserGallery``, kept only for the benchmark's checks; every other module in
 ``src/``, the engine that builds each cycle's gallery included, and every
 demo reads the gallery through its row accessors (``samples``, ``owner``,
-``inserted_at``, ``vectors``, ``sample_id``, ``true_user``, ``user_ids``),
-so a change of layout touches ``core`` only and the view gains no reader.
+``inserted_at``, ``vectors``, ``sample_id``, ``true_user``, ``starts``,
+``user_ids``), so a change of layout touches ``core`` only and the view
+gains no reader.
 """
 
 import ast

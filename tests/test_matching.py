@@ -60,6 +60,9 @@ def test_policy_validation():
         ThresholdPolicy.far_quantile(0.0)
     with pytest.raises(ValueError):
         ThresholdPolicy.far_quantile(1.0)
+    for q in ("0.5", b"\x01", [0.5]):  # a ValueError, not the comparison's TypeError
+        with pytest.raises(ValueError):
+            ThresholdPolicy(q=q)
 
 
 @pytest.mark.parametrize(
@@ -67,6 +70,7 @@ def test_policy_validation():
     [
         ("far_quantile", None, r"far_quantile needs q strictly in \(0, 1\)"),
         ("far_quantile", 1.0, r"far_quantile needs q strictly in \(0, 1\)"),
+        ("far_quantile", "0.5", r"far_quantile needs q strictly in \(0, 1\)"),  # not a TypeError
     ],
 )
 def test_boundary_checks_raise_their_messages(factory, q, message):
@@ -531,6 +535,15 @@ def test_classify_rejects_nan_threshold(abc_gallery):
     batch = Batch(index=1, samples=(make_sample(10, [0.1]),))
     with pytest.raises(ValueError, match="non-negative"):
         classify_batch(batch, abc_gallery, float("nan"))
+
+
+@pytest.mark.parametrize("t_star", [True, False, np.True_, "0.4", None])
+def test_classify_refuses_a_t_star_that_is_no_number(abc_gallery, t_star):
+    # a bool is refused as the package refuses bool keys; True would accept
+    # every probe nearer than 1
+    batch = Batch(index=1, samples=(make_sample(10, [0.1]),))
+    with pytest.raises(ValueError, match=r"^t\* must be a non-negative number, not "):
+        classify_batch(batch, abc_gallery, t_star)
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e4])

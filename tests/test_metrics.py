@@ -208,9 +208,11 @@ def test_storage_formulas():
 
 
 @pytest.mark.parametrize(
-    "args", [(1.0, 3, 0.0, 4, 10), (1.0, 3, -2.0, 4, 10), (1.0, 3, 2.0, 0, 10), (1.0, 3, 2.0, 4, 0)]
+    "args",
+    [(1.0, 3, 0.0, 4, 10), (1.0, 3, -2.0, 4, 10), (1.0, 3, 2.0, 0, 10), (1.0, 3, 2.0, 4, 0),
+     (1.0, 3, float("nan"), 4, 10), (1.0, 3, float("inf"), 4, 10)],
 )
-def test_boundary_checks_raise_their_messages(args):  # m_bar <= 0, k < 1, S < 1
+def test_boundary_checks_raise_their_messages(args):  # m_bar <= 0 or not finite, k < 1, S < 1
     with pytest.raises(ValueError, match="m_bar, k and S must be positive"):
         storage_uncapped(*args)
 
