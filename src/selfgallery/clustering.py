@@ -47,8 +47,7 @@ class KMeansParams:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        if check_integer(self.k, "k") < 1:  # a float or bool k would reach numpy
-            raise ValueError("k must be positive")
+        check_integer(self.k, "k", 1)  # a float or bool k would reach numpy
         if self.seed is not None:
             check_integer(self.seed, "seed")
         if self.init not in (USER_MEANS, SEEDED_RANDOM):

@@ -41,8 +41,13 @@ Where inputs are checked. ``Sample`` checks one vector when it is built:
 1-D, non-empty and finite, copied once and frozen, so no later write to the
 source (a list, a row of a dataset's matrix) reaches it; its id, user and
 session must be integers (Python or numpy, not bool), id and user within
-int64. ``check_integer`` is that one integer check, shared by every key,
-batch index and size in the package; ``check_int64`` adds the int64 range,
+int64. Every scalar parameter of the package goes through one of two rules:
+``check_integer``, for every key, batch index, count, size and seed, with
+its floor if it has one (``p`` positive, a seed non-negative, at least 3
+batches), and ``check_real``, for every real parameter (``q``, t*, ``beta``,
+``m_bar``, ``sigma``, ``separation``, ``tail_eps``), whose caller checks its
+own interval. Both refuse a bool, and each wrong value raises ValueError
+naming its parameter. ``check_int64`` adds the int64 range,
 the one check of every key an int64 column holds (``Sample``'s id and user,
 a gallery's owner and inserted_at). ``first_repeat`` is the one rule that
 each sample id is given once: the gallery, the engine's fresh-id check,
@@ -64,6 +69,7 @@ gallery's bounds.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -97,20 +103,34 @@ class Sample:
         # written to a file that load_dataset refuses, and so is a bool
         for name in ("id", "true_user"):  # Gallery rows hold both as int64
             check_int64(getattr(self, name), name)
-        if self.session is not None and check_integer(self.session, "session") < 0:
-            raise ValueError("session must be non-negative")
+        if self.session is not None:
+            check_integer(self.session, "session", 0)
 
     @property
     def dim(self) -> int:
         return self.vector.shape[0]
 
 
-def check_integer(value, name: str):
-    """``value`` if it is an integer (Python or numpy, not bool), else a
-    ValueError naming ``name`` and the value: the one integer check of the
-    package's keys, indices and sizes."""
+def check_integer(value, name: str, low: Optional[int] = None):
+    """``value`` if it is an integer (Python or numpy, not bool) and, when
+    ``low`` is given, at least ``low``; else a ValueError naming ``name``:
+    the one integer check of the package's keys, indices, counts, sizes and
+    seeds, and of their floors."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, not {value!r}")
+    if low is not None and value < low:
+        floor = {1: "positive", 0: "non-negative"}.get(low, f"at least {low}")
+        raise ValueError(f"{name} must be {floor}")
+    return value
+
+
+def check_real(value, name: str):
+    """``value`` if it is a real number (a ``numbers.Real``, Python or numpy,
+    not bool), else a ValueError naming ``name`` and the value: the one type
+    check of the package's real parameters. Each caller checks its own
+    interval, since they differ."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, not {value!r}")
     return value
 
 
@@ -273,8 +293,7 @@ class Batch:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", tuple(self.samples))  # a list would stay mutable
-        if check_integer(self.index, "batch index") < 0:
-            raise ValueError("batch index must be non-negative")
+        check_integer(self.index, "batch index", 0)
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -290,8 +309,8 @@ def gallery_enroll(
     from the built gallery's ``starts``; every other check, which comes
     first, is ``Gallery``'s.
     """
-    if cap is not None and check_integer(cap, "cap") < 1:
-        raise ValueError("cap must be positive")
+    if cap is not None:
+        check_integer(cap, "cap", 1)
     pairs = list(dataset_slice)
     owner = _int64([u for u, _ in pairs], "user key")
     samples = np.array([s for _, s in pairs], dtype=object)

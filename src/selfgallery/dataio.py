@@ -104,12 +104,9 @@ def split_batches(
     user with fewer than n_batches*p samples is an error; in relaxed
     mode such users are dropped, and ``Split.dropped`` names them.
     """
-    if check_integer(n_batches, "n_batches") < 3:
-        raise ValueError("need at least 3 batches (enroll, adaptation, test)")
-    if check_integer(p, "p") < 1:
-        raise ValueError("p must be positive")
-    if check_integer(seed, "seed") < 0:
-        raise ValueError("seed must be non-negative")
+    check_integer(n_batches, "n_batches", 3)  # enroll, adaptation, test
+    check_integer(p, "p", 1)
+    check_integer(seed, "seed", 0)
     need = n_batches * p
     by_user: dict[int, list[Sample]] = {}
     for s in dataset:

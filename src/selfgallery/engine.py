@@ -35,8 +35,7 @@ class EngineConfig:
     def __post_init__(self):
         if self.method not in selection.METHODS:
             raise ValueError(f"unknown selection method: {self.method!r}")
-        if check_integer(self.p, "p") < 1:
-            raise ValueError("p must be positive")
+        check_integer(self.p, "p", 1)
         matching._known(self.metric)
         if not isinstance(self.policy, ThresholdPolicy):  # else it fails only at the first t*
             raise ValueError(f"policy must be a ThresholdPolicy, not {self.policy!r}")

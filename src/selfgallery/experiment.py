@@ -63,21 +63,19 @@ class ExperimentConfig:
     write_scatter: bool = True
 
     def __post_init__(self):
+        if isinstance(self.methods, str):  # else each of its letters is taken for a method
+            raise ValueError(f"methods must be a sequence of method names, not {self.methods!r}")
         # the engine's rules for p, metric, policy and each method; keep_all
         # stands in so that they hold with no method too
         for m in (selection.KEEP_ALL, *self.methods):
             EngineConfig(m, self.p, self.metric, self.policy)
             if self.methods.count(m) > 1:
                 raise ValueError(f"method {m!r} is given more than once")
-        if check_integer(self.n_batches, "n_batches") < 3:
-            raise ValueError("n_batches must be >= 3")
-        if check_integer(self.runs, "runs") < 1:
-            raise ValueError("runs must be >= 1")
-        s = self.bytes_per_template
-        if s is not None and check_integer(s, "bytes_per_template") < 1:
-            raise ValueError("bytes_per_template must be positive")
-        if check_integer(self.base_seed, "base_seed") + 1 < 0:  # run 1 splits at base_seed + 1
-            raise ValueError("base_seed must be at least -1")
+        check_integer(self.n_batches, "n_batches", 3)
+        check_integer(self.runs, "runs", 1)
+        if self.bytes_per_template is not None:
+            check_integer(self.bytes_per_template, "bytes_per_template", 1)
+        check_integer(self.base_seed, "base_seed", -1)  # run 1 splits at base_seed + 1
 
 
 def _row(*values) -> dict:

@@ -113,13 +113,12 @@ the buffer by position, so the peak is about two pool-sized arrays.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .core import Batch, Gallery, stack_vectors
+from .core import Batch, Gallery, check_real, stack_vectors
 
 EUCLIDEAN = "euclidean"
 L1 = "l1"
@@ -149,7 +148,7 @@ class ThresholdPolicy:
     q: Optional[float] = None
 
     def __post_init__(self):
-        if self.q is not None and not (isinstance(self.q, numbers.Real) and 0.0 < self.q < 1.0):
+        if self.q is not None and not 0.0 < check_real(self.q, "q") < 1.0:
             raise ValueError(_Q_RANGE)
 
     def rank(self, pool_size: int) -> int:
@@ -492,7 +491,7 @@ def classify_batch(
         held = None
     _known(metric)
     # a bool is no distance (the package refuses bool keys too); NaN would reject every probe
-    if isinstance(t_star, bool) or not (isinstance(t_star, numbers.Real) and t_star >= 0):
+    if not check_real(t_star, "t*") >= 0:
         raise ValueError(f"t* must be a non-negative number, not {t_star!r}")
     x = stack_vectors(batch.samples, gallery.dim)
     if held is not gallery:

@@ -23,7 +23,7 @@ from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
-from .core import Batch, Gallery, check_integer, first_repeat, stack_vectors
+from .core import Batch, Gallery, check_integer, check_real, first_repeat, stack_vectors
 from .matching import EUCLIDEAN, _exact, _known
 
 DEFAULT_BYTES_PER_COORD = 4  # one 32-bit value per coordinate unless overridden
@@ -77,31 +77,26 @@ def impostor_fraction(gallery: Gallery) -> tuple[float, dict[int, float]]:
 
 def storage_capped(p: int, k: int, s: int) -> int:
     """Hard storage bound of a capped gallery: p * k * S bytes."""
-    if min(check_integer(p, "p"), check_integer(k, "k"), check_integer(s, "S")) < 1:
-        raise ValueError("p, k and S must be positive")
-    return p * k * s
+    return check_integer(p, "p", 1) * check_integer(k, "k", 1) * check_integer(s, "S", 1)
 
 
 def storage_uncapped(beta: float, i: int, m_bar: float, k: int, s: int) -> float:
     """Storage of an uncapped classification-selection system after i
     iterations: beta * i * m_bar * k * S bytes (beta = 1 is the
     traditional self-update)."""
-    if not (0.0 < beta <= 1.0):
+    if not 0.0 < check_real(beta, "beta") <= 1.0:
         raise ValueError("beta must be in (0, 1]")
-    if check_integer(i, "iteration count") < 0:
-        raise ValueError("iteration count must be non-negative")
-    if min(check_integer(k, "k"), check_integer(s, "S")) < 1 or not 0 < m_bar < np.inf:  # NaN fails too
-        raise ValueError("m_bar, k and S must be positive, and m_bar finite")
-    return beta * i * m_bar * k * s
+    check_integer(i, "iteration count", 0)
+    if not 0 < check_real(m_bar, "m_bar") < np.inf:  # NaN fails too
+        raise ValueError("m_bar must be finite and positive")
+    return beta * i * m_bar * check_integer(k, "k", 1) * check_integer(s, "S", 1)
 
 
 def gallery_bytes(gallery: Gallery, bytes_per_template: Optional[int] = None) -> int:
     s = bytes_per_template
     if s is None:
         s = DEFAULT_BYTES_PER_COORD * gallery.dim
-    elif check_integer(s, "bytes_per_template") < 1:
-        raise ValueError("bytes_per_template must be positive")
-    return gallery.n_templates * s
+    return gallery.n_templates * check_integer(s, "bytes_per_template", 1)
 
 
 def distance_columns(

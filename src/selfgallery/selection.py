@@ -78,7 +78,7 @@ from typing import Sequence
 import numpy as np
 
 from .clustering import KMeansParams, _sq_residuals, kmeans
-from .core import Sample, stack_vectors, user_bounds
+from .core import Sample, check_integer, stack_vectors, user_bounds
 from .matching import _SQUARED, _exact
 
 KMEANS = "kmeans"
@@ -266,8 +266,7 @@ def _greedy_select(candidates: Sequence[Sample], p: int, maximize: bool) -> list
 
 
 def _select_by_objective(candidates: Sequence[Sample], p: int, maximize: bool) -> list[int]:
-    if p < 1:
-        raise ValueError("p must be positive")
+    check_integer(p, "p", 1)
     n = len(candidates)  # the one read before a path is taken
     if not n:
         raise ValueError("no candidates to select from")
@@ -311,8 +310,7 @@ def select_kmeans(candidates_by_user: dict[int, Sequence[Sample]], p: int) -> np
     keeps id order on equal distances. The result is bitwise that of the
     per-user loop over ``dominant_cluster_for_user`` in ``tests/oracles.py``.
     """
-    if p < 1:
-        raise ValueError("p must be positive")
+    check_integer(p, "p", 1)
     users = sorted(candidates_by_user)
     sizes = [len(candidates_by_user[u]) for u in users]
     if 0 in sizes:
@@ -334,6 +332,7 @@ def select(method: str, samples: Sequence[Sample], owner: np.ndarray, p: int) ->
     user's candidates grouped by ascending ``owner`` and in id order within
     a user: keep_all keeps every candidate, kmeans clusters all users'
     candidates together, and MDIST and DEND select each user's on its own."""
+    check_integer(p, "p", 1)
     if method == KEEP_ALL:
         return np.arange(len(samples))
     if method not in METHODS:

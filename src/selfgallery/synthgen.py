@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Sample, check_integer
+from .core import Sample, check_integer, check_real
 
 _PLACEMENT_ATTEMPTS = 1000
 
@@ -33,18 +33,15 @@ class SynthParams:
     seed: int = 0
 
     def __post_init__(self):
-        if check_integer(self.k_users, "k_users") < 2:
-            raise ValueError("need at least 2 users")
-        if check_integer(self.dim, "dim") < 1:
-            raise ValueError("dim must be positive")
-        if not (0 < self.sigma < np.inf and 0 < self.separation < np.inf):  # nan fails too
+        check_integer(self.k_users, "k_users", 2)
+        check_integer(self.dim, "dim", 1)
+        sigma, separation = check_real(self.sigma, "sigma"), check_real(self.separation, "separation")
+        if not (0 < sigma < np.inf and 0 < separation < np.inf):  # nan fails too
             raise ValueError("sigma and separation must be finite and positive")
-        if not (0.0 <= self.tail_eps < 1.0):
+        if not 0.0 <= check_real(self.tail_eps, "tail_eps") < 1.0:
             raise ValueError("tail_eps must be in [0, 1)")
-        if check_integer(self.samples_per_user, "samples_per_user") < 1:
-            raise ValueError("samples_per_user must be positive")
-        if check_integer(self.seed, "seed") < 0:
-            raise ValueError("seed must be non-negative")
+        check_integer(self.samples_per_user, "samples_per_user", 1)
+        check_integer(self.seed, "seed", 0)
 
 
 def user_means(params: SynthParams) -> np.ndarray:

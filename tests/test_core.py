@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import numpy as np
@@ -454,3 +455,28 @@ def test_first_repeat_of_no_or_one_id_is_none():
     for x in (-(2**63), 0, 2**63 - 1):
         assert core.first_repeat(np.array([x], dtype=np.int64)) is None
     assert core.first_repeat(np.array([2**63 - 1, -(2**63), 2**63 - 1, -(2**63)])) == 2
+
+
+@pytest.mark.parametrize(
+    "low, below, message",
+    [(1, 0, "^n must be positive$"), (0, -1, "^n must be non-negative$"), (3, 2, "^n must be at least 3$"),
+     (-1, -2, "^n must be at least -1$")],
+)
+def test_check_integer_passes_its_floor_and_names_it_below(low, below, message):
+    assert core.check_integer(low, "n", low) == low
+    assert core.check_integer(np.int64(low + 5), "n", low) == low + 5
+    with pytest.raises(ValueError, match=message):
+        core.check_integer(below, "n", low)
+    with pytest.raises(ValueError, match=r"^n must be an integer, not 3\.0$"):  # the type first
+        core.check_integer(3.0, "n", low)
+
+
+@pytest.mark.parametrize("value", [0, -2, 0.5, float("nan"), float("inf"), np.float32(2.5), np.int64(7)])
+def test_check_real_passes_every_real_number(value):
+    assert core.check_real(value, "x") is value  # its interval is the caller's
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_, "1", None, 1j, [0.5]])
+def test_check_real_refuses_a_bool_and_what_is_no_real_number(value):
+    with pytest.raises(ValueError, match=f"^x must be a real number, not {re.escape(repr(value))}$"):
+        core.check_real(value, "x")

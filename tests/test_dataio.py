@@ -219,7 +219,7 @@ def test_split_chronological_uses_session_order():
 
 
 def test_split_needs_three_batches():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^n_batches must be at least 3$"):
         split_batches(_grid_dataset(2, 10), 2, 2, seed=0)
 
 

@@ -143,12 +143,15 @@ def test_capped_bytes_never_exceed_bound():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^n_batches must be at least 3$"):
         _cfg(n_batches=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^runs must be positive$"):
         _cfg(runs=0)
     with pytest.raises(ValueError):
         _cfg(methods=("bogus",))
+    # not iterated into its letters, each an unknown method
+    with pytest.raises(ValueError, match="^methods must be a sequence of method names, not 'mdist'$"):
+        _cfg(methods="mdist")
     with pytest.raises(ValueError, match="'mdist' is given more than once"):
         _cfg(methods=("mdist", "kmeans", "mdist"))
     for s in (0, -4):

@@ -70,7 +70,8 @@ def test_policy_validation():
     [
         ("far_quantile", None, r"far_quantile needs q strictly in \(0, 1\)"),
         ("far_quantile", 1.0, r"far_quantile needs q strictly in \(0, 1\)"),
-        ("far_quantile", "0.5", r"far_quantile needs q strictly in \(0, 1\)"),  # not a TypeError
+        ("far_quantile", "0.5", r"^q must be a real number, not '0\.5'$"),  # not a TypeError
+        ("far_quantile", True, "^q must be a real number, not True$"),
     ],
 )
 def test_boundary_checks_raise_their_messages(factory, q, message):
@@ -542,7 +543,7 @@ def test_classify_refuses_a_t_star_that_is_no_number(abc_gallery, t_star):
     # a bool is refused as the package refuses bool keys; True would accept
     # every probe nearer than 1
     batch = Batch(index=1, samples=(make_sample(10, [0.1]),))
-    with pytest.raises(ValueError, match=r"^t\* must be a non-negative number, not "):
+    with pytest.raises(ValueError, match=r"^t\* must be a real number, not "):
         classify_batch(batch, abc_gallery, t_star)
 
 

@@ -199,7 +199,7 @@ def test_storage_formulas():
     # beta=1 reduces the uncapped bound to i * m_bar * k * S
     assert storage_uncapped(1.0, 3, 2.0, 4, 10) == pytest.approx(3 * 2.0 * 4 * 10)
     assert storage_uncapped(0.5, 0, 2.0, 4, 10) == 0.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^p must be positive$"):
         storage_capped(0, 59, 128)
     with pytest.raises(ValueError):
         storage_uncapped(1.5, 3, 2.0, 4, 10)
@@ -208,12 +208,21 @@ def test_storage_formulas():
 
 
 @pytest.mark.parametrize(
-    "args",
-    [(1.0, 3, 0.0, 4, 10), (1.0, 3, -2.0, 4, 10), (1.0, 3, 2.0, 0, 10), (1.0, 3, 2.0, 4, 0),
-     (1.0, 3, float("nan"), 4, 10), (1.0, 3, float("inf"), 4, 10)],
+    "args, message",
+    [
+        *[((1.0, 3, m_bar, 4, 10), "^m_bar must be finite and positive$")
+          for m_bar in (0.0, -2.0, float("nan"), float("inf"))],
+        ((1.0, 3, 2.0, 0, 10), "^k must be positive$"),
+        ((1.0, 3, 2.0, 4, 0), "^S must be positive$"),
+        # a bool would be taken as 1.0, a str would fail in a comparison
+        ((True, 3, 2.0, 4, 10), "^beta must be a real number, not True$"),
+        (("1", 3, 2.0, 4, 10), "^beta must be a real number, not '1'$"),
+        ((1.0, 3, True, 4, 10), "^m_bar must be a real number, not True$"),
+        ((1.0, 3, "1", 4, 10), "^m_bar must be a real number, not '1'$"),
+    ],
 )
-def test_boundary_checks_raise_their_messages(args):  # m_bar <= 0 or not finite, k < 1, S < 1
-    with pytest.raises(ValueError, match="m_bar, k and S must be positive"):
+def test_boundary_checks_raise_their_messages(args, message):
+    with pytest.raises(ValueError, match=message):
         storage_uncapped(*args)
 
 

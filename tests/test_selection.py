@@ -213,12 +213,23 @@ def _mixed(n, bad, start_id=0, user=1):
 MISMATCH = "dimension mismatch: sample {} has dim 1, expected 2$"
 
 
+def _selectors(p):
+    """Every selection entry point, ``select`` under each method, called at
+    ``p`` on one user's three candidates."""
+    c = make_samples([[0.0], [1.0], [3.0]])
+    return [lambda: select_mdist(c, p), lambda: select_dend(c, p), lambda: select_kmeans({1: c}, p)] + [
+        lambda m=m: select(m, c, np.ones(3, np.int64), p) for m in ("keep_all", "kmeans", "mdist", "dend")
+    ]
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
         (lambda: select_mdist([], 2), "no candidates to select from"),
         (lambda: select_dend([], 2), "no candidates to select from"),
         (lambda: select_kmeans({1: make_samples([[0.0]])}, 0), "p must be positive"),
+        # a bool p would keep one template; a float or str would fail inside comb or numpy, or pass
+        *[(call, f"^p must be an integer, not {p!r}$") for p in (True, 2.0, "2") for call in _selectors(p)],
         # the stack names the first sample of another dim, in id order
         (lambda: select_mdist(_mixed(4, 2), 2), MISMATCH.format(2)),  # exact
         (lambda: select_dend(_mixed(33, 30), 6), MISMATCH.format(30)),  # greedy

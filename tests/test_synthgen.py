@@ -68,7 +68,7 @@ def test_dominant_mode_fraction_within_binomial_bounds():
 
 
 def test_param_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^k_users must be at least 2$"):
         SynthParams(k_users=1, dim=2)
     with pytest.raises(ValueError):
         SynthParams(k_users=2, dim=0)
@@ -82,6 +82,9 @@ def test_param_validation():
     "call, message",
     [
         (lambda: SynthParams(k_users=2, dim=2, samples_per_user=0), "samples_per_user must be positive"),
+        # a bool would be taken as 0 or 1, a str would fail in a comparison
+        *[(lambda f=f, v=v: SynthParams(k_users=2, dim=2, **{f: v}), f"^{f} must be a real number, not {v!r}$")
+          for f in ("sigma", "separation", "tail_eps") for v in (True, False, "1")],
         # dim < k_users: means are rejection sampled, and no attempt is allowed
         (lambda: user_means(SynthParams(k_users=3, dim=2, separation=5.0)),
          "could not place 3 means at separation 5.0 in dim 2; lower the separation"),
