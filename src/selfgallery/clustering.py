@@ -49,7 +49,7 @@ class KMeansParams:
     def __post_init__(self):
         check_integer(self.k, "k", 1)  # a float or bool k would reach numpy
         if self.seed is not None:
-            check_integer(self.seed, "seed")
+            check_integer(self.seed, "seed", 0)
         if self.init not in (USER_MEANS, SEEDED_RANDOM):
             raise ValueError(f"unknown init: {self.init!r}")
         if self.init == SEEDED_RANDOM and self.seed is None:

@@ -15,8 +15,9 @@ fraction. The update path (matching, selection, the engine) never does.
 
 A ``Gallery`` is rows over its samples: the held ``Sample`` objects by
 reference, and int64 ``owner``, ``inserted_at``, ``sample_id`` and
-``true_user`` columns, sorted by owner, then sample id: its one row order,
-so each user's rows are one run. Its int64 ``starts`` are the user bounds:
+``true_user`` columns, in its one row order: by owner, then sample id
+(``row_order``, the one place that order is decided), so each user's rows
+are one run. Its int64 ``starts`` are the user bounds:
 each user's first row, then the row count, so user u's rows (users
 ascending) are ``starts[u]:starts[u + 1]``. ``user_bounds`` is the one
 derivation of those bounds, for a gallery's owner column and for any other
@@ -60,11 +61,11 @@ comes from it, and it names the first sample of another dimension.
 pass over its rows: at least one row, one entry per row in each column,
 every key and batch an integer in int64 (an integer array that int64
 holds passes on its dtype alone; other values are checked in order, and
-the first that fails either check is named), batches non-negative, one dimension (naming the first row of
-another), each sample id held once, and then the rows sorted by owner and
-sample id. ``gallery_enroll`` takes the (user, sample) pairs in any order,
-sorts them once by (user, sample id) and checks ``cap`` against the built
-gallery's bounds.
+the first that fails either check is named); then it orders them, and
+checks batches non-negative, one dimension (naming the first row of
+another) and each sample id held once, in that order. ``gallery_enroll``
+passes the (user, sample) pairs, in any order, to ``Gallery`` and checks
+``cap`` against the built gallery's bounds.
 """
 
 from __future__ import annotations
@@ -191,15 +192,16 @@ class Gallery:
     """Every user's templates as rows: row i holds ``samples[i]`` for user
     ``owner[i]`` since batch ``inserted_at[i]`` (0 for enrollment).
 
-    Rows are sorted by owner, then sample id, the order selection reads, so
-    each user's rows are contiguous: ``starts[u]:starts[u + 1]`` for the
-    u-th user; a row's batch does not order it. A user is enrolled by its
-    rows and never loses its last one. Every column is a read-only copy
-    (``samples`` holds the caller's ``Sample`` objects by reference, no
-    stacked vectors; ``sample_id`` and ``true_user`` are their fields, read
-    once; ``starts`` is built in the same column pass, and the order check
-    that follows makes it the user bounds), so nothing changes a gallery
-    after its checks ran.
+    Rows may come in any order, and the gallery orders them by owner, then
+    sample id (``row_order``), the order selection reads, so each user's
+    rows are contiguous: ``starts[u]:starts[u + 1]`` for the u-th user; a
+    row's batch does not order it. Rows already in that order pay one
+    linear check and no sort. A user is enrolled by its rows and never
+    loses its last one. Every column is a read-only copy (``samples`` holds
+    the caller's ``Sample`` objects by reference, no stacked vectors;
+    ``sample_id`` and ``true_user`` are their fields, read once; ``starts``
+    is built in the column pass, over the ordered owners), so nothing
+    changes a gallery after its checks ran.
     """
 
     samples: np.ndarray
@@ -212,17 +214,21 @@ class Gallery:
     def __post_init__(self):
         rows = np.array(self.samples, dtype=object)  # a copy of the references
         owner, inserted_at = _int64(self.owner, "user key"), _int64(self.inserted_at, "inserted_at")
+        if not len(rows):
+            raise ValueError("gallery has no users")
+        if not len(owner) == len(inserted_at) == len(rows):
+            raise ValueError("samples, owner and inserted_at must hold one entry per row")
         # one plain pass per key column: a pass of (id, user) tuples is slower
         ids = np.fromiter((s.id for s in rows), dtype=np.int64, count=len(rows))
+        # compared, not subtracted: no overflow; rows in order pay this check only
+        if np.any((owner[1:] < owner[:-1]) | ((owner[1:] == owner[:-1]) & (ids[1:] < ids[:-1]))):
+            order = row_order(owner, ids)
+            rows, owner, inserted_at, ids = rows[order], owner[order], inserted_at[order], ids[order]
         truth = np.fromiter((s.true_user for s in rows), dtype=np.int64, count=len(rows))
         for name, column in (("samples", rows), ("owner", owner), ("inserted_at", inserted_at),
                              ("sample_id", ids), ("true_user", truth), ("starts", user_bounds(owner))):
             column.flags.writeable = False
             object.__setattr__(self, name, column)
-        if not len(rows):
-            raise ValueError("gallery has no users")
-        if not len(owner) == len(inserted_at) == len(rows):
-            raise ValueError("samples, owner and inserted_at must hold one entry per row")
         if inserted_at.min() < 0:
             raise ValueError("inserted_at must be non-negative")
         dims = np.fromiter((s.vector.shape[0] for s in rows), dtype=np.intp, count=len(rows))
@@ -230,9 +236,6 @@ class Gallery:
             raise _dim_mismatch(rows[np.argmax(dims != dims[0])], dims[0])
         if (again := first_repeat(ids)) is not None:  # a cycle could keep more than p, or t* read 0
             raise ValueError(f"sample id {ids[again]} is held more than once")
-        # compared, not subtracted: no overflow; ids are distinct by now
-        if np.any((owner[1:] < owner[:-1]) | ((owner[1:] == owner[:-1]) & (ids[1:] < ids[:-1]))):
-            raise ValueError("rows must be grouped by ascending owner, in sample-id order")
 
     @property
     def dim(self) -> int:
@@ -260,6 +263,12 @@ class Gallery:
         ``UserGallery`` exist only for it."""
         views = (UserGallery(tuple(map(Template, ss))) for ss in np.split(self.samples, self.starts[1:-1]))
         return MappingProxyType(dict(zip(self.user_ids, views)))
+
+
+def row_order(owner: np.ndarray, sample_id: np.ndarray) -> np.ndarray:
+    """The positions of rows in a gallery's one row order: one stable
+    lexsort by owner, then sample id, so each user's rows are one run."""
+    return np.lexsort((sample_id, owner))
 
 
 def user_bounds(owner: np.ndarray) -> np.ndarray:
@@ -303,7 +312,7 @@ def gallery_enroll(
     dataset_slice: Iterable[tuple[int, Sample]], cap: Optional[int] = None
 ) -> Gallery:
     """Build the initial supervised gallery from (user, sample) pairs, given
-    in any order: one sort by (user, sample id) gives the rows.
+    in any order: ``Gallery`` orders the rows.
 
     Each user enrolls at most ``cap`` samples when ``cap`` is given, counted
     from the built gallery's ``starts``; every other check, which comes
@@ -312,10 +321,7 @@ def gallery_enroll(
     if cap is not None:
         check_integer(cap, "cap", 1)
     pairs = list(dataset_slice)
-    owner = _int64([u for u, _ in pairs], "user key")
-    samples = np.array([s for _, s in pairs], dtype=object)
-    rows = np.lexsort((np.fromiter((s.id for s in samples), np.int64, len(samples)), owner))
-    g = Gallery(samples=samples[rows], owner=owner[rows], inserted_at=np.zeros(len(rows), np.int64))
+    g = Gallery([s for _, s in pairs], [u for u, _ in pairs], np.zeros(len(pairs), np.int64))  # rows from batch 0
     if cap is not None and np.any(over := np.diff(g.starts) > cap):
         raise ValueError(f"users {g.owner[g.starts[:-1][over]].tolist()} enroll more than cap={cap} samples")
     return g

@@ -113,8 +113,8 @@ def split_batches(
         by_user.setdefault(s.true_user, []).append(s)
 
     rng = np.random.default_rng(seed)
-    per_batch: list[list[tuple[int, Sample]]] = [[] for _ in range(n_batches)]
-    kept_users, dropped = 0, []
+    per_batch: list[list[Sample]] = [[] for _ in range(n_batches)]  # users ascending
+    dropped = []
     for user in sorted(by_user):
         pool = by_user[user]
         if len(pool) < need:
@@ -125,27 +125,21 @@ def split_batches(
                 )
             dropped.append((user, len(pool)))
             continue
-        kept_users += 1
         if chronological:
             if any(s.session is None for s in pool):
                 raise ValueError(f"user {user}: chronological mode needs session labels")
             pool = sorted(pool, key=lambda s: (s.session, s.id))
         else:
             pool = sorted(pool, key=lambda s: s.id)
-            order = rng.permutation(len(pool))
-            pool = [pool[i] for i in order]
+            pool = [pool[i] for i in rng.permutation(len(pool))]
         for b in range(n_batches):
-            for s in pool[b * p : (b + 1) * p]:
-                per_batch[b].append((user, s))
-    if kept_users < 2:
+            per_batch[b].extend(pool[b * p : (b + 1) * p])
+    if len(by_user) - len(dropped) < 2:
         raise ValueError("fewer than 2 users survive the split")
 
-    enroll = tuple(per_batch[0])
-    adaptation = tuple(
-        Batch(index=b, samples=tuple(s for _, s in per_batch[b]))
-        for b in range(1, n_batches - 1)
+    return Split(
+        enroll=tuple((s.true_user, s) for s in per_batch[0]),
+        adaptation=tuple(Batch(index=b, samples=per_batch[b]) for b in range(1, n_batches - 1)),
+        test=Batch(index=n_batches - 1, samples=per_batch[-1]),
+        dropped=tuple(dropped),
     )
-    test = Batch(
-        index=n_batches - 1, samples=tuple(s for _, s in per_batch[n_batches - 1])
-    )
-    return Split(enroll=enroll, adaptation=adaptation, test=test, dropped=tuple(dropped))

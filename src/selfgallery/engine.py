@@ -5,11 +5,11 @@ runs once after all insertions; t* is re-estimated from the
 post-selection gallery before the next batch.
 
 A cycle works on rows, never on per-user containers: the candidates are
-the gallery's columns concatenated with the accepted probes', and one
-lexsort by (owner, sample id) orders them once. That order hands selection
-each user's candidates in id order, and the keep mask over it gives the
-next gallery's rows and the evictions in the same order, which is the
-order a ``Gallery`` holds its rows in.
+the gallery's columns concatenated with the accepted probes', ordered once
+by ``core.row_order``, the order a ``Gallery`` holds its rows in. That order
+hands selection each user's candidates in id order, and the keep mask over
+it gives the next gallery's rows, already in order, and the evictions in
+the same order.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from . import matching, selection
-from .core import Batch, Gallery, check_integer, first_repeat
+from .core import Batch, Gallery, check_integer, first_repeat, row_order
 from .matching import DEFAULT_POLICY, EUCLIDEAN, ThresholdPolicy
 
 
@@ -91,7 +91,7 @@ def run_update_cycle(
     owner = np.concatenate((gallery.owner, labels))
     sample_id = np.concatenate((held, ids[accepted]))
     inserted_at = np.concatenate((gallery.inserted_at, np.full(len(accepted), batch.index, np.int64)))
-    by_id = np.lexsort((sample_id, owner))  # selection's order and the next gallery's
+    by_id = row_order(owner, sample_id)  # selection's order and the next gallery's
 
     t0 = time.perf_counter()
     chosen = selection.select(cfg.method, samples[by_id], owner[by_id], cfg.p)

@@ -63,7 +63,8 @@ class ExperimentConfig:
     write_scatter: bool = True
 
     def __post_init__(self):
-        if isinstance(self.methods, str):  # else each of its letters is taken for a method
+        # a str or bytes would be taken letter by letter; a set has no order to run in
+        if isinstance(self.methods, (str, bytes)) or not isinstance(self.methods, Sequence):
             raise ValueError(f"methods must be a sequence of method names, not {self.methods!r}")
         # the engine's rules for p, metric, policy and each method; keep_all
         # stands in so that they hold with no method too

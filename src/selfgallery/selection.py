@@ -7,10 +7,11 @@ p candidates closest to the centroid of each user's dominant cluster.
 keep_all is the unbounded traditional baseline.
 
 Every method takes ``Sample`` objects, each user's in id order (the
-engine orders a cycle's rows once), and returns the positions it keeps,
-so no method sorts, copies or rebuilds its candidates: ``select_mdist``
-and ``select_dend`` take one user's candidates, ``select_kmeans`` every
-user's by user id, and ``select`` a whole cycle's rows grouped by owner.
+engine orders a cycle's rows once, by ``core.row_order``), and returns
+the positions it keeps, so no method sorts, copies or rebuilds its
+candidates: ``select_mdist`` and ``select_dend`` take one user's
+candidates, ``select_kmeans`` every user's by user id, and ``select`` a
+whole cycle's rows grouped by owner.
 
 Objectives always use squared euclidean, even when matching uses l1.
 

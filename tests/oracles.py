@@ -4,7 +4,9 @@ The subset references deliberately share no code with ``selfgallery.selection``,
 and the K-Means reference none with ``selfgallery.clustering``'s screen.
 ``reference_sequence`` is the whole self-update loop as a plain loop over these
 references and the row kernel ``_distances_to_rows``. ``reference_generate`` is
-the synthetic generator as a plain loop that gives each sample its own vector.
+the synthetic generator as a plain loop that gives each sample its own vector,
+and ``reference_split`` the dataset split as a loop that labels every sample it
+deals out.
 """
 
 from itertools import combinations
@@ -237,3 +239,28 @@ def reference_generate(params) -> list[Sample]:
             vec = center + spread * rng.standard_normal(params.dim)
             samples.append(Sample(id=len(samples), vector=vec, true_user=user))
     return samples
+
+
+def reference_split(dataset, n_batches, p, seed, strict=True, chronological=False):
+    """``dataio.split_batches`` as a loop over users ascending that deals a
+    (user, sample) pair into every batch: each kept user's samples in
+    session order (then id) when chronological, else sorted by id and
+    shuffled by one permutation of the seeded stream, p to each batch in
+    turn. Returns each batch's pairs and the (user, samples held) of every
+    user too short for ``n_batches * p``, whom only a relaxed split skips."""
+    rng = np.random.default_rng(seed)
+    batches, dropped = [[] for _ in range(n_batches)], []
+    for user in sorted({s.true_user for s in dataset}):
+        pool = [s for s in dataset if s.true_user == user]
+        if len(pool) < n_batches * p:
+            assert not strict, f"user {user} is short"
+            dropped.append((user, len(pool)))
+            continue
+        if chronological:
+            pool.sort(key=lambda s: (s.session, s.id))
+        else:
+            pool.sort(key=lambda s: s.id)
+            pool = [pool[i] for i in rng.permutation(len(pool))]
+        for b, batch in enumerate(batches):
+            batch.extend((user, s) for s in pool[b * p : (b + 1) * p])
+    return batches, dropped

@@ -1,12 +1,15 @@
-"""Only ``core`` derives a gallery's user bounds from an ``owner`` column.
+"""Only ``core`` derives a gallery's user bounds or row order from an
+``owner`` column.
 
 ``Gallery.starts`` holds each user's first row, then the row count, built
 once per gallery, and ``core.user_bounds`` computes the same bounds for any
-owner-grouped column (selection's candidates). Every other module in
-``src/``, and every demo, reads those: none calls ``unique`` or
-``searchsorted`` (numpy's function or an array's method) on an ``owner``
-or ``owners`` column, so where a user's rows start is decided in ``core``
-only.
+owner-grouped column (selection's candidates). ``core.row_order`` is the one
+sort of rows by owner, then sample id, which ``Gallery`` applies to rows
+given out of order and the engine to a cycle's candidates. Every other
+module in ``src/``, and every demo, reads those: none calls ``unique``,
+``searchsorted`` or ``lexsort`` (numpy's function or an array's method) on
+an ``owner`` or ``owners`` column, so where a user's rows start, and in
+which order they lie, is decided in ``core`` only.
 """
 
 import ast
@@ -16,7 +19,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 OWNERS = {"core.py"}
-DERIVERS = {"unique", "searchsorted"}
+DERIVERS = {"unique", "searchsorted", "lexsort"}
 COLUMNS = {"owner", "owners"}
 READERS = sorted(
     path.relative_to(ROOT).as_posix()
@@ -34,9 +37,10 @@ def _names_a_column(node: ast.AST) -> bool:
 
 
 def bound_derivations(source: str) -> list[str]:
-    """Every call of a function or method named ``unique`` or
-    ``searchsorted`` in ``source`` whose receiver or any argument names an
-    ``owner`` or ``owners`` column (a name or an attribute), in line order."""
+    """Every call of a function or method named ``unique``,
+    ``searchsorted`` or ``lexsort`` in ``source`` whose receiver or any
+    argument names an ``owner`` or ``owners`` column (a name or an
+    attribute, also inside a tuple of sort keys), in line order."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.Call):
@@ -76,8 +80,12 @@ def test_checker_flags_each_owner_derivation_and_spares_the_rest():
         "groups = np.searchsorted(np.unique(labels), labels)\n"
         "starts = user_bounds(owner)\n"
         "users = gallery.owner[gallery.starts[:-1]]\n"
+        "by_id = np.lexsort((sample_id, owner))\n"
+        "rows = lexsort(keys=(ids, gallery.owner))\n"
+        "order = np.lexsort((d2, user_index))\n"
+        "by_id = row_order(owner, sample_id)\n"
     )
     assert bound_derivations(source) == [f"line {i}: {name}" for i, name in (
         (1, "unique"), (2, "unique"), (3, "searchsorted"), (4, "searchsorted"), (5, "unique"),
-        (6, "searchsorted"), (7, "unique"),
+        (6, "searchsorted"), (7, "unique"), (13, "lexsort"), (14, "lexsort"),
     )]

@@ -143,6 +143,8 @@ _PTS = np.arange(10.0).reshape(5, 2)
          "points must be a nonempty n x d array"),
         (lambda: kmeans(np.arange(5.0), KMeansParams(k=1), labels=[0] * 5),
          "points must be a nonempty n x d array"),
+        # a negative seed would fail only inside numpy's generator, naming no parameter
+        (lambda: KMeansParams(k=2, init="seeded_random", seed=-1), "^seed must be non-negative$"),
     ],
 )
 def test_boundary_checks_raise_their_messages(call, message):

@@ -225,6 +225,33 @@ def test_row_accessors_follow_user_then_sample_id_order():
     assert Gallery(samples=_rows(1, 1), owner=[1, 1], inserted_at=[2, 1]).inserted_at.tolist() == [2, 1]
 
 
+def test_a_gallery_orders_rows_given_out_of_order():
+    # users out of order, and one user's ids reversed: each comes back in key order
+    g = Gallery(samples=_rows(1, 1), owner=[2, 1], inserted_at=[0, 3])
+    assert g.owner.tolist() == [1, 2] and g.sample_id.tolist() == [1, 0]
+    assert g.inserted_at.tolist() == [3, 0] and g.starts.tolist() == [0, 1, 2]
+    g = Gallery(samples=_rows(1, 1)[::-1], owner=[1, 1], inserted_at=[2, 1])
+    assert g.owner.tolist() == [1, 1] and g.sample_id.tolist() == [0, 1]
+    assert g.inserted_at.tolist() == [1, 2] and g.starts.tolist() == [0, 2]
+
+
+def test_a_gallery_built_from_shuffled_rows_equals_the_ordered_build():
+    # users 1..3 with three rows each, inserted in different batches
+    samples = [make_sample(10 * u + j, [float(u), float(j)], user=u) for u in (1, 2, 3) for j in range(3)]
+    owner = [1, 1, 1, 2, 2, 2, 3, 3, 3]
+    inserted_at = [0, 1, 2, 2, 0, 1, 1, 2, 0]
+    ordered = Gallery(samples=samples, owner=owner, inserted_at=inserted_at)
+    # users interleaved, each user's ids reversed
+    shuffled = [8, 5, 2, 7, 4, 1, 6, 3, 0]
+    g = Gallery(samples=[samples[i] for i in shuffled], owner=[owner[i] for i in shuffled],
+                inserted_at=[inserted_at[i] for i in shuffled])
+    for name in ("samples", "owner", "inserted_at", "sample_id", "true_user", "starts"):
+        column = getattr(g, name)
+        assert column.dtype == getattr(ordered, name).dtype and not column.flags.writeable
+        assert column.tolist() == getattr(ordered, name).tolist(), name
+    assert np.array_equal(g.vectors, ordered.vectors) and g.user_ids == [1, 2, 3]
+
+
 def test_a_gallery_reads_each_samples_keys_once_when_built():
     reads = Counter()
 
@@ -262,6 +289,11 @@ def test_a_gallery_reads_each_samples_keys_once_when_built():
         impostor_fraction(gallery)
         score_sets(test, gallery, columns)
     assert not reads
+    # enrollment from pairs out of order reads each id once too: 4 reads for 4 rows
+    pairs = [(u, rows[i]) for u, i in ((2, 4), (1, 1), (2, 3), (1, 0))]
+    reads.clear()
+    assert gallery_enroll(pairs, cap=2).sample_id.tolist() == [0, 1, 3, 4]
+    assert reads == once_each([0, 1, 3, 4])
 
 
 def test_gallery_users_are_read_only():
@@ -328,14 +360,10 @@ def _rows(*dims, start_id=0):
         # rows are checked in key order, whatever the enrollment's order
         (lambda: gallery_enroll([(2, _rows(2, start_id=5)[0]), (1, _rows(1, start_id=1)[0])]),
          r"dimension mismatch: sample 5 has dim 2, expected 1$"),
-        (lambda: Gallery(samples=_rows(1, 1), owner=[2, 1], inserted_at=[0, 0]),
-         "rows must be grouped by ascending owner, in sample-id order$"),
-        (lambda: Gallery(samples=_rows(1, 1)[::-1], owner=[1, 1], inserted_at=[0, 0]),
-         "rows must be grouped by ascending owner, in sample-id order$"),
         # one id twice in one user would let a cycle keep more than p
         (lambda: Gallery(samples=_rows(1) * 2, owner=[3, 3], inserted_at=[0, 0]),
          "sample id 0 is held more than once"),
-        # a repeat is named before the rows' order is checked
+        # a repeat among rows out of order is found once they are ordered
         (lambda: Gallery(samples=_rows(1, 1)[::-1] + _rows(1), owner=[3, 3, 3], inserted_at=[0, 0, 0]),
          "sample id 0 is held more than once"),
         # one id in two users would put a zero into the cross-user pool

@@ -5,6 +5,7 @@ from selfgallery.dataio import load_dataset, split_batches, write_dataset
 from selfgallery.synthgen import SynthParams, generate
 
 from conftest import make_sample
+from oracles import reference_split
 
 
 def _grid_dataset(n_users, per_user, dim=2, with_session=False):
@@ -216,6 +217,32 @@ def test_split_chronological_uses_session_order():
         assert enroll_sessions == [0, 1, 2]
         test_sessions = [s.session for s in split.test.samples if s.true_user == user]
         assert test_sessions == [6, 7, 8]
+
+
+def _uneven_dataset(seed, short_user):
+    """Users 1, 2, 4 and 5 with 9-13 samples and, if asked, user 7 with 4,
+    in a shuffled order, with shuffled ids and sessions 0-2 (so sessions tie)."""
+    rng = np.random.default_rng(seed)
+    counts = {4: 13, 1: 9, 5: 10, 2: 12} | ({7: 4} if short_user else {})
+    users = [u for u, n in counts.items() for _ in range(n)]
+    ids = rng.permutation(1000)[: len(users)]
+    samples = [make_sample(int(i), [float(u), float(i)], user=u, session=int(rng.integers(3)))
+               for u, i in zip(users, ids)]
+    return [samples[i] for i in rng.permutation(len(samples))]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+@pytest.mark.parametrize("strict, chronological", [(True, False), (False, False), (True, True), (False, True)])
+def test_split_deals_the_reference_splits_samples(seed, strict, chronological):
+    ds = _uneven_dataset(seed, short_user=not strict)
+    split = split_batches(ds, 4, 2, seed=seed, strict=strict, chronological=chronological)
+    batches, dropped = reference_split(ds, 4, 2, seed, strict, chronological)
+    # the same sample objects, users ascending, and the same users' keys
+    assert [(u, id(s)) for u, s in split.enroll] == [(u, id(s)) for u, s in batches[0]]
+    dealt = [*split.adaptation, split.test]
+    assert [b.index for b in dealt] == [1, 2, 3]
+    assert [[id(s) for s in b.samples] for b in dealt] == [[id(s) for _, s in b] for b in batches[1:]]
+    assert split.dropped == tuple(dropped) == (() if strict else ((7, 4),))
 
 
 def test_split_needs_three_batches():

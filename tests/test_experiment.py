@@ -1,5 +1,6 @@
 import csv
 import logging
+import re
 
 import pytest
 
@@ -152,6 +153,11 @@ def test_config_validation():
     # not iterated into its letters, each an unknown method
     with pytest.raises(ValueError, match="^methods must be a sequence of method names, not 'mdist'$"):
         _cfg(methods="mdist")
+    # no sequence at all, a byte string, and a set, whose order would follow the hash seed
+    for methods in (None, 5, b"mdist", {"mdist"}):
+        message = f"^methods must be a sequence of method names, not {re.escape(repr(methods))}$"
+        with pytest.raises(ValueError, match=message):
+            _cfg(methods=methods)
     with pytest.raises(ValueError, match="'mdist' is given more than once"):
         _cfg(methods=("mdist", "kmeans", "mdist"))
     for s in (0, -4):
