@@ -38,16 +38,16 @@ policies += [
     (f"FAR q={q}", ThresholdPolicy.far_quantile(q)) for q in (0.01, 0.05, 0.2, 0.5)
 ]
 
-truth = {s.id: s.true_user for s in batch.samples}
+truth = batch.true_user  # ground truth, read here to count mislabels only
 
 print(f"batch of {len(batch)} samples\n")
 print(f"{'policy':<12} {'t*':>8} {'accepted':>9} {'mislabeled':>11}")
 for name, policy in policies:
     t_star = estimate_threshold(gallery, policy)
     decisions = classify_batch(batch, gallery, t_star)
-    accepted = decisions[decisions.accepted]
-    wrong = sum(truth[d.sample_id] != d.label for d in accepted)
-    print(f"{name:<12} {t_star:>8.4f} {len(accepted):>9} {wrong:>11}")
+    accepted = decisions.accepted
+    wrong = int((truth[accepted] != decisions.label[accepted]).sum())
+    print(f"{name:<12} {t_star:>8.4f} {int(accepted.sum()):>9} {wrong:>11}")
 
 print("\nLooser thresholds accept more of the batch but start pseudo-labeling"
       "\nsamples with the wrong identity -- exactly what a capped, compact"

@@ -7,7 +7,9 @@ import sys
 from pathlib import Path
 
 from . import selection
-from .core import Batch, gallery_enroll
+import numpy as np
+
+from .core import Batch, gallery_enroll, user_bounds
 from .dataio import load_dataset, write_dataset
 from .experiment import ExperimentConfig, run_experiment
 from .matching import ThresholdPolicy
@@ -120,28 +122,28 @@ def cmd_run(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    samples = generate(parse_synth(args.synth))
+    dataset = generate(parse_synth(args.synth))
     args.out.parent.mkdir(parents=True, exist_ok=True)
-    write_dataset(samples, args.out)
-    print(f"wrote {len(samples)} samples to {args.out}")
+    write_dataset(dataset, args.out)
+    print(f"wrote {len(dataset)} samples to {args.out}")
     return 0
 
 
 def cmd_scatter(args) -> int:
-    samples = load_dataset(args.dataset)
-    by_user: dict[int, list] = {}
-    for s in sorted(samples, key=lambda s: (s.session or 0, s.id)):
-        by_user.setdefault(s.true_user, []).append(s)
-    enroll = []
-    for user in sorted(by_user):
-        if len(by_user[user]) <= args.p:
-            raise ValueError(f"user {user} has no probe samples left beyond p={args.p}")
-        for s in by_user[user][: args.p]:
-            enroll.append((user, s))
-    gallery = gallery_enroll(enroll, cap=args.p)
-    held = set(gallery.sample_id.tolist())
-    probes = Batch(index=1, samples=tuple(s for s in samples if s.id not in held))
-    columns = distance_columns(probes, [s for _, s in enroll], _metric(args.metric))
+    dataset = load_dataset(args.dataset)
+    # each user's rows by session (none counts as 0), then id: the first p enroll
+    session = np.maximum(dataset.session, 0)
+    order = np.lexsort((dataset.sample_id, session, dataset.true_user))
+    bounds = user_bounds(dataset.true_user[order]).tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        if hi - lo <= args.p:
+            raise ValueError(f"user {dataset.true_user[order[lo]]} has no probe samples left beyond p={args.p}")
+    enroll = np.concatenate([order[lo : lo + args.p] for lo in bounds[:-1]])
+    gallery = gallery_enroll(Batch(dataset, enroll, 0), cap=args.p)
+    probe = np.ones(len(dataset), dtype=bool)
+    probe[enroll] = False
+    probes = Batch(dataset, np.flatnonzero(probe), 1)  # in file order
+    columns = distance_columns(probes, [gallery], _metric(args.metric))
     args.out.parent.mkdir(parents=True, exist_ok=True)
     with open(args.out, "w") as fh:
         n = export_score_scatter(probes, gallery, columns, fh)

@@ -4,38 +4,45 @@ Dataset format: header ``user_id,sample_id,session,f_0,...,f_{d-1}``,
 one sample per row, constant dimension, unique sample ids; session may
 be empty.
 
-Where inputs are checked, each once. ``load_dataset`` checks the file: its
-header, each row's column count (so one dimension), integer ids and
-sessions, unique sample ids, at least one sample and two users. Each
-feature vector is checked (finite, nan and inf alike) where ``Sample`` is
-built, and the loader reports that error, as every row's, as
-``path:line: ...``. ``write_dataset`` refuses a set of fewer than two
-users and a repeated sample id, and stacks its rows through
-``core.stack_vectors``, so a set of mixed dimensions fails, naming its first
-such sample; all before the file is opened.
+Where inputs are checked. ``load_dataset`` checks the file line by line:
+its header, each row's column count (so one dimension), integer ids in
+int64, sessions empty or non-negative, unique sample ids, finite feature
+values (nan and inf alike), then at least one sample and two users; each
+line's error is reported as ``path:line: ...``, the first bad line's. It
+parses into one ``core.Dataset``, which checks its columns again as a
+whole. ``write_dataset`` takes a ``Dataset``, whose ids are distinct and
+whose vectors share one dimension, and refuses a set of fewer than two
+users, which the loader would refuse, before the file is opened.
+
+``split_batches`` deals row indices of the dataset: one lexsort orders the
+rows by user, then sample id (user, session, sample id when chronological),
+and each user's run of rows is shuffled by one permutation of the seeded
+stream and dealt p to each batch, users ascending.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Batch, Sample, check_integer, first_repeat, stack_vectors
+from .core import Batch, Dataset, check_int64, check_integer, user_bounds
 
 
 @dataclass(frozen=True)
 class Split:
-    enroll: tuple[tuple[int, Sample], ...]  # (user, sample) pairs, batch 0
+    enroll: Batch  # batch 0
     adaptation: tuple[Batch, ...]  # batches 1 .. n_batches-2
     test: Batch  # batch n_batches-1
     dropped: tuple[tuple[int, int], ...] = ()  # relaxed mode: (user, samples held), ascending
 
 
-def load_dataset(path) -> list[Sample]:
-    """Parse a feature CSV into samples; errors carry the offending line."""
-    samples: list[Sample] = []
+def load_dataset(path) -> Dataset:
+    """Parse a feature CSV into a dataset; errors carry the offending line."""
+    keys: list[tuple[int, int, int]] = []  # (sample id, user, session) per row
+    values: list[list[float]] = []
     seen_ids: set[int] = set()
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -49,74 +56,73 @@ def load_dataset(path) -> list[Sample]:
             try:
                 if len(row) != n_cols:
                     raise ValueError(f"ragged row ({len(row)} columns)")
-                user = int(row[0])
-                sid = int(row[1])
+                user = check_int64(int(row[0]), "true_user")
+                sid = check_int64(int(row[1]), "id")
                 if sid in seen_ids:
                     raise ValueError(f"duplicate sample_id {sid}")
                 seen_ids.add(sid)
-                session = int(row[2]) if row[2] != "" else None
-                values = [float(v) for v in row[3:]]
-                samples.append(
-                    Sample(id=sid, vector=values, true_user=user, session=session)
-                )
+                session = check_integer(int(row[2]), "session", 0) if row[2] != "" else -1
+                vector = [float(v) for v in row[3:]]
+                if not vector:
+                    raise ValueError("feature vector must be 1-D with at least one coordinate")
+                if not all(map(math.isfinite, vector)):
+                    raise ValueError("feature vector contains non-finite coordinates")
             except ValueError as e:
                 raise ValueError(f"{path}:{lineno}: {e}") from e
-    if not samples:
+            keys.append((sid, user, session))
+            values.append(vector)
+    if not keys:
         raise ValueError(f"{path}: empty dataset")
-    if len({s.true_user for s in samples}) < 2:
+    sample_id, true_user, session = np.array(keys, dtype=np.int64).T
+    if np.all(true_user == true_user[0]):
         raise ValueError(f"{path}: need at least 2 distinct users")
-    return samples
+    return Dataset(sample_id=sample_id, true_user=true_user, session=session, vectors=np.array(values))
 
 
-def write_dataset(samples: list[Sample], path) -> None:
-    """Emit samples in the loadable CSV format (round-trips exactly)."""
-    if not samples:
-        raise ValueError("no samples to write")
-    if len({s.true_user for s in samples}) < 2:  # the loader refuses one user
+def write_dataset(dataset: Dataset, path) -> None:
+    """Emit a dataset's rows, in order, in the loadable CSV format (round-trips exactly)."""
+    if np.all(dataset.true_user == dataset.true_user[0]):  # the loader refuses one user
         raise ValueError("need at least 2 distinct users")
-    ids = np.fromiter((s.id for s in samples), dtype=np.int64, count=len(samples))
-    if (again := first_repeat(ids)) is not None:  # the loader refuses a repeated id
-        raise ValueError(f"duplicate sample_id {ids[again]}")
-    rows = stack_vectors(samples)  # a ragged file would not load back
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
-            ["user_id", "sample_id", "session"] + [f"f_{i}" for i in range(rows.shape[1])]
+            ["user_id", "sample_id", "session"] + [f"f_{i}" for i in range(dataset.vectors.shape[1])]
         )
-        for s, row in zip(samples, rows.tolist()):
-            session = "" if s.session is None else s.session
-            writer.writerow([s.true_user, s.id, session] + [repr(v) for v in row])
+        keys = zip(dataset.true_user.tolist(), dataset.sample_id.tolist(), dataset.session.tolist())
+        for (user, sid, session), row in zip(keys, dataset.vectors.tolist()):
+            writer.writerow([user, sid, "" if session < 0 else session] + [repr(v) for v in row])
 
 
 def split_batches(
-    dataset: list[Sample],
+    dataset: Dataset,
     n_batches: int,
     p: int,
     seed: int,
     strict: bool = True,
     chronological: bool = False,
 ) -> Split:
-    """Divide the dataset into enroll / adaptation / test batches.
+    """Divide the dataset's rows into enroll / adaptation / test batches.
 
     Per user, p samples go into each of the n_batches batches, drawn
-    without replacement by a seeded shuffle (or in session order when
-    chronological). Leftover samples are discarded. In strict mode a
-    user with fewer than n_batches*p samples is an error; in relaxed
-    mode such users are dropped, and ``Split.dropped`` names them.
+    without replacement by a seeded shuffle of the user's rows in id order
+    (or in session order, then id, when chronological). Leftover samples
+    are discarded. In strict mode a user with fewer than n_batches*p
+    samples is an error; in relaxed mode such users are dropped, and
+    ``Split.dropped`` names them.
     """
     check_integer(n_batches, "n_batches", 3)  # enroll, adaptation, test
     check_integer(p, "p", 1)
     check_integer(seed, "seed", 0)
     need = n_batches * p
-    by_user: dict[int, list[Sample]] = {}
-    for s in dataset:
-        by_user.setdefault(s.true_user, []).append(s)
+    ids, users, sessions = dataset.sample_id, dataset.true_user, dataset.session
+    order = np.lexsort((ids, sessions, users) if chronological else (ids, users))
+    bounds = user_bounds(users[order]).tolist()
 
     rng = np.random.default_rng(seed)
-    per_batch: list[list[Sample]] = [[] for _ in range(n_batches)]  # users ascending
+    per_batch: list[list[np.ndarray]] = [[] for _ in range(n_batches)]  # users ascending
     dropped = []
-    for user in sorted(by_user):
-        pool = by_user[user]
+    for lo, hi in zip(bounds, bounds[1:]):
+        pool, user = order[lo:hi], int(users[order[lo]])
         if len(pool) < need:
             if strict:
                 raise ValueError(
@@ -126,20 +132,14 @@ def split_batches(
             dropped.append((user, len(pool)))
             continue
         if chronological:
-            if any(s.session is None for s in pool):
+            if np.any(sessions[pool] < 0):
                 raise ValueError(f"user {user}: chronological mode needs session labels")
-            pool = sorted(pool, key=lambda s: (s.session, s.id))
         else:
-            pool = sorted(pool, key=lambda s: s.id)
-            pool = [pool[i] for i in rng.permutation(len(pool))]
+            pool = pool[rng.permutation(len(pool))]
         for b in range(n_batches):
-            per_batch[b].extend(pool[b * p : (b + 1) * p])
-    if len(by_user) - len(dropped) < 2:
+            per_batch[b].append(pool[b * p : (b + 1) * p])
+    if len(bounds) - 1 - len(dropped) < 2:
         raise ValueError("fewer than 2 users survive the split")
 
-    return Split(
-        enroll=tuple((s.true_user, s) for s in per_batch[0]),
-        adaptation=tuple(Batch(index=b, samples=per_batch[b]) for b in range(1, n_batches - 1)),
-        test=Batch(index=n_batches - 1, samples=per_batch[-1]),
-        dropped=tuple(dropped),
-    )
+    batches = [Batch(dataset, np.concatenate(rows), b) for b, rows in enumerate(per_batch)]
+    return Split(enroll=batches[0], adaptation=tuple(batches[1:-1]), test=batches[-1], dropped=tuple(dropped))

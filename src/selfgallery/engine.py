@@ -4,12 +4,16 @@ Every classification in a cycle uses the pre-cycle gallery; selection
 runs once after all insertions; t* is re-estimated from the
 post-selection gallery before the next batch.
 
-A cycle works on rows, never on per-user containers: the candidates are
-the gallery's columns concatenated with the accepted probes', ordered once
-by ``core.row_order``, the order a ``Gallery`` holds its rows in. That order
-hands selection each user's candidates in id order, and the keep mask over
-it gives the next gallery's rows, already in order, and the evictions in
-the same order.
+A cycle works on rows of the gallery's dataset, never on per-user
+containers: the candidates are the gallery's rows followed by the accepted
+probes' rows, ordered once by ``core.row_order``, the order a ``Gallery``
+holds its rows in. That order hands selection each user's candidate
+vectors, one gather, in id order, and the keep mask over it gives the next
+gallery's rows, already in order, and the evictions in the same order.
+
+A report's ``elapsed_classify_s`` and ``elapsed_select_s`` are CPU time of
+the calling thread, which holds all of that work, so time the thread spends
+waiting for a CPU on a busy machine does not count.
 """
 
 from __future__ import annotations
@@ -48,6 +52,9 @@ class UpdateCycleReport:
     n_rejected: int
     insertions: tuple[tuple[int, int], ...]  # (sample_id, pseudo_label), in batch order
     evictions: tuple[tuple[int, int], ...]  # (sample_id, user), users ascending, each in id order
+    # CPU time of the calling thread (time.thread_time), not wall time, so a
+    # busy machine does not inflate it: every screen GEMM of classification
+    # runs on the calling thread (matching's _TILE), and selection calls no BLAS
     elapsed_classify_s: float
     elapsed_select_s: float
 
@@ -61,52 +68,54 @@ def run_update_cycle(
 ) -> tuple[Gallery, UpdateCycleReport]:
     """One pass of the classification-selection loop over a single batch.
 
-    Sample ids must be new: a batch that repeats an id, or reuses one the
-    gallery already holds, raises ValueError before anything is classified,
-    as does a batch index below 1 (index 0 is the enrollment's) or below the
-    gallery's newest row's: batches arrive in time order, so no row of a
-    gallery can come from a batch later than the one being absorbed.
+    The batch and the gallery must be rows of one dataset, and the batch's
+    rows must be new: a batch of another dataset, one that repeats a row, or
+    reuses one the gallery already holds, raises ValueError before anything
+    is classified, as does a batch index below 1 (index 0 is the
+    enrollment's) or below the gallery's newest row's: batches arrive in
+    time order, so no row of a gallery can come from a batch later than the
+    one being absorbed.
     """
+    if batch.dataset is not gallery.dataset:
+        raise ValueError(f"batch {batch.index} is not of the gallery's dataset")
     if batch.index < 1:
         raise ValueError(f"batch index {batch.index} < 1: index 0 is the enrollment's")
     if batch.index < (newest := int(gallery.inserted_at.max())):
         raise ValueError(f"batch {batch.index} is older than the gallery's newest rows, from batch {newest}")
-    probes = np.array(batch.samples, dtype=object)
-    ids = np.fromiter((s.id for s in probes), dtype=np.int64, count=len(probes))
-    held = gallery.sample_id
-    # held ids are distinct, so the first repeat is the first probe, in batch
-    # order, that reuses a held id or an earlier probe's
-    if (again := first_repeat(np.concatenate((held, ids)))) is not None:
+    held = gallery.rows
+    # held rows are distinct, so the first repeat is the first probe, in batch
+    # order, that reuses a held row or an earlier probe's
+    if (again := first_repeat(np.concatenate((held, batch.rows)))) is not None:
         raise ValueError(
-            f"batch {batch.index}: sample id {ids[again - len(held)]} is already held or repeated"
+            f"batch {batch.index}: sample id {batch.sample_id[again - len(held)]} is already held or repeated"
         )
-    t0 = time.perf_counter()
+    t0 = time.thread_time()
     decisions = matching.classify_batch(batch, gallery, t_star, cfg.metric)
-    elapsed_classify = time.perf_counter() - t0
+    elapsed_classify = time.thread_time() - t0
 
     # GT_new: the gallery's rows, then the accepted probes in batch order
     accepted = np.flatnonzero(decisions.accepted)
     labels = decisions.label[accepted]
-    samples = np.concatenate((gallery.samples, probes[accepted]))
+    rows = np.concatenate((held, batch.rows[accepted]))
     owner = np.concatenate((gallery.owner, labels))
-    sample_id = np.concatenate((held, ids[accepted]))
+    sample_id = np.concatenate((gallery.sample_id, decisions.sample_id[accepted]))
     inserted_at = np.concatenate((gallery.inserted_at, np.full(len(accepted), batch.index, np.int64)))
     by_id = row_order(owner, sample_id)  # selection's order and the next gallery's
 
-    t0 = time.perf_counter()
-    chosen = selection.select(cfg.method, samples[by_id], owner[by_id], cfg.p)
-    elapsed_select = time.perf_counter() - t0
+    t0 = time.thread_time()
+    chosen = selection.select(cfg.method, gallery.dataset.vectors[rows[by_id]], owner[by_id], cfg.p)
+    elapsed_select = time.thread_time() - t0
 
     keep = np.zeros(len(by_id), dtype=bool)
     keep[chosen] = True
     kept, evicted = by_id[keep], by_id[~keep]
-    new_gallery = Gallery(samples=samples[kept], owner=owner[kept], inserted_at=inserted_at[kept])
+    new_gallery = Gallery(gallery.dataset, rows[kept], owner[kept], inserted_at[kept])
 
     report = UpdateCycleReport(
         batch_index=batch.index,
         t_star_used=t_star,
         n_rejected=len(decisions) - len(accepted),
-        insertions=tuple(zip(ids[accepted].tolist(), labels.tolist())),
+        insertions=tuple(zip(sample_id[len(held):].tolist(), labels.tolist())),
         evictions=tuple(zip(sample_id[evicted].tolist(), owner[evicted].tolist())),
         elapsed_classify_s=elapsed_classify,
         elapsed_select_s=elapsed_select,

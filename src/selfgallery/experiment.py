@@ -4,7 +4,7 @@ One run = one seeded split of the dataset into enroll / adaptation / test
 batches, followed by the full update sequence for every requested method
 plus the frozen no-update baseline. Once every sequence has run, each
 snapshot is evaluated against the same independent test batch, from one
-distance table over only the samples the run's galleries hold. Results are
+distance table over only the dataset rows the run's galleries hold. Results are
 averaged over runs.
 """
 
@@ -88,7 +88,7 @@ def _run_one(cfg: ExperimentConfig, run: int, split: Split):
     """All rows for one seeded run, each method's final gallery (the enrolled
     one for the baseline) and the run's distance columns, which score them.
 
-    Every method's sequence runs first; then one table over the samples some
+    Every method's sequence runs first; then one table over the rows some
     gallery of the run holds scores the baseline, and each method's enrolled
     gallery followed by its snapshots, in that order."""
     rows: list[dict] = []
@@ -101,8 +101,7 @@ def _run_one(cfg: ExperimentConfig, run: int, split: Split):
         sequences[method] = run_sequence(g0, list(split.adaptation), engine_cfg)
     # one table scores them all, over each sample some gallery holds, once
     galleries = [g0] + [snap for _, _, snapshots in sequences.values() for snap in snapshots]
-    held = {s.id: s for g in galleries for s in g.samples}
-    columns = distance_columns(split.test, list(held.values()), cfg.metric)
+    columns = distance_columns(split.test, galleries, cfg.metric)
     base_eval = evaluate_snapshot(g0, split.test, columns, cfg.bytes_per_template)
 
     # frozen no-update baseline: same gallery, hence constant EER per batch

@@ -24,7 +24,7 @@ grows with squared norms, so centring keeps the band narrow under a large
 common offset.
 
 The columns come from one operand (``_Operand``): their float64 rows (one
-``gallery.vectors`` stack) and c, and per (screen dtype, row group) their
+``gallery.vectors`` gather) and c, and per (screen dtype, row group) their
 column tiles and squared norms, built at first use, so a float32 bound
 that fails keeps float64 tiles beside the float32 ones.
 ``estimate_threshold`` leaves the operand of the gallery it read in one
@@ -33,7 +33,7 @@ from there when it reads the same ``Gallery`` object (``is``: galleries are
 immutable and compare by identity); otherwise it builds its own. Either way
 classification leaves the slot empty. So at most one gallery's rows and
 tiles are held between calls, and only from a t* to the classification
-that follows it, and a cycle (t*, classification, K-Means) stacks and
+that follows it, and a cycle (t*, classification, K-Means) gathers and
 centres its gallery once. Every value is built as a fresh operand would
 build it, so the slot never changes a result; a concurrent caller can only
 miss it, and then builds its own.
@@ -118,7 +118,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Batch, Gallery, check_real, stack_vectors
+from .core import Batch, Gallery, check_real
 
 EUCLIDEAN = "euclidean"
 L1 = "l1"
@@ -493,7 +493,9 @@ def classify_batch(
     # a bool is no distance (the package refuses bool keys too); NaN would reject every probe
     if not check_real(t_star, "t*") >= 0:
         raise ValueError(f"t* must be a non-negative number, not {t_star!r}")
-    x = stack_vectors(batch.samples, gallery.dim)
+    x = batch.vectors
+    if x.shape[1] != gallery.dim:
+        raise ValueError(f"dimension mismatch: batch {batch.index} has dim {x.shape[1]}, expected {gallery.dim}")
     if held is not gallery:
         operand = _Operand(gallery.vectors)
     mat, owners = operand.rows, gallery.owner
@@ -505,7 +507,6 @@ def classify_batch(
     else:  # no Gram identity (or no probe): one exact table per block of probes
         near = np.concatenate([_exact(x[lo : lo + _BLOCK], mat, metric).argmin(axis=1) for lo in blocks])
     dists = _exact(x, mat, metric, np.arange(len(x)), near)
-    ids = np.fromiter((s.id for s in batch.samples), dtype=np.int64, count=len(batch))
     return np.rec.fromarrays(
-        [ids, dists < t_star, dists, owners[near]], names="sample_id,accepted,distance,label"
+        [batch.sample_id, dists < t_star, dists, owners[near]], names="sample_id,accepted,distance,label"
     )

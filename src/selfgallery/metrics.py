@@ -6,14 +6,15 @@ rises and FRR falls as the threshold increases. FRR counts scores >= t
 to pair with the strict acceptance rule in matching.
 
 Evaluation reads the ground truth that the update path never reads, and it
-searches nothing: ``distance_columns`` tables every exact distance from a set
-of samples to a test batch as one id-sorted table, a block of samples per
-reduction (matching's exact kernel), and ``score_sets`` gathers a gallery's
-rows from it with one ``searchsorted`` over sample ids and takes each user's
-least over its templates' rows, which the gallery's ``starts`` bound, as they
-bound each user's share of the impostor fraction. A run scores all its
-snapshots, and writes its scatter files, against one test batch from one
-such table over the samples its galleries hold.
+searches nothing: ``distance_columns`` tables every exact distance from the
+dataset rows some gallery holds to a test batch of the same dataset, a
+block of rows per reduction (matching's exact kernel), with a map from
+dataset row to table row; ``score_sets`` gathers a gallery's rows from the
+table through that map and takes each user's least over its templates'
+rows, which the gallery's ``starts`` bound, as they bound each user's share
+of the impostor fraction. A run scores all its snapshots, and writes its
+scatter files, against one test batch from one such table over the rows
+its galleries hold.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
-from .core import Batch, Gallery, check_integer, check_real, first_repeat, stack_vectors
+from .core import Batch, Gallery, check_integer, check_real
 from .matching import EUCLIDEAN, _exact, _known
 
 DEFAULT_BYTES_PER_COORD = 4  # one 32-bit value per coordinate unless overridden
@@ -100,43 +101,49 @@ def gallery_bytes(gallery: Gallery, bytes_per_template: Optional[int] = None) ->
 
 
 def distance_columns(
-    test: Batch, samples, metric: str = EUCLIDEAN
+    test: Batch, galleries: Sequence[Gallery], metric: str = EUCLIDEAN
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The ids of the sequence ``samples`` (a list, or a gallery's ``samples``)
-    in ascending order, and one float64 table of shape
-    (len(ids), len(test)) whose row i holds sample ids[i]'s exact distances to
-    every test sample: one ``_exact`` table, bitwise ``_distances_to_rows``.
-    A repeated id is refused, naming the first sample that repeats one."""
+    """The test batch's distance columns over every row some gallery of
+    ``galleries`` holds: a map from each row of the test batch's dataset to
+    its table row (-1 for a row no gallery holds), and one float64 table of
+    shape (held rows, len(test)) whose row i holds the i-th held row's exact
+    distances to every test sample: one ``_exact`` table, bitwise
+    ``_distances_to_rows``. The held rows are marked in one bool array, so a
+    row many galleries hold has one table row; a gallery of another dataset
+    is refused."""
     _known(metric)
-    ids = np.fromiter((s.id for s in samples), dtype=np.int64, count=len(samples))
-    if (again := first_repeat(ids)) is not None:
-        raise ValueError(f"sample id {ids[again]} is given more than once")
-    if not len(samples):
-        return ids, np.empty((0, len(test)))
-    y = stack_vectors(samples)  # the samples first: a mismatch names one of them first
-    x = stack_vectors(test.samples, y.shape[1])
-    order = np.argsort(ids, kind="stable")  # first_repeat's kind: the default added 0.2 MB of peak RSS
-    return ids[order], _exact(y[order], x, metric)
+    dataset = test.dataset
+    held = np.zeros(len(dataset), dtype=bool)
+    for g in galleries:
+        _same_dataset(test, g)
+        held[g.rows] = True
+    rows = np.flatnonzero(held)
+    column = np.full(len(dataset), -1, dtype=np.intp)
+    column[rows] = np.arange(len(rows))
+    return column, _exact(dataset.vectors[rows], test.vectors, metric)
+
+
+def _same_dataset(test: Batch, gallery: Gallery) -> None:
+    if gallery.dataset is not test.dataset:
+        raise ValueError("the gallery and the test batch are rows of different datasets")
 
 
 def _nearest_by_user(test: Batch, gallery: Gallery, columns):
     """The gallery's users, each test sample's least distance to each of them
     (test x users), and whether that user is the sample's own."""
+    _same_dataset(test, gallery)
     users = gallery.user_ids
-    truth = np.fromiter((s.true_user for s in test.samples), dtype=np.int64, count=len(test))
+    truth = test.true_user
     own = truth[:, None] == np.array(users, dtype=np.int64)
     known = own.any(axis=1)
     if not known.all():
-        s = test.samples[int(np.argmin(known))]
-        raise ValueError(f"test sample {s.id}: true user {s.true_user} is not enrolled")
-    ids, table = columns
-    held = gallery.sample_id
-    rows = np.searchsorted(ids, held)
-    found = rows < len(ids)
-    found[found] = ids[rows[found]] == held[found]
-    if not found.all():
-        raise ValueError(f"template sample {held[np.argmin(found)]} has no distance column")
-    nearest = np.minimum.reduceat(table[rows], gallery.starts[:-1], axis=0).T
+        i = int(np.argmin(known))
+        raise ValueError(f"test sample {test.sample_id[i]}: true user {truth[i]} is not enrolled")
+    column, table = columns
+    at = column[gallery.rows]
+    if np.any(missing := at < 0):
+        raise ValueError(f"template sample {gallery.sample_id[np.argmax(missing)]} has no distance column")
+    nearest = np.minimum.reduceat(table[at], gallery.starts[:-1], axis=0).T
     return users, nearest, own
 
 
@@ -146,8 +153,8 @@ def score_sets(test: Batch, gallery: Gallery, columns):
 
     genuine: each sample's min distance to its own user's gallery.
     impostor: one score per (sample, other user) pair.
-    ``columns`` are the test batch's ``distance_columns`` over samples that
-    include the gallery's: (ids, table).
+    ``columns`` are the test batch's ``distance_columns`` over galleries
+    that include this one, or hold every row it holds: (map, table).
     """
     _, nearest, own = _nearest_by_user(test, gallery, columns)
     return nearest[own], nearest[~own]

@@ -6,12 +6,13 @@ euclidean distances (tight, mode-centered sets); DEND keeps the largest
 p candidates closest to the centroid of each user's dominant cluster.
 keep_all is the unbounded traditional baseline.
 
-Every method takes ``Sample`` objects, each user's in id order (the
-engine orders a cycle's rows once, by ``core.row_order``), and returns
-the positions it keeps, so no method sorts, copies or rebuilds its
-candidates: ``select_mdist`` and ``select_dend`` take one user's
-candidates, ``select_kmeans`` every user's by user id, and ``select`` a
-whole cycle's rows grouped by owner.
+Every method takes its candidates as vector blocks, one float64 (n, dim)
+array of rows per user, each user's rows in id order (the engine gathers
+a cycle's rows once, in ``core.row_order``), and returns the positions it
+keeps, so no method sorts or rebuilds its candidates: ``select_mdist`` and
+``select_dend`` take one user's block and read only its length before
+they choose a path, ``select_kmeans`` every user's block by user id, and
+``select`` a whole cycle's block with its owner column, users grouped.
 
 Objectives always use squared euclidean, even when matching uses l1.
 
@@ -74,12 +75,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
-from typing import Sequence
-
 import numpy as np
 
 from .clustering import KMeansParams, _sq_residuals, kmeans
-from .core import Sample, check_integer, stack_vectors, user_bounds
+from .core import check_integer, user_bounds
 from .matching import _SQUARED, _exact
 
 KMEANS = "kmeans"
@@ -94,10 +93,10 @@ _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 _FLOAT_MAX = float(np.finfo(float).max)
 
 
-def _pair_matrix(candidates: Sequence[Sample]) -> np.ndarray:
-    """The candidates' exact squared distance matrix (module docstring)."""
-    vecs = stack_vectors(candidates)
-    return _exact(vecs, vecs, _SQUARED)
+def _pair_matrix(candidates: np.ndarray) -> np.ndarray:
+    """The candidate rows' exact squared distance matrix (module docstring)."""
+    rows = np.asarray(candidates, dtype=np.float64)
+    return _exact(rows, rows, _SQUARED)
 
 
 @lru_cache(maxsize=None)  # one p x p mask per p
@@ -220,7 +219,7 @@ def _band(screen: np.ndarray, incumbent: float, maximize: bool, delta: float) ->
     return (screen <= min(float(screen.min()), incumbent) * (1 + delta)).nonzero()[0]
 
 
-def _enumerate_best(candidates: Sequence[Sample], p: int, maximize: bool) -> list[int]:
+def _enumerate_best(candidates: np.ndarray, p: int, maximize: bool) -> list[int]:
     """Positions of the exact optimum over all size-p subsets of id-sorted
     candidates.
 
@@ -249,7 +248,7 @@ def _enumerate_best(candidates: Sequence[Sample], p: int, maximize: bool) -> lis
     return best.tolist()
 
 
-def _greedy_select(candidates: Sequence[Sample], p: int, maximize: bool) -> list[int]:
+def _greedy_select(candidates: np.ndarray, p: int, maximize: bool) -> list[int]:
     """Dispersion-style greedy: seed with the extreme pair, grow one at a
     time; returns the chosen positions in ascending order."""
     sqmat = _pair_matrix(candidates)
@@ -266,7 +265,7 @@ def _greedy_select(candidates: Sequence[Sample], p: int, maximize: bool) -> list
     return sorted(chosen)
 
 
-def _select_by_objective(candidates: Sequence[Sample], p: int, maximize: bool) -> list[int]:
+def _select_by_objective(candidates: np.ndarray, p: int, maximize: bool) -> list[int]:
     check_integer(p, "p", 1)
     n = len(candidates)  # the one read before a path is taken
     if not n:
@@ -280,25 +279,27 @@ def _select_by_objective(candidates: Sequence[Sample], p: int, maximize: bool) -
     return _greedy_select(candidates, p, maximize)
 
 
-def select_mdist(candidates: Sequence[Sample], p: int) -> list[int]:
-    """Positions, ascending, of the size-p subset of one user's id-sorted
-    candidates minimizing the sum of pairwise squared distances."""
+def select_mdist(candidates: np.ndarray, p: int) -> list[int]:
+    """Positions, ascending, of the size-p subset of one user's candidate
+    rows, an (n, dim) block in id order, minimizing the sum of pairwise
+    squared distances."""
     return _select_by_objective(candidates, p, maximize=False)
 
 
-def select_dend(candidates: Sequence[Sample], p: int) -> list[int]:
-    """Positions, ascending, of the size-p subset of one user's id-sorted
-    candidates maximizing the sum of pairwise squared distances."""
+def select_dend(candidates: np.ndarray, p: int) -> list[int]:
+    """Positions, ascending, of the size-p subset of one user's candidate
+    rows, an (n, dim) block in id order, maximizing the sum of pairwise
+    squared distances."""
     return _select_by_objective(candidates, p, maximize=True)
 
 
-def select_kmeans(candidates_by_user: dict[int, Sequence[Sample]], p: int) -> np.ndarray:
+def select_kmeans(candidates_by_user: dict[int, np.ndarray], p: int) -> np.ndarray:
     """Cluster the pooled candidates into one cluster per user and keep,
     per user, the candidates closest to the centroid of that user's
     dominant cluster.
 
-    Each user's candidates come in id order. The pool is every user's
-    candidates, users ascending; the result is the kept positions in it,
+    Each user's candidates are an (n, dim) block of rows in id order. The
+    pool is every user's rows, users ascending; the result is the kept positions in it,
     each user's nearest first. A user sharing its dominant cluster with
     others can still only keep its own labeled candidates, so a shared
     cluster never donates foreign samples.
@@ -318,7 +319,7 @@ def select_kmeans(candidates_by_user: dict[int, Sequence[Sample]], p: int) -> np
         raise ValueError(f"users {[u for u, n in zip(users, sizes) if not n]} have no candidates")
     k = len(users)
     user_index = np.repeat(np.arange(k), sizes)
-    points = stack_vectors([s for u in users for s in candidates_by_user[u]])
+    points = np.concatenate([candidates_by_user[u] for u in users])
     cl = kmeans(points, KMeansParams(k=k), labels=user_index)
 
     dom = np.bincount(user_index * k + cl.assignment, minlength=k * k).reshape(k, k).argmax(axis=1)
@@ -328,18 +329,18 @@ def select_kmeans(candidates_by_user: dict[int, Sequence[Sample]], p: int) -> np
     return order[rank < p]
 
 
-def select(method: str, samples: Sequence[Sample], owner: np.ndarray, p: int) -> np.ndarray:
-    """Positions of the candidates ``method`` keeps of ``samples``, every
-    user's candidates grouped by ascending ``owner`` and in id order within
-    a user: keep_all keeps every candidate, kmeans clusters all users'
+def select(method: str, vectors: np.ndarray, owner: np.ndarray, p: int) -> np.ndarray:
+    """Positions of the candidate rows ``method`` keeps of ``vectors``, every
+    user's rows grouped by ascending ``owner`` and in id order within a
+    user: keep_all keeps every candidate, kmeans clusters all users'
     candidates together, and MDIST and DEND select each user's on its own."""
     check_integer(p, "p", 1)
     if method == KEEP_ALL:
-        return np.arange(len(samples))
+        return np.arange(len(vectors))
     if method not in METHODS:
         raise ValueError(f"unknown selection method: {method!r}")
     starts = user_bounds(owner)[:-1]
-    parts = np.split(np.asarray(samples, dtype=object), starts[1:])  # each user's candidates
+    parts = np.split(vectors, starts[1:])  # each user's block, a view
     if method == KMEANS:
         return select_kmeans(dict(zip(owner[starts].tolist(), parts)), p)
     # read per call, so a wrapper set on the module attribute sees every call

@@ -8,7 +8,7 @@ selection avoids.
 
 Generation is stream-ordered on a seeded PCG64 generator, so a given
 parameter set always yields the identical dataset. The vectors are drawn
-into one (n, dim) matrix, and each sample copies its row.
+into one (n, dim) matrix, which becomes the dataset's ``vectors``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Sample, check_integer, check_real
+from .core import Dataset, check_integer, check_real
 
 _PLACEMENT_ATTEMPTS = 1000
 
@@ -77,13 +77,14 @@ def user_means(params: SynthParams) -> np.ndarray:
     )
 
 
-def generate(params: SynthParams) -> list[Sample]:
-    """Labeled samples for all users, user-major, ids sequential from 0.
+def generate(params: SynthParams) -> Dataset:
+    """Labeled samples for all users as one dataset: user-major rows, users
+    from 1, ids sequential from 0, no sessions.
 
     Each sample draws from the stream in turn (a uniform, a tail sample's
     other user, then its standard normal row) into one (n, dim) matrix;
     spread and centre are applied to the whole matrix after the loop, and
-    each ``Sample`` copies its row.
+    the matrix is the dataset's, uncopied.
     """
     means = user_means(params)
     rng = np.random.default_rng(np.random.SeedSequence([params.seed, 1]))
@@ -97,7 +98,7 @@ def generate(params: SynthParams) -> list[Sample]:
             centre[row] = other + (other >= own)
         rng.standard_normal(out=vectors[row])
     vectors *= np.where(centre != owner, 3.0 * params.sigma, params.sigma)[:, None]
-    # a dataset-sized gather; freeing it and the matrix raises glibc's mmap
-    # threshold, which online_wide's timing depends on (ROADMAP Standing notes)
+    # a dataset-sized gather; freeing it raises glibc's mmap threshold,
+    # which online_wide's timing depends on (ROADMAP Standing notes)
     vectors += means[centre]
-    return [Sample(id=i, vector=v, true_user=i // n + 1) for i, v in enumerate(vectors)]
+    return Dataset(sample_id=np.arange(k * n), true_user=owner + 1, session=np.full(k * n, -1), vectors=vectors)

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from selfgallery.core import Sample, gallery_enroll
+from selfgallery.core import Batch, Dataset, Gallery, Sample, gallery_enroll
 from selfgallery.matching import EUCLIDEAN, _distances_to_rows
 from selfgallery.metrics import distance_columns, fmt9
 
@@ -20,20 +20,62 @@ def make_samples(values, start_id=0, user=1):
     return [make_sample(start_id + i, v, user=user) for i, v in enumerate(values)]
 
 
-def gallery_1d(user_values, cap=None):
-    """{user: [scalar, ...]} -> enrolled gallery with sequential ids."""
+def enroll(pairs, cap=None, probes=()):
+    """The gallery enrolled from (user, sample) pairs, each sample of its pair's
+    user, over one ``Dataset.of`` the pairs' samples followed by ``probes``
+    (samples for the batches that ``batch_of`` takes from the same dataset)."""
+    pairs = list(pairs)
+    assert all(u == s.true_user for u, s in pairs), "a sample enrolls for its true user"
+    dataset = Dataset.of([s for _, s in pairs] + list(probes))
+    return gallery_enroll(Batch(dataset, np.arange(len(pairs)), 0), cap=cap)
+
+
+def batch_of(source, ids, index=1):
+    """The batch of the rows holding sample ``ids``, in that order, of a
+    dataset or of a gallery's dataset."""
+    dataset = getattr(source, "dataset", source)
+    row = {sid: r for r, sid in enumerate(dataset.sample_id.tolist())}
+    return Batch(dataset, np.array([row[i] for i in ids], dtype=np.int64), index)
+
+
+def probe_batch(samples, index=1):
+    """A batch of the samples, in order, over a dataset of its own."""
+    return Batch(Dataset.of(samples), np.arange(len(samples)), index)
+
+
+def with_probes(gallery, probes, index=1):
+    """The gallery's rows over a new dataset of its dataset's samples followed
+    by ``probes``, and the batch of the probes, in order."""
+    dataset = Dataset.of(samples_of(gallery.dataset) + list(probes))
+    g = Gallery(dataset, gallery.rows, gallery.owner, gallery.inserted_at)
+    return g, Batch(dataset, len(gallery.dataset) + np.arange(len(probes)), index)
+
+
+def samples_of(rows):
+    """The rows of a dataset, a batch or a gallery as ``Sample`` values, in order."""
+    dataset, rows = (rows, np.arange(len(rows))) if isinstance(rows, Dataset) else (rows.dataset, rows.rows)
+    return [
+        Sample(id=i, vector=dataset.vectors[r], true_user=u, session=None if s < 0 else s)
+        for r, i, u, s in zip(rows.tolist(), dataset.sample_id[rows].tolist(),
+                              dataset.true_user[rows].tolist(), dataset.session[rows].tolist())
+    ]
+
+
+def gallery_1d(user_values, cap=None, probes=()):
+    """{user: [scalar, ...]} -> enrolled gallery with sequential ids, over a
+    dataset that also holds ``probes``."""
     pairs = []
     sid = 0
     for user in sorted(user_values):
         for v in user_values[user]:
             pairs.append((user, make_sample(sid, [v], user=user)))
             sid += 1
-    return gallery_enroll(pairs, cap=cap)
+    return enroll(pairs, cap=cap, probes=probes)
 
 
 def gallery_columns(test, gallery, metric=EUCLIDEAN):
-    """distance_columns of a test batch over the gallery's own samples."""
-    return distance_columns(test, gallery.samples, metric)
+    """distance_columns of a test batch over the gallery's own rows."""
+    return distance_columns(test, [gallery], metric)
 
 
 def read_scatter(text):
@@ -46,7 +88,10 @@ def scatter_reference(probes, templates, metric=EUCLIDEAN):
     """A scatter file's rows, built plainly from ``templates`` ({user: [sample,
     ...]}): users in ascending order, each with its genuine and then its
     impostor probes in probe order, each scored by its least
-    ``_distances_to_rows`` to one of the user's samples."""
+    ``_distances_to_rows`` to one of the user's samples. ``probes`` are
+    samples, or a batch."""
+    if isinstance(probes, Batch):
+        probes = samples_of(probes)
     x = np.array([s.vector for s in probes])
     rows = []
     for u in sorted(templates):
@@ -62,12 +107,13 @@ def scatter_reference(probes, templates, metric=EUCLIDEAN):
 
 def gallery_templates(gallery):
     """{user: [sample, ...]} of the gallery's rows, in sample-id order."""
-    return {u: list(gallery.samples[gallery.owner == u]) for u in gallery.user_ids}
+    samples = samples_of(gallery)
+    return {u: [s for s, o in zip(samples, gallery.owner.tolist()) if o == u] for u in gallery.user_ids}
 
 
 def held_ids(gallery):
     """{user: [sample id, ...]} of the gallery's rows, ascending."""
-    return {u: [s.id for s in ss] for u, ss in gallery_templates(gallery).items()}
+    return {u: gallery.sample_id[gallery.owner == u].tolist() for u in gallery.user_ids}
 
 
 def screen_gallery(rng, dim, counts, offset):
@@ -84,7 +130,7 @@ def screen_gallery(rng, dim, counts, offset):
             elif j == 0 and u % 3 == 1:
                 v = shared + rng.normal(0.0, 1e-6, dim)  # nearer than the screen resolves
             pairs.append((u, make_sample(next(sid), v, user=u)))
-    return gallery_enroll(pairs), shared
+    return enroll(pairs), shared
 
 
 @pytest.fixture

@@ -91,7 +91,7 @@ def test_criterion_2_oracle_equivalence():
             pts[2] = pts[0]
         cands = make_samples(pts.tolist())  # sequential ids: already in id order
         for fast, obj in ((select_mdist, MIN_SUM), (select_dend, MAX_SUM)):
-            a = [cands[i].id for i in fast(cands, p)]
+            a = [cands[i].id for i in fast(pts, p)]  # the same vectors, as one block
             b = [s.id for s in oracle_subset_select(cands, p, obj)]
             if a != b:
                 ok = False
@@ -245,9 +245,9 @@ def test_criterion_7_invariant_suite():
 
     # split disjointness
     groups = [
-        {s.id for _, s in split.enroll},
-        *({s.id for s in b.samples} for b in split.adaptation),
-        {s.id for s in split.test.samples},
+        set(split.enroll.sample_id.tolist()),
+        *(set(b.sample_id.tolist()) for b in split.adaptation),
+        set(split.test.sample_id.tolist()),
     ]
     for i in range(len(groups)):
         for j in range(i + 1, len(groups)):

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from selfgallery.cli import main, parse_synth, parse_threshold
-from selfgallery.core import Sample
+from selfgallery.core import Dataset, Sample
 from selfgallery.dataio import load_dataset, write_dataset
 from selfgallery.matching import ThresholdPolicy
 
-from conftest import read_scatter, scatter_reference
+from conftest import read_scatter, samples_of, scatter_reference
 
 
 def test_parse_synth():
@@ -84,7 +84,7 @@ def test_scatter_subcommand(tmp_path, metric):
     assert len(rows) == 12 * 3
     assert {r["kind"] for r in rows} == {"genuine", "impostor"}
     # reference: every probe against each enrolled template on its own
-    samples = load_dataset(ds)
+    samples = samples_of(load_dataset(ds))
     by_user = {}
     for s in sorted(samples, key=lambda s: (s.session or 0, s.id)):
         by_user.setdefault(s.true_user, []).append(s)
@@ -147,7 +147,7 @@ def test_run_chronological_relaxed_drops_the_short_user(tmp_path, capsys):
             samples.append(Sample(id=sid, vector=vector, true_user=user, session=n - 1 - j))
             sid += 1
     ds = tmp_path / "sessions.csv"
-    write_dataset(samples, ds)
+    write_dataset(Dataset.of(samples), ds)
     args = ["run", "--dataset", str(ds), "--p", "2", "--batches", "4", "--runs", "2", "--chronological"]
     out = tmp_path / "out"
     assert main(args + ["--relaxed", "--out", str(out)]) == 0

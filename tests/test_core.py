@@ -1,5 +1,4 @@
 import re
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,16 +8,16 @@ from hypothesis import strategies as st
 from selfgallery import core
 from selfgallery.core import (
     Batch,
+    Dataset,
     Gallery,
     Sample,
     UserGallery,
     gallery_enroll,
-    stack_vectors,
 )
 from selfgallery.engine import EngineConfig, run_update_cycle
 from selfgallery.metrics import distance_columns, impostor_fraction, score_sets
 
-from conftest import make_sample
+from conftest import batch_of, enroll, make_sample
 
 
 def test_sample_rejects_non_finite():
@@ -91,15 +90,17 @@ def test_sample_accepts_python_and_numpy_integers():
     assert Sample(id=0, vector=[0.0], true_user=1).session is None
 
 
-def test_batch_holds_its_samples_as_a_tuple():
-    samples = [make_sample(0, [0.0]), make_sample(1, [1.0])]
-    batch = Batch(index=1, samples=samples)
-    samples.append(make_sample(2, [2.0]))  # the caller's list, edited after the build
-    assert type(batch.samples) is tuple and len(batch) == 2
-    with pytest.raises(AttributeError):
-        batch.samples.append(make_sample(3, [3.0]))
-    kept = (make_sample(4, [4.0]),)
-    assert Batch(index=2, samples=kept).samples is kept
+def test_batch_holds_its_rows_read_only():
+    dataset = _ds(3)
+    rows = [2, 0]
+    batch = Batch(dataset, rows, 1)
+    rows.append(1)  # the caller's list, edited after the build
+    assert batch.rows.dtype == np.int64 and batch.rows.tolist() == [2, 0] and len(batch) == 2
+    with pytest.raises(ValueError):
+        batch.rows[0] = 1
+    assert batch.sample_id.tolist() == [2, 0] and batch.true_user.tolist() == [1, 1]
+    assert batch.vectors.tolist() == [[2.0], [0.0]] and batch.dataset is dataset
+    assert len(Batch(dataset, [], 2)) == 0 and Batch(dataset, [], 2).vectors.shape == (0, 1)
 
 
 def test_samples_and_batches_compare_and_hash_by_identity():
@@ -108,41 +109,45 @@ def test_samples_and_batches_compare_and_hash_by_identity():
     assert a == a and a != b and not (a == b)
     assert a in [b, a] and b not in [a] and len({a, b, a}) == 2
     assert {a: 1, b: 2}[a] == 1 and hash(a) != hash(b)
-    x, y = Batch(index=1, samples=(a,)), Batch(index=1, samples=(a,))
+    dataset = Dataset.of([a])
+    x, y = Batch(dataset, [0], 1), Batch(dataset, [0], 1)
     assert x == x and x != y and len({x, y}) == 2 and {x: 1}[x] == 1
+    d1, d2 = Dataset.of([a]), Dataset.of([a])
+    assert d1 == d1 and d1 != d2 and len({d1, d2}) == 2
 
 
 def test_splits_compare_by_their_fields_without_raising():
     from selfgallery.dataio import Split, split_batches
 
-    ds = [make_sample(i, [float(i % 2), float(i)], user=1 + i % 2) for i in range(12)]
+    samples = [make_sample(i, [float(i % 2), float(i)], user=1 + i % 2) for i in range(12)]
+    ds = Dataset.of(samples)
     s1, s2 = split_batches(ds, 3, 2, seed=0), split_batches(ds, 3, 2, seed=0)
-    assert s1 == s1 and s1 != s2  # the same samples, but each split builds its own batches
+    assert s1 == s1 and s1 != s2  # the same rows, but each split builds its own batches
     same = Split(enroll=s1.enroll, adaptation=s1.adaptation, test=s1.test)
     assert same == s1 and hash(same) == hash(s1) and len({s1, s2, same}) == 2
-    copies = [make_sample(s.id, s.vector, user=s.true_user) for s in ds]
-    other = split_batches(copies, 3, 2, seed=0)  # equal fields, other sample objects
+    copies = Dataset.of([make_sample(s.id, s.vector, user=s.true_user) for s in samples])
+    other = split_batches(copies, 3, 2, seed=0)  # equal fields, another dataset
     assert Split(enroll=other.enroll, adaptation=s1.adaptation, test=s1.test) != s1
 
 
 def test_enroll_minimal():
     pairs = [(u, make_sample(u, [float(u)], user=u)) for u in (1, 2, 3)]
-    g = gallery_enroll(pairs, cap=6)
+    g = enroll(pairs, cap=6)
     assert g.user_ids == [1, 2, 3] and g.owner.tolist() == [1, 2, 3]
 
 
 def test_enroll_rejects_non_positive_cap():
     pairs = [(u, make_sample(u, [float(u)], user=u)) for u in (1, 2)]
     with pytest.raises(ValueError, match="cap must be positive"):
-        gallery_enroll(pairs, cap=0)
+        enroll(pairs, cap=0)
 
 
 def test_enroll_rejects_user_over_cap():
     pairs = [(1, make_sample(i, [float(i)], user=1)) for i in range(3)]
     pairs.append((2, make_sample(3, [9.0], user=2)))
-    assert gallery_enroll(pairs, cap=3).n_templates == 4
+    assert enroll(pairs, cap=3).n_templates == 4
     with pytest.raises(ValueError, match=r"users \[1\] enroll more than cap=2"):
-        gallery_enroll(pairs, cap=2)
+        enroll(pairs, cap=2)
 
 
 def test_enroll_many_users():
@@ -153,7 +158,7 @@ def test_enroll_many_users():
         for _ in range(6):
             pairs.append((u, make_sample(sid, [float(u), float(sid)], user=u)))
             sid += 1
-    g = gallery_enroll(pairs, cap=6)
+    g = enroll(pairs, cap=6)
     assert g.n_templates == 354
     assert g.user_ids == list(range(1, 60))
 
@@ -164,35 +169,35 @@ def test_enroll_rejects_mixed_dims():
         (2, make_sample(1, [0.0, 0.0, 0.0], user=2)),
     ]
     with pytest.raises(ValueError):
-        gallery_enroll(pairs)
+        enroll(pairs)
 
 
 def test_enroll_rejects_empty_slice():
     with pytest.raises(ValueError):
-        gallery_enroll([])
+        gallery_enroll(Batch(_ds(2), [], 0))
 
 
 def test_enroll_rejects_a_repeated_sample_id():
-    s, other = make_sample(0, [0.0], user=1), make_sample(5, [9.0], user=2)
+    dataset = Dataset.of([make_sample(0, [0.0], user=1), make_sample(5, [9.0], user=2)])
     # the same sample twice for one user would let a cycle keep more than p
     with pytest.raises(ValueError, match="sample id 0 is held more than once"):
-        gallery_enroll([(1, s), (1, s), (2, other)], cap=2)
+        gallery_enroll(Batch(dataset, [0, 0, 1], 0), cap=2)
     # one sample for two users would put a zero into the cross-user pool
     with pytest.raises(ValueError, match="sample id 0 is held more than once"):
-        gallery_enroll([(1, s), (2, s)])
+        Gallery(dataset, [0, 0], [1, 2], [0, 0])
 
 
 def test_enroll_rejects_a_user_key_outside_int64():
-    s0, s1 = make_sample(0, [0.0], user=1), make_sample(1, [9.0], user=2)
+    dataset = _ds(2)
     for key in (2**63, -(2**63) - 1):
         with pytest.raises(ValueError, match=f"user key {key} does not fit in int64"):
-            gallery_enroll([(key, s0), (1, s1)])
-    g = gallery_enroll([(2**63 - 1, s0), (-(2**63), s1)])
+            Gallery(dataset, [0, 1], [key, 1], [0, 0])
+    g = Gallery(dataset, [0, 1], [2**63 - 1, -(2**63)], [0, 0])
     assert g.owner.tolist() == [-(2**63), 2**63 - 1]
 
 
 def test_row_accessors_follow_user_then_sample_id_order():
-    # users enrolled out of id order, sample ids out of order within a user
+    # users given out of id order, sample ids out of order within a user
     pairs = [
         (7, make_sample(40, [7.0, 0.0], user=7)),
         (2, make_sample(31, [2.0, 1.0], user=2)),
@@ -201,114 +206,102 @@ def test_row_accessors_follow_user_then_sample_id_order():
         (5, make_sample(3, [5.0, 0.0], user=2)),
         (2, make_sample(20, [2.0, 3.0], user=2)),
     ]
-    g = gallery_enroll(pairs)
+    dataset = Dataset.of([s for _, s in pairs])
+    owner = [u for u, _ in pairs]
+    g = Gallery(dataset, np.arange(6), owner, np.zeros(6, np.int64))
     assert g.owner.tolist() == [2, 2, 2, 5, 7, 7]  # ascending, so each user is contiguous
     assert g.sample_id.tolist() == [8, 20, 31, 3, 12, 40]  # ascending within each user
     assert g.true_user.tolist() == [2, 2, 2, 2, 3, 7]
     assert g.vectors.tolist() == [[2.0, 2.0], [2.0, 3.0], [2.0, 1.0], [5.0, 0.0], [7.0, 1.0], [7.0, 0.0]]
     assert g.vectors.dtype == np.float64 and g.vectors.shape == (6, 2)
-    for rows in (g.owner, g.sample_id, g.true_user):
+    for rows in (g.rows, g.owner, g.sample_id, g.true_user):
         assert rows.dtype == np.int64
-    assert g.vectors is not g.vectors  # built per read, never cached
-    assert g.inserted_at.tolist() == [0] * 6 and g.samples.dtype == object
-    for name in ("samples", "owner", "inserted_at", "sample_id", "true_user"):  # stored columns
+    assert g.vectors is not g.vectors and g.true_user is not g.true_user  # gathered per read
+    assert g.inserted_at.tolist() == [0] * 6
+    for name in ("rows", "owner", "inserted_at", "sample_id", "starts"):  # stored columns
         column = getattr(g, name)
         assert column is getattr(g, name) and not column.flags.writeable
         with pytest.raises(ValueError):
             column[0] = column[1]
-    # the enrollment's pairs sorted by user, then sample id, whatever their order
-    by_key = sorted(pairs, key=lambda pair: (pair[0], pair[1].id))
-    assert np.array_equal(g.vectors, [s.vector for _, s in by_key])
-    assert g.owner.tolist() == [u for u, _ in by_key] and list(g.samples) == [s for _, s in by_key]
-    assert list(gallery_enroll(pairs[::-1]).samples) == list(g.samples)
+    # the pairs sorted by user, then sample id, whatever their order
+    by_key = sorted(range(6), key=lambda i: (pairs[i][0], pairs[i][1].id))
+    assert np.array_equal(g.vectors, [pairs[i][1].vector for i in by_key])
+    assert g.owner.tolist() == [owner[i] for i in by_key] and g.rows.tolist() == by_key
+    reverse = Gallery(dataset, np.arange(6)[::-1], owner[::-1], np.zeros(6, np.int64))
+    assert reverse.rows.tolist() == g.rows.tolist()
     # a row's batch does not order the rows: an older row may follow a newer one
-    assert Gallery(samples=_rows(1, 1), owner=[1, 1], inserted_at=[2, 1]).inserted_at.tolist() == [2, 1]
+    assert Gallery(_ds(2), [0, 1], [1, 1], [2, 1]).inserted_at.tolist() == [2, 1]
 
 
 def test_a_gallery_orders_rows_given_out_of_order():
     # users out of order, and one user's ids reversed: each comes back in key order
-    g = Gallery(samples=_rows(1, 1), owner=[2, 1], inserted_at=[0, 3])
+    g = Gallery(_ds(2), [0, 1], [2, 1], [0, 3])
     assert g.owner.tolist() == [1, 2] and g.sample_id.tolist() == [1, 0]
     assert g.inserted_at.tolist() == [3, 0] and g.starts.tolist() == [0, 1, 2]
-    g = Gallery(samples=_rows(1, 1)[::-1], owner=[1, 1], inserted_at=[2, 1])
+    g = Gallery(_ds(2), [1, 0], [1, 1], [2, 1])
     assert g.owner.tolist() == [1, 1] and g.sample_id.tolist() == [0, 1]
     assert g.inserted_at.tolist() == [1, 2] and g.starts.tolist() == [0, 2]
 
 
 def test_a_gallery_built_from_shuffled_rows_equals_the_ordered_build():
     # users 1..3 with three rows each, inserted in different batches
-    samples = [make_sample(10 * u + j, [float(u), float(j)], user=u) for u in (1, 2, 3) for j in range(3)]
+    dataset = Dataset.of([make_sample(10 * u + j, [float(u), float(j)], user=u) for u in (1, 2, 3) for j in range(3)])
     owner = [1, 1, 1, 2, 2, 2, 3, 3, 3]
     inserted_at = [0, 1, 2, 2, 0, 1, 1, 2, 0]
-    ordered = Gallery(samples=samples, owner=owner, inserted_at=inserted_at)
+    ordered = Gallery(dataset, np.arange(9), owner, inserted_at)
     # users interleaved, each user's ids reversed
     shuffled = [8, 5, 2, 7, 4, 1, 6, 3, 0]
-    g = Gallery(samples=[samples[i] for i in shuffled], owner=[owner[i] for i in shuffled],
-                inserted_at=[inserted_at[i] for i in shuffled])
-    for name in ("samples", "owner", "inserted_at", "sample_id", "true_user", "starts"):
+    g = Gallery(dataset, shuffled, [owner[i] for i in shuffled], [inserted_at[i] for i in shuffled])
+    for name in ("rows", "owner", "inserted_at", "sample_id", "starts"):
         column = getattr(g, name)
         assert column.dtype == getattr(ordered, name).dtype and not column.flags.writeable
         assert column.tolist() == getattr(ordered, name).tolist(), name
+    assert g.true_user.tolist() == ordered.true_user.tolist()
     assert np.array_equal(g.vectors, ordered.vectors) and g.user_ids == [1, 2, 3]
 
 
-def test_a_gallery_reads_each_samples_keys_once_when_built():
-    reads = Counter()
-
-    class Counted(Sample):
-        """A sample that counts reads of its id and true_user, by id."""
-
-        def __getattribute__(self, name):
-            if name in ("id", "true_user"):
-                reads[name, object.__getattribute__(self, "id")] += 1
-            return object.__getattribute__(self, name)
-
-    def once_each(ids):
-        return Counter({(name, i): 1 for name in ("id", "true_user") for i in ids})
-
-    # users 1 and 2 hold three rows each, the second user's truth mixed
+def test_a_gallery_a_cycle_and_its_evaluation_build_no_sample(monkeypatch):
+    built = []
+    post_init = Sample.__post_init__
+    monkeypatch.setattr(Sample, "__post_init__", lambda s: built.append(s.id) or post_init(s))
+    # users 1 and 2 hold three rows each, the second user's truth mixed; then
+    # one probe per user and one test sample per user
     ids, owner, truth = [0, 1, 2, 3, 4, 5], [1, 1, 1, 2, 2, 2], [1, 1, 1, 2, 1, 2]
-    rows = [Counted(id=i, vector=[10.0 * u, i], true_user=t) for i, u, t in zip(ids, owner, truth)]
-    reads.clear()
-    g = Gallery(samples=rows, owner=owner, inserted_at=[0] * 6)
-    assert reads == once_each(ids)
-    reads.clear()
+    samples = [Sample(id=i, vector=[10.0 * u, i], true_user=t) for i, u, t in zip(ids, owner, truth)]
+    samples += [make_sample(10, [0.5, 2.5], user=1), make_sample(11, [20.5, 4.0], user=2),
+                make_sample(20, [0.0, 1.0], user=1), make_sample(21, [20.0, 4.0], user=2)]
+    dataset = Dataset.of(samples)
+    built.clear()
+    g = Gallery(dataset, np.arange(6), owner, [0] * 6)
     for _ in range(3):
         assert g.sample_id.tolist() == ids and g.true_user.tolist() == truth
-    assert not reads
-    # one probe per user; MDIST at p = 3 then evicts one row of each user
-    batch = Batch(index=1, samples=(make_sample(10, [0.5, 2.5], user=1), make_sample(11, [20.5, 4.0], user=2)))
-    g1, report = run_update_cycle(g, batch, EngineConfig(method="mdist", p=3), t_star=100.0)
+    # MDIST at p = 3 then evicts one row of each user
+    g1, report = run_update_cycle(g, batch_of(dataset, [10, 11]), EngineConfig(method="mdist", p=3), t_star=100.0)
     assert report.n_accepted == 2 and len(report.evictions) == 2
-    # only the next gallery's build reads its held rows' keys, once each
-    assert reads == once_each(set(g1.sample_id.tolist()) & set(ids))
-    test = Batch(index=2, samples=(make_sample(20, [0.0, 1.0], user=1), make_sample(21, [20.0, 4.0], user=2)))
-    columns = distance_columns(test, list(g.samples) + list(batch.samples))  # every row of g and g1
-    reads.clear()
+    test = batch_of(dataset, [20, 21], index=2)
+    columns = distance_columns(test, [g, g1])
     for gallery in (g, g1):
         impostor_fraction(gallery)
         score_sets(test, gallery, columns)
-    assert not reads
-    # enrollment from pairs out of order reads each id once too: 4 reads for 4 rows
-    pairs = [(u, rows[i]) for u, i in ((2, 4), (1, 1), (2, 3), (1, 0))]
-    reads.clear()
-    assert gallery_enroll(pairs, cap=2).sample_id.tolist() == [0, 1, 3, 4]
-    assert reads == once_each([0, 1, 3, 4])
+    assert built == []
+    # only the benchmark's per-user view builds them: one per row, at its first read
+    assert [t.sample.id for u in g1.user_ids for t in g1.users[u].templates] == g1.sample_id.tolist()
+    assert built == g1.sample_id.tolist()
 
 
 def test_gallery_users_are_read_only():
-    samples, owner = [make_sample(0, [0.0]), make_sample(1, [0.0], user=2)], [1, 2]
-    g = Gallery(samples=samples, owner=owner, inserted_at=[0, 0])
+    rows, owner = [0, 1], [1, 2]
+    g = Gallery(Dataset.of([make_sample(0, [0.0]), make_sample(1, [0.0], user=2)]), rows, owner, [0, 0])
     with pytest.raises(TypeError):
         g.users[3] = UserGallery(templates=())
     with pytest.raises(TypeError):
         del g.users[1]
-    samples.append(make_sample(2, [0.0]))  # the caller's lists, edited after the build
+    rows.append(2)  # the caller's lists, edited after the build
     owner[0] = 5
-    del samples[0]
+    del rows[0]
     assert g.user_ids == [1, 2] and g.n_templates == 2
     assert [t.sample.id for u in g.user_ids for t in g.users[u].templates] == [0, 1]
-    enrolled = gallery_enroll([(1, make_sample(0, [0.0])), (2, make_sample(1, [1.0], user=2))])
+    enrolled = enroll([(1, make_sample(0, [0.0])), (2, make_sample(1, [1.0], user=2))])
     with pytest.raises(TypeError):
         enrolled.users[3] = UserGallery(templates=())
     assert enrolled.user_ids == [1, 2]
@@ -325,7 +318,7 @@ def test_gallery_users_view_is_built_at_most_once(monkeypatch):
 
     monkeypatch.setattr(core, "UserGallery", counting)
     pairs = [(u, make_sample(10 * u + i, [float(u)], user=u)) for u in (3, 1, 2) for i in range(u)]
-    g = gallery_enroll(pairs)
+    g = enroll(pairs)
     assert built == []  # nothing is built until the view is read
     for _ in range(3):
         ids = {u: [t.sample.id for t in g.users[u].templates] for u in g.user_ids}
@@ -333,11 +326,13 @@ def test_gallery_users_view_is_built_at_most_once(monkeypatch):
     assert built == [1, 2, 3] and g.users is g.users
 
 
-def test_gallery_holds_the_callers_samples_and_no_vector_stack():
-    pairs = [(u, make_sample(u, [float(u), 1.0], user=u)) for u in (2, 1, 3)]
-    g = gallery_enroll(pairs)
-    assert [id(s) for s in g.samples] == [id(pairs[i][1]) for i in (1, 0, 2)]
-    assert g.users[1].templates[0].sample is pairs[1][1]
+def test_gallery_holds_rows_of_its_dataset_and_no_vector_stack():
+    pairs = [(u, make_sample(u, [float(u), 1.0], user=u, session=u % 2 or None)) for u in (2, 1, 3)]
+    g = enroll(pairs)
+    assert g.rows.tolist() == [1, 0, 2] and g.dataset.sample_id.tolist() == [2, 1, 3]
+    view = g.users[1].templates[0].sample
+    assert (view.id, view.true_user, view.session, view.vector.tolist()) == (1, 1, 1, [1.0, 1.0])
+    assert g.users[2].templates[0].sample.session is None
     for value in vars(g).values():  # the stored fields, and the view once read
         assert not (isinstance(value, np.ndarray) and value.dtype.kind == "f")
 
@@ -347,65 +342,72 @@ def _rows(*dims, start_id=0):
     return [make_sample(start_id + i, [0.0] * d) for i, d in enumerate(dims)]
 
 
+def _ds(n=2):
+    """A dataset of n one-coordinate samples of user 1, ids and values 0 .. n-1."""
+    return Dataset.of([make_sample(i, [float(i)]) for i in range(n)])
+
+
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: Gallery(samples=_rows(1, 1), owner=[1, 1], inserted_at=[0, -3]),
-         "inserted_at must be non-negative"),
-        (lambda: Gallery(samples=_rows(1, 2), owner=[4, 4], inserted_at=[0, 0]),
-         r"dimension mismatch: sample 1 has dim 2, expected 1$"),
-        (lambda: Gallery(samples=[], owner=[], inserted_at=[]), "gallery has no users"),
-        (lambda: Gallery(samples=_rows(1, 1), owner=[1], inserted_at=[0, 0]),
-         "samples, owner and inserted_at must hold one entry per row"),
-        # rows are checked in key order, whatever the enrollment's order
-        (lambda: gallery_enroll([(2, _rows(2, start_id=5)[0]), (1, _rows(1, start_id=1)[0])]),
-         r"dimension mismatch: sample 5 has dim 2, expected 1$"),
-        # one id twice in one user would let a cycle keep more than p
-        (lambda: Gallery(samples=_rows(1) * 2, owner=[3, 3], inserted_at=[0, 0]),
-         "sample id 0 is held more than once"),
+        (lambda: Gallery(_ds(), [0, 1], [1, 1], [0, -3]), "inserted_at must be non-negative"),
+        (lambda: Dataset.of(_rows(1, 2)), r"dimension mismatch: sample 1 has dim 2, expected 1$"),
+        (lambda: Gallery(_ds(), [], [], []), "gallery has no users"),
+        (lambda: Gallery(_ds(), [0, 1], [1], [0, 0]), "rows, owner and inserted_at must hold one entry per row"),
+        # a row must lie in the dataset: a negative one would wrap to its end
+        (lambda: Gallery(_ds(), [0, 2], [1, 1], [0, 0]), r"row 2 is not a row of the dataset \(0 to 1\)$"),
+        (lambda: Batch(_ds(), [1, -1], 1), r"row -1 is not a row of the dataset \(0 to 1\)$"),
+        # one row twice in one user would let a cycle keep more than p
+        (lambda: Gallery(_ds(), [0, 0], [3, 3], [0, 0]), "sample id 0 is held more than once"),
         # a repeat among rows out of order is found once they are ordered
-        (lambda: Gallery(samples=_rows(1, 1)[::-1] + _rows(1), owner=[3, 3, 3], inserted_at=[0, 0, 0]),
-         "sample id 0 is held more than once"),
-        # one id in two users would put a zero into the cross-user pool
-        (lambda: Gallery(samples=_rows(1) * 2, owner=[1, 2], inserted_at=[0, 0]),
-         "sample id 0 is held more than once"),
+        (lambda: Gallery(_ds(), [1, 0, 0], [3, 3, 3], [0, 0, 0]), "sample id 0 is held more than once"),
+        # one row in two users would put a zero into the cross-user pool
+        (lambda: Gallery(_ds(), [0, 0], [1, 2], [0, 0]), "sample id 0 is held more than once"),
         # owner holds keys as int64
-        (lambda: Gallery(samples=_rows(1, 1), owner=[1, 2**63], inserted_at=[0, 0]),
-         f"user key {2**63} does not fit in int64"),
-        (lambda: Gallery(samples=_rows(1, 1), owner=[-(2**63) - 1, 1], inserted_at=[0, 0]),
+        (lambda: Gallery(_ds(), [0, 1], [1, 2**63], [0, 0]), f"user key {2**63} does not fit in int64"),
+        (lambda: Gallery(_ds(), [0, 1], [-(2**63) - 1, 1], [0, 0]),
          f"user key {-(2**63) - 1} does not fit in int64"),
         # the first value that is not an integer in int64 is named, whichever
         # check it fails: a value outside int64 before a later float or str
-        (lambda: gallery_enroll([(2**64, _rows(1)[0]), (1.5, _rows(1, start_id=1)[0])]),
-         f"user key {2**64} does not fit in int64$"),
-        (lambda: Gallery(samples=_rows(1, 1), owner=[-(2**63) - 1, "1"], inserted_at=[0, 0]),
+        (lambda: Gallery(_ds(), [0, 1], [2**64, 1.5], [0, 0]), f"user key {2**64} does not fit in int64$"),
+        (lambda: Gallery(_ds(), [0, 1], [-(2**63) - 1, "1"], [0, 0]),
          f"user key {-(2**63) - 1} does not fit in int64$"),
-        (lambda: Gallery(samples=_rows(1, 1), owner=["1", 2**63], inserted_at=[0, 0]),
-         "user key must be an integer, not '1'$"),
-        (lambda: Gallery(samples=_rows(1, 1), owner=[1, 2], inserted_at=[2**63, 1.5]),
-         f"inserted_at {2**63} does not fit in int64$"),
-        (lambda: Batch(index=-1, samples=()), "batch index must be non-negative"),
-        # keys and batches must be integers: a float would be truncated into
-        # a row (1.5 and 1.7 would both be user 1), and a str parsed
-        (lambda: gallery_enroll([(1.5, _rows(1)[0]), (1.7, _rows(1, start_id=1)[0])]),
-         r"user key must be an integer, not 1\.5$"),
-        (lambda: Gallery(samples=_rows(1, 1), owner=["1", True], inserted_at=[0, 0]),
-         "user key must be an integer, not '1'$"),
-        (lambda: Gallery(samples=_rows(1, 1), owner=[1, True], inserted_at=[0, 0]),
-         "user key must be an integer, not True$"),
-        (lambda: Gallery(samples=_rows(1, 1), owner=np.array([1.0, 2.0]), inserted_at=[0, 0]),
+        (lambda: Gallery(_ds(), [0, 1], ["1", 2**63], [0, 0]), "user key must be an integer, not '1'$"),
+        (lambda: Gallery(_ds(), [0, 1], [1, 2], [2**63, 1.5]), f"inserted_at {2**63} does not fit in int64$"),
+        (lambda: Batch(_ds(), [], -1), "batch index must be non-negative"),
+        # keys, rows and batches must be integers: a float would be truncated
+        # into a row (1.5 and 1.7 would both be user 1), and a str parsed
+        (lambda: Gallery(_ds(), [0, 1], [1.5, 1.7], [0, 0]), r"user key must be an integer, not 1\.5$"),
+        (lambda: Gallery(_ds(), [0, 1], ["1", True], [0, 0]), "user key must be an integer, not '1'$"),
+        (lambda: Gallery(_ds(), [0, 1], [1, True], [0, 0]), "user key must be an integer, not True$"),
+        (lambda: Gallery(_ds(), [0, 1], np.array([1.0, 2.0]), [0, 0]),
          r"user key must be an integer, not (np\.float64\()?1\.0\)?$"),
-        (lambda: Gallery(samples=_rows(1, 1), owner=[1, 2], inserted_at=[0, 1.5]),
-         r"inserted_at must be an integer, not 1\.5$"),
-        (lambda: Gallery(samples=_rows(1, 1), owner=[1, 2], inserted_at=np.array([False, True])),
+        (lambda: Gallery(_ds(), [0, 1], [1, 2], [0, 1.5]), r"inserted_at must be an integer, not 1\.5$"),
+        (lambda: Gallery(_ds(), [0, 1], [1, 2], np.array([False, True])),
          r"inserted_at must be an integer, not (np\.)?False_?$"),
+        (lambda: Gallery(_ds(), np.array([0.0, 1.0]), [1, 2], [0, 0]), r"row must be an integer, not (np\.float64\()?0\.0\)?$"),
+        (lambda: Batch(_ds(), [True], 1), "row must be an integer, not True$"),
         # an unsigned array outside int64 is named, not wrapped to a negative key
-        (lambda: Gallery(samples=_rows(1, 1), owner=np.array([1, 2**63], dtype=np.uint64), inserted_at=[0, 0]),
+        (lambda: Gallery(_ds(), [0, 1], np.array([1, 2**63], dtype=np.uint64), [0, 0]),
          f"user key {2**63} does not fit in int64"),
-        (lambda: Batch(index=2.5, samples=()), r"batch index must be an integer, not 2\.5$"),
-        (lambda: Batch(index=True, samples=()), "batch index must be an integer, not True$"),
-        (lambda: gallery_enroll([(1, _rows(1)[0])], cap=2.5), r"cap must be an integer, not 2\.5$"),
-        # a float id would be truncated in a gallery's int64 rows, and a float
+        (lambda: Batch(_ds(), [], 2.5), r"batch index must be an integer, not 2\.5$"),
+        (lambda: Batch(_ds(), [], True), "batch index must be an integer, not True$"),
+        (lambda: gallery_enroll(Batch(_ds(1), [0], 0), cap=2.5), r"cap must be an integer, not 2\.5$"),
+        # a dataset is checked once, as a whole
+        (lambda: Dataset.of([]), "a dataset needs at least one row of at least one coordinate$"),
+        (lambda: Dataset(np.arange(2), [1, 1], [-1, -1], np.zeros((2, 0))),
+         "a dataset needs at least one row of at least one coordinate$"),
+        (lambda: Dataset(np.arange(2), [1, 1], [-1, -1], np.zeros(2)),
+         "a dataset needs at least one row of at least one coordinate$"),
+        (lambda: Dataset(np.arange(2), [1], [-1, -1], np.zeros((2, 1))),
+         "sample_id, true_user, session and vectors must hold one entry per row$"),
+        (lambda: Dataset([4, 7, 9], [1, 1, 1], [-1, -1, -1], [[0.0], [np.nan], [np.inf]]),
+         "sample 7: feature vector contains non-finite coordinates$"),
+        (lambda: Dataset([4, 7], [1, 1], [-1, -2], np.zeros((2, 1))), "session must be non-negative, or -1 for none$"),
+        (lambda: Dataset([4, 7, 4, 7], [1, 1, 1, 1], [-1] * 4, np.zeros((4, 1))), "duplicate sample_id 4$"),
+        (lambda: Dataset([4, 2**63], [1, 1], [-1, -1], np.zeros((2, 1))), f"id {2**63} does not fit in int64$"),
+        (lambda: Dataset([4, 5], [1, 1.5], [-1, -1], np.zeros((2, 1))), r"true_user must be an integer, not 1\.5$"),
+        # a float id would be truncated in a dataset's int64 rows, and a float
         # session written to a dataset file that load_dataset then refuses
         (lambda: Sample(id=2.7, vector=[0.0], true_user=1), r"id must be an integer, not 2\.7$"),
         (lambda: Sample(id=1.0, vector=[0.0], true_user=1), r"id must be an integer, not 1\.0$"),
@@ -422,41 +424,45 @@ def test_boundary_checks_raise_their_messages(build, message):
         build()
 
 
-def test_templates_given_as_a_list_cannot_change_the_gallery():
-    samples = _rows(1, 1)
-    g = Gallery(samples=samples, owner=[1, 1], inserted_at=[0, 0])
-    samples.append(make_sample(9, [0.0, 0.0]))  # after the checks ran
-    assert list(g.samples) == samples[:2]
+def test_rows_given_as_a_list_cannot_change_the_gallery():
+    rows = [0, 1]
+    g = Gallery(_ds(3), rows, [1, 1], [0, 0])
+    rows.append(2)  # after the checks ran
+    assert g.rows.tolist() == [0, 1]
     assert g.n_templates == 2 and g.vectors.shape == (2, 1)
 
 
-def test_stack_vectors_stacks_in_order_as_one_array():
-    samples = [make_sample(i, [float(i), 2.0 * i, -1.0]) for i in range(5)]
-    rows = stack_vectors(samples)
-    assert rows.dtype == np.float64 and rows.shape == (5, 3) and rows.flags.writeable
-    assert rows.tolist() == [s.vector.tolist() for s in samples]
-    assert not any(np.shares_memory(rows, s.vector) for s in samples)  # a copy
-    assert np.array_equal(stack_vectors(tuple(samples), 3), rows)
-    assert stack_vectors((), 4).shape == (0, 4) and stack_vectors([]).shape == (0, 0)
-    assert stack_vectors([], 4).dtype == np.float64
+def test_dataset_of_stacks_in_order_as_one_read_only_array():
+    samples = [make_sample(i, [float(i), 2.0 * i, -1.0], user=i % 2, session=i if i % 3 else None) for i in range(5)]
+    dataset = Dataset.of(tuple(samples))
+    assert len(dataset) == 5
+    assert dataset.vectors.dtype == np.float64 and dataset.vectors.shape == (5, 3)
+    assert dataset.vectors.tolist() == [s.vector.tolist() for s in samples]
+    assert not any(np.shares_memory(dataset.vectors, s.vector) for s in samples)  # a copy
+    assert dataset.sample_id.tolist() == [0, 1, 2, 3, 4] and dataset.true_user.tolist() == [0, 1, 0, 1, 0]
+    assert dataset.session.tolist() == [-1, 1, 2, -1, 4]
+    for name in ("sample_id", "true_user", "session", "vectors"):
+        column = getattr(dataset, name)
+        assert not column.flags.writeable and (name == "vectors" or column.dtype == np.int64)
+        with pytest.raises(ValueError):
+            column[0] = column[1]
 
 
-@pytest.mark.parametrize(
-    "dims, dim, first",
-    [
-        ((2, 2, 3, 1), None, 2),  # ragged: the first sample sets the dimension
-        ((2, 2, 1, 3), None, 2),
-        ((2, 3, 3, 3), None, 1),
-        ((3, 3, 3, 3), 2, 0),  # all alike, but not the dimension asked for
-        ((2, 2, 2, 4), 2, 3),
-    ],
-)
-def test_stack_vectors_names_the_first_sample_of_another_dim(dims, dim, first):
+def test_a_dataset_takes_a_float64_matrix_as_given_and_freezes_it():
+    vectors = np.arange(6.0).reshape(3, 2)
+    dataset = Dataset(sample_id=[5, 6, 7], true_user=[1, 2, 2], session=[-1, 0, 3], vectors=vectors)
+    assert dataset.vectors is vectors and not vectors.flags.writeable
+    as_float = Dataset(sample_id=[5], true_user=[1], session=[-1], vectors=[[1, 2]]).vectors
+    assert as_float.dtype == np.float64 and as_float.tolist() == [[1.0, 2.0]]
+
+
+@pytest.mark.parametrize("dims, first", [((2, 2, 3, 1), 2), ((2, 2, 1, 3), 2), ((2, 3, 3, 3), 1)])
+def test_dataset_of_names_the_first_sample_of_another_dim(dims, first):
+    # ragged: the first sample sets the dimension
     samples = [make_sample(10 + i, [1.0] * d) for i, d in enumerate(dims)]
-    want = dims[0] if dim is None else dim
-    message = f"dimension mismatch: sample {10 + first} has dim {dims[first]}, expected {want}$"
+    message = f"dimension mismatch: sample {10 + first} has dim {dims[first]}, expected {dims[0]}$"
     with pytest.raises(ValueError, match=message):
-        stack_vectors(samples, dim)
+        Dataset.of(samples)
 
 
 def _first_repeat_by_set(ids):

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
+from selfgallery.core import Dataset
 from selfgallery.dataio import load_dataset, split_batches, write_dataset
 from selfgallery.synthgen import SynthParams, generate
 
-from conftest import make_sample
+from conftest import make_sample, samples_of
 from oracles import reference_split
 
 
-def _grid_dataset(n_users, per_user, dim=2, with_session=False):
+def _grid_samples(n_users, per_user, dim=2, with_session=False):
     samples = []
     sid = 0
     for u in range(1, n_users + 1):
@@ -25,27 +26,36 @@ def _grid_dataset(n_users, per_user, dim=2, with_session=False):
     return samples
 
 
+def _grid_dataset(n_users, per_user, dim=2, with_session=False):
+    return Dataset.of(_grid_samples(n_users, per_user, dim, with_session))
+
+
+def _without(dataset, drop):
+    """The dataset less the samples ``drop(sample)`` picks."""
+    return Dataset.of([s for s in samples_of(dataset) if not drop(s)])
+
+
 def test_round_trip(tmp_path):
     ds = generate(SynthParams(k_users=3, dim=4, samples_per_user=5, seed=2))
     path = tmp_path / "ds.csv"
     write_dataset(ds, path)
     back = load_dataset(path)
     assert len(back) == len(ds)
-    for a, b in zip(ds, back):
+    for a, b in zip(samples_of(ds), samples_of(back)):
         assert (a.id, a.true_user, a.session) == (b.id, b.true_user, b.session)
         assert np.array_equal(a.vector, b.vector)
 
 
 def test_write_rejects_no_samples(tmp_path):
     path = tmp_path / "ds.csv"
-    with pytest.raises(ValueError, match="no samples to write"):
-        write_dataset([], path)
+    with pytest.raises(ValueError, match="a dataset needs at least one row"):
+        write_dataset(Dataset.of([]), path)
     assert not path.exists()
 
 
 def test_write_rejects_fewer_than_two_users(tmp_path):
     path = tmp_path / "ds.csv"
-    samples = [make_sample(0, [1.0], user=1), make_sample(1, [2.0], user=1)]
+    samples = Dataset.of([make_sample(0, [1.0], user=1), make_sample(1, [2.0], user=1)])
     with pytest.raises(ValueError, match="need at least 2 distinct users"):
         write_dataset(samples, path)  # load_dataset would refuse the file
     assert not path.exists()
@@ -55,7 +65,7 @@ def test_write_rejects_mixed_dimensions(tmp_path):
     path = tmp_path / "ds.csv"
     samples = [make_sample(0, [1.0, 2.0], user=1), make_sample(1, [3.0], user=2)]
     with pytest.raises(ValueError, match="dimension mismatch: sample 1 has dim 1, expected 2"):
-        write_dataset(samples, path)
+        write_dataset(Dataset.of(samples), path)
     assert not path.exists()
 
 
@@ -63,7 +73,7 @@ def test_write_rejects_a_repeated_sample_id(tmp_path):
     path = tmp_path / "ds.csv"
     samples = [make_sample(i, [float(i)], user=1 + i % 2) for i in (0, 4, 5, 4, 0)]
     with pytest.raises(ValueError, match="duplicate sample_id 4$"):
-        write_dataset(samples, path)
+        write_dataset(Dataset.of(samples), path)
     assert not path.exists()
 
 
@@ -75,7 +85,7 @@ def test_load_simple(tmp_path):
     )
     ds = load_dataset(path)
     assert len(ds) == 4
-    assert ds[0].session is None
+    assert samples_of(ds)[0].session is None
 
 
 def test_load_rejects_nan_with_line(tmp_path):
@@ -168,17 +178,17 @@ def test_split_deterministic():
     ds = _grid_dataset(5, 15)
     a = split_batches(ds, 3, 5, seed=42)
     b = split_batches(ds, 3, 5, seed=42)
-    assert [s.id for _, s in a.enroll] == [s.id for _, s in b.enroll]
-    assert [s.id for s in a.test.samples] == [s.id for s in b.test.samples]
+    assert a.enroll.sample_id.tolist() == b.enroll.sample_id.tolist()
+    assert a.test.sample_id.tolist() == b.test.sample_id.tolist()
 
 
 def test_split_slices_pairwise_disjoint():
     ds = _grid_dataset(4, 20)
     split = split_batches(ds, 4, 5, seed=1)
     groups = [
-        {s.id for _, s in split.enroll},
-        *({s.id for s in b.samples} for b in split.adaptation),
-        {s.id for s in split.test.samples},
+        set(split.enroll.sample_id.tolist()),
+        *(set(b.sample_id.tolist()) for b in split.adaptation),
+        set(split.test.sample_id.tolist()),
     ]
     for i in range(len(groups)):
         for j in range(i + 1, len(groups)):
@@ -186,24 +196,22 @@ def test_split_slices_pairwise_disjoint():
 
 
 def test_split_strict_names_short_user():
-    ds = _grid_dataset(3, 12)
-    ds = [s for s in ds if not (s.true_user == 2 and s.id % 3 == 0)]
+    ds = _without(_grid_dataset(3, 12), lambda s: s.true_user == 2 and s.id % 3 == 0)
     with pytest.raises(ValueError, match="user 2"):
         split_batches(ds, 3, 4, seed=0)
 
 
 def test_split_relaxed_drops_short_user():
-    ds = _grid_dataset(3, 12)
-    ds = [s for s in ds if not (s.true_user == 2 and s.id >= 15)]
+    ds = _without(_grid_dataset(3, 12), lambda s: s.true_user == 2 and s.id >= 15)
     split = split_batches(ds, 3, 4, seed=0, strict=False)
-    users = {u for u, _ in split.enroll}
+    users = set(split.enroll.true_user.tolist())
     assert users == {1, 3}
     assert split.dropped == ((2, 3),)  # (user, samples held); the caller logs it
     assert split_batches(_grid_dataset(3, 12), 3, 4, seed=0, strict=False).dropped == ()
 
 
 def test_split_logs_nothing(caplog):
-    ds = [s for s in _grid_dataset(3, 12) if not (s.true_user == 2 and s.id >= 15)]
+    ds = _without(_grid_dataset(3, 12), lambda s: s.true_user == 2 and s.id >= 15)
     with caplog.at_level("DEBUG"):
         split_batches(ds, 3, 4, seed=0, strict=False)
     assert caplog.records == []
@@ -213,9 +221,9 @@ def test_split_chronological_uses_session_order():
     ds = _grid_dataset(2, 9, with_session=True)
     split = split_batches(ds, 3, 3, seed=0, chronological=True)
     for user in (1, 2):
-        enroll_sessions = [s.session for u, s in split.enroll if u == user]
+        enroll_sessions = [s.session for s in samples_of(split.enroll) if s.true_user == user]
         assert enroll_sessions == [0, 1, 2]
-        test_sessions = [s.session for s in split.test.samples if s.true_user == user]
+        test_sessions = [s.session for s in samples_of(split.test) if s.true_user == user]
         assert test_sessions == [6, 7, 8]
 
 
@@ -228,7 +236,7 @@ def _uneven_dataset(seed, short_user):
     ids = rng.permutation(1000)[: len(users)]
     samples = [make_sample(int(i), [float(u), float(i)], user=u, session=int(rng.integers(3)))
                for u, i in zip(users, ids)]
-    return [samples[i] for i in rng.permutation(len(samples))]
+    return Dataset.of([samples[i] for i in rng.permutation(len(samples))])
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2024])
@@ -236,12 +244,14 @@ def _uneven_dataset(seed, short_user):
 def test_split_deals_the_reference_splits_samples(seed, strict, chronological):
     ds = _uneven_dataset(seed, short_user=not strict)
     split = split_batches(ds, 4, 2, seed=seed, strict=strict, chronological=chronological)
-    batches, dropped = reference_split(ds, 4, 2, seed, strict, chronological)
-    # the same sample objects, users ascending, and the same users' keys
-    assert [(u, id(s)) for u, s in split.enroll] == [(u, id(s)) for u, s in batches[0]]
-    dealt = [*split.adaptation, split.test]
-    assert [b.index for b in dealt] == [1, 2, 3]
-    assert [[id(s) for s in b.samples] for b in dealt] == [[id(s) for _, s in b] for b in batches[1:]]
+    batches, dropped = reference_split(samples_of(ds), 4, 2, seed, strict, chronological)
+    # the same samples, users ascending, and the same users' keys
+    assert list(zip(split.enroll.true_user.tolist(), split.enroll.sample_id.tolist())) == [
+        (u, s.id) for u, s in batches[0]
+    ]
+    dealt = [split.enroll, *split.adaptation, split.test]
+    assert [b.index for b in dealt] == [0, 1, 2, 3] and all(b.dataset is ds for b in dealt)
+    assert [b.sample_id.tolist() for b in dealt[1:]] == [[s.id for _, s in b] for b in batches[1:]]
     assert split.dropped == tuple(dropped) == (() if strict else ((7, 4),))
 
 
@@ -283,7 +293,8 @@ def test_load_boundary_checks_raise_their_messages(tmp_path, text, message):
     [
         (lambda ds: split_batches(ds, 3, 3, seed=0, chronological=True),
          "user 1: chronological mode needs session labels"),
-        (lambda ds: split_batches(ds[:9] + ds[12:13], 3, 3, seed=0, strict=False),
+        (lambda ds: split_batches(_without(ds, lambda s: s.id not in range(9) and s.id != 12), 3, 3, seed=0,
+                                  strict=False),
          "fewer than 2 users survive the split"),
         # a float size would slice each user's pool at float bounds
         (lambda ds: split_batches(ds, 3, 1.5, seed=0), r"^p must be an integer, not 1\.5$"),

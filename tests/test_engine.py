@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selfgallery import matching
-from selfgallery.core import Batch, gallery_enroll
+from selfgallery.core import Batch, Dataset, gallery_enroll
 from selfgallery.engine import EngineConfig, run_sequence, run_update_cycle
 from selfgallery.matching import ThresholdPolicy, _distances_to_rows
 
-from conftest import gallery_1d, gallery_templates, held_ids, make_sample
+from conftest import batch_of, enroll, gallery_1d, held_ids, make_sample
 from oracles import reference_sequence, reference_threshold
 
 
@@ -20,15 +20,15 @@ def _cfg(method, p, policy=None):
 
 def test_empty_batch_is_identity(abc_gallery):
     g, report = run_update_cycle(
-        abc_gallery, Batch(index=1, samples=()), _cfg("mdist", 2), t_star=1.0
+        abc_gallery, Batch(abc_gallery.dataset, [], 1), _cfg("mdist", 2), t_star=1.0
     )
     assert report.n_accepted == 0 and report.n_rejected == 0
     assert g.n_templates == abc_gallery.n_templates
 
 
 def test_single_insertion_under_cap():
-    g0 = gallery_1d({1: [0.0], 2: [10.0]}, cap=2)
-    batch = Batch(index=1, samples=(make_sample(5, [0.1]),))
+    g0 = gallery_1d({1: [0.0], 2: [10.0]}, cap=2, probes=[make_sample(5, [0.1])])
+    batch = batch_of(g0, [5])
     g, report = run_update_cycle(g0, batch, _cfg("mdist", 2), t_star=0.5)
     assert report.insertions == ((5, 1),)
     assert report.evictions == ()
@@ -39,8 +39,8 @@ def test_single_insertion_under_cap():
 def test_insertion_then_eviction_at_cap_one():
     # cap 1: both candidates are singletons with objective 0; the tie rule
     # keeps the lowest id, the enrolled 0
-    g0 = gallery_1d({1: [0.0], 2: [10.0]}, cap=1)
-    batch = Batch(index=1, samples=(make_sample(5, [0.1]),))
+    g0 = gallery_1d({1: [0.0], 2: [10.0]}, cap=1, probes=[make_sample(5, [0.1])])
+    batch = batch_of(g0, [5])
     g, report = run_update_cycle(g0, batch, _cfg("mdist", 1), t_star=0.5)
     assert report.insertions == ((5, 1),)
     assert report.evictions == ((5, 1),)
@@ -52,14 +52,14 @@ def test_resubmitted_gallery_sample_is_rejected(method):
     # a second copy of held id 0 would otherwise survive selection next to
     # the first, leaving user 1 with ids [0, 0] at p=1
     g0 = gallery_1d({1: [0.0], 2: [10.0]}, cap=1)
-    batch = Batch(index=1, samples=(gallery_templates(g0)[1][0],))
+    batch = batch_of(g0, [0])  # user 1's template
     with pytest.raises(ValueError, match="sample id 0"):
         run_update_cycle(g0, batch, _cfg(method, 1), t_star=0.5)
 
 
 def test_batch_repeating_a_sample_id_is_rejected():
-    g0 = gallery_1d({1: [0.0], 2: [10.0]}, cap=1)
-    batch = Batch(index=1, samples=(make_sample(5, [0.1]), make_sample(5, [9.9])))
+    g0 = gallery_1d({1: [0.0], 2: [10.0]}, cap=1, probes=[make_sample(5, [0.1])])
+    batch = batch_of(g0, [5, 5])  # one row twice: a dataset holds each id once
     with pytest.raises(ValueError, match="sample id 5"):
         run_update_cycle(g0, batch, _cfg("mdist", 1), t_star=0.5)
 
@@ -74,10 +74,11 @@ def test_batch_repeating_a_sample_id_is_rejected():
     ],
 )
 def test_the_first_probe_to_reuse_an_id_is_named_before_classifying(probe_ids, named, monkeypatch):
-    g0 = gallery_1d({1: [0.0], 2: [10.0]}, cap=1)  # holds ids 0 and 1
+    fresh = sorted(set(probe_ids) - {0, 1})
+    g0 = gallery_1d({1: [0.0], 2: [10.0]}, cap=1, probes=[make_sample(sid, [0.1]) for sid in fresh])  # holds 0, 1
     classified = []
     monkeypatch.setattr(matching, "classify_batch", lambda *args: classified.append(args))
-    batch = Batch(index=4, samples=tuple(make_sample(sid, [0.1]) for sid in probe_ids))
+    batch = batch_of(g0, probe_ids, index=4)
     with pytest.raises(ValueError, match=f"^batch 4: sample id {named} is already held or repeated$"):
         run_update_cycle(g0, batch, _cfg("mdist", 1), t_star=0.5)
     assert classified == []
@@ -85,15 +86,16 @@ def test_the_first_probe_to_reuse_an_id_is_named_before_classifying(probe_ids, n
 
 @pytest.mark.parametrize("method", ["kmeans", "mdist", "dend", "keep_all"])
 def test_batch_older_than_the_gallery_is_rejected_before_classifying(method, monkeypatch):
-    g0 = gallery_1d({1: [0.0], 2: [10.0]})
-    g3, _ = run_update_cycle(g0, Batch(index=3, samples=(make_sample(5, [0.1]),)), _cfg(method, 2), 0.5)
+    probes = [make_sample(5, [0.1]), make_sample(6, [9.9]), make_sample(7, [0.2])]
+    g0 = gallery_1d({1: [0.0], 2: [10.0]}, probes=probes)
+    g3, _ = run_update_cycle(g0, batch_of(g0, [5], index=3), _cfg(method, 2), 0.5)
     assert g3.inserted_at.tolist() == [0, 3, 0]
     # batch 3 again is allowed, as run_sequence allows equal indices
-    g, _ = run_update_cycle(g3, Batch(index=3, samples=(make_sample(6, [9.9]),)), _cfg(method, 3), 0.5)
+    g, _ = run_update_cycle(g3, batch_of(g0, [6], index=3), _cfg(method, 3), 0.5)
     assert held_ids(g) == {1: [0, 5], 2: [1, 6]}
     classified = []
     monkeypatch.setattr(matching, "classify_batch", lambda *args: classified.append(args))
-    older = Batch(index=2, samples=(make_sample(7, [0.2]),))
+    older = batch_of(g0, [7], index=2)
     with pytest.raises(ValueError, match=r"^batch 2 is older than the gallery's newest rows, from batch 3$"):
         run_update_cycle(g3, older, _cfg(method, 2), 0.5)
     assert classified == []
@@ -102,7 +104,7 @@ def test_batch_older_than_the_gallery_is_rejected_before_classifying(method, mon
 @pytest.mark.parametrize("indices", [[2, 1], [1, 3, 2]])
 def test_boundary_checks_raise_their_messages(indices):
     g0 = gallery_1d({1: [0.0], 2: [10.0]}, cap=2)
-    batches = [Batch(index=i, samples=()) for i in indices]
+    batches = [Batch(g0.dataset, [], i) for i in indices]
     with pytest.raises(ValueError, match="batches must be ordered by index"):
         run_sequence(g0, batches, _cfg("mdist", 2))
 
@@ -110,8 +112,8 @@ def test_boundary_checks_raise_their_messages(indices):
 @pytest.mark.parametrize("t_star", [0.5, 0.05])  # the probe is accepted, then rejected
 def test_batch_index_zero_is_rejected(t_star):
     # index 0 is the enrollment's; with no probe accepted it used to pass
-    g0 = gallery_1d({1: [0.0], 2: [10.0]}, cap=2)
-    batch = Batch(index=0, samples=(make_sample(5, [0.1]),))
+    g0 = gallery_1d({1: [0.0], 2: [10.0]}, cap=2, probes=[make_sample(5, [0.1])])
+    batch = batch_of(g0, [5], index=0)
     with pytest.raises(ValueError, match="batch index 0 < 1"):
         run_update_cycle(g0, batch, _cfg("mdist", 2), t_star=t_star)
 
@@ -119,11 +121,38 @@ def test_batch_index_zero_is_rejected(t_star):
 def test_classification_uses_pre_cycle_gallery_only():
     # 0.4 would be accepted only if 0.2 were already inserted; both must be
     # judged against the pre-cycle gallery
-    g0 = gallery_1d({1: [0.0], 2: [10.0]}, cap=4)
-    batch = Batch(index=1, samples=(make_sample(5, [0.2]), make_sample(6, [0.4])))
+    g0 = gallery_1d({1: [0.0], 2: [10.0]}, cap=4, probes=[make_sample(5, [0.2]), make_sample(6, [0.4])])
+    batch = batch_of(g0, [5, 6])
     g, report = run_update_cycle(g0, batch, _cfg("mdist", 4), t_star=0.3)
     assert report.insertions == ((5, 1),)
     assert report.n_rejected == 1
+
+
+@pytest.mark.parametrize("method", ["kmeans", "mdist", "dend", "keep_all"])
+def test_a_batch_of_another_dataset_is_rejected_before_classifying(method, monkeypatch):
+    g0 = gallery_1d({1: [0.0], 2: [10.0]}, probes=[make_sample(5, [0.1])])
+    classified = []
+    monkeypatch.setattr(matching, "classify_batch", lambda *args: classified.append(args))
+    twin = gallery_1d({1: [0.0], 2: [10.0]}, probes=[make_sample(5, [0.1])])  # equal rows, another dataset
+    with pytest.raises(ValueError, match="^batch 1 is not of the gallery's dataset$"):
+        run_update_cycle(g0, batch_of(twin, [5]), _cfg(method, 2), 0.5)
+    assert classified == []
+
+
+def test_a_cycle_times_classification_on_its_threads_cpu_clock(monkeypatch):
+    # a sleeping thread spends no CPU time: a wall clock would read the sleep
+    import time
+
+    classify = matching.classify_batch
+
+    def sleepy(*args):
+        time.sleep(0.05)
+        return classify(*args)
+
+    monkeypatch.setattr(matching, "classify_batch", sleepy)
+    g0 = gallery_1d({1: [0.0], 2: [10.0]}, probes=[make_sample(5, [0.1])])
+    _, report = run_update_cycle(g0, batch_of(g0, [5]), _cfg("mdist", 2), 0.5)
+    assert report.n_accepted == 1 and report.elapsed_classify_s < 0.05
 
 
 def test_run_sequence_zero_batches(abc_gallery):
@@ -149,23 +178,19 @@ def test_run_sequence_runs_an_iterator_of_batches_as_their_list(method):
 
 
 def _mode_dataset(rng, k=3, per=4, spread=0.3, sep=30.0):
-    galleries = {}
-    batches = []
-    sid = 0
-    pairs = []
-    for u in range(1, k + 1):
-        pairs.append((u, make_sample(sid, [u * sep + rng.normal(0, spread)], user=u)))
-        sid += 1
-    g0 = lambda cap: gallery_enroll(pairs, cap=cap)
+    """An enrollment of one sample per user and three batches of ``per`` each,
+    over one dataset: the enrolled gallery for a cap, and the batches."""
+    samples = [make_sample(u - 1, [u * sep + rng.normal(0, spread)], user=u) for u in range(1, k + 1)]
     for b in range(1, 4):
-        samples = []
         for u in range(1, k + 1):
             for _ in range(per):
-                samples.append(
-                    make_sample(sid, [u * sep + rng.normal(0, spread)], user=u)
-                )
-                sid += 1
-        batches.append(Batch(index=b, samples=tuple(samples)))
+                samples.append(make_sample(len(samples), [u * sep + rng.normal(0, spread)], user=u))
+    dataset = Dataset.of(samples)
+
+    def g0(cap):
+        return gallery_enroll(Batch(dataset, np.arange(k), 0), cap=cap)
+
+    batches = [Batch(dataset, k + (b - 1) * k * per + np.arange(k * per), b) for b in range(1, 4)]
     return g0, batches
 
 
@@ -262,10 +287,10 @@ def test_config_refuses_a_non_integer_p(method, p):
 
 @pytest.mark.parametrize("method", ["kmeans", "mdist", "dend", "keep_all"])
 def test_insertions_and_appended_templates_follow_batch_order(method):
-    g0 = gallery_1d({1: [0.0], 2: [10.0]})
     # accepted and rejected samples interleaved; ids deliberately unsorted
     values = [(40, 0.2), (7, 5.0), (31, 9.8), (12, 0.1), (50, 20.0), (3, 10.3), (25, -0.4)]
-    batch = Batch(index=2, samples=tuple(make_sample(i, [v]) for i, v in values))
+    g0 = gallery_1d({1: [0.0], 2: [10.0]}, probes=[make_sample(i, [v]) for i, v in values])
+    batch = batch_of(g0, [i for i, _ in values], index=2)
     g, report = run_update_cycle(g0, batch, _cfg(method, 10), t_star=1.0)
     # the insertions follow batch order
     assert report.insertions == ((40, 1), (31, 2), (12, 1), (3, 2), (25, 1))
@@ -277,13 +302,13 @@ def test_insertions_and_appended_templates_follow_batch_order(method):
 
 
 @pytest.mark.parametrize("method", ["kmeans", "mdist", "dend", "keep_all"])
-def test_cycle_gallery_holds_the_callers_samples_and_no_vector_stack(method):
-    g0 = gallery_1d({1: [0.0, 0.3], 2: [10.0]})
-    probes = tuple(make_sample(i, [v]) for i, v in ((5, 0.1), (6, 9.9), (7, 0.2), (8, 50.0)))
-    g, report = run_update_cycle(g0, Batch(index=1, samples=probes), _cfg(method, 2), t_star=1.0)
+def test_cycle_gallery_holds_rows_of_the_same_dataset_and_no_vector_stack(method):
+    probes = [make_sample(i, [v]) for i, v in ((5, 0.1), (6, 9.9), (7, 0.2), (8, 50.0))]
+    g0 = gallery_1d({1: [0.0, 0.3], 2: [10.0]}, probes=probes)
+    g, report = run_update_cycle(g0, batch_of(g0, [5, 6, 7, 8]), _cfg(method, 2), t_star=1.0)
     assert report.n_accepted == 3 and g.sample_id.tolist() != g0.sample_id.tolist()
-    held = {s.id: s for s in (*g0.samples, *probes)}
-    assert all(s is held[s.id] for s in g.samples)  # the same objects, by reference
+    assert g.dataset is g0.dataset  # the same rows, by index
+    assert np.array_equal(g.sample_id, g0.dataset.sample_id[g.rows])
     for value in vars(g).values():  # the stored fields
         assert not (isinstance(value, np.ndarray) and value.dtype.kind == "f")
 
@@ -323,13 +348,10 @@ def _reference_case(draw):
 @given(_reference_case())
 def test_run_sequence_equals_the_reference_loop(case):
     gallery, batches, cfg = case
-    g0 = gallery_enroll([(u, make_sample(sid, v, user=u))
-                         for u in gallery for sid, v in gallery[u]])
+    g0 = enroll([(u, make_sample(sid, v, user=u)) for u in gallery for sid, v in gallery[u]],
+                probes=[make_sample(sid, v) for batch in batches for sid, v in batch])
     _, reports, snapshots = run_sequence(
-        g0,
-        [Batch(index=b + 1, samples=tuple(make_sample(sid, v) for sid, v in batch))
-         for b, batch in enumerate(batches)],
-        cfg,
+        g0, [batch_of(g0, [sid for sid, _ in batch], index=b + 1) for b, batch in enumerate(batches)], cfg
     )
     want = reference_sequence(gallery, batches, cfg.method, cfg.p, cfg.metric, cfg.policy)
     assert len(reports) == len(snapshots) == len(want)

@@ -2,9 +2,10 @@ import csv
 import logging
 import re
 
+import numpy as np
 import pytest
 
-from selfgallery.core import gallery_enroll
+from selfgallery.core import Dataset, gallery_enroll
 from selfgallery.dataio import split_batches, write_dataset
 from selfgallery import experiment
 from selfgallery.engine import EngineConfig, run_sequence
@@ -13,7 +14,7 @@ from selfgallery.matching import ThresholdPolicy
 from selfgallery.metrics import compute_eer, distance_columns, score_sets
 from selfgallery.synthgen import SynthParams, generate
 
-from conftest import gallery_templates, read_scatter, scatter_reference
+from conftest import gallery_templates, read_scatter, samples_of, scatter_reference
 
 
 SMALL = SynthParams(
@@ -104,7 +105,7 @@ def test_every_eer_is_its_gallery_scored_from_its_own_columns(monkeypatch, metri
     rows, _ = run_experiment(cfg)
     assert len(tables) == cfg.runs  # one table per run
     dataset = generate(SMALL)
-    for run, (ids, _) in enumerate(tables, start=1):
+    for run, (column, _) in enumerate(tables, start=1):
         split = split_batches(dataset, cfg.n_batches, cfg.p, seed=cfg.base_seed + run)
         g0 = gallery_enroll(split.enroll, cap=cfg.p)
         galleries = {(NO_UPDATE, b): g0 for b in range(len(split.adaptation) + 1)}
@@ -112,13 +113,14 @@ def test_every_eer_is_its_gallery_scored_from_its_own_columns(monkeypatch, metri
             engine_cfg = EngineConfig(method=method, p=cfg.p, metric=metric, policy=policy)
             _, _, snapshots = run_sequence(g0, list(split.adaptation), engine_cfg)
             galleries.update({(method, b): g for b, g in enumerate([g0, *snapshots])})
-        # the run's table holds exactly the samples some gallery of the run holds
-        assert ids.tolist() == sorted({i for g in galleries.values() for i in g.sample_id.tolist()})
+        # the run's table holds exactly the rows some gallery of the run holds, in row order
+        held = sorted({r for g in galleries.values() for r in g.rows.tolist()})
+        assert np.flatnonzero(column >= 0).tolist() == held and column[held].tolist() == list(range(len(held)))
         ran = [r for r in rows if r["run"] == run]
         assert sorted((r["method"], r["batch"]) for r in ran) == sorted(galleries)
         for r in ran:  # each gallery scored from its own fresh columns
             g = galleries[r["method"], r["batch"]]
-            own = distance_columns(split.test, g.samples, metric)
+            own = distance_columns(split.test, [g], metric)
             assert r["eer"] == compute_eer(*score_sets(split.test, g, own))
 
 
@@ -211,7 +213,7 @@ def test_scatter_files_hold_the_final_gallery_scores(tmp_path, metric):
             finals[method], _, _ = run_sequence(g0, list(split.adaptation), engine_cfg)
         for method, gallery in finals.items():
             # scored template by template from the final gallery, not from the run's table
-            expected = scatter_reference(split.test.samples, gallery_templates(gallery), metric)
+            expected = scatter_reference(split.test, gallery_templates(gallery), metric)
             written = (tmp_path / f"scatter_run{run}_{method}.csv").read_text()
             assert read_scatter(written) == expected
 
@@ -289,7 +291,8 @@ def test_a_relaxed_experiment_logs_each_dropped_user_once(tmp_path, caplog):
     # users 2 and 4 hold fewer than the 5 batches x p=3 samples: every run's
     # split drops both, and the experiment logs each of them once
     path = tmp_path / "short.csv"
-    write_dataset([s for s in generate(SMALL) if s.true_user in (1, 3) or s.id % 20 < 10], path)
+    write_dataset(Dataset.of([s for s in samples_of(generate(SMALL)) if s.true_user in (1, 3) or s.id % 20 < 10]),
+                  path)
     with caplog.at_level(logging.WARNING):
         run_experiment(_cfg(dataset=path, runs=3, strict=False))
     lines = [r.getMessage() for r in caplog.records]

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from selfgallery import matching, metrics
 from selfgallery.clustering import KMeansParams, kmeans
-from selfgallery.core import Batch, Gallery, gallery_enroll
+from selfgallery.core import Batch, Gallery
 from selfgallery.matching import (
     _BLOCK,
     _GATHER,
@@ -26,7 +26,7 @@ from selfgallery.matching import (
 )
 from selfgallery.metrics import distance_columns
 
-from conftest import gallery_1d, gallery_templates, make_sample, screen_gallery
+from conftest import enroll, gallery_1d, gallery_templates, make_sample, probe_batch, samples_of, screen_gallery
 
 
 def test_estimate_threshold_zero_far(abc_gallery):
@@ -45,7 +45,7 @@ def test_estimate_threshold_coincident_users():
     g = gallery_1d({1: [0.0], 2: [0.0]})
     t = estimate_threshold(g, ThresholdPolicy.zero_far())
     assert t == 0.0
-    decisions = classify_batch(Batch(index=1, samples=(make_sample(9, [0.0]),)), g, t)
+    decisions = classify_batch(probe_batch((make_sample(9, [0.0]),)), g, t)
     assert not decisions[0].accepted
 
 
@@ -80,9 +80,8 @@ def test_boundary_checks_raise_their_messages(factory, q, message):
 
 
 def test_classify_batch_examples(abc_gallery):
-    batch = Batch(
-        index=1,
-        samples=(
+    batch = probe_batch(
+        (
             make_sample(10, [0.1]),
             make_sample(11, [0.7]),
             make_sample(12, [2.5]),
@@ -96,16 +95,15 @@ def test_classify_batch_examples(abc_gallery):
 
 
 def test_classify_strict_inequality(abc_gallery):
-    batch = Batch(index=1, samples=(make_sample(10, [0.4]),))
+    batch = probe_batch((make_sample(10, [0.4]),))
     (d,) = classify_batch(batch, abc_gallery, t_star=0.4)
     assert not d.accepted  # distance to A's 0.0 is exactly t*
 
 
 def test_classify_batch_decisions_respect_threshold(abc_gallery):
     rng = np.random.default_rng(0)
-    batch = Batch(
-        index=1,
-        samples=tuple(
+    batch = probe_batch(
+        tuple(
             make_sample(100 + i, [float(v)]) for i, v in enumerate(rng.uniform(-1, 3, 50))
         ),
     )
@@ -123,8 +121,8 @@ def test_zero_far_accepts_no_gallery_cross_pair(abc_gallery):
     t = estimate_threshold(abc_gallery, ThresholdPolicy.zero_far())
     templates = gallery_templates(abc_gallery)
     for u in abc_gallery.user_ids:
-        others = gallery_enroll([(v, s) for v in templates if v != u for s in templates[v]])
-        probes = Batch(index=1, samples=tuple(templates[u]))
+        others = enroll([(v, s) for v in templates if v != u for s in templates[v]])
+        probes = probe_batch(tuple(templates[u]))
         assert not any(d.accepted for d in classify_batch(probes, others, t))
 
 
@@ -134,7 +132,7 @@ def test_classify_invariant_under_user_permutation():
     probes = tuple(
         make_sample(50 + i, [float(v)]) for i, v in enumerate(rng.uniform(0, 30, 20))
     )
-    batch = Batch(index=1, samples=probes)
+    batch = probe_batch(probes)
     base = None
     for perm in itertools.permutations((1, 2, 3)):
         g = gallery_1d({u: values[u] for u in perm})
@@ -145,8 +143,8 @@ def test_classify_invariant_under_user_permutation():
 
 
 @pytest.mark.parametrize("call", [
-    lambda g: classify_batch(Batch(index=1, samples=()), g, 1.0, "cosine"),  # no probe
-    lambda g: distance_columns(Batch(index=1, samples=()), [], "cosine"),  # no sample
+    lambda g: classify_batch(Batch(g.dataset, [], 1), g, 1.0, "cosine"),  # no probe
+    lambda g: distance_columns(Batch(g.dataset, [], 1), [], "cosine"),  # no sample
     lambda g: estimate_threshold(gallery_1d({1: [0.0, 1.0]}), metric="cosine"),  # no pair
     lambda g: impostor_pool(gallery_1d({1: [0.0, 1.0]}), "cosine"),
     lambda g: estimate_threshold(g, metric="cosine"),
@@ -184,7 +182,7 @@ def test_impostor_pool_equals_masked_rows(metric):
                 v = shared if j == 0 and u % 2 else rng.normal(u, 2.0, dim)
                 pairs.append((u, make_sample(next(sid), v, user=u)))
         order = rng.permutation(len(pairs))  # users' samples interleaved
-        g = gallery_enroll([pairs[i] for i in order])
+        g = enroll([pairs[i] for i in order])
         assert np.array_equal(impostor_pool(g, metric), _masked_pool(g, metric))
     with pytest.raises(ValueError, match="cross-user"):
         impostor_pool(gallery_1d({1: [0.0, 1.0, 2.0]}), metric)
@@ -212,7 +210,7 @@ def _classify_by_row(batch, gallery, t_star, metric):
     the label is the nearest owner whether or not the probe is accepted."""
     mat, owners = gallery.vectors, gallery.owner
     out = []
-    for s in batch.samples:
+    for s in samples_of(batch):
         dists = _distances_to_rows(s.vector, mat, metric)
         i = int(np.argmin(dists))
         d = float(dists[i])
@@ -230,7 +228,7 @@ def test_classify_batch_equals_row_by_row(dim, offset):
         probes = [shared, mat[0], mat[-1]]  # exact hits, one across users
         probes += list(rng.normal(2.0, 1.5, (2 * _BLOCK + 7, dim)) + offset)
         probes += [mat[i] + rng.normal(0.0, 1e-9, dim) for i in range(0, len(mat), 7)]
-        batch = Batch(index=1, samples=tuple(make_sample(1000 + i, v) for i, v in enumerate(probes)))
+        batch = probe_batch(tuple(make_sample(1000 + i, v) for i, v in enumerate(probes)))
         for metric in METRICS:
             q20 = estimate_threshold(g, ThresholdPolicy.far_quantile(0.2), metric)
             for t in (q20, math.inf):
@@ -243,7 +241,7 @@ def test_classify_batch_equals_row_by_row(dim, offset):
 def test_l1_classify_scores_one_exact_table_per_block(monkeypatch, probes):
     rng = np.random.default_rng(probes)
     g, _ = screen_gallery(rng, 5, [3, 1, 4, 2], 0.0)
-    batch = Batch(index=1, samples=tuple(make_sample(100 + i, rng.normal(2.0, 1.5, 5)) for i in range(probes)))
+    batch = probe_batch(tuple(make_sample(100 + i, rng.normal(2.0, 1.5, 5)) for i in range(probes)))
     exact, rows = matching._exact, []
 
     def tables(x, y, metric, ix=None, iy=None):
@@ -262,10 +260,10 @@ def test_l1_classify_scores_one_exact_table_per_block(monkeypatch, probes):
 @pytest.mark.parametrize("offset", [0.0, 1e4])
 def test_classify_tie_across_users_takes_the_lowest_index(offset):
     v = np.array([3.0, 4.0]) + offset
-    g = gallery_enroll([(7, make_sample(0, v + 1.0, user=7)), (5, make_sample(1, v, user=5)),
+    g = enroll([(7, make_sample(0, v + 1.0, user=7)), (5, make_sample(1, v, user=5)),
                         (2, make_sample(2, v + 2.0, user=2)), (7, make_sample(3, v, user=7))])
     for metric in METRICS:
-        (d,) = classify_batch(Batch(index=1, samples=(make_sample(9, v),)), g, math.inf, metric)
+        (d,) = classify_batch(probe_batch((make_sample(9, v),)), g, math.inf, metric)
         assert (d.label, d.distance) == (5, 0.0)  # users 5 and 7 hold v; 5's row comes first
 
 
@@ -306,7 +304,7 @@ def test_screen_tile_edges(dim, rows, offset):
     mat = g.vectors
     assert mat.shape[0] == rows
     probes = [shared, mat[-1]] + list(rng.normal(2.0, 1.5, (_BLOCK + 7, dim)) + offset)
-    batch = Batch(index=1, samples=tuple(make_sample(1000 + i, v) for i, v in enumerate(probes)))
+    batch = probe_batch(tuple(make_sample(1000 + i, v) for i, v in enumerate(probes)))
     pool = np.sort(impostor_pool(g))
     assert estimate_threshold(g, ThresholdPolicy.zero_far()) == float(pool[0])
     for q in (0.01, 0.2):
@@ -341,7 +339,7 @@ def test_estimate_threshold_screens_each_pair_once(monkeypatch, policy):
 
 def _assert_screened_paths_equal_references(g, probes):
     """classify_batch and estimate_threshold against the row-by-row references."""
-    batch = Batch(index=1, samples=tuple(make_sample(1000 + i, v) for i, v in enumerate(probes)))
+    batch = probe_batch(tuple(make_sample(1000 + i, v) for i, v in enumerate(probes)))
     pool = np.sort(impostor_pool(g))
     assert estimate_threshold(g, ThresholdPolicy.zero_far()) == float(pool[0])
     for q in (0.01, 0.2):
@@ -373,7 +371,7 @@ def test_screen_at_float32_rounding_edges(dim, offset, scale, counts, seed):
         return a + rng.integers(-3, 4, a.shape) * np.spacing(a.astype(np.float32)).astype(float)
 
     sid = itertools.count()
-    g = gallery_enroll(
+    g = enroll(
         [(u, make_sample(next(sid), v, user=u))
          for u, c in enumerate(counts, start=1) for v in near_anchors(c)]
     )
@@ -399,13 +397,13 @@ def test_tau_covers_rounding_that_adds_up_coherently():
     d_a, d_b = np.sum((x - a) ** 2), np.sum((x - b) ** 2)  # exact: few-bit squares
     assert d_a / eta == 12.986053466796875 and d_b / eta == 13.553955078125
     rows = [(1, a), (2, b), (3, -a), (4, -b)]
-    g = gallery_enroll([(u, make_sample(i, v, user=u)) for i, (u, v) in enumerate(rows)])
-    probe = Batch(index=1, samples=(make_sample(9, x),))
+    g = enroll([(u, make_sample(i, v, user=u)) for i, (u, v) in enumerate(rows)])
+    probe = probe_batch((make_sample(9, x),))
     (decision,) = classify_batch(probe, g, 1.0)
     assert (decision.label, decision.distance) == (1, math.sqrt(d_a))
     # t*: the pair (x, a) is the least cross-user pair, and (x, b) screens below it
     rows = [(1, x), (2, a), (2, b), (3, -x), (3, -a), (3, -b)]
-    g = gallery_enroll([(u, make_sample(i, v, user=u)) for i, (u, v) in enumerate(rows)])
+    g = enroll([(u, make_sample(i, v, user=u)) for i, (u, v) in enumerate(rows)])
     assert estimate_threshold(g, ThresholdPolicy.zero_far()) == math.sqrt(d_a)
     _assert_screened_paths_equal_references(g, [x, a, b, (a + b) / 2])
 
@@ -416,8 +414,8 @@ def test_screen_overflowing_float64_keeps_every_pair(c):
     # and a probe whose every distance is inf takes the first row
     rows = [(1, [c, c]), (1, [c, -c]), (2, [-c, c]), (3, [-c, -c]), (3, [c / 2, c]),
             (4, [c, c]), (4, [c, 0.999 * c]), (5, [-c, 0.999 * c])]
-    g = gallery_enroll([(u, make_sample(i, v, user=u)) for i, (u, v) in enumerate(rows)])
-    origin = Batch(index=1, samples=(make_sample(0, [0.0, 0.0]),))
+    g = enroll([(u, make_sample(i, v, user=u)) for i, (u, v) in enumerate(rows)])
+    origin = probe_batch((make_sample(0, [0.0, 0.0]),))
     (_, _, nearest, _), = _classify_by_row(origin, g, math.inf, "euclidean")
     assert math.isinf(nearest)  # every template's distance from the origin is inf
     probes = [[c, c], [-c, -c], [0.0, 0.0], [c, 0.9995 * c], [-c, 0.0], [0.0, c], [c / 3, -c]]
@@ -444,7 +442,7 @@ def test_screen_rows_at_an_overflow_edge(edge, side):
     hi, lo = (1.0005, 0.9995) if side == "both" else (0.9995, 0.9990)
     rows = [(1, [hi, hi]), (2, [hi, -hi]), (3, [lo, lo]), (3, [-lo, lo]), (4, [0.67, 0.67])]
     rows += [(u + 4, [-a, -b]) for u, (a, b) in rows]
-    g = gallery_enroll([(u, make_sample(i, f * np.array(v), user=u))
+    g = enroll([(u, make_sample(i, f * np.array(v), user=u))
                         for i, (u, v) in enumerate(rows)])
     probes = [f * np.array(v) for v in ([0.9997, 0.9997], [hi, hi], [-hi, lo], [lo, -lo],
                                         [0.0, 0.0], [0.67, 0.67], [0.6, 0.7])]
@@ -483,7 +481,7 @@ def test_screen_gemms_stay_on_the_calling_thread(monkeypatch, case):
     rng = np.random.default_rng(dim)
     g, shared = screen_gallery(rng, dim, [3, 2, 1, 4] * 15, 0.0)  # 150 rows
     probes = [shared] + list(rng.normal(2.0, 1.5, (2 * _BLOCK + 7, dim)))
-    batch = Batch(index=1, samples=tuple(make_sample(1000 + i, v) for i, v in enumerate(probes)))
+    batch = probe_batch(tuple(make_sample(1000 + i, v) for i, v in enumerate(probes)))
     classify_batch(batch, g, 1.0)
     estimate_threshold(g, ThresholdPolicy.far_quantile(0.2))
     assert len(products) == len(screens) == 3 + 3  # blocks of the batch and of the gallery
@@ -500,15 +498,15 @@ def test_classify_rescores_only_probes_whose_runner_up_is_in_the_band(monkeypatc
         scored.append(len(diff))
         return kernel(diff, metric)
 
-    g = gallery_enroll([(u, make_sample(u, [10.0 * u + offset, offset], user=u))
+    g = enroll([(u, make_sample(u, [10.0 * u + offset, offset], user=u))
                         for u in range(1, 31)])
     near = [[10.0 * u + 0.3 + offset, offset - 0.2] for u in range(1, 31)] * 3
-    batch = Batch(index=1, samples=tuple(make_sample(100 + i, v) for i, v in enumerate(near)))
+    batch = probe_batch(tuple(make_sample(100 + i, v) for i, v in enumerate(near)))
     monkeypatch.setattr(matching, "_norms", counting)
     classify_batch(batch, g, math.inf)
     assert sum(scored) == len(near)
     scored.clear()
-    tie = Batch(index=1, samples=batch.samples + (make_sample(999, [155.0 + offset, offset]),))
+    tie = probe_batch(samples_of(batch) + [make_sample(999, [155.0 + offset, offset])])
     (*_, last) = classify_batch(tie, g, math.inf)
     assert sum(scored) == len(near) + 1 + 2 and (last.label, last.distance) == (15, 5.0)
 
@@ -517,23 +515,23 @@ def test_classify_names_the_first_sample_of_another_dim(abc_gallery):
     samples = (make_sample(10, [0.1]), make_sample(11, [0.1, 0.2]),
                make_sample(12, [1.0, 2.0, 3.0]))
     with pytest.raises(ValueError, match="dimension mismatch: sample 11 has dim 2, expected 1"):  # ragged
-        classify_batch(Batch(index=1, samples=samples), abc_gallery, 0.4)
+        classify_batch(probe_batch(samples), abc_gallery, 0.4)
     samples = (make_sample(13, [0.0, 1.0]), make_sample(14, [2.0, 3.0]))
     for metric in METRICS:
-        with pytest.raises(ValueError, match="dimension mismatch: sample 13 has dim 2, expected 1"):
-            classify_batch(Batch(index=1, samples=samples), abc_gallery, 0.4, metric)
+        with pytest.raises(ValueError, match="dimension mismatch: batch 1 has dim 2, expected 1$"):
+            classify_batch(probe_batch(samples), abc_gallery, 0.4, metric)
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "l1"])
 def test_classify_empty_batch(abc_gallery, metric):
-    out = classify_batch(Batch(index=1, samples=()), abc_gallery, 0.4, metric)
+    out = classify_batch(Batch(abc_gallery.dataset, [], 1), abc_gallery, 0.4, metric)
     assert isinstance(out, np.recarray) and out.shape == (0,)
     assert out.dtype.names == ("sample_id", "accepted", "distance", "label")
     assert [out.dtype[f] for f in out.dtype.names] == [np.int64, np.bool_, np.float64, np.int64]
 
 
 def test_classify_rejects_nan_threshold(abc_gallery):
-    batch = Batch(index=1, samples=(make_sample(10, [0.1]),))
+    batch = probe_batch((make_sample(10, [0.1]),))
     with pytest.raises(ValueError, match="non-negative"):
         classify_batch(batch, abc_gallery, float("nan"))
 
@@ -542,7 +540,7 @@ def test_classify_rejects_nan_threshold(abc_gallery):
 def test_classify_refuses_a_t_star_that_is_no_number(abc_gallery, t_star):
     # a bool is refused as the package refuses bool keys; True would accept
     # every probe nearer than 1
-    batch = Batch(index=1, samples=(make_sample(10, [0.1]),))
+    batch = probe_batch((make_sample(10, [0.1]),))
     with pytest.raises(ValueError, match=r"^t\* must be a real number, not "):
         classify_batch(batch, abc_gallery, t_star)
 
@@ -584,7 +582,7 @@ def _handoff_case(case):
     if case == "overflow":  # near 1e155: tau is infinite, in float64 too
         c = 1e155
         rows = [(1, [c, c]), (1, [c, -c]), (2, [-c, c]), (3, [-c, -c]), (3, [c / 2, c])]
-        g = gallery_enroll([(u, make_sample(i, v, user=u)) for i, (u, v) in enumerate(rows)])
+        g = enroll([(u, make_sample(i, v, user=u)) for i, (u, v) in enumerate(rows)])
         return g, [[c, c], [0.0, 0.0], [c / 3, -c]], "euclidean"
     dim, scale, probes, metric = {
         "d16": (16, 1.0, 2 * _BLOCK + 7, "euclidean"),
@@ -594,8 +592,8 @@ def _handoff_case(case):
         "l1": (16, 1.0, _BLOCK + 3, "l1"),
     }[case]
     g, shared = screen_gallery(rng, dim, [int(c) for c in rng.integers(1, 9, 20)], 0.0)
-    g = gallery_enroll([(u, make_sample(s.id, s.vector * scale, user=u))
-                        for u, s in zip(g.owner, g.samples)])
+    g = enroll([(u, make_sample(s.id, s.vector * scale, user=u))
+                        for u, s in zip(g.owner, samples_of(g))])
     return g, [shared * scale] + list(rng.normal(2.0, 1.5, (probes - 1, dim)) * scale), metric
 
 
@@ -615,7 +613,7 @@ def _count_operands(monkeypatch):
 @pytest.mark.parametrize("q", [None, 0.2])
 def test_classification_after_t_star_is_bitwise_that_of_an_empty_slot(monkeypatch, case, q):
     g, probes, metric = _handoff_case(case)
-    batch = Batch(index=1, samples=tuple(make_sample(10_000 + i, v) for i, v in enumerate(probes)))
+    batch = probe_batch(tuple(make_sample(10_000 + i, v) for i, v in enumerate(probes)))
     built = _count_operands(monkeypatch)
     with np.errstate(over="ignore", invalid="ignore"):  # the overflow case's reference sums
         t = estimate_threshold(g, ThresholdPolicy(q=q), metric)
@@ -636,8 +634,8 @@ def test_classification_after_t_star_is_bitwise_that_of_an_empty_slot(monkeypatc
 
 def test_an_equal_gallery_builds_its_own_operand(monkeypatch):
     g, probes, _ = _handoff_case("d16")
-    twin = Gallery(samples=g.samples, owner=g.owner, inserted_at=g.inserted_at)  # equal content
-    batch = Batch(index=1, samples=tuple(make_sample(10_000 + i, v) for i, v in enumerate(probes)))
+    twin = Gallery(g.dataset, g.rows, g.owner, g.inserted_at)  # equal content
+    batch = probe_batch(tuple(make_sample(10_000 + i, v) for i, v in enumerate(probes)))
     built = _count_operands(monkeypatch)
     t = estimate_threshold(g)
     got = classify_batch(batch, twin, t)
@@ -656,7 +654,7 @@ def test_the_slot_holds_the_last_t_star_gallery_only():
     assert [held for held, _ in matching._slot] == [b]
     estimate_threshold(a)
     with pytest.raises(ValueError, match="non-negative"):  # classification empties it even so
-        classify_batch(Batch(index=1, samples=()), a, -1.0)
+        classify_batch(Batch(a.dataset, [], 1), a, -1.0)
     assert matching._slot == []
 
 
@@ -675,7 +673,7 @@ def test_the_slot_holds_at_most_one_galleries_rows_and_tiles():
         assert one < 2 * operand.rows.nbytes  # float64 rows, float32 tiles
         assert held <= one + (16 << 10)  # not five galleries' worth
         del operand
-        classify_batch(Batch(index=1, samples=(make_sample(10_000, np.zeros(64)),)), galleries[-1], 1.0)
+        classify_batch(probe_batch((make_sample(10_000, np.zeros(64)),)), galleries[-1], 1.0)
         assert tracemalloc.get_traced_memory()[0] - base <= 16 << 10
     finally:
         tracemalloc.stop()
@@ -689,7 +687,7 @@ def test_concurrent_hand_offs_never_read_another_galleries_operand():
     for i in range(4):
         g, shared = screen_gallery(rng, 16, [int(c) for c in rng.integers(1, 6, 8)], 0.0)
         probes = [shared] + list(rng.normal(2.0, 1.5, (_BLOCK + 5, 16)))
-        batch = Batch(index=1, samples=tuple(make_sample(10_000 + j, v) for j, v in enumerate(probes)))
+        batch = probe_batch(tuple(make_sample(10_000 + j, v) for j, v in enumerate(probes)))
         t = estimate_threshold(g)
         matching._slot.clear()
         cases.append((g, batch, classify_batch(batch, g, t).tobytes()))

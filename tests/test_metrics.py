@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selfgallery import matching
-from selfgallery.core import Batch, gallery_enroll
+from selfgallery.core import Batch, Dataset, Gallery
 from selfgallery.matching import _BLOCK, _GATHER, METRICS, _distances_to_rows
 from selfgallery.metrics import (
     compute_eer,
@@ -22,13 +22,17 @@ from selfgallery.metrics import (
 )
 
 from conftest import (
+    batch_of,
+    enroll,
     gallery_1d,
     gallery_columns,
     gallery_templates,
     make_sample,
     read_scatter,
+    samples_of,
     scatter_reference,
     screen_gallery,
+    with_probes,
 )
 
 
@@ -158,11 +162,8 @@ def test_impostor_fraction_fresh_gallery(abc_gallery):
 def test_impostor_fraction_counting():
     g = gallery_1d({1: [0.0, 0.1], 2: [5.0]})
     # user 1 additionally holds a template whose true user is 2
-    from selfgallery.core import Gallery
-
-    bad = make_sample(9, [0.2], user=2)
-    g2 = Gallery(samples=[*g.samples[:2], bad, g.samples[2]], owner=[1, 1, 1, 2],
-                 inserted_at=[0, 0, 1, 0])
+    g = gallery_1d({1: [0.0, 0.1], 2: [5.0]}, probes=[make_sample(9, [0.2], user=2)])
+    g2 = Gallery(g.dataset, [0, 1, 3, 2], owner=[1, 1, 1, 2], inserted_at=[0, 0, 1, 0])
     frac, per_user = impostor_fraction(g2)
     assert frac == pytest.approx(1 / 4)
     assert per_user[1] == pytest.approx(1 / 3)
@@ -171,7 +172,7 @@ def test_impostor_fraction_counting():
 def test_impostor_fraction_all_swapped():
     s1 = make_sample(0, [0.0], user=2)
     s2 = make_sample(1, [5.0], user=1)
-    g = gallery_enroll([(1, s1), (2, s2)])
+    g = Gallery(Dataset.of([s1, s2]), [0, 1], [1, 2], [0, 0])
     frac, _ = impostor_fraction(g)
     assert frac == 1.0
 
@@ -186,7 +187,8 @@ def test_impostor_fraction_is_bitwise_the_integer_quotients():
                 truth = user if rng.random() < 0.6 else int(rng.integers(1, 9))
                 pairs.append((user, make_sample(sid, [float(sid)], user=truth)))
                 sid += 1
-        g = gallery_enroll(pairs)
+        g = Gallery(Dataset.of([s for _, s in pairs]), np.arange(len(pairs)), [u for u, _ in pairs],
+                    np.zeros(len(pairs), np.int64))
         frac, per_user = impostor_fraction(g)
         wrong = {u: [s.true_user != u for s in ss] for u, ss in gallery_templates(g).items()}
         assert frac == sum(map(sum, wrong.values())) / len(pairs)
@@ -245,11 +247,8 @@ def test_storage_counts_refuse_non_integers(call, message):  # beta and m_bar st
 
 
 def test_evaluate_snapshot_self_test_zero_eer():
-    g = gallery_1d({1: [0.0], 2: [10.0]})
-    test = Batch(
-        index=6,
-        samples=(make_sample(10, [0.0], user=1), make_sample(11, [10.0], user=2)),
-    )
+    g, test = with_probes(gallery_1d({1: [0.0], 2: [10.0]}),
+                          [make_sample(10, [0.0], user=1), make_sample(11, [10.0], user=2)], 6)
     ev = evaluate_snapshot(g, test, gallery_columns(test, g))
     assert set(ev) == {"eer", "gallery_bytes"}  # no score lists: scatter files are exported apart
     assert ev["eer"] == 0.0
@@ -259,17 +258,13 @@ def test_evaluate_snapshot_self_test_zero_eer():
 def test_evaluate_snapshot_matches_naive_reference():
     rng = np.random.default_rng(4)
     g = gallery_1d({1: rng.normal(0, 1, 3).tolist(), 2: rng.normal(2, 1, 3).tolist()})
-    test = Batch(
-        index=6,
-        samples=tuple(
-            make_sample(100 + i, [float(v)], user=1 + i % 2)
-            for i, v in enumerate(rng.normal(1, 1.5, 20))
-        ),
-    )
+    g, test = with_probes(g, [
+        make_sample(100 + i, [float(v)], user=1 + i % 2) for i, v in enumerate(rng.normal(1, 1.5, 20))
+    ], 6)
     ev = evaluate_snapshot(g, test, gallery_columns(test, g))
     # naive reference: explicit loops over templates and users
     genuine, impostor = [], []
-    for s in test.samples:
+    for s in samples_of(test):
         for u in (1, 2):
             d = min(float(np.abs(s.vector - t.vector)[0]) for t in gallery_templates(g)[u])
             (genuine if u == s.true_user else impostor).append(d)
@@ -277,8 +272,7 @@ def test_evaluate_snapshot_matches_naive_reference():
 
 
 def test_evaluate_snapshot_single_user_test_errors():
-    g = gallery_1d({1: [0.0]})
-    test = Batch(index=6, samples=(make_sample(10, [0.0], user=1),))
+    g, test = with_probes(gallery_1d({1: [0.0]}), [make_sample(10, [0.0], user=1)], 6)
     with pytest.raises(ValueError):
         evaluate_snapshot(g, test, gallery_columns(test, g))
 
@@ -292,10 +286,9 @@ def test_gallery_bytes_override():
 
 
 def test_export_score_scatter_rows():
-    g = gallery_1d({2: [10.0], 1: [0.0, 4.0]})
-    test = Batch(index=6, samples=(
+    g, test = with_probes(gallery_1d({2: [10.0], 1: [0.0, 4.0]}), [
         make_sample(20, [9.0], user=2), make_sample(21, [1.0], user=1), make_sample(22, [2.5], user=1)
-    ))
+    ], 6)
     buf = io.StringIO()
     n = export_score_scatter(test, g, gallery_columns(test, g), buf)
     # users ascending, each with its genuine and then its impostor scores, in test order
@@ -308,7 +301,7 @@ def test_export_score_scatter_rows():
 
 
 def test_export_score_scatter_empty(abc_gallery):
-    empty = Batch(index=6, samples=())
+    empty = Batch(abc_gallery.dataset, [], 6)
     buf = io.StringIO()
     n = export_score_scatter(empty, abc_gallery, gallery_columns(empty, abc_gallery), buf)
     assert n == 0
@@ -328,11 +321,8 @@ def _scores(test, gallery, columns):
 
 
 def test_score_sets_counts():
-    g = gallery_1d({1: [0.0], 2: [10.0]})
-    test = Batch(
-        index=6,
-        samples=(make_sample(20, [0.0], user=1), make_sample(21, [10.0], user=2)),
-    )
+    g, test = with_probes(gallery_1d({1: [0.0], 2: [10.0]}),
+                          [make_sample(20, [0.0], user=1), make_sample(21, [10.0], user=2)], 6)
     genuine, impostor, scatter = _scores(test, g, gallery_columns(test, g))
     assert genuine == [0.0, 0.0]
     assert len(impostor) == 2 and all(v > 0 for v in impostor)
@@ -342,24 +332,24 @@ def test_score_sets_counts():
 
 
 def test_score_sets_empty_batch(abc_gallery):
-    empty = Batch(index=6, samples=())
+    empty = Batch(abc_gallery.dataset, [], 6)
     genuine, impostor, _ = _scores(empty, abc_gallery, gallery_columns(empty, abc_gallery))
     assert genuine == [] and impostor == []
 
 
 def test_score_sets_three_users_one_sample(abc_gallery):
-    test = Batch(index=6, samples=(make_sample(30, [0.05], user=1),))
-    genuine, impostor, _ = _scores(test, abc_gallery, gallery_columns(test, abc_gallery))
+    g, test = with_probes(abc_gallery, [make_sample(30, [0.05], user=1)], 6)
+    genuine, impostor, _ = _scores(test, g, gallery_columns(test, g))
     assert len(genuine) == 1 and len(impostor) == 2
 
 
 def test_score_sets_rejects_unenrolled(abc_gallery):
-    test = Batch(index=6, samples=(make_sample(29, [0.0], user=1), make_sample(30, [0.0], user=99),
-                                   make_sample(31, [0.0], user=98)))
+    g, test = with_probes(abc_gallery, [make_sample(29, [0.0], user=1), make_sample(30, [0.0], user=99),
+                                        make_sample(31, [0.0], user=98)], 6)
     with pytest.raises(ValueError, match="test sample 30: true user 99 is not enrolled"):
-        score_sets(test, abc_gallery, gallery_columns(test, abc_gallery))
+        score_sets(test, g, gallery_columns(test, g))
     with pytest.raises(ValueError, match="test sample 30: true user 99 is not enrolled"):
-        export_score_scatter(test, abc_gallery, gallery_columns(test, abc_gallery), io.StringIO())
+        export_score_scatter(test, g, gallery_columns(test, g), io.StringIO())
 
 
 def _score_sets_by_user(test, gallery, metric):
@@ -367,7 +357,7 @@ def _score_sets_by_user(test, gallery, metric):
     distances to every test sample (x - t is exactly -(t - x)), and the
     scatter file's rows built the same way."""
     genuine, impostor = [], []
-    x = np.stack([s.vector for s in test.samples])
+    x = test.vectors
     nearest = {
         u: np.min(
             [_distances_to_rows(t.vector, x, metric) for t in gallery_templates(gallery)[u]],
@@ -375,11 +365,11 @@ def _score_sets_by_user(test, gallery, metric):
         )
         for u in gallery.user_ids
     }
-    for i, s in enumerate(test.samples):
+    for i, s in enumerate(samples_of(test)):
         for u in gallery.user_ids:
             d = float(nearest[u][i])
             (genuine if u == s.true_user else impostor).append(d)
-    return genuine, impostor, scatter_reference(test.samples, gallery_templates(gallery), metric)
+    return genuine, impostor, scatter_reference(test, gallery_templates(gallery), metric)
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "l1"])
@@ -395,10 +385,10 @@ def test_score_sets_equals_per_user_match_score(metric, cap):
         for u in users
         for _ in range(counts[u])
     ]
-    g = gallery_enroll(pairs, cap=cap)
     probes = [make_sample(next(sid), rng.normal(u, 1.5, dim), user=u) for u in users * 5]
     probes.append(make_sample(next(sid), pairs[0][1].vector, user=pairs[0][0]))  # exact hit
-    test = Batch(index=6, samples=tuple(probes))
+    g = enroll(pairs, cap=cap, probes=probes)
+    test = batch_of(g, [s.id for s in probes], index=6)
     columns = gallery_columns(test, g, metric)
     assert _scores(test, g, columns) == _score_sets_by_user(test, g, metric)
     # wider galleries and probes over several blocks, with near ties within a user
@@ -408,15 +398,16 @@ def test_score_sets_equals_per_user_match_score(metric, cap):
             for counts in (randoms, [1] * 90, [2, 70]):
                 counts = [c if cap is None else min(c, cap) for c in counts]
                 g, _ = screen_gallery(rng, dim, counts, offset)
-                test = _evaluation_probes(rng, g, offset, sid)
+                g, test = _evaluation_probes(rng, g, offset)
                 columns = gallery_columns(test, g, metric)
                 assert _scores(test, g, columns) == _score_sets_by_user(test, g, metric)
 
 
-def _evaluation_probes(rng, gallery, offset, sid):
-    """A test batch over more than two blocks: exact hits, random probes, and
-    1e-9 perturbations of rows and of midpoints of two rows of one user, a
-    near tie between two templates of one user."""
+def _evaluation_probes(rng, gallery, offset):
+    """The gallery over a dataset that also holds a test batch over more than
+    two blocks, and that batch: exact hits, random probes, and 1e-9
+    perturbations of rows and of midpoints of two rows of one user, a near
+    tie between two templates of one user."""
     mat, owners = gallery.vectors, gallery.owner
     users, dim = gallery.user_ids, gallery.dim
     probes = [(mat[0], owners[0]), (mat[-1], owners[-1])]
@@ -428,42 +419,55 @@ def _evaluation_probes(rng, gallery, offset, sid):
         for i in range(len(mat) - 1)
         if owners[i] == owners[i + 1]
     ]
-    samples = tuple(make_sample(next(sid), v, user=int(u)) for v, u in probes)
-    return Batch(index=6, samples=samples)
+    sid = itertools.count(int(gallery.dataset.sample_id.max()) + 1)
+    return with_probes(gallery, [make_sample(next(sid), v, user=int(u)) for v, u in probes], 6)
 
 
-def test_score_sets_rejects_dim_mismatch(abc_gallery):
-    test = Batch(index=6, samples=(make_sample(30, [0.0, 1.0], user=1),))
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        score_sets(test, abc_gallery, gallery_columns(test, abc_gallery))
+def test_score_sets_rejects_a_gallery_of_another_dataset(abc_gallery):
+    g, test = with_probes(abc_gallery, [make_sample(30, [0.0], user=1)], 6)
+    columns = gallery_columns(test, g)
+    for call in (score_sets, lambda *args: export_score_scatter(*args, io.StringIO())):
+        with pytest.raises(ValueError, match="^the gallery and the test batch are rows of different datasets$"):
+            call(test, abc_gallery, columns)  # equal rows, another dataset
 
 
-def test_distance_columns_are_exact_rows_by_sample_id():
+def _held(dataset, rows, owner=None):
+    """A gallery of ``dataset``'s ``rows``, each of user 1 unless ``owner`` says."""
+    return Gallery(dataset, rows, owner or [1] * len(rows), np.zeros(len(rows), np.int64))
+
+
+def test_distance_columns_are_exact_rows_by_dataset_row():
     rng = np.random.default_rng(5)
     samples = [make_sample(sid, rng.normal(size=3)) for sid in (42, 40, 43, -1, 41)]
-    test = Batch(index=6, samples=tuple(make_sample(i, rng.normal(size=3)) for i in range(7)))
-    x = np.array([s.vector for s in test.samples])
-    by_id = {s.id: s for s in samples}
+    samples += [make_sample(100 + i, rng.normal(size=3)) for i in range(7)]
+    dataset = Dataset.of(samples)
+    test = Batch(dataset, np.arange(5, 12), 6)
+    x = test.vectors
+    # rows 4, 0 and 2 in one gallery, 2 and 1 in another: each held row once, ascending
+    galleries = [_held(dataset, [4, 0, 2]), _held(dataset, [2, 1], [1, 2])]
     for metric in METRICS:
-        ids, table = distance_columns(test, samples, metric)
-        assert ids.dtype == np.int64 and ids.tolist() == [-1, 40, 41, 42, 43]  # ascending
-        assert table.dtype == np.float64 and table.shape == (5, 7)
-        for sid, row in zip(ids.tolist(), table):
-            assert row.tolist() == _distances_to_rows(by_id[sid].vector, x, metric).tolist()
-    ids, table = distance_columns(Batch(index=6, samples=()), samples)
-    assert ids.tolist() == [-1, 40, 41, 42, 43] and table.shape == (5, 0)
-    ids, table = distance_columns(test, [])
-    assert ids.shape == (0,) and table.shape == (0, 7) and table.dtype == np.float64
+        column, table = distance_columns(test, galleries, metric)
+        assert column.tolist() == [0, 1, 2, -1, 3] + [-1] * 7
+        assert table.dtype == np.float64 and table.shape == (4, 7)
+        for row, values in zip((0, 1, 2, 4), table):
+            assert values.tolist() == _distances_to_rows(dataset.vectors[row], x, metric).tolist()
+    column, table = distance_columns(Batch(dataset, [], 6), galleries)
+    assert column.tolist()[:5] == [0, 1, 2, -1, 3] and table.shape == (4, 0)
+    column, table = distance_columns(test, [])
+    assert (column == -1).all() and table.shape == (0, 7) and table.dtype == np.float64
 
 
-def test_distance_columns_refuses_a_repeated_sample_id():
-    samples = [make_sample(sid, [float(sid)]) for sid in (7, 3, 9, 3, 7, 9)]
-    test = Batch(index=6, samples=(make_sample(0, [0.0]),))
-    # the first sample that repeats an id is the fourth (id 3), though 7 repeats too
-    with pytest.raises(ValueError, match="^sample id 3 is given more than once$"):
-        distance_columns(test, samples)
-    with pytest.raises(ValueError, match="^sample id 5 is given more than once$"):
-        distance_columns(test, [make_sample(5, [0.0]), make_sample(5, [1.0])])
+def test_distance_columns_refuse_a_gallery_of_another_dataset_before_any_distance(monkeypatch):
+    computed = []  # every exact distance reduces through _norms
+    monkeypatch.setattr(matching, "_norms", lambda *args: computed.append(args) or np.zeros(1))
+    samples = [make_sample(40, [1.0, 1.0]), make_sample(41, [2.0, 0.0]), make_sample(0, [0.0, 1.0])]
+    dataset, twin = Dataset.of(samples), Dataset.of(samples)
+    test = Batch(dataset, [2], 6)
+    with pytest.raises(ValueError, match="^the gallery and the test batch are rows of different datasets$"):
+        distance_columns(test, [_held(dataset, [0]), _held(twin, [1])])
+    assert computed == []
+    with pytest.raises(ValueError, match="unknown metric"):
+        distance_columns(test, [_held(dataset, [0])], "cosine")
 
 
 @pytest.mark.parametrize(
@@ -477,23 +481,24 @@ def test_distance_columns_refuses_a_repeated_sample_id():
 )
 def test_distance_columns_blocks_are_bitwise_the_row_kernel(monkeypatch, n, t, dim):
     rng = np.random.default_rng(n * t + dim)
+    probes = [make_sample(10_000 + i, rng.normal(3.0, 2.0, dim)) for i in range(t)]
     samples = [make_sample(100 + i, rng.normal(3.0, 2.0, dim)) for i in range(n)]
     if n > 1:  # a duplicate and an exact hit on a test sample
         samples[1] = make_sample(101, samples[0].vector)
-    probes = [make_sample(i, rng.normal(3.0, 2.0, dim)) for i in range(t)]
-    test = Batch(index=6, samples=tuple(probes))
     if t:
-        samples[-1] = make_sample(100 + n - 1, test.samples[0].vector)
-    x = np.array([s.vector for s in test.samples]).reshape(t, dim)
+        samples[-1] = make_sample(100 + n - 1, probes[0].vector)
+    dataset = Dataset.of(probes + samples)
+    test = Batch(dataset, np.arange(t), 6)
+    x = test.vectors
     reduce, sizes = matching._norms, []
     monkeypatch.setattr(
         matching, "_norms", lambda diff, m: sizes.append(diff.size) or reduce(diff, m)
     )
     for metric in METRICS:
         sizes.clear()
-        ids, table = distance_columns(test, samples[::-1], metric)  # rows come back by id
+        column, table = distance_columns(test, [_held(dataset, t + np.arange(n)[::-1])], metric)
         blocked = list(sizes)
-        assert ids.tolist() == [s.id for s in samples]
+        assert column.tolist() == [-1] * t + list(range(n))  # rows in dataset order
         # one C-ordered table, filled block by block: no per-row copies
         assert type(table) is np.ndarray and table.flags.c_contiguous
         assert table.dtype == np.float64 and table.shape == (n, t)
@@ -507,50 +512,31 @@ def test_distance_columns_blocks_are_bitwise_the_row_kernel(monkeypatch, n, t, d
         assert len(blocked) == -(-n // per_block)
 
 
-def test_distance_columns_names_the_first_sample_of_another_dim_in_any_block():
-    rng = np.random.default_rng(3)
-    test = Batch(index=6, samples=tuple(make_sample(i, rng.normal(size=40)) for i in range(100)))
-    samples = [make_sample(100 + i, rng.normal(size=40)) for i in range(11)]
-    for bad in (1, 5, 10):  # first, middle and last block of 4 samples
-        ragged = samples[:bad] + [make_sample(100 + bad, rng.normal(size=39))] + samples[bad + 1 :]
-        message = f"dimension mismatch: sample {100 + bad} has dim 39, expected 40"
-        with pytest.raises(ValueError, match=message):
-            distance_columns(test, ragged)
-    wide = Batch(index=6, samples=test.samples[:3] + (make_sample(7, rng.normal(size=41)),))
-    with pytest.raises(ValueError, match="dimension mismatch: sample 7 has dim 41, expected 40"):
-        distance_columns(wide, samples)
-    # both mismatched: the samples are stacked first, so one of them is named
-    with pytest.raises(ValueError, match="dimension mismatch: sample 110 has dim 39, expected 40"):
-        distance_columns(wide, ragged)
-    with pytest.raises(ValueError, match="unknown metric"):
-        distance_columns(test, samples, "cosine")
-
-
-def test_distance_columns_rejects_a_sample_of_another_dim_before_any_distance(monkeypatch):
-    computed = []  # every exact distance reduces through _norms
-    monkeypatch.setattr(matching, "_norms", lambda *args: computed.append(args) or np.zeros(1))
-    test = Batch(index=6, samples=(make_sample(0, [0.0, 1.0]),))
-    samples = [make_sample(40, [1.0, 1.0]), make_sample(41, [2.0, 0.0]), make_sample(42, [3.0])]
-    with pytest.raises(ValueError, match="dimension mismatch: sample 42 has dim 1, expected 2"):
-        distance_columns(test, samples)
-    assert computed == []
+def test_distance_columns_mark_held_rows_without_plain_unique(monkeypatch):
+    # numpy's plain unique takes a hash path whose first call is slow
+    monkeypatch.setattr(np, "unique", lambda *args, **kwargs: pytest.fail("np.unique called"))
+    g, test = with_probes(gallery_1d({1: [0.0, 1.0], 2: [5.0]}), [make_sample(9, [0.5], user=1)], 6)
+    column, table = distance_columns(test, [g, g, g])
+    assert column.tolist() == [0, 1, 2, -1] and table.shape == (3, 1)
 
 
 def test_score_sets_reads_only_its_templates_columns(abc_gallery):
-    test = Batch(index=6, samples=(make_sample(30, [0.3], user=1), make_sample(31, [1.2], user=3)))
-    held = list(abc_gallery.samples)  # ids 0, 1 and 2
-    columns = gallery_columns(test, abc_gallery)
-    # rows of samples outside the gallery, before, between and after its own, change nothing
+    # ids 0, 1 and 2 are the gallery's rows 0, 1 and 2; rows 3 to 5 are extra samples
     extra = [make_sample(-5, [0.3]), make_sample(50, [9.0]), make_sample(51, [1.0])]
-    wider = distance_columns(test, extra + held)
-    assert wider[0].tolist() == [-5, 0, 1, 2, 50, 51]
-    assert _scores(test, abc_gallery, wider) == _scores(test, abc_gallery, columns)
-    gap = distance_columns(test, [make_sample(sid, s.vector) for sid, s in zip((0, 3, 4), held)])
-    for missing, table in ((1, distance_columns(test, held[:1] + held[2:])),  # in the middle
-                           (2, distance_columns(test, held[:2])),  # past the last id
-                           (0, distance_columns(test, held[1:])),  # before the first id
-                           (1, gap)):  # ids on both sides of it
+    g, test = with_probes(abc_gallery, extra + [make_sample(30, [0.3], user=1), make_sample(31, [1.2], user=3)], 6)
+    test = Batch(test.dataset, test.rows[3:], 6)
+    dataset = g.dataset
+    columns = gallery_columns(test, g)
+    # rows of samples outside the gallery, before, between and after its own, change nothing
+    wider = distance_columns(test, [_held(dataset, [3, 4]), g, _held(dataset, [5])])
+    assert (wider[0][:6] >= 0).all() and wider[1].shape == (6, 2)
+    assert _scores(test, g, wider) == _scores(test, g, columns)
+    gap = distance_columns(test, [_held(dataset, [0, 3, 4])])
+    for missing, table in ((1, distance_columns(test, [_held(dataset, [0, 2])])),  # in the middle
+                           (2, distance_columns(test, [_held(dataset, [0, 1])])),  # past the last row
+                           (0, distance_columns(test, [_held(dataset, [1, 2])])),  # before the first row
+                           (1, gap)):  # rows on both sides of it
         with pytest.raises(ValueError, match=f"^template sample {missing} has no distance column$"):
-            score_sets(test, abc_gallery, table)
+            score_sets(test, g, table)
         with pytest.raises(ValueError, match=f"^template sample {missing} has no distance column$"):
-            export_score_scatter(test, abc_gallery, table, io.StringIO())
+            export_score_scatter(test, g, table, io.StringIO())

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from selfgallery import matching, selection
 from selfgallery.clustering import Clustering, KMeansParams, kmeans
+from selfgallery.core import Dataset
 from selfgallery.matching import _distances_to_rows
 from selfgallery.selection import select, select_dend, select_kmeans, select_mdist
 
@@ -23,6 +24,11 @@ from oracles import (
 )
 
 
+def _block(ss):
+    """The candidates' vectors as the (n, dim) block selection reads, in order."""
+    return np.array([s.vector for s in ss])
+
+
 def _values(ss):
     return [s.vector.tolist() for s in ss]
 
@@ -33,19 +39,19 @@ def _ids(ss):
 
 def _run(fn, cands, *args):
     """The sample ids at the positions ``fn(cands, *args)`` returns."""
-    return [cands[i].id for i in fn(cands, *args)]
+    return [cands[i].id for i in fn(_block(cands), *args)]
 
 
 def _chosen(fn, cands, *args):
     """The candidates at the positions ``fn(cands, *args)`` returns."""
-    return [cands[i] for i in fn(cands, *args)]
+    return [cands[i] for i in fn(_block(cands), *args)]
 
 
 def _select_kmeans(candidates_by_user, p):
     """select_kmeans' kept pool positions as each user's kept samples, in order."""
     pool = [(u, s) for u in sorted(candidates_by_user) for s in candidates_by_user[u]]
     out = {u: [] for u in candidates_by_user}
-    for i in select_kmeans(candidates_by_user, p).tolist():
+    for i in select_kmeans({u: _block(c) for u, c in candidates_by_user.items()}, p).tolist():
         out[pool[i][0]].append(pool[i][1])
     return out
 
@@ -78,8 +84,8 @@ def test_dend_example():
 
 def test_identity_when_not_over_cap():
     cands = make_samples([[0.0], [1.0]])
-    assert select_mdist(cands, 2) == [0, 1]
-    assert select_dend(cands, 3) == [0, 1]
+    assert select_mdist(_block(cands), 2) == [0, 1]
+    assert select_dend(_block(cands), 3) == [0, 1]
 
 
 def test_degenerate_identical_candidates_tie_rule():
@@ -97,7 +103,7 @@ def test_dend_collinear_extremes():
 def test_rejects_bad_p():
     cands = make_samples([[0.0]])
     with pytest.raises(ValueError):
-        select_mdist(cands, 0)
+        select_mdist(_block(cands), 0)
     with pytest.raises(ValueError):
         oracle_subset_select(cands, 0, MIN_SUM)
 
@@ -193,15 +199,15 @@ def test_select_kmeans_candidate_order_invariance():
     a = make_samples((rng.normal(size=(5, 2))).tolist(), start_id=0, user=1)
     b = make_samples((rng.normal(size=(5, 2)) + 20).tolist(), start_id=10, user=2)
     # the pool takes users in ascending key order, whatever the mapping's order
-    out1 = select_kmeans({1: a, 2: b}, p=3)
-    out2 = select_kmeans({2: b, 1: a}, p=3)
+    out1 = select_kmeans({1: _block(a), 2: _block(b)}, p=3)
+    out2 = select_kmeans({2: _block(b), 1: _block(a)}, p=3)
     assert out1.tolist() == out2.tolist()
 
 
 def test_select_kmeans_rejects_empty_user():
     a = make_samples([[0.0]], user=1)
     with pytest.raises(ValueError):
-        select_kmeans({1: a, 2: []}, p=2)
+        select_kmeans({1: _block(a), 2: _block([])}, p=2)
 
 
 def _mixed(n, bad, start_id=0, user=1):
@@ -216,7 +222,7 @@ MISMATCH = "dimension mismatch: sample {} has dim 1, expected 2$"
 def _selectors(p):
     """Every selection entry point, ``select`` under each method, called at
     ``p`` on one user's three candidates."""
-    c = make_samples([[0.0], [1.0], [3.0]])
+    c = _block(make_samples([[0.0], [1.0], [3.0]]))
     return [lambda: select_mdist(c, p), lambda: select_dend(c, p), lambda: select_kmeans({1: c}, p)] + [
         lambda m=m: select(m, c, np.ones(3, np.int64), p) for m in ("keep_all", "kmeans", "mdist", "dend")
     ]
@@ -227,14 +233,14 @@ def _selectors(p):
     [
         (lambda: select_mdist([], 2), "no candidates to select from"),
         (lambda: select_dend([], 2), "no candidates to select from"),
-        (lambda: select_kmeans({1: make_samples([[0.0]])}, 0), "p must be positive"),
+        (lambda: select_kmeans({1: _block(make_samples([[0.0]]))}, 0), "p must be positive"),
         # a bool p would keep one template; a float or str would fail inside comb or numpy, or pass
         *[(call, f"^p must be an integer, not {p!r}$") for p in (True, 2.0, "2") for call in _selectors(p)],
-        # the stack names the first sample of another dim, in id order
-        (lambda: select_mdist(_mixed(4, 2), 2), MISMATCH.format(2)),  # exact
-        (lambda: select_dend(_mixed(33, 30), 6), MISMATCH.format(30)),  # greedy
-        (lambda: select_kmeans({1: _mixed(3, None), 2: _mixed(4, 1, start_id=10, user=2)}, 1),
-         MISMATCH.format(11)),
+        # candidates are rows of one dataset, whose one stack (Dataset.of)
+        # names the first sample of another dim, in id order
+        (lambda: Dataset.of(_mixed(4, 2)), MISMATCH.format(2)),  # an exact search's size
+        (lambda: Dataset.of(_mixed(33, 30)), MISMATCH.format(30)),  # a greedy search's size
+        (lambda: Dataset.of(_mixed(3, None) + _mixed(4, 1, start_id=10, user=2)), MISMATCH.format(11)),
     ],
 )
 def test_boundary_checks_raise_their_messages(call, message):
@@ -283,7 +289,7 @@ def _chunked_reference_ids(cands, p, maximize, chunk=1024):
 
 
 def _assert_matches_reference(cands, p, maximize):
-    chosen = selection._enumerate_best(cands, p, maximize)
+    chosen = selection._enumerate_best(_block(cands), p, maximize)
     ids, obj = _reference_best(cands, p, maximize)
     assert [cands[i].id for i in chosen] == ids
     vecs = np.stack([s.vector for s in cands])
@@ -511,7 +517,7 @@ def test_pair_matrix_is_bitwise_the_row_kernel(n, d, monkeypatch):
     rng = np.random.default_rng(n * d)
     v = rng.normal(size=(n, d)) + 1e4
     v[n // 2 :] = v[: n - n // 2]
-    cands = make_samples(v)
+    cands = _block(make_samples(v))
     want = _exact_sqmat(v)
     assert np.array_equal(selection._pair_matrix(cands), want)
     assert np.array_equal(want, want.T) and not want.diagonal().any()
@@ -558,7 +564,7 @@ def test_greedy_select_equals_per_candidate_list(maximize):
 def test_p1_answers_lowest_id_without_a_matrix(select):
     # 50,000 candidates: one squared distance matrix would be 20 GB
     rng = np.random.default_rng(0)
-    cands = make_samples(rng.normal(size=(50_000, 2)))
+    cands = _block(make_samples(rng.normal(size=(50_000, 2))))
     tracemalloc.start()
     try:
         chosen = select(cands, 1)
@@ -711,7 +717,7 @@ def test_enumerate_best_scores_every_tied_subset(monkeypatch, maximize):
 
 def _first_band(cands, p, maximize):
     """The index rows of the first block's band, before any incumbent."""
-    screen, subsets = next(selection._blocks(selection._pair_matrix(cands), p))
+    screen, subsets = next(selection._blocks(selection._pair_matrix(_block(cands)), p))
     delta = 8 * (p * (p - 1) // 2) * selection._UNIT_ROUNDOFF
     return subsets(selection._band(screen, -np.inf if maximize else np.inf, maximize, delta)).tolist()
 
@@ -940,7 +946,7 @@ def test_overflowed_screen_in_one_block_keeps_every_subset(select, want):
     cands = _overflowing_samples(10)
     assert comb(10, 6) <= selection.EXACT_CHUNK
     with np.errstate(over="ignore", invalid="ignore"):
-        sqmat = selection._pair_matrix(cands)
+        sqmat = selection._pair_matrix(_block(cands))
         assert np.isinf(sqmat).any() and not np.isnan(sqmat).any()
         assert want == _chunked_reference_ids(cands, 6, select is select_dend, chunk=selection.EXACT_CHUNK)
         assert _run(select, cands, 6) == want
@@ -986,7 +992,7 @@ def test_select_equals_the_engine_branch(method):
         for u, n in ((3, 9), (1, 2), (2, 7))
     }
     samples, owner = _rows(cands)
-    out = select(method, samples, owner, 4).tolist()
+    out = select(method, _block(samples), owner, 4).tolist()
     want = _select_as_engine_branched(method, cands, 4)
     assert {u: [samples[i].id for i in out if owner[i] == u] for u in cands} == want
 
@@ -1002,11 +1008,12 @@ def test_select_calls_the_module_attribute(monkeypatch):
     samples, owner = _rows(
         {1: make_samples([[0.0], [1.0], [3.0]], user=1), 2: make_samples([[9.0]], 10, 2)}
     )
-    out = select(selection.MDIST, samples, owner, 2)
+    out = select(selection.MDIST, _block(samples), owner, 2)
     assert calls == [3, 1]
     assert [samples[i].id for i in out.tolist()] == [0, 1, 10]
 
 
 def test_select_rejects_unknown_method():
     with pytest.raises(ValueError, match="unknown selection method"):
-        select("median", *_rows({1: make_samples([[0.0]])}), 1)
+        samples, owner = _rows({1: make_samples([[0.0]])})
+        select("median", _block(samples), owner, 1)

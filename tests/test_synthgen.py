@@ -4,13 +4,14 @@ import pytest
 from selfgallery import synthgen
 from selfgallery.synthgen import SynthParams, generate, user_means
 
+from conftest import samples_of
 from oracles import reference_generate
 
 
 def test_determinism_same_seed():
     params = SynthParams(k_users=4, dim=3, tail_eps=0.2, samples_per_user=20, seed=9)
-    a = generate(params)
-    b = generate(params)
+    a = samples_of(generate(params))
+    b = samples_of(generate(params))
     assert len(a) == len(b)
     for sa, sb in zip(a, b):
         assert sa.id == sb.id and sa.true_user == sb.true_user
@@ -20,13 +21,13 @@ def test_determinism_same_seed():
 def test_different_seed_differs():
     p1 = SynthParams(k_users=3, dim=2, samples_per_user=5, seed=1)
     p2 = SynthParams(k_users=3, dim=2, samples_per_user=5, seed=2)
-    a, b = generate(p1), generate(p2)
+    a, b = samples_of(generate(p1)), samples_of(generate(p2))
     assert any(not np.array_equal(sa.vector, sb.vector) for sa, sb in zip(a, b))
 
 
 def test_minimal_two_users():
     params = SynthParams(k_users=2, dim=2, samples_per_user=1, seed=0)
-    ds = generate(params)
+    ds = samples_of(generate(params))
     assert len(ds) == 2
     assert sorted(s.true_user for s in ds) == [1, 2]
 
@@ -45,7 +46,7 @@ def test_no_tail_high_separation_nearest_mean_perfect():
         k_users=5, dim=4, separation=20.0, tail_eps=0.0, samples_per_user=30, seed=5
     )
     means = user_means(params)
-    for s in generate(params):
+    for s in samples_of(generate(params)):
         d = np.linalg.norm(means - s.vector, axis=1)
         assert int(np.argmin(d)) + 1 == s.true_user
 
@@ -56,7 +57,7 @@ def test_dominant_mode_fraction_within_binomial_bounds():
         k_users=4, dim=6, separation=12.0, tail_eps=eps, samples_per_user=250, seed=6
     )
     means = user_means(params)
-    ds = generate(params)
+    ds = samples_of(generate(params))
     in_mode = sum(
         np.linalg.norm(s.vector - means[s.true_user - 1]) < 6.0  # well inside sep/2
         for s in ds
@@ -131,6 +132,15 @@ LAYOUT_PARAMS = [
 
 @pytest.mark.parametrize("params", LAYOUT_PARAMS)
 def test_generate_matches_the_per_sample_reference_byte_for_byte(params):
-    got, ref = generate(params), reference_generate(params)
+    got, ref = samples_of(generate(params)), reference_generate(params)
     assert [(s.id, s.true_user, s.session) for s in got] == [(s.id, s.true_user, s.session) for s in ref]
     assert [s.vector.tobytes() for s in got] == [s.vector.tobytes() for s in ref]
+
+
+def test_generate_returns_a_dataset_over_its_drawn_matrix():
+    params = SynthParams(k_users=3, dim=4, tail_eps=0.3, samples_per_user=5, seed=2)
+    ds = generate(params)
+    assert ds.vectors.shape == (15, 4) and ds.vectors.flags.c_contiguous and ds.vectors.flags.owndata
+    assert not ds.vectors.flags.writeable
+    assert ds.sample_id.tolist() == list(range(15)) and ds.true_user.tolist() == [1] * 5 + [2] * 5 + [3] * 5
+    assert ds.session.tolist() == [-1] * 15

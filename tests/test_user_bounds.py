@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfgallery.core import Batch, Gallery, user_bounds
+from selfgallery.core import Batch, Dataset, Gallery, user_bounds
 from selfgallery.matching import ThresholdPolicy, _exact, estimate_threshold, impostor_pool
 from selfgallery.metrics import distance_columns, impostor_fraction, score_sets
 
@@ -36,12 +36,11 @@ def _gallery_and_test(draw):
     owner = np.repeat(np.array(users, dtype=np.int64), counts)
     sid = np.concatenate([np.sort(part) for part in np.split(ids[:n], np.cumsum(counts)[:-1])])
     samples = [make_sample(int(i), rng.integers(-2, 3, d), user=int(rng.choice(users))) for i in sid]
-    gallery = Gallery(samples=samples, owner=owner, inserted_at=np.zeros(n, np.int64))
     size = draw(st.integers(1, 5))
-    test = Batch(index=1, samples=tuple(
-        make_sample(int(i), rng.integers(-2, 3, d), user=int(rng.choice(users))) for i in ids[n : n + size]
-    ))
-    return gallery, test
+    samples += [make_sample(int(i), rng.integers(-2, 3, d), user=int(rng.choice(users))) for i in ids[n : n + size]]
+    dataset = Dataset.of(samples)
+    gallery = Gallery(dataset, np.arange(n), owner, np.zeros(n, np.int64))
+    return gallery, Batch(dataset, n + np.arange(size), 1)
 
 
 def _fraction_by_searchsorted(gallery):
@@ -53,9 +52,9 @@ def _fraction_by_searchsorted(gallery):
 
 
 def _score_sets_by_searchsorted(test, gallery, columns):
-    users, (ids, table) = np.unique(gallery.owner), columns
-    own = np.array([s.true_user for s in test.samples])[:, None] == users
-    rows = np.searchsorted(ids, gallery.sample_id)
+    users, (column, table) = np.unique(gallery.owner), columns
+    own = test.true_user[:, None] == users
+    rows = column[gallery.rows]
     nearest = np.minimum.reduceat(table[rows], np.searchsorted(gallery.owner, users), axis=0).T
     return nearest[own], nearest[~own]
 
@@ -78,7 +77,7 @@ def test_bounds_and_their_readers_equal_the_searchsorted_references(case, metric
         assert bounds.dtype == np.int64 and bounds.tolist() == want.tolist()
     assert gallery.user_ids == users.tolist()
     assert impostor_fraction(gallery) == _fraction_by_searchsorted(gallery)
-    columns = distance_columns(test, gallery.samples, metric)
+    columns = distance_columns(test, [gallery], metric)
     for got, ref in zip(score_sets(test, gallery, columns), _score_sets_by_searchsorted(test, gallery, columns)):
         assert np.array_equal(got, ref)
     if len(users) == 1:  # no cross-user pair
@@ -101,7 +100,7 @@ def test_user_bounds_of_a_grouped_column(owner, bounds):
 
 
 def test_a_gallery_stores_its_bounds_read_only():
-    g = Gallery(samples=[make_sample(i, [float(i)]) for i in range(4)], owner=[2, 2, 5, 9],
+    g = Gallery(Dataset.of([make_sample(i, [float(i)]) for i in range(4)]), np.arange(4), owner=[2, 2, 5, 9],
                 inserted_at=[0] * 4)
     assert g.starts.tolist() == [0, 2, 3, 4] and g.starts is g.starts
     with pytest.raises(ValueError):
