@@ -132,17 +132,14 @@ def cmd_gen(args) -> int:
 def cmd_scatter(args) -> int:
     dataset = load_dataset(args.dataset)
     # each user's rows by session (none counts as 0), then id: the first p enroll
-    session = np.maximum(dataset.session, 0)
-    order = np.lexsort((dataset.sample_id, session, dataset.true_user))
+    order = np.lexsort((dataset.sample_id, np.maximum(dataset.session, 0), dataset.true_user))
     bounds = user_bounds(dataset.true_user[order]).tolist()
     for lo, hi in zip(bounds, bounds[1:]):
         if hi - lo <= args.p:
             raise ValueError(f"user {dataset.true_user[order[lo]]} has no probe samples left beyond p={args.p}")
     enroll = np.concatenate([order[lo : lo + args.p] for lo in bounds[:-1]])
     gallery = gallery_enroll(Batch(dataset, enroll, 0), cap=args.p)
-    probe = np.ones(len(dataset), dtype=bool)
-    probe[enroll] = False
-    probes = Batch(dataset, np.flatnonzero(probe), 1)  # in file order
+    probes = Batch(dataset, np.delete(np.arange(len(dataset)), enroll), 1)  # the other rows, in file order
     columns = distance_columns(probes, [gallery], _metric(args.metric))
     args.out.parent.mkdir(parents=True, exist_ok=True)
     with open(args.out, "w") as fh:

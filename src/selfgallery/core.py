@@ -48,8 +48,9 @@ Where inputs are checked. ``Sample`` checks one vector when it is built:
 source reaches it; its id, user and session must be integers (Python or
 numpy, not bool), id and user within int64. ``Dataset`` checks its columns
 once, as a whole: at least one row, one entry per row, every key an integer
-in int64, sessions -1 or non-negative, finite 2-D vectors of at least one
-coordinate, and distinct sample ids. Every scalar parameter of the package
+in int64, finite 2-D vectors of at least one coordinate, and distinct
+sample ids. A session is -1 for none and else non-negative; every reader
+takes any negative session as none. Every scalar parameter of the package
 goes through one of two rules: ``check_integer``, for every key, batch
 index, count, size and seed, with its floor if it has one (``p`` positive,
 a seed non-negative, at least 3 batches), and ``check_real``, for every
@@ -199,8 +200,6 @@ class Dataset:
             raise ValueError("sample_id, true_user, session and vectors must hold one entry per row")
         if len(bad := np.flatnonzero(~np.isfinite(vectors).all(axis=1))):
             raise ValueError(f"sample {ids[bad[0]]}: feature vector contains non-finite coordinates")
-        if session.min() < -1:
-            raise ValueError("session must be non-negative, or -1 for none")
         if (again := first_repeat(ids)) is not None:
             raise ValueError(f"duplicate sample_id {ids[again]}")
         _freeze(self, sample_id=ids, true_user=truth, session=session, vectors=vectors)
@@ -208,25 +207,31 @@ class Dataset:
     @classmethod
     def of(cls, samples: Sequence[Sample]) -> Dataset:
         """The samples as rows, in order: the one place a ``Sample`` becomes a
-        row. One ``np.array`` and a reshape stack the vectors; only when that
-        fails is the first sample of another dimension than the first's
-        searched for and named."""
+        row. The first sample of another dimension than the first's is
+        named."""
         samples = list(samples)
-        dim = samples[0].dim if samples else 0
-        try:
-            vectors = np.array([s.vector for s in samples], dtype=np.float64).reshape(len(samples), dim)
-        except ValueError:  # ragged or of another width
-            s = next(s for s in samples if s.dim != dim)
-            raise ValueError(f"dimension mismatch: sample {s.id} has dim {s.dim}, expected {dim}") from None
-        return cls(
-            sample_id=np.array([s.id for s in samples], dtype=np.int64),
-            true_user=np.array([s.true_user for s in samples], dtype=np.int64),
-            session=np.array([-1 if s.session is None else s.session for s in samples], dtype=np.int64),
-            vectors=vectors,
-        )
+        for s in samples:
+            if s.dim != samples[0].dim:
+                raise ValueError(f"dimension mismatch: sample {s.id} has dim {s.dim}, expected {samples[0].dim}")
+        keys = [(s.id, s.true_user, -1 if s.session is None else s.session) for s in samples]
+        return cls(*np.array(keys, dtype=np.int64).reshape(-1, 3).T, np.array([s.vector for s in samples]))
 
     def __len__(self) -> int:
         return len(self.vectors)
+
+
+class _Rows:
+    """Rows of one dataset, a ``Batch``'s or a ``Gallery``'s, whose vectors
+    and ground-truth users are gathers of the dataset's columns, per read."""
+
+    @property
+    def vectors(self) -> np.ndarray:
+        return self.dataset.vectors[self.rows]
+
+    @property
+    def true_user(self) -> np.ndarray:
+        """Ground truth: read by the split's enrollment and by evaluation only."""
+        return self.dataset.true_user[self.rows]
 
 
 def _in(dataset: Dataset, rows: np.ndarray) -> np.ndarray:
@@ -251,7 +256,7 @@ class UserGallery:
 
 
 @dataclass(frozen=True, eq=False)
-class Gallery:
+class Gallery(_Rows):
     """Every user's templates as rows of one dataset: gallery row i holds
     dataset row ``rows[i]`` for user ``owner[i]`` since batch
     ``inserted_at[i]`` (0 for enrollment).
@@ -304,26 +309,13 @@ class Gallery:
     def n_templates(self) -> int:
         return len(self.rows)
 
-    @property
-    def vectors(self) -> np.ndarray:
-        """The rows' vectors as one (n, dim) gather, per read."""
-        return self.dataset.vectors[self.rows]
-
-    @property
-    def true_user(self) -> np.ndarray:
-        """The rows' ground-truth users, gathered per read: evaluation's only."""
-        return self.dataset.true_user[self.rows]
-
     @cached_property
     def users(self) -> Mapping[int, UserGallery]:
         """A read-only view of the rows by user, each row a ``Sample``, built
         at the first read and kept for the benchmark's checks, its only
         reader: ``Template`` and ``UserGallery`` exist only for it."""
-        session = self.dataset.session[self.rows].tolist()
-        samples = [
-            Template(Sample(id=i, vector=v, true_user=u, session=None if s < 0 else s))
-            for i, v, u, s in zip(self.sample_id.tolist(), self.vectors, self.true_user.tolist(), session)
-        ]
+        keys = zip(self.sample_id.tolist(), self.true_user.tolist(), self.dataset.session[self.rows].tolist())
+        samples = [Template(Sample(i, v, u, None if s < 0 else s)) for (i, u, s), v in zip(keys, self.vectors)]
         bounds = self.starts.tolist()
         views = (UserGallery(tuple(samples[lo:hi])) for lo, hi in zip(bounds, bounds[1:]))
         return MappingProxyType(dict(zip(self.user_ids, views)))
@@ -346,7 +338,7 @@ def user_bounds(owner: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class Batch:
+class Batch(_Rows):
     """One update cycle's worth of unlabelled samples: rows of one dataset,
     in batch order, and the batch's index; compared and hashed by identity."""
 
@@ -364,15 +356,6 @@ class Batch:
     @property
     def sample_id(self) -> np.ndarray:
         return self.dataset.sample_id[self.rows]
-
-    @property
-    def true_user(self) -> np.ndarray:
-        """Ground truth: read by the split's enrollment and by evaluation only."""
-        return self.dataset.true_user[self.rows]
-
-    @property
-    def vectors(self) -> np.ndarray:
-        return self.dataset.vectors[self.rows]
 
 
 def gallery_enroll(batch: Batch, cap: Optional[int] = None) -> Gallery:

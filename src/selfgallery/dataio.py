@@ -5,7 +5,8 @@ one sample per row, constant dimension, unique sample ids; session may
 be empty.
 
 Where inputs are checked. ``load_dataset`` checks the file line by line:
-its header, each row's column count (so one dimension), integer ids in
+its header (with at least one feature column), each row's column count (so
+one dimension), integer ids in
 int64, sessions empty or non-negative, unique sample ids, finite feature
 values (nan and inf alike), then at least one sample and two users; each
 line's error is reported as ``path:line: ...``, the first bad line's. It
@@ -41,20 +42,17 @@ class Split:
 
 def load_dataset(path) -> Dataset:
     """Parse a feature CSV into a dataset; errors carry the offending line."""
-    keys: list[tuple[int, int, int]] = []  # (sample id, user, session) per row
-    values: list[list[float]] = []
-    seen_ids: set[int] = set()
+    keys, values, seen_ids = [], [], set()  # (sample id, user, session) and vector per row
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or header[:3] != ["user_id", "sample_id", "session"]:
+        if header is None or header[:3] != ["user_id", "sample_id", "session"] or len(header) < 4:
             raise ValueError(f"{path}: bad header {header!r}")
-        n_cols = len(header)
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             try:
-                if len(row) != n_cols:
+                if len(row) != len(header):
                     raise ValueError(f"ragged row ({len(row)} columns)")
                 user = check_int64(int(row[0]), "true_user")
                 sid = check_int64(int(row[1]), "id")
@@ -63,8 +61,6 @@ def load_dataset(path) -> Dataset:
                 seen_ids.add(sid)
                 session = check_integer(int(row[2]), "session", 0) if row[2] != "" else -1
                 vector = [float(v) for v in row[3:]]
-                if not vector:
-                    raise ValueError("feature vector must be 1-D with at least one coordinate")
                 if not all(map(math.isfinite, vector)):
                     raise ValueError("feature vector contains non-finite coordinates")
             except ValueError as e:

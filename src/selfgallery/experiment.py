@@ -118,18 +118,8 @@ def _run_one(cfg: ExperimentConfig, run: int, split: Split):
         for cycle, (report, snap) in enumerate(zip(reports, snapshots), start=1):
             ev = evaluate_snapshot(snap, split.test, columns, cfg.bytes_per_template)
             frac, _ = impostor_fraction(snap)
-            rows.append(
-                _row(
-                    run,
-                    cycle,
-                    method,
-                    ev["eer"],
-                    frac,
-                    report.elapsed_classify_s * 1e3,
-                    report.elapsed_select_s * 1e3,
-                    ev["gallery_bytes"],
-                )
-            )
+            ms = report.elapsed_classify_s * 1e3, report.elapsed_select_s * 1e3  # CPU time of the thread
+            rows.append(_row(run, cycle, method, ev["eer"], frac, *ms, ev["gallery_bytes"]))
     finals = {NO_UPDATE: g0, **{method: final for method, (final, _, _) in sequences.items()}}
     return rows, finals, columns
 
@@ -168,10 +158,7 @@ def run_experiment(cfg: ExperimentConfig):
     Returns (rows, aggregates). Row seeds are derived as base_seed + run
     so any single run can be re-executed in isolation.
     """
-    if isinstance(cfg.dataset, SynthParams):
-        dataset = generate(cfg.dataset)
-    else:
-        dataset = load_dataset(cfg.dataset)
+    dataset = generate(cfg.dataset) if isinstance(cfg.dataset, SynthParams) else load_dataset(cfg.dataset)
 
     out_dir = Path(cfg.out_dir) if cfg.out_dir is not None else None
     scatter = out_dir is not None and cfg.write_scatter

@@ -26,17 +26,10 @@ common offset.
 The columns come from one operand (``_Operand``): their float64 rows (one
 ``gallery.vectors`` gather) and c, and per (screen dtype, row group) their
 column tiles and squared norms, built at first use, so a float32 bound
-that fails keeps float64 tiles beside the float32 ones.
-``estimate_threshold`` leaves the operand of the gallery it read in one
-module-level slot, replacing any other, and ``classify_batch`` takes it
-from there when it reads the same ``Gallery`` object (``is``: galleries are
-immutable and compare by identity); otherwise it builds its own. Either way
-classification leaves the slot empty. So at most one gallery's rows and
-tiles are held between calls, and only from a t* to the classification
-that follows it, and a cycle (t*, classification, K-Means) gathers and
-centres its gallery once. Every value is built as a fresh operand would
-build it, so the slot never changes a result; a concurrent caller can only
-miss it, and then builds its own.
+that fails keeps float64 tiles beside the float32 ones. Each call builds
+its own operand and holds it only while it runs: ``estimate_threshold``
+and ``classify_batch`` each gather and centre the gallery once, and no
+module-level state is kept between calls.
 
 Tiles. Each ``_screen`` call is one stacked ``np.matmul`` of its rows
 against a (tiles, d, step) copy of the centred columns built once per
@@ -295,12 +288,6 @@ class _Operand:
         return self._tiles[dtype, group]
 
 
-# estimate_threshold's last (gallery, operand), taken by the classification
-# that reads the same gallery: at most one operand, and classification
-# leaves it empty (module docstring, Operands)
-_slot: list = []
-
-
 class _Screen:
     """The screen of rows x against the columns of ``operand`` (module
     docstring): both less the operand's centre and rounded to the screen
@@ -425,8 +412,7 @@ def _cross_screens(operand: _Operand, row_end: np.ndarray, count: int):
 @np.errstate(over="ignore", invalid="ignore")  # a screen may overflow: its tau is then infinite
 def _cross_order_statistic(operand: _Operand, row_end: np.ndarray, count: int, k: int) -> float:
     """k-th smallest euclidean cross-user distance, bitwise as in impostor_pool."""
-    # the screen's row copy is freed by now; its column tiles stay with the
-    # operand, for the classification that reads the same gallery
+    # the screen's row copy is freed by now
     screens, tau = _cross_screens(operand, row_end, count)
     a = screens.min() if k == 0 else np.partition(screens, k)[k]  # a copy keeps the pair order
     # Every screen is within tau of its exact value, so the exact k-th value
@@ -456,21 +442,15 @@ def estimate_threshold(
     zero_far: t* = min of the cross-user pool, so strict acceptance
     (d < t*) admits none of the pooled impostor pairs.
     far_quantile(q): lower empirical q-quantile of the pool.
-
-    The gallery's operand is left in the slot for the classification that
-    reads the same gallery next.
     """
     _known(metric)  # before any work
     mat, row_end, count = _cross_layout(gallery)
-    operand, k = _Operand(mat), policy.rank(count)
+    k = policy.rank(count)
     if metric == EUCLIDEAN:
-        t_star = _cross_order_statistic(operand, row_end, count, k)
-    else:
-        pool = _pool(mat, gallery.starts, metric)
-        pool.partition(k)  # in place: the order statistic is one pool element
-        t_star = float(pool[k])
-    _slot[:] = [(gallery, operand)]
-    return t_star
+        return _cross_order_statistic(_Operand(mat), row_end, count, k)
+    pool = _pool(mat, gallery.starts, metric)
+    pool.partition(k)  # in place: the order statistic is one pool element
+    return float(pool[k])
 
 
 def classify_batch(
@@ -485,10 +465,6 @@ def classify_batch(
     to the nearest template) and ``label`` (int64, that template's owner,
     a pseudo-label only where ``accepted``). An empty batch gives 0 rows.
     """
-    try:  # t*'s operand, if t* read this gallery last: the slot is emptied either way
-        held, operand = _slot.pop()  # atomic: a concurrent caller at most misses it
-    except IndexError:
-        held = None
     _known(metric)
     # a bool is no distance (the package refuses bool keys too); NaN would reject every probe
     if not check_real(t_star, "t*") >= 0:
@@ -496,8 +472,7 @@ def classify_batch(
     x = batch.vectors
     if x.shape[1] != gallery.dim:
         raise ValueError(f"dimension mismatch: batch {batch.index} has dim {x.shape[1]}, expected {gallery.dim}")
-    if held is not gallery:
-        operand = _Operand(gallery.vectors)
+    operand = _Operand(gallery.vectors)
     mat, owners = operand.rows, gallery.owner
     blocks = range(0, max(len(x), 1), _BLOCK)  # an empty batch makes one empty block
     if metric == EUCLIDEAN and len(x):

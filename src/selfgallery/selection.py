@@ -95,8 +95,7 @@ _FLOAT_MAX = float(np.finfo(float).max)
 
 def _pair_matrix(candidates: np.ndarray) -> np.ndarray:
     """The candidate rows' exact squared distance matrix (module docstring)."""
-    rows = np.asarray(candidates, dtype=np.float64)
-    return _exact(rows, rows, _SQUARED)
+    return _exact(candidates, candidates, _SQUARED)
 
 
 @lru_cache(maxsize=None)  # one p x p mask per p

@@ -403,7 +403,6 @@ def _ds(n=2):
          "sample_id, true_user, session and vectors must hold one entry per row$"),
         (lambda: Dataset([4, 7, 9], [1, 1, 1], [-1, -1, -1], [[0.0], [np.nan], [np.inf]]),
          "sample 7: feature vector contains non-finite coordinates$"),
-        (lambda: Dataset([4, 7], [1, 1], [-1, -2], np.zeros((2, 1))), "session must be non-negative, or -1 for none$"),
         (lambda: Dataset([4, 7, 4, 7], [1, 1, 1, 1], [-1] * 4, np.zeros((4, 1))), "duplicate sample_id 4$"),
         (lambda: Dataset([4, 2**63], [1, 1], [-1, -1], np.zeros((2, 1))), f"id {2**63} does not fit in int64$"),
         (lambda: Dataset([4, 5], [1, 1.5], [-1, -1], np.zeros((2, 1))), r"true_user must be an integer, not 1\.5$"),

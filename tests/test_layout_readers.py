@@ -1,12 +1,19 @@
-"""Only the gallery's owner reads its per-user template view.
+"""Only ``core`` reads per-object rows: the gallery's per-user template
+view, and ``Sample`` values.
 
 ``core`` defines ``Gallery.users`` and its element types ``Template`` and
 ``UserGallery``, kept only for the benchmark's checks; every other module in
 ``src/``, the engine that builds each cycle's gallery included, and every
-demo reads the gallery through its row accessors (``samples``, ``owner``,
-``inserted_at``, ``vectors``, ``sample_id``, ``true_user``, ``starts``,
-``user_ids``), so a change of layout touches ``core`` only and the view
-gains no reader.
+demo reads the gallery through its row accessors (``dataset``, ``rows``,
+``owner``, ``inserted_at``, ``vectors``, ``sample_id``, ``true_user``,
+``starts``, ``user_ids``), so a change of layout touches ``core`` only and
+the view gains no reader.
+
+Every module in ``src/`` passes rows of one ``core.Dataset``: a batch and a
+gallery are row indices, read through the same accessors, and a ``Sample``
+becomes a row only in ``core`` (``Dataset.of``). So no other module names
+``Sample`` (``__init__`` re-exports it, by import only) or ``stack_vectors``,
+or reads ``.samples``, ``.vector`` or ``.id``: per-object rows cannot return.
 """
 
 import ast
@@ -62,6 +69,56 @@ def test_checker_flags_layout_reads_and_spares_accessors():
         "templates = users\n"
     )
     assert sorted(layout_reads(source)) == ["line 3: .users", "line 4: .templates", "line 4: .users"]
+
+
+SAMPLE_NAMES = {"Sample", "stack_vectors"}
+SAMPLE_READS = {"samples", "vector", "id"}
+SOURCES = sorted(
+    path.relative_to(ROOT).as_posix() for path in (ROOT / "src").rglob("*.py") if path.name not in OWNERS
+)
+
+
+def sample_reads(source: str, reexport: bool = False) -> list[str]:
+    """Every read of an attribute named ``samples``, ``vector`` or ``id``, and
+    every use of the name ``Sample`` or ``stack_vectors`` (an import
+    included, unless ``reexport`` allows importing them from ``core``), in
+    ``source``, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in SAMPLE_READS | SAMPLE_NAMES:
+            found.append((node.lineno, f".{node.attr}"))
+        elif isinstance(node, ast.Name) and node.id in SAMPLE_NAMES:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.ImportFrom) and not (reexport and node.module == "core"):
+            found += [(node.lineno, f"import {a.name}") for a in node.names if a.name in SAMPLE_NAMES]
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_sources_are_found():
+    assert {f"src/selfgallery/{m}.py" for m in ("matching", "engine", "metrics", "__init__")} <= set(SOURCES)
+    assert not any(path.endswith("/core.py") for path in SOURCES)
+
+
+@pytest.mark.parametrize("path", SOURCES)
+def test_no_module_but_core_reads_sample_rows(path):
+    source = (ROOT / path).read_text()
+    assert sample_reads(source, reexport=path.endswith("/__init__.py")) == []
+
+
+def test_sample_checker_flags_per_object_rows_and_spares_row_accessors():
+    source = (
+        "x = stack_vectors(batch.samples, gallery.dim)\n"
+        "ids = np.fromiter((s.id for s in probes), dtype=np.int64)\n"
+        "v = [s.vector for s in rows]\n"
+        "from .core import Batch, Sample\n"
+        "x, ids = batch.vectors, batch.sample_id\n"
+        "rows = gallery.dataset.vectors[gallery.rows]\n"
+    )
+    assert sample_reads(source) == [
+        "line 1: .samples", "line 1: stack_vectors", "line 2: .id", "line 3: .vector", "line 4: import Sample",
+    ]
+    assert sample_reads("from .core import Batch, Sample\n", reexport=True) == []
+    assert sample_reads("from .dataio import Sample\n", reexport=True) == ["line 1: import Sample"]
 
 
 def test_checker_flags_the_view_types():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from selfgallery import matching, metrics
 from selfgallery.clustering import KMeansParams, kmeans
-from selfgallery.core import Batch, Gallery
+from selfgallery.core import Batch
 from selfgallery.matching import (
     _BLOCK,
     _GATHER,
@@ -611,77 +611,38 @@ def _count_operands(monkeypatch):
 
 @pytest.mark.parametrize("case", ["d16", "d128", "few", "float64", "overflow", "l1"])
 @pytest.mark.parametrize("q", [None, 0.2])
-def test_classification_after_t_star_is_bitwise_that_of_an_empty_slot(monkeypatch, case, q):
+def test_classification_after_t_star_is_bitwise_the_row_reference(monkeypatch, case, q):
     g, probes, metric = _handoff_case(case)
     batch = probe_batch(tuple(make_sample(10_000 + i, v) for i, v in enumerate(probes)))
     built = _count_operands(monkeypatch)
     with np.errstate(over="ignore", invalid="ignore"):  # the overflow case's reference sums
         t = estimate_threshold(g, ThresholdPolicy(q=q), metric)
-        (held, operand), = matching._slot
-        assert held is g and len(built) == 1
-        if case == "float64":
-            assert {dtype for dtype, _ in operand._tiles} == {np.float32, np.float64}
-        warm = classify_batch(batch, g, t, metric)
-        assert matching._slot == [] and len(built) == 1  # t*'s operand served it
-        if case == "few":  # the shared rows and centre, tiles for 5-row slices
-            assert (np.float32, 5) in operand._tiles
-        cold = classify_batch(batch, g, t, metric)
-    assert len(built) == 2
-    assert warm.dtype == cold.dtype and warm.tobytes() == cold.tobytes()
-    got = [(d.sample_id, d.accepted, d.distance, d.label) for d in warm]
+        assert len(built) == (metric == "euclidean")  # l1's t* scores the exact pool
+        first = classify_batch(batch, g, t, metric)
+        again = classify_batch(batch, g, t, metric)
+    assert len(built) == (metric == "euclidean") + 2  # each call builds its own operand
+    assert first.dtype == again.dtype and first.tobytes() == again.tobytes()
+    got = [(d.sample_id, d.accepted, d.distance, d.label) for d in first]
     assert got == _classify_by_row(batch, g, t, metric)
 
 
-def test_an_equal_gallery_builds_its_own_operand(monkeypatch):
-    g, probes, _ = _handoff_case("d16")
-    twin = Gallery(g.dataset, g.rows, g.owner, g.inserted_at)  # equal content
-    batch = probe_batch(tuple(make_sample(10_000 + i, v) for i, v in enumerate(probes)))
-    built = _count_operands(monkeypatch)
-    t = estimate_threshold(g)
-    got = classify_batch(batch, twin, t)
-    assert len(built) == 2 and built[1] is not built[0] and matching._slot == []
-    assert got.tobytes() == classify_batch(batch, g, t).tobytes()
-
-
-def test_the_slot_holds_the_last_t_star_gallery_only():
-    a, _, _ = _handoff_case("d16")
-    b, _, _ = _handoff_case("l1")
-    estimate_threshold(a)
-    estimate_threshold(b, metric="l1")
-    assert [held for held, _ in matching._slot] == [b]
-    with pytest.raises(ValueError, match="cross-user"):  # a failed t* stores nothing
-        estimate_threshold(gallery_1d({1: [0.0, 1.0]}))
-    assert [held for held, _ in matching._slot] == [b]
-    estimate_threshold(a)
-    with pytest.raises(ValueError, match="non-negative"):  # classification empties it even so
-        classify_batch(Batch(a.dataset, [], 1), a, -1.0)
-    assert matching._slot == []
-
-
-def test_the_slot_holds_at_most_one_galleries_rows_and_tiles():
+def test_no_call_holds_a_galleries_rows_or_tiles_after_it_returns():
     rng = np.random.default_rng(3)
     galleries = [screen_gallery(rng, 64, [6] * 50, 0.0)[0] for _ in range(5)]  # 300 x 64 each
-    matching._slot.clear()
+    batch = probe_batch((make_sample(10_000, np.zeros(64)),))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         for g in galleries:
-            estimate_threshold(g)
-            held = tracemalloc.get_traced_memory()[0] - base
-        (_, operand), = matching._slot
-        one = operand.rows.nbytes + sum(s.nbytes + yy.nbytes for s, yy in operand._tiles.values())
-        assert one < 2 * operand.rows.nbytes  # float64 rows, float32 tiles
-        assert held <= one + (16 << 10)  # not five galleries' worth
-        del operand
-        classify_batch(probe_batch((make_sample(10_000, np.zeros(64)),)), galleries[-1], 1.0)
+            classify_batch(batch, g, estimate_threshold(g))
         assert tracemalloc.get_traced_memory()[0] - base <= 16 << 10
     finally:
         tracemalloc.stop()
 
 
-def test_concurrent_hand_offs_never_read_another_galleries_operand():
-    # threads interleave t* and classification of their own galleries: a
-    # caller may miss the slot, but every record is that of an empty slot
+def test_concurrent_calls_never_read_another_galleries_operand():
+    # threads interleave t* and classification of their own galleries: every
+    # record is that of the call made alone
     rng = np.random.default_rng(11)
     cases = []
     for i in range(4):
@@ -689,7 +650,6 @@ def test_concurrent_hand_offs_never_read_another_galleries_operand():
         probes = [shared] + list(rng.normal(2.0, 1.5, (_BLOCK + 5, 16)))
         batch = probe_batch(tuple(make_sample(10_000 + j, v) for j, v in enumerate(probes)))
         t = estimate_threshold(g)
-        matching._slot.clear()
         cases.append((g, batch, classify_batch(batch, g, t).tobytes()))
     wrong = []
 
@@ -697,7 +657,7 @@ def test_concurrent_hand_offs_never_read_another_galleries_operand():
         try:
             for _ in range(25):
                 t = estimate_threshold(g)
-                time.sleep(0)  # lets another thread's t* replace the slot's operand
+                time.sleep(0)  # lets another thread's t* and classification run between
                 if classify_batch(batch, g, t).tobytes() != want:
                     wrong.append(g)
         except Exception as exc:  # another gallery's rows can also fail to index
