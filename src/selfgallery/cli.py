@@ -6,9 +6,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import selection
 import numpy as np
 
+from . import selection
 from .core import Batch, gallery_enroll, user_bounds
 from .dataio import load_dataset, write_dataset
 from .experiment import ExperimentConfig, run_experiment

@@ -6,8 +6,8 @@ matching metric; the selection objectives are written with squares.
 Each pass assigns every point to its nearest centroid by exact squared
 distance, the first centroid on ties, as ``tests/oracles.py::exact_assign``
 computes it over every pair. It gets there through matching's screen
-(``matching._Screen``), with the points as its rows and an operand over
-the centroids as its columns. What differs from classification is that a
+(``matching._Screen``), with the points as its rows and the centroids as
+its columns. What differs from classification is that a
 call keeps its screens from pass to pass and screens again only the
 centroids that moved (``_Screen.rescreen``).
 
@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import check_integer
-from .matching import _SQUARED, _Operand, _Screen, _sq_norms
+from .matching import _SQUARED, _Screen, _sq_norms
 
 USER_MEANS = "user_means"
 SEEDED_RANDOM = "seeded_random"
@@ -193,7 +193,7 @@ def kmeans(
         raise ValueError(f"{len(labels)} labels for {n} points")
 
     centroids, groups = _init_centroids(points, params, labels)
-    screen = _Screen(points, _Operand(centroids), _SQUARED, 1)
+    screen = _Screen(points, centroids, _SQUARED, 1)
     history: list[float] = []
     settled = False
     for _ in range(MAX_ITER):

@@ -6,12 +6,11 @@ be empty.
 
 Where inputs are checked. ``load_dataset`` checks the file line by line:
 its header (with at least one feature column), each row's column count (so
-one dimension), integer ids in
-int64, sessions empty or non-negative, unique sample ids, finite feature
-values (nan and inf alike), then at least one sample and two users; each
-line's error is reported as ``path:line: ...``, the first bad line's. It
-parses into one ``core.Dataset``, which checks its columns again as a
-whole. ``write_dataset`` takes a ``Dataset``, whose ids are distinct and
+one dimension), integer ids in int64, sessions empty or non-negative,
+unique sample ids, finite feature values (nan and inf alike), then at
+least one sample and two users; each line's error is reported as
+``path:line: ...``, the first bad line's. It parses into one
+``core.Dataset``, which checks its columns again as a whole. ``write_dataset`` takes a ``Dataset``, whose ids are distinct and
 whose vectors share one dimension, and refuses a set of fewer than two
 users, which the loader would refuse, before the file is opened.
 

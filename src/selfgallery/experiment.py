@@ -4,8 +4,8 @@ One run = one seeded split of the dataset into enroll / adaptation / test
 batches, followed by the full update sequence for every requested method
 plus the frozen no-update baseline. Once every sequence has run, each
 snapshot is evaluated against the same independent test batch, from one
-distance table over only the dataset rows the run's galleries hold. Results are
-averaged over runs.
+distance table over only the dataset rows the run's galleries hold.
+Results are averaged over runs.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ def _run_one(cfg: ExperimentConfig, run: int, split: Split):
     for method in cfg.methods:
         engine_cfg = EngineConfig(method=method, p=cfg.p, metric=cfg.metric, policy=cfg.policy)
         sequences[method] = run_sequence(g0, list(split.adaptation), engine_cfg)
-    # one table scores them all, over each sample some gallery holds, once
+    # one table scores them all, over each row some gallery holds, once
     galleries = [g0] + [snap for _, _, snapshots in sequences.values() for snap in snapshots]
     columns = distance_columns(split.test, galleries, cfg.metric)
     base_eval = evaluate_snapshot(g0, split.test, columns, cfg.bytes_per_template)
@@ -118,8 +118,18 @@ def _run_one(cfg: ExperimentConfig, run: int, split: Split):
         for cycle, (report, snap) in enumerate(zip(reports, snapshots), start=1):
             ev = evaluate_snapshot(snap, split.test, columns, cfg.bytes_per_template)
             frac, _ = impostor_fraction(snap)
-            ms = report.elapsed_classify_s * 1e3, report.elapsed_select_s * 1e3  # CPU time of the thread
-            rows.append(_row(run, cycle, method, ev["eer"], frac, *ms, ev["gallery_bytes"]))
+            rows.append(
+                _row(
+                    run,
+                    cycle,
+                    method,
+                    ev["eer"],
+                    frac,
+                    report.elapsed_classify_s * 1e3,
+                    report.elapsed_select_s * 1e3,
+                    ev["gallery_bytes"],
+                )
+            )
     finals = {NO_UPDATE: g0, **{method: final for method, (final, _, _) in sequences.items()}}
     return rows, finals, columns
 
@@ -158,7 +168,10 @@ def run_experiment(cfg: ExperimentConfig):
     Returns (rows, aggregates). Row seeds are derived as base_seed + run
     so any single run can be re-executed in isolation.
     """
-    dataset = generate(cfg.dataset) if isinstance(cfg.dataset, SynthParams) else load_dataset(cfg.dataset)
+    if isinstance(cfg.dataset, SynthParams):
+        dataset = generate(cfg.dataset)
+    else:
+        dataset = load_dataset(cfg.dataset)
 
     out_dir = Path(cfg.out_dir) if cfg.out_dir is not None else None
     scatter = out_dir is not None and cfg.write_scatter

@@ -23,13 +23,12 @@ hold in float32. Distances do not change under translation, but the bound
 grows with squared norms, so centring keeps the band narrow under a large
 common offset.
 
-The columns come from one operand (``_Operand``): their float64 rows (one
-``gallery.vectors`` gather) and c, and per (screen dtype, row group) their
-column tiles and squared norms, built at first use, so a float32 bound
-that fails keeps float64 tiles beside the float32 ones. Each call builds
-its own operand and holds it only while it runs: ``estimate_threshold``
-and ``classify_batch`` each gather and centre the gallery once, and no
-module-level state is kept between calls.
+A screen (``_Screen``) takes its columns as float64 rows (for a gallery,
+one ``gallery.vectors`` gather), computes c, and builds their column tiles
+and squared norms in float32, and in float64 only where the float32 bound
+fails. Each call builds its own screen and holds it only while it runs:
+``estimate_threshold`` and ``classify_batch`` each gather and centre the
+gallery once, and no state is kept between calls.
 
 Tiles. Each ``_screen`` call is one stacked ``np.matmul`` of its rows
 against a (tiles, d, step) copy of the centred columns built once per
@@ -272,36 +271,20 @@ def _screen(x, xx, stack, yy) -> np.ndarray:
     return g
 
 
-class _Operand:
-    """A screen's columns (module docstring, Operands): their float64 rows
-    and centre, and per (screen dtype, group) their column tiles and squared
-    norms, built at first use."""
-
-    @np.errstate(over="ignore", invalid="ignore")  # an overflow fails the bound: tau is infinite
-    def __init__(self, rows: np.ndarray):
-        self.rows, self.centre, self._tiles = rows, rows.sum(axis=0) / len(rows), {}
-
-    def tiles(self, dtype, group: int):
-        """``_stack`` of the rows less the centre, for slices of ``group`` rows."""
-        if (dtype, group) not in self._tiles:
-            self._tiles[dtype, group] = _stack(self.rows, self.centre, dtype, group)
-        return self._tiles[dtype, group]
-
-
 class _Screen:
-    """The screen of rows x against the columns of ``operand`` (module
-    docstring): both less the operand's centre and rounded to the screen
-    dtype, its tiles for slices of ``group`` rows, and tau for each row
-    against every column; tau is infinite where the bound is not claimed.
-    ``nearest`` decides on exact distances under ``metric``: euclidean for
-    classification, ``_SQUARED`` for K-Means."""
+    """The screen of rows x against the columns y (module docstring): both
+    less the columns' mean and rounded to the screen dtype, y's tiles for
+    slices of ``group`` rows, and tau for each row against every column;
+    tau is infinite where the bound is not claimed. ``nearest`` decides on
+    exact distances under ``metric``: euclidean for classification,
+    ``_SQUARED`` for K-Means."""
 
     @np.errstate(over="ignore", invalid="ignore")  # an overflow fails the bound: tau is infinite
-    def __init__(self, x: np.ndarray, operand: _Operand, metric: str, group: int):
-        self.x, self.y, self.centre, self.metric, self.g = x, operand.rows, operand.centre, metric, None
+    def __init__(self, x: np.ndarray, y: np.ndarray, metric: str, group: int):
+        self.x, self.y, self.centre, self.metric, self.g = x, y, y.sum(axis=0) / len(y), metric, None
         n, d = x.shape
         for self.dtype in _ROUNDING:  # float32, else float64 (else tau is infinite)
-            self.stack, self.yy = operand.tiles(self.dtype, group)
+            self.stack, self.yy = _stack(y, self.centre, self.dtype, group)
             # zero rows after x's complete the last row group of any screen
             self.xc = np.zeros((n + _groups(n, self.stack)[0] - 1, d), self.dtype)
             np.subtract(x, self.centre, out=self.xc[:n], casting="same_kind")
@@ -382,11 +365,11 @@ def impostor_pool(gallery: Gallery, metric: str = EUCLIDEAN) -> np.ndarray:
     return _pool(_cross_layout(gallery)[0], gallery.starts, metric)
 
 
-def _cross_screens(operand: _Operand, row_end: np.ndarray, count: int):
-    """Every cross-user pair's screen, in impostor_pool's row-major pair
-    order, and the largest tau of any pair."""
-    n = len(operand.rows)
-    screen = _Screen(operand.rows, operand, EUCLIDEAN, min(n, _BLOCK))
+def _cross_screens(mat: np.ndarray, row_end: np.ndarray, count: int):
+    """Every cross-user pair's screen of the rows ``mat``, in impostor_pool's
+    row-major pair order, and the largest tau of any pair."""
+    n = len(mat)
+    screen = _Screen(mat, mat, EUCLIDEAN, min(n, _BLOCK))
     step = screen.stack.shape[2]
     screens = np.empty(count, screen.dtype)
     pos, ends = 0, row_end.tolist()
@@ -410,10 +393,9 @@ def _cross_screens(operand: _Operand, row_end: np.ndarray, count: int):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a screen may overflow: its tau is then infinite
-def _cross_order_statistic(operand: _Operand, row_end: np.ndarray, count: int, k: int) -> float:
+def _cross_order_statistic(mat: np.ndarray, row_end: np.ndarray, count: int, k: int) -> float:
     """k-th smallest euclidean cross-user distance, bitwise as in impostor_pool."""
-    # the screen's row copy is freed by now
-    screens, tau = _cross_screens(operand, row_end, count)
+    screens, tau = _cross_screens(mat, row_end, count)  # the screen and its tiles are freed by now
     a = screens.min() if k == 0 else np.partition(screens, k)[k]  # a copy keeps the pair order
     # Every screen is within tau of its exact value, so the exact k-th value
     # lies within tau of a: pairs screened below a - 2 tau are certainly
@@ -425,7 +407,6 @@ def _cross_order_statistic(operand: _Operand, row_end: np.ndarray, count: int, k
     at = np.flatnonzero(~(low | high))  # NaN keeps a pair
     # row i's partners are the n - row_end[i] rows from row_end[i] on, and
     # its screens start at first[i]
-    mat = operand.rows
     width = mat.shape[0] - row_end
     first = np.cumsum(width) - width
     i = np.searchsorted(first, at, side="right") - 1
@@ -447,7 +428,7 @@ def estimate_threshold(
     mat, row_end, count = _cross_layout(gallery)
     k = policy.rank(count)
     if metric == EUCLIDEAN:
-        return _cross_order_statistic(_Operand(mat), row_end, count, k)
+        return _cross_order_statistic(mat, row_end, count, k)
     pool = _pool(mat, gallery.starts, metric)
     pool.partition(k)  # in place: the order statistic is one pool element
     return float(pool[k])
@@ -472,11 +453,10 @@ def classify_batch(
     x = batch.vectors
     if x.shape[1] != gallery.dim:
         raise ValueError(f"dimension mismatch: batch {batch.index} has dim {x.shape[1]}, expected {gallery.dim}")
-    operand = _Operand(gallery.vectors)
-    mat, owners = operand.rows, gallery.owner
+    mat, owners = gallery.vectors, gallery.owner
     blocks = range(0, max(len(x), 1), _BLOCK)  # an empty batch makes one empty block
     if metric == EUCLIDEAN and len(x):
-        screen = _Screen(x, operand, EUCLIDEAN, min(len(x), _BLOCK))
+        screen = _Screen(x, mat, EUCLIDEAN, min(len(x), _BLOCK))
         with np.errstate(over="ignore", invalid="ignore"):  # a screen may overflow: tau is infinite
             near = np.concatenate([screen.nearest(screen.screen(lo, lo + _BLOCK), lo) for lo in blocks])
     else:  # no Gram identity (or no probe): one exact table per block of probes
