@@ -22,6 +22,11 @@ inertia and every later assignment repeat bit for bit, since an exact
 assignment depends on the points and centroids alone. The repeated inertia
 still meets the unchanged break rule, so a NaN or inf history runs to
 MAX_ITER, as the reference does.
+
+A call seeds its centroids from what it is given: point labels (one
+centroid per distinct label's mean, labels ascending: ``select_kmeans``
+labels each candidate with its user, so centroid j starts at user j's
+mean), or a seed (k distinct points drawn by ``np.random.default_rng``).
 """
 
 from __future__ import annotations
@@ -32,35 +37,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import check_integer
-from .matching import _SQUARED, _Screen, _sq_norms
+from .matching import _SQUARED, _Screen, _exact
 
-USER_MEANS = "user_means"
-SEEDED_RANDOM = "seeded_random"
 MAX_ITER = 100  # Lloyd passes at most
 REL_TOL = 1e-6  # stop once a pass improves inertia by less than this fraction
-
-
-@dataclass(frozen=True)
-class KMeansParams:
-    k: int
-    init: str = USER_MEANS
-    seed: Optional[int] = None
-
-    def __post_init__(self):
-        check_integer(self.k, "k", 1)  # a float or bool k would reach numpy
-        if self.seed is not None:
-            check_integer(self.seed, "seed", 0)
-        if self.init not in (USER_MEANS, SEEDED_RANDOM):
-            raise ValueError(f"unknown init: {self.init!r}")
-        if self.init == SEEDED_RANDOM and self.seed is None:
-            raise ValueError("seeded_random init needs a seed")
 
 
 @dataclass(frozen=True)
 class Clustering:
     assignment: np.ndarray  # point index -> cluster index
     centroids: np.ndarray  # k x d
-    inertia: float
     inertia_history: tuple[float, ...]  # one inertia per Lloyd pass
 
     @property
@@ -90,7 +76,7 @@ def _assign(screen: _Screen, centroids: np.ndarray) -> np.ndarray:
     counts = np.bincount(assignment, minlength=centroids.shape[0])
     empty = np.flatnonzero(counts == 0)
     if empty.size:
-        cur = _sq_norms(screen.x - centroids[assignment])
+        cur = _exact(centroids, screen.x, _SQUARED, assignment, np.arange(len(assignment)))
         for c in empty:
             donor = int(np.argmax(np.where(counts[assignment] >= 2, cur, -np.inf)))
             counts[assignment[donor]] -= 1
@@ -142,39 +128,32 @@ def _means(
 
 
 def _init_centroids(
-    points: np.ndarray, params: KMeansParams, labels: Optional[Sequence[int]]
+    points: np.ndarray, k: int, labels: Optional[Sequence[int]], seed: Optional[int]
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Initial centroids and the grouping they were reduced from, if any."""
-    if params.init == USER_MEANS:
-        if labels is None:
-            raise ValueError("user_means init needs point labels")
+    if labels is not None:
         # the inverse is each label's index among the distinct labels; the
         # sort path it takes keeps off the hash path of a plain np.unique,
         # whose first call in a process costs about 6 ms and 1.5 MB of peak
         # memory (numpy 2.4.6), and which nothing else in the package takes
         uniq, groups = np.unique(np.asarray(labels), return_inverse=True)
-        if len(uniq) != params.k:
-            raise ValueError(
-                f"user_means init: {len(uniq)} distinct labels but k={params.k}"
-            )
-        return _means(points, groups, params.k), groups
-    rng = np.random.default_rng(params.seed)
-    idx = rng.choice(points.shape[0], size=params.k, replace=False)
+        if len(uniq) != k:
+            raise ValueError(f"user_means init: {len(uniq)} distinct labels but k={k}")
+        return _means(points, groups, k), groups
+    idx = np.random.default_rng(seed).choice(points.shape[0], size=k, replace=False)
     return points[idx], None
 
 
 def kmeans(
-    points: np.ndarray,
-    params: KMeansParams,
-    labels: Optional[Sequence[int]] = None,
+    points: np.ndarray, k: int, labels: Optional[Sequence[int]] = None, seed: Optional[int] = None
 ) -> Clustering:
-    """Lloyd iterations over ``points`` (n x d).
-
-    With init=user_means, centroid j is seeded from the mean of points
-    currently labeled with the j-th distinct label, so centroid indexing
-    aligns with users. Stops when the relative inertia improvement falls
-    below REL_TOL or after MAX_ITER passes. An empty cluster is reseeded
-    as ``_assign`` describes.
+    """Lloyd iterations over ``points`` (n x d) into k clusters, seeded from
+    exactly one of ``labels`` (one per point) and ``seed`` (module
+    docstring); with labels, centroid j starts at the mean of the points
+    labeled with the j-th distinct label, so centroid indexing aligns with
+    users. Stops when the relative inertia improvement falls below REL_TOL
+    or after MAX_ITER passes. An empty cluster is reseeded as ``_assign``
+    describes.
 
     Once a pass assigns the grouping the current centroids were reduced
     from (a fixed point), no later pass calls ``_assign`` or ``_means``:
@@ -183,16 +162,21 @@ def kmeans(
     The result is bitwise that of running every pass and a final
     ``_assign``.
     """
+    check_integer(k, "k", 1)  # a float or bool k would reach numpy
+    if (labels is None) == (seed is None):
+        raise ValueError("kmeans takes exactly one of labels and seed")
+    if seed is not None:
+        check_integer(seed, "seed", 0)
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] == 0:
         raise ValueError("points must be a nonempty n x d array")
     n = points.shape[0]
-    if params.k > n:
-        raise ValueError(f"k={params.k} exceeds number of points {n}")
+    if k > n:
+        raise ValueError(f"k={k} exceeds number of points {n}")
     if labels is not None and len(labels) != n:
         raise ValueError(f"{len(labels)} labels for {n} points")
 
-    centroids, groups = _init_centroids(points, params, labels)
+    centroids, groups = _init_centroids(points, k, labels, seed)
     screen = _Screen(points, centroids, _SQUARED, 1)
     history: list[float] = []
     settled = False
@@ -201,7 +185,7 @@ def kmeans(
             assignment = _assign(screen, centroids)
             settled = groups is not None and np.array_equal(assignment, groups)
             if not (settled and history):  # else this pass repeats the last one
-                centroids = _means(points, assignment, params.k, groups, centroids)
+                centroids = _means(points, assignment, k, groups, centroids)
                 inertia = float(_sq_residuals(points, centroids, assignment).sum())
             groups = assignment
         history.append(inertia)
@@ -213,11 +197,4 @@ def kmeans(
     if not settled:
         # final pass so every point is assigned to its nearest returned centroid
         assignment = _assign(screen, centroids)
-        inertia = float(_sq_residuals(points, centroids, assignment).sum())
-    return Clustering(
-        assignment=assignment,
-        centroids=centroids,
-        inertia=inertia,
-        inertia_history=tuple(history),
-    )
-
+    return Clustering(assignment=assignment, centroids=centroids, inertia_history=tuple(history))

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from selfgallery.clustering import MAX_ITER, REL_TOL, USER_MEANS, Clustering, KMeansParams
+from selfgallery.clustering import MAX_ITER, REL_TOL, Clustering
 from selfgallery.core import Sample
 from selfgallery.matching import _distances_to_rows
 from selfgallery.synthgen import user_means
@@ -88,24 +88,25 @@ def exact_assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return assignment
 
 
-def masked_mean_kmeans(points, params: KMeansParams, labels=None) -> Clustering:
+def masked_mean_kmeans(points, k, labels=None, seed=None) -> Clustering:
     """Lloyd K-Means: every pass assigns with ``exact_assign`` and takes each
     mean from one boolean mask per cluster, and a final pass assigns again.
+    It starts from the labels' means, or else from k points the seed draws.
 
-    The reference for ``kmeans``'s assignments, centroids, inertia, history
+    The reference for ``kmeans``'s assignments, centroids, inertia history
     and pass count.
     """
     points = np.asarray(points, dtype=np.float64)
-    if params.init == USER_MEANS:
+    if labels is not None:
         labels = np.asarray(labels)
         centroids = np.stack([points[labels == u].mean(axis=0) for u in np.unique(labels)])
     else:
-        rng = np.random.default_rng(params.seed)
-        centroids = points[rng.choice(points.shape[0], size=params.k, replace=False)].copy()
+        rng = np.random.default_rng(seed)
+        centroids = points[rng.choice(points.shape[0], size=k, replace=False)].copy()
     history = []
     for _ in range(MAX_ITER):
         assignment = exact_assign(points, centroids)
-        centroids = np.stack([points[assignment == c].mean(axis=0) for c in range(params.k)])
+        centroids = np.stack([points[assignment == c].mean(axis=0) for c in range(k)])
         inertia = float(np.sum((points - centroids[assignment]) ** 2))
         history.append(inertia)
         if len(history) >= 2:
@@ -113,8 +114,7 @@ def masked_mean_kmeans(points, params: KMeansParams, labels=None) -> Clustering:
             if prev == 0.0 or (prev - inertia) / prev < REL_TOL:
                 break
     assignment = exact_assign(points, centroids)
-    inertia = float(np.sum((points - centroids[assignment]) ** 2))
-    return Clustering(assignment, centroids, inertia, tuple(history))
+    return Clustering(assignment, centroids, tuple(history))
 
 
 def dominant_cluster_for_user(
@@ -164,7 +164,7 @@ def _reference_kept(method, candidates, p):
     if method == "kmeans":
         labels = np.repeat(np.arange(len(users)), [len(rows) for rows in own])
         points = np.array([v for rows in own for _, v in rows])
-        cl = masked_mean_kmeans(points, KMeansParams(k=len(users)), labels)
+        cl = masked_mean_kmeans(points, len(users), labels)
         for j, rows in enumerate(own):
             centroid = cl.centroids[dominant_cluster_for_user(cl, labels, j)]
             d2 = np.sum((np.array([v for _, v in rows]) - centroid) ** 2, axis=1)

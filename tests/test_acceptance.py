@@ -8,7 +8,7 @@ import statistics
 import numpy as np
 import pytest
 
-from selfgallery.clustering import KMeansParams, kmeans
+from selfgallery.clustering import kmeans
 from selfgallery.core import gallery_enroll
 from selfgallery.dataio import split_batches
 from selfgallery.engine import EngineConfig, run_sequence
@@ -235,7 +235,7 @@ def test_criterion_7_invariant_suite():
     # kmeans inertia monotonicity and fixed point
     rng = np.random.default_rng(5)
     pts = rng.normal(size=(50, 4))
-    cl = kmeans(pts, KMeansParams(k=5, init="seeded_random", seed=1))
+    cl = kmeans(pts, 5, seed=1)
     hist = cl.inertia_history
     if not all(hist[i + 1] <= hist[i] + 1e-9 for i in range(len(hist) - 1)):
         ok = False

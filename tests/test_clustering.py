@@ -9,7 +9,6 @@ from selfgallery import clustering
 from selfgallery.clustering import (
     MAX_ITER,
     Clustering,
-    KMeansParams,
     _assign,
     _means,
     _sq_residuals,
@@ -23,15 +22,15 @@ from oracles import dominant_cluster_for_user, exact_assign, masked_mean_kmeans
 
 def test_k_equals_n_distinct_points():
     pts = np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]])
-    cl = kmeans(pts, KMeansParams(k=3, init="seeded_random", seed=4))
-    assert cl.inertia == 0.0
+    cl = kmeans(pts, 3, seed=4)
+    assert cl.inertia_history[-1] == 0.0
     assert sorted(cl.assignment) == [0, 1, 2]
 
 
 def test_two_blobs_user_means_fixed_point():
     pts = np.array([[0.0, 0.0], [0.1, 0.0], [10.0, 10.0], [9.9, 10.0]])
     labels = [1, 1, 2, 2]
-    cl = kmeans(pts, KMeansParams(k=2), labels=labels)
+    cl = kmeans(pts, 2, labels=labels)
     expected = np.array([[0.05, 0.0], [9.95, 10.0]])
     assert np.allclose(np.sort(cl.centroids, axis=0), np.sort(expected, axis=0))
     # fixed point: one more Lloyd step from the returned centroids changes nothing
@@ -42,15 +41,15 @@ def test_two_blobs_user_means_fixed_point():
 
 def test_identical_points_empty_cluster_reseed():
     pts = np.zeros((4, 2))
-    cl = kmeans(pts, KMeansParams(k=2, init="seeded_random", seed=0))
-    assert cl.inertia == 0.0
+    cl = kmeans(pts, 2, seed=0)
+    assert cl.inertia_history[-1] == 0.0
     assert set(cl.assignment) == {0, 1}  # reseed kept both clusters nonempty
 
 
 def test_inertia_monotone_and_final_assignment_nearest():
     rng = np.random.default_rng(7)
     pts = rng.normal(size=(60, 3))
-    cl = kmeans(pts, KMeansParams(k=4, init="seeded_random", seed=3))
+    cl = kmeans(pts, 4, seed=3)
     hist = cl.inertia_history
     assert all(hist[i + 1] <= hist[i] + 1e-9 for i in range(len(hist) - 1))
     d2 = ((pts[:, None, :] - cl.centroids[None, :, :]) ** 2).sum(axis=2)
@@ -59,7 +58,7 @@ def test_inertia_monotone_and_final_assignment_nearest():
 
 def test_kmeans_rejects_k_above_n():
     with pytest.raises(ValueError):
-        kmeans(np.zeros((2, 1)), KMeansParams(k=3, init="seeded_random", seed=0))
+        kmeans(np.zeros((2, 1)), 3, seed=0)
 
 
 def test_user_means_alignment_on_separated_data():
@@ -72,7 +71,7 @@ def test_user_means_alignment_on_separated_data():
         pts.append(m + rng.normal(scale=0.5, size=(10, 2)))
         labels += [i + 1] * 10
     pts = np.vstack(pts)
-    cl = kmeans(pts, KMeansParams(k=3), labels=labels)
+    cl = kmeans(pts, 3, labels=labels)
     for i in (1, 2, 3):
         assert dominant_cluster_for_user(cl, labels, i) == i - 1
 
@@ -82,7 +81,6 @@ def _clustering(assignment, k):
     return Clustering(
         assignment=assignment,
         centroids=np.zeros((k, 1)),
-        inertia=0.0,
         inertia_history=(0.0,),
     )
 
@@ -106,45 +104,47 @@ def test_dominant_cluster_rejects_absent_user():
         dominant_cluster_for_user(cl, [1, 1], 5)
 
 
-def test_params_validation():
+_PTS = np.arange(10.0).reshape(5, 2)
+
+
+def test_kmeans_argument_validation():
     with pytest.raises(ValueError):
-        KMeansParams(k=0)
+        kmeans(_PTS, 0, seed=0)
     with pytest.raises(ValueError):
-        KMeansParams(k=2, init="seeded_random")  # missing seed
+        kmeans(_PTS, 2)  # neither labels nor a seed
 
 
 @pytest.mark.parametrize("k", [2.0, True, "2"])
-def test_params_refuse_a_k_that_is_not_an_integer(k):
+def test_kmeans_refuses_a_k_that_is_not_an_integer(k):
     # a float k once passed and failed inside numpy; True passed as k = 1
     with pytest.raises(ValueError, match=f"k must be an integer, not {k!r}"):
-        KMeansParams(k=k)
+        kmeans(_PTS, k, seed=0)
 
 
 @pytest.mark.parametrize("seed", [1.5, False])
-def test_params_refuse_a_seed_that_is_not_an_integer(seed):
+def test_kmeans_refuses_a_seed_that_is_not_an_integer(seed):
     with pytest.raises(ValueError, match=f"seed must be an integer, not {seed!r}"):
-        KMeansParams(k=2, init="seeded_random", seed=seed)
-    assert KMeansParams(k=2, init="seeded_random", seed=np.int64(3)).seed == 3
-
-
-_PTS = np.arange(10.0).reshape(5, 2)
+        kmeans(_PTS, 2, seed=seed)
+    got, want = kmeans(_PTS, 2, seed=np.int64(3)), kmeans(_PTS, 2, seed=3)
+    assert np.array_equal(got.assignment, want.assignment) and np.array_equal(got.centroids, want.centroids)
 
 
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: KMeansParams(k=2, init="bogus"), "unknown init: 'bogus'"),
-        (lambda: kmeans(_PTS, KMeansParams(k=2)), "user_means init needs point labels"),
-        (lambda: kmeans(_PTS, KMeansParams(k=2), labels=[7] * 5),
+        (lambda: kmeans(_PTS, 2), "^kmeans takes exactly one of labels and seed$"),
+        (lambda: kmeans(_PTS, 2, labels=[0, 1, 0, 1, 0], seed=0),
+         "^kmeans takes exactly one of labels and seed$"),
+        (lambda: kmeans(_PTS, 2, labels=[7] * 5),
          "user_means init: 1 distinct labels but k=2"),
-        (lambda: kmeans(_PTS, KMeansParams(k=2), labels=[0, 1, 2, 0, 1]),
+        (lambda: kmeans(_PTS, 2, labels=[0, 1, 2, 0, 1]),
          "user_means init: 3 distinct labels but k=2"),
-        (lambda: kmeans(np.empty((0, 2)), KMeansParams(k=1), labels=[]),
+        (lambda: kmeans(np.empty((0, 2)), 1, labels=[]),
          "points must be a nonempty n x d array"),
-        (lambda: kmeans(np.arange(5.0), KMeansParams(k=1), labels=[0] * 5),
+        (lambda: kmeans(np.arange(5.0), 1, labels=[0] * 5),
          "points must be a nonempty n x d array"),
         # a negative seed would fail only inside numpy's generator, naming no parameter
-        (lambda: KMeansParams(k=2, init="seeded_random", seed=-1), "^seed must be non-negative$"),
+        (lambda: kmeans(_PTS, 2, seed=-1), "^seed must be non-negative$"),
     ],
 )
 def test_boundary_checks_raise_their_messages(call, message):
@@ -158,27 +158,24 @@ def test_empty_cluster_repair_never_leaves_a_cluster_empty():
     pts = np.array([[2.0], [3.0], [4.0], [0.0], [0.0], [0.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        cl = kmeans(pts, KMeansParams(k=3, init="seeded_random", seed=0))
+        cl = kmeans(pts, 3, seed=0)
     assert np.all(np.bincount(cl.assignment, minlength=3) > 0)
     assert np.all(np.isfinite(cl.centroids))
 
 
 @pytest.mark.parametrize("labels", [[0, 0, 1], [0, 0, 1, 1, 2, 2]])
-@pytest.mark.parametrize("init", ["user_means", "seeded_random"])
-def test_kmeans_rejects_labels_not_one_per_point(labels, init):
+def test_kmeans_rejects_labels_not_one_per_point(labels):
     pts = np.arange(10.0).reshape(5, 2)
-    params = KMeansParams(k=2, init=init, seed=0 if init == "seeded_random" else None)
     with pytest.raises(ValueError, match="labels for 5 points"):
-        kmeans(pts, params, labels=labels)
+        kmeans(pts, 2, labels=labels)
 
 
-def _assert_same_clustering(pts, params, labels=None):
+def _assert_same_clustering(pts, k, labels=None, seed=None):
     # NaN-aware: an overflowed inertia must repeat as NaN where the reference's does
-    got = kmeans(pts, params, labels=labels)
-    want = masked_mean_kmeans(pts, params, labels=labels)
+    got = kmeans(pts, k, labels=labels, seed=seed)
+    want = masked_mean_kmeans(pts, k, labels=labels, seed=seed)
     assert np.array_equal(got.assignment, want.assignment)
     assert np.array_equal(got.centroids, want.centroids, equal_nan=True)
-    assert np.array_equal(got.inertia, want.inertia, equal_nan=True)
     assert got.n_iter == want.n_iter
     assert np.array_equal(got.inertia_history, want.inertia_history, equal_nan=True)
     return got
@@ -195,14 +192,14 @@ def test_kmeans_equals_masked_mean_reference(d):
         rng.normal(size=(n, d)) + 1e4,
     ]
     for pts in inputs:
-        _assert_same_clustering(pts, KMeansParams(k=k), labels=rng.permutation(labels))
+        _assert_same_clustering(pts, k, labels=rng.permutation(labels))
         for seed in range(3):
-            _assert_same_clustering(pts, KMeansParams(k=k, init="seeded_random", seed=seed))
+            _assert_same_clustering(pts, k, seed=seed)
 
 
 def test_kmeans_equals_masked_mean_reference_on_empty_cluster_repair():
     pts = np.array([[2.0], [3.0], [4.0], [0.0], [0.0], [0.0]])
-    _assert_same_clustering(pts, KMeansParams(k=3, init="seeded_random", seed=0))
+    _assert_same_clustering(pts, 3, seed=0)
 
 
 def test_kmeans_overflowed_inertia_runs_to_max_iter_as_the_reference():
@@ -213,7 +210,7 @@ def test_kmeans_overflowed_inertia_runs_to_max_iter_as_the_reference():
     pts = rng.normal(size=(40, 3)) * 1e200
     labels = np.repeat(np.arange(4), 10)
     with np.errstate(over="ignore", invalid="ignore"):
-        got = _assert_same_clustering(pts, KMeansParams(k=4), labels=labels)
+        got = _assert_same_clustering(pts, 4, labels=labels)
     assert got.n_iter == MAX_ITER
     assert len(got.inertia_history) == MAX_ITER
     assert not np.isfinite(got.inertia_history[-1])
@@ -236,25 +233,24 @@ def test_kmeans_fixed_point_from_the_start(monkeypatch):
     rng = np.random.default_rng(12)
     labels = np.repeat(np.arange(3), 8)
     pts = rng.normal(scale=0.1, size=(24, 2)) + 100.0 * labels[:, None]
-    got = _assert_same_clustering(pts, KMeansParams(k=3), labels=labels)
+    got = _assert_same_clustering(pts, 3, labels=labels)
     assert got.n_iter == 2
     assert got.inertia_history[0] == got.inertia_history[1]
     assert np.array_equal(got.assignment, labels)
     calls = _count_assignment_passes(monkeypatch)
-    kmeans(pts, KMeansParams(k=3), labels=labels)
+    kmeans(pts, 3, labels=labels)
     assert len(calls) == 1
 
 
 def test_kmeans_ending_at_a_fixed_point_makes_n_iter_assignment_passes(monkeypatch):
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(120, 4))
-    params = KMeansParams(k=6, init="seeded_random", seed=1)
     calls = _count_assignment_passes(monkeypatch)
-    cl = kmeans(pts, params)
+    cl = kmeans(pts, 6, seed=1)
     assert cl.n_iter >= 3
     assert len(calls) == cl.n_iter  # no repeat pass, no final pass
     # it did end at a fixed point: one more pass changes nothing
-    assert cl.inertia_history[-1] == cl.inertia_history[-2] == cl.inertia
+    assert cl.inertia_history[-1] == cl.inertia_history[-2]
     assert np.array_equal(exact_assign(pts, cl.centroids), cl.assignment)
     assert np.array_equal(_means(pts, cl.assignment, 6), cl.centroids)
 
@@ -354,16 +350,16 @@ def _kmeans_case(draw):
     else:
         pts = rng.normal(size=(n, d)) + 3.0 * rng.integers(0, k, size=(n, 1))
     if draw(st.booleans()):
-        return pts, KMeansParams(k=k), _labels(rng, n, k)
-    return pts, KMeansParams(k=k, init="seeded_random", seed=int(rng.integers(100))), None
+        return pts, k, _labels(rng, n, k), None
+    return pts, k, None, int(rng.integers(100))
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(_kmeans_case())
 def test_kmeans_equals_exact_reference(case):
-    pts, params, labels = case
+    pts, k, labels, seed = case
     with np.errstate(over="ignore", invalid="ignore"):
-        _assert_same_clustering(pts, params, labels=labels)
+        _assert_same_clustering(pts, k, labels=labels, seed=seed)
 
 
 @pytest.mark.parametrize(
@@ -379,7 +375,7 @@ def test_screen_dtype_follows_the_bound(scale, dtype):
         # None: not claimed in float64 either, so tau is infinite, every pair exact
         claimed = (dtype or np.float64, dtype is not None)
         assert (screen.dtype, bool(np.isfinite(screen.tau).all())) == claimed
-        _assert_same_clustering(pts, KMeansParams(k=4), labels=_labels(rng, 30, 4))
+        _assert_same_clustering(pts, 4, labels=_labels(rng, 30, 4))
 
 
 def _record_screens(monkeypatch):
@@ -405,10 +401,9 @@ def test_kmeans_rescreens_only_the_centroids_that_moved(monkeypatch, init):
     rng = np.random.default_rng(8)
     n, k = 300, 12
     pts = rng.normal(size=(n, 16)) + 4.0 * rng.integers(0, k, size=(n, 1))
-    params = KMeansParams(k=k, init=init, seed=2)
-    labels = _labels(rng, n, k) if init == "user_means" else None
+    labels, seed = (_labels(rng, n, k), None) if init == "user_means" else (None, 2)
     passes, stacks = _record_screens(monkeypatch)
-    got = _assert_same_clustering(pts, params, labels=labels)
+    got = _assert_same_clustering(pts, k, labels=labels, seed=seed)
     assert len(passes) >= 3 and got.n_iter >= 3
     # the first pass screens every centroid, a later one the moved ones: each
     # stack holds exactly their rows less the first centroids' mean, in float32
@@ -433,12 +428,12 @@ def test_kmeans_scores_exactly_only_points_near_a_tie(monkeypatch):
     rng = np.random.default_rng(4)
     n, k = 400, 10
     pts = rng.normal(size=(n, 32)) + 1e4
-    _assert_same_clustering(pts, KMeansParams(k=k), labels=_labels(rng, n, k))
+    _assert_same_clustering(pts, k, labels=_labels(rng, n, k))
     assert sum(map(len, scored)) <= n // 20  # points scored exactly
     # the user means are -2/3 and 2/3, so both points at 0 tie exactly: only
     # their rows are scored, and the first centroid takes them
     scored.clear()
     pts = np.array([[-1.0], [-1.0], [1.0], [1.0], [0.0], [0.0]])
-    got = _assert_same_clustering(pts, KMeansParams(k=2), labels=[0, 0, 1, 1, 0, 1])
+    got = _assert_same_clustering(pts, 2, labels=[0, 0, 1, 1, 0, 1])
     assert scored == [[[0.0]], [[0.0]]]
     assert got.assignment.tolist() == [0, 0, 1, 1, 0, 0]

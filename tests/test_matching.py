@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selfgallery import matching, metrics
-from selfgallery.clustering import KMeansParams, kmeans
+from selfgallery.clustering import kmeans
 from selfgallery.core import Batch
 from selfgallery.matching import (
     _BLOCK,
@@ -472,7 +472,7 @@ def test_screen_gemms_stay_on_the_calling_thread(monkeypatch, case):
     if case == "kmeans":  # online_wide's shape: 1000 points, 100 centroids, d = 128
         rng = np.random.default_rng(2)
         pts = rng.normal(size=(1000, 128)) + 3.0 * rng.normal(size=(100, 128))[rng.integers(0, 100, 1000)]
-        cl = kmeans(pts, KMeansParams(k=100, init="seeded_random", seed=1))
+        cl = kmeans(pts, 100, seed=1)
         # every centroid screened once, then only moved ones, pass by pass
         assert cl.n_iter >= 3 and len(screens) >= 3
         assert len(products) == len(screens) and max(products) <= _TILE

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selfgallery import matching, selection
-from selfgallery.clustering import Clustering, KMeansParams, kmeans
+from selfgallery.clustering import Clustering, kmeans
 from selfgallery.core import Dataset
 from selfgallery.matching import _distances_to_rows
 from selfgallery.selection import select, select_dend, select_kmeans, select_mdist
@@ -390,7 +390,7 @@ def _scan_select_kmeans(candidates_by_user, p):
             pooled.append(s)
             labels.append(u)
     points = np.stack([s.vector for s in pooled])
-    cl = kmeans(points, KMeansParams(k=len(users)), labels=labels)
+    cl = kmeans(points, len(users), labels=labels)
     result = {}
     for u in users:
         centroid = cl.centroids[dominant_cluster_for_user(cl, np.asarray(labels), u)]
@@ -428,7 +428,7 @@ def _per_user_select_kmeans(candidates_by_user, p):
     own = [sorted(candidates_by_user[u], key=lambda s: s.id) for u in users]
     labels = np.repeat(users, [len(c) for c in own])
     points = np.stack([s.vector for c in own for s in c])
-    cl = selection.kmeans(points, KMeansParams(k=len(users)), labels=labels)
+    cl = selection.kmeans(points, len(users), labels=labels)
     result, hi = {}, 0
     for u, cands in zip(users, own):
         lo, hi = hi, hi + len(cands)
@@ -493,15 +493,60 @@ def test_select_kmeans_equals_per_user_loop(d, monkeypatch):
         cl = Clustering(
             assignment=rng.integers(0, k - 1, size=n),
             centroids=rng.integers(-1, 2, size=(k, d)).astype(float),
-            inertia=0.0,
             inertia_history=(0.0,),
         )
-        monkeypatch.setattr(selection, "kmeans", lambda points, params, labels=None: cl)
+        monkeypatch.setattr(selection, "kmeans", lambda points, k, labels=None, seed=None: cl)
         for p in (1, 3, 6):
             want = _ids_by_user(_per_user_select_kmeans(cands, p))
             assert _ids_by_user(_select_kmeans(cands, p)) == want
         seen |= _kmeans_situations(cands, cl, 3)
     assert seen == {"below p", "tied counts", "equal distances", "shared cluster"}
+
+
+def test_select_kmeans_takes_the_lowest_dominant_cluster_on_tied_counts(monkeypatch):
+    # every user's candidates split evenly over two clusters: each dominant
+    # cluster is a tie, which dominant_cluster_for_user breaks to the lower
+    # (the higher cluster first, so the first one seen is not the answer)
+    rng = np.random.default_rng(9)
+    users = [3, 8, 11, 20, 31]
+    k = len(users)
+    cands = {
+        u: [make_sample(100 * u + i, v, user=u) for i, v in enumerate(rng.integers(-2, 3, size=(n, 2)).astype(float))]
+        for u, n in zip(users, 2 * rng.integers(1, 5, k))
+    }
+    tied = {u: np.sort(rng.choice(k, size=2, replace=False)) for u in users}
+    assignment = np.concatenate([np.resize(tied[u][::-1], len(cands[u])) for u in users])
+    centroids = rng.integers(-3, 4, size=(k, 2)).astype(float)
+    cl = Clustering(assignment=assignment, centroids=centroids, inertia_history=(0.0,))
+    monkeypatch.setattr(selection, "kmeans", lambda points, k, labels=None, seed=None: cl)
+    assert "tied counts" in _kmeans_situations(cands, cl, 3)
+    labels = np.repeat(users, [len(cands[u]) for u in users])
+    assert [dominant_cluster_for_user(cl, labels, u) for u in users] == [int(tied[u][0]) for u in users]
+    for p in (1, 3, 6):
+        want = _ids_by_user(_per_user_select_kmeans(cands, p))
+        assert _ids_by_user(_select_kmeans(cands, p)) == want
+
+
+def test_select_kmeans_memory_is_linear_in_candidates(monkeypatch):
+    # 2,000 users x 5 candidates (d = 1) over a given clustering: a dense
+    # (users x clusters) count table would alone take 2,000^2 x 8 bytes,
+    # 30.5 MiB; the select measured 77 bytes per candidate, so the bound is
+    # about 1.5x that, linear in candidates
+    rng = np.random.default_rng(3)
+    k, per = 2000, 5
+    n = k * per
+    cl = Clustering(assignment=rng.integers(0, k, n), centroids=rng.normal(size=(k, 1)), inertia_history=(0.0,))
+    monkeypatch.setattr(selection, "kmeans", lambda points, k, labels=None, seed=None: cl)
+    cands = {u: rng.normal(size=(per, 1)) for u in range(k)}
+    select_kmeans(cands, 3)  # numpy's first-call set-up is not the select's
+    tracemalloc.start()
+    try:
+        kept = select_kmeans(cands, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == 3 * k
+    assert peak <= 120 * n
 
 
 @pytest.mark.parametrize("d", [1, 2, 7, 8, 9, 16, 64, 128, 129])
