@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import check_integer
-from .matching import _SQUARED, _Screen, _exact
+from .matching import _SQUARED, _Screen, _sq_norms
 
 MAX_ITER = 100  # Lloyd passes at most
 REL_TOL = 1e-6  # stop once a pass improves inertia by less than this fraction
@@ -76,7 +76,7 @@ def _assign(screen: _Screen, centroids: np.ndarray) -> np.ndarray:
     counts = np.bincount(assignment, minlength=centroids.shape[0])
     empty = np.flatnonzero(counts == 0)
     if empty.size:
-        cur = _exact(centroids, screen.x, _SQUARED, assignment, np.arange(len(assignment)))
+        cur = _sq_norms(screen.x - centroids[assignment])
         for c in empty:
             donor = int(np.argmax(np.where(counts[assignment] >= 2, cur, -np.inf)))
             counts[assignment[donor]] -= 1

@@ -13,11 +13,7 @@ the exact re-ranking of approximate nearest-neighbour search (Jegou, Douze
 K-Means' assignment (``clustering``) first screen every pair with the Gram
 expansion g = |x|^2 + |y|^2 - 2 x.y of its squared distance (``_Screen``),
 and only the exact kernel ``_exact`` decides. Every exact distance in the
-package comes from ``_exact``, bitwise the row kernel ``_distances_to_rows``,
-K-Means' empty-cluster repair included, but one: ``select_kmeans``' squared
-distance of each candidate to its user's dominant centroid is a row sum of
-squared differences (``clustering._sq_residuals``), as the reference
-``tests/oracles.py::_reference_kept`` defines it.
+package comes from ``_exact``, bitwise the row kernel ``_distances_to_rows``.
 
 Operands. A screen's columns are the gallery (K-Means: the centroids) and
 its rows the probes (the gallery itself, or K-Means' points). A call

@@ -304,11 +304,10 @@ def select_kmeans(candidates_by_user: dict[int, np.ndarray], p: int) -> np.ndarr
     cluster never donates foreign samples.
 
     One pass over the pool after clustering: every user's dominant cluster
-    comes from one sort of the n (user, cluster) keys, so its memory is
-    linear in candidates however many users there are, and takes the lowest
-    cluster index on tied counts; every candidate's squared distance to its
-    user's centroid comes from one row-wise sum, each row reduced as a
-    per-user slice would be; and one stable sort by (user, distance)
+    comes from one (user, cluster) count table, where argmax takes the
+    lowest cluster index on tied counts; every candidate's squared distance
+    to its user's centroid comes from one row-wise sum, each row reduced as
+    a per-user slice would be; and one stable sort by (user, distance)
     keeps id order on equal distances. The result is bitwise that of the
     per-user loop over ``dominant_cluster_for_user`` in ``tests/oracles.py``.
     """
@@ -322,10 +321,7 @@ def select_kmeans(candidates_by_user: dict[int, np.ndarray], p: int) -> np.ndarr
     points = np.concatenate([candidates_by_user[u] for u in users])
     cl = kmeans(points, k, labels=user_index)
 
-    # each user's dominant cluster, the lowest on tied counts: the greatest
-    # count * k + (k - 1 - cluster) over the user's sorted (user, cluster) keys
-    keys, counts = np.unique(user_index * k + cl.assignment, return_counts=True)
-    dom = k - 1 - np.maximum.reduceat(counts * k + (k - 1 - keys % k), user_bounds(keys // k)[:-1]) % k
+    dom = np.bincount(user_index * k + cl.assignment, minlength=k * k).reshape(k, k).argmax(axis=1)
     d2 = _sq_residuals(points, cl.centroids, dom[user_index]).sum(axis=1)
     order = np.lexsort((d2, user_index))  # stable: equal distances keep id order
     rank = np.arange(len(order)) - np.repeat(np.cumsum(sizes) - sizes, sizes)  # within its user

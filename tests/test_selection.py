@@ -503,52 +503,6 @@ def test_select_kmeans_equals_per_user_loop(d, monkeypatch):
     assert seen == {"below p", "tied counts", "equal distances", "shared cluster"}
 
 
-def test_select_kmeans_takes_the_lowest_dominant_cluster_on_tied_counts(monkeypatch):
-    # every user's candidates split evenly over two clusters: each dominant
-    # cluster is a tie, which dominant_cluster_for_user breaks to the lower
-    # (the higher cluster first, so the first one seen is not the answer)
-    rng = np.random.default_rng(9)
-    users = [3, 8, 11, 20, 31]
-    k = len(users)
-    cands = {
-        u: [make_sample(100 * u + i, v, user=u) for i, v in enumerate(rng.integers(-2, 3, size=(n, 2)).astype(float))]
-        for u, n in zip(users, 2 * rng.integers(1, 5, k))
-    }
-    tied = {u: np.sort(rng.choice(k, size=2, replace=False)) for u in users}
-    assignment = np.concatenate([np.resize(tied[u][::-1], len(cands[u])) for u in users])
-    centroids = rng.integers(-3, 4, size=(k, 2)).astype(float)
-    cl = Clustering(assignment=assignment, centroids=centroids, inertia_history=(0.0,))
-    monkeypatch.setattr(selection, "kmeans", lambda points, k, labels=None, seed=None: cl)
-    assert "tied counts" in _kmeans_situations(cands, cl, 3)
-    labels = np.repeat(users, [len(cands[u]) for u in users])
-    assert [dominant_cluster_for_user(cl, labels, u) for u in users] == [int(tied[u][0]) for u in users]
-    for p in (1, 3, 6):
-        want = _ids_by_user(_per_user_select_kmeans(cands, p))
-        assert _ids_by_user(_select_kmeans(cands, p)) == want
-
-
-def test_select_kmeans_memory_is_linear_in_candidates(monkeypatch):
-    # 2,000 users x 5 candidates (d = 1) over a given clustering: a dense
-    # (users x clusters) count table would alone take 2,000^2 x 8 bytes,
-    # 30.5 MiB; the select measured 77 bytes per candidate, so the bound is
-    # about 1.5x that, linear in candidates
-    rng = np.random.default_rng(3)
-    k, per = 2000, 5
-    n = k * per
-    cl = Clustering(assignment=rng.integers(0, k, n), centroids=rng.normal(size=(k, 1)), inertia_history=(0.0,))
-    monkeypatch.setattr(selection, "kmeans", lambda points, k, labels=None, seed=None: cl)
-    cands = {u: rng.normal(size=(per, 1)) for u in range(k)}
-    select_kmeans(cands, 3)  # numpy's first-call set-up is not the select's
-    tracemalloc.start()
-    try:
-        kept = select_kmeans(cands, 3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(kept) == 3 * k
-    assert peak <= 120 * n
-
-
 @pytest.mark.parametrize("d", [1, 2, 7, 8, 9, 16, 64, 128, 129])
 def test_row_sums_equal_per_row_sums(d):
     rng = np.random.default_rng(d)
