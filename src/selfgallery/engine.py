@@ -53,8 +53,9 @@ class UpdateCycleReport:
     insertions: tuple[tuple[int, int], ...]  # (sample_id, pseudo_label), in batch order
     evictions: tuple[tuple[int, int], ...]  # (sample_id, user), users ascending, each in id order
     # CPU time of the calling thread (time.thread_time), not wall time, so a
-    # busy machine does not inflate it: every screen GEMM of classification
-    # runs on the calling thread (matching's _TILE), and selection calls no BLAS
+    # busy machine does not inflate it: every screen GEMM, classification's
+    # and K-Means selection's alike, runs on the calling thread (matching's
+    # _TILE), and MDIST/DEND call no BLAS
     elapsed_classify_s: float
     elapsed_select_s: float
 

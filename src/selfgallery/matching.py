@@ -12,23 +12,27 @@ the exact re-ranking of approximate nearest-neighbour search (Jegou, Douze
 ``estimate_threshold`` (an order statistic of the cross-user pool) and
 K-Means' assignment (``clustering``) first screen every pair with the Gram
 expansion g = |x|^2 + |y|^2 - 2 x.y of its squared distance (``_Screen``),
-and only the exact kernel ``_exact`` decides. Every exact distance in the
-package comes from ``_exact``, bitwise the row kernel ``_distances_to_rows``.
+and only the exact kernel ``_exact`` decides. Every distance they return
+or compare exactly comes from ``_exact``, bitwise the row kernel
+``_distances_to_rows``, as do evaluation's columns (``metrics``) and MDIST
+and DEND's matrices (``selection``). Four exact reductions are their own:
+K-Means' empty-cluster repair (``_sq_norms`` of each point less its
+centroid) and its inertia (``clustering._sq_residuals``, summed),
+``select_kmeans``' ranking (``_sq_residuals(...).sum(axis=1)``, as
+``tests/oracles.py`` defines it) and ``synthgen.user_means``' spacing.
 
 Operands. A screen's columns are the gallery (K-Means: the centroids) and
 its rows the probes (the gallery itself, or K-Means' points). A call
 subtracts the columns' mean c from both in float64 and rounds the results
-to the screen dtype: float32, or float64 where the bound below does not
-hold in float32. Distances do not change under translation, but the bound
-grows with squared norms, so centring keeps the band narrow under a large
-common offset.
+to float32, the one screen dtype. Distances do not change under
+translation, but the bound grows with squared norms, so centring keeps the
+band narrow under a large common offset.
 
 A screen (``_Screen``) takes its columns as float64 rows (for a gallery,
 one ``gallery.vectors`` gather), computes c, and builds their column tiles
-and squared norms in float32, and in float64 only where the float32 bound
-fails. Each call builds its own screen and holds it only while it runs:
-``estimate_threshold`` and ``classify_batch`` each gather and centre the
-gallery once, and no state is kept between calls.
+and squared norms in float32. Each call builds its own screen and holds it
+only while it runs: ``estimate_threshold`` and ``classify_batch`` each
+gather and centre the gallery once, and no state is kept between calls.
 
 Tiles. Each ``_screen`` call is one stacked ``np.matmul`` of its rows
 against a (tiles, d, step) copy of the centred columns built once per
@@ -43,11 +47,11 @@ build default). So a search never waits on BLAS worker threads, which
 stall under CPU contention. Under another BLAS, or another OpenBLAS build,
 only the timing can move, never a result.
 
-Bound. Let u be the screen dtype's unit round-off (eps/2), eta its
-smallest subnormal, d the dimension, and N = |x|^2 + max |y|^2 the sum of
-the probe's and the largest gallery row's centred squared norms, as
-computed in that dtype. If (d + 4) u <= 2^-10 and N <= max/16 (the dtype's
-largest finite value), then g lies within
+Bound. Let u = 2^-24 be float32's unit round-off (eps/2), eta = 2^-149
+its smallest subnormal, d the dimension, and N = |x|^2 + max |y|^2 the sum
+of the probe's and the largest gallery row's centred squared norms, as
+computed in float32. If (d + 4) u <= 2^-10 (d <= 16,380) and N <= max/16
+(float32's largest finite value over 16, about 2.1e37), then g lies within
 
     tau = 8 (d + 4) (u N + eta)
 
@@ -56,26 +60,26 @@ Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 2002,
 section 3.1, a dot product of length n evaluated in any order errs by at
 most gamma_n |x|.|y| (gamma_n = n u / (1 - n u)) plus n eta for underflow.
 To first order in u, and with D = |x - y|^2 exactly:
-- rounding x - c to float64 and then to the screen dtype moves each
-  coordinate by at most (1 + 2^-28) u |x_i - c_i| + eta/2, and D by at
-  most 6 u N + 2 d eta^2/u, where eta/u <= 2^-125;
+- rounding x - c to float64 and then to float32 moves each coordinate by
+  at most (1 + 2^-28) u |x_i - c_i| + eta/2, and D by at most
+  6 u N + 2 d eta^2/u, where eta/u <= 2^-125;
 - the expansion errs by gamma_d in x.y and in each squared norm and by u in
   each of its two additions: (2 d + 4) u N + 4 d eta, whatever the
   summation order of BLAS or einsum;
 - the exact kernel errs, in float64, by (2 d + 4) u_64 N + d eta_64.
-That is about (2 d + 10) u N + 4 d eta in float32, and (4 d + 14) u N
-+ 5 d eta in float64: tau covers the u N terms twice over and the eta
-terms at least 1.6 times. The margin absorbs the second-order terms,
-which (d + 4) u <= 2^-10 keeps below 0.2%, and tau's own float64
-rounding. N <= max/16 keeps every value finite: |x.y| <= N/2, so no
-partial sum, product, screen or limit exceeds max/7.
+That is about (2 d + 10) u N + 4 d eta: tau covers the u N terms three
+times over and the eta terms twice over. The margin absorbs the
+second-order terms, which (d + 4) u <= 2^-10 keeps below 0.2%, and tau's
+own float64 rounding. N <= max/16 keeps every value finite: |x.y| <= N/2,
+so no partial sum, product, screen or limit exceeds max/7.
 
-A call screens in float32 when the bound holds there for all its pairs,
-and otherwise in float64 through the same ``_screen``, with float64's u
-and eta. Where it fails in float64 too (a squared norm near 1e307, or
-coordinates near 1e154 and above), tau is infinite and every pair is
-scored exactly, inf distances included: classification and K-Means then
-read no screen, and t*'s band holds every pair.
+A call claims the bound when it holds for all its pairs. Where it does
+not (d > 16,380, or an N past max/16: coordinates near 1e18 and above),
+tau is infinite and every pair is scored exactly, inf distances included:
+classification and K-Means then read no screen, and t*'s band holds every
+pair. The results are the same either way, and only the time differs: such
+a call scores all its len(x) x len(y) pairs with ``_exact``, where a claimed
+bound scores only the bands. No workload comes near either edge.
 
 Bands. A row's exact nearest column screens within 2 tau of its least
 screen. Each row takes its least screen; only a row whose runner-up
@@ -85,9 +89,9 @@ ties. Classification compares square-rooted distances, so the 2 tau margin
 also keeps columns that tie only after the square root, and scores each
 probe's distance exactly from its nearest row; K-Means compares squared
 distances. Each limit (least screen + 2 tau, or the screened order
-statistic -/+ 2 tau) is summed once in float64, rounded to the screen
-dtype and moved one step outward, so no comparison narrows the band; under
-a claimed bound every screen is finite, and t*'s band keeps a NaN screen.
+statistic -/+ 2 tau) is summed once in float64, rounded to float32 and
+moved one step outward, so no comparison narrows the band; under a
+claimed bound every screen is finite, and t*'s band keeps a NaN screen.
 Distances, labels, the lowest-index tie rule, t* and K-Means' assignments
 are therefore bitwise those of the row-by-row kernel. L1 has no Gram
 identity: classification scores every pair exactly, in one table of at
@@ -95,11 +99,11 @@ most ``_BLOCK`` probes against the gallery at a time, and t* comes from
 ``impostor_pool``.
 
 ``estimate_threshold`` screens each cross-user pair once, under zero-FAR
-and FAR-quantile alike. It holds one buffer of screens in the screen dtype
-(4 bytes each in float32), in ``impostor_pool``'s pair order, plus a
-transient copy of it while a FAR quantile's screened order statistic is
-found (zero-FAR takes the minimum in place); the band is then read from
-the buffer by position, so the peak is about two pool-sized arrays.
+and FAR-quantile alike. It holds one buffer of float32 screens (4 bytes
+each), in ``impostor_pool``'s pair order, plus a transient copy of it
+while a FAR quantile's screened order statistic is found (zero-FAR takes
+the minimum in place); the band is then read from the buffer by position,
+so the peak is about two pool-sized arrays.
 """
 
 from __future__ import annotations
@@ -120,13 +124,11 @@ _SQUARED = "squared"  # the exact kernel's euclidean before its square root (K-M
 _BLOCK = 64  # rows per Gram screen block
 _TILE = 1 << 18  # multiply-adds per screen GEMM: OpenBLAS keeps it on one thread
 _GATHER = 1 << 14  # feature values per block of the exact kernel: at most 128 KiB per copy
+_REDUCE = 1 << 13  # columns per einsum of a squared norm: numpy's buffer size (_sq_norms)
 _DIM_LIMIT = 2.0**-10  # largest (d + 4) u for which tau is claimed (module docstring)
-# per screen dtype, in the order tried: unit round-off u, smallest subnormal
-# eta, and the largest squared-norm sum screened (beyond it tau is infinite)
-_ROUNDING = {
-    t: (float(i.eps) / 2, float(i.smallest_subnormal), float(i.max) / 16)
-    for t, i in ((t, np.finfo(t)) for t in (np.float32, np.float64))
-}
+# float32's unit round-off u and smallest subnormal eta, and the largest
+# squared-norm sum screened (beyond it, as beyond _DIM_LIMIT, tau is infinite)
+_U, _ETA, _TOP = 2.0**-24, 2.0**-149, float(np.finfo(np.float32).max) / 16
 
 
 _Q_RANGE = "far_quantile needs q strictly in (0, 1)"
@@ -169,7 +171,7 @@ def _known(metric: str) -> None:
 
 
 def _norms(diff: np.ndarray, metric: str) -> np.ndarray:
-    """The metric's norm of each row of a 2-D array: every exact distance's reduction."""
+    """The metric's norm of each row of a 2-D array: the reduction of every distance ``_exact`` scores."""
     if metric == L1:
         return np.sum(np.abs(diff), axis=1)
     sq = _sq_norms(diff)
@@ -181,6 +183,13 @@ def _distances_to_rows(v: np.ndarray, rows: np.ndarray, metric: str) -> np.ndarr
 
 
 def _sq_norms(m: np.ndarray) -> np.ndarray:
+    """Each row's squared norm: one einsum, or past ``_REDUCE`` columns one
+    per block of ``_REDUCE`` columns, summed left to right. numpy sums a
+    lone row in that order, but a row among others differently, so without
+    the blocks a pair's distance would depend on the rows scored with it."""
+    if m.shape[1] > _REDUCE:
+        k = (m.shape[1] - 1) // _REDUCE * _REDUCE  # the last block's first column
+        return _sq_norms(m[:, :k]) + _sq_norms(m[:, k:])
     return np.einsum("ij,ij->i", m, m)
 
 
@@ -205,37 +214,35 @@ def _exact(x: np.ndarray, y: np.ndarray, metric: str = EUCLIDEAN, ix=None, iy=No
     return out if ix is None else out[:, 0]
 
 
-def _tau(xx: np.ndarray, yy_max, d: int, dtype) -> np.ndarray:
-    """tau in ``dtype`` (module docstring) of rows of squared norms xx against
-    rows whose largest squared norm is ``yy_max``, all as computed in that
-    dtype; infinite where the bound is not claimed (a screen could overflow:
+def _tau(xx: np.ndarray, yy_max, d: int) -> np.ndarray:
+    """tau (module docstring) of rows of squared norms xx against rows whose
+    largest squared norm is ``yy_max``, all as computed in float32; infinite
+    where the bound is not claimed (d too large, or a screen could overflow:
     every pair is then scored exactly)."""
-    u, eta, top = _ROUNDING[dtype]
-    if not ((d + 4) * u <= _DIM_LIMIT and xx.max() + yy_max <= top):  # NaN fails too
+    if not ((d + 4) * _U <= _DIM_LIMIT and xx.max() + yy_max <= _TOP):  # NaN fails too
         return np.full(xx.shape, np.inf)
     scale = 8.0 * (d + 4)
-    return np.multiply(xx, scale * u, dtype=np.float64) + scale * (u * float(yy_max) + eta)
+    return np.multiply(xx, scale * _U, dtype=np.float64) + scale * (_U * float(yy_max) + _ETA)
 
 
-def _outward(value, toward: float, dtype):
-    """A screen limit: ``value``, one float64 sum, rounded to ``dtype`` and
+def _outward(value, toward: float):
+    """A screen limit: ``value``, one float64 sum, rounded to float32 and
     moved one step toward ``toward``, beyond the exact sum either way."""
-    return np.nextafter(value.astype(dtype), dtype.type(toward))
+    return np.nextafter(value.astype(np.float32), np.float32(toward))
 
 
-def _stack(mat: np.ndarray, centre: np.ndarray, dtype, m: int):
-    """Rows of ``mat`` less ``centre``, rounded to ``dtype``, as column tiles
+def _stack(mat: np.ndarray, centre: np.ndarray, m: int):
+    """Rows of ``mat`` less ``centre``, rounded to float32, as column tiles
     for slices of at most m rows: a zero-padded (tiles, d, step) array with
     m step d <= _TILE where d <= _TILE / m, and the columns' squared norms,
     infinite for the padding, so that no padded column screens in a band."""
     n, d = mat.shape
     tiles = -(-n // max(1, _TILE // (m * d)))
     step = -(-n // tiles)  # balanced: only the last tile is partial
-    stack = np.empty((tiles, d, step), dtype)
+    stack = np.empty((tiles, d, step), np.float32)
     cols = stack.transpose(0, 2, 1)  # cols[t, s] is row t step + s of mat
     full, rest = divmod(n, step)
-    head = mat[: full * step].reshape(full, step, d)
-    np.subtract(head, centre, out=cols[:full], casting="same_kind")
+    np.subtract(mat[: full * step].reshape(full, step, d), centre, out=cols[:full], casting="same_kind")
     if rest:
         np.subtract(mat[full * step :], centre, out=cols[full, :rest], casting="same_kind")
         cols[full, rest:] = 0
@@ -259,7 +266,7 @@ def _screen(x, xx, stack, yy) -> np.ndarray:
     those beyond len(xx) screened and dropped."""
     tiles, d, step = stack.shape
     parts, rows = _groups(len(xx), stack)
-    g = np.empty((parts * rows, tiles * step), stack.dtype)
+    g = np.empty((parts * rows, tiles * step), np.float32)
     # slice (p, t) of the product is row group p against tile t, written in
     # place into g's rows and columns: at most _TILE multiply-adds each
     out = g.reshape(parts, rows, tiles, step).transpose(0, 2, 1, 3)
@@ -273,7 +280,7 @@ def _screen(x, xx, stack, yy) -> np.ndarray:
 
 class _Screen:
     """The screen of rows x against the columns y (module docstring): both
-    less the columns' mean and rounded to the screen dtype, y's tiles for
+    less the columns' mean and rounded to float32, y's tiles for
     slices of ``group`` rows, and tau for each row against every column;
     tau is infinite where the bound is not claimed. ``nearest`` decides on
     exact distances under ``metric``: euclidean for classification,
@@ -283,15 +290,12 @@ class _Screen:
     def __init__(self, x: np.ndarray, y: np.ndarray, metric: str, group: int):
         self.x, self.y, self.centre, self.metric, self.g = x, y, y.sum(axis=0) / len(y), metric, None
         n, d = x.shape
-        for self.dtype in _ROUNDING:  # float32, else float64 (else tau is infinite)
-            self.stack, self.yy = _stack(y, self.centre, self.dtype, group)
-            # zero rows after x's complete the last row group of any screen
-            self.xc = np.zeros((n + _groups(n, self.stack)[0] - 1, d), self.dtype)
-            np.subtract(x, self.centre, out=self.xc[:n], casting="same_kind")
-            self.xx = self.yy[:n] if x is self.y else _sq_norms(self.xc[:n])
-            self.tau = _tau(self.xx, self.yy[: len(self.y)].max(), d, self.dtype)
-            if self.tau[0] < np.inf:
-                return
+        self.stack, self.yy = _stack(y, self.centre, group)
+        # zero rows after x's complete the last row group of any screen
+        self.xc = np.zeros((n + _groups(n, self.stack)[0] - 1, d), np.float32)
+        np.subtract(x, self.centre, out=self.xc[:n], casting="same_kind")
+        self.xx = self.yy[:n] if x is y else _sq_norms(self.xc[:n])
+        self.tau = _tau(self.xx, self.yy[: len(y)].max(), d)
 
     def screen(self, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
         """Screens of the rows lo:hi against every column (and inf against
@@ -307,10 +311,10 @@ class _Screen:
         else:
             moved = np.flatnonzero((y != self.y).any(axis=1))
             if moved.size:
-                stack, yy = _stack(y[moved], self.centre, self.dtype, 1)
+                stack, yy = _stack(y[moved], self.centre, 1)
                 self.g[:, moved] = _screen(self.xc, self.xx, stack, yy)[:, : moved.size]
                 self.yy[moved] = yy[: moved.size]
-                self.tau = _tau(self.xx, self.yy[: len(y)].max(), y.shape[1], self.dtype)
+                self.tau = _tau(self.xx, self.yy[: len(y)].max(), y.shape[1])
         self.y = y
         return self.g
 
@@ -322,7 +326,7 @@ class _Screen:
             return _exact(x, self.y, self.metric).argmin(axis=1)
         best = g.argmin(axis=1)
         r = np.arange(best.size)
-        limit = _outward(g[r, best] + 2 * self.tau[lo : lo + best.size], np.inf, g.dtype)
+        limit = _outward(g[r, best] + 2 * self.tau[lo : lo + best.size], np.inf)
         within = g <= limit[:, None]  # a claimed bound keeps every screen finite
         # each row's least screen is within; only a row with another one can
         # have another nearest column: score its band exactly, in column order
@@ -371,8 +375,7 @@ def _cross_screens(mat: np.ndarray, row_end: np.ndarray, count: int):
     n = len(mat)
     screen = _Screen(mat, mat, EUCLIDEAN, min(n, _BLOCK))
     step = screen.stack.shape[2]
-    screens = np.empty(count, screen.dtype)
-    pos, ends = 0, row_end.tolist()
+    screens, pos, ends = np.empty(count, np.float32), 0, row_end.tolist()
     for lo in range(0, n, _BLOCK):
         c0 = ends[lo]  # segments are contiguous: no later row has a partner before c0
         if c0 == n:  # the last user's rows have no partner after them
@@ -401,9 +404,9 @@ def _cross_order_statistic(mat: np.ndarray, row_end: np.ndarray, count: int, k: 
     # lies within tau of a: pairs screened below a - 2 tau are certainly
     # below it, pairs above a + 2 tau certainly above, and the band between
     # holds it at rank k - below.
-    low = screens < _outward(a - 2 * tau, -np.inf, screens.dtype)
+    low = screens < _outward(a - 2 * tau, -np.inf)
     below = np.count_nonzero(low)
-    high = screens > _outward(a + 2 * tau, np.inf, screens.dtype)
+    high = screens > _outward(a + 2 * tau, np.inf)
     at = np.flatnonzero(~(low | high))  # NaN keeps a pair
     # row i's partners are the n - row_end[i] rows from row_end[i] on, and
     # its screens start at first[i]

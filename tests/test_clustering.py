@@ -297,7 +297,7 @@ def test_sq_dists_is_the_clipped_gram_expansion(offset, d):
     c = rng.normal(size=(7, d)) + offset
     for y in (c, x):  # against centroids, and one set against itself
         screen = _Screen(x, y, _SQUARED, 1)  # as kmeans builds it
-        assert screen.dtype == np.float32
+        assert screen.stack.dtype == np.float32
         centre = y.sum(axis=0) / y.shape[0]
         xc, yc = (x - centre).astype(np.float32), (y - centre).astype(np.float32)
         # the screen stacks the columns as (d, columns) tiles laid out row by
@@ -345,7 +345,7 @@ def _kmeans_case(draw):
         pts = rng.normal(size=(1 + n // 3, d))[rng.integers(0, 1 + n // 3, n)]
     elif kind == "two_values":  # more clusters than distinct points: the repair runs
         pts = rng.integers(0, 2, size=(n, d)).astype(float)
-    elif kind == "scale":  # subnormal in float32, float64 screen, overflow
+    elif kind == "scale":  # subnormal in float32, past float32's claim, overflow in float64
         pts = rng.normal(size=(n, d)) * draw(st.sampled_from([1e-40, 1e20, 1e155, 1e200]))
     else:
         pts = rng.normal(size=(n, d)) + 3.0 * rng.integers(0, k, size=(n, 1))
@@ -363,18 +363,19 @@ def test_kmeans_equals_exact_reference(case):
 
 
 @pytest.mark.parametrize(
-    "scale, dtype", [(1.0, np.float32), (1e-40, np.float32), (1e20, np.float64), (1e155, None), (1e200, None)]
+    "scale, claimed", [(1.0, True), (1e-40, True), (1e20, False), (1e155, False), (1e200, False)]
 )
-def test_screen_dtype_follows_the_bound(scale, dtype):
-    # the scales the reference test draws reach every screen: float32 (its
-    # subnormals included), float64, and none, where every pair is exact
+def test_screen_claims_the_bound_where_float32_holds(scale, claimed):
+    # the scales the reference test draws reach both sides of the claim:
+    # float32 (its subnormals included), and past it, where tau is infinite
+    # and every pair is exact (its exact distances overflowing at 1e155 and 1e200)
     rng = np.random.default_rng(6)
     pts = rng.normal(size=(30, 3)) * scale
     with np.errstate(over="ignore", invalid="ignore"):
         screen = _Screen(pts, pts[:4], _SQUARED, 1)  # as kmeans builds it
-        # None: not claimed in float64 either, so tau is infinite, every pair exact
-        claimed = (dtype or np.float64, dtype is not None)
-        assert (screen.dtype, bool(np.isfinite(screen.tau).all())) == claimed
+        assert screen.stack.dtype == np.float32
+        assert bool(np.isfinite(screen.tau).all()) == claimed
+        assert bool(np.isinf(screen.tau).all()) == (not claimed)
         _assert_same_clustering(pts, 4, labels=_labels(rng, 30, 4))
 
 

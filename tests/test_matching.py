@@ -27,6 +27,7 @@ from selfgallery.matching import (
 from selfgallery.metrics import distance_columns
 
 from conftest import enroll, gallery_1d, gallery_templates, make_sample, probe_batch, samples_of, screen_gallery
+from oracles import masked_mean_kmeans
 
 
 def test_estimate_threshold_zero_far(abc_gallery):
@@ -410,6 +411,7 @@ def test_tau_covers_rounding_that_adds_up_coherently():
 
 @pytest.mark.parametrize("c", [1e155, 3e157, 1e160])
 def test_screen_overflowing_float64_keeps_every_pair(c):
+    # far past float32's claim: tau is infinite and every pair is exact;
     # squares past 1.8e308 overflow float64: many exact distances are inf,
     # and a probe whose every distance is inf takes the first row
     rows = [(1, [c, c]), (1, [c, -c]), (2, [-c, c]), (3, [-c, -c]), (3, [c / 2, c]),
@@ -449,6 +451,26 @@ def test_screen_rows_at_an_overflow_edge(edge, side):
     if side == "both":
         probes += [f * np.array([1.0002, 1.0002]), f * np.array([3.0, 3.0])]
     _assert_screened_paths_equal_references(g, probes)
+
+
+@pytest.mark.parametrize("d", [16_380, 16_384])  # 16,384: a raw 128 x 128 image
+def test_screen_claims_float32_up_to_its_dimension_limit(d):
+    # (d + 4) u = 2^-10 at d = 16,380, the largest dimension the bound is
+    # claimed at; past it tau is infinite and every pair is scored exactly.
+    # On both sides classification, t* (zero-FAR, 1% and 20% FAR) and
+    # K-Means are bitwise their row references, ties across users included
+    rng = np.random.default_rng(d)
+    g, shared = screen_gallery(rng, d, [3, 2, 4, 1, 3, 2, 3, 2], 0.0)
+    mat = g.vectors
+    tau = matching._Screen(mat, mat, "euclidean", _BLOCK).tau
+    assert (np.isfinite(tau) if d == 16_380 else np.isinf(tau)).all()
+    _assert_screened_paths_equal_references(g, [shared, mat[0], mat[-1]] + list(rng.normal(2.0, 1.5, (9, d))))
+    for k, labels, seed in ((8, g.owner, None), (5, None, 3)):  # seeded or from user means
+        got = kmeans(mat, k, labels=labels, seed=seed)
+        want = masked_mean_kmeans(mat, k, labels=labels, seed=seed)
+        assert np.array_equal(got.assignment, want.assignment)
+        assert np.array_equal(got.centroids, want.centroids)
+        assert got.inertia_history == want.inertia_history
 
 
 @pytest.mark.parametrize("case", [1, 16, 64, 128, 4100, "kmeans"])  # dims, or K-Means
@@ -545,6 +567,24 @@ def test_classify_refuses_a_t_star_that_is_no_number(abc_gallery, t_star):
         classify_batch(batch, abc_gallery, t_star)
 
 
+@pytest.mark.parametrize("d", [8_192, 8_193, 16_384])
+def test_a_distance_does_not_depend_on_the_rows_scored_with_it(d):
+    # past numpy's buffer size, 8192 values, one einsum sums a lone row
+    # differently from a row among others; the kernel's blocks of at most
+    # 8192 columns, summed left to right as numpy sums a lone row, make a
+    # lone pair, a table entry and a listed pair agree
+    rng = np.random.default_rng(d)
+    x, y = rng.normal(size=(4, d)), rng.normal(size=(5, d))
+    lone = [[np.einsum("ij,ij->i", w, w)[0] for w in (y[j : j + 1] - v for j in range(5))] for v in x]
+    assert matching._exact(x, y, matching._SQUARED).tolist() == lone
+    for metric in (matching._SQUARED, *METRICS):
+        table = matching._exact(x, y, metric)
+        lone = [[_distances_to_rows(v, y[j : j + 1], metric)[0] for j in range(5)] for v in x]
+        assert table.tolist() == lone == [_distances_to_rows(v, y, metric).tolist() for v in x]
+        pairs = matching._exact(x, y, metric, np.repeat(np.arange(4), 5), np.tile(np.arange(5), 4))
+        assert pairs.tolist() == table.ravel().tolist()
+
+
 @pytest.mark.parametrize("offset", [0.0, 1e4])
 @pytest.mark.parametrize("d", [1, 3, 128])
 def test_sq_distances_is_bitwise_the_row_kernel(offset, d, monkeypatch):
@@ -579,7 +619,7 @@ def test_sq_distances_is_bitwise_the_row_kernel(offset, d, monkeypatch):
 def _handoff_case(case):
     """(gallery, probes, metric) for one hand-off case."""
     rng = np.random.default_rng(len(case))
-    if case == "overflow":  # near 1e155: tau is infinite, in float64 too
+    if case == "overflow":  # near 1e155: tau is infinite, and exact distances overflow float64
         c = 1e155
         rows = [(1, [c, c]), (1, [c, -c]), (2, [-c, c]), (3, [-c, -c]), (3, [c / 2, c])]
         g = enroll([(u, make_sample(i, v, user=u)) for i, (u, v) in enumerate(rows)])
@@ -588,7 +628,7 @@ def _handoff_case(case):
         "d16": (16, 1.0, 2 * _BLOCK + 7, "euclidean"),
         "d128": (128, 1.0, 2 * _BLOCK + 7, "euclidean"),
         "few": (16, 1.0, 5, "euclidean"),  # fewer than _BLOCK probes: tiles of another group
-        "float64": (8, 1e20, _BLOCK + 3, "euclidean"),  # the float32 bound fails
+        "noclaim": (8, 1e20, _BLOCK + 3, "euclidean"),  # the float32 bound fails: every pair exact
         "l1": (16, 1.0, _BLOCK + 3, "l1"),
     }[case]
     g, shared = screen_gallery(rng, dim, [int(c) for c in rng.integers(1, 9, 20)], 0.0)
@@ -597,7 +637,7 @@ def _handoff_case(case):
     return g, [shared * scale] + list(rng.normal(2.0, 1.5, (probes - 1, dim)) * scale), metric
 
 
-@pytest.mark.parametrize("case", ["d16", "d128", "few", "float64", "overflow", "l1"])
+@pytest.mark.parametrize("case", ["d16", "d128", "few", "noclaim", "overflow", "l1"])
 @pytest.mark.parametrize("q", [None, 0.2])
 def test_classification_after_t_star_is_bitwise_the_row_reference(case, q):
     g, probes, metric = _handoff_case(case)
