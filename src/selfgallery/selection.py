@@ -16,13 +16,16 @@ they choose a path, ``select_kmeans`` every user's block by user id, and
 
 Objectives always use squared euclidean, even when matching uses l1.
 
-Every MDIST/DEND path (the exact search, from either block source, and
-greedy) reads one exact squared-distance matrix of the id-sorted
-candidates from matching's exact kernel (``matching._exact``, squared):
-entry [i, j] is the squared norm of the difference of rows j and i, so its
-square root is bitwise the ``_distances_to_rows`` distance, and it is built
-in row blocks of at most ``_GATHER`` subtracted values. No BLAS call enters
-it, so no choice depends on the BLAS library or thread count.
+Every MDIST/DEND path reads matching's exact kernel (``matching._exact``,
+squared) of the id-sorted candidates: entry [i, j] is the squared norm of
+the difference of rows j and i, so its square root is bitwise the
+``_distances_to_rows`` distance, whatever rows are scored beside it. The
+exact search, from either block source, reads one n x n matrix of it,
+built in row blocks of at most ``_GATHER`` subtracted values. Greedy reads
+the same entries without that matrix: each row's entries past the diagonal,
+one row at a time, for its seed pair, then one column per chosen row, so its
+memory is linear in n x (dim + p). No BLAS call enters the kernel, so no
+choice depends on the BLAS library or thread count.
 
 Exact selection is one search: it screens every size-p subset, block by
 block in lexicographic order, and decides only on exact sums. The blocks
@@ -249,18 +252,26 @@ def _enumerate_best(candidates: np.ndarray, p: int, maximize: bool) -> list[int]
 
 def _greedy_select(candidates: np.ndarray, p: int, maximize: bool) -> list[int]:
     """Dispersion-style greedy: seed with the extreme pair, grow one at a
-    time; returns the chosen positions in ascending order."""
-    sqmat = _pair_matrix(candidates)
+    time; returns the chosen positions in ascending order.
+
+    The seed is the first extreme pair i < j in row-major order: the first
+    row whose first extreme past the diagonal is the overall extreme holds
+    it. Column k of ``block`` holds every row's entry with the k-th chosen
+    row, computed once; each pick sums the (remaining x chosen) part of it
+    row by row, in the chosen order, and takes the first extreme cost."""
     n = len(candidates)
-    iu = np.triu_indices(n, k=1)
-    flat = sqmat[iu]
-    pos = int(np.argmax(flat) if maximize else np.argmin(flat))
-    chosen = [int(iu[0][pos]), int(iu[1][pos])]
-    remaining = [i for i in range(n) if i not in chosen]
-    while len(chosen) < p:
-        costs = sqmat[np.ix_(remaining, chosen)].sum(axis=1)
-        j = int(np.argmax(costs) if maximize else np.argmin(costs))
-        chosen.append(remaining.pop(j))
+    pick = np.argmax if maximize else np.argmin
+    firsts = [i + 1 + int(pick(_exact(candidates[i : i + 1], candidates[i + 1 :], _SQUARED)[0]))
+              for i in range(n - 1)]  # each row's first extreme column past the diagonal, a row at a time
+    i = int(pick(_exact(candidates, candidates, _SQUARED, np.arange(n - 1), np.array(firsts))))
+    chosen = [i, firsts[i]]
+    remaining = [k for k in range(n) if k not in chosen]
+    block = np.empty((n, p - 1))
+    for k in range(p - 1):
+        block[:, k] = _exact(candidates, candidates[chosen[k] : chosen[k] + 1], _SQUARED)[:, 0]
+        if k > 0:
+            costs = block[remaining, : k + 1].sum(axis=1)
+            chosen.append(remaining.pop(int(pick(costs))))
     return sorted(chosen)
 
 

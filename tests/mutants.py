@@ -43,6 +43,20 @@ MUTANTS = (
         ("tests/test_selection.py",),
     ),
     Mutant(
+        "greedy seeded with each row's last extreme past the diagonal, not its first",
+        "selfgallery/selection.py",
+        "firsts = [i + 1 + int(pick(_exact(candidates[i : i + 1], candidates[i + 1 :], _SQUARED)[0]))",
+        "firsts = [n - 1 - int(pick(_exact(candidates[i : i + 1], candidates[i + 1 :], _SQUARED)[0][::-1]))",
+        ("tests/test_selection.py",),
+    ),
+    Mutant(
+        "greedy seeded from the last row holding the overall extreme, not the first",
+        "selfgallery/selection.py",
+        "i = int(pick(_exact(candidates, candidates, _SQUARED, np.arange(n - 1), np.array(firsts))))",
+        "i = n - 2 - int(pick(_exact(candidates, candidates, _SQUARED, np.arange(n - 1), np.array(firsts))[::-1]))",
+        ("tests/test_selection.py",),
+    ),
+    Mutant(
         "the subset-table cache at maxsize 8",
         "selfgallery/selection.py",
         "@lru_cache(maxsize=12)",

@@ -26,6 +26,14 @@ MAX_SUM = "max_sum_pairwise_sq"
 ORACLE_BUDGET = 10**7
 
 
+def sq_norms_by_row(diff: np.ndarray) -> np.ndarray:
+    """Each row's squared norm, every row summed on its own by a one-row
+    einsum. numpy sums a lone row in one order at any width, the order of
+    the row kernel; one einsum over several rows of more than 8192 columns
+    sums them in another."""
+    return np.array([np.einsum("ij,ij->i", row, row)[0] for row in diff[:, None, :]])
+
+
 def subset_objective(sqmat: np.ndarray, idx: Sequence[int]) -> float:
     """Sum of pairwise squared distances within the subset (unordered pairs)."""
     idx = list(idx)
@@ -72,11 +80,11 @@ def exact_assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Each point's nearest centroid by exact squared distance, the first on
     ties, then the empty-cluster repair ``kmeans`` documents.
 
-    The squared distance of a point to a centroid is the einsum of their
-    coordinate differences, the row kernel of ``_distances_to_rows``; every
-    (point, centroid) pair is computed.
+    The squared distance of a point to a centroid is the one-row einsum of
+    their coordinate differences (``sq_norms_by_row``), the row kernel of
+    ``_distances_to_rows``; every (point, centroid) pair is computed.
     """
-    d2 = np.stack([np.einsum("ij,ij->i", points - c, points - c) for c in centroids], axis=1)
+    d2 = np.stack([sq_norms_by_row(points - c) for c in centroids], axis=1)
     assignment = np.argmin(d2, axis=1)
     counts = np.bincount(assignment, minlength=len(centroids))
     cur = d2[np.arange(len(points)), assignment]
@@ -173,7 +181,7 @@ def _reference_kept(method, candidates, p):
     maximize = method == "dend"
     for rows in own:
         vecs = np.array([v for _, v in rows])
-        sqmat = np.stack([np.einsum("ij,ij->i", vecs - v, vecs - v) for v in vecs])
+        sqmat = np.stack([sq_norms_by_row(vecs - v) for v in vecs])
         best, best_obj = None, None
         for idx in combinations(range(len(rows)), min(p, len(rows))):
             obj = subset_objective(sqmat, idx)

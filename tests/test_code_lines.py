@@ -49,7 +49,7 @@ def test_a_string_after_the_first_statement_is_no_docstring():
 
 def test_finds_python_files_under_a_folder_and_counts_the_package(capsys):
     files = code_lines.python_files([str(ROOT / "tools")])
-    assert [f.name for f in files] == ["code_lines.py", "mutants.py", "paired.py"]
+    assert [f.name for f in files] == ["code_lines.py", "mutants.py", "paired.py", "reach.py"]
     assert code_lines.main([str(ROOT / "src" / "selfgallery")]) == 0
     out = capsys.readouterr().out.splitlines()
     counts = [int(line.split()[0]) for line in out]

@@ -27,7 +27,7 @@ from selfgallery.matching import (
 from selfgallery.metrics import distance_columns
 
 from conftest import enroll, gallery_1d, gallery_templates, make_sample, probe_batch, samples_of, screen_gallery
-from oracles import masked_mean_kmeans
+from oracles import masked_mean_kmeans, sq_norms_by_row
 
 
 def test_estimate_threshold_zero_far(abc_gallery):
@@ -585,19 +585,30 @@ def test_a_distance_does_not_depend_on_the_rows_scored_with_it(d):
         assert pairs.tolist() == table.ravel().tolist()
 
 
+@pytest.mark.parametrize("d", [8_192, 8_193, 16_384])
+def test_the_oracles_row_sums_are_bitwise_the_kernel(d):
+    # the test references sum each row on its own, so past numpy's buffer
+    # size too they sum it in the kernel's order, not in the order one
+    # einsum over several rows takes
+    rng = np.random.default_rng(d)
+    x, v = rng.normal(size=(30, d)), rng.normal(size=d)
+    assert sq_norms_by_row(x - v).tolist() == matching._exact(v[None], x, matching._SQUARED)[0].tolist()
+
+
 @pytest.mark.parametrize("offset", [0.0, 1e4])
 @pytest.mark.parametrize("d", [1, 3, 128])
 def test_sq_distances_is_bitwise_the_row_kernel(offset, d, monkeypatch):
     # the exact kernel every distance is taken from: entry [i, j] is the
-    # einsum of y[j] - x[i] (squared euclidean: what MDIST/DEND and K-Means
-    # decide on), its root, or its l1 norm, each bitwise _distances_to_rows'
+    # one-row einsum of y[j] - x[i] (squared euclidean: what MDIST/DEND and
+    # K-Means decide on), its root, or its l1 norm, each bitwise
+    # _distances_to_rows'
     rng = np.random.default_rng(d)
     x = rng.normal(size=(50, d)) + offset
     c = rng.normal(size=(7, d)) + offset
     table = matching._exact(x, c, matching._SQUARED)
     assert table.shape == (50, 7)
     for i, v in enumerate(x):
-        assert table[i].tolist() == np.einsum("ij,ij->i", c - v, c - v).tolist()
+        assert table[i].tolist() == sq_norms_by_row(c - v).tolist()
         assert np.sqrt(table[i]).tolist() == _distances_to_rows(v, c, "euclidean").tolist()
     ix, iy = rng.integers(0, 50, 40), rng.integers(0, 7, 40)
     for metric in (matching._SQUARED, *METRICS):

@@ -20,6 +20,7 @@ from oracles import (
     MIN_SUM,
     dominant_cluster_for_user,
     oracle_subset_select,
+    sq_norms_by_row,
     subset_objective,
 )
 
@@ -57,10 +58,10 @@ def _select_kmeans(candidates_by_user, p):
 
 
 def _exact_sqmat(vecs):
-    """Every pair's squared distance, row by row: row i is the einsum of the
-    rows' coordinate differences to row i."""
+    """Every pair's squared distance, row by row: row i holds the one-row
+    einsums of the rows' coordinate differences to row i."""
     vecs = np.asarray(vecs)
-    return np.stack([np.einsum("ij,ij->i", vecs - v, vecs - v) for v in vecs])
+    return np.stack([sq_norms_by_row(vecs - v) for v in vecs])
 
 
 def _objective(ss):
