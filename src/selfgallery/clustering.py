@@ -54,12 +54,13 @@ class Clustering:
         return len(self.inertia_history)
 
 
-def _sq_residuals(points: np.ndarray, centroids: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """``(points - centroids[index]) ** 2``, built in place on the one
-    gathered copy."""
+@np.errstate(over="ignore")  # a square or sum past float64's max is inf, as the exact kernel's
+def _sq_residuals(points: np.ndarray, centroids: np.ndarray, index: np.ndarray, axis=None) -> np.ndarray:
+    """``(points - centroids[index]) ** 2`` summed over ``axis`` (all of it
+    by default), built in place on the one gathered copy."""
     r = centroids[index]
     np.subtract(points, r, out=r)
-    return np.square(r, out=r)
+    return np.square(r, out=r).sum(axis=axis)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a screen may overflow: its tau is then infinite
@@ -186,7 +187,7 @@ def kmeans(
             settled = groups is not None and np.array_equal(assignment, groups)
             if not (settled and history):  # else this pass repeats the last one
                 centroids = _means(points, assignment, k, groups, centroids)
-                inertia = float(_sq_residuals(points, centroids, assignment).sum())
+                inertia = float(_sq_residuals(points, centroids, assignment))
             groups = assignment
         history.append(inertia)
         if len(history) >= 2:

@@ -17,8 +17,8 @@ or compare exactly comes from ``_exact``, bitwise the row kernel
 ``_distances_to_rows``, as do evaluation's columns (``metrics``) and MDIST
 and DEND's matrices (``selection``). Four exact reductions are their own:
 K-Means' empty-cluster repair (``_sq_norms`` of each point less its
-centroid) and its inertia (``clustering._sq_residuals``, summed),
-``select_kmeans``' ranking (``_sq_residuals(...).sum(axis=1)``, as
+centroid) and its inertia (``clustering._sq_residuals``' total),
+``select_kmeans``' ranking (``_sq_residuals(..., axis=1)``, as
 ``tests/oracles.py`` defines it) and ``synthgen.user_means``' spacing.
 
 Operands. A screen's columns are the gallery (K-Means: the centroids) and
@@ -173,7 +173,8 @@ def _known(metric: str) -> None:
 def _norms(diff: np.ndarray, metric: str) -> np.ndarray:
     """The metric's norm of each row of a 2-D array: the reduction of every distance ``_exact`` scores."""
     if metric == L1:
-        return np.sum(np.abs(diff), axis=1)
+        with np.errstate(over="ignore"):  # a sum past float64's max is inf, as the einsum's
+            return np.sum(np.abs(diff), axis=1)
     sq = _sq_norms(diff)
     return sq if metric == _SQUARED else np.sqrt(sq)
 

@@ -333,7 +333,7 @@ def select_kmeans(candidates_by_user: dict[int, np.ndarray], p: int) -> np.ndarr
     cl = kmeans(points, k, labels=user_index)
 
     dom = np.bincount(user_index * k + cl.assignment, minlength=k * k).reshape(k, k).argmax(axis=1)
-    d2 = _sq_residuals(points, cl.centroids, dom[user_index]).sum(axis=1)
+    d2 = _sq_residuals(points, cl.centroids, dom[user_index], axis=1)
     order = np.lexsort((d2, user_index))  # stable: equal distances keep id order
     rank = np.arange(len(order)) - np.repeat(np.cumsum(sizes) - sizes, sizes)  # within its user
     return order[rank < p]

@@ -1,12 +1,16 @@
-"""The mutants the tests must kill: small bugs a refactor could bring back
-while every check still passes, unless a test catches each one.
+"""The mutants the tests and the benchmark must kill: small bugs a
+refactor could bring back while every check still passes, unless a test,
+or the benchmark's own correctness check, catches each one.
 
 Each entry names the mutant, gives a file under ``src/``, a snippet that
-must occur in it exactly once, the snippet's replacement, and the test
-files that must fail once the replacement is applied. ``tools/mutants.py``
-applies the entries one at a time to a copy of the tree and runs their
-tests. An entry whose snippet no longer occurs exactly once fails that run,
-so a change that moves or rewrites a snippet updates its entry here.
+must occur in it exactly once and the snippet's replacement. An entry of
+``MUTANTS`` then names the test files that must fail once the replacement
+is applied; an entry of ``BENCH_MUTANTS`` names one ``perfbench/run.py``
+run (workload, seed, seconds) that must then print ``"correct": false``.
+``tools/mutants.py`` applies the entries one at a time to a copy of the
+tree and runs their checks. An entry whose snippet no longer occurs
+exactly once fails that run, so a change that moves or rewrites a snippet
+updates its entry here.
 """
 
 from typing import NamedTuple
@@ -18,6 +22,14 @@ class Mutant(NamedTuple):
     snippet: str
     replacement: str
     tests: tuple[str, ...]
+
+
+class BenchMutant(NamedTuple):
+    name: str
+    file: str  # under src/
+    snippet: str
+    replacement: str
+    run: tuple[str, int, int]  # perfbench/run.py's --workload, --seed and --seconds
 
 
 MUTANTS = (
@@ -111,5 +123,27 @@ MUTANTS = (
         "_REDUCE = 1 << 13",
         "_REDUCE = 1 << 14",
         ("tests/test_matching.py",),
+    ),
+)
+
+
+# perfbench/run.py at --trace 0 fails a run whose operations fail or whose
+# fingerprint differs from the recorded one; no fingerprint is recorded at
+# --seconds 5, so an entry that changes outputs without failing an
+# operation runs at --seconds 30
+BENCH_MUTANTS = (
+    BenchMutant(
+        "K-Means selection keeps p + 1 templates per user",
+        "selfgallery/selection.py",
+        "order[rank < p]",
+        "order[rank <= p]",
+        ("online_wide", 1, 5),
+    ),
+    BenchMutant(
+        "the FAR quantile taken one rank too high",
+        "selfgallery/matching.py",
+        "math.ceil(self.q * pool_size) - 1",
+        "math.ceil(self.q * pool_size)",
+        ("online_wide", 1, 30),
     ),
 )

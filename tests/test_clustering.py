@@ -313,17 +313,15 @@ def test_sq_dists_is_the_clipped_gram_expansion(offset, d):
         assert np.array_equal(screen.nearest(g), exact.argmin(axis=1))
 
 
-def test_sq_residuals_is_the_squared_difference_to_the_gathered_centroids():
+def test_sq_residuals_sums_the_squared_difference_to_the_gathered_centroids():
     rng = np.random.default_rng(4)
     pts = rng.normal(size=(30, 5)) + 1e4
     centroids = rng.normal(size=(3, 5)) + 1e4
     index = rng.integers(0, 3, 30)
     kept = centroids.copy()
-    got = _sq_residuals(pts, centroids, index)
     want = (pts - centroids[index]) ** 2
-    assert np.array_equal(got, want)
-    assert np.array_equal(got.sum(axis=1), np.sum(want, axis=1))
-    assert float(got.sum()) == float(np.sum(want))
+    assert np.array_equal(_sq_residuals(pts, centroids, index, axis=1), np.sum(want, axis=1))
+    assert float(_sq_residuals(pts, centroids, index)) == float(np.sum(want))
     assert np.array_equal(centroids, kept)
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from selfgallery import matching
 from selfgallery.core import Batch, Dataset, gallery_enroll
 from selfgallery.engine import EngineConfig, run_sequence, run_update_cycle
 from selfgallery.matching import ThresholdPolicy, _distances_to_rows
+from selfgallery.metrics import distance_columns, score_sets
 
 from conftest import batch_of, enroll, gallery_1d, held_ids, make_sample
 from oracles import reference_sequence, reference_threshold
@@ -259,6 +262,34 @@ def test_determinism_bit_identical():
         return ids, meta
 
     assert run() == run()
+
+
+@pytest.mark.parametrize(
+    "scale, d",
+    [
+        (1e155, 3),  # squared differences past float64's max
+        (3e153, 16),  # finite squares whose row sums pass it
+        (1e307, 16),  # l1 row sums past it
+    ],
+)
+@pytest.mark.parametrize("metric", [matching.EUCLIDEAN, matching.L1])
+def test_distances_past_float64s_max_score_inf_without_a_warning(scale, d, metric):
+    # the exact kernel's einsum reads an overflowed distance as inf silently,
+    # so every stage must: a RuntimeWarning is an error, which would fail
+    # the one method or metric whose reduction warns
+    rng = np.random.default_rng(0)
+    samples = [make_sample(i, scale * rng.standard_normal(d), user=1 + i % 3) for i in range(12)]
+    g = enroll([(s.true_user, s) for s in samples[:6]], cap=2, probes=samples[6:])
+    batch = batch_of(g, range(6, 12))
+    policy = ThresholdPolicy.far_quantile(0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        matching.estimate_threshold(g, policy, metric)
+        matching.classify_batch(batch, g, np.inf, metric)
+        score_sets(batch, g, distance_columns(batch, [g], metric))
+        for method in ("kmeans", "mdist", "dend", "keep_all"):
+            _, report = run_update_cycle(g, batch, EngineConfig(method, 2, metric, policy), np.inf)
+            assert report.n_accepted + report.n_rejected == len(batch)
 
 
 def test_config_validation():

@@ -1,24 +1,29 @@
-"""Require the tests to kill every mutant of ``tests/mutants.py``.
+"""Require the tests and the benchmark to kill every mutant of ``tests/mutants.py``.
 
     python tools/mutants.py
 
 Run from the repository root. The runner first checks every entry: a
 snippet that does not occur exactly once in its file is stale, and one
 stale entry fails the whole run before any test runs. It copies ``src/``,
-``tests/`` and ``pyproject.toml`` into a temporary directory and runs the
-entries' test files on the unchanged copy, which must pass. Each entry in
-turn replaces its snippet, runs its test files with ``python -m pytest -x
--q`` at one BLAS thread (``OPENBLAS_NUM_THREADS=1``) on the copy, and
-restores the file.
-An entry is killed when pytest reports a failed test (exit status 1) and
-survives when every test passes; any other status, such as a collection
-error, is an error. One line per entry gives its outcome and seconds. The
-exit status is 0 only when every entry is killed.
+``tests/``, ``perfbench/``, ``pyproject.toml`` and ``BENCHMARK.json`` into
+a temporary directory and checks the unchanged copy: the test entries'
+files must pass, and each benchmark entry's ``perfbench/run.py --trace 0``
+run (workload, seed, seconds) must print ``"correct": true``. Each entry in
+turn replaces its snippet, runs its check on the copy and restores the
+file: a test entry runs its test files with ``python -m pytest -x -q`` at
+one BLAS thread (``OPENBLAS_NUM_THREADS=1``), a benchmark entry its run.
+A test entry is killed when pytest reports a failed test (exit status 1),
+a benchmark entry when the run's last line reads ``"correct": false``; an
+entry survives when its check passes, and any other end, such as a
+collection error or a run that exits nonzero, is an error. One line per
+entry gives its outcome and seconds. The exit status is 0 only when every
+entry is killed.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import json
 import os
 import shutil
 import subprocess
@@ -32,11 +37,11 @@ TABLE = ROOT / "tests" / "mutants.py"
 
 
 def load() -> tuple:
-    """The entries of ``tests/mutants.py``."""
+    """The entries of ``tests/mutants.py``: its test mutants, then its benchmark mutants."""
     spec = importlib.util.spec_from_file_location("mutant_table", TABLE)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.MUTANTS
+    return module.MUTANTS + module.BENCH_MUTANTS
 
 
 def stale(mutants, src: Path) -> list[str]:
@@ -60,6 +65,32 @@ def pytest(tree: Path, tests) -> subprocess.CompletedProcess:
     return subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
 
 
+def bench(tree: Path, run) -> subprocess.CompletedProcess:
+    """``perfbench/run.py --trace 0`` of one (workload, seed, seconds) on
+    the copy ``tree``, which it imports from its working directory."""
+    workload, seed, seconds = run
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    return subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
+
+
+def correct(proc: subprocess.CompletedProcess):
+    """run.py's verdict: the ``correct`` field of its last stdout line, or
+    None when it exited nonzero."""
+    return json.loads(proc.stdout.splitlines()[-1])["correct"] if proc.returncode == 0 else None
+
+
+def passes(tree: Path, m) -> tuple:
+    """Whether entry ``m``'s check passes on the copy ``tree`` (True or
+    False, None for any other end), and its process."""
+    if hasattr(m, "tests"):
+        proc = pytest(tree, m.tests)
+        return {0: True, 1: False}.get(proc.returncode), proc
+    proc = bench(tree, m.run)
+    return correct(proc), proc
+
+
 def main() -> int:
     mutants = load()
     problems = stale(mutants, ROOT / "src")
@@ -68,26 +99,33 @@ def main() -> int:
         return 1
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp)
-        for name in ("src", "tests"):
+        for name in ("src", "tests", "perfbench"):
             shutil.copytree(ROOT / name, tree / name, ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copy2(ROOT / "pyproject.toml", tree)
-        files = sorted({t for m in mutants for t in m.tests})
+        for name in ("pyproject.toml", "BENCHMARK.json"):
+            shutil.copy2(ROOT / name, tree)
+        files = sorted({t for m in mutants if hasattr(m, "tests") for t in m.tests})
         base = pytest(tree, files)
         if base.returncode != 0:
             print(base.stdout + base.stderr)
             print(f"error: the unchanged tree fails {' '.join(files)} (pytest exit status {base.returncode})")
             return 1
+        for run in sorted({m.run for m in mutants if hasattr(m, "run")}):
+            proc = bench(tree, run)
+            if correct(proc) is not True:
+                print(proc.stdout[-2000:] + proc.stderr[-2000:])
+                print(f"error: the unchanged tree's benchmark run {run} does not read correct: true")
+                return 1
         failed = 0
         for m in mutants:
             path = tree / "src" / m.file
             original = path.read_text()
             path.write_text(original.replace(m.snippet, m.replacement))
             start = time.perf_counter()
-            proc = pytest(tree, m.tests)
+            ok, proc = passes(tree, m)
             path.write_text(original)
-            result = {0: "SURVIVED", 1: "killed"}.get(proc.returncode, f"ERROR (pytest exit status {proc.returncode})")
+            result = {True: "SURVIVED", False: "killed"}.get(ok, f"ERROR (exit status {proc.returncode})")
             print(f"{result:<9} {time.perf_counter() - start:6.1f} s  {m.name}", flush=True)
-            if proc.returncode != 1:
+            if ok is not False:
                 failed += 1
                 print(proc.stdout[-2000:] + proc.stderr[-2000:])
     print(f"{len(mutants) - failed} of {len(mutants)} mutants killed")
