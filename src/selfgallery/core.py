@@ -264,8 +264,7 @@ class Gallery(_Rows):
     Rows may come in any order, and the gallery orders them by owner, then
     sample id (``row_order``), the order selection reads, so each user's
     rows are contiguous: ``starts[u]:starts[u + 1]`` for the u-th user; a
-    row's batch does not order it. Rows already in that order pay one
-    linear check and no sort. A user is enrolled by its rows and never
+    row's batch does not order it. A user is enrolled by its rows and never
     loses its last one. Every column is a read-only copy (``sample_id`` is
     the rows' ids, gathered once; ``starts`` is built over the ordered
     owners), so nothing changes a gallery after its checks ran.
@@ -286,10 +285,8 @@ class Gallery(_Rows):
         if not len(owner) == len(inserted_at) == len(rows):
             raise ValueError("rows, owner and inserted_at must hold one entry per row")
         ids = self.dataset.sample_id[_in(self.dataset, rows)]
-        # compared, not subtracted: no overflow; rows in order pay this check only
-        if np.any((owner[1:] < owner[:-1]) | ((owner[1:] == owner[:-1]) & (ids[1:] < ids[:-1]))):
-            order = row_order(owner, ids)
-            rows, owner, inserted_at, ids = rows[order], owner[order], inserted_at[order], ids[order]
+        order = row_order(owner, ids)
+        rows, owner, inserted_at, ids = rows[order], owner[order], inserted_at[order], ids[order]
         _freeze(self, rows=rows, owner=owner, inserted_at=inserted_at, sample_id=ids, starts=user_bounds(owner))
         if inserted_at.min() < 0:
             raise ValueError("inserted_at must be non-negative")

@@ -203,10 +203,6 @@ def _exact(x: np.ndarray, y: np.ndarray, metric: str = EUCLIDEAN, ix=None, iy=No
     d = x.shape[1]
     n, m = (len(x), len(y)) if ix is None else (len(ix), 1)
     step = max(1, _GATHER // max(1, m * d))
-    if n <= step:  # one block: its norms are the result, with no buffer to copy them into
-        diff = y[None, :, :] - x[:, None, :] if ix is None else y[iy] - x[ix]
-        out = _norms(diff.reshape(-1, d), metric)
-        return out.reshape(n, m) if ix is None else out
     out = np.empty((n, m))
     for lo in range(0, n, step):
         part = slice(lo, lo + step)
@@ -295,7 +291,7 @@ class _Screen:
         # zero rows after x's complete the last row group of any screen
         self.xc = np.zeros((n + _groups(n, self.stack)[0] - 1, d), np.float32)
         np.subtract(x, self.centre, out=self.xc[:n], casting="same_kind")
-        self.xx = self.yy[:n] if x is y else _sq_norms(self.xc[:n])
+        self.xx = _sq_norms(self.xc[:n])
         self.tau = _tau(self.xx, self.yy[: len(y)].max(), d)
 
     def screen(self, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:

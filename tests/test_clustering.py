@@ -301,11 +301,11 @@ def test_sq_dists_is_the_clipped_gram_expansion(offset, d):
         centre = y.sum(axis=0) / y.shape[0]
         xc, yc = (x - centre).astype(np.float32), (y - centre).astype(np.float32)
         # the screen stacks the columns as (d, columns) tiles laid out row by
-        # row and sums their squared norms down each tile's columns; a set
-        # against itself takes its rows' norms from there too
+        # row and sums their squared norms down each tile's columns; the rows'
+        # norms, a set against itself included, are _sq_norms of the rows
         yt = np.ascontiguousarray(yc.T)
         yy = np.einsum("ds,ds->s", yt, yt)
-        want = -2.0 * (xc @ yt) + (yy if y is x else _sq_norms(xc))[:, None] + yy
+        want = -2.0 * (xc @ yt) + _sq_norms(xc)[:, None] + yy
         g = screen.rescreen(y)
         assert want.dtype == np.float32 and np.array_equal(g, want)
         exact = _exact(x, y, _SQUARED)

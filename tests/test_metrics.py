@@ -75,6 +75,18 @@ def test_eer_indistinguishable():
     assert compute_eer(scores, scores) == pytest.approx(0.5)
 
 
+
+def test_eer_at_an_exact_far_frr_tie_interpolates_up_to_the_first_non_negative_point():
+    # thresholds 0.5, 0.8, 1.0, 1.6, 2.0, ...: FAR - FRR is -1, -5/6, -1/2, 0, 1/6, ...
+    # (it rises strictly, so it is 0 at one threshold at most). It first changes
+    # sign between 1.0 (FAR 2/6) and 1.6, where FAR = FRR = 5/6 exactly; the EER
+    # interpolates between those two points, which rounds one ulp below 5/6,
+    # not between 1.6 and 2.0, the first positive difference, which gives 5/6
+    genuine, impostor = [4.5, 0.5, 3.0, 4.0, 2.0, 2.0], [0.8, 1.0, 1.0, 1.6, 1.0, 0.8]
+    far_before, far_tie = 2 / 6, 5 / 6
+    assert compute_eer(genuine, impostor) == far_before + -0.5 / (-0.5 - 0.0) * (far_tie - far_before)
+    assert compute_eer(genuine, impostor) != far_tie
+
 def test_eer_rejects_empty():
     with pytest.raises(ValueError):
         compute_eer([], [0.5])
@@ -208,6 +220,12 @@ def test_storage_formulas():
     with pytest.raises(ValueError):
         storage_uncapped(1.0, -1, 2.0, 4, 10)
 
+
+
+def test_storage_uncapped_refuses_beta_zero():
+    # the docstring's beta lies in (0, 1]: 0 is outside it, as is 1.5 above
+    with pytest.raises(ValueError, match=r"^beta must be in \(0, 1\]$"):
+        storage_uncapped(0.0, 3, 2.0, 4, 10)
 
 @pytest.mark.parametrize(
     "args, message",

@@ -41,6 +41,12 @@ def test_mean_separation_honored():
                 assert np.linalg.norm(means[i] - means[j]) >= 5.0 * 2.0 - 1e-9
 
 
+
+def test_user_means_sit_on_scaled_axes_when_dim_equals_k_users():
+    # the docstring's rule is dim >= k_users: at equality too, no rejection sampling
+    params = SynthParams(k_users=4, dim=4, separation=5.0, sigma=2.0, seed=3)
+    assert np.array_equal(user_means(params), np.eye(4) * (10.0 / np.sqrt(2.0)))
+
 def test_no_tail_high_separation_nearest_mean_perfect():
     params = SynthParams(
         k_users=5, dim=4, separation=20.0, tail_eps=0.0, samples_per_user=30, seed=5
@@ -78,6 +84,12 @@ def test_param_validation():
     with pytest.raises(ValueError):
         SynthParams(k_users=2, dim=2, sigma=0.0)
 
+
+
+def test_params_refuse_separation_zero():
+    # separation must be positive, as sigma must (test_param_validation)
+    with pytest.raises(ValueError, match="^sigma and separation must be finite and positive$"):
+        SynthParams(k_users=3, dim=2, separation=0.0)
 
 @pytest.mark.parametrize(
     "call, message",
