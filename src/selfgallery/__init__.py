@@ -7,7 +7,7 @@ of p templates per user is retained by K-Means, MDIST or DEND selection.
 """
 
 from .dataio import Split, load_dataset, split_batches, write_dataset
-from .core import Batch, Dataset, Gallery, Sample, gallery_enroll
+from .core import Batch, Dataset, Gallery, gallery_enroll
 from .engine import EngineConfig, UpdateCycleReport, run_sequence, run_update_cycle
 from .experiment import ExperimentConfig, run_experiment
 from .matching import ThresholdPolicy, classify_batch, estimate_threshold
@@ -22,7 +22,6 @@ __all__ = [
     "EngineConfig",
     "ExperimentConfig",
     "Gallery",
-    "Sample",
     "Split",
     "SynthParams",
     "ThresholdPolicy",

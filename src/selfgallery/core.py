@@ -2,17 +2,16 @@
 
 All types are immutable values; galleries evolve by producing new versions.
 ``Dataset``, ``Batch`` and ``Gallery`` hold arrays, so each compares and
-hashes by identity, as ``Sample`` does.
+hashes by identity.
 
 One ``Dataset`` holds every sample the package works on, as rows: int64
 ``sample_id``, ``true_user`` and ``session`` (-1 where a sample has none)
-columns and one float64 ``vectors`` matrix (n, dim), all read-only. The
-producers fill it from arrays (``synthgen.generate``, ``dataio.load_dataset``);
-inputs built by hand start from ``Sample`` values, which ``Dataset.of`` stacks
-into rows, the one place a ``Sample`` becomes a row. Every other module works
-on rows: a ``Batch`` and a ``Gallery`` are int64 row indices into one
-dataset, and their vectors, sample ids and true users are gathers of its
-columns. So a batch and the gallery it updates must be rows of the same
+columns and one float64 ``vectors`` matrix (n, dim), all read-only. It is
+built from those arrays, the one way in, by the producers
+(``synthgen.generate``, ``dataio.load_dataset``) and by hand alike. Every
+module works on rows: a ``Batch`` and a ``Gallery`` are int64 row indices
+into one dataset, and their vectors, sample ids and true users are gathers
+of its columns. So a batch and the gallery it updates must be rows of the same
 dataset; the engine and evaluation refuse a pair of two datasets.
 
 Ground truth travels with the dataset, as its ``true_user`` column. The
@@ -34,23 +33,20 @@ that layout and where each user's rows lie; every other module reads the
 row accessors (``rows``, ``owner``, ``inserted_at``, ``vectors``,
 ``sample_id``, ``true_user``, ``starts``, ``user_ids``): t*, the impostor
 fraction and the score sets take each user's rows from ``starts``.
-``Gallery.users`` is a per-user view of the same rows as ``Sample`` values,
+``Gallery.users`` is a per-user view of the same rows as ``Sample`` records,
 built once per gallery at its first read and kept only for the benchmark's
-checks, which read it; ``Template`` (one held sample) and ``UserGallery``
-are its element types, and the package does not export them.
+checks, which read it; ``Sample``, ``Template`` (one held sample) and
+``UserGallery`` are its element types, and the package exports none of them.
 
 ``gallery_enroll``'s ``cap`` is an enrollment bound only: it checks how
 many samples each user enrolls with. The cap that selection enforces on
 every update cycle is ``EngineConfig.p``.
 
-Where inputs are checked. ``Sample`` checks one vector when it is built:
-1-D, non-empty and finite, copied once and frozen, so no later write to the
-source reaches it; its id, user and session must be integers (Python or
-numpy, not bool), id and user within int64. ``Dataset`` checks its columns
-once, as a whole: at least one row, one entry per row, every key an integer
-in int64, finite 2-D vectors of at least one coordinate, and distinct
-sample ids. A session is -1 for none and else non-negative; every reader
-takes any negative session as none. Every scalar parameter of the package
+Where inputs are checked. ``Dataset`` checks its columns once, as a whole:
+at least one row, one entry per row, every key an integer in int64, finite
+2-D vectors of at least one coordinate, and distinct sample ids. A
+session is -1 for none and else non-negative; every reader takes any
+negative session as none. Every scalar parameter of the package
 goes through one of two rules: ``check_integer``, for every key, batch
 index, count, size and seed, with its floor if it has one (``p`` positive,
 a seed non-negative, at least 3 batches), and ``check_real``, for every
@@ -58,7 +54,8 @@ real parameter (``q``, t*, ``beta``, ``m_bar``, ``sigma``, ``separation``,
 ``tail_eps``), whose caller checks its own interval. Both refuse a bool,
 and each wrong value raises ValueError naming its parameter. ``check_int64``
 adds the int64 range, the one check of every key an int64 column holds
-(``Sample``'s id and user, a gallery's owner and inserted_at).
+(a dataset's keys, in its columns or its file, and a gallery's rows, owner
+and inserted_at).
 ``first_repeat`` is the one rule that each sample is given once: the
 dataset's ids, a gallery's rows and the engine's fresh-row check name the
 sample it finds. ``Batch`` and ``Gallery`` check that their rows lie in
@@ -78,41 +75,20 @@ import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
 @dataclass(frozen=True, eq=False)
 class Sample:
-    """A feature vector with a unique id and its ground-truth identity, the
-    value type of inputs built by hand (``Dataset.of`` makes them rows);
-    compared and hashed by identity, as ``Dataset``, ``Gallery`` and
-    ``Batch`` are.
-    """
+    """One row of ``Gallery.users``, as given: its sample id, vector, true
+    user and session (None for none); compared and hashed by identity, as
+    ``Dataset``, ``Gallery`` and ``Batch`` are."""
 
     id: int
     vector: np.ndarray
     true_user: int
     session: Optional[int] = None
-
-    def __post_init__(self):
-        v = np.array(self.vector, dtype=np.float64)  # the one copy, frozen below
-        if v.ndim != 1 or v.size < 1:
-            raise ValueError("feature vector must be 1-D with at least one coordinate")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("feature vector contains non-finite coordinates")
-        v.flags.writeable = False
-        object.__setattr__(self, "vector", v)
-        # integers only: a float id truncates in a row, a float session is
-        # written to a file that load_dataset refuses, and so is a bool
-        for name in ("id", "true_user"):  # Dataset rows hold both as int64
-            check_int64(getattr(self, name), name)
-        if self.session is not None:
-            check_integer(self.session, "session", 0)
-
-    @property
-    def dim(self) -> int:
-        return self.vector.shape[0]
 
 
 def check_integer(value, name: str, low: Optional[int] = None):
@@ -203,18 +179,6 @@ class Dataset:
         if (again := first_repeat(ids)) is not None:
             raise ValueError(f"duplicate sample_id {ids[again]}")
         _freeze(self, sample_id=ids, true_user=truth, session=session, vectors=vectors)
-
-    @classmethod
-    def of(cls, samples: Sequence[Sample]) -> Dataset:
-        """The samples as rows, in order: the one place a ``Sample`` becomes a
-        row. The first sample of another dimension than the first's is
-        named."""
-        samples = list(samples)
-        for s in samples:
-            if s.dim != samples[0].dim:
-                raise ValueError(f"dimension mismatch: sample {s.id} has dim {s.dim}, expected {samples[0].dim}")
-        keys = [(s.id, s.true_user, -1 if s.session is None else s.session) for s in samples]
-        return cls(*np.array(keys, dtype=np.int64).reshape(-1, 3).T, np.array([s.vector for s in samples]))
 
     def __len__(self) -> int:
         return len(self.vectors)

@@ -101,9 +101,8 @@ most ``_BLOCK`` probes against the gallery at a time, and t* comes from
 ``estimate_threshold`` screens each cross-user pair once, under zero-FAR
 and FAR-quantile alike. It holds one buffer of float32 screens (4 bytes
 each), in ``impostor_pool``'s pair order, plus a transient copy of it
-while a FAR quantile's screened order statistic is found (zero-FAR takes
-the minimum in place); the band is then read from the buffer by position,
-so the peak is about two pool-sized arrays.
+while the screened order statistic is found; the band is then read from
+the buffer by position, so the peak is about two pool-sized arrays.
 """
 
 from __future__ import annotations
@@ -194,6 +193,7 @@ def _sq_norms(m: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", m, m)
 
 
+@np.errstate(over="ignore")  # a difference past float64's max is inf, as a square or sum past it
 def _exact(x: np.ndarray, y: np.ndarray, metric: str = EUCLIDEAN, ix=None, iy=None) -> np.ndarray:
     """The exact kernel: ``_norms`` of y[j] - x[i] for every row i of x and j
     of y, len(x) x len(y), or, given index arrays ix and iy, of each pair
@@ -396,7 +396,7 @@ def _cross_screens(mat: np.ndarray, row_end: np.ndarray, count: int):
 def _cross_order_statistic(mat: np.ndarray, row_end: np.ndarray, count: int, k: int) -> float:
     """k-th smallest euclidean cross-user distance, bitwise as in impostor_pool."""
     screens, tau = _cross_screens(mat, row_end, count)  # the screen and its tiles are freed by now
-    a = screens.min() if k == 0 else np.partition(screens, k)[k]  # a copy keeps the pair order
+    a = np.partition(screens, k)[k]  # a copy keeps the pair order
     # Every screen is within tau of its exact value, so the exact k-th value
     # lies within tau of a: pairs screened below a - 2 tau are certainly
     # below it, pairs above a + 2 tau certainly above, and the band between

@@ -1,18 +1,39 @@
 import csv
 import io
 import itertools
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import pytest
 
-from selfgallery.core import Batch, Dataset, Gallery, Sample, gallery_enroll
+from selfgallery.core import Batch, Dataset, Gallery, gallery_enroll
 from selfgallery.matching import EUCLIDEAN, _distances_to_rows
 from selfgallery.metrics import distance_columns, fmt9
 
 
+@dataclass(frozen=True, eq=False)
+class Record:
+    """A hand-built sample of the tests: one row of the dataset that
+    ``dataset_of`` builds; compared and hashed by identity."""
+
+    id: int
+    vector: np.ndarray
+    true_user: int
+    session: Optional[int] = None
+
+
 def make_sample(sid, values, user=1, session=None):
-    return Sample(id=sid, vector=np.atleast_1d(np.asarray(values, dtype=float)),
-                  true_user=user, session=session)
+    return Record(id=sid, vector=np.atleast_1d(np.asarray(values, dtype=float)), true_user=user, session=session)
+
+
+def dataset_of(samples):
+    """The records as a dataset's rows, in order, built from arrays as the
+    producers build one: ``Dataset`` stacks the vectors and checks every
+    column."""
+    samples = list(samples)
+    sessions = [-1 if s.session is None else s.session for s in samples]
+    return Dataset([s.id for s in samples], [s.true_user for s in samples], sessions, [s.vector for s in samples])
 
 
 def make_samples(values, start_id=0, user=1):
@@ -22,11 +43,11 @@ def make_samples(values, start_id=0, user=1):
 
 def enroll(pairs, cap=None, probes=()):
     """The gallery enrolled from (user, sample) pairs, each sample of its pair's
-    user, over one ``Dataset.of`` the pairs' samples followed by ``probes``
+    user, over one ``dataset_of`` the pairs' samples followed by ``probes``
     (samples for the batches that ``batch_of`` takes from the same dataset)."""
     pairs = list(pairs)
     assert all(u == s.true_user for u, s in pairs), "a sample enrolls for its true user"
-    dataset = Dataset.of([s for _, s in pairs] + list(probes))
+    dataset = dataset_of([s for _, s in pairs] + list(probes))
     return gallery_enroll(Batch(dataset, np.arange(len(pairs)), 0), cap=cap)
 
 
@@ -40,22 +61,22 @@ def batch_of(source, ids, index=1):
 
 def probe_batch(samples, index=1):
     """A batch of the samples, in order, over a dataset of its own."""
-    return Batch(Dataset.of(samples), np.arange(len(samples)), index)
+    return Batch(dataset_of(samples), np.arange(len(samples)), index)
 
 
 def with_probes(gallery, probes, index=1):
     """The gallery's rows over a new dataset of its dataset's samples followed
     by ``probes``, and the batch of the probes, in order."""
-    dataset = Dataset.of(samples_of(gallery.dataset) + list(probes))
+    dataset = dataset_of(samples_of(gallery.dataset) + list(probes))
     g = Gallery(dataset, gallery.rows, gallery.owner, gallery.inserted_at)
     return g, Batch(dataset, len(gallery.dataset) + np.arange(len(probes)), index)
 
 
 def samples_of(rows):
-    """The rows of a dataset, a batch or a gallery as ``Sample`` values, in order."""
+    """The rows of a dataset, a batch or a gallery as records, in order."""
     dataset, rows = (rows, np.arange(len(rows))) if isinstance(rows, Dataset) else (rows.dataset, rows.rows)
     return [
-        Sample(id=i, vector=dataset.vectors[r], true_user=u, session=None if s < 0 else s)
+        Record(id=i, vector=dataset.vectors[r], true_user=u, session=None if s < 0 else s)
         for r, i, u, s in zip(rows.tolist(), dataset.sample_id[rows].tolist(),
                               dataset.true_user[rows].tolist(), dataset.session[rows].tolist())
     ]

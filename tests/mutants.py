@@ -257,12 +257,6 @@ EQUIVALENTS = (
     ),
     Equivalent(
         "selfgallery/matching.py",
-        "a = screens.min() if k == 0 else np.partition(screens, k)[k]",
-        "zero-FAR t* takes the minimum, not a partition: 9-10 us over 216 calls, 2.0-2.3 ms a "
-        "dominating_mode body; the far-quantile workloads never take it",
-    ),
-    Equivalent(
-        "selfgallery/matching.py",
         "moved = np.flatnonzero((y != self.y).any(axis=1))",
         "K-Means screens only moved centroids: 120-165 us over 264 later passes, 32-43 ms an online_wide body "
         "(0.3-0.6 ms slower on the others)",

@@ -16,9 +16,10 @@ from typing import Sequence
 import numpy as np
 
 from selfgallery.clustering import MAX_ITER, REL_TOL, Clustering
-from selfgallery.core import Sample
 from selfgallery.matching import _distances_to_rows
 from selfgallery.synthgen import user_means
+
+from conftest import Record
 
 MIN_SUM = "min_sum_pairwise_sq"
 MAX_SUM = "max_sum_pairwise_sq"
@@ -42,8 +43,8 @@ def subset_objective(sqmat: np.ndarray, idx: Sequence[int]) -> float:
 
 
 def oracle_subset_select(
-    candidates: Sequence[Sample], p: int, objective: str
-) -> list[Sample]:
+    candidates: Sequence[Record], p: int, objective: str
+) -> list[Record]:
     """Exact optimum by full enumeration; test oracle for the fast paths.
 
     Deliberately shares no code with select_mdist/select_dend: plain
@@ -231,7 +232,7 @@ def reference_sequence(gallery, batches, method, p, metric, policy):
     return cycles
 
 
-def reference_generate(params) -> list[Sample]:
+def reference_generate(params) -> list[Record]:
     """``synthgen.generate`` one sample at a time: a uniform, a tail sample's
     other user, then its own standard normal vector, centred and spread."""
     means = user_means(params)
@@ -245,7 +246,7 @@ def reference_generate(params) -> list[Sample]:
             else:
                 center, spread = means[user - 1], params.sigma
             vec = center + spread * rng.standard_normal(params.dim)
-            samples.append(Sample(id=len(samples), vector=vec, true_user=user))
+            samples.append(Record(id=len(samples), vector=vec, true_user=user))
     return samples
 
 

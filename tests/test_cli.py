@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from selfgallery.cli import main, parse_synth, parse_threshold
-from selfgallery.core import Dataset, Sample
 from selfgallery.dataio import load_dataset, write_dataset
 from selfgallery.matching import ThresholdPolicy
 
-from conftest import read_scatter, samples_of, scatter_reference
+from conftest import dataset_of, make_sample, read_scatter, samples_of, scatter_reference
 
 
 def test_parse_synth():
@@ -144,10 +143,10 @@ def test_run_chronological_relaxed_drops_the_short_user(tmp_path, capsys):
     for user, n in counts.items():
         for j in range(n):
             vector = [1.5 * user, 0.0, 0.0] + rng.normal(0.0, 1.0, 3)  # overlapping users
-            samples.append(Sample(id=sid, vector=vector, true_user=user, session=n - 1 - j))
+            samples.append(make_sample(sid, vector, user=user, session=n - 1 - j))
             sid += 1
     ds = tmp_path / "sessions.csv"
-    write_dataset(Dataset.of(samples), ds)
+    write_dataset(dataset_of(samples), ds)
     args = ["run", "--dataset", str(ds), "--p", "2", "--batches", "4", "--runs", "2", "--chronological"]
     out = tmp_path / "out"
     assert main(args + ["--relaxed", "--out", str(out)]) == 0

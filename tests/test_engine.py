@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selfgallery import matching
-from selfgallery.core import Batch, Dataset, gallery_enroll
+from selfgallery.core import Batch, gallery_enroll
 from selfgallery.engine import EngineConfig, run_sequence, run_update_cycle
 from selfgallery.matching import ThresholdPolicy, _distances_to_rows
 from selfgallery.metrics import distance_columns, score_sets
 
-from conftest import batch_of, enroll, gallery_1d, held_ids, make_sample
+from conftest import batch_of, dataset_of, enroll, gallery_1d, held_ids, make_sample
 from oracles import reference_sequence, reference_threshold
 
 
@@ -188,7 +188,7 @@ def _mode_dataset(rng, k=3, per=4, spread=0.3, sep=30.0):
         for u in range(1, k + 1):
             for _ in range(per):
                 samples.append(make_sample(len(samples), [u * sep + rng.normal(0, spread)], user=u))
-    dataset = Dataset.of(samples)
+    dataset = dataset_of(samples)
 
     def g0(cap):
         return gallery_enroll(Batch(dataset, np.arange(k), 0), cap=cap)
@@ -265,20 +265,27 @@ def test_determinism_bit_identical():
 
 
 @pytest.mark.parametrize(
-    "scale, d",
+    "scale, d, far",
     [
-        (1e155, 3),  # squared differences past float64's max
-        (3e153, 16),  # finite squares whose row sums pass it
-        (1e307, 16),  # l1 row sums past it
+        (1e155, 3, 0.0),  # squared differences past float64's max
+        (3e153, 16, 0.0),  # finite squares whose row sums pass it
+        (1e307, 16, 0.0),  # l1 row sums past it
+        (1.0, 3, 1e308),  # finite coordinates whose differences pass it
     ],
 )
 @pytest.mark.parametrize("metric", [matching.EUCLIDEAN, matching.L1])
-def test_distances_past_float64s_max_score_inf_without_a_warning(scale, d, metric):
+def test_distances_past_float64s_max_score_inf_without_a_warning(scale, d, far, metric):
     # the exact kernel's einsum reads an overflowed distance as inf silently,
     # so every stage must: a RuntimeWarning is an error, which would fail
     # the one method or metric whose reduction warns
     rng = np.random.default_rng(0)
-    samples = [make_sample(i, scale * rng.standard_normal(d), user=1 + i % 3) for i in range(12)]
+    vectors = [scale * rng.standard_normal(d) for _ in range(12)]
+    # two users' templates (rows 0 and 1), and a template and a probe (rows 2
+    # and 6), at +far and -far in a coordinate of their own, so no mean sums
+    # two of them past the max
+    for c, (i, j) in enumerate([(0, 1), (2, 6)] if far else []):
+        vectors[i][c], vectors[j][c] = far, -far
+    samples = [make_sample(i, v, user=1 + i % 3) for i, v in enumerate(vectors)]
     g = enroll([(s.true_user, s) for s in samples[:6]], cap=2, probes=samples[6:])
     batch = batch_of(g, range(6, 12))
     policy = ThresholdPolicy.far_quantile(0.5)

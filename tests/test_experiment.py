@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from selfgallery.core import Dataset, gallery_enroll
+from selfgallery.core import gallery_enroll
 from selfgallery.dataio import split_batches, write_dataset
 from selfgallery import experiment
 from selfgallery.engine import EngineConfig, run_sequence
@@ -14,7 +14,7 @@ from selfgallery.matching import ThresholdPolicy
 from selfgallery.metrics import compute_eer, distance_columns, score_sets
 from selfgallery.synthgen import SynthParams, generate
 
-from conftest import gallery_templates, read_scatter, samples_of, scatter_reference
+from conftest import dataset_of, gallery_templates, read_scatter, samples_of, scatter_reference
 
 
 SMALL = SynthParams(
@@ -291,7 +291,7 @@ def test_a_relaxed_experiment_logs_each_dropped_user_once(tmp_path, caplog):
     # users 2 and 4 hold fewer than the 5 batches x p=3 samples: every run's
     # split drops both, and the experiment logs each of them once
     path = tmp_path / "short.csv"
-    write_dataset(Dataset.of([s for s in samples_of(generate(SMALL)) if s.true_user in (1, 3) or s.id % 20 < 10]),
+    write_dataset(dataset_of([s for s in samples_of(generate(SMALL)) if s.true_user in (1, 3) or s.id % 20 < 10]),
                   path)
     with caplog.at_level(logging.WARNING):
         run_experiment(_cfg(dataset=path, runs=3, strict=False))

@@ -1,19 +1,19 @@
 """Only ``core`` reads per-object rows: the gallery's per-user template
-view, and ``Sample`` values.
+view, and its ``Sample`` records.
 
-``core`` defines ``Gallery.users`` and its element types ``Template`` and
-``UserGallery``, kept only for the benchmark's checks; every other module in
-``src/``, the engine that builds each cycle's gallery included, and every
-demo reads the gallery through its row accessors (``dataset``, ``rows``,
-``owner``, ``inserted_at``, ``vectors``, ``sample_id``, ``true_user``,
-``starts``, ``user_ids``), so a change of layout touches ``core`` only and
-the view gains no reader.
+``core`` defines ``Gallery.users`` and its element types ``Sample``,
+``Template`` and ``UserGallery``, kept only for the benchmark's checks;
+every other module in ``src/``, the engine that builds each cycle's gallery
+included, and every demo reads the gallery through its row accessors
+(``dataset``, ``rows``, ``owner``, ``inserted_at``, ``vectors``,
+``sample_id``, ``true_user``, ``starts``, ``user_ids``), so a change of
+layout touches ``core`` only and the view gains no reader.
 
-Every module in ``src/`` passes rows of one ``core.Dataset``: a batch and a
-gallery are row indices, read through the same accessors, and a ``Sample``
-becomes a row only in ``core`` (``Dataset.of``). So no other module names
-``Sample`` (``__init__`` re-exports it, by import only) or ``stack_vectors``,
-or reads ``.samples``, ``.vector`` or ``.id``: per-object rows cannot return.
+Every module in ``src/`` passes rows of one ``core.Dataset``, which is built
+from arrays only: a batch and a gallery are row indices, read through the
+same accessors. So no other module names ``Sample`` (the package does not
+export it) or ``stack_vectors``, or reads ``.samples``, ``.vector`` or
+``.id``: per-object rows cannot return.
 """
 
 import ast
@@ -78,18 +78,17 @@ SOURCES = sorted(
 )
 
 
-def sample_reads(source: str, reexport: bool = False) -> list[str]:
+def sample_reads(source: str) -> list[str]:
     """Every read of an attribute named ``samples``, ``vector`` or ``id``, and
     every use of the name ``Sample`` or ``stack_vectors`` (an import
-    included, unless ``reexport`` allows importing them from ``core``), in
-    ``source``, in line order."""
+    included), in ``source``, in line order."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Attribute) and node.attr in SAMPLE_READS | SAMPLE_NAMES:
             found.append((node.lineno, f".{node.attr}"))
         elif isinstance(node, ast.Name) and node.id in SAMPLE_NAMES:
             found.append((node.lineno, node.id))
-        elif isinstance(node, ast.ImportFrom) and not (reexport and node.module == "core"):
+        elif isinstance(node, ast.ImportFrom):
             found += [(node.lineno, f"import {a.name}") for a in node.names if a.name in SAMPLE_NAMES]
     return [f"line {line}: {what}" for line, what in sorted(found)]
 
@@ -101,8 +100,7 @@ def test_sources_are_found():
 
 @pytest.mark.parametrize("path", SOURCES)
 def test_no_module_but_core_reads_sample_rows(path):
-    source = (ROOT / path).read_text()
-    assert sample_reads(source, reexport=path.endswith("/__init__.py")) == []
+    assert sample_reads((ROOT / path).read_text()) == []
 
 
 def test_sample_checker_flags_per_object_rows_and_spares_row_accessors():
@@ -117,8 +115,6 @@ def test_sample_checker_flags_per_object_rows_and_spares_row_accessors():
     assert sample_reads(source) == [
         "line 1: .samples", "line 1: stack_vectors", "line 2: .id", "line 3: .vector", "line 4: import Sample",
     ]
-    assert sample_reads("from .core import Batch, Sample\n", reexport=True) == []
-    assert sample_reads("from .dataio import Sample\n", reexport=True) == ["line 1: import Sample"]
 
 
 def test_checker_flags_the_view_types():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selfgallery import matching
-from selfgallery.core import Batch, Dataset, Gallery
+from selfgallery.core import Batch, Gallery
 from selfgallery.matching import _BLOCK, _GATHER, METRICS, _distances_to_rows
 from selfgallery.metrics import (
     compute_eer,
@@ -23,6 +23,7 @@ from selfgallery.metrics import (
 
 from conftest import (
     batch_of,
+    dataset_of,
     enroll,
     gallery_1d,
     gallery_columns,
@@ -184,7 +185,7 @@ def test_impostor_fraction_counting():
 def test_impostor_fraction_all_swapped():
     s1 = make_sample(0, [0.0], user=2)
     s2 = make_sample(1, [5.0], user=1)
-    g = Gallery(Dataset.of([s1, s2]), [0, 1], [1, 2], [0, 0])
+    g = Gallery(dataset_of([s1, s2]), [0, 1], [1, 2], [0, 0])
     frac, _ = impostor_fraction(g)
     assert frac == 1.0
 
@@ -199,7 +200,7 @@ def test_impostor_fraction_is_bitwise_the_integer_quotients():
                 truth = user if rng.random() < 0.6 else int(rng.integers(1, 9))
                 pairs.append((user, make_sample(sid, [float(sid)], user=truth)))
                 sid += 1
-        g = Gallery(Dataset.of([s for _, s in pairs]), np.arange(len(pairs)), [u for u, _ in pairs],
+        g = Gallery(dataset_of([s for _, s in pairs]), np.arange(len(pairs)), [u for u, _ in pairs],
                     np.zeros(len(pairs), np.int64))
         frac, per_user = impostor_fraction(g)
         wrong = {u: [s.true_user != u for s in ss] for u, ss in gallery_templates(g).items()}
@@ -458,7 +459,7 @@ def test_distance_columns_are_exact_rows_by_dataset_row():
     rng = np.random.default_rng(5)
     samples = [make_sample(sid, rng.normal(size=3)) for sid in (42, 40, 43, -1, 41)]
     samples += [make_sample(100 + i, rng.normal(size=3)) for i in range(7)]
-    dataset = Dataset.of(samples)
+    dataset = dataset_of(samples)
     test = Batch(dataset, np.arange(5, 12), 6)
     x = test.vectors
     # rows 4, 0 and 2 in one gallery, 2 and 1 in another: each held row once, ascending
@@ -479,7 +480,7 @@ def test_distance_columns_refuse_a_gallery_of_another_dataset_before_any_distanc
     computed = []  # every exact distance reduces through _norms
     monkeypatch.setattr(matching, "_norms", lambda *args: computed.append(args) or np.zeros(1))
     samples = [make_sample(40, [1.0, 1.0]), make_sample(41, [2.0, 0.0]), make_sample(0, [0.0, 1.0])]
-    dataset, twin = Dataset.of(samples), Dataset.of(samples)
+    dataset, twin = dataset_of(samples), dataset_of(samples)
     test = Batch(dataset, [2], 6)
     with pytest.raises(ValueError, match="^the gallery and the test batch are rows of different datasets$"):
         distance_columns(test, [_held(dataset, [0]), _held(twin, [1])])
@@ -505,7 +506,7 @@ def test_distance_columns_blocks_are_bitwise_the_row_kernel(monkeypatch, n, t, d
         samples[1] = make_sample(101, samples[0].vector)
     if t:
         samples[-1] = make_sample(100 + n - 1, probes[0].vector)
-    dataset = Dataset.of(probes + samples)
+    dataset = dataset_of(probes + samples)
     test = Batch(dataset, np.arange(t), 6)
     x = test.vectors
     reduce, sizes = matching._norms, []

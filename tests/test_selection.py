@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from selfgallery import matching, selection
 from selfgallery.clustering import Clustering, kmeans
-from selfgallery.core import Dataset
 from selfgallery.matching import _distances_to_rows
 from selfgallery.selection import select, select_dend, select_kmeans, select_mdist
 
@@ -211,15 +210,6 @@ def test_select_kmeans_rejects_empty_user():
         select_kmeans({1: _block(a), 2: _block([])}, p=2)
 
 
-def _mixed(n, bad, start_id=0, user=1):
-    """n samples of dim 2 but the one at ``bad`` (dim 1), in id order."""
-    values = [[float(i)] if i == bad else [float(i), 0.0] for i in range(n)]
-    return make_samples(values, start_id, user)
-
-
-MISMATCH = "dimension mismatch: sample {} has dim 1, expected 2$"
-
-
 def _selectors(p):
     """Every selection entry point, ``select`` under each method, called at
     ``p`` on one user's three candidates."""
@@ -237,11 +227,6 @@ def _selectors(p):
         (lambda: select_kmeans({1: _block(make_samples([[0.0]]))}, 0), "p must be positive"),
         # a bool p would keep one template; a float or str would fail inside comb or numpy, or pass
         *[(call, f"^p must be an integer, not {p!r}$") for p in (True, 2.0, "2") for call in _selectors(p)],
-        # candidates are rows of one dataset, whose one stack (Dataset.of)
-        # names the first sample of another dim, in id order
-        (lambda: Dataset.of(_mixed(4, 2)), MISMATCH.format(2)),  # an exact search's size
-        (lambda: Dataset.of(_mixed(33, 30)), MISMATCH.format(30)),  # a greedy search's size
-        (lambda: Dataset.of(_mixed(3, None) + _mixed(4, 1, start_id=10, user=2)), MISMATCH.format(11)),
     ],
 )
 def test_boundary_checks_raise_their_messages(call, message):

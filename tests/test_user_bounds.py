@@ -13,11 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfgallery.core import Batch, Dataset, Gallery, user_bounds
+from selfgallery.core import Batch, Gallery, user_bounds
 from selfgallery.matching import ThresholdPolicy, _exact, estimate_threshold, impostor_pool
 from selfgallery.metrics import distance_columns, impostor_fraction, score_sets
 
-from conftest import make_sample
+from conftest import dataset_of, make_sample
 
 INT64 = st.integers(-(2**63), 2**63 - 1)
 
@@ -38,7 +38,7 @@ def _gallery_and_test(draw):
     samples = [make_sample(int(i), rng.integers(-2, 3, d), user=int(rng.choice(users))) for i in sid]
     size = draw(st.integers(1, 5))
     samples += [make_sample(int(i), rng.integers(-2, 3, d), user=int(rng.choice(users))) for i in ids[n : n + size]]
-    dataset = Dataset.of(samples)
+    dataset = dataset_of(samples)
     gallery = Gallery(dataset, np.arange(n), owner, np.zeros(n, np.int64))
     return gallery, Batch(dataset, n + np.arange(size), 1)
 
@@ -100,7 +100,7 @@ def test_user_bounds_of_a_grouped_column(owner, bounds):
 
 
 def test_a_gallery_stores_its_bounds_read_only():
-    g = Gallery(Dataset.of([make_sample(i, [float(i)]) for i in range(4)]), np.arange(4), owner=[2, 2, 5, 9],
+    g = Gallery(dataset_of([make_sample(i, [float(i)]) for i in range(4)]), np.arange(4), owner=[2, 2, 5, 9],
                 inserted_at=[0] * 4)
     assert g.starts.tolist() == [0, 2, 3, 4] and g.starts is g.starts
     with pytest.raises(ValueError):
