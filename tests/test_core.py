@@ -315,20 +315,32 @@ def _ds(n=2):
          "a dataset needs at least one row of at least one coordinate$"),
         (lambda: Dataset(np.arange(2), [1, 1], [-1, -1], np.zeros(2)),
          "a dataset needs at least one row of at least one coordinate$"),
+        (lambda: Dataset(np.arange(2), [1, 1], [-1, -1], np.zeros((2, 1, 1))),
+         "a dataset needs at least one row of at least one coordinate$"),
         (lambda: Dataset(np.arange(2), [1], [-1, -1], np.zeros((2, 1))),
          "sample_id, true_user, session and vectors must hold one entry per row$"),
         (lambda: Dataset([4, 7, 9], [1, 1, 1], [-1, -1, -1], [[0.0], [np.nan], [np.inf]]),
          "sample 7: feature vector contains non-finite coordinates$"),
         (lambda: Dataset([4, 7, 4, 7], [1, 1, 1, 1], [-1] * 4, np.zeros((4, 1))), "duplicate sample_id 4$"),
         (lambda: Dataset([4, 2**63], [1, 1], [-1, -1], np.zeros((2, 1))), f"id {2**63} does not fit in int64$"),
+        (lambda: Dataset([4], [-(2**63) - 1], [-1], np.zeros((1, 1))), f"true_user {-(2**63) - 1} does not fit in int64$"),
+        (lambda: Dataset([4], [1], [2**63], np.zeros((1, 1))), f"session {2**63} does not fit in int64$"),
+        # an unsigned array outside int64 is named, not wrapped to a negative id
+        (lambda: Dataset(np.array([4, 2**64 - 1], dtype=np.uint64), [1, 1], [-1, -1], np.zeros((2, 1))),
+         f"id {2**64 - 1} does not fit in int64$"),
         (lambda: Dataset([4, 5], [1, 1.5], [-1, -1], np.zeros((2, 1))), r"true_user must be an integer, not 1\.5$"),
         # a float id would be truncated in a dataset's int64 rows, and a float
         # session written to a dataset file that load_dataset then refuses
         (lambda: Dataset([4, 2.7], [1, 1], [-1, -1], np.zeros((2, 1))), r"id must be an integer, not 2\.7$"),
+        (lambda: Dataset([1.0], [1], [-1], np.zeros((1, 1))), r"id must be an integer, not 1\.0$"),
         (lambda: Dataset([np.float64(3.0)], [1], [-1], np.zeros((1, 1))),
          r"id must be an integer, not (np\.float64\()?3\.0\)?$"),
         (lambda: Dataset([4], ["1"], [-1], np.zeros((1, 1))), "true_user must be an integer, not '1'$"),
+        (lambda: Dataset([0], [1.5], [-1], np.zeros((1, 1))), r"true_user must be an integer, not 1\.5$"),
+        # a bool is no key in any column
+        (lambda: Dataset([True], [1], [-1], np.zeros((1, 1))), "id must be an integer, not True$"),
         (lambda: Dataset([4], [True], [-1], np.zeros((1, 1))), "true_user must be an integer, not True$"),
+        (lambda: Dataset([4], [1], [False], np.zeros((1, 1))), "session must be an integer, not False$"),
         (lambda: Dataset([4, 5], [1, 1], [-1, 1.5], np.zeros((2, 1))), r"session must be an integer, not 1\.5$"),
     ],
 )
@@ -362,6 +374,28 @@ def test_a_dataset_stacks_rows_given_as_a_list_into_read_only_copies():
         assert not column.flags.writeable and (name == "vectors" or column.dtype == np.int64)
         with pytest.raises(ValueError):
             column[0] = column[1]
+
+
+@pytest.mark.parametrize("source", ["list", "float32 matrix", "read-only float32 matrix"])
+def test_a_dataset_owns_a_copy_that_a_later_write_to_the_source_leaves_unchanged(source):
+    matrix = np.arange(4.0, dtype=np.float32).reshape(2, 2)
+    matrix.flags.writeable = source != "read-only float32 matrix"
+    rows = [[0.0, 1.0], [2.0, 3.0]] if source == "list" else matrix
+    dataset = Dataset([0, 1], [1, 2], [-1, -1], rows)
+    assert not np.shares_memory(dataset.vectors, matrix) and not dataset.vectors.flags.writeable
+    matrix.flags.writeable = True  # an owner made writeable again reaches no dataset
+    matrix[:] = 99.0
+    if source == "list":
+        rows[1][:] = [99.0, 99.0]
+    assert dataset.vectors.tolist() == [[0.0, 1.0], [2.0, 3.0]]
+
+
+@pytest.mark.parametrize("value, first", [(np.nan, 0), (np.inf, 2), (-np.inf, 3)])
+def test_a_dataset_names_the_first_sample_with_a_non_finite_coordinate(value, first):
+    vectors = np.zeros((4, 2))
+    vectors[first:, first % 2] = value  # every row from the first on
+    with pytest.raises(ValueError, match=f"^sample {10 + first}: feature vector contains non-finite coordinates$"):
+        Dataset(10 + np.arange(4), [1, 1, 2, 2], [-1] * 4, vectors)
 
 
 def test_a_dataset_takes_a_float64_matrix_as_given_and_freezes_it():

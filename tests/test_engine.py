@@ -264,27 +264,10 @@ def test_determinism_bit_identical():
     assert run() == run()
 
 
-@pytest.mark.parametrize(
-    "scale, d, far",
-    [
-        (1e155, 3, 0.0),  # squared differences past float64's max
-        (3e153, 16, 0.0),  # finite squares whose row sums pass it
-        (1e307, 16, 0.0),  # l1 row sums past it
-        (1.0, 3, 1e308),  # finite coordinates whose differences pass it
-    ],
-)
-@pytest.mark.parametrize("metric", [matching.EUCLIDEAN, matching.L1])
-def test_distances_past_float64s_max_score_inf_without_a_warning(scale, d, far, metric):
+def _every_stage_scores_without_a_warning(vectors, metric):
     # the exact kernel's einsum reads an overflowed distance as inf silently,
     # so every stage must: a RuntimeWarning is an error, which would fail
     # the one method or metric whose reduction warns
-    rng = np.random.default_rng(0)
-    vectors = [scale * rng.standard_normal(d) for _ in range(12)]
-    # two users' templates (rows 0 and 1), and a template and a probe (rows 2
-    # and 6), at +far and -far in a coordinate of their own, so no mean sums
-    # two of them past the max
-    for c, (i, j) in enumerate([(0, 1), (2, 6)] if far else []):
-        vectors[i][c], vectors[j][c] = far, -far
     samples = [make_sample(i, v, user=1 + i % 3) for i, v in enumerate(vectors)]
     g = enroll([(s.true_user, s) for s in samples[:6]], cap=2, probes=samples[6:])
     batch = batch_of(g, range(6, 12))
@@ -297,6 +280,32 @@ def test_distances_past_float64s_max_score_inf_without_a_warning(scale, d, far, 
         for method in ("kmeans", "mdist", "dend", "keep_all"):
             _, report = run_update_cycle(g, batch, EngineConfig(method, 2, metric, policy), np.inf)
             assert report.n_accepted + report.n_rejected == len(batch)
+
+
+@pytest.mark.parametrize(
+    "scale, d",
+    [
+        (1e155, 3),  # squared differences past float64's max
+        (3e153, 16),  # finite squares whose row sums pass it
+        (1e307, 16),  # l1 row sums past it
+    ],
+)
+@pytest.mark.parametrize("metric", [matching.EUCLIDEAN, matching.L1])
+def test_distances_past_float64s_max_score_inf_without_a_warning(scale, d, metric):
+    rng = np.random.default_rng(0)
+    _every_stage_scores_without_a_warning([scale * rng.standard_normal(d) for _ in range(12)], metric)
+
+
+@pytest.mark.parametrize("metric", [matching.EUCLIDEAN, matching.L1])
+def test_finite_rows_whose_differences_pass_float64s_max_score_inf_without_a_warning(metric):
+    rng = np.random.default_rng(0)
+    vectors = [rng.standard_normal(3) for _ in range(12)]
+    # two users' templates (rows 0 and 1), and a template and a probe (rows 2
+    # and 6), at +1e308 and -1e308 in a coordinate of their own, so no mean
+    # sums two of them past the max
+    for c, (i, j) in enumerate([(0, 1), (2, 6)]):
+        vectors[i][c], vectors[j][c] = 1e308, -1e308
+    _every_stage_scores_without_a_warning(vectors, metric)
 
 
 def test_config_validation():
